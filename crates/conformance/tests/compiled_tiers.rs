@@ -124,13 +124,15 @@ fn executor_memo_reuses_lowerings_across_runs() {
 #[test]
 fn executor_capacity_zero_is_uncached_but_identical() {
     let cached = FtImm::new(HwConfig::default());
-    let uncached = FtImm::with_cache_capacities(HwConfig::default(), 0, 0);
+    let uncached = FtImm::with_cache_capacities(HwConfig::default(), 0, 0, 0);
     let shape = GemmShape::new(19, 40, 23);
     let (cw, _) = run_tier(&cached, &shape, Strategy::KPar, 2, 11, ExecMode::Compiled);
     let (co, _) = run_tier(&uncached, &shape, Strategy::KPar, 2, 11, ExecMode::Compiled);
     let stats = uncached.executor_stats();
     assert_eq!(stats.len, 0, "capacity 0 must not retain entries");
     assert_eq!(stats.capacity, 0);
+    let kernels = uncached.kernel_cache_stats();
+    assert_eq!((kernels.len, kernels.hits), (0, 0), "nor cache a kernel");
     for (x, y) in cw.iter().zip(&co) {
         assert_eq!(x.to_bits(), y.to_bits());
     }

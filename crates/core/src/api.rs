@@ -5,7 +5,10 @@ use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome,
 use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
-use kernelgen::{ExecutorCacheStats, KernelCache, KernelExecutor, DEFAULT_EXECUTOR_CACHE_CAPACITY};
+use kernelgen::{
+    ExecutorCacheStats, KernelCache, KernelCacheStats, KernelExecutor,
+    DEFAULT_EXECUTOR_CACHE_CAPACITY, DEFAULT_KERNEL_CACHE_CAPACITY,
+};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -131,21 +134,28 @@ impl FtImm {
     /// Create a context with an explicit plan cache capacity (`0`
     /// disables plan memoisation — every call plans from scratch).
     pub fn with_plan_cache_capacity(cfg: HwConfig, capacity: usize) -> Self {
-        FtImm::with_cache_capacities(cfg, capacity, DEFAULT_EXECUTOR_CACHE_CAPACITY)
+        FtImm::with_cache_capacities(
+            cfg,
+            capacity,
+            DEFAULT_EXECUTOR_CACHE_CAPACITY,
+            DEFAULT_KERNEL_CACHE_CAPACITY,
+        )
     }
 
-    /// Create a context with explicit plan-cache and executor-cache
-    /// capacities (`0` disables the respective memo; a disabled executor
-    /// memo re-lowers the compiled tier on every invocation but stays
-    /// bit-identical).
+    /// Create a context with explicit plan-cache, executor-cache and
+    /// kernel-cache capacities (`0` disables the respective memo; a
+    /// disabled executor memo re-lowers the compiled tier on every
+    /// invocation and a disabled kernel cache regenerates every kernel
+    /// on every lookup, but both stay bit-identical).
     pub fn with_cache_capacities(
         cfg: HwConfig,
         plan_capacity: usize,
         executor_capacity: usize,
+        kernel_capacity: usize,
     ) -> Self {
         FtImm {
             exec: Arc::new(KernelExecutor::with_capacity(
-                Arc::new(KernelCache::new(cfg.clone())),
+                Arc::new(KernelCache::with_capacity(cfg.clone(), kernel_capacity)),
                 executor_capacity,
             )),
             cfg,
@@ -181,6 +191,11 @@ impl FtImm {
     /// Hit/miss/eviction/compile counters of the compiled-kernel memo.
     pub fn executor_stats(&self) -> ExecutorCacheStats {
         self.exec.stats()
+    }
+
+    /// Hit/miss/eviction counters of the generated-kernel cache.
+    pub fn kernel_cache_stats(&self) -> KernelCacheStats {
+        self.cache().stats()
     }
 
     /// The hardware configuration.

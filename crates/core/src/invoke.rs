@@ -42,13 +42,13 @@ pub fn invoke_kernel(
             ex.execute(tier, kernel, &a, &b, &mut c)?;
             let cr = m.core_mut(core);
             cr.am.write_f32_slice(bind.c_off, &c)?;
-            cr.stats.flops += kernel.program.flops();
+            cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
             m.compute(core, kernel.cycles);
         }
         ExecMode::Timing => {
             let cr = m.core_mut(core);
-            cr.stats.flops += kernel.program.flops();
+            cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
             m.compute(core, kernel.cycles);
         }

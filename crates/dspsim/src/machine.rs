@@ -89,7 +89,8 @@ pub struct Machine {
 }
 
 /// Default modelled DDR partition capacity (64 GiB — large enough for the
-/// paper's biggest sweep; memory is only materialised when written).
+/// paper's biggest sweep; backing store materialises when read or
+/// written, never on allocation, so timing mode materialises none).
 pub const DDR_CAPACITY: u64 = 64 << 30;
 
 impl Machine {

@@ -1,7 +1,11 @@
 //! Byte-addressed memory regions with f32 views and bump allocation.
 //!
-//! All four memory levels (DDR, GSM, SM, AM) use the same region type;
-//! scratchpads are fixed-capacity, DDR grows on demand up to its capacity.
+//! All four memory levels (DDR, GSM, SM, AM) use the same region type.
+//! Backing store materialises on first touch, never on construction or
+//! allocation: a scratchpad materialises whole, DDR grows to the touched
+//! end.  Capacity, allocation and bounds checks never look at what is
+//! materialised, so a run that touches no data (timing mode) costs no
+//! memory however much it allocates.
 
 use crate::SimError;
 
@@ -13,6 +17,8 @@ pub struct MemRegion {
     capacity: u64,
     /// Bump-allocation watermark.
     watermark: u64,
+    /// What a touch materialises: the range's end (`true`, DDR) or the
+    /// whole region (`false`, scratchpads).
     growable: bool,
     /// Reads observed since a flip was scheduled (untouched — and never
     /// counted — while no flips are pending, so fault-free runs pay
@@ -27,11 +33,12 @@ pub struct MemRegion {
 }
 
 impl MemRegion {
-    /// A fixed-size scratchpad, eagerly zero-initialised.
+    /// A fixed-size scratchpad: zero-filled, materialised whole on its
+    /// first read, write or flip.
     pub fn fixed(name: &'static str, capacity: usize) -> Self {
         MemRegion {
             name,
-            data: vec![0; capacity],
+            data: Vec::new(),
             capacity: capacity as u64,
             watermark: 0,
             growable: false,
@@ -41,7 +48,8 @@ impl MemRegion {
         }
     }
 
-    /// A lazily grown region (DDR): backing storage grows as touched.
+    /// A lazily grown region (DDR): zero-filled, backing storage grows to
+    /// the end of each touched range.
     pub fn growable(name: &'static str, capacity: u64) -> Self {
         MemRegion {
             name,
@@ -70,6 +78,13 @@ impl MemRegion {
         self.watermark
     }
 
+    /// Bytes of backing store currently materialised (0 until the first
+    /// read, write or flip).
+    pub fn materialised(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    /// Bounds-check an access, then materialise the store it touches.
     fn ensure(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
         let end = offset.checked_add(len).ok_or(SimError::OutOfBounds {
             region: self.name,
@@ -85,8 +100,12 @@ impl MemRegion {
                 capacity: self.capacity,
             });
         }
-        if self.growable && self.data.len() < end as usize {
-            self.data.resize(end as usize, 0);
+        let want = if self.growable { end } else { self.capacity } as usize;
+        if self.data.is_empty() {
+            // `vec!` of zeros is one zeroed allocation: no page is written.
+            self.data = vec![0; want];
+        } else if self.data.len() < want {
+            self.data.resize(want, 0);
         }
         Ok(())
     }
@@ -103,7 +122,6 @@ impl MemRegion {
                 available: self.capacity.saturating_sub(start),
             });
         }
-        self.ensure(start, bytes)?;
         self.watermark = start + bytes;
         Ok(start)
     }
@@ -295,6 +313,73 @@ mod tests {
         m.write_f32(1000, 7.0).unwrap();
         assert!(m.data.len() >= 1004);
         assert!(m.write_f32(1 << 20, 7.0).is_err());
+    }
+
+    #[test]
+    fn alloc_materialises_nothing_and_checks_are_independent_of_it() {
+        let mut m = MemRegion::growable("DDR", 2 << 30);
+        assert_eq!(m.alloc(1 << 30, 64).unwrap(), 0);
+        assert_eq!((m.allocated(), m.materialised()), (1 << 30, 0));
+        // Capacity is enforced against the watermark, not the store.
+        let err = m.alloc((1 << 30) + 1, 1).unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::AllocFailure {
+                requested,
+                available,
+                ..
+            } if requested == (1 << 30) + 1 && available == 1 << 30
+        ));
+        // Bounds are enforced against the capacity, inside or outside
+        // what was allocated, and a refused access materialises nothing.
+        assert!(matches!(
+            m.write_f32((2 << 30) - 2, 1.0),
+            Err(SimError::OutOfBounds { .. })
+        ));
+        assert!(m.read_f32(u64::MAX - 1).is_err());
+        assert_eq!(m.materialised(), 0);
+        // A touch grows the store to the touched end, no further.
+        assert_eq!(m.read_f32(4096).unwrap(), 0.0);
+        assert_eq!(m.materialised(), 4100);
+        m.write_f32(8, 1.0).unwrap();
+        assert_eq!(m.materialised(), 4100);
+
+        let mut sm = MemRegion::fixed("SM", 1024);
+        sm.alloc(512, 64).unwrap();
+        assert_eq!(sm.materialised(), 0);
+        assert!(sm.write_f32(1022, 1.0).is_err());
+        assert_eq!(sm.materialised(), 0);
+        sm.write_f32(0, 1.0).unwrap();
+        assert_eq!(sm.materialised(), 1024, "a scratchpad materialises whole");
+    }
+
+    #[test]
+    fn flips_materialise_an_untouched_scratchpad_and_hit_the_same_word() {
+        // Scheduled flip: the first read of 8 words picks word rng % 8.
+        let mut am = MemRegion::fixed("AM", 4096);
+        am.schedule_flip(1, 13);
+        assert_eq!(am.materialised(), 0, "arming a flip touches nothing");
+        let mut out = [0.0f32; 8];
+        am.read_f32_slice(256, &mut out).unwrap();
+        assert_eq!(am.materialised(), 4096);
+        assert_eq!(am.flips_applied(), 1);
+        let mut want = [0.0f32; 8];
+        want[13 % 8] = 2.0; // bit 30 of +0.0
+        assert_eq!(out, want);
+        assert_eq!(
+            am.read_f32(256 + 4 * 5).unwrap(),
+            2.0,
+            "the fault is at rest"
+        );
+
+        // DMA-corruption primitive on a never-touched region.
+        let mut sm = MemRegion::fixed("SM", 4096);
+        sm.flip_f32_msb(1000).unwrap();
+        assert_eq!(sm.materialised(), 4096);
+        assert_eq!(sm.read_f32(1000).unwrap(), 2.0);
+        assert_eq!(sm.read_f32(996).unwrap(), 0.0);
+        assert_eq!(sm.read_f32(1004).unwrap(), 0.0);
+        assert!(sm.flip_f32_msb(4094).is_err());
     }
 
     #[test]

@@ -15,6 +15,54 @@ pub enum Operand {
     Mem(AddrExpr),
 }
 
+/// Most registers one operand list can hold (`VFMULAS32` reads three
+/// vector registers; no opcode defines or reads more of one kind).
+pub const MAX_REG_OPERANDS: usize = 3;
+
+/// A short register operand list stored inline, read as a slice.
+///
+/// A generated kernel holds a few hundred instructions with four lists
+/// each, so keeping them off the heap is most of a kernel's size and of
+/// the time it takes to build one.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct RegList<R> {
+    len: u8,
+    /// Slots at and beyond `len` stay `R::default()`, which keeps the
+    /// derived equality exact.
+    regs: [R; MAX_REG_OPERANDS],
+}
+
+impl<R: Copy> RegList<R> {
+    /// Append a register.  Panics beyond [`MAX_REG_OPERANDS`] — no opcode
+    /// takes that many, so [`Instruction::validate`] would reject the
+    /// list anyway.
+    pub fn push(&mut self, reg: R) {
+        self.regs[self.len as usize] = reg;
+        self.len += 1;
+    }
+}
+
+impl<R> std::ops::Deref for RegList<R> {
+    type Target = [R];
+    fn deref(&self) -> &[R] {
+        &self.regs[..self.len as usize]
+    }
+}
+
+impl<'a, R> IntoIterator for &'a RegList<R> {
+    type Item = &'a R;
+    type IntoIter = std::slice::Iter<'a, R>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<R: fmt::Debug> fmt::Debug for RegList<R> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One machine instruction.
 ///
 /// Register operands are stored as explicit def/use lists so that the
@@ -26,13 +74,13 @@ pub struct Instruction {
     /// The opcode.
     pub opcode: Opcode,
     /// Scalar registers written.
-    pub sdefs: Vec<SReg>,
+    pub sdefs: RegList<SReg>,
     /// Vector registers written.
-    pub vdefs: Vec<VReg>,
+    pub vdefs: RegList<VReg>,
     /// Scalar registers read.
-    pub suses: Vec<SReg>,
+    pub suses: RegList<SReg>,
     /// Vector registers read.
-    pub vuses: Vec<VReg>,
+    pub vuses: RegList<VReg>,
     /// Memory operand for loads/stores.
     pub mem: Option<AddrExpr>,
 }
@@ -41,10 +89,10 @@ impl Instruction {
     fn new(opcode: Opcode) -> Self {
         Instruction {
             opcode,
-            sdefs: Vec::new(),
-            vdefs: Vec::new(),
-            suses: Vec::new(),
-            vuses: Vec::new(),
+            sdefs: RegList::default(),
+            vdefs: RegList::default(),
+            suses: RegList::default(),
+            vuses: RegList::default(),
             mem: None,
         }
     }
@@ -306,7 +354,7 @@ mod tests {
     #[test]
     fn vlddw_defines_a_register_pair() {
         let i = Instruction::vlddw(VReg::new(6).unwrap(), am(0)).unwrap();
-        assert_eq!(i.vdefs, vec![VReg::new(6).unwrap(), VReg::new(7).unwrap()]);
+        assert_eq!(i.vdefs[..], [VReg::new(6).unwrap(), VReg::new(7).unwrap()]);
     }
 
     #[test]
@@ -314,7 +362,7 @@ mod tests {
         let v = |n| VReg::new(n).unwrap();
         let i = Instruction::vfmulas32(v(1), v(2), v(3));
         assert!(i.vuses.contains(&v(1)), "accumulator must be a use");
-        assert_eq!(i.vdefs, vec![v(1)]);
+        assert_eq!(i.vdefs[..], [v(1)]);
     }
 
     #[test]

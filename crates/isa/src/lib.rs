@@ -45,7 +45,7 @@ pub mod unit;
 pub use addr::{AddrExpr, BufId, MemSpace};
 pub use bundle::Bundle;
 pub use error::IsaError;
-pub use inst::{Instruction, Operand};
+pub use inst::{Instruction, Operand, RegList, MAX_REG_OPERANDS};
 pub use latency::LatencyTable;
 pub use opcode::Opcode;
 pub use pipeline::PipelineTable;

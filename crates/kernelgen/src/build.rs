@@ -2,7 +2,7 @@
 //! schedule: C-panel prologue, software-pipelined `kk` phase, depth
 //! remainder, accumulator reduction and C store, per `mm` block.
 
-use crate::modsched::{schedule, IterOp, SlotOp, SteadySchedule};
+use crate::modsched::{IterOp, ScheduleMemo, SlotOp, SteadySchedule};
 use crate::{tiling, GenError, KernelLayout, KernelSpec, LineScheduler, RegMap, Tiling};
 use dspsim::HwConfig;
 use ftimm_isa::{
@@ -29,6 +29,24 @@ pub struct BlockPlan {
     pub ii: u32,
 }
 
+/// How many of the ranked candidate tilings [`MicroKernel::generate`]
+/// considers.
+pub const SEARCH_WIDTH: usize = 8;
+
+/// Cycles of the pipelined `kk` halves alone — `k_iters + 1` halves of
+/// II bundles per block — with every II at its resource lower bound.
+/// [`build`] can only add to it: scheduling never lowers an II, and the
+/// C-panel prologue and the epilogue have non-negative length.
+pub fn steady_cycles_lower_bound(spec: &KernelSpec, t: &Tiling, cfg: &HwConfig) -> u64 {
+    let halves = (spec.k_a / t.k_u + 1) as u64;
+    let mut cycles = (spec.m_s / t.m_u) as u64 * u64::from(t.ii) * halves;
+    let m_rem = spec.m_s % t.m_u;
+    if m_rem > 0 {
+        cycles += u64::from(Tiling::ii_lower_bound(m_rem, t.k_u, t.v_n, cfg)) * halves;
+    }
+    cycles
+}
+
 /// A generated micro-kernel.
 #[derive(Debug, Clone)]
 pub struct MicroKernel {
@@ -44,20 +62,43 @@ pub struct MicroKernel {
     /// Total cycles of one invocation (loops expanded — identical to what
     /// the interpreter executes).
     pub cycles: u64,
+    /// Total flops of one invocation, padding lanes included
+    /// (`program.flops()`, counted once at build time).
+    pub flops: u64,
     /// Theoretical upper-bound efficiency for this `n_a` (§IV-A3).
     pub upper_bound: f64,
 }
 
 impl MicroKernel {
-    /// Generate the best kernel for a spec: every feasible tiling is
-    /// built and the one with the fewest total cycles wins.
+    /// Generate the best kernel for a spec: the fewest total cycles over
+    /// the first [`SEARCH_WIDTH`] feasible tilings (earliest wins ties).
+    ///
+    /// A candidate is built only if it can still win.  Every build spends
+    /// at least [`steady_cycles_lower_bound`] cycles, and a candidate
+    /// replaces the incumbent only when strictly faster, so skipping one
+    /// whose bound already reaches the incumbent's cycles returns exactly
+    /// the kernel the exhaustive search returns.
     pub fn generate(spec: KernelSpec, cfg: &HwConfig) -> Result<MicroKernel, GenError> {
+        Self::generate_with(spec, cfg, &ScheduleMemo::default())
+    }
+
+    /// [`MicroKernel::generate`] drawing steady-state schedules from a
+    /// memo shared between kernels (which must all be for `cfg`).
+    pub(crate) fn generate_with(
+        spec: KernelSpec,
+        cfg: &HwConfig,
+        schedules: &ScheduleMemo,
+    ) -> Result<MicroKernel, GenError> {
         let cands = tiling::candidates(&spec, cfg)?;
         let mut best: Option<MicroKernel> = None;
-        // The candidate list is sorted by steady-state quality; building
-        // the first handful is enough to find the cycle-optimal one.
-        for t in cands.into_iter().take(8) {
-            let k = build(spec, t, cfg)?;
+        // The candidate list is sorted by steady-state quality; the first
+        // handful is enough to find the cycle-optimal one.
+        for t in cands.into_iter().take(SEARCH_WIDTH) {
+            let bound = steady_cycles_lower_bound(&spec, &t, cfg);
+            if best.as_ref().is_some_and(|b| bound >= b.cycles) {
+                continue;
+            }
+            let k = build_with(spec, t, cfg, schedules)?;
             if best.as_ref().is_none_or(|b| k.cycles < b.cycles) {
                 best = Some(k);
             }
@@ -72,6 +113,17 @@ impl MicroKernel {
         m_u: usize,
         k_u: usize,
         cfg: &HwConfig,
+    ) -> Result<MicroKernel, GenError> {
+        Self::generate_forced_with(spec, m_u, k_u, cfg, &ScheduleMemo::default())
+    }
+
+    /// [`MicroKernel::generate_forced`] over a shared schedule memo.
+    pub(crate) fn generate_forced_with(
+        spec: KernelSpec,
+        m_u: usize,
+        k_u: usize,
+        cfg: &HwConfig,
+        schedules: &ScheduleMemo,
     ) -> Result<MicroKernel, GenError> {
         spec.validate()?;
         if m_u == 0 || m_u > spec.m_s {
@@ -92,7 +144,7 @@ impl MicroKernel {
                 detail: format!("tiling {t:?} exceeds the register files"),
             });
         }
-        build(spec, t, cfg)
+        build_with(spec, t, cfg, schedules)
     }
 
     /// Efficiency on useful flops: `2·m·n·k / (cycles · flops-per-cycle)`.
@@ -245,11 +297,9 @@ impl Emitter {
     ) -> Result<Vec<Bundle>, GenError> {
         let ii = self.t.ii;
         let mut bundles = vec![Bundle::new(); ii as usize];
-        for c in 0..ii {
-            for op in sched.at_cycle(c) {
-                if let Some(inst) = self.materialise(op, &ctx, k_iters)? {
-                    bundles[c as usize].push(op.unit, inst)?;
-                }
+        for op in &sched.ops {
+            if let Some(inst) = self.materialise(op, &ctx, k_iters)? {
+                bundles[(op.s % ii) as usize].push(op.unit, inst)?;
             }
         }
         Ok(bundles)
@@ -307,13 +357,22 @@ fn kk_residuals(
 
 /// Build the complete program for a spec and main-group tiling.
 pub fn build(spec: KernelSpec, t: Tiling, cfg: &HwConfig) -> Result<MicroKernel, GenError> {
+    build_with(spec, t, cfg, &ScheduleMemo::default())
+}
+
+fn build_with(
+    spec: KernelSpec,
+    t: Tiling,
+    cfg: &HwConfig,
+    schedules: &ScheduleMemo,
+) -> Result<MicroKernel, GenError> {
     let mut program = Program::new(spec.to_string());
     let mut blocks = Vec::new();
 
     let n_main = spec.m_s / t.m_u;
     let m_rem = spec.m_s % t.m_u;
     if n_main > 0 {
-        let (section, plan) = build_group(spec, t, 0, n_main as u64, cfg)?;
+        let (section, plan) = build_group(spec, t, 0, n_main as u64, cfg, schedules)?;
         program.sections.push(section);
         blocks.push(plan);
     }
@@ -326,18 +385,20 @@ pub fn build(spec: KernelSpec, t: Tiling, cfg: &HwConfig) -> Result<MicroKernel,
             v_n: t.v_n,
             ii,
         };
-        let (section, plan) = build_group(spec, rt, n_main * t.m_u, 1, cfg)?;
+        let (section, plan) = build_group(spec, rt, n_main * t.m_u, 1, cfg, schedules)?;
         program.sections.push(section);
         blocks.push(plan);
     }
 
     let cycles = program.cycles();
+    let flops = program.flops();
     Ok(MicroKernel {
         spec,
         layout: KernelLayout::for_spec(&spec),
         blocks,
         program,
         cycles,
+        flops,
         upper_bound: tiling::upper_bound_efficiency(spec.n_a),
     })
 }
@@ -349,10 +410,10 @@ fn build_group(
     mm_base: usize,
     trips: u64,
     cfg: &HwConfig,
+    schedules: &ScheduleMemo,
 ) -> Result<(Section, BlockPlan), GenError> {
-    let sched = schedule(t, cfg)?;
+    let sched = schedules.get(t, cfg)?;
     let t = sched.tiling; // II may have grown during scheduling
-    sched.verify(cfg)?;
     let regs = RegMap::new(&t);
     let emitter = Emitter {
         regs,

@@ -1,34 +1,133 @@
 //! Kernel cache: generated kernels keyed by shape (and forced tiling),
 //! shared across blocking layers and sweeps.
+//!
+//! Bounded like the plan cache and the executor memo — least recently
+//! used entry out, lifetime counters, capacity 0 disables — because a
+//! kernel is tens of KB and a cold planning stream generates a dozen new
+//! ones per shape without end.  An evicted kernel regenerates
+//! identically: generation is a pure function of `(spec, tiling, cfg)`.
 
+use crate::modsched::ScheduleMemo;
 use crate::{GenError, KernelSpec, MicroKernel};
 use dspsim::HwConfig;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Default entry bound, sized on the benchmark's workloads.  The
+/// serving, sharded and conformance workloads generate at most ~700
+/// kernels per context and never evict.  A stream of never-repeated
+/// shapes (`cold_plan_timing`) generates ~12 new kernels per shape and
+/// revisits older ones at geometrically distributed distances (mean
+/// ~3000 kernels): over its first ~2000 shapes it regenerates 19 / 13 /
+/// 6 / 0.5 kernels per shape at 1024 / 2048 / 4096 / 8192 entries and
+/// retains ~45 KB per entry, so this bound trades ~6 regenerations per
+/// shape for a ~200 MiB ceiling.
+pub const DEFAULT_KERNEL_CACHE_CAPACITY: usize = 4096;
 
 type Key = (KernelSpec, Option<(usize, usize)>);
 
-/// A thread-safe cache of generated micro-kernels.
-pub struct KernelCache {
-    cfg: HwConfig,
-    map: Mutex<HashMap<Key, Arc<MicroKernel>>>,
+/// Snapshot of a kernel cache's lifetime counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KernelCacheStats {
+    /// Lookups answered by a cached kernel.
+    pub hits: u64,
+    /// Lookups that had to generate (failed generations included).
+    pub misses: u64,
+    /// Kernels evicted to the capacity bound.
+    pub evictions: u64,
+    /// Kernels currently held.
+    pub len: usize,
+    /// Entry bound (`0` disables caching).
+    pub capacity: usize,
 }
 
-/// Lock the map, recovering from poisoning: the cache holds only
-/// immutable, deterministically generated kernels, so state observed
-/// after a panicking thread is still valid.
-fn lock(
-    m: &Mutex<HashMap<Key, Arc<MicroKernel>>>,
-) -> MutexGuard<'_, HashMap<Key, Arc<MicroKernel>>> {
+/// The mutable half of the cache: entries stamped with the logical time
+/// of their last use, and the same stamps in ascending order so the
+/// least recently used key is the first one.
+#[derive(Default)]
+struct Lru {
+    map: HashMap<Key, (u64, Arc<MicroKernel>)>,
+    order: BTreeMap<u64, Key>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl Lru {
+    /// Look a kernel up, making it the most recently used on a hit.
+    fn get(&mut self, key: &Key) -> Option<Arc<MicroKernel>> {
+        let Some((stamp, kernel)) = self.map.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        // A blocking walk asks for the same kernel hundreds of times in a
+        // row; the most recent entry needs no reordering.
+        if *stamp != self.clock {
+            self.clock += 1;
+            self.order.remove(stamp);
+            self.order.insert(self.clock, *key);
+            *stamp = self.clock;
+        }
+        Some(Arc::clone(kernel))
+    }
+
+    /// Store a freshly generated kernel, evicting down to `capacity`;
+    /// returns the resident kernel (a racing thread's, if it got there
+    /// first — the two are identical).
+    fn insert(&mut self, key: Key, kernel: Arc<MicroKernel>, capacity: usize) -> Arc<MicroKernel> {
+        if capacity == 0 {
+            return kernel;
+        }
+        if let Some((_, resident)) = self.map.get(&key) {
+            return Arc::clone(resident);
+        }
+        if self.map.len() >= capacity {
+            if let Some((_, coldest)) = self.order.pop_first() {
+                self.map.remove(&coldest);
+                self.evictions += 1;
+            }
+        }
+        self.clock += 1;
+        self.order.insert(self.clock, key);
+        self.map.insert(key, (self.clock, Arc::clone(&kernel)));
+        kernel
+    }
+}
+
+/// A thread-safe, bounded LRU cache of generated micro-kernels.
+pub struct KernelCache {
+    cfg: HwConfig,
+    capacity: usize,
+    lru: Mutex<Lru>,
+    /// Steady-state schedules shared by every kernel generated here;
+    /// they depend on the tiling alone, so they outlive evictions.
+    schedules: ScheduleMemo,
+}
+
+/// Lock the cache state, recovering from poisoning: it holds only
+/// immutable, deterministically generated kernels and counters, so state
+/// observed after a panicking thread is still valid.
+fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl KernelCache {
-    /// New cache for a hardware configuration.
+    /// New cache for a hardware configuration, with the default bound.
     pub fn new(cfg: HwConfig) -> Self {
+        Self::with_capacity(cfg, DEFAULT_KERNEL_CACHE_CAPACITY)
+    }
+
+    /// A cache holding at most `capacity` kernels (`0` disables caching:
+    /// every lookup generates afresh, which stays correct because
+    /// generation is pure).
+    pub fn with_capacity(cfg: HwConfig, capacity: usize) -> Self {
         KernelCache {
             cfg,
-            map: Mutex::new(HashMap::new()),
+            capacity,
+            lru: Mutex::new(Lru::default()),
+            schedules: ScheduleMemo::default(),
         }
     }
 
@@ -58,29 +157,42 @@ impl KernelCache {
         spec: KernelSpec,
         forced: Option<(usize, usize)>,
     ) -> Result<Arc<MicroKernel>, GenError> {
-        if let Some(k) = lock(&self.map).get(&(spec, forced)) {
-            return Ok(Arc::clone(k));
+        let key = (spec, forced);
+        if let Some(k) = lock(&self.lru).get(&key) {
+            return Ok(k);
         }
         // Generate outside the lock: generation is pure and deterministic,
-        // so a racing duplicate insert is harmless and identical.
+        // so a racing duplicate is harmless and identical.  Errors return
+        // here and are never cached.
         let kernel = Arc::new(match forced {
-            None => MicroKernel::generate(spec, &self.cfg)?,
-            Some((m_u, k_u)) => MicroKernel::generate_forced(spec, m_u, k_u, &self.cfg)?,
+            None => MicroKernel::generate_with(spec, &self.cfg, &self.schedules)?,
+            Some((m_u, k_u)) => {
+                MicroKernel::generate_forced_with(spec, m_u, k_u, &self.cfg, &self.schedules)?
+            }
         });
-        lock(&self.map)
-            .entry((spec, forced))
-            .or_insert_with(|| Arc::clone(&kernel));
-        Ok(kernel)
+        Ok(lock(&self.lru).insert(key, kernel, self.capacity))
     }
 
     /// Number of cached kernels.
     pub fn len(&self) -> usize {
-        lock(&self.map).len()
+        lock(&self.lru).map.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        lock(&self.map).is_empty()
+        lock(&self.lru).map.is_empty()
+    }
+
+    /// Lifetime counters and current occupancy.
+    pub fn stats(&self) -> KernelCacheStats {
+        let lru = lock(&self.lru);
+        KernelCacheStats {
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+            len: lru.map.len(),
+            capacity: self.capacity,
+        }
     }
 }
 
@@ -118,6 +230,81 @@ mod tests {
             n_a: 200,
         };
         assert!(cache.get(bad).is_err());
+        assert!(cache.get(bad).is_err());
+        assert!(cache.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+    }
+
+    fn spec(m_s: usize) -> KernelSpec {
+        KernelSpec::new(m_s, 32, 32).unwrap()
+    }
+
+    #[test]
+    fn bound_holds_and_the_least_recently_used_kernel_goes_first() {
+        let cache = KernelCache::with_capacity(HwConfig::default(), 3);
+        for m_s in 1..=3 {
+            cache.get(spec(m_s)).unwrap();
+        }
+        // Touch 1: the coldest entry is now 2.
+        cache.get(spec(1)).unwrap();
+        for m_s in 4..=8 {
+            cache.get(spec(m_s)).unwrap();
+            assert!(cache.len() <= 3, "bound broken at m_s = {m_s}");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 8, 5));
+        assert_eq!((stats.len, stats.capacity), (3, 3));
+        // 6, 7, 8 are resident; 1 outlived 2 and 3 but not 4..=8.
+        for m_s in 6..=8 {
+            cache.get(spec(m_s)).unwrap();
+        }
+        assert_eq!(cache.stats().hits, 4);
+        cache.get(spec(1)).unwrap();
+        assert_eq!(cache.stats().misses, 9);
+
+        // Recency, not insertion order, picks the victim.
+        let cache = KernelCache::with_capacity(HwConfig::default(), 2);
+        cache.get(spec(1)).unwrap();
+        cache.get_forced(spec(1), 1, 1).unwrap();
+        cache.get(spec(1)).unwrap();
+        cache.get(spec(2)).unwrap(); // evicts the forced entry
+        cache.get(spec(1)).unwrap();
+        assert_eq!(cache.stats().hits, 2);
+        cache.get_forced(spec(1), 1, 1).unwrap();
+        assert_eq!(cache.stats().misses, 4);
+    }
+
+    #[test]
+    fn an_evicted_spec_regenerates_an_equal_kernel() {
+        let cache = KernelCache::with_capacity(HwConfig::default(), 1);
+        let first = cache.get(spec(5)).unwrap();
+        let forced = cache.get_forced(spec(5), 2, 2).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        for (old, new) in [
+            (first, cache.get(spec(5)).unwrap()),
+            (forced, cache.get_forced(spec(5), 2, 2).unwrap()),
+        ] {
+            assert!(!Arc::ptr_eq(&old, &new), "must have been regenerated");
+            assert_eq!(old.spec, new.spec);
+            assert_eq!(old.blocks, new.blocks);
+            assert_eq!(old.cycles, new.cycles);
+            assert_eq!(old.program, new.program);
+        }
+        assert_eq!(cache.stats().evictions, 3);
+    }
+
+    #[test]
+    fn zero_capacity_disables_caching_but_stays_correct() {
+        let cache = KernelCache::with_capacity(HwConfig::default(), 0);
+        let a = cache.get(spec(4)).unwrap();
+        let b = cache.get(spec(4)).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "capacity 0 must not cache");
+        assert_eq!(a.program, b.program);
+        assert_eq!(a.cycles, b.cycles);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+        assert_eq!((stats.len, stats.capacity), (0, 0));
         assert!(cache.is_empty());
     }
 }

@@ -39,7 +39,7 @@ pub mod tiling;
 
 pub use analysis::{verify_occupancy, KernelReport, OccupancyViolation};
 pub use build::{build, BlockPlan, MicroKernel};
-pub use cache::KernelCache;
+pub use cache::{KernelCache, KernelCacheStats, DEFAULT_KERNEL_CACHE_CAPACITY};
 pub use compiled::CompiledKernel;
 pub use exec::{ExecutorCacheStats, HostTier, KernelExecutor, DEFAULT_EXECUTOR_CACHE_CAPACITY};
 pub use hostsimd::{simd_active, simd_level};

@@ -19,6 +19,8 @@
 use crate::{GenError, Tiling};
 use dspsim::HwConfig;
 use ftimm_isa::{Unit, UnitClass};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Semantic description of one steady-state operation (bound to concrete
 /// instructions later, per half parity).
@@ -181,6 +183,32 @@ pub fn schedule(tiling: Tiling, cfg: &HwConfig) -> Result<SteadySchedule, GenErr
     Err(GenError::ScheduleOverflow {
         detail: format!("no feasible II ≤ {} for {tiling:?}", tiling.ii + 16),
     })
+}
+
+/// Scheduled and verified steady states by requested tiling, for **one**
+/// hardware configuration: [`schedule`] and [`SteadySchedule::verify`]
+/// are pure functions of `(Tiling, HwConfig)`, and the kernels of
+/// different shapes keep asking for the same few tilings.  Only tilings
+/// that fit the register files are ever scheduled, so the memo holds a
+/// couple of hundred small entries at most.  Failures are not stored.
+#[derive(Debug, Default)]
+pub(crate) struct ScheduleMemo(Mutex<HashMap<Tiling, Arc<SteadySchedule>>>);
+
+impl ScheduleMemo {
+    /// The verified schedule for `tiling`, computed on first request.
+    pub(crate) fn get(
+        &self,
+        tiling: Tiling,
+        cfg: &HwConfig,
+    ) -> Result<Arc<SteadySchedule>, GenError> {
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(sched) = lock().get(&tiling) {
+            return Ok(Arc::clone(sched));
+        }
+        let sched = schedule(tiling, cfg)?;
+        sched.verify(cfg)?;
+        Ok(Arc::clone(lock().entry(tiling).or_insert(Arc::new(sched))))
+    }
 }
 
 fn try_schedule(t: Tiling, ii: u32, cfg: &HwConfig) -> Result<Vec<SlotOp>, GenError> {

@@ -4,8 +4,28 @@
 //! executor, and within its architectural upper bound.
 
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
-use kernelgen::{KernelCache, KernelSpec};
+use kernelgen::build::{steady_cycles_lower_bound, SEARCH_WIDTH};
+use kernelgen::{build, candidates, GenError, KernelCache, KernelSpec, MicroKernel};
 use proptest::prelude::*;
+
+/// The search `MicroKernel::generate` prunes: build every one of the
+/// first `SEARCH_WIDTH` candidates and keep the first with the fewest
+/// cycles.  Also checks the pruning bound against every built candidate.
+fn generate_exhaustive(spec: KernelSpec, cfg: &HwConfig) -> Result<MicroKernel, GenError> {
+    let mut best: Option<MicroKernel> = None;
+    for t in candidates(&spec, cfg)?.into_iter().take(SEARCH_WIDTH) {
+        let k = build(spec, t, cfg)?;
+        assert!(
+            steady_cycles_lower_bound(&spec, &t, cfg) <= k.cycles,
+            "{spec} {t:?}: bound above the {} cycles built",
+            k.cycles
+        );
+        if best.as_ref().is_none_or(|b| k.cycles < b.cycles) {
+            best = Some(k);
+        }
+    }
+    best.ok_or(GenError::NoFeasibleTiling(spec))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -83,7 +103,7 @@ proptest! {
     ) {
         let cfg = HwConfig::default();
         let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
-        let kernel = kernelgen::MicroKernel::generate(spec, &cfg).unwrap();
+        let kernel = MicroKernel::generate(spec, &cfg).unwrap();
         // The program performs at least the padded work and at least the
         // useful work.
         let padded = 2 * (m_s * k_a * spec.na_pad()) as u64;
@@ -91,5 +111,50 @@ proptest! {
         prop_assert!(kernel.program.flops() >= padded);
         // …and not more than the padded work (no duplicate FMACs).
         prop_assert_eq!(kernel.program.flops(), padded);
+    }
+}
+
+proptest! {
+    // Generation only (nothing is interpreted), so many more cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pruned_search_returns_the_exhaustive_winner(
+        m_s in 1usize..15,
+        k_a in prop_oneof![1usize..130, 130usize..1100],
+        n_a in 1usize..97,
+    ) {
+        let cfg = HwConfig::default();
+        let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
+        let pruned = MicroKernel::generate(spec, &cfg).unwrap();
+        let full = generate_exhaustive(spec, &cfg).unwrap();
+        prop_assert_eq!(&pruned.blocks, &full.blocks, "different tiling won");
+        prop_assert_eq!(pruned.cycles, full.cycles);
+        prop_assert_eq!(pruned.flops, full.flops);
+        prop_assert_eq!(&pruned.program, &full.program);
+        // The shared-schedule path of the cache builds the same kernel.
+        let cached = KernelCache::new(cfg).get(spec).unwrap();
+        prop_assert_eq!(&cached.blocks, &full.blocks);
+        prop_assert_eq!(&cached.program, &full.program);
+    }
+
+    #[test]
+    fn stored_flop_count_is_the_program_flop_count(
+        m_s in 1usize..15,
+        k_a in 1usize..130,
+        n_a in 1usize..97,
+        m_u in 1usize..15,
+        k_u in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+    ) {
+        let cfg = HwConfig::default();
+        let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
+        let kernel = MicroKernel::generate(spec, &cfg).unwrap();
+        prop_assert_eq!(kernel.flops, kernel.program.flops());
+        // Forced tilings go through the same builder; infeasible ones
+        // are refused, not miscounted.
+        match MicroKernel::generate_forced(spec, m_u, k_u, &cfg) {
+            Ok(forced) => prop_assert_eq!(forced.flops, forced.program.flops()),
+            Err(e) => prop_assert!(matches!(e, GenError::BadForcedTiling { .. }), "{}", e),
+        }
     }
 }

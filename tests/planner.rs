@@ -96,6 +96,45 @@ fn auto_on_a_cached_shape_runs_zero_timing_simulations() {
     assert!(stats.misses >= 1);
 }
 
+/// Count-based guard on what planning costs: a timing-mode walk touches
+/// no modelled memory at all, and a functional run materialises only the
+/// scratchpads of the cores it uses.
+#[test]
+fn timing_walks_materialise_nothing_and_functional_runs_only_their_cores() {
+    let ft = FtImm::new(HwConfig::default());
+    let shape = GemmShape::new(2048, 64, 256); // Table II regime: 32 < N ≤ 64
+
+    let mut m = Machine::with_mode(ExecMode::Timing);
+    let p = GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k).unwrap();
+    let plan = ft.plan_full(&shape, Strategy::Auto, 8);
+    let report = ft.run_plan(&mut m, &p, &plan.strategy, 8).unwrap();
+    assert!(report.totals.dma_transfers > 0 && report.totals.kernel_calls > 0);
+    assert!(m.ddr.allocated() >= 4 * (shape.m * shape.k) as u64);
+    assert_eq!(m.ddr.materialised(), 0);
+    assert_eq!(m.cluster.gsm.materialised(), 0);
+    for core in &m.cluster.cores {
+        assert_eq!((core.sm.materialised(), core.am.materialised()), (0, 0));
+    }
+
+    let mut m = Machine::with_mode(ExecMode::Fast);
+    let p = staged(&mut m, &shape);
+    let plan = ft.plan_full(&shape, Strategy::Auto, 2);
+    ft.run_plan(&mut m, &p, &plan.strategy, 2).unwrap();
+    assert!(m.ddr.materialised() > 0);
+    for (id, core) in m.cluster.cores.iter().enumerate() {
+        let want = if id < 2 {
+            (core.sm.capacity(), core.am.capacity())
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            (core.sm.materialised(), core.am.materialised()),
+            want,
+            "core {id}"
+        );
+    }
+}
+
 #[test]
 fn analytic_ranking_agrees_with_the_timing_model_on_fig5_extremes() {
     // Acceptance: on the paper's type-1 and type-2 shapes the cheap
