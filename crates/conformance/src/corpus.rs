@@ -4,8 +4,7 @@
 //! JSON fixture under `tests/fixtures/conformance/`; the repo's
 //! integration suite replays every fixture on every CI run, so a bug
 //! found once by fuzzing can never silently return.  Fixtures are
-//! hand-rolled JSON via [`dspsim::minijson`] (the vendored `serde` is a
-//! marker stub) and deliberately carry a *recipe*, not data: the case
+//! hand-rolled JSON via [`dspsim::minijson`] and deliberately carry a *recipe*, not data: the case
 //! seed regenerates the matrices and the fault plan exactly.
 //!
 //! Schema (`ftimm-conformance-case-v1`):

@@ -73,10 +73,12 @@ use ftimm::reference::{fill_matrix, sgemm_f64};
 use ftimm::{
     ChosenStrategy, ClusterPool, EngineConfig, FtImm, FtimmError, GemmProblem, GemmShape,
     ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, SpillPolicy,
-    Strategy, TenantSpec,
+    Strategy, TenantSpec, Walk,
 };
-use kernelgen::KernelSpec;
+use kernelgen::{KernelSpec, MicroKernel};
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Which oracle a case exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -245,7 +247,7 @@ const REL_TOL: f64 = 2e-3;
 /// fast.
 const INTERPRET_MAX_MNK: u64 = 48 * 96 * 48;
 
-/// Sample a shape whose `m·n·k` stays under [`INTERPRET_MAX_MNK`]
+/// Sample a shape whose `m·n·k` stays under `INTERPRET_MAX_MNK`
 /// *without* leaving its regime — halving a tall-skinny `m` would
 /// reclassify it as square and skew the coverage table.
 pub fn sample_for_interpret(regime: Regime, rng: &mut Rng64) -> GemmShape {
@@ -455,8 +457,12 @@ fn compare_bitwise(
     Ok(())
 }
 
-/// The kernel specs a resolved plan pulls for a problem — the main block
-/// spec plus the remainder variants the edge tiles generate.
+/// A sampling list of kernel specs for a resolved plan: the main block
+/// spec first, then one whole-shape remainder variant per dimension.
+/// This is *not* the set a run invokes (the static verifier enumerates
+/// that from the plan's [`Walk`]); the perf harness's kernel probes
+/// weight their layer table by it and rely on `specs[0]` being the main
+/// spec.
 pub fn kernel_specs_for_plan(plan: &ChosenStrategy, shape: &GemmShape) -> Vec<KernelSpec> {
     let (m_s, k_a, n_a) = match plan {
         ChosenStrategy::MPar(b) => (b.m_s, b.k_a, b.n_a),
@@ -483,16 +489,40 @@ pub fn kernel_specs_for_plan(plan: &ChosenStrategy, shape: &GemmShape) -> Vec<Ke
     specs
 }
 
-/// Statically verify every kernel a case's plan needs.
+/// Every distinct kernel a run of `plan` invokes on `shape` at `cores`
+/// (already clamped to the cluster): the distinct `(height, K length,
+/// width)` of the plan's [`Walk`], fetched the way the runners fetch them
+/// — so chunk and panel remainders, their combinations and TGEMM's forced
+/// tiling are all covered.  Shapes outside the generator's limits are
+/// legitimately refused and skipped; admission is the runners' concern.
+fn invoked_kernels(
+    ft: &FtImm,
+    plan: &ChosenStrategy,
+    shape: &GemmShape,
+    cores: usize,
+) -> Vec<Arc<MicroKernel>> {
+    let walk = Walk::new(plan, shape.m, shape.n, shape.k, cores);
+    let mut seen = HashSet::new();
+    let mut kernels = Vec::new();
+    for g in walk.groups() {
+        for t in walk.tasks(&g) {
+            for ks in walk.k_steps(&g, &t) {
+                for (_, ms) in walk.row_blocks(&t) {
+                    if seen.insert((ms, ks.len(), t.n_kernel)) {
+                        kernels.extend(walk.kernel(ft.cache(), &t, ms, ks.len()).ok());
+                    }
+                }
+            }
+        }
+    }
+    kernels
+}
+
+/// Statically verify every kernel a case's plan invokes.
 fn verify_plan_kernels(ft: &FtImm, case: &CaseSpec) -> Result<(), Mismatch> {
     let plan = ft.plan(&case.shape, case.strategy, case.cores);
-    for spec in kernel_specs_for_plan(&plan, &case.shape) {
-        let kernel = match ft.cache().get(spec) {
-            Ok(k) => k,
-            // Specs outside generator limits are legitimately refused;
-            // admission is the runners' concern, not the verifier's.
-            Err(_) => continue,
-        };
+    let cores = case.cores.clamp(1, ft.cfg().cores_per_cluster);
+    for kernel in invoked_kernels(ft, &plan, &case.shape, cores) {
         let rep = verify_kernel(&kernel);
         if !rep.is_clean() {
             return Err(mismatch(case, format!("static verifier: {rep}")));
@@ -1546,6 +1576,74 @@ mod tests {
         let shrunk = shrink(&ft, &fake);
         assert_eq!(shrunk.case, case);
         assert_eq!(shrunk.detail, "synthetic");
+    }
+
+    /// The verifier's kernel set against the run itself: on a fresh
+    /// context a timing run of the plan generates exactly as many kernels
+    /// as the verifier fetched, and after the verifier has fetched its
+    /// set the run generates none.
+    fn assert_verified_set_is_the_invoked_set(
+        plan: ChosenStrategy,
+        shape: GemmShape,
+        cores: usize,
+    ) {
+        let run = |ft: &FtImm| {
+            let mut m = Machine::with_mode(ExecMode::Timing);
+            let p = GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k).unwrap();
+            ft.run_plan(&mut m, &p, &plan, cores).unwrap();
+        };
+        let alone = ft();
+        run(&alone);
+        let invoked = alone.kernel_cache_stats().misses;
+
+        let ft = ft();
+        let verified = invoked_kernels(&ft, &plan, &shape, cores);
+        assert_eq!(verified.len() as u64, invoked, "{plan:?} on {shape}");
+        assert_eq!(ft.kernel_cache_stats().misses, invoked);
+        run(&ft);
+        assert_eq!(
+            ft.kernel_cache_stats().misses,
+            invoked,
+            "{plan:?} on {shape}: the run invoked a kernel the verifier never saw"
+        );
+    }
+
+    #[test]
+    fn verifier_sees_every_kernel_the_walk_invokes() {
+        // A chunk remainder (m_a % m_s) combined with a GSM-panel
+        // remainder (k_g % k_a) and an edge panel in N: shapes no
+        // whole-shape remainder reaches.
+        let blocks = ftimm::MparBlocks {
+            n_g: 48,
+            k_g: 40,
+            m_a: 20,
+            n_a: 32,
+            k_a: 16,
+            m_s: 6,
+        };
+        let shape = GemmShape::new(45, 70, 90);
+        assert_verified_set_is_the_invoked_set(ChosenStrategy::MPar(blocks), shape, 4);
+        let ft = ft();
+        let specs: Vec<KernelSpec> = invoked_kernels(&ft, &ChosenStrategy::MPar(blocks), &shape, 4)
+            .iter()
+            .map(|k| k.spec)
+            .collect();
+        // (20 % 6) × (40 % 16) × (48 % 32): two remainders at once.
+        assert!(
+            specs.contains(&KernelSpec::new(2, 8, 16).unwrap()),
+            "{specs:?}"
+        );
+
+        // TGEMM runs its forced `k_u = 1` kernels, not the auto-tuned
+        // ones for the same specs.
+        let shape = GemmShape::new(20, 100, 40);
+        assert_verified_set_is_the_invoked_set(ChosenStrategy::TGemm, shape, 4);
+        let kernels = invoked_kernels(&ft, &ChosenStrategy::TGemm, &shape, 4);
+        assert!(!kernels.is_empty());
+        for k in &kernels {
+            assert_eq!(k.spec.n_a, ftimm::TgemmParams::default().n_a);
+            assert!(k.blocks.iter().all(|b| b.k_u == 1), "{:?}", k.blocks);
+        }
     }
 
     #[test]

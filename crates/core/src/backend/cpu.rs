@@ -1,8 +1,9 @@
 //! The host CPU as a fallback execution backend.
 //!
 //! [`CpuBackend`] executes a resolved [`ChosenStrategy`] on the host with
-//! the DSP path's exact blocking and accumulation order (see
-//! [`super::host`]), making it a drop-in *last fault domain* for the
+//! the DSP path's exact blocking and accumulation order (the host mirror
+//! in `backend/host.rs` consumes the same [`crate::walk::Walk`] the DSP
+//! emitters do), making it a drop-in *last fault domain* for the
 //! sharded engine: output bits are indistinguishable from an all-DSP run.
 //!
 //! ## Timing

@@ -1,4 +1,4 @@
-//! Host-side mirrors of the DSP strategy walks, bit-exact with the
+//! The host-side mirror of the DSP strategy emitters, bit-exact with the
 //! simulated cluster.
 //!
 //! The CPU fallback backend must produce *bitwise identical* output to
@@ -6,15 +6,16 @@
 //! change results.  Per-element f32 accumulation order on the DSP is
 //! fixed by three things: the strategy's blocking walk (which panels in
 //! which order), the micro-kernel's `k_u`-way accumulator split (chosen
-//! per [`KernelSpec`], so it depends on each row block's exact height),
-//! and — for K-parallel — the serial core-order GSM reduction.  These
-//! functions replay exactly that: the same loop nests as
+//! per kernel spec, so it depends on each row block's exact height), and
+//! — for K-parallel — the serial core-order GSM reduction.  All three
+//! are read off [`crate::walk::Walk`], the same enumeration
 //! [`crate::mpar::run_mpar`], [`crate::kpar::run_kpar`] and
-//! [`crate::tgemm::run_tgemm`], invoking the *same* generated kernels
-//! from the shared kernel cache through the [`KernelExecutor`] dispatch
-//! point ([`panel_rows`] is the one shared inner loop).  Both host tiers
-//! qualify: `Fast` and `Compiled` are bit-identical by contract, so the
-//! spill lane may run the SIMD tier without perturbing failover bits.
+//! [`crate::tgemm::run_tgemm`] emit DMAs from: this module consumes it
+//! with slice copies where they issue transfers, invoking the *same*
+//! generated kernels from the shared kernel cache through the
+//! [`KernelExecutor`] dispatch point.  Both host tiers qualify: `Fast`
+//! and `Compiled` are bit-identical by contract, so the spill lane may
+//! run the SIMD tier without perturbing failover bits.
 //!
 //! Two deliberate differences, both bit-neutral:
 //!
@@ -31,11 +32,12 @@
 //! slice-to-core grouping feeds the reduction order); M-parallel and
 //! TGEMM chunk assignment only changes timing, never values.  Each
 //! core's private `C_a` is independent of the shared `C`, so computing
-//! and reducing the cores one after another is bitwise identical to the
-//! DSP's compute-in-parallel-then-reduce-serially schedule.
+//! and reducing a run's tasks one after another is bitwise identical to
+//! the DSP's compute-in-parallel-then-reduce-serially schedule.
 
-use crate::{ChosenStrategy, FtimmError, KparBlocks, MparBlocks, TgemmParams};
-use kernelgen::{HostTier, KernelExecutor, KernelSpec};
+use crate::walk::Walk;
+use crate::{ChosenStrategy, FtimmError};
+use kernelgen::{HostTier, KernelExecutor};
 
 /// Stage a `rows × cols` block of `src` (leading dimension `src_ld`) at
 /// `(r0, c0)` into `dst` with leading dimension `ld >= cols`, zeroing
@@ -84,9 +86,15 @@ fn store_block(
 /// (leading dimension `kk`), `b` is `kk × nn` (leading dimension `nn`),
 /// `c` is `mm × nn` (leading dimension `nn`).  `cores` is the DSP core
 /// count the plan was pinned for, clamped exactly as a fully-healthy
-/// cluster would ([`crate::mpar::run_mpar`] clamps to alive cores ∧
-/// `cores_per_cluster`; the CPU mirrors a cluster with all cores
-/// alive).
+/// cluster would (the DSP emitters clamp to alive cores ∧
+/// `cores_per_cluster`; the CPU mirrors a cluster with all cores alive).
+///
+/// One loop serves all three strategies, because every operand is the
+/// same projection of the [`Walk`]'s ranges: stage the task's `C` panel
+/// (or zero a private one), per K step stage `B[k, cols]`, per row block
+/// stage `A[rows, k]` and execute the walk's kernel, then store the panel
+/// (or, for K-parallel, add it into `C` — task by task, which is the
+/// DSP's serial core-order reduction).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_strategy_host(
     ex: &KernelExecutor,
@@ -102,229 +110,41 @@ pub(crate) fn run_strategy_host(
     kk: usize,
 ) -> Result<(), FtimmError> {
     debug_assert!(a.len() >= mm * kk && b.len() >= kk * nn && c.len() >= mm * nn);
-    let cores = cores.clamp(1, cores_per_cluster);
-    match strategy {
-        ChosenStrategy::MPar(bl) => mpar_host(ex, tier, bl, a, b, c, mm, nn, kk),
-        ChosenStrategy::KPar(bl) => kpar_host(ex, tier, bl, cores, a, b, c, mm, nn, kk),
-        ChosenStrategy::TGemm => tgemm_host(ex, tier, a, b, c, mm, nn, kk),
-    }
-}
-
-fn pad(n: usize) -> usize {
-    n.div_ceil(32) * 32
-}
-
-/// The inner panel loop shared by all three strategy mirrors: walk the
-/// `m_s`-row sub-blocks of one staged `(B, C)` panel pair, stage the
-/// matching `A` block, generate the exact-shape kernel (auto-tuned, or
-/// with `forced_ku` for TGEMM's fixed micro-kernel) and execute it
-/// through the [`KernelExecutor`] on the requested tier.
-///
-/// `rows` is the staged C panel's height, stepped by `m_s`; the A block
-/// for row offset `u` starts at `(a_r0 + u, a_c0)` of the full `a`
-/// matrix (leading dimension `kk`); `c_a`/`b_a` share leading dimension
-/// `ld`.
-#[allow(clippy::too_many_arguments)]
-fn panel_rows(
-    ex: &KernelExecutor,
-    tier: HostTier,
-    a: &[f32],
-    kk: usize,
-    a_s: &mut Vec<f32>,
-    b_a: &[f32],
-    c_a: &mut [f32],
-    ld: usize,
-    rows: usize,
-    m_s: usize,
-    k_cur: usize,
-    n_a: usize,
-    a_r0: usize,
-    a_c0: usize,
-    forced_ku: Option<usize>,
-) -> Result<(), FtimmError> {
-    for u in (0..rows).step_by(m_s) {
-        let ms_cur = m_s.min(rows - u);
-        let spec = KernelSpec::new(ms_cur, k_cur, n_a)?;
-        let kernel = match forced_ku {
-            None => ex.kernels().get(spec)?,
-            Some(k_u) => ex.kernels().get_forced(spec, ms_cur, k_u)?,
-        };
-        load_block(a_s, a, kk, a_r0 + u, a_c0, ms_cur, k_cur, k_cur);
-        ex.execute(tier, &kernel, a_s, b_a, &mut c_a[u * ld..(u + ms_cur) * ld])?;
-    }
-    Ok(())
-}
-
-/// Mirror of [`crate::mpar::run_mpar`]'s walk.  Chunk-to-core
-/// assignment is timing-only (chunks write disjoint C rows), so the
-/// chunks run in issue order.
-#[allow(clippy::too_many_arguments)]
-fn mpar_host(
-    ex: &KernelExecutor,
-    tier: HostTier,
-    bl: &MparBlocks,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    mm: usize,
-    nn: usize,
-    kk: usize,
-) -> Result<(), FtimmError> {
+    let walk = Walk::new(strategy, mm, nn, kk, cores.clamp(1, cores_per_cluster));
     let (mut c_a, mut b_a, mut a_s) = (Vec::new(), Vec::new(), Vec::new());
-    for i in (0..nn).step_by(bl.n_g) {
-        let n_gcur = bl.n_g.min(nn - i);
-        for j in (0..kk).step_by(bl.k_g) {
-            let k_gcur = bl.k_g.min(kk - j);
-            for t in (0..mm).step_by(bl.m_a) {
-                let m_acur = bl.m_a.min(mm - t);
-                for ii in (0..n_gcur).step_by(bl.n_a) {
-                    let n_acur = bl.n_a.min(n_gcur - ii);
-                    let ld_cur = pad(n_acur);
-                    // C panel accumulates across this panel's k blocks
-                    // and round-trips through DDR between (i, j) panels.
-                    load_block(&mut c_a, c, nn, t, i + ii, m_acur, n_acur, ld_cur);
-                    for jj in (0..k_gcur).step_by(bl.k_a) {
-                        let k_acur = bl.k_a.min(k_gcur - jj);
-                        load_block(&mut b_a, b, nn, j + jj, i + ii, k_acur, n_acur, ld_cur);
-                        panel_rows(
-                            ex,
-                            tier,
-                            a,
-                            kk,
-                            &mut a_s,
-                            &b_a,
-                            &mut c_a,
-                            ld_cur,
-                            m_acur,
-                            bl.m_s,
-                            k_acur,
-                            n_acur,
-                            t,
-                            j + jj,
-                            None,
-                        )?;
-                    }
-                    store_block(c, nn, t, i + ii, m_acur, n_acur, &c_a, ld_cur);
+    for g in walk.groups() {
+        for t in walk.tasks(&g) {
+            if walk.reduces() {
+                c_a.clear();
+                c_a.resize(t.rows * t.ld, 0.0);
+            } else {
+                load_block(&mut c_a, c, nn, t.r0, t.c0, t.rows, t.cols, t.ld);
+            }
+            for ks in walk.k_steps(&g, &t) {
+                load_block(&mut b_a, b, nn, ks.start, t.c0, ks.len(), t.cols, t.ld);
+                for (u, ms) in walk.row_blocks(&t) {
+                    let kernel = walk.kernel(ex.kernels(), &t, ms, ks.len())?;
+                    load_block(&mut a_s, a, kk, t.r0 + u, ks.start, ms, ks.len(), ks.len());
+                    ex.execute(
+                        tier,
+                        &kernel,
+                        &a_s,
+                        &b_a,
+                        &mut c_a[u * t.ld..(u + ms) * t.ld],
+                    )?;
                 }
             }
-        }
-    }
-    Ok(())
-}
-
-/// Mirror of [`crate::kpar::run_kpar`]'s walk.  The round-robin
-/// slice-to-core grouping and the serial core-order reduction *are*
-/// value-significant, so `cores` (via `active`) is replayed exactly;
-/// each core's private `C_a` never reads `C`, so serialising
-/// compute-then-reduce per core preserves the bits.
-#[allow(clippy::too_many_arguments)]
-fn kpar_host(
-    ex: &KernelExecutor,
-    tier: HostTier,
-    bl: &KparBlocks,
-    cores: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    mm: usize,
-    nn: usize,
-    kk: usize,
-) -> Result<(), FtimmError> {
-    let slices: Vec<usize> = (0..kk).step_by(bl.k_a).collect();
-    let active = cores.min(slices.len()).max(1);
-    let (mut c_a, mut b_a, mut a_s) = (Vec::new(), Vec::new(), Vec::new());
-    for i in (0..mm).step_by(bl.m_g) {
-        let m_gcur = bl.m_g.min(mm - i);
-        for j in (0..nn).step_by(bl.n_g) {
-            let n_gcur = bl.n_g.min(nn - j);
-            // The GSM C_g panel is an exact f32 round trip of C, so the
-            // reduction accumulates into C in place.
-            for ii in (0..m_gcur).step_by(bl.m_a) {
-                let m_acur = bl.m_a.min(m_gcur - ii);
-                for jj in (0..n_gcur).step_by(bl.n_a) {
-                    let n_acur = bl.n_a.min(n_gcur - jj);
-                    let ld_cur = pad(n_acur);
-                    for ci in 0..active {
-                        c_a.clear();
-                        c_a.resize(m_acur * ld_cur, 0.0);
-                        for &t in slices.iter().skip(ci).step_by(active) {
-                            let k_acur = bl.k_a.min(kk - t);
-                            load_block(&mut b_a, b, nn, t, j + jj, k_acur, n_acur, ld_cur);
-                            panel_rows(
-                                ex,
-                                tier,
-                                a,
-                                kk,
-                                &mut a_s,
-                                &b_a,
-                                &mut c_a,
-                                ld_cur,
-                                m_acur,
-                                bl.m_s,
-                                k_acur,
-                                n_acur,
-                                i + ii,
-                                t,
-                                None,
-                            )?;
-                        }
-                        // Serial reduction in core order: C_g += C_a.
-                        for r in 0..m_acur {
-                            let dst = &mut c[(i + ii + r) * nn + j + jj..][..n_acur];
-                            for (acc, v) in dst.iter_mut().zip(&c_a[r * ld_cur..]) {
-                                *acc += *v;
-                            }
-                        }
+            if walk.reduces() {
+                // The GSM C_g panel is an exact f32 round trip of C, so
+                // the reduction accumulates into C in place.
+                for r in 0..t.rows {
+                    let dst = &mut c[(t.r0 + r) * nn + t.c0..][..t.cols];
+                    for (acc, v) in dst.iter_mut().zip(&c_a[r * t.ld..]) {
+                        *acc += *v;
                     }
                 }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Mirror of [`crate::tgemm::run_tgemm`]'s walk (fixed 96-wide kernel,
-/// `k_u = 1`, N-chunk parallelisation — timing-only, chunks write
-/// disjoint C columns).
-#[allow(clippy::too_many_arguments)]
-fn tgemm_host(
-    ex: &KernelExecutor,
-    tier: HostTier,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    mm: usize,
-    nn: usize,
-    kk: usize,
-) -> Result<(), FtimmError> {
-    let tp = TgemmParams::default();
-    let (mut c_a, mut b_a, mut a_s) = (Vec::new(), Vec::new(), Vec::new());
-    for i in (0..mm).step_by(tp.m_g) {
-        let m_cur = tp.m_g.min(mm - i);
-        for j in (0..kk).step_by(tp.k_g) {
-            let k_cur = tp.k_g.min(kk - j);
-            for t in (0..nn).step_by(tp.n_a) {
-                let n_cur = tp.n_a.min(nn - t);
-                load_block(&mut b_a, b, nn, j, t, k_cur, n_cur, tp.n_a);
-                load_block(&mut c_a, c, nn, i, t, m_cur, n_cur, tp.n_a);
-                panel_rows(
-                    ex,
-                    tier,
-                    a,
-                    kk,
-                    &mut a_s,
-                    &b_a,
-                    &mut c_a,
-                    tp.n_a,
-                    m_cur,
-                    tp.m_s,
-                    k_cur,
-                    tp.n_a,
-                    i,
-                    j,
-                    Some(1),
-                )?;
-                store_block(c, nn, i, t, m_cur, n_cur, &c_a, tp.n_a);
+            } else {
+                store_block(c, nn, t.r0, t.c0, t.rows, t.cols, &c_a, t.ld);
             }
         }
     }

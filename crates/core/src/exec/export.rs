@@ -2,7 +2,7 @@
 //! Chrome `trace_event` file loadable in `chrome://tracing` / Perfetto.
 //!
 //! Both are hand-written against [`dspsim::minijson`] (the workspace
-//! builds offline with a marker-only serde stub), and the profile
+//! builds offline with no serialisation framework), and the profile
 //! document round-trips exactly: `{:?}`-formatted `f64` fields use
 //! Rust's shortest round-trip representation.
 

@@ -23,7 +23,7 @@
 //!    resilience layer (ABFT verify, bounded retries, checkpointing,
 //!    degradation) when a [`ResilienceConfig`] is attached;
 //! 5. **report** — aggregate the recorded phase spans into a
-//!    [`PhaseProfile`] (when profiling is on) and attach it to the
+//!    [`dspsim::PhaseProfile`] (when profiling is on) and attach it to the
 //!    [`RunReport`], together with the roofline prediction for the shape.
 //!
 //! Profiling reads the machine's clocks but never advances them, so a
@@ -44,7 +44,7 @@ use crate::plan::Plan;
 use crate::resilience::{run_resilient_full, ResilienceConfig};
 use crate::{
     run_kpar, run_mpar, run_tgemm, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape,
-    Strategy, TgemmParams,
+    Strategy,
 };
 use dspsim::{Machine, Phase, Profiler, RunReport, WatchdogConfig, DEFAULT_PROFILE_CAPACITY};
 
@@ -65,7 +65,7 @@ pub struct ExecOptions {
     /// Watchdog hung-DMA budget in simulated seconds (armed only when
     /// finite or a deadline is set).
     pub dma_budget_s: f64,
-    /// Record phase spans and attach a [`PhaseProfile`] to the report.
+    /// Record phase spans and attach a [`dspsim::PhaseProfile`] to the report.
     pub profile: bool,
     /// Span-ring capacity used when profiling.
     pub profile_capacity: usize,
@@ -290,6 +290,6 @@ pub(crate) fn run_resolved(
     match plan {
         ChosenStrategy::MPar(bl) => run_mpar(m, ft.executor(), p, bl, cores),
         ChosenStrategy::KPar(bl) => run_kpar(m, ft.executor(), p, bl, cores),
-        ChosenStrategy::TGemm => run_tgemm(m, ft.executor(), p, &TgemmParams::default(), cores),
+        ChosenStrategy::TGemm => run_tgemm(m, ft.executor(), p, cores),
     }
 }

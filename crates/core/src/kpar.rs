@@ -3,14 +3,20 @@
 //! results are reduced through the GSM-cached `C_g` panel.  Suited to
 //! shapes where both M and N are small but K is large (type 2), at the
 //! price of a multi-core reduction.
+//!
+//! Which panels, in which order, on which core is [`crate::walk::Walk`]'s
+//! business (shared with the host mirror); this module owns what is
+//! DSP-specific: the AM/SM/GSM layout, the DMA paths and prefetches, the
+//! barriers and what the reduction costs on the clock.
 
-use crate::{invoke_kernel, FtimmError, GemmProblem};
-use dspsim::{transfer_time, Dma2d, DmaPath, DmaTicket, KernelBindings, Machine, Phase, RunReport};
-use kernelgen::{KernelExecutor, KernelSpec};
-use serde::{Deserialize, Serialize};
+use crate::walk::{pad_lanes, panel_rows, ping_pong, Walk};
+use crate::{ChosenStrategy, FtimmError, GemmProblem};
+use dspsim::{transfer_time, Dma2d, DmaPath, Machine, Phase, RunReport};
+use kernelgen::KernelExecutor;
+use std::ops::Range;
 
 /// Block sizes for the K-parallel strategy (§IV-C, Eq. 3–4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KparBlocks {
     /// Rows of the GSM-cached `C_g` panel.
     pub m_g: usize,
@@ -35,183 +41,122 @@ pub fn run_kpar(
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
     crate::exec::validate_problem(p)?;
-    let (mm, nn, kk) = (p.m(), p.n(), p.k());
     let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
-
-    // K slices of k_a, round-robin over cores (Algorithm 5 line 7).
-    let slices: Vec<usize> = (0..kk).step_by(bl.k_a).collect();
-    let active = cores.min(slices.len()).max(1);
+    // Groups are C_g panels; each (m_a, n_a) panel of one is a run of
+    // `active` tasks, one per core, over that core's round-robin share of
+    // the k_a slices (Algorithm 5 line 7).
+    let walk = Walk::new(&ChosenStrategy::KPar(*bl), p.m(), p.n(), p.k(), cores);
+    let active = walk.active();
     m.set_active_streams(active);
     let core_ids: Vec<usize> = (0..cores).collect();
 
-    let pad = |n: usize| n.div_ceil(32) * 32;
     let c_a_off = 0u64;
-    let c_a_bytes = (bl.m_a * pad(bl.n_a) * 4) as u64;
-    let b_a_bytes = (bl.k_a * pad(bl.n_a) * 4) as u64;
+    let c_a_bytes = (bl.m_a * pad_lanes(bl.n_a) * 4) as u64;
+    let b_a_bytes = (bl.k_a * pad_lanes(bl.n_a) * 4) as u64;
     let b_a_off = [c_a_bytes, c_a_bytes + b_a_bytes];
     let a_s_off = [0u64, (bl.m_s * bl.k_a * 4) as u64];
 
-    for i in (0..mm).step_by(bl.m_g) {
-        let m_gcur = bl.m_g.min(mm - i);
-        for j in (0..nn).step_by(bl.n_g) {
-            let n_gcur = bl.n_g.min(nn - j);
-            // Load the C_g panel into GSM (Algorithm 5 line 3).
-            let tcg = m.dma(
-                0,
-                DmaPath::DdrToGsm,
-                &Dma2d::block_f32(
-                    m_gcur as u64,
-                    n_gcur as u64,
-                    p.c.elem_index(i, j),
-                    p.c.ld as u64,
-                    0,
-                    n_gcur as u64,
-                ),
+    for g in walk.groups() {
+        let c_g = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
+            Dma2d::block_f32(g.m.len() as u64, g.n.len() as u64, src, src_ld, dst, dst_ld)
+        };
+        let (c_ddr, c_ld, g_ld) = (
+            p.c.elem_index(g.m.start, g.n.start),
+            p.c.ld as u64,
+            g.n.len() as u64,
+        );
+        // Load the C_g panel into GSM (Algorithm 5 line 3).
+        let tcg = m.dma(0, DmaPath::DdrToGsm, &c_g(c_ddr, c_ld, 0, g_ld))?;
+        m.barrier(&core_ids);
+        for &c in &core_ids {
+            m.wait(c, tcg);
+        }
+
+        for t in walk.tasks(&g) {
+            let ld = t.ld as u64;
+            // The core zero-initialises its private C_a (Algorithm 5
+            // line 6) and processes its K slices.
+            if m.mode.is_functional() {
+                m.core_mut(t.core)
+                    .am
+                    .zero(c_a_off, t.rows as u64 * ld * 4)?;
+            }
+            // Zeroing cost: two vector-store units, one vector (32 f32)
+            // each per cycle.
+            let zero_cycles = (t.rows as u64 * ld / 32).div_ceil(2);
+            m.compute(t.core, zero_cycles);
+
+            let dma_ba = |m: &mut Machine, ks: &Range<usize>, bping: usize| {
+                m.dma(
+                    t.core,
+                    DmaPath::DdrToAm,
+                    &Dma2d::block_f32(
+                        ks.len() as u64,
+                        t.cols as u64,
+                        p.b.elem_index(ks.start, t.c0),
+                        p.b.ld as u64,
+                        b_a_off[bping] / 4,
+                        ld,
+                    ),
+                )
+            };
+            ping_pong(
+                m,
+                walk.k_steps(&g, &t),
+                dma_ba,
+                |m, ticket| m.wait(t.core, ticket),
+                |m, ks, bping| {
+                    panel_rows(
+                        m,
+                        ex,
+                        &walk,
+                        &t,
+                        &ks,
+                        DmaPath::DdrToSm,
+                        |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
+                        a_s_off,
+                        b_a_off[bping],
+                        c_a_off,
+                    )
+                },
             )?;
+            if t.core + 1 < active {
+                continue;
+            }
+
+            // The run is complete.  Reduction: its cores serialise their
+            // `C_g += C_a` adds through the GSM crossbar (Algorithm 5
+            // line 12).
             m.barrier(&core_ids);
-            for &c in &core_ids {
-                m.wait(c, tcg);
-            }
-
-            for ii in (0..m_gcur).step_by(bl.m_a) {
-                let m_acur = bl.m_a.min(m_gcur - ii);
-                for jj in (0..n_gcur).step_by(bl.n_a) {
-                    let n_acur = bl.n_a.min(n_gcur - jj);
-                    let ld_cur = pad(n_acur) as u64;
-
-                    // Each core zero-initialises its private C_a
-                    // (Algorithm 5 line 6) and processes its K slices.
-                    for (ci, &core) in core_ids.iter().enumerate().take(active) {
-                        if m.mode.is_functional() {
-                            m.core_mut(core)
-                                .am
-                                .zero(c_a_off, m_acur as u64 * ld_cur * 4)?;
-                        }
-                        // Zeroing cost: two vector-store units, one vector
-                        // (32 f32) each per cycle.
-                        let zero_cycles = (m_acur as u64 * ld_cur / 32).div_ceil(2);
-                        m.compute(core, zero_cycles);
-
-                        let my_slices: Vec<usize> =
-                            slices.iter().copied().skip(ci).step_by(active).collect();
-                        if my_slices.is_empty() {
-                            continue;
-                        }
-                        let dma_ba = |m: &mut Machine,
-                                      t: usize,
-                                      bping: usize|
-                         -> Result<DmaTicket, FtimmError> {
-                            let k_acur = bl.k_a.min(kk - t);
-                            Ok(m.dma(
-                                core,
-                                DmaPath::DdrToAm,
-                                &Dma2d::block_f32(
-                                    k_acur as u64,
-                                    n_acur as u64,
-                                    p.b.elem_index(t, j + jj),
-                                    p.b.ld as u64,
-                                    b_a_off[bping] / 4,
-                                    ld_cur,
-                                ),
-                            )?)
-                        };
-                        let mut ba_ticket = dma_ba(m, my_slices[0], 0)?;
-                        for (si, &t) in my_slices.iter().enumerate() {
-                            let bping = si % 2;
-                            let k_acur = bl.k_a.min(kk - t);
-                            m.wait(core, ba_ticket);
-                            if si + 1 < my_slices.len() {
-                                ba_ticket = dma_ba(m, my_slices[si + 1], (si + 1) % 2)?;
-                            }
-
-                            let row_blocks: Vec<usize> = (0..m_acur).step_by(bl.m_s).collect();
-                            let dma_as =
-                                |m: &mut Machine,
-                                 u: usize,
-                                 sping: usize|
-                                 -> Result<DmaTicket, FtimmError> {
-                                    let ms_cur = bl.m_s.min(m_acur - u);
-                                    Ok(m.dma(
-                                        core,
-                                        DmaPath::DdrToSm,
-                                        &Dma2d::block_f32(
-                                            ms_cur as u64,
-                                            k_acur as u64,
-                                            p.a.elem_index(i + ii + u, t),
-                                            p.a.ld as u64,
-                                            a_s_off[sping] / 4,
-                                            k_acur as u64,
-                                        ),
-                                    )?)
-                                };
-                            let mut as_ticket = dma_as(m, row_blocks[0], 0)?;
-                            for (ri, &u) in row_blocks.iter().enumerate() {
-                                let sping = ri % 2;
-                                let ms_cur = bl.m_s.min(m_acur - u);
-                                m.wait(core, as_ticket);
-                                if ri + 1 < row_blocks.len() {
-                                    as_ticket = dma_as(m, row_blocks[ri + 1], (ri + 1) % 2)?;
-                                }
-                                let spec = KernelSpec::new(ms_cur, k_acur, n_acur)?;
-                                let kernel = ex.kernels().get(spec)?;
-                                invoke_kernel(
-                                    m,
-                                    core,
-                                    ex,
-                                    &kernel,
-                                    KernelBindings {
-                                        a_off: a_s_off[sping],
-                                        b_off: b_a_off[bping],
-                                        c_off: c_a_off + (u as u64 * ld_cur * 4),
-                                    },
-                                )?;
-                            }
-                        }
+            let bytes = t.rows as u64 * t.cols as u64 * 4;
+            let red_dur = 2.0 * transfer_time(&m.cfg, DmaPath::AmToGsm, bytes, 1);
+            let mut prev_end = 0.0f64;
+            for &core in core_ids.iter().take(active) {
+                if m.mode.is_functional() {
+                    // The panel's offset from the C_g origin.
+                    let in_group = (t.r0 - g.m.start) * g.n.len() + (t.c0 - g.n.start);
+                    for r in 0..t.rows {
+                        m.gsm_accumulate_from_am(
+                            core,
+                            c_a_off + r as u64 * ld * 4,
+                            ((in_group + r * g.n.len()) * 4) as u64,
+                            t.cols as u64,
+                        )?;
                     }
-
-                    // Reduction: cores serialise their `C_g += C_a` adds
-                    // through the GSM crossbar (Algorithm 5 line 12).
-                    m.barrier(&core_ids);
-                    let bytes = m_acur as u64 * n_acur as u64 * 4;
-                    let red_dur = 2.0 * transfer_time(&m.cfg, DmaPath::AmToGsm, bytes, 1);
-                    let mut prev_end = 0.0f64;
-                    for &core in core_ids.iter().take(active) {
-                        if m.mode.is_functional() {
-                            for r in 0..m_acur {
-                                m.gsm_accumulate_from_am(
-                                    core,
-                                    c_a_off + r as u64 * ld_cur * 4,
-                                    (((ii + r) * n_gcur + jj) * 4) as u64,
-                                    n_acur as u64,
-                                )?;
-                            }
-                        }
-                        let start = m.core_time(core).max(prev_end);
-                        prev_end = start + red_dur;
-                        m.record_span(core, Phase::Reduction, start, prev_end);
-                        let cr = m.core_mut(core);
-                        cr.t_compute = prev_end;
-                        cr.stats.gsm_bytes += 2 * bytes;
-                    }
-                    m.barrier(&core_ids);
                 }
+                let start = m.core_time(core).max(prev_end);
+                prev_end = start + red_dur;
+                m.record_span(core, Phase::Reduction, start, prev_end);
+                let cr = m.core_mut(core);
+                cr.t_compute = prev_end;
+                cr.stats.gsm_bytes += 2 * bytes;
             }
-            // Store the C_g panel back (core 0's engine).
-            let ts = m.dma(
-                0,
-                DmaPath::GsmToDdr,
-                &Dma2d::block_f32(
-                    m_gcur as u64,
-                    n_gcur as u64,
-                    0,
-                    n_gcur as u64,
-                    p.c.elem_index(i, j),
-                    p.c.ld as u64,
-                ),
-            )?;
-            m.wait(0, ts);
             m.barrier(&core_ids);
         }
+        // Store the C_g panel back (core 0's engine).
+        let ts = m.dma(0, DmaPath::GsmToDdr, &c_g(0, g_ld, c_ddr, c_ld))?;
+        m.wait(0, ts);
+        m.barrier(&core_ids);
     }
     Ok(m.report(p.flops(), &core_ids))
 }

@@ -10,6 +10,8 @@
 //! * [`mpar`]: ftIMM's M-dimension parallelisation (Algorithm 4);
 //! * [`kpar`]: ftIMM's K-dimension parallelisation with GSM reduction
 //!   (Algorithm 5);
+//! * [`walk`]: the blocking walk those three and the host mirror all
+//!   enumerate;
 //! * [`adjust`]: dynamic adjusting — CMR-driven block sizes (Eq. 1–4);
 //! * [`plan`]: the Plan IR — cost-model planner, strategy selection and
 //!   the memoizing plan cache every entry point routes through;
@@ -56,6 +58,7 @@ pub mod resilience;
 pub mod roofline;
 pub mod shape;
 pub mod tgemm;
+pub mod walk;
 
 pub use adjust::{
     adjust_kpar, adjust_mpar, cmr_f1, cmr_f2, cmr_f3, cmr_f4, initial_kpar, initial_mpar,
@@ -97,3 +100,4 @@ pub use resilience::{
 };
 pub use shape::{GemmShape, IrregularType, BLOCK_ALIGN, SUFFICIENTLY_LARGE, TINY_K_MAX};
 pub use tgemm::{run_tgemm, TgemmParams};
+pub use walk::Walk;

@@ -3,14 +3,19 @@
 //! micro-kernels are generated for the *exact* `n_a` (no implicit
 //! padding).  A three-level ping-pong overlaps DDR, GSM and SM/AM traffic
 //! with compute.
+//!
+//! Which panels, in which order, on which core is [`crate::walk::Walk`]'s
+//! business (shared with the host mirror); this module owns what is
+//! DSP-specific: the AM/SM/GSM layout, the DMA paths and the prefetches.
 
-use crate::{invoke_kernel, FtimmError, GemmProblem};
-use dspsim::{Dma2d, DmaPath, DmaTicket, KernelBindings, Machine, RunReport};
-use kernelgen::{KernelExecutor, KernelSpec};
-use serde::{Deserialize, Serialize};
+use crate::walk::{pad_lanes, panel_rows, ping_pong, Group, Walk};
+use crate::{ChosenStrategy, FtimmError, GemmProblem};
+use dspsim::{Dma2d, DmaPath, Machine, RunReport};
+use kernelgen::KernelExecutor;
+use std::ops::Range;
 
 /// Block sizes for the M-parallel strategy (§IV-C, Eq. 1–2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MparBlocks {
     /// Columns of the GSM-cached `B_g` panel.
     pub n_g: usize,
@@ -35,168 +40,105 @@ pub fn run_mpar(
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
     crate::exec::validate_problem(p)?;
-    let (mm, nn, kk) = (p.m(), p.n(), p.k());
     let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
-
-    // Row chunks of m_a, round-robin over cores (Algorithm 4 line 4).
-    let chunks: Vec<usize> = (0..mm).step_by(bl.m_a).collect();
-    let active = cores.min(chunks.len()).max(1);
-    m.set_active_streams(active);
+    // Groups are B_g panels; tasks are (m_a row chunk, n_a column) C
+    // panels, row chunks dealt round-robin over cores (Algorithm 4 line 4).
+    let walk = Walk::new(&ChosenStrategy::MPar(*bl), p.m(), p.n(), p.k(), cores);
+    m.set_active_streams(walk.active());
     let core_ids: Vec<usize> = (0..cores).collect();
 
-    let pad = |n: usize| n.div_ceil(32) * 32;
     // AM per core: C_a (m_a × pad(n_a)) + double-buffered B_a.
     let c_a_off = 0u64;
-    let c_a_bytes = (bl.m_a * pad(bl.n_a) * 4) as u64;
-    let b_a_bytes = (bl.k_a * pad(bl.n_a) * 4) as u64;
+    let c_a_bytes = (bl.m_a * pad_lanes(bl.n_a) * 4) as u64;
+    let b_a_bytes = (bl.k_a * pad_lanes(bl.n_a) * 4) as u64;
     let b_a_off = [c_a_bytes, c_a_bytes + b_a_bytes];
     // SM per core: double-buffered A_s.
     let a_s_off = [0u64, (bl.m_s * bl.k_a * 4) as u64];
     // GSM: double-buffered B_g (k_g × n_g, dense).
-    let b_g_bytes = (bl.k_g * bl.n_g * 4) as u64;
+    let b_g_elems = (bl.k_g * bl.n_g) as u64;
 
-    // B_g panel sequence for prefetching.
-    let panels: Vec<(usize, usize)> = (0..nn)
-        .step_by(bl.n_g)
-        .flat_map(|i| (0..kk).step_by(bl.k_g).map(move |j| (i, j)))
-        .collect();
-    let dma_bg = |m: &mut Machine, (i, j): (usize, usize), ping: usize| {
-        let n_gcur = bl.n_g.min(nn - i);
-        let k_gcur = bl.k_g.min(kk - j);
+    let dma_bg = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
             0,
             DmaPath::DdrToGsm,
             &Dma2d::block_f32(
-                k_gcur as u64,
-                n_gcur as u64,
-                p.b.elem_index(j, i),
+                g.k.len() as u64,
+                g.n.len() as u64,
+                p.b.elem_index(g.k.start, g.n.start),
                 p.b.ld as u64,
-                ping as u64 * b_g_bytes / 4,
-                n_gcur as u64,
+                ping as u64 * b_g_elems,
+                g.n.len() as u64,
             ),
         )
     };
-
-    let mut bg_ticket = dma_bg(m, panels[0], 0)?;
-    for (pi, &(i, j)) in panels.iter().enumerate() {
-        let ping = pi % 2;
-        let n_gcur = bl.n_g.min(nn - i);
-        let k_gcur = bl.k_g.min(kk - j);
+    let bg_arrive = |m: &mut Machine, ticket| {
         m.barrier(&core_ids);
         for &c in &core_ids {
-            m.wait(c, bg_ticket);
+            m.wait(c, ticket);
         }
-        if pi + 1 < panels.len() {
-            bg_ticket = dma_bg(m, panels[pi + 1], (pi + 1) % 2)?;
-        }
+    };
+    ping_pong(m, walk.groups(), dma_bg, bg_arrive, |m, g, ping| {
+        for t in walk.tasks(&g) {
+            let c_panel = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
+                Dma2d::block_f32(t.rows as u64, t.cols as u64, src, src_ld, dst, dst_ld)
+            };
+            let (c_ddr, c_ld, ld) = (p.c.elem_index(t.r0, t.c0), p.c.ld as u64, t.ld as u64);
+            // Load the C panel for accumulation (Algorithm 4 line 6).
+            let tc = m.dma(
+                t.core,
+                DmaPath::DdrToAm,
+                &c_panel(c_ddr, c_ld, c_a_off / 4, ld),
+            )?;
+            m.wait(t.core, tc);
 
-        for (ci, &t) in chunks.iter().enumerate() {
-            let core = ci % cores;
-            let m_acur = bl.m_a.min(mm - t);
-            for ii in (0..n_gcur).step_by(bl.n_a) {
-                let n_acur = bl.n_a.min(n_gcur - ii);
-                let ld_cur = pad(n_acur) as u64;
-                // Load the C panel for accumulation (Algorithm 4 line 6).
-                let tc = m.dma(
-                    core,
-                    DmaPath::DdrToAm,
+            // B_a comes out of the resident B_g ping, at the step's and
+            // the task's offsets from the group's origin.
+            let dma_ba = |m: &mut Machine, ks: &Range<usize>, bping: usize| {
+                let in_group = (ks.start - g.k.start) * g.n.len() + (t.c0 - g.n.start);
+                m.dma(
+                    t.core,
+                    DmaPath::GsmToAm,
                     &Dma2d::block_f32(
-                        m_acur as u64,
-                        n_acur as u64,
-                        p.c.elem_index(t, i + ii),
-                        p.c.ld as u64,
-                        c_a_off / 4,
-                        ld_cur,
+                        ks.len() as u64,
+                        t.cols as u64,
+                        ping as u64 * b_g_elems + in_group as u64,
+                        g.n.len() as u64,
+                        b_a_off[bping] / 4,
+                        ld,
                     ),
-                )?;
-                m.wait(core, tc);
-
-                let k_blocks: Vec<usize> = (0..k_gcur).step_by(bl.k_a).collect();
-                let dma_ba =
-                    |m: &mut Machine, jj: usize, bping: usize| -> Result<DmaTicket, FtimmError> {
-                        let k_acur = bl.k_a.min(k_gcur - jj);
-                        Ok(m.dma(
-                            core,
-                            DmaPath::GsmToAm,
-                            &Dma2d::block_f32(
-                                k_acur as u64,
-                                n_acur as u64,
-                                (ping as u64 * b_g_bytes) / 4 + (jj * n_gcur + ii) as u64,
-                                n_gcur as u64,
-                                b_a_off[bping] / 4,
-                                ld_cur,
-                            ),
-                        )?)
-                    };
-                let mut ba_ticket = dma_ba(m, k_blocks[0], 0)?;
-                for (ki, &jj) in k_blocks.iter().enumerate() {
-                    let bping = ki % 2;
-                    let k_acur = bl.k_a.min(k_gcur - jj);
-                    m.wait(core, ba_ticket);
-                    if ki + 1 < k_blocks.len() {
-                        ba_ticket = dma_ba(m, k_blocks[ki + 1], (ki + 1) % 2)?;
-                    }
-
-                    let row_blocks: Vec<usize> = (0..m_acur).step_by(bl.m_s).collect();
-                    let dma_as = |m: &mut Machine,
-                                  tt: usize,
-                                  sping: usize|
-                     -> Result<DmaTicket, FtimmError> {
-                        let ms_cur = bl.m_s.min(m_acur - tt);
-                        Ok(m.dma(
-                            core,
-                            DmaPath::DdrToSm,
-                            &Dma2d::block_f32(
-                                ms_cur as u64,
-                                k_acur as u64,
-                                p.a.elem_index(t + tt, j + jj),
-                                p.a.ld as u64,
-                                a_s_off[sping] / 4,
-                                k_acur as u64,
-                            ),
-                        )?)
-                    };
-                    let mut as_ticket = dma_as(m, row_blocks[0], 0)?;
-                    for (ri, &tt) in row_blocks.iter().enumerate() {
-                        let sping = ri % 2;
-                        let ms_cur = bl.m_s.min(m_acur - tt);
-                        m.wait(core, as_ticket);
-                        if ri + 1 < row_blocks.len() {
-                            as_ticket = dma_as(m, row_blocks[ri + 1], (ri + 1) % 2)?;
-                        }
-                        // ftIMM: exact-shape auto-generated kernel.
-                        let spec = KernelSpec::new(ms_cur, k_acur, n_acur)?;
-                        let kernel = ex.kernels().get(spec)?;
-                        invoke_kernel(
-                            m,
-                            core,
-                            ex,
-                            &kernel,
-                            KernelBindings {
-                                a_off: a_s_off[sping],
-                                b_off: b_a_off[bping],
-                                c_off: c_a_off + (tt as u64 * ld_cur * 4),
-                            },
-                        )?;
-                    }
-                }
-                // Store the C panel (Algorithm 4 line 12).
-                let ts = m.dma(
-                    core,
-                    DmaPath::AmToDdr,
-                    &Dma2d::block_f32(
-                        m_acur as u64,
-                        n_acur as u64,
-                        c_a_off / 4,
-                        ld_cur,
-                        p.c.elem_index(t, i + ii),
-                        p.c.ld as u64,
-                    ),
-                )?;
-                m.wait(core, ts);
-            }
+                )
+            };
+            ping_pong(
+                m,
+                walk.k_steps(&g, &t),
+                dma_ba,
+                |m, ticket| m.wait(t.core, ticket),
+                |m, ks, bping| {
+                    // ftIMM: exact-shape auto-generated kernels.
+                    panel_rows(
+                        m,
+                        ex,
+                        &walk,
+                        &t,
+                        &ks,
+                        DmaPath::DdrToSm,
+                        |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
+                        a_s_off,
+                        b_a_off[bping],
+                        c_a_off,
+                    )
+                },
+            )?;
+            // Store the C panel (Algorithm 4 line 12).
+            let ts = m.dma(
+                t.core,
+                DmaPath::AmToDdr,
+                &c_panel(c_a_off / 4, ld, c_ddr, c_ld),
+            )?;
+            m.wait(t.core, ts);
         }
-    }
+        Ok(())
+    })?;
     m.barrier(&core_ids);
     Ok(m.report(p.flops(), &core_ids))
 }

@@ -39,6 +39,7 @@ use crate::plan::cost::analytic_seconds;
 use crate::plan::planner::Planner;
 use crate::plan::{Plan, PlanOrigin};
 use crate::shape::{MAX_MICROKERNEL_ROWS, MIN_MICROKERNEL_ROWS};
+use crate::walk::Walk;
 use crate::{ChosenStrategy, GemmShape, IrregularType, KparBlocks, MparBlocks, Strategy};
 use dspsim::HwConfig;
 use kernelgen::KernelCache;
@@ -293,58 +294,14 @@ pub struct BitSignature {
     k_groups: Vec<usize>,
 }
 
-/// Leaf group sizes of nested `step_by` blocking levels over `[0, total)`
-/// (each level partitions its parent chunk from the chunk's own origin,
-/// exactly like the strategy runners' loops).
-fn push_partition(out: &mut Vec<usize>, total: usize, levels: &[usize]) {
-    match levels.split_first() {
-        None => {
-            if total > 0 {
-                out.push(total);
-            }
-        }
-        Some((&level, rest)) => {
-            let step = level.max(1);
-            let mut i = 0;
-            while i < total {
-                let cur = step.min(total - i);
-                push_partition(out, cur, rest);
-                i += cur;
-            }
-        }
-    }
-}
-
-/// Compute the [`BitSignature`] of a strategy on a shape at a core count.
+/// Compute the [`BitSignature`] of a strategy on a shape at a core count:
+/// the leaf partitions and stream count of its [`Walk`].
 pub fn bit_signature(strategy: &ChosenStrategy, shape: &GemmShape, cores: usize) -> BitSignature {
-    let mut m_groups = Vec::new();
-    let mut n_groups = Vec::new();
-    let mut k_groups = Vec::new();
-    let (kind, streams) = match strategy {
-        ChosenStrategy::MPar(b) => {
-            // Row chunks of m_a (whole chunk on one core, no cross-core
-            // accumulation), row groups of m_s within; K panels of k_g,
-            // slices of k_a within, accumulated in K order.
-            push_partition(&mut m_groups, shape.m, &[b.m_a, b.m_s]);
-            push_partition(&mut n_groups, shape.n, &[b.n_g, b.n_a]);
-            push_partition(&mut k_groups, shape.k, &[b.k_g, b.k_a]);
-            (StrategyKind::MPar, 0)
-        }
-        ChosenStrategy::KPar(b) => {
-            // C_g panels of m_g, m_a panels within, row groups of m_s;
-            // K slices of k_a round-robined over the active cores, whose
-            // partials reduce in core order.
-            push_partition(&mut m_groups, shape.m, &[b.m_g, b.m_a, b.m_s]);
-            push_partition(&mut n_groups, shape.n, &[b.n_g, b.n_a]);
-            push_partition(&mut k_groups, shape.k, &[b.k_a]);
-            let slices = shape.k.div_ceil(b.k_a.max(1)).max(1);
-            (StrategyKind::KPar, cores.min(slices).max(1))
-        }
-        ChosenStrategy::TGemm => (StrategyKind::TGemm, 0),
-    };
+    let walk = Walk::new(strategy, shape.m, shape.n, shape.k, cores);
+    let [m_groups, n_groups, k_groups] = walk.leaf_partitions();
     BitSignature {
-        kind,
-        streams,
+        kind: walk.kind(),
+        streams: walk.levels().streams,
         m_groups,
         n_groups,
         k_groups,
@@ -806,17 +763,6 @@ mod tests {
     fn setup() -> (KernelCache, HwConfig) {
         let cfg = HwConfig::default();
         (KernelCache::new(cfg.clone()), cfg)
-    }
-
-    #[test]
-    fn partitions_match_the_runner_loops() {
-        let mut groups = Vec::new();
-        // 2-level: chunks of 10, groups of 4 over 23 rows.
-        push_partition(&mut groups, 23, &[10, 4]);
-        assert_eq!(groups, vec![4, 4, 2, 4, 4, 2, 3]);
-        groups.clear();
-        push_partition(&mut groups, 8, &[16]);
-        assert_eq!(groups, vec![8]);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! * **Type 2** — skinny-and-tall × tall-and-skinny: `K ≫ M ≈ N`;
 //! * **Type 3** — large regular × tall-and-skinny: `M ≈ K ≫ N`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// "Sufficiently large" dimension threshold from the paper's evaluation:
@@ -32,7 +31,7 @@ pub const MAX_MICROKERNEL_ROWS: usize = 14;
 pub const TINY_K_MAX: usize = 8;
 
 /// Problem dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Rows of A/C.
     pub m: usize,
@@ -76,7 +75,7 @@ impl fmt::Display for GemmShape {
 }
 
 /// The paper's shape taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrregularType {
     /// Type 1: `M ≫ K ≈ N` — a tall-and-skinny A times a small B.
     TallSkinnyTimesSmall,

@@ -4,10 +4,15 @@
 //! `n_a = 96`, and N-dimension multi-core parallelisation.
 //!
 //! This is the baseline ftIMM is compared against in Figs 4–5.
+//!
+//! Which panels, in which order, on which core is [`crate::walk::Walk`]'s
+//! business (shared with the host mirror); this module owns what is
+//! DSP-specific: the AM/SM/GSM layout, the DMA paths and the prefetches.
 
-use crate::{invoke_kernel, FtimmError, GemmProblem};
-use dspsim::{Dma2d, DmaPath, DmaTicket, KernelBindings, Machine, RunReport};
-use kernelgen::{KernelExecutor, KernelSpec};
+use crate::walk::{panel_rows, ping_pong, Group, Walk};
+use crate::{ChosenStrategy, FtimmError, GemmProblem};
+use dspsim::{Dma2d, DmaPath, Machine, RunReport};
+use kernelgen::KernelExecutor;
 
 /// TGEMM's fixed blocking (Algorithm 1, line 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,27 +38,26 @@ impl Default for TgemmParams {
     }
 }
 
-/// Run `C += A × B` with TGEMM on `cores` DSP cores.
+/// Run `C += A × B` with TGEMM's fixed blocking
+/// ([`TgemmParams::default`]) on `cores` DSP cores.
 pub fn run_tgemm(
     m: &mut Machine,
     ex: &KernelExecutor,
     p: &GemmProblem,
-    params: &TgemmParams,
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
     crate::exec::validate_problem(p)?;
-    let (mm, nn, kk) = (p.m(), p.n(), p.k());
-    let tp = *params;
+    let tp = TgemmParams::default();
     let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
-
-    // Column chunks of n_a, assigned round-robin over cores (Algorithm 1
-    // line 5: the parallel loop over t).
-    let chunks: Vec<usize> = (0..nn).step_by(tp.n_a).collect();
-    let active = cores.min(chunks.len()).max(1);
-    m.set_active_streams(active);
+    // Groups are A_g panels; tasks are their n_a column chunks, dealt
+    // round-robin over cores (Algorithm 1 line 5: the parallel loop over
+    // t), each with the group's whole K range as its one K step.
+    let walk = Walk::new(&ChosenStrategy::TGemm, p.m(), p.n(), p.k(), cores);
+    m.set_active_streams(walk.active());
+    let core_ids: Vec<usize> = (0..cores).collect();
 
     // GSM: double-buffered A_g panel.
-    let a_g_bytes = (tp.m_g * tp.k_g * 4) as u64;
+    let a_g_elems = (tp.m_g * tp.k_g) as u64;
     // AM per core: C_a (m_g × 96) + double-buffered B_a (k_g × 96).
     let c_a_off = 0u64;
     let c_a_bytes = (tp.m_g * tp.n_a * 4) as u64;
@@ -61,135 +65,86 @@ pub fn run_tgemm(
     // SM per core: double-buffered A_s (m_s × k_g).
     let a_s_off = [0u64, (tp.m_s * tp.k_g * 4) as u64];
 
-    // Panel sequence for A_g prefetching: all (i, j) pairs in loop order.
-    let panels: Vec<(usize, usize)> = (0..mm)
-        .step_by(tp.m_g)
-        .flat_map(|i| (0..kk).step_by(tp.k_g).map(move |j| (i, j)))
-        .collect();
-
-    let core_ids: Vec<usize> = (0..cores).collect();
-    let dma_ag = |m: &mut Machine, (i, j): (usize, usize), ping: usize| {
-        let m_cur = tp.m_g.min(mm - i);
-        let k_cur = tp.k_g.min(kk - j);
+    let dma_ag = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
             0,
             DmaPath::DdrToGsm,
             &Dma2d::block_f32(
-                m_cur as u64,
-                k_cur as u64,
-                p.a.elem_index(i, j),
+                g.m.len() as u64,
+                g.k.len() as u64,
+                p.a.elem_index(g.m.start, g.k.start),
                 p.a.ld as u64,
-                ping as u64 * a_g_bytes / 4,
-                k_cur as u64,
+                ping as u64 * a_g_elems,
+                g.k.len() as u64,
             ),
         )
     };
-
-    let mut ag_ticket = dma_ag(m, panels[0], 0)?;
-    for (pi, &(i, j)) in panels.iter().enumerate() {
-        let ping = pi % 2;
-        let m_cur = tp.m_g.min(mm - i);
-        let k_cur = tp.k_g.min(kk - j);
-        // All cores wait for this A_g panel, then core 0's engine prefetches
-        // the next one while everyone computes.
+    // All cores wait for this A_g panel, then core 0's engine prefetches
+    // the next one while everyone computes.
+    let ag_arrive = |m: &mut Machine, ticket| {
         m.barrier(&core_ids);
         for &c in &core_ids {
-            m.wait(c, ag_ticket);
+            m.wait(c, ticket);
         }
-        if pi + 1 < panels.len() {
-            ag_ticket = dma_ag(m, panels[pi + 1], (pi + 1) % 2)?;
-        }
-
-        for (ci, &t) in chunks.iter().enumerate() {
-            let core = ci % cores;
-            let n_cur = tp.n_a.min(nn - t);
-            // B_a: only the real n_cur columns are transferred, but the
-            // panel is stored (and computed) at the fixed width 96 —
-            // TGEMM's implicit padding.
-            let tb = m.dma(
-                core,
-                DmaPath::DdrToAm,
-                &Dma2d::block_f32(
-                    k_cur as u64,
-                    n_cur as u64,
-                    p.b.elem_index(j, t),
-                    p.b.ld as u64,
-                    b_a_off[ping] / 4,
-                    tp.n_a as u64,
-                ),
-            )?;
-            let tc = m.dma(
-                core,
-                DmaPath::DdrToAm,
-                &Dma2d::block_f32(
-                    m_cur as u64,
-                    n_cur as u64,
-                    p.c.elem_index(i, t),
-                    p.c.ld as u64,
-                    c_a_off / 4,
-                    tp.n_a as u64,
-                ),
-            )?;
-            m.wait(core, tb);
-            m.wait(core, tc);
-
-            // Inner loop over m_s rows of A_g, ping-ponged through SM.
-            let row_blocks: Vec<usize> = (0..m_cur).step_by(tp.m_s).collect();
-            let dma_as =
-                |m: &mut Machine, ii: usize, sping: usize| -> Result<DmaTicket, FtimmError> {
-                    let ms_cur = tp.m_s.min(m_cur - ii);
-                    Ok(m.dma(
-                        core,
-                        DmaPath::GsmToSm,
-                        &Dma2d::block_f32(
-                            ms_cur as u64,
-                            k_cur as u64,
-                            (ping as u64 * a_g_bytes + (ii * k_cur * 4) as u64) / 4,
-                            k_cur as u64,
-                            a_s_off[sping] / 4,
-                            k_cur as u64,
-                        ),
-                    )?)
-                };
-            let mut as_ticket = dma_as(m, row_blocks[0], 0)?;
-            for (ri, &ii) in row_blocks.iter().enumerate() {
-                let sping = ri % 2;
-                let ms_cur = tp.m_s.min(m_cur - ii);
-                m.wait(core, as_ticket);
-                if ri + 1 < row_blocks.len() {
-                    as_ticket = dma_as(m, row_blocks[ri + 1], (ri + 1) % 2)?;
-                }
-                // TGEMM's single micro-kernel: always n_a = 96 wide.
-                let spec = KernelSpec::new(ms_cur, k_cur, tp.n_a)?;
-                let kernel = ex.kernels().get_forced(spec, ms_cur.min(tp.m_s), 1)?;
-                invoke_kernel(
-                    m,
-                    core,
-                    ex,
-                    &kernel,
-                    KernelBindings {
-                        a_off: a_s_off[sping],
-                        b_off: b_a_off[ping],
-                        c_off: c_a_off + (ii * tp.n_a * 4) as u64,
-                    },
+    };
+    ping_pong(m, walk.groups(), dma_ag, ag_arrive, |m, g, ping| {
+        for t in walk.tasks(&g) {
+            let (c_ddr, c_ld, ld) = (p.c.elem_index(t.r0, t.c0), p.c.ld as u64, t.ld as u64);
+            // One K step per task (the group's whole K range), so the C
+            // panel round-trips through DDR around it.
+            for ks in walk.k_steps(&g, &t) {
+                // B_a: only the real columns are transferred, but the
+                // panel is stored (and computed) at the fixed width 96 —
+                // TGEMM's implicit padding.
+                let tb = m.dma(
+                    t.core,
+                    DmaPath::DdrToAm,
+                    &Dma2d::block_f32(
+                        ks.len() as u64,
+                        t.cols as u64,
+                        p.b.elem_index(ks.start, t.c0),
+                        p.b.ld as u64,
+                        b_a_off[ping] / 4,
+                        ld,
+                    ),
                 )?;
+                let c_panel = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
+                    Dma2d::block_f32(t.rows as u64, t.cols as u64, src, src_ld, dst, dst_ld)
+                };
+                let tc = m.dma(
+                    t.core,
+                    DmaPath::DdrToAm,
+                    &c_panel(c_ddr, c_ld, c_a_off / 4, ld),
+                )?;
+                m.wait(t.core, tb);
+                m.wait(t.core, tc);
+
+                // Inner loop over m_s rows of A_g, ping-ponged through SM
+                // into TGEMM's single micro-kernel: always n_a = 96 wide.
+                let a_g = ping as u64 * a_g_elems;
+                panel_rows(
+                    m,
+                    ex,
+                    &walk,
+                    &t,
+                    &ks,
+                    DmaPath::GsmToSm,
+                    |u| (a_g + (u * ks.len()) as u64, ks.len() as u64),
+                    a_s_off,
+                    b_a_off[ping],
+                    c_a_off,
+                )?;
+                // Write C back (only the real columns).
+                let ts = m.dma(
+                    t.core,
+                    DmaPath::AmToDdr,
+                    &c_panel(c_a_off / 4, ld, c_ddr, c_ld),
+                )?;
+                m.wait(t.core, ts);
             }
-            // Write C back (only the real columns).
-            let ts = m.dma(
-                core,
-                DmaPath::AmToDdr,
-                &Dma2d::block_f32(
-                    m_cur as u64,
-                    n_cur as u64,
-                    c_a_off / 4,
-                    tp.n_a as u64,
-                    p.c.elem_index(i, t),
-                    p.c.ld as u64,
-                ),
-            )?;
-            m.wait(core, ts);
         }
-    }
+        Ok(())
+    })?;
     m.barrier(&core_ids);
     Ok(m.report(p.flops(), &core_ids))
 }

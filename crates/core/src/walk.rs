@@ -1,0 +1,468 @@
+//! The blocking walk: the one enumeration of which panels a strategy
+//! touches, in which order, on which core.
+//!
+//! Algorithms 1, 4 and 5 of the paper are the same four-level nest with
+//! different block sizes and a different dimension spread over the cores:
+//!
+//! 1. [`Walk::groups`] — the extent one GSM-resident panel serves:
+//!    `B[k, n]` for M-parallel, `A[m, k]` for TGEMM, `C[m, n]` for
+//!    K-parallel.  The dimension the panel does not block spans whole.
+//! 2. [`Walk::tasks`] — one `C` panel's life in a core's AM.  M-parallel
+//!    and TGEMM deal their chunks (of M, of N) round-robin over the
+//!    cores; K-parallel tasks come in runs of [`Walk::active`], one per
+//!    core, every task of a run covering the same `C` panel with a
+//!    private accumulator, and each run reduces in that order.
+//! 3. [`Walk::k_steps`] — the K ranges the panel accumulates, in order
+//!    (for K-parallel, the core's strided share of the `k_a` slices).
+//! 4. [`Walk::row_blocks`] — `(offset, height)` in steps of `m_s`, one
+//!    kernel invocation each ([`Walk::kernel`]).
+//!
+//! Every operand is the same projection of those ranges for every
+//! strategy: the accumulator is `C[rows, cols]` of the task, a step's B
+//! panel is `B[k0.., cols]`, a row block's A block is `A[r0 + u.., k0..]`.
+//! That is why one consumer serves all three strategies, and why the DSP
+//! emitters ([`crate::mpar`], [`crate::kpar`], [`crate::tgemm`]) and the
+//! host mirror (`backend/host.rs`) agree bit for bit: per-element f32
+//! accumulation order is a function of this enumeration alone, and both
+//! consume it.  [`Walk::levels`] states the same blocking as nested
+//! partition levels — what the tuner's [`crate::BitSignature`] compares.
+//!
+//! The two crate-private functions at the end are the part of *emitting*
+//! the walk on the DSP that does not depend on the strategy: the
+//! double-buffered prefetch order and the `A_s` + kernel-invoke loop.
+
+use crate::plan::StrategyKind;
+use crate::{invoke_kernel, ChosenStrategy, FtimmError, TgemmParams};
+use dspsim::{Dma2d, DmaPath, DmaTicket, KernelBindings, Machine, SimError};
+use kernelgen::{GenError, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// Round a panel width up to whole 32-lane vectors (the leading dimension
+/// of an AM panel).
+pub(crate) fn pad_lanes(n: usize) -> usize {
+    n.div_ceil(32) * 32
+}
+
+/// `range` cut into consecutive blocks of `step` (the last one short).
+fn blocks(range: Range<usize>, step: usize) -> impl Iterator<Item = Range<usize>> + Clone {
+    let end = range.end;
+    range.step_by(step).map(move |s| s..end.min(s + step))
+}
+
+/// Leaf block sizes of nested blocking `levels` over `[0, total)`, in
+/// traversal order: each level cuts its parent block from the block's own
+/// origin, exactly like [`Walk`]'s nested ranges.
+fn push_partition(out: &mut Vec<usize>, total: usize, levels: &[usize]) {
+    match levels.split_first() {
+        None if total > 0 => out.push(total),
+        None => {}
+        Some((&step, rest)) => {
+            for b in blocks(0..total, step.max(1)) {
+                push_partition(out, b.len(), rest);
+            }
+        }
+    }
+}
+
+/// The extent one GSM-resident panel serves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Group {
+    /// Rows of `C` (and `A`).
+    pub m: Range<usize>,
+    /// Columns of `C` (and `B`).
+    pub n: Range<usize>,
+    /// The K range accumulated while the panel is resident.
+    pub k: Range<usize>,
+}
+
+/// One `C` panel's life in a core's AM: loaded (or zeroed), accumulated
+/// over its K steps, stored (or reduced).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Task {
+    /// The (logical) core that owns the panel.
+    pub core: usize,
+    /// First row of the panel in `C`.
+    pub r0: usize,
+    /// First column of the panel in `C`.
+    pub c0: usize,
+    /// Panel height.
+    pub rows: usize,
+    /// Real panel width (columns transferred).
+    pub cols: usize,
+    /// Leading dimension of the AM panels (`B_a` and `C_a`): `n_kernel`
+    /// in whole vectors.
+    pub ld: usize,
+    /// Width the micro-kernel is generated for: `cols`, or TGEMM's fixed
+    /// padded width.
+    pub n_kernel: usize,
+}
+
+/// A strategy's blocking as nested partition levels per dimension
+/// (outermost first; a level spanning its whole parent cuts nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Levels {
+    /// GSM group, AM panel and micro-kernel heights.
+    pub m: [usize; 3],
+    /// GSM group and AM panel widths.
+    pub n: [usize; 2],
+    /// GSM group depth and K step.
+    pub k: [usize; 2],
+    /// Accumulation streams the K steps are dealt over: [`Walk::active`]
+    /// for K-parallel, `0` where every element has one accumulator.
+    pub streams: usize,
+}
+
+/// The blocking walk of a resolved strategy on an `m × n × k` problem at
+/// a core count.  See the module docs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Walk {
+    kind: StrategyKind,
+    m: usize,
+    n: usize,
+    k: usize,
+    cores: usize,
+    active: usize,
+    /// Extent of one group in M, N and K.
+    group: [usize; 3],
+    m_a: usize,
+    n_a: usize,
+    k_a: usize,
+    m_s: usize,
+}
+
+impl Walk {
+    /// The walk of `strategy` on an `m × n × k` problem.  `cores` is the
+    /// count the caller has already clamped to the cluster it runs on (or
+    /// mirrors); block sizes and `cores` of zero are read as one.
+    pub fn new(strategy: &ChosenStrategy, m: usize, n: usize, k: usize, cores: usize) -> Walk {
+        let (kind, group, [m_a, n_a, k_a, m_s]) = match *strategy {
+            ChosenStrategy::MPar(b) => (
+                StrategyKind::MPar,
+                [m, b.n_g, b.k_g],
+                [b.m_a, b.n_a, b.k_a, b.m_s],
+            ),
+            ChosenStrategy::KPar(b) => (
+                StrategyKind::KPar,
+                [b.m_g, b.n_g, k],
+                [b.m_a, b.n_a, b.k_a, b.m_s],
+            ),
+            ChosenStrategy::TGemm => {
+                let t = TgemmParams::default();
+                (
+                    StrategyKind::TGemm,
+                    [t.m_g, n, t.k_g],
+                    [t.m_g, t.n_a, t.k_g, t.m_s],
+                )
+            }
+        };
+        let [m_a, n_a, k_a, m_s] = [m_a, n_a, k_a, m_s].map(|b| b.max(1));
+        // The chunks dealt over the cores: of M, of K, of N.
+        let chunks = match kind {
+            StrategyKind::MPar => m.div_ceil(m_a),
+            StrategyKind::KPar => k.div_ceil(k_a),
+            StrategyKind::TGemm => n.div_ceil(n_a),
+        };
+        let cores = cores.max(1);
+        Walk {
+            kind,
+            m,
+            n,
+            k,
+            cores,
+            active: cores.min(chunks).max(1),
+            group: group.map(|g| g.max(1)),
+            m_a,
+            n_a,
+            k_a,
+            m_s,
+        }
+    }
+
+    /// Which of the three loop nests this is.
+    pub(crate) fn kind(&self) -> StrategyKind {
+        self.kind
+    }
+
+    /// Cores that receive work: the core count, capped by the number of
+    /// chunks the strategy deals out.
+    pub fn active(&self) -> usize {
+        self.active
+    }
+
+    /// Whether tasks accumulate into private zeroed panels that are then
+    /// summed into `C` (K-parallel), rather than loading and storing
+    /// disjoint panels of `C`.
+    pub fn reduces(&self) -> bool {
+        self.kind == StrategyKind::KPar
+    }
+
+    /// The groups, in the order their panels become GSM-resident.
+    pub fn groups(&self) -> impl Iterator<Item = Group> + '_ {
+        let [g_m, g_n, g_k] = self.group;
+        blocks(0..self.m, g_m).flat_map(move |m| {
+            blocks(0..self.n, g_n).flat_map(move |n| {
+                let m = m.clone();
+                blocks(0..self.k, g_k).map(move |k| Group {
+                    m: m.clone(),
+                    n: n.clone(),
+                    k,
+                })
+            })
+        })
+    }
+
+    /// The tasks of one group, in issue order.
+    pub fn tasks(&self, g: &Group) -> impl Iterator<Item = Task> + '_ {
+        let replicas = if self.reduces() { self.active } else { 1 };
+        let fixed_width = self.kind == StrategyKind::TGemm;
+        let cols_of = g.n.clone();
+        blocks(g.m.clone(), self.m_a).flat_map(move |rows| {
+            blocks(cols_of.clone(), self.n_a).flat_map(move |cols| {
+                let rows = rows.clone();
+                let n_kernel = if fixed_width { self.n_a } else { cols.len() };
+                (0..replicas).map(move |replica| Task {
+                    core: match self.kind {
+                        StrategyKind::MPar => rows.start / self.m_a % self.cores,
+                        StrategyKind::TGemm => cols.start / self.n_a % self.cores,
+                        StrategyKind::KPar => replica,
+                    },
+                    r0: rows.start,
+                    c0: cols.start,
+                    rows: rows.len(),
+                    cols: cols.len(),
+                    ld: pad_lanes(n_kernel),
+                    n_kernel,
+                })
+            })
+        })
+    }
+
+    /// The K ranges `task` accumulates while `g` is resident, in order.
+    pub fn k_steps(&self, g: &Group, task: &Task) -> impl Iterator<Item = Range<usize>> + Clone {
+        let (first, stride) = if self.reduces() {
+            (task.core, self.active)
+        } else {
+            (0, 1)
+        };
+        blocks(g.k.clone(), self.k_a).skip(first).step_by(stride)
+    }
+
+    /// The `(row offset, height)` micro-kernel blocks of `task`'s panel.
+    pub fn row_blocks(&self, task: &Task) -> impl Iterator<Item = (usize, usize)> + Clone {
+        blocks(0..task.rows, self.m_s).map(|b| (b.start, b.len()))
+    }
+
+    /// The kernel one row block of `task` runs on a K step of length
+    /// `k_len`: generated for the exact `ms × k_len × n_kernel` shape —
+    /// auto-tuned, or with TGEMM's fixed `k_u = 1` tiling.
+    pub fn kernel(
+        &self,
+        cache: &KernelCache,
+        task: &Task,
+        ms: usize,
+        k_len: usize,
+    ) -> Result<Arc<MicroKernel>, GenError> {
+        let spec = KernelSpec::new(ms, k_len, task.n_kernel)?;
+        match self.kind {
+            StrategyKind::TGemm => cache.get_forced(spec, ms, 1),
+            _ => cache.get(spec),
+        }
+    }
+
+    /// The blocking as nested partition levels.
+    pub fn levels(&self) -> Levels {
+        let [g_m, g_n, g_k] = self.group;
+        Levels {
+            m: [g_m, self.m_a, self.m_s],
+            n: [g_n, self.n_a],
+            k: [g_k, self.k_a],
+            streams: if self.reduces() { self.active } else { 0 },
+        }
+    }
+
+    /// Leaf block sizes of [`Walk::levels`] over M, N and K, in traversal
+    /// order: the heights of the micro-kernels down a column of `C`, the
+    /// panel widths along a row, and the K steps of one element.
+    pub fn leaf_partitions(&self) -> [Vec<usize>; 3] {
+        let lv = self.levels();
+        let mut out = [Vec::new(), Vec::new(), Vec::new()];
+        push_partition(&mut out[0], self.m, &lv.m);
+        push_partition(&mut out[1], self.n, &lv.n);
+        push_partition(&mut out[2], self.k, &lv.k);
+        out
+    }
+}
+
+/// The double-buffered prefetch every level of the DSP emitters uses:
+/// each item's transfer is issued into buffer `index % 2` one step ahead
+/// (the first one up front).  Per item: `arrive` waits for its transfer,
+/// the next item's is issued, then `body` consumes it.  The simulated
+/// clock and the seeded fault stream both depend on that issue order, so
+/// it is written once.
+pub(crate) fn ping_pong<T>(
+    m: &mut Machine,
+    items: impl Iterator<Item = T>,
+    issue: impl Fn(&mut Machine, &T, usize) -> Result<DmaTicket, SimError>,
+    arrive: impl Fn(&mut Machine, DmaTicket),
+    mut body: impl FnMut(&mut Machine, T, usize) -> Result<(), FtimmError>,
+) -> Result<(), FtimmError> {
+    let mut items = items.enumerate().peekable();
+    let Some((_, first)) = items.peek() else {
+        return Ok(());
+    };
+    let mut ticket = issue(m, first, 0)?;
+    while let Some((i, item)) = items.next() {
+        arrive(m, ticket);
+        if let Some((_, next)) = items.peek() {
+            ticket = issue(m, next, (i + 1) % 2)?;
+        }
+        body(m, item, i % 2)?;
+    }
+    Ok(())
+}
+
+/// The DSP emitters' shared inner loop: for one K step of `task`, ping-pong
+/// the `A_s` row blocks into SM over `path` and invoke the matching kernel
+/// on each.  `a_src(u)` is the source `(element index, leading dimension)`
+/// of the block at row offset `u` — DDR for M-/K-parallel, the GSM `A_g`
+/// ping for TGEMM; `a_s_off`, `b_off` and `c_off` are the byte offsets of
+/// the two `A_s` buffers in SM and of the step's `B_a` and the task's
+/// `C_a` in AM.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn panel_rows(
+    m: &mut Machine,
+    ex: &KernelExecutor,
+    walk: &Walk,
+    task: &Task,
+    k_step: &Range<usize>,
+    path: DmaPath,
+    a_src: impl Fn(usize) -> (u64, u64),
+    a_s_off: [u64; 2],
+    b_off: u64,
+    c_off: u64,
+) -> Result<(), FtimmError> {
+    let k_len = k_step.len();
+    ping_pong(
+        m,
+        walk.row_blocks(task),
+        |m, &(u, ms), sping| {
+            let (src, src_ld) = a_src(u);
+            let a_s = a_s_off[sping] / 4;
+            m.dma(
+                task.core,
+                path,
+                &Dma2d::block_f32(ms as u64, k_len as u64, src, src_ld, a_s, k_len as u64),
+            )
+        },
+        |m, ticket| m.wait(task.core, ticket),
+        |m, (u, ms), sping| {
+            let kernel = walk.kernel(ex.kernels(), task, ms, k_len)?;
+            let bind = KernelBindings {
+                a_off: a_s_off[sping],
+                b_off,
+                c_off: c_off + (u * task.ld * 4) as u64,
+            };
+            invoke_kernel(m, task.core, ex, &kernel, bind)
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{KparBlocks, MparBlocks};
+
+    #[test]
+    fn partitions_cut_each_level_from_its_own_origin() {
+        let mut leaves = Vec::new();
+        // Chunks of 10, groups of 4 over 23 rows.
+        push_partition(&mut leaves, 23, &[10, 4]);
+        assert_eq!(leaves, vec![4, 4, 2, 4, 4, 2, 3]);
+        leaves.clear();
+        push_partition(&mut leaves, 8, &[16]);
+        assert_eq!(leaves, vec![8]);
+    }
+
+    #[test]
+    fn mpar_deals_row_chunks_round_robin_and_steps_k_inside_the_group() {
+        let bl = MparBlocks {
+            n_g: 64,
+            k_g: 40,
+            m_a: 10,
+            n_a: 24,
+            k_a: 16,
+            m_s: 4,
+        };
+        let w = Walk::new(&ChosenStrategy::MPar(bl), 23, 70, 50, 2);
+        assert_eq!(w.active(), 2);
+        let groups: Vec<Group> = w.groups().collect();
+        // N outer, K inner; M whole.
+        assert_eq!(groups.len(), 4);
+        assert_eq!(groups[1].n, 0..64);
+        assert_eq!(groups[1].k, 40..50);
+        assert_eq!(groups[3].n, 64..70);
+        let tasks: Vec<Task> = w.tasks(&groups[0]).collect();
+        // 3 row chunks × 3 column panels (24, 24, 16).
+        assert_eq!(tasks.len(), 9);
+        assert_eq!(tasks[2].cols, 16);
+        assert_eq!(tasks[2].ld, 32);
+        assert_eq!(tasks[2].n_kernel, 16);
+        assert_eq!(
+            tasks.iter().map(|t| t.core).collect::<Vec<_>>(),
+            vec![0, 0, 0, 1, 1, 1, 0, 0, 0]
+        );
+        assert_eq!(tasks[8].rows, 3);
+        let steps: Vec<_> = w.k_steps(&groups[0], &tasks[0]).collect();
+        assert_eq!(steps, vec![0..16, 16..32, 32..40]);
+        let rows: Vec<_> = w.row_blocks(&tasks[0]).collect();
+        assert_eq!(rows, vec![(0, 4), (4, 4), (8, 2)]);
+    }
+
+    #[test]
+    fn kpar_tasks_come_in_runs_with_strided_slices() {
+        let bl = KparBlocks {
+            m_g: 32,
+            n_g: 32,
+            m_a: 16,
+            n_a: 32,
+            k_a: 64,
+            m_s: 8,
+        };
+        let w = Walk::new(&ChosenStrategy::KPar(bl), 16, 16, 300, 3);
+        assert!(w.reduces());
+        assert_eq!(w.active(), 3);
+        let g = w.groups().next().unwrap();
+        assert_eq!(g.k, 0..300);
+        let tasks: Vec<Task> = w.tasks(&g).collect();
+        assert_eq!(tasks.len(), 3);
+        assert!(tasks
+            .iter()
+            .all(|t| (t.r0, t.c0, t.rows, t.cols) == (0, 0, 16, 16)));
+        let steps: Vec<_> = w.k_steps(&g, &tasks[1]).collect();
+        assert_eq!(steps, vec![64..128, 256..300]);
+        // More cores than slices: the surplus cores get no task.
+        assert_eq!(
+            Walk::new(&ChosenStrategy::KPar(bl), 16, 16, 100, 8).active(),
+            2
+        );
+    }
+
+    #[test]
+    fn tgemm_keeps_its_fixed_width_and_single_k_step() {
+        let w = Walk::new(&ChosenStrategy::TGemm, 70, 100, 600, 4);
+        let tp = TgemmParams::default();
+        assert_eq!(w.active(), 2);
+        let groups: Vec<Group> = w.groups().collect();
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[1].k, 512..600);
+        let tasks: Vec<Task> = w.tasks(&groups[1]).collect();
+        assert_eq!(tasks.len(), 2);
+        assert_eq!(tasks[1].cols, 4);
+        assert_eq!(tasks[1].ld, tp.n_a);
+        assert_eq!(tasks[1].n_kernel, tp.n_a);
+        assert_eq!(tasks[1].core, 1);
+        let steps: Vec<_> = w.k_steps(&groups[1], &tasks[1]).collect();
+        assert_eq!(steps, vec![512..600]);
+    }
+}

@@ -1,0 +1,203 @@
+//! Property tests over the blocking walk ([`ftimm::Walk`]).
+//!
+//! The DSP emitters and the host mirror both consume this enumeration,
+//! so their bitwise agreement is by construction; what is left to check
+//! is that the enumeration itself is a GEMM.  Over random block sizes,
+//! shapes and core counts, for all three strategies:
+//!
+//! * (a) the distinct `C` panels of the tasks tile `C` exactly once, and
+//!   every panel of a reducing walk is covered by exactly `active` tasks,
+//!   one per core, in core order;
+//! * (b) the K steps of the tasks covering a panel partition `0..k`
+//!   exactly once, each inside its group's K range;
+//! * (c) row blocks partition `0..rows` with heights in `1..=m_s`;
+//! * (d) the enumeration is what runs: a timing-mode `run_plan` invokes
+//!   exactly one kernel per `(task, K step, row block)` triple;
+//! * (e) the leaf partitions read off the enumeration are those of the
+//!   nested [`ftimm::walk::Levels`] the tuner's `BitSignature` compares.
+
+use dspsim::{ExecMode, HwConfig, Machine};
+use ftimm::walk::Task;
+use ftimm::{
+    ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, MparBlocks, Strategy, Walk,
+};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::OnceLock;
+
+fn ft() -> &'static FtImm {
+    static FT: OnceLock<FtImm> = OnceLock::new();
+    FT.get_or_init(|| FtImm::new(HwConfig::default()))
+}
+
+/// One of the three strategies with arbitrary (not necessarily
+/// hardware-feasible) blocks: the enumeration must be a GEMM for any of
+/// them.
+fn strategy(sel: usize, b: [usize; 6]) -> ChosenStrategy {
+    let [g0, g1, m_a, n_a, k_a, m_s] = b;
+    match sel {
+        0 => ChosenStrategy::MPar(MparBlocks {
+            n_g: g0,
+            k_g: g1,
+            m_a,
+            n_a,
+            k_a,
+            m_s,
+        }),
+        1 => ChosenStrategy::KPar(KparBlocks {
+            m_g: g0,
+            n_g: g1,
+            m_a,
+            n_a,
+            k_a,
+            m_s,
+        }),
+        _ => ChosenStrategy::TGemm,
+    }
+}
+
+/// Assert `parts` (sorted by start) chain from 0 to `total` with no gap
+/// or overlap.
+fn assert_partition(mut parts: Vec<Range<usize>>, total: usize, what: &str) {
+    parts.sort_by_key(|r| r.start);
+    let mut at = 0;
+    for r in &parts {
+        assert!(r.start == at && r.end > r.start, "{what}: {parts:?}");
+        at = r.end;
+    }
+    assert_eq!(at, total, "{what}: {parts:?}");
+}
+
+/// Sizes of the distinct `(start, len)` blocks, in start order.
+fn sizes(mut blocks: Vec<(usize, usize)>) -> Vec<usize> {
+    blocks.sort_unstable();
+    blocks.dedup();
+    blocks.into_iter().map(|(_, len)| len).collect()
+}
+
+/// Properties (a)–(c) and (e); returns the number of kernel invocations
+/// the walk enumerates.
+fn check_walk(walk: &Walk, m: usize, n: usize, k: usize, cores: usize) -> u64 {
+    // Per distinct C panel `(r0, c0, rows, cols)`: the core and K steps
+    // of every task covering it.
+    type Covering = Vec<(usize, Vec<Range<usize>>)>;
+    let mut panels: BTreeMap<(usize, usize, usize, usize), Covering> = BTreeMap::new();
+    let (mut row_leaves, mut col_leaves) = (Vec::new(), Vec::new());
+    let mut invocations = 0u64;
+    let m_s = walk.levels().m[2];
+    for g in walk.groups() {
+        for t in walk.tasks(&g) {
+            let Task {
+                core,
+                r0,
+                c0,
+                rows,
+                cols,
+                ..
+            } = t;
+            assert!(core < walk.active() && walk.active() <= cores);
+            assert!(
+                g.m.start <= r0 && r0 + rows <= g.m.end,
+                "{t:?} outside {g:?}"
+            );
+            assert!(
+                g.n.start <= c0 && c0 + cols <= g.n.end,
+                "{t:?} outside {g:?}"
+            );
+            assert!(cols <= t.ld && cols <= t.n_kernel && t.n_kernel <= t.ld);
+            let steps: Vec<Range<usize>> = walk.k_steps(&g, &t).collect();
+            assert!(!steps.is_empty(), "{t:?} has no K step");
+            for ks in &steps {
+                assert!(g.k.start <= ks.start && ks.end <= g.k.end);
+            }
+            // (c)
+            let blocks: Vec<(usize, usize)> = walk.row_blocks(&t).collect();
+            assert!(blocks.iter().all(|&(_, ms)| (1..=m_s).contains(&ms)));
+            assert_partition(
+                blocks.iter().map(|&(u, ms)| u..u + ms).collect(),
+                rows,
+                "row blocks",
+            );
+            invocations += (steps.len() * blocks.len()) as u64;
+            row_leaves.extend(blocks.iter().map(|&(u, ms)| (r0 + u, ms)));
+            col_leaves.push((c0, cols));
+            panels
+                .entry((r0, c0, rows, cols))
+                .or_default()
+                .push((core, steps));
+        }
+    }
+
+    // (a) the distinct panels tile C exactly once.
+    let mut covered = vec![0u8; m * n];
+    for &(r0, c0, rows, cols) in panels.keys() {
+        for r in r0..r0 + rows {
+            for c in &mut covered[r * n + c0..r * n + c0 + cols] {
+                *c += 1;
+            }
+        }
+    }
+    assert!(covered.iter().all(|&c| c == 1), "panels do not tile C");
+
+    let mut k_leaves = Vec::new();
+    for (panel, tasks) in &panels {
+        if walk.reduces() {
+            // (a) one private accumulator per active core, in core order.
+            let cores_seen: Vec<usize> = tasks.iter().map(|(c, _)| *c).collect();
+            assert_eq!(cores_seen, (0..walk.active()).collect::<Vec<_>>());
+        }
+        // (b)
+        let steps: Vec<Range<usize>> = tasks.iter().flat_map(|(_, s)| s.clone()).collect();
+        if panel.0 == 0 && panel.1 == 0 {
+            k_leaves = steps.iter().map(|s| (s.start, s.len())).collect();
+        }
+        assert_partition(steps, k, "K steps");
+    }
+
+    // (e)
+    let [lm, ln, lk] = walk.leaf_partitions();
+    assert_eq!(sizes(row_leaves), lm, "M leaves");
+    assert_eq!(sizes(col_leaves), ln, "N leaves");
+    assert_eq!(sizes(k_leaves), lk, "K leaves");
+    invocations
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn the_enumeration_is_a_gemm(
+        sel in 0usize..3,
+        m in 1usize..300,
+        n in 1usize..300,
+        k in 1usize..300,
+        cores in 1usize..9,
+        (g0, g1) in (1usize..80, 1usize..80),
+        (m_a, n_a, k_a, m_s) in (1usize..80, 1usize..80, 1usize..80, 1usize..80),
+    ) {
+        let walk = Walk::new(&strategy(sel, [g0, g1, m_a, n_a, k_a, m_s]), m, n, k, cores);
+        check_walk(&walk, m, n, k, cores);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_timing_run_invokes_one_kernel_per_enumerated_triple(
+        sel in 0usize..3,
+        m in 1usize..300,
+        n in 1usize..97,
+        k in 1usize..300,
+        cores in 1usize..9,
+    ) {
+        let shape = GemmShape::new(m, n, k);
+        let plan = ft().plan(&shape, [Strategy::MPar, Strategy::KPar, Strategy::TGemm][sel], cores);
+        let mut machine = Machine::with_mode(ExecMode::Timing);
+        let p = GemmProblem::alloc(&mut machine, m, n, k).unwrap();
+        let report = ft().run_plan(&mut machine, &p, &plan, cores).unwrap();
+        let walk = Walk::new(&plan, m, n, k, cores);
+        prop_assert_eq!(report.totals.kernel_calls, check_walk(&walk, m, n, k, cores));
+    }
+}

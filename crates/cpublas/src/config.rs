@@ -2,8 +2,6 @@
 //! FT-2000plus, §II of the paper: 281.6 GFLOPS single-precision peak,
 //! sharing the 42.6 GB/s DDR bandwidth "based on the same bandwidth").
 
-use serde::{Deserialize, Serialize};
-
 /// CPU hardware and OpenBLAS-model parameters.
 ///
 /// The performance-model constants (`ko`, `no`, `mo`, `kernel_base`) are
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// ARMv8 multi-cores by the irregular-GEMM literature (LibShalom,
 /// AutoTSMM): near-peak on large regular shapes, single-digit-to-low-tens
 /// efficiency on small/irregular shapes.  See DESIGN.md §8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Number of cores (paper: 16).
     pub cores: usize,

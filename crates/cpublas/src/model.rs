@@ -16,10 +16,9 @@
 //!   barrier per K panel.
 
 use crate::CpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Model output for one GEMM shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPrediction {
     /// Predicted wall time, seconds.
     pub seconds: f64,

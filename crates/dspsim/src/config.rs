@@ -5,10 +5,9 @@
 //! here so every experiment reads them from one place.
 
 use ftimm_isa::LatencyTable;
-use serde::{Deserialize, Serialize};
 
 /// Full hardware description of one GPDSP cluster plus the host CPU side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwConfig {
     /// DSP core clock in Hz (paper: 1.8 GHz).
     pub clock_hz: f64,

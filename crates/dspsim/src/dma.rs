@@ -7,10 +7,9 @@
 //! (see [`crate::HwConfig::ddr_bw_per_stream`]).
 
 use crate::HwConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which pair of memory levels a transfer moves between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DmaPath {
     /// Main memory → cluster GSM.
     DdrToGsm,
@@ -57,7 +56,7 @@ impl DmaPath {
 
 /// A 2-D strided transfer: `rows` rows of `row_bytes`, with independent
 /// source and destination row strides (both in bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dma2d {
     /// Number of rows.
     pub rows: u64,
@@ -132,7 +131,7 @@ pub fn transfer_time(cfg: &HwConfig, path: DmaPath, bytes: u64, streams: usize) 
 /// config never fires (`INFINITY` everywhere); an armed config is checked
 /// at the machine's preemption points — every DMA issue — which bounds
 /// the detection granularity to one transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Absolute simulated deadline in seconds.  A core whose clock has
     /// reached this when it tries to issue work is preempted with

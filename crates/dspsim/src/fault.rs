@@ -19,10 +19,9 @@
 //! (ABFT) checksums detect every flip with a huge margin.
 
 use crate::DmaPath;
-use serde::{Deserialize, Serialize};
 
 /// What a scheduled DMA fault does to its transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaFaultKind {
     /// The transfer completes on time but one f32 of the destination is
     /// corrupted (silent data corruption).
@@ -33,7 +32,7 @@ pub enum DmaFaultKind {
 }
 
 /// A fault armed on the Nth transfer (1-based) over a DMA path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaFault {
     /// The path the fault watches.
     pub path: DmaPath,
@@ -44,7 +43,7 @@ pub struct DmaFault {
 }
 
 /// Which memory a scheduled bit flip targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemTarget {
     /// The cluster-shared GSM.
     Gsm,
@@ -57,7 +56,7 @@ pub enum MemTarget {
 /// A bit flip applied to the data returned by the Nth read (1-based) of a
 /// region after the plan is installed.  The flip is persistent (the word
 /// is damaged *at rest*) until the location is overwritten.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemFault {
     /// The region the fault targets.
     pub target: MemTarget,
@@ -66,7 +65,7 @@ pub struct MemFault {
 }
 
 /// A permanent core failure at a simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreFailure {
     /// The physical core that dies.
     pub core: usize,
@@ -79,7 +78,7 @@ pub struct CoreFailure {
 /// A whole-cluster failure at a simulated time: the machine's fault
 /// domain dies as one unit (power rail, interconnect, firmware wedge),
 /// taking every core with it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterFailure {
     /// Simulated time (seconds) at which the cluster stops responding.
     /// The first operation issued at or after this time errors with
@@ -95,7 +94,7 @@ pub struct ClusterFailure {
 /// (`ftimm`'s `CpuBackend`), not by the DSP machine; it lives here so one
 /// seeded [`FaultPlan`] drives the whole heterogeneous degradation
 /// ladder and round-trips through the planfile codec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSlowdown {
     /// Multiplier on the CPU cost model's predicted seconds (`>= 1.0` for
     /// a slowdown; several slowdowns compound multiplicatively).
@@ -106,14 +105,14 @@ pub struct CpuSlowdown {
 /// backend (1-based).  The span's work is lost and the dispatch errors
 /// transiently; like [`CpuSlowdown`] it is interpreted by the CPU
 /// backend, not by the DSP machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuFailure {
     /// Which CPU span execution (1 = the first after installation) fails.
     pub nth: u64,
 }
 
 /// A complete, serialisable fault-injection schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the deterministic choice of corrupted offsets/bits.
     pub seed: u64,

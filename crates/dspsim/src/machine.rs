@@ -6,10 +6,9 @@ use crate::{
     transfer_time, Core, CoreStats, Dma2d, DmaPath, DmaTicket, FaultPlan, FaultStats, HwConfig,
     MemRegion, RunReport, SimError, WatchdogConfig, WatchdogUnit,
 };
-use serde::{Deserialize, Serialize};
 
 /// How much of the simulation actually runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Execute generated VLIW programs instruction-by-instruction
     /// (bit-exact, hazard-checked, slow — for validation).

@@ -1,9 +1,8 @@
 //! Minimal hand-rolled JSON reader/writer shared by [`crate::planfile`]
 //! and the profile exporters.
 //!
-//! The workspace builds offline with a marker-only serde stub (see
-//! `vendor/serde`), so every JSON codec in the tree is hand-written
-//! against this module.  The grammar is the subset those codecs need —
+//! The workspace builds offline with no serialisation framework, so
+//! every JSON codec in the tree is hand-written against this module.  The grammar is the subset those codecs need —
 //! objects, arrays, strings without exotic escapes, and numbers — and the
 //! reader rejects anything else loudly.  Numbers are kept as their source
 //! text until a field claims them, so `u64` seeds survive beyond the

@@ -1,9 +1,9 @@
 //! JSON round-tripping for [`FaultPlan`] so chaos scenarios can live in
 //! fixture files instead of being constructed in code.
 //!
-//! The workspace builds offline with a marker-only serde stub (see
-//! `vendor/serde`), so this module carries its own tiny JSON writer and
-//! reads back through the shared [`crate::minijson`] reader (numbers keep
+//! The workspace builds offline with no serialisation framework, so this
+//! module carries its own tiny JSON writer and reads back through the
+//! shared [`crate::minijson`] reader (numbers keep
 //! their source text there, so `u64` seeds survive beyond the 2^53 range
 //! where an `f64` detour would silently round).
 //!

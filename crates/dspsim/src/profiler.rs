@@ -16,10 +16,9 @@
 //! a [`crate::RunReport`].
 
 use crate::DmaPath;
-use serde::{Deserialize, Serialize};
 
 /// The execution phases the simulator can attribute time to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// DDR → on-chip transfers (A/B/C panel loads).
     DmaLoad,
@@ -387,7 +386,7 @@ impl Profiler {
 
 /// Fixed-size per-phase summary of one profiled run, embeddable in a
 /// [`crate::RunReport`] (which stays `Copy`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Profiled window length: last device span end minus first device
     /// span start, simulated seconds (host-side [`Phase::Plan`] spans do

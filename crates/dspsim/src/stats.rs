@@ -1,10 +1,9 @@
 //! Execution statistics and efficiency accounting.
 
 use crate::profiler::PhaseProfile;
-use serde::{Deserialize, Serialize};
 
 /// Per-core counters accumulated during a simulated run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreStats {
     /// Compute cycles spent executing kernel bundles.
     pub compute_cycles: u64,
@@ -42,7 +41,7 @@ impl CoreStats {
 /// recovery counters (`retries`, `recomputed_tiles`) are filled by the
 /// resilient execution layer wrapping the run.  All zero when no
 /// [`crate::FaultPlan`] is installed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// DMA payload corruptions injected.
     pub dma_corruptions: u64,
@@ -89,7 +88,7 @@ impl FaultStats {
 /// cluster, or the host CPU fallback lane.  Carried as provenance in
 /// [`RunReport`] and every report derived from it, so heterogeneous
 /// failover is visible end to end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// A simulated GPDSP cluster (the default — everything this crate
     /// models runs here).
@@ -110,7 +109,7 @@ impl BackendKind {
 }
 
 /// Result of one simulated GEMM (or kernel) run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
     /// Simulated wall time in seconds (max over participating cores).
     pub seconds: f64,

@@ -14,14 +14,13 @@
 //! base from its execution context; the hazard checker and pipeline tables
 //! ignore addresses entirely.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum loop nesting depth address expressions can refer to.
 pub const MAX_LOOP_DEPTH: usize = 4;
 
 /// The on-chip memory space an access targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// 64 KB scalar memory, private per core (holds `A_s`).
     Sm,
@@ -42,7 +41,7 @@ impl fmt::Display for MemSpace {
 ///
 /// The blocking layers double-buffer these, so the same kernel program runs
 /// against alternating physical offsets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufId {
     /// The `A_s[m_s][k_a]` panel in SM.
     A,
@@ -63,7 +62,7 @@ impl fmt::Display for BufId {
 }
 
 /// An affine, loop-relative byte address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddrExpr {
     /// Memory space accessed.
     pub space: MemSpace,

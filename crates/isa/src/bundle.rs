@@ -1,7 +1,6 @@
 //! VLIW bundles: the set of instructions issued in one cycle.
 
 use crate::{Instruction, IsaError, Unit, MAX_SCALAR_SLOTS, MAX_VECTOR_SLOTS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// All instructions issued in a single cycle, each bound to a concrete
@@ -12,7 +11,7 @@ use std::fmt;
 /// * the unit belongs to the opcode's unit class,
 /// * at most [`MAX_SCALAR_SLOTS`] scalar-side and [`MAX_VECTOR_SLOTS`]
 ///   vector-side instructions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bundle {
     slots: Vec<(Unit, Instruction)>,
 }

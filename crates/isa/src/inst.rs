@@ -1,7 +1,6 @@
 //! Instructions: an opcode plus typed operands.
 
 use crate::{AddrExpr, IsaError, Opcode, SReg, VReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A displayable operand (used by the assembler round-trip).
@@ -69,7 +68,7 @@ impl<R: fmt::Debug> fmt::Debug for RegList<R> {
 /// hazard checker and the scheduler need no per-opcode knowledge; the
 /// typed constructors below guarantee the lists match the opcode's
 /// signature (checked again by [`Instruction::validate`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instruction {
     /// The opcode.
     pub opcode: Opcode,

@@ -7,13 +7,12 @@
 //! checker (to verify them).
 
 use crate::Opcode;
-use serde::{Deserialize, Serialize};
 
 /// Result latency, in cycles, of every opcode.
 ///
 /// An instruction issued in cycle `c` produces registers that may first be
 /// read in cycle `c + latency`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyTable {
     /// Latency of `VFMULAS32`/`VFADDS32` (the paper's `t_fma`).
     pub t_fma: u32,

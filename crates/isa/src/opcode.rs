@@ -4,11 +4,10 @@
 //! are our documented reconstruction (the real ISA manual is not public).
 
 use crate::unit::UnitClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Opcode {
     // ---- scalar load/store ----
     /// Load one 32-bit word (one f32) from SM into the low half of `Rd`.

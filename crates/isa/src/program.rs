@@ -7,13 +7,12 @@
 //! treats it as the loop-back marker.
 
 use crate::{Bundle, IsaError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a loop nesting level for address expressions.
 ///
 /// Level 0 is the outermost loop of the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopLevel(pub u8);
 
 impl LoopLevel {
@@ -28,7 +27,7 @@ impl LoopLevel {
 }
 
 /// One structural element of a program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Section {
     /// Bundles executed once, in order.
     Straight(Vec<Bundle>),
@@ -84,7 +83,7 @@ impl Section {
 }
 
 /// A whole micro-kernel program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Top-level sections, executed in order.
     pub sections: Vec<Section>,

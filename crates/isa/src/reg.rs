@@ -1,13 +1,10 @@
 //! Scalar and vector register names.
 
 use crate::{IsaError, NUM_SREGS, NUM_VREGS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A scalar register (`R0`–`R63`), 64 bits wide.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SReg(u16);
 
 impl SReg {
@@ -36,9 +33,7 @@ impl fmt::Display for SReg {
 }
 
 /// A vector register (`V0`–`V63`), 32 × f32 across the 16-VPE array.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VReg(u16);
 
 impl VReg {

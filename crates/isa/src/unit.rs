@@ -1,6 +1,5 @@
 //! Functional units of the DSP core and their issue rules.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One functional unit of the VLIW core.
@@ -9,7 +8,7 @@ use std::fmt;
 /// A bundle may contain at most one instruction per unit, at most
 /// [`crate::MAX_SCALAR_SLOTS`] scalar-side instructions and at most
 /// [`crate::MAX_VECTOR_SLOTS`] vector-side instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Unit {
     /// Scalar load/store unit 1 (`SLDH`, `SLDW`, `SSTW`).
     ScalarLs1,

@@ -1,6 +1,5 @@
 //! Kernel specifications, layouts and generator errors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum `n_a` supported by the irregular-GEMM kernels (paper: N ≤ 96,
@@ -9,7 +8,7 @@ pub const MAX_NA: usize = 96;
 
 /// The shape of one micro-kernel invocation:
 /// `C_a[m_s][n_a] += A_s[m_s][k_a] × B_a[k_a][n_a]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelSpec {
     /// Rows of the `A_s` panel held in SM.
     pub m_s: usize,
@@ -66,7 +65,7 @@ impl fmt::Display for KernelSpec {
 
 /// Scratchpad footprint of a generated kernel (what the blocking layer
 /// must allocate for one buffer instance; double-buffering doubles B/A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelLayout {
     /// Bytes of `A_s` in SM (dense `m_s × k_a` f32).
     pub a_bytes: u64,

@@ -11,10 +11,9 @@
 use crate::{GenError, KernelSpec};
 use dspsim::HwConfig;
 use ftimm_isa::{NUM_SREGS, NUM_VREGS};
-use serde::{Deserialize, Serialize};
 
 /// One (m_u, k_u) unroll configuration with its derived quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tiling {
     /// Rows of A handled per steady-state iteration.
     pub m_u: usize,

@@ -4,10 +4,9 @@
 //! shapes change down the network as images shrink and channels grow.
 
 use ftimm::GemmShape;
-use serde::{Deserialize, Serialize};
 
 /// One convolutional layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvLayer {
     /// Layer name (e.g. `conv1_1`).
     pub name: &'static str,

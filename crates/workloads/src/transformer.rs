@@ -4,10 +4,9 @@
 //! instance of its §I motivation).
 
 use ftimm::GemmShape;
-use serde::{Deserialize, Serialize};
 
 /// One projection GEMM of a multi-head attention block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttnProjection {
     /// Projection name (`q`, `k`, `v` or `attn_out_head`).
     pub name: &'static str,
