@@ -3,7 +3,7 @@
 use cpublas::CpuConfig;
 use dspsim::HwConfig;
 use ftimm::backend::{Backend, BackendPrediction, CpuBackend, DspBackend};
-use ftimm::{ChosenStrategy, FtImm, GemmShape, Strategy};
+use ftimm::{ChosenStrategy, FtImm, GemmShape, Strategy, StrategyKind};
 
 /// A configured measurement context (kernel cache shared across points).
 pub struct Harness {
@@ -49,11 +49,7 @@ impl Harness {
 
     /// The plan dynamic adjusting picks (for labelling).
     pub fn plan_tag(&self, shape: &GemmShape, cores: usize) -> &'static str {
-        match self.ft.plan(shape, Strategy::Auto, cores) {
-            ChosenStrategy::MPar(_) => "M-par",
-            ChosenStrategy::KPar(_) => "K-par",
-            ChosenStrategy::TGemm => "TGEMM",
-        }
+        StrategyKind::of(&self.ft.plan(shape, Strategy::Auto, cores)).label()
     }
 
     /// Cluster peak in GFLOPS.

@@ -10,7 +10,7 @@
 
 use crate::common::format_table;
 use dspsim::HwConfig;
-use ftimm::{ChosenStrategy, FtImm, GemmShape, Plan, Strategy};
+use ftimm::{FtImm, GemmShape, Plan, Strategy, StrategyKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -88,14 +88,6 @@ pub fn compute() -> Report {
     Report { rows }
 }
 
-fn strategy_tag(s: &ChosenStrategy) -> &'static str {
-    match s {
-        ChosenStrategy::MPar(_) => "M-par",
-        ChosenStrategy::KPar(_) => "K-par",
-        ChosenStrategy::TGemm => "TGEMM",
-    }
-}
-
 /// Render the printable report table.
 pub fn render(report: &Report) -> String {
     let rows: Vec<Vec<String>> = report
@@ -104,7 +96,7 @@ pub fn render(report: &Report) -> String {
         .map(|r| {
             vec![
                 r.shape.to_string(),
-                strategy_tag(&r.plan.strategy).to_string(),
+                StrategyKind::of(&r.plan.strategy).label().to_string(),
                 format!("{:.3e}", r.plan.predicted_s),
                 format!("{:.3e}", r.plan.simulated_s),
                 format!("{}", r.plan.candidates),
@@ -144,7 +136,7 @@ pub fn render_json(report: &Report) -> String {
             r.shape.m,
             r.shape.n,
             r.shape.k,
-            strategy_tag(&r.plan.strategy),
+            StrategyKind::of(&r.plan.strategy).label(),
             r.plan.origin.tag(),
             r.plan.predicted_s,
             r.plan.simulated_s,
@@ -168,6 +160,7 @@ pub fn render_json(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftimm::ChosenStrategy;
     use std::sync::OnceLock;
 
     fn cached() -> &'static Report {

@@ -14,8 +14,7 @@ use crate::common::format_table;
 use crate::planner::SHAPES;
 use dspsim::{ExecMode, HwConfig, Machine};
 use ftimm::{
-    ranking_agreement, ChosenStrategy, FtImm, GemmShape, Plan, RegimeAgreement, Strategy,
-    TuneConfig,
+    ranking_agreement, FtImm, GemmShape, Plan, RegimeAgreement, Strategy, StrategyKind, TuneConfig,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -125,14 +124,6 @@ pub fn compute(catalog_path: &Path) -> Report {
     }
 }
 
-fn strategy_tag(s: &ChosenStrategy) -> &'static str {
-    match s {
-        ChosenStrategy::MPar(_) => "M-par",
-        ChosenStrategy::KPar(_) => "K-par",
-        ChosenStrategy::TGemm => "TGEMM",
-    }
-}
-
 /// Render the printable report tables.
 pub fn render(report: &Report) -> String {
     let rows: Vec<Vec<String>> = report
@@ -141,7 +132,7 @@ pub fn render(report: &Report) -> String {
         .map(|r| {
             vec![
                 r.shape.to_string(),
-                strategy_tag(&r.tuned_plan.strategy).to_string(),
+                StrategyKind::of(&r.tuned_plan.strategy).label().to_string(),
                 format!("{:.3e}", r.default_plan.simulated_s),
                 format!("{:.3e}", r.tuned_plan.simulated_s),
                 format!("{:.3}x", r.speedup()),
@@ -208,7 +199,7 @@ pub fn render_json(report: &Report) -> String {
             r.shape.m,
             r.shape.n,
             r.shape.k,
-            strategy_tag(&r.tuned_plan.strategy),
+            StrategyKind::of(&r.tuned_plan.strategy).label(),
             r.tuned_plan.origin.tag(),
             r.default_plan.simulated_s,
             r.tuned_plan.simulated_s,

@@ -22,10 +22,10 @@
 //!
 //! Unknown keys are rejected so typos cannot silently disable a fixture.
 
-use crate::fuzzer::{check_case, strategy_from_tag, strategy_tag, CaseSpec, Mismatch, OracleKind};
+use crate::fuzzer::{check_case, CaseSpec, Mismatch, OracleKind};
 use crate::regime::Regime;
 use dspsim::minijson::{quote, Parser, Value};
-use ftimm::{FtImm, GemmShape};
+use ftimm::{FtImm, GemmShape, Strategy};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -44,7 +44,7 @@ pub fn case_to_json(case: &CaseSpec, note: Option<&str>) -> String {
     s.push_str(&format!("  \"cores\": {},\n", case.cores));
     s.push_str(&format!(
         "  \"strategy\": {},\n",
-        quote(strategy_tag(case.strategy))
+        quote(case.strategy.tag())
     ));
     s.push_str(&format!("  \"oracle\": {},\n", quote(case.oracle.tag())));
     if let Some(fs) = case.fault_seed {
@@ -120,9 +120,7 @@ pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
             Regime::classify(&shape)
         ));
     }
-    let strategy_s = field_str(obj, "strategy")?;
-    let strategy =
-        strategy_from_tag(strategy_s).ok_or_else(|| format!("unknown strategy {strategy_s:?}"))?;
+    let strategy = Strategy::from_tag(field_str(obj, "strategy")?)?;
     let oracle_s = field_str(obj, "oracle")?;
     let oracle =
         OracleKind::from_tag(oracle_s).ok_or_else(|| format!("unknown oracle {oracle_s:?}"))?;
@@ -148,7 +146,7 @@ pub fn write_fixture(dir: &Path, m: &Mismatch) -> std::io::Result<PathBuf> {
     let name = format!(
         "{}-{}-{}x{}x{}-s{}.json",
         c.oracle.tag(),
-        strategy_tag(c.strategy),
+        c.strategy.tag(),
         c.shape.m,
         c.shape.n,
         c.shape.k,
@@ -221,7 +219,8 @@ mod tests {
     #[test]
     fn round_trips_through_json() {
         let case = sample_case();
-        let text = case_to_json(&case, Some("note text with \"quotes\""));
+        // A static-verifier mismatch's note is a multi-line report.
+        let text = case_to_json(&case, Some("note with \"quotes\"\nand a second line"));
         let back = case_from_json(&text).unwrap();
         assert_eq!(back, case);
 

@@ -7,73 +7,31 @@
 //! today fails identically when replayed from its JSON fixture years
 //! later — that is what makes the persisted corpus a regression suite.
 //!
-//! Oracles (all compare the full `C` matrix):
+//! Every oracle is one row of the private `ORACLES` table — its fixture
+//! tag, whether it needs an `Interpret`-capped shape, whether it draws a
+//! fault seed, and its check function — and one [`OracleKind`] variant.
+//! The contract each oracle checks is documented on its check function;
+//! all of them compare the full `C` matrix.  [`check_case`] first runs the
+//! [`crate::verifier`] lint pass over every micro-kernel the case's plan
+//! invokes, then dispatches through the table.
 //!
-//! * [`OracleKind::Reference`] — `ExecMode::Fast` against the f64 host
-//!   oracle within mixed tolerance;
-//! * [`OracleKind::ModeEquivalence`] — `Fast` vs `Interpret` bit-exact
-//!   (and simulated seconds equal);
-//! * [`OracleKind::CompiledEquivalence`] — the three-way host-tier
-//!   contract: `Compiled` vs `Fast` vs `Interpret` all bit-exact (and
-//!   simulated seconds equal), pinning the SIMD lowering to the
-//!   interpreter's exact accumulation order;
-//! * [`OracleKind::EntryEquivalence`] — every `Executor` entry point
-//!   (`run_plan`, `gemm`, `tgemm`, `run_plan_resilient`, `gemm_resilient`)
-//!   bit-exact for the same resolved plan;
-//! * [`OracleKind::ScalarScale`] — metamorphic: scaling `A` by 2 (exact
-//!   in binary f32) scales `C` bit-exactly, starting from `C = 0`;
-//! * [`OracleKind::TransposeDuality`] — metamorphic: `(Bᵀ×Aᵀ)ᵀ` agrees
-//!   with `A×B` within tolerance (accumulation orders differ);
-//! * [`OracleKind::TilingInvariance`] — metamorphic: MPar, KPar and
-//!   TGEMM plans for the same problem each match the f64 oracle;
-//! * [`OracleKind::FaultRecovery`] — a seeded fault plan is injected and
-//!   the resilient path must still produce an oracle-clean result;
-//! * [`OracleKind::PlanConsistency`] — planning is deterministic (the
-//!   same request yields the identical [`ftimm::Plan`] twice, with and
-//!   without the memo) and plan-then-execute (`run_plan`) is bitwise
-//!   identical to the one-shot entry point (`gemm`);
-//! * [`OracleKind::ShardFailover`] — a sharded two-cluster run with a
-//!   seeded mid-shard cluster death
-//!   ([`dspsim::FaultPlan::kill_cluster`]) fails over and stays bitwise
-//!   identical to a fault-free single-cluster *checkpointed* run of the
-//!   same pinned plan and ckpt grid (checkpoint spans re-anchor the
-//!   kernel blocking, so that — not a plain run — is the bit-exact
-//!   oracle), and every submitted job reaches a terminal outcome.
-//! * [`OracleKind::CpuFailover`] — the heterogeneous ladder: a
-//!   single-cluster sharded run with [`ftimm::SpillPolicy::LastResort`]
-//!   and a seeded mid-shard cluster kill must salvage the checkpointed
-//!   prefix, resume the remainder on the host CPU lane
-//!   ([`ftimm::CpuBackend`] mirrors the exact DSP blocking walk) and
-//!   stay bitwise identical to the same checkpointed oracle — across
-//!   devices, not just clusters.
-//! * [`OracleKind::TunedPlanEquivalence`] — the autotuner contract:
-//!   tuning is deterministic under a fixed seed, a tuned plan survives
-//!   the `ftimm-plan-catalog-v1` round-trip bit-for-bit, executing it is
-//!   bitwise identical to executing the default `Auto` plan (the tuner
-//!   only adopts [`ftimm::BitSignature`]-equal variants), and a fresh
-//!   context warm-started from the catalog serves the plan with zero
-//!   timing simulations.
-//! * [`OracleKind::CoexecEquivalence`] — the co-execution contract: a
-//!   sharded run under [`ftimm::SpillPolicy::CoExecute`] (CPU lane
-//!   dispatched as a planned peer, split chosen by
-//!   [`ftimm::choose_coexec_split`] from both backend cost models) is
-//!   bitwise identical to the fault-free single-cluster checkpointed
-//!   oracle, the co-execution planner is deterministic, the chosen split
-//!   is never predicted slower than the best single backend, and a plan
-//!   that placed a CPU shard actually dispatches the lane.
-//!
-//! Every case additionally runs the [`crate::verifier`] lint pass over
-//! each micro-kernel its plan pulls from the cache.
+//! The check functions share three fixtures on `Ctx`: `staged_run`
+//! (stage operands on a fresh machine, run a closure, download `C`),
+//! `same_clock` (two legs agree on the simulated clock) and
+//! `checkpointed_oracle` + `run_sharded` (the bitwise oracle of the
+//! sharded engine and one job through it).  Adding an oracle is three
+//! edits: the variant, the table row, the check function.
 
 use crate::regime::Regime;
 use crate::rng::Rng64;
 use crate::verifier::verify_kernel;
-use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine, RunReport};
+use cpublas::CpuConfig;
+use dspsim::{BackendKind, DmaPath, ExecMode, FaultPlan, HwConfig, Machine, RunReport};
 use ftimm::reference::{fill_matrix, sgemm_f64};
 use ftimm::{
     ChosenStrategy, ClusterPool, EngineConfig, FtImm, FtimmError, GemmProblem, GemmShape,
-    ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, SpillPolicy,
-    Strategy, TenantSpec, Walk,
+    ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedReport,
+    SpillPolicy, Strategy, TenantSpec, Walk,
 };
 use kernelgen::{KernelSpec, MicroKernel};
 use std::collections::HashSet;
@@ -116,71 +74,156 @@ pub enum OracleKind {
     CoexecEquivalence,
 }
 
+/// One row of the oracle table: everything the rest of the crate knows
+/// about an oracle.
+struct Oracle {
+    kind: OracleKind,
+    /// Stable tag: fixtures and the benchmark baseline key on it.
+    tag: &'static str,
+    /// Runs `Interpret` (directly or as one leg of an equivalence), so
+    /// its cases get budget-capped shapes.
+    interpret_capped: bool,
+    /// Its cases carry a [`CaseSpec::fault_seed`].
+    fault_seeded: bool,
+    check: fn(&Ctx) -> Result<(), Mismatch>,
+}
+
+/// The oracles, in round-robin scheduling order (the order of the
+/// [`OracleKind`] variants, checked below).
+const ORACLES: &[Oracle] = &[
+    Oracle {
+        kind: OracleKind::Reference,
+        tag: "reference",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: reference,
+    },
+    Oracle {
+        kind: OracleKind::ModeEquivalence,
+        tag: "mode-equivalence",
+        interpret_capped: true,
+        fault_seeded: false,
+        check: mode_equivalence,
+    },
+    Oracle {
+        kind: OracleKind::CompiledEquivalence,
+        tag: "compiled-equivalence",
+        interpret_capped: true,
+        fault_seeded: false,
+        check: compiled_equivalence,
+    },
+    Oracle {
+        kind: OracleKind::EntryEquivalence,
+        tag: "entry-equivalence",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: entry_equivalence,
+    },
+    Oracle {
+        kind: OracleKind::ScalarScale,
+        tag: "scalar-scale",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: scalar_scale,
+    },
+    Oracle {
+        kind: OracleKind::TransposeDuality,
+        tag: "transpose-duality",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: transpose_duality,
+    },
+    Oracle {
+        kind: OracleKind::TilingInvariance,
+        tag: "tiling-invariance",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: tiling_invariance,
+    },
+    Oracle {
+        kind: OracleKind::FaultRecovery,
+        tag: "fault-recovery",
+        interpret_capped: false,
+        fault_seeded: true,
+        check: fault_recovery,
+    },
+    Oracle {
+        kind: OracleKind::PlanConsistency,
+        tag: "plan-consistency",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: plan_consistency,
+    },
+    Oracle {
+        kind: OracleKind::ShardFailover,
+        tag: "shard-failover",
+        interpret_capped: false,
+        fault_seeded: true,
+        check: shard_failover,
+    },
+    Oracle {
+        kind: OracleKind::CpuFailover,
+        tag: "cpu-failover",
+        interpret_capped: false,
+        fault_seeded: true,
+        check: cpu_failover,
+    },
+    Oracle {
+        kind: OracleKind::TunedPlanEquivalence,
+        tag: "tuned-plan-equivalence",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: tuned_plan_equivalence,
+    },
+    Oracle {
+        kind: OracleKind::CoexecEquivalence,
+        tag: "coexec-equivalence",
+        interpret_capped: false,
+        fault_seeded: false,
+        check: coexec_equivalence,
+    },
+];
+
+// Row `i` describes the `i`-th variant, so `kind as usize` indexes the
+// table and the per-oracle counters.
+const _: () = {
+    let mut i = 0;
+    while i < ORACLES.len() {
+        assert!(ORACLES[i].kind as usize == i);
+        i += 1;
+    }
+};
+
 impl OracleKind {
     /// All oracles, in round-robin scheduling order.
-    pub const ALL: [OracleKind; 13] = [
-        OracleKind::Reference,
-        OracleKind::ModeEquivalence,
-        OracleKind::CompiledEquivalence,
-        OracleKind::EntryEquivalence,
-        OracleKind::ScalarScale,
-        OracleKind::TransposeDuality,
-        OracleKind::TilingInvariance,
-        OracleKind::FaultRecovery,
-        OracleKind::PlanConsistency,
-        OracleKind::ShardFailover,
-        OracleKind::CpuFailover,
-        OracleKind::TunedPlanEquivalence,
-        OracleKind::CoexecEquivalence,
-    ];
+    pub const ALL: [OracleKind; ORACLES.len()] = {
+        let mut all = [OracleKind::Reference; ORACLES.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = ORACLES[i].kind;
+            i += 1;
+        }
+        all
+    };
+
+    fn row(self) -> &'static Oracle {
+        &ORACLES[self as usize]
+    }
 
     /// Stable tag used in fixtures.
     pub fn tag(self) -> &'static str {
-        match self {
-            OracleKind::Reference => "reference",
-            OracleKind::ModeEquivalence => "mode-equivalence",
-            OracleKind::CompiledEquivalence => "compiled-equivalence",
-            OracleKind::EntryEquivalence => "entry-equivalence",
-            OracleKind::ScalarScale => "scalar-scale",
-            OracleKind::TransposeDuality => "transpose-duality",
-            OracleKind::TilingInvariance => "tiling-invariance",
-            OracleKind::FaultRecovery => "fault-recovery",
-            OracleKind::PlanConsistency => "plan-consistency",
-            OracleKind::ShardFailover => "shard-failover",
-            OracleKind::CpuFailover => "cpu-failover",
-            OracleKind::TunedPlanEquivalence => "tuned-plan-equivalence",
-            OracleKind::CoexecEquivalence => "coexec-equivalence",
-        }
+        self.row().tag
     }
 
     /// Parse a [`OracleKind::tag`].
     pub fn from_tag(s: &str) -> Option<OracleKind> {
-        OracleKind::ALL.iter().copied().find(|o| o.tag() == s)
+        ORACLES.iter().find(|o| o.tag == s).map(|o| o.kind)
     }
-}
 
-/// Strategy tags for fixtures (mirrors [`ftimm::Strategy`]).
-pub fn strategy_tag(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Auto => "auto",
-        Strategy::Rules => "rules",
-        Strategy::MPar => "mpar",
-        Strategy::KPar => "kpar",
-        Strategy::TGemm => "tgemm",
+    /// Whether the oracle's cases carry a [`CaseSpec::fault_seed`].
+    pub fn fault_seeded(self) -> bool {
+        self.row().fault_seeded
     }
-}
-
-/// Parse a [`strategy_tag`].
-pub fn strategy_from_tag(s: &str) -> Option<Strategy> {
-    [
-        Strategy::Auto,
-        Strategy::Rules,
-        Strategy::MPar,
-        Strategy::KPar,
-        Strategy::TGemm,
-    ]
-    .into_iter()
-    .find(|x| strategy_tag(*x) == s)
 }
 
 /// A complete, deterministic conformance case.
@@ -211,7 +254,7 @@ impl fmt::Display for CaseSpec {
             self.shape,
             Regime::classify(&self.shape),
             self.cores,
-            strategy_tag(self.strategy),
+            self.strategy.tag(),
             self.oracle.tag()
         )?;
         if let Some(fs) = self.fault_seed {
@@ -299,36 +342,21 @@ pub fn generate_case(run_seed: u64, case_index: u64) -> CaseSpec {
     let regime = Regime::ALL[(case_index % 4) as usize];
     // The oracle index drifts by three every full regime rotation so no
     // oracle gets pinned to a small set of regimes.  The effective step
-    // per rotation is 4 + 3 = 7, coprime to the oracle count (13), so
-    // every (regime, oracle) pair is visited within 13 regime rotations
-    // = 52 iterations — a drift of one would make the step 5 and
-    // pin each regime to a strict subset of oracles forever.  Any oracle
-    // added to [`OracleKind::ALL`] must keep its length coprime with 7
-    // (guarded by `oracle_schedule_covers_every_oracle_regime_pairing`).
+    // per rotation is 4 + 3 = 7: while the oracle count stays coprime
+    // with 7, every (regime, oracle) pair is visited within
+    // `OracleKind::ALL.len()` regime rotations; a count sharing a factor
+    // with the step would pin each regime to a strict subset of oracles
+    // forever.  Guarded by
+    // `oracle_schedule_covers_every_oracle_regime_pairing`.
     let oracle = OracleKind::ALL
         [((case_index + 3 * (case_index / 4)) % OracleKind::ALL.len() as u64) as usize];
-    // Oracles that run `Interpret` (directly or as one leg of an
-    // equivalence) get budget-capped shapes.
-    let shape = if matches!(
-        oracle,
-        OracleKind::ModeEquivalence | OracleKind::CompiledEquivalence
-    ) {
+    let shape = if oracle.row().interpret_capped {
         sample_for_interpret(regime, &mut rng)
     } else {
         regime.sample(&mut rng)
     };
-    let strategy = *rng.pick(&[
-        Strategy::Auto,
-        Strategy::Rules,
-        Strategy::MPar,
-        Strategy::KPar,
-        Strategy::TGemm,
-    ]);
-    let fault_seed = matches!(
-        oracle,
-        OracleKind::FaultRecovery | OracleKind::ShardFailover | OracleKind::CpuFailover
-    )
-    .then(|| rng.range(1, u32::MAX as u64));
+    let strategy = *rng.pick(&Strategy::ALL);
+    let fault_seed = oracle.fault_seeded().then(|| rng.range(1, u32::MAX as u64));
     CaseSpec {
         seed: rng.next(),
         shape,
@@ -337,124 +365,6 @@ pub fn generate_case(run_seed: u64, case_index: u64) -> CaseSpec {
         oracle,
         fault_seed,
     }
-}
-
-// ---------------------------------------------------------------------
-// Case execution
-// ---------------------------------------------------------------------
-
-struct Staged {
-    problem: GemmProblem,
-    a: Vec<f32>,
-    b: Vec<f32>,
-    c0: Vec<f32>,
-}
-
-fn stage(
-    machine: &mut Machine,
-    shape: &GemmShape,
-    seed: u64,
-    zero_c: bool,
-) -> Result<Staged, FtimmError> {
-    let (m, n, k) = (shape.m, shape.n, shape.k);
-    let problem = GemmProblem::alloc(machine, m, n, k).map_err(FtimmError::Sim)?;
-    let s = seed as u32;
-    let a = fill_matrix(m * k, s.wrapping_add(1));
-    let b = fill_matrix(k * n, s.wrapping_add(2));
-    let c0 = if zero_c {
-        vec![0.0f32; m * n]
-    } else {
-        fill_matrix(m * n, s.wrapping_add(3))
-    };
-    if machine.mode.is_functional() {
-        problem.a.upload(machine, &a).map_err(FtimmError::Sim)?;
-        problem.b.upload(machine, &b).map_err(FtimmError::Sim)?;
-        problem.c.upload(machine, &c0).map_err(FtimmError::Sim)?;
-    }
-    Ok(Staged { problem, a, b, c0 })
-}
-
-/// The executor entry points exercised by [`OracleKind::EntryEquivalence`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Entry {
-    RunPlan,
-    Gemm,
-    Tgemm,
-    RunPlanResilient,
-    GemmResilient,
-}
-
-fn run_entry(
-    ft: &FtImm,
-    machine: &mut Machine,
-    staged: &Staged,
-    entry: Entry,
-    strategy: Strategy,
-    plan: &ChosenStrategy,
-    cores: usize,
-) -> Result<RunReport, FtimmError> {
-    let rcfg = ResilienceConfig::default();
-    match entry {
-        Entry::RunPlan => ft.run_plan(machine, &staged.problem, plan, cores),
-        Entry::Gemm => ft
-            .gemm(machine, &staged.problem, strategy, cores)
-            .map(|(r, _)| r),
-        Entry::Tgemm => ft.tgemm(machine, &staged.problem, cores),
-        Entry::RunPlanResilient => {
-            ft.run_plan_resilient(machine, &staged.problem, plan, cores, &rcfg)
-        }
-        Entry::GemmResilient => ft
-            .gemm_resilient(machine, &staged.problem, strategy, cores, &rcfg)
-            .map(|(r, _)| r),
-    }
-}
-
-fn mismatch(case: &CaseSpec, detail: impl Into<String>) -> Mismatch {
-    Mismatch {
-        case: *case,
-        detail: detail.into(),
-    }
-}
-
-fn compare_to_oracle(
-    case: &CaseSpec,
-    label: &str,
-    got: &[f32],
-    want: &[f64],
-) -> Result<(), Mismatch> {
-    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-        let tol = REL_TOL * w.abs().max(1.0);
-        if (g as f64 - w).abs() > tol {
-            return Err(mismatch(
-                case,
-                format!("{label}: element {i} = {g} vs oracle {w} (tol {tol})"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn compare_bitwise(
-    case: &CaseSpec,
-    label: &str,
-    got: &[f32],
-    want: &[f32],
-) -> Result<(), Mismatch> {
-    if got.len() != want.len() {
-        return Err(mismatch(
-            case,
-            format!("{label}: length {} vs {}", got.len(), want.len()),
-        ));
-    }
-    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-        if g.to_bits() != w.to_bits() {
-            return Err(mismatch(
-                case,
-                format!("{label}: element {i} bits {g} vs {w}"),
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// A sampling list of kernel specs for a resolved plan: the main block
@@ -519,800 +429,613 @@ fn invoked_kernels(
 }
 
 /// Statically verify every kernel a case's plan invokes.
-fn verify_plan_kernels(ft: &FtImm, case: &CaseSpec) -> Result<(), Mismatch> {
+fn verify_plan_kernels(cx: &Ctx) -> Result<(), Mismatch> {
+    let (ft, case) = (cx.ft, cx.case);
     let plan = ft.plan(&case.shape, case.strategy, case.cores);
     let cores = case.cores.clamp(1, ft.cfg().cores_per_cluster);
     for kernel in invoked_kernels(ft, &plan, &case.shape, cores) {
         let rep = verify_kernel(&kernel);
         if !rep.is_clean() {
-            return Err(mismatch(case, format!("static verifier: {rep}")));
+            return Err(cx.fail(format!("static verifier: {rep}")));
         }
     }
     Ok(())
 }
 
-fn oracle_for(staged: &Staged, shape: &GemmShape) -> Vec<f64> {
-    sgemm_f64(shape.m, shape.n, shape.k, &staged.a, &staged.b, &staged.c0)
+// ---------------------------------------------------------------------
+// Case execution: the fixtures the oracles share
+// ---------------------------------------------------------------------
+
+/// Host-side operands of one GEMM: a recipe's data, ready to stage.
+struct Operands {
+    shape: GemmShape,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c0: Vec<f32>,
 }
 
-fn run_simple(
-    ft: &FtImm,
-    case: &CaseSpec,
-    mode: ExecMode,
-    strategy: Strategy,
-    zero_c: bool,
-    scale_a: Option<f32>,
-    fault_plan: Option<&FaultPlan>,
-) -> Result<(Vec<f32>, f64, Staged), Mismatch> {
-    let mut machine = Machine::with_mode(mode);
-    let mut staged = stage(&mut machine, &case.shape, case.seed, zero_c)
-        .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-    if let Some(s) = scale_a {
-        for x in &mut staged.a {
-            *x *= s;
+impl Operands {
+    /// The f64 host reference for `C = c0 + A × B`.
+    fn f64_oracle(&self) -> Vec<f64> {
+        let s = &self.shape;
+        sgemm_f64(s.m, s.n, s.k, &self.a, &self.b, &self.c0)
+    }
+}
+
+/// What one [`Ctx::staged_run`] leaves behind.
+struct Run {
+    /// The downloaded result.
+    c: Vec<f32>,
+    /// Simulated seconds of the run.
+    seconds: f64,
+    /// The operands it ran on.
+    ops: Operands,
+}
+
+/// One completed job of [`Ctx::run_sharded`].
+struct ShardedRun {
+    c: Vec<f32>,
+    report: Box<ShardedReport>,
+    cpu_dispatches: u64,
+}
+
+/// The checkpoint grain of the sharded oracles: small enough that the
+/// fuzzer's shapes span several checkpoint rows.
+fn ckpt_resilience() -> ResilienceConfig {
+    ResilienceConfig {
+        ckpt_rows: 4,
+        ..ResilienceConfig::default()
+    }
+}
+
+/// What every oracle is a function of: the planning context (whose plan
+/// and kernel caches persist across a run's cases) and the case.
+struct Ctx<'a> {
+    ft: &'a FtImm,
+    case: &'a CaseSpec,
+}
+
+impl Ctx<'_> {
+    fn fail(&self, detail: impl Into<String>) -> Mismatch {
+        Mismatch {
+            case: *self.case,
+            detail: detail.into(),
         }
-        if machine.mode.is_functional() {
-            staged
-                .problem
-                .a
-                .upload(&mut machine, &staged.a)
-                .map_err(|e| mismatch(case, format!("upload failed: {e}")))?;
+    }
+
+    /// The case's operands, regenerated from its data seed.
+    fn operands(&self, zero_c: bool) -> Operands {
+        let shape = self.case.shape;
+        let (m, n, k) = (shape.m, shape.n, shape.k);
+        let s = self.case.seed as u32;
+        Operands {
+            shape,
+            a: fill_matrix(m * k, s.wrapping_add(1)),
+            b: fill_matrix(k * n, s.wrapping_add(2)),
+            c0: if zero_c {
+                vec![0.0f32; m * n]
+            } else {
+                fill_matrix(m * n, s.wrapping_add(3))
+            },
         }
     }
-    if let Some(plan) = fault_plan {
-        machine.install_faults(plan);
-    }
-    let rcfg = ResilienceConfig::default();
-    let report = if fault_plan.is_some() {
-        ft.gemm_resilient(&mut machine, &staged.problem, strategy, case.cores, &rcfg)
-            .map(|(r, _)| r)
-    } else {
-        ft.gemm(&mut machine, &staged.problem, strategy, case.cores)
-            .map(|(r, _)| r)
-    }
-    .map_err(|e| mismatch(case, format!("run failed: {e}")))?;
-    let c = if mode.is_functional() {
-        staged
-            .problem
+
+    /// Stage `ops` on a fresh machine in `mode`, run `run` on the staged
+    /// problem, download `C`.  `what` names the leg in a failure.
+    fn staged_run(
+        &self,
+        mode: ExecMode,
+        ops: Operands,
+        what: &str,
+        run: impl FnOnce(&mut Machine, &GemmProblem) -> Result<RunReport, FtimmError>,
+    ) -> Result<Run, Mismatch> {
+        let mut machine = Machine::with_mode(mode);
+        let s = &ops.shape;
+        let problem = GemmProblem::alloc(&mut machine, s.m, s.n, s.k)
+            .and_then(|p| {
+                p.a.upload(&mut machine, &ops.a)?;
+                p.b.upload(&mut machine, &ops.b)?;
+                p.c.upload(&mut machine, &ops.c0)?;
+                Ok(p)
+            })
+            .map_err(|e| self.fail(format!("{what}: staging failed: {e}")))?;
+        let report =
+            run(&mut machine, &problem).map_err(|e| self.fail(format!("{what} failed: {e}")))?;
+        let c = problem
             .c
             .download(&mut machine)
-            .map_err(|e| mismatch(case, format!("download failed: {e}")))?
-    } else {
-        Vec::new()
+            .map_err(|e| self.fail(format!("{what}: download failed: {e}")))?;
+        Ok(Run {
+            c,
+            seconds: report.seconds,
+            ops,
+        })
+    }
+
+    /// The common leg: `ops` through the one-shot entry point under
+    /// `strategy`.
+    fn run(&self, mode: ExecMode, strategy: Strategy, ops: Operands) -> Result<Run, Mismatch> {
+        self.staged_run(mode, ops, "run", |m, p| {
+            self.ft
+                .gemm(m, p, strategy, self.case.cores)
+                .map(|(r, _)| r)
+        })
+    }
+
+    /// Two legs that must agree bitwise also agree on the simulated clock.
+    fn same_clock(&self, a: (&str, f64), b: (&str, f64)) -> Result<(), Mismatch> {
+        if (a.1 - b.1).abs() > 1e-15 {
+            return Err(self.fail(format!(
+                "simulated time diverges: {} {} vs {} {}",
+                a.0, a.1, b.0, b.1
+            )));
+        }
+        Ok(())
+    }
+
+    fn near_f64(&self, label: &str, got: &[f32], want: &[f64]) -> Result<(), Mismatch> {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            let tol = REL_TOL * w.abs().max(1.0);
+            if (g as f64 - w).abs() > tol {
+                return Err(self.fail(format!(
+                    "{label}: element {i} = {g} vs oracle {w} (tol {tol})"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    fn bitwise(&self, label: &str, got: &[f32], want: &[f32]) -> Result<(), Mismatch> {
+        if got.len() != want.len() {
+            return Err(self.fail(format!("{label}: length {} vs {}", got.len(), want.len())));
+        }
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            if g.to_bits() != w.to_bits() {
+                return Err(self.fail(format!("{label}: element {i} bits {g} vs {w}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// The bitwise oracle of every sharded run: a fault-free
+    /// single-cluster *checkpointed* run of the exact pinned plan and ckpt
+    /// grid the sharded engine replicates.  Checkpointing re-anchors the
+    /// kernel blocking every span (see `ftimm::plan::sharded`), so the
+    /// engine — and the CPU lane's host mirror, which replays the same
+    /// plan and grid — is bitwise identical to this, not to a plain
+    /// un-checkpointed run.
+    fn checkpointed_oracle(&self) -> Result<Run, Mismatch> {
+        let (ft, case) = (self.ft, self.case);
+        self.staged_run(
+            ExecMode::Fast,
+            self.operands(false),
+            "oracle run",
+            |m, p| {
+                let pinned = ft.plan_full(&case.shape, case.strategy, case.cores);
+                ft.run_plan_resilient(m, p, &pinned.strategy, case.cores, &ckpt_resilience())
+            },
+        )
+    }
+
+    /// One job over `ops` through a fresh [`ShardedEngine`] of `clusters`
+    /// clusters on the oracle's ckpt grid; `kill` is the simulated time
+    /// cluster 0 dies at.  The job must be the engine's single terminal
+    /// record and must complete.
+    fn run_sharded(
+        &self,
+        ops: &Operands,
+        clusters: usize,
+        spill: SpillPolicy,
+        cpu: CpuConfig,
+        kill: Option<f64>,
+    ) -> Result<ShardedRun, Mismatch> {
+        let case = self.case;
+        let cfg = ShardedConfig {
+            engine: EngineConfig {
+                resilience: ckpt_resilience(),
+                ..EngineConfig::default()
+            },
+            spill,
+            cpu,
+            ..ShardedConfig::default()
+        };
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, clusters);
+        let mut eng = ShardedEngine::new(pool, cfg);
+        if let Some(at) = kill {
+            let plan = FaultPlan::new(case.fault_seed.unwrap_or(1)).kill_cluster(at);
+            eng.install_faults(0, &plan);
+        }
+        let tenant = eng.register_tenant(TenantSpec::new("fuzz", 1));
+        let s = &ops.shape;
+        let (a, b, c0) = (ops.a.clone(), ops.b.clone(), ops.c0.clone());
+        let job = ShardedJob::gemm(s.m, s.n, s.k, a, b, c0, case.strategy, case.cores);
+        eng.submit(tenant, job);
+        let mut records = eng.run_all(self.ft);
+        if records.len() != 1 {
+            return Err(self.fail(format!("expected 1 terminal record, got {}", records.len())));
+        }
+        match records.remove(0).outcome {
+            ShardedOutcome::Completed { c, report } => Ok(ShardedRun {
+                c,
+                report,
+                cpu_dispatches: eng.cpu_dispatches(),
+            }),
+            other => Err(self.fail(format!(
+                "sharded run ({clusters} clusters, {spill:?}, kill {kill:?}) not completed: {}",
+                other.label()
+            ))),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The oracles
+// ---------------------------------------------------------------------
+
+/// `ExecMode::Fast` against the f64 host oracle within mixed tolerance.
+fn reference(cx: &Ctx) -> Result<(), Mismatch> {
+    let run = cx.run(ExecMode::Fast, cx.case.strategy, cx.operands(false))?;
+    cx.near_f64("fast vs f64", &run.c, &run.ops.f64_oracle())
+}
+
+/// `Fast` vs `Interpret` bit-exact (and simulated seconds equal).
+fn mode_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
+    let fast = cx.run(ExecMode::Fast, cx.case.strategy, cx.operands(false))?;
+    let interp = cx.run(ExecMode::Interpret, cx.case.strategy, cx.operands(false))?;
+    cx.bitwise("fast vs interpret", &fast.c, &interp.c)?;
+    cx.same_clock(("fast", fast.seconds), ("interpret", interp.seconds))
+}
+
+/// The three-way host-tier contract: the SIMD lowering (`Compiled`), the
+/// scalar mirror (`Fast`) and the hazard-checking interpreter all
+/// bit-exact (and simulated seconds equal), pinning the SIMD lowering to
+/// the interpreter's exact accumulation order.
+fn compiled_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
+    let compiled = cx.run(ExecMode::Compiled, cx.case.strategy, cx.operands(false))?;
+    let fast = cx.run(ExecMode::Fast, cx.case.strategy, cx.operands(false))?;
+    let interp = cx.run(ExecMode::Interpret, cx.case.strategy, cx.operands(false))?;
+    cx.bitwise("compiled vs fast", &compiled.c, &fast.c)?;
+    cx.bitwise("compiled vs interpret", &compiled.c, &interp.c)?;
+    cx.same_clock(("compiled", compiled.seconds), ("fast", fast.seconds))?;
+    cx.same_clock(
+        ("compiled", compiled.seconds),
+        ("interpret", interp.seconds),
+    )
+}
+
+/// Every `Executor` entry point (`run_plan`, `gemm`, `run_plan_resilient`,
+/// `gemm_resilient`, and `tgemm` when the case forces TGEMM) bit-exact,
+/// and equal on the simulated clock, for the same resolved plan.
+fn entry_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
+    type Entry<'a> = &'a dyn Fn(&mut Machine, &GemmProblem) -> Result<RunReport, FtimmError>;
+    let (ft, strategy, cores) = (cx.ft, cx.case.strategy, cx.case.cores);
+    let plan = ft.plan(&cx.case.shape, strategy, cores);
+    let rcfg = ResilienceConfig::default();
+    let entries: [(&str, Entry); 5] = [
+        ("RunPlan", &|m, p| ft.run_plan(m, p, &plan, cores)),
+        ("Gemm", &|m, p| {
+            ft.gemm(m, p, strategy, cores).map(|(r, _)| r)
+        }),
+        ("RunPlanResilient", &|m, p| {
+            ft.run_plan_resilient(m, p, &plan, cores, &rcfg)
+        }),
+        ("GemmResilient", &|m, p| {
+            ft.gemm_resilient(m, p, strategy, cores, &rcfg)
+                .map(|(r, _)| r)
+        }),
+        ("Tgemm", &|m, p| ft.tgemm(m, p, cores)),
+    ];
+    let used = if strategy == Strategy::TGemm { 5 } else { 4 };
+    let mut baseline: Option<Run> = None;
+    for (name, entry) in &entries[..used] {
+        let run = cx.staged_run(ExecMode::Fast, cx.operands(false), name, entry)?;
+        match &baseline {
+            None => baseline = Some(run),
+            Some(first) => {
+                cx.bitwise(&format!("{name} vs RunPlan"), &run.c, &first.c)?;
+                cx.same_clock((name, run.seconds), ("RunPlan", first.seconds))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Metamorphic: scaling `A` by 2 (exact in binary f32) scales `C`
+/// bit-exactly, starting from `C = 0`.
+fn scalar_scale(cx: &Ctx) -> Result<(), Mismatch> {
+    let plain = cx.run(ExecMode::Fast, cx.case.strategy, cx.operands(true))?;
+    let mut ops = cx.operands(true);
+    ops.a.iter_mut().for_each(|x| *x *= 2.0);
+    let scaled = cx.run(ExecMode::Fast, cx.case.strategy, ops)?;
+    let doubled: Vec<f32> = plain.c.iter().map(|x| 2.0 * x).collect();
+    cx.bitwise("C(2A,B) vs 2C(A,B)", &scaled.c, &doubled)
+}
+
+/// Metamorphic: `(Bᵀ×Aᵀ)ᵀ` agrees with `A×B` within tolerance
+/// (accumulation orders differ), both starting from `C = 0`.
+fn transpose_duality(cx: &Ctx) -> Result<(), Mismatch> {
+    let primal = cx.run(ExecMode::Fast, cx.case.strategy, cx.operands(true))?;
+    let (m, n, k) = (cx.case.shape.m, cx.case.shape.n, cx.case.shape.k);
+    let (a, b) = (&primal.ops.a, &primal.ops.b);
+    // The dual problem: Bᵀ is n×k, Aᵀ is k×m.
+    let dual = Operands {
+        shape: GemmShape::new(n, m, k),
+        a: (0..n * k).map(|i| b[(i % k) * n + i / k]).collect(),
+        b: (0..k * m).map(|i| a[(i % m) * k + i / m]).collect(),
+        c0: vec![0.0; n * m],
     };
-    Ok((c, report.seconds, staged))
+    let dual = cx.run(ExecMode::Fast, cx.case.strategy, dual)?;
+    let c2t: Vec<f32> = (0..m * n).map(|i| dual.c[(i % n) * m + i / n]).collect();
+    let want = primal.ops.f64_oracle();
+    cx.near_f64("A×B vs f64", &primal.c, &want)?;
+    cx.near_f64("(BᵀAᵀ)ᵀ vs f64", &c2t, &want)
+}
+
+/// Metamorphic: MPar, KPar and TGEMM plans for the same problem each
+/// match the f64 oracle.
+fn tiling_invariance(cx: &Ctx) -> Result<(), Mismatch> {
+    let mut want: Option<Vec<f64>> = None;
+    for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
+        let run = cx.run(ExecMode::Fast, strategy, cx.operands(false))?;
+        let want = want.get_or_insert_with(|| run.ops.f64_oracle());
+        cx.near_f64(&format!("{} vs f64", strategy.tag()), &run.c, want)?;
+    }
+    Ok(())
+}
+
+/// A seeded fault plan ([`fault_plan_for`]) is injected and the resilient
+/// path must still produce an oracle-clean result.
+fn fault_recovery(cx: &Ctx) -> Result<(), Mismatch> {
+    let faults = fault_plan_for(cx.case.fault_seed.unwrap_or(1));
+    let run = cx.staged_run(ExecMode::Fast, cx.operands(false), "run", |m, p| {
+        m.install_faults(&faults);
+        let rcfg = ResilienceConfig::default();
+        cx.ft
+            .gemm_resilient(m, p, cx.case.strategy, cx.case.cores, &rcfg)
+            .map(|(r, _)| r)
+    })?;
+    cx.near_f64(
+        "resilient-under-faults vs f64",
+        &run.c,
+        &run.ops.f64_oracle(),
+    )
+}
+
+/// Planning is deterministic (the same request yields the identical
+/// [`ftimm::Plan`] twice, with and without the memo) and
+/// plan-then-execute (`run_plan`) is bitwise identical — result and
+/// simulated time — to the one-shot entry point (`gemm`).
+fn plan_consistency(cx: &Ctx) -> Result<(), Mismatch> {
+    let (ft, case) = (cx.ft, cx.case);
+    let planner = ftimm::Planner::new(ft.cache(), ft.cfg());
+    let fresh = || {
+        planner.plan(&case.shape, case.strategy, case.cores, |c| {
+            ft.predict_seconds(&case.shape, c, case.cores)
+        })
+    };
+    let (d1, d2) = (fresh(), fresh());
+    if d1 != d2 {
+        return Err(cx.fail(format!("planning not deterministic: {d1:?} vs {d2:?}")));
+    }
+    let memo = ft.plan_full(&case.shape, case.strategy, case.cores);
+    if memo != d1 {
+        return Err(cx.fail(format!(
+            "memoised plan diverges from fresh plan: {memo:?} vs {d1:?}"
+        )));
+    }
+
+    let planned = cx.staged_run(ExecMode::Fast, cx.operands(false), "run_plan", |m, p| {
+        ft.run_plan(m, p, &memo.strategy, case.cores)
+    })?;
+    let mut used = None;
+    let one_shot = cx.staged_run(ExecMode::Fast, cx.operands(false), "gemm", |m, p| {
+        let (report, plan) = ft.gemm(m, p, case.strategy, case.cores)?;
+        used = Some(plan.strategy);
+        Ok(report)
+    })?;
+    if used != Some(memo.strategy) {
+        return Err(cx.fail(format!(
+            "one-shot resolved {used:?}, plan-then-execute used {:?}",
+            memo.strategy
+        )));
+    }
+    cx.bitwise("plan-then-execute vs one-shot", &planned.c, &one_shot.c)?;
+    cx.same_clock(
+        ("plan-then-execute", planned.seconds),
+        ("one-shot", one_shot.seconds),
+    )
+}
+
+/// The body of both failover oracles: a fault-free sharded probe over
+/// `clusters` clusters is bitwise identical to the checkpointed oracle,
+/// and so is the same job with cluster 0 killed at a seeded instant
+/// inside shard 0's window — via failover to a surviving cluster, or,
+/// when none survives and `spill` admits it, to the CPU lane.
+fn failover(cx: &Ctx, clusters: usize, spill: SpillPolicy) -> Result<(), Mismatch> {
+    let oracle = cx.checkpointed_oracle()?;
+    let cpu = CpuConfig::default();
+    let probe = cx.run_sharded(&oracle.ops, clusters, spill, cpu, None)?;
+    cx.bitwise("sharded fault-free vs single-cluster", &probe.c, &oracle.c)?;
+    let shard0_s = probe.report.shard_runs[0].seconds;
+
+    let mut rng = Rng64::new(cx.case.fault_seed.unwrap_or(1));
+    let frac = 0.1 + 0.8 * (rng.range(0, 1000) as f64 / 1000.0);
+    let killed = cx.run_sharded(&oracle.ops, clusters, spill, cpu, Some(shard0_s * frac))?;
+    // Death is detected at work-issue points, so a kill time past the
+    // shard's last issue can legitimately pass unnoticed; the contract is
+    // bitwise identity and a terminal outcome, with or without an actual
+    // failover — and when one did reach the CPU lane, a real dispatch.
+    let spilled = |f: &ftimm::FailoverEvent| f.to_backend == BackendKind::Cpu;
+    if killed.report.failovers.iter().any(spilled) && killed.cpu_dispatches == 0 {
+        return Err(cx.fail("failover recorded but the CPU lane never dispatched"));
+    }
+    cx.bitwise(
+        &format!("{} vs single-cluster", cx.case.oracle.tag()),
+        &killed.c,
+        &oracle.c,
+    )
+}
+
+/// A sharded two-cluster run with a seeded mid-shard cluster death
+/// ([`dspsim::FaultPlan::kill_cluster`]) fails over to the survivor and
+/// stays bitwise identical to the fault-free single-cluster checkpointed
+/// run of the same pinned plan and ckpt grid, and the submitted job
+/// reaches a terminal outcome.
+fn shard_failover(cx: &Ctx) -> Result<(), Mismatch> {
+    failover(cx, 2, SpillPolicy::Never)
+}
+
+/// The heterogeneous ladder: a single-cluster sharded run under
+/// [`SpillPolicy::LastResort`] whose *only* cluster is killed mid-shard
+/// must salvage the checkpointed prefix, resume the remainder on the
+/// host CPU lane ([`ftimm::CpuBackend`] mirrors the exact DSP blocking
+/// walk) and stay bitwise identical to the same checkpointed oracle —
+/// across devices, not just clusters.
+fn cpu_failover(cx: &Ctx) -> Result<(), Mismatch> {
+    failover(cx, 1, SpillPolicy::LastResort)
+}
+
+/// The autotuner contract: tuning is deterministic under a fixed seed, a
+/// tuned plan is never predicted slower than the default and survives
+/// the `ftimm-plan-catalog-v1` round-trip bit-for-bit, a fresh context
+/// warm-started from the catalog serves it with zero timing simulations,
+/// and executing it is bitwise identical to executing the default `Auto`
+/// plan (the tuner only adopts [`ftimm::BitSignature`]-equal variants).
+fn tuned_plan_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
+    let (ft, case) = (cx.ft, cx.case);
+    let tcfg = ftimm::TuneConfig {
+        seed: case.seed,
+        ..ftimm::TuneConfig::default()
+    };
+    // Fresh contexts per leg so tuning state cannot leak between them
+    // (the ambient `ft` stays untouched except to execute).
+    let ft1 = FtImm::new(ft.cfg().clone());
+    let o1 = ft1.tune(&case.shape, case.cores, &tcfg);
+    let ft2 = FtImm::new(ft.cfg().clone());
+    let o2 = ft2.tune(&case.shape, case.cores, &tcfg);
+    if o1.plan != o2.plan {
+        return Err(cx.fail(format!(
+            "tuning not deterministic: {:?} vs {:?}",
+            o1.plan, o2.plan
+        )));
+    }
+    if o1.plan.simulated_s > o1.default_plan.simulated_s {
+        return Err(cx.fail(format!(
+            "tuned plan predicted slower than the default: {} vs {}",
+            o1.plan.simulated_s, o1.default_plan.simulated_s
+        )));
+    }
+
+    let path = std::env::temp_dir().join(format!(
+        "ftimm-fuzz-catalog-{}-{}.json",
+        std::process::id(),
+        case.seed
+    ));
+    ft1.save_plan_catalog(&path)
+        .map_err(|e| cx.fail(format!("catalog save failed: {e}")))?;
+    let warm = FtImm::with_plan_catalog(ft.cfg().clone(), &path)
+        .map_err(|e| cx.fail(format!("catalog load failed: {e}")));
+    std::fs::remove_file(&path).ok();
+    let warm = warm?;
+    let replayed = warm.plan_full(&case.shape, Strategy::Auto, case.cores);
+    if replayed != o1.plan {
+        return Err(cx.fail(format!(
+            "catalog round-trip changed the plan: {replayed:?} vs {:?}",
+            o1.plan
+        )));
+    }
+    if warm.timing_simulations() != 0 {
+        return Err(cx.fail(format!(
+            "catalog warm start ran {} timing simulations",
+            warm.timing_simulations()
+        )));
+    }
+
+    let run_plan = |what: &str, plan: &ftimm::Plan| {
+        cx.staged_run(ExecMode::Fast, cx.operands(false), what, |m, p| {
+            ft.run_plan(m, p, &plan.strategy, case.cores)
+        })
+    };
+    let tuned = run_plan("tuned run", &o1.plan)?;
+    let default = run_plan("default run", &o1.default_plan)?;
+    cx.bitwise("tuned plan vs default plan", &tuned.c, &default.c)
+}
+
+/// A deterministic per-case CPU model for [`coexec_equivalence`]: host
+/// speeds spanning the Fig. 7 crossover, so over a sweep the planner's
+/// pick covers DSP-only, mixed and all-CPU splits.
+fn coexec_cpu(seed: u64) -> CpuConfig {
+    match Rng64::new(seed).range(0, 2) {
+        0 => CpuConfig::default(),
+        1 => CpuConfig {
+            clock_hz: 8.8e9,
+            ..CpuConfig::default()
+        },
+        _ => CpuConfig {
+            clock_hz: 2.2e12,
+            ddr_bw: 42.6e12,
+            barrier_s: 8e-9,
+            ..CpuConfig::default()
+        },
+    }
+}
+
+/// The co-execution contract: a two-cluster sharded run under
+/// [`SpillPolicy::CoExecute`] (CPU lane dispatched as a planned peer,
+/// split chosen by [`ftimm::choose_coexec_split`] from both backend cost
+/// models) is bitwise identical to the checkpointed oracle, the
+/// co-execution planner is deterministic, the chosen split is never
+/// predicted slower than the best single backend (both degenerate
+/// candidates are always searched), and a plan that placed a CPU shard
+/// actually dispatches the lane.
+fn coexec_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
+    let (ft, case) = (cx.ft, cx.case);
+    let oracle = cx.checkpointed_oracle()?;
+    let cpu = coexec_cpu(case.seed);
+    let grain = ckpt_resilience().ckpt_rows;
+
+    let plan = || {
+        let (strategy, cores) = (case.strategy, case.cores);
+        ftimm::plan_coexec(ft, &case.shape, strategy, cores, &[0, 1], grain, &cpu, 1.0)
+    };
+    let (splan, replay) = (plan(), plan());
+    if splan != replay {
+        return Err(cx.fail(format!(
+            "co-execution planning not deterministic: {splan:?} vs {replay:?}"
+        )));
+    }
+    let choice = ftimm::choose_coexec_split(
+        ft,
+        &case.shape,
+        case.strategy,
+        case.cores,
+        2,
+        grain,
+        &cpu,
+        1.0,
+    );
+    if choice.predicted_s > choice.dsp_only_s || choice.predicted_s > choice.cpu_only_s {
+        return Err(cx.fail(format!(
+            "chosen split predicted slower than a single backend: {choice:?}"
+        )));
+    }
+
+    let run = cx.run_sharded(&oracle.ops, 2, SpillPolicy::CoExecute, cpu, None)?;
+    if !run.report.failovers.is_empty() {
+        return Err(cx.fail("fault-free co-executed run recorded a failover"));
+    }
+    let planned_cpu = splan.shards.iter().any(|s| s.backend == BackendKind::Cpu);
+    if planned_cpu && run.cpu_dispatches == 0 {
+        return Err(cx.fail("plan placed a CPU shard but the lane never dispatched"));
+    }
+    cx.bitwise("coexec vs single-cluster", &run.c, &oracle.c)
 }
 
 /// Execute one case against its oracle.  `Ok(())` means conformant.
 pub fn check_case(ft: &FtImm, case: &CaseSpec) -> Result<(), Mismatch> {
-    verify_plan_kernels(ft, case)?;
-    match case.oracle {
-        OracleKind::Reference => {
-            let (c, _, staged) =
-                run_simple(ft, case, ExecMode::Fast, case.strategy, false, None, None)?;
-            compare_to_oracle(case, "fast vs f64", &c, &oracle_for(&staged, &case.shape))
-        }
-        OracleKind::ModeEquivalence => {
-            let (cf, tf, _) =
-                run_simple(ft, case, ExecMode::Fast, case.strategy, false, None, None)?;
-            let (ci, ti, _) = run_simple(
-                ft,
-                case,
-                ExecMode::Interpret,
-                case.strategy,
-                false,
-                None,
-                None,
-            )?;
-            compare_bitwise(case, "fast vs interpret", &cf, &ci)?;
-            if (tf - ti).abs() > 1e-15 {
-                return Err(mismatch(
-                    case,
-                    format!("simulated time diverges: fast {tf} vs interpret {ti}"),
-                ));
-            }
-            Ok(())
-        }
-        OracleKind::CompiledEquivalence => {
-            // Three-way host-tier contract: the SIMD lowering (`Compiled`),
-            // the scalar mirror (`Fast`) and the hazard-checking
-            // interpreter must agree bitwise and on the simulated clock.
-            let (cc, tc, _) = run_simple(
-                ft,
-                case,
-                ExecMode::Compiled,
-                case.strategy,
-                false,
-                None,
-                None,
-            )?;
-            let (cf, tf, _) =
-                run_simple(ft, case, ExecMode::Fast, case.strategy, false, None, None)?;
-            let (ci, ti, _) = run_simple(
-                ft,
-                case,
-                ExecMode::Interpret,
-                case.strategy,
-                false,
-                None,
-                None,
-            )?;
-            compare_bitwise(case, "compiled vs fast", &cc, &cf)?;
-            compare_bitwise(case, "compiled vs interpret", &cc, &ci)?;
-            if (tc - tf).abs() > 1e-15 || (tc - ti).abs() > 1e-15 {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "simulated time diverges: compiled {tc} vs fast {tf} vs interpret {ti}"
-                    ),
-                ));
-            }
-            Ok(())
-        }
-        OracleKind::EntryEquivalence => {
-            let plan = ft.plan(&case.shape, case.strategy, case.cores);
-            let mut entries = vec![
-                Entry::RunPlan,
-                Entry::Gemm,
-                Entry::RunPlanResilient,
-                Entry::GemmResilient,
-            ];
-            if case.strategy == Strategy::TGemm {
-                entries.push(Entry::Tgemm);
-            }
-            let mut baseline: Option<(Vec<f32>, f64)> = None;
-            for entry in entries {
-                let mut machine = Machine::with_mode(ExecMode::Fast);
-                let staged = stage(&mut machine, &case.shape, case.seed, false)
-                    .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-                let report = run_entry(
-                    ft,
-                    &mut machine,
-                    &staged,
-                    entry,
-                    case.strategy,
-                    &plan,
-                    case.cores,
-                )
-                .map_err(|e| mismatch(case, format!("{entry:?} failed: {e}")))?;
-                let c = staged
-                    .problem
-                    .c
-                    .download(&mut machine)
-                    .map_err(|e| mismatch(case, format!("download failed: {e}")))?;
-                match &baseline {
-                    None => baseline = Some((c, report.seconds)),
-                    Some((c0, t0)) => {
-                        compare_bitwise(case, &format!("{entry:?} vs RunPlan"), &c, c0)?;
-                        if (report.seconds - t0).abs() > 1e-15 {
-                            return Err(mismatch(
-                                case,
-                                format!(
-                                    "{entry:?} simulated time diverges: {} vs {t0}",
-                                    report.seconds
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
-        OracleKind::ScalarScale => {
-            let (c1, _, _) = run_simple(ft, case, ExecMode::Fast, case.strategy, true, None, None)?;
-            let (c2, _, _) = run_simple(
-                ft,
-                case,
-                ExecMode::Fast,
-                case.strategy,
-                true,
-                Some(2.0),
-                None,
-            )?;
-            let doubled: Vec<f32> = c1.iter().map(|x| 2.0 * x).collect();
-            compare_bitwise(case, "C(2A,B) vs 2C(A,B)", &c2, &doubled)
-        }
-        OracleKind::TransposeDuality => {
-            let (c1, _, staged) =
-                run_simple(ft, case, ExecMode::Fast, case.strategy, true, None, None)?;
-            let (m, n, k) = (case.shape.m, case.shape.n, case.shape.k);
-            // Stage the dual problem (Bᵀ is n×k, Aᵀ is k×m) by hand.
-            let mut machine = Machine::with_mode(ExecMode::Fast);
-            let dual = GemmProblem::alloc(&mut machine, n, m, k)
-                .map_err(|e| mismatch(case, format!("dual alloc failed: {e}")))?;
-            let bt: Vec<f32> = (0..n * k).map(|i| staged.b[(i % k) * n + i / k]).collect();
-            let at: Vec<f32> = (0..k * m).map(|i| staged.a[(i % m) * k + i / m]).collect();
-            dual.a
-                .upload(&mut machine, &bt)
-                .and_then(|_| dual.b.upload(&mut machine, &at))
-                .and_then(|_| dual.c.upload(&mut machine, &vec![0.0; n * m]))
-                .map_err(|e| mismatch(case, format!("dual upload failed: {e}")))?;
-            let _ = ft
-                .gemm(&mut machine, &dual, case.strategy, case.cores)
-                .map_err(|e| mismatch(case, format!("dual run failed: {e}")))?;
-            let c2 = dual
-                .c
-                .download(&mut machine)
-                .map_err(|e| mismatch(case, format!("dual download failed: {e}")))?;
-            let c2t: Vec<f32> = (0..m * n).map(|i| c2[(i % n) * m + i / n]).collect();
-            let want = oracle_for(&staged, &case.shape);
-            compare_to_oracle(case, "A×B vs f64", &c1, &want)?;
-            compare_to_oracle(case, "(BᵀAᵀ)ᵀ vs f64", &c2t, &want)
-        }
-        OracleKind::TilingInvariance => {
-            let mut want: Option<Vec<f64>> = None;
-            for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
-                let (c, _, staged) =
-                    run_simple(ft, case, ExecMode::Fast, strategy, false, None, None)?;
-                let w = want.get_or_insert_with(|| oracle_for(&staged, &case.shape));
-                compare_to_oracle(case, &format!("{} vs f64", strategy_tag(strategy)), &c, w)?;
-            }
-            Ok(())
-        }
-        OracleKind::PlanConsistency => {
-            // Determinism: the planning pipeline, run twice bypassing
-            // the memo, must produce the identical plan — and the
-            // memoised entry point must agree with it.
-            let planner = ftimm::Planner::new(ft.cache(), ft.cfg());
-            let d1 = planner.plan(&case.shape, case.strategy, case.cores, |c| {
-                ft.predict_seconds(&case.shape, c, case.cores)
-            });
-            let d2 = planner.plan(&case.shape, case.strategy, case.cores, |c| {
-                ft.predict_seconds(&case.shape, c, case.cores)
-            });
-            if d1 != d2 {
-                return Err(mismatch(
-                    case,
-                    format!("planning not deterministic: {d1:?} vs {d2:?}"),
-                ));
-            }
-            let memo = ft.plan_full(&case.shape, case.strategy, case.cores);
-            if memo != d1 {
-                return Err(mismatch(
-                    case,
-                    format!("memoised plan diverges from fresh plan: {memo:?} vs {d1:?}"),
-                ));
-            }
-
-            // Plan-then-execute must be bitwise identical (result and
-            // simulated time) to the one-shot entry point.
-            let mut m1 = Machine::with_mode(ExecMode::Fast);
-            let staged1 = stage(&mut m1, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            let r1 = ft
-                .run_plan(&mut m1, &staged1.problem, &memo.strategy, case.cores)
-                .map_err(|e| mismatch(case, format!("run_plan failed: {e}")))?;
-            let c1 = staged1
-                .problem
-                .c
-                .download(&mut m1)
-                .map_err(|e| mismatch(case, format!("download failed: {e}")))?;
-
-            let mut m2 = Machine::with_mode(ExecMode::Fast);
-            let staged2 = stage(&mut m2, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            let (r2, used) = ft
-                .gemm(&mut m2, &staged2.problem, case.strategy, case.cores)
-                .map_err(|e| mismatch(case, format!("gemm failed: {e}")))?;
-            if used.strategy != memo.strategy {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "one-shot resolved {:?}, plan-then-execute used {:?}",
-                        used.strategy, memo.strategy
-                    ),
-                ));
-            }
-            let c2 = staged2
-                .problem
-                .c
-                .download(&mut m2)
-                .map_err(|e| mismatch(case, format!("download failed: {e}")))?;
-            compare_bitwise(case, "plan-then-execute vs one-shot", &c1, &c2)?;
-            if (r1.seconds - r2.seconds).abs() > 1e-15 {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "simulated time diverges: plan-then-execute {} vs one-shot {}",
-                        r1.seconds, r2.seconds
-                    ),
-                ));
-            }
-            Ok(())
-        }
-        OracleKind::FaultRecovery => {
-            let plan = fault_plan_for(case.fault_seed.unwrap_or(1));
-            let (c, _, staged) = run_simple(
-                ft,
-                case,
-                ExecMode::Fast,
-                case.strategy,
-                false,
-                None,
-                Some(&plan),
-            )?;
-            compare_to_oracle(
-                case,
-                "resilient-under-faults vs f64",
-                &c,
-                &oracle_for(&staged, &case.shape),
-            )
-        }
-        OracleKind::ShardFailover => {
-            let (m, n, k) = (case.shape.m, case.shape.n, case.shape.k);
-
-            // Bitwise oracle: a fault-free single-cluster *checkpointed*
-            // run of the exact pinned plan and ckpt grid the sharded
-            // engine replicates.  Checkpointing re-anchors the kernel
-            // blocking every span (see plan::sharded), so the sharded
-            // engine is bitwise identical to this — not to a plain
-            // un-checkpointed run.
-            let rcfg = ResilienceConfig {
-                ckpt_rows: 4,
-                ..ResilienceConfig::default()
-            };
-            let mut machine = Machine::with_mode(ExecMode::Fast);
-            let staged = stage(&mut machine, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            let pinned = ft.plan_full(&case.shape, case.strategy, case.cores);
-            ft.run_plan_resilient(
-                &mut machine,
-                &staged.problem,
-                &pinned.strategy,
-                case.cores,
-                &rcfg,
-            )
-            .map_err(|e| mismatch(case, format!("oracle run failed: {e}")))?;
-            let want = staged
-                .problem
-                .c
-                .download(&mut machine)
-                .map_err(|e| mismatch(case, format!("oracle download failed: {e}")))?;
-
-            let cfg = ShardedConfig {
-                engine: EngineConfig {
-                    resilience: rcfg,
-                    ..EngineConfig::default()
-                },
-                ..ShardedConfig::default()
-            };
-            let job = || {
-                ShardedJob::gemm(
-                    m,
-                    n,
-                    k,
-                    staged.a.clone(),
-                    staged.b.clone(),
-                    staged.c0.clone(),
-                    case.strategy,
-                    case.cores,
-                )
-            };
-            let run_sharded = |eng: &mut ShardedEngine| -> Result<ShardedOutcome, Mismatch> {
-                let t = eng.register_tenant(TenantSpec::new("fuzz", 1));
-                eng.submit(t, job());
-                let mut records = eng.run_all(ft);
-                if records.len() != 1 {
-                    return Err(mismatch(
-                        case,
-                        format!("expected 1 terminal record, got {}", records.len()),
-                    ));
-                }
-                Ok(records.remove(0).outcome)
-            };
-
-            // Fault-free sharded probe: bitwise identity, and the shard-0
-            // window the seeded kill will land inside.
-            let mut probe = ShardedEngine::new(
-                ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2),
-                cfg,
-            );
-            let shard0_s = match run_sharded(&mut probe)? {
-                ShardedOutcome::Completed { c, report } => {
-                    compare_bitwise(case, "sharded fault-free vs single-cluster", &c, &want)?;
-                    report.shard_runs[0].seconds
-                }
-                other => {
-                    return Err(mismatch(
-                        case,
-                        format!("fault-free sharded run not completed: {}", other.label()),
-                    ))
-                }
-            };
-
-            // Seeded cluster death somewhere inside shard 0's window; the
-            // job must still complete bitwise-identically via failover.
-            let mut rng = Rng64::new(case.fault_seed.unwrap_or(1));
-            let frac = 0.1 + 0.8 * (rng.range(0, 1000) as f64 / 1000.0);
-            let mut eng = ShardedEngine::new(
-                ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2),
-                cfg,
-            );
-            eng.install_faults(
-                0,
-                &FaultPlan::new(case.fault_seed.unwrap_or(1)).kill_cluster(shard0_s * frac),
-            );
-            match run_sharded(&mut eng)? {
-                // Death is detected at work-issue points, so a kill time
-                // past the shard's last issue can legitimately pass
-                // unnoticed; the contract here is bitwise identity and a
-                // terminal outcome, with or without an actual failover.
-                ShardedOutcome::Completed { c, .. } => {
-                    compare_bitwise(case, "sharded-with-failover vs single-cluster", &c, &want)
-                }
-                other => Err(mismatch(
-                    case,
-                    format!(
-                        "sharded run under cluster death not completed: {}",
-                        other.label()
-                    ),
-                )),
-            }
-        }
-        OracleKind::CpuFailover => {
-            let (m, n, k) = (case.shape.m, case.shape.n, case.shape.k);
-
-            // Same checkpointed single-cluster bitwise oracle as
-            // ShardFailover: the CPU lane replays the identical pinned
-            // plan and ckpt grid, so device identity is exactly cluster
-            // identity.
-            let rcfg = ResilienceConfig {
-                ckpt_rows: 4,
-                ..ResilienceConfig::default()
-            };
-            let mut machine = Machine::with_mode(ExecMode::Fast);
-            let staged = stage(&mut machine, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            let pinned = ft.plan_full(&case.shape, case.strategy, case.cores);
-            ft.run_plan_resilient(
-                &mut machine,
-                &staged.problem,
-                &pinned.strategy,
-                case.cores,
-                &rcfg,
-            )
-            .map_err(|e| mismatch(case, format!("oracle run failed: {e}")))?;
-            let want = staged
-                .problem
-                .c
-                .download(&mut machine)
-                .map_err(|e| mismatch(case, format!("oracle download failed: {e}")))?;
-
-            let cfg = ShardedConfig {
-                engine: EngineConfig {
-                    resilience: rcfg,
-                    ..EngineConfig::default()
-                },
-                spill: SpillPolicy::LastResort,
-                ..ShardedConfig::default()
-            };
-            let job = || {
-                ShardedJob::gemm(
-                    m,
-                    n,
-                    k,
-                    staged.a.clone(),
-                    staged.b.clone(),
-                    staged.c0.clone(),
-                    case.strategy,
-                    case.cores,
-                )
-            };
-            let run_sharded = |eng: &mut ShardedEngine| -> Result<ShardedOutcome, Mismatch> {
-                let t = eng.register_tenant(TenantSpec::new("fuzz", 1));
-                eng.submit(t, job());
-                let mut records = eng.run_all(ft);
-                if records.len() != 1 {
-                    return Err(mismatch(
-                        case,
-                        format!("expected 1 terminal record, got {}", records.len()),
-                    ));
-                }
-                Ok(records.remove(0).outcome)
-            };
-
-            // Fault-free probe on the lone cluster: the shard window the
-            // seeded kill lands inside.
-            let mut probe = ShardedEngine::new(
-                ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1),
-                cfg,
-            );
-            let shard0_s = match run_sharded(&mut probe)? {
-                ShardedOutcome::Completed { c, report } => {
-                    compare_bitwise(case, "sharded fault-free vs single-cluster", &c, &want)?;
-                    report.shard_runs[0].seconds
-                }
-                other => {
-                    return Err(mismatch(
-                        case,
-                        format!("fault-free sharded run not completed: {}", other.label()),
-                    ))
-                }
-            };
-
-            // Seeded kill of the *only* cluster mid-shard: with no DSP
-            // survivor the checkpointed remainder must resume on the CPU
-            // lane, bitwise identical across the device boundary.
-            let mut rng = Rng64::new(case.fault_seed.unwrap_or(1));
-            let frac = 0.1 + 0.8 * (rng.range(0, 1000) as f64 / 1000.0);
-            let mut eng = ShardedEngine::new(
-                ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1),
-                cfg,
-            );
-            eng.install_faults(
-                0,
-                &FaultPlan::new(case.fault_seed.unwrap_or(1)).kill_cluster(shard0_s * frac),
-            );
-            match run_sharded(&mut eng)? {
-                // As with ShardFailover, a kill time past the shard's
-                // last issue point can pass unnoticed; the contract is
-                // bitwise identity plus a terminal outcome, and when the
-                // death *was* seen, a real CPU dispatch.
-                ShardedOutcome::Completed { c, report } => {
-                    if !report.failovers.is_empty() && eng.cpu_dispatches() == 0 {
-                        return Err(mismatch(
-                            case,
-                            "failover recorded but the CPU lane never dispatched",
-                        ));
-                    }
-                    compare_bitwise(case, "cpu-failover vs single-cluster", &c, &want)
-                }
-                other => Err(mismatch(
-                    case,
-                    format!(
-                        "sharded run under total cluster loss not completed: {}",
-                        other.label()
-                    ),
-                )),
-            }
-        }
-        OracleKind::TunedPlanEquivalence => {
-            // Fresh contexts per leg so tuning state cannot leak between
-            // them (the ambient `ft` stays untouched except to execute).
-            let tcfg = ftimm::TuneConfig {
-                seed: case.seed,
-                ..ftimm::TuneConfig::default()
-            };
-
-            // Determinism: the same seed on two fresh contexts must tune
-            // to the identical plan with identical records.
-            let ft1 = FtImm::new(ft.cfg().clone());
-            let o1 = ft1.tune(&case.shape, case.cores, &tcfg);
-            let ft2 = FtImm::new(ft.cfg().clone());
-            let o2 = ft2.tune(&case.shape, case.cores, &tcfg);
-            if o1.plan != o2.plan {
-                return Err(mismatch(
-                    case,
-                    format!("tuning not deterministic: {:?} vs {:?}", o1.plan, o2.plan),
-                ));
-            }
-            if o1.plan.simulated_s > o1.default_plan.simulated_s {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "tuned plan predicted slower than the default: {} vs {}",
-                        o1.plan.simulated_s, o1.default_plan.simulated_s
-                    ),
-                ));
-            }
-
-            // Catalog round-trip preserves plan bits, and a fresh
-            // context warm-started from it plans with zero simulations.
-            let path = std::env::temp_dir().join(format!(
-                "ftimm-fuzz-catalog-{}-{}.json",
-                std::process::id(),
-                case.seed
-            ));
-            ft1.save_plan_catalog(&path)
-                .map_err(|e| mismatch(case, format!("catalog save failed: {e}")))?;
-            let warm = FtImm::with_plan_catalog(ft.cfg().clone(), &path)
-                .map_err(|e| mismatch(case, format!("catalog load failed: {e}")));
-            std::fs::remove_file(&path).ok();
-            let warm = warm?;
-            let replayed = warm.plan_full(&case.shape, Strategy::Auto, case.cores);
-            if replayed != o1.plan {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "catalog round-trip changed the plan: {replayed:?} vs {:?}",
-                        o1.plan
-                    ),
-                ));
-            }
-            if warm.timing_simulations() != 0 {
-                return Err(mismatch(
-                    case,
-                    format!(
-                        "catalog warm start ran {} timing simulations",
-                        warm.timing_simulations()
-                    ),
-                ));
-            }
-
-            // Executing the tuned plan is bitwise identical to executing
-            // the default plan — the signature gate's whole contract.
-            let mut m1 = Machine::with_mode(ExecMode::Fast);
-            let staged1 = stage(&mut m1, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            ft.run_plan(&mut m1, &staged1.problem, &o1.plan.strategy, case.cores)
-                .map_err(|e| mismatch(case, format!("tuned run failed: {e}")))?;
-            let c1 = staged1
-                .problem
-                .c
-                .download(&mut m1)
-                .map_err(|e| mismatch(case, format!("download failed: {e}")))?;
-
-            let mut m2 = Machine::with_mode(ExecMode::Fast);
-            let staged2 = stage(&mut m2, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            ft.run_plan(
-                &mut m2,
-                &staged2.problem,
-                &o1.default_plan.strategy,
-                case.cores,
-            )
-            .map_err(|e| mismatch(case, format!("default run failed: {e}")))?;
-            let c2 = staged2
-                .problem
-                .c
-                .download(&mut m2)
-                .map_err(|e| mismatch(case, format!("download failed: {e}")))?;
-            compare_bitwise(case, "tuned plan vs default plan", &c1, &c2)
-        }
-        OracleKind::CoexecEquivalence => {
-            let (m, n, k) = (case.shape.m, case.shape.n, case.shape.k);
-
-            // The same checkpointed single-cluster bitwise oracle the
-            // failover oracles use: a co-executed CPU tail replays the
-            // identical pinned plan and ckpt grid through the host
-            // mirror, so backend identity is exactly cluster identity.
-            let rcfg = ResilienceConfig {
-                ckpt_rows: 4,
-                ..ResilienceConfig::default()
-            };
-            let mut machine = Machine::with_mode(ExecMode::Fast);
-            let staged = stage(&mut machine, &case.shape, case.seed, false)
-                .map_err(|e| mismatch(case, format!("staging failed: {e}")))?;
-            let pinned = ft.plan_full(&case.shape, case.strategy, case.cores);
-            ft.run_plan_resilient(
-                &mut machine,
-                &staged.problem,
-                &pinned.strategy,
-                case.cores,
-                &rcfg,
-            )
-            .map_err(|e| mismatch(case, format!("oracle run failed: {e}")))?;
-            let want = staged
-                .problem
-                .c
-                .download(&mut machine)
-                .map_err(|e| mismatch(case, format!("oracle download failed: {e}")))?;
-
-            // A deterministic per-case CPU model: host speeds spanning
-            // the Fig. 7 crossover, so over a sweep the planner's pick
-            // covers DSP-only, mixed and all-CPU splits.
-            let mut rng = Rng64::new(case.seed);
-            let cpu = match rng.range(0, 2) {
-                0 => cpublas::CpuConfig::default(),
-                1 => cpublas::CpuConfig {
-                    clock_hz: 8.8e9,
-                    ..cpublas::CpuConfig::default()
-                },
-                _ => cpublas::CpuConfig {
-                    clock_hz: 2.2e12,
-                    ddr_bw: 42.6e12,
-                    barrier_s: 8e-9,
-                    ..cpublas::CpuConfig::default()
-                },
-            };
-
-            // The co-execution planner is deterministic, and its chosen
-            // split is never predicted slower than the best single
-            // backend (both degenerate candidates are always searched).
-            let splan = ftimm::plan_coexec(
-                ft,
-                &case.shape,
-                case.strategy,
-                case.cores,
-                &[0, 1],
-                4,
-                &cpu,
-                1.0,
-            );
-            let replay = ftimm::plan_coexec(
-                ft,
-                &case.shape,
-                case.strategy,
-                case.cores,
-                &[0, 1],
-                4,
-                &cpu,
-                1.0,
-            );
-            if splan != replay {
-                return Err(mismatch(
-                    case,
-                    format!("co-execution planning not deterministic: {splan:?} vs {replay:?}"),
-                ));
-            }
-            let choice = ftimm::choose_coexec_split(
-                ft,
-                &case.shape,
-                case.strategy,
-                case.cores,
-                2,
-                4,
-                &cpu,
-                1.0,
-            );
-            if choice.predicted_s > choice.dsp_only_s || choice.predicted_s > choice.cpu_only_s {
-                return Err(mismatch(
-                    case,
-                    format!("chosen split predicted slower than a single backend: {choice:?}"),
-                ));
-            }
-
-            let cfg = ShardedConfig {
-                engine: EngineConfig {
-                    resilience: rcfg,
-                    ..EngineConfig::default()
-                },
-                spill: SpillPolicy::CoExecute,
-                cpu,
-                ..ShardedConfig::default()
-            };
-            let mut eng = ShardedEngine::new(
-                ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2),
-                cfg,
-            );
-            let t = eng.register_tenant(TenantSpec::new("fuzz", 1));
-            eng.submit(
-                t,
-                ShardedJob::gemm(
-                    m,
-                    n,
-                    k,
-                    staged.a.clone(),
-                    staged.b.clone(),
-                    staged.c0.clone(),
-                    case.strategy,
-                    case.cores,
-                ),
-            );
-            let mut records = eng.run_all(ft);
-            if records.len() != 1 {
-                return Err(mismatch(
-                    case,
-                    format!("expected 1 terminal record, got {}", records.len()),
-                ));
-            }
-            match records.remove(0).outcome {
-                ShardedOutcome::Completed { c, report } => {
-                    if !report.failovers.is_empty() {
-                        return Err(mismatch(
-                            case,
-                            "fault-free co-executed run recorded a failover",
-                        ));
-                    }
-                    let planned_cpu = splan
-                        .shards
-                        .iter()
-                        .any(|s| s.backend == dspsim::BackendKind::Cpu);
-                    if planned_cpu && eng.cpu_dispatches() == 0 {
-                        return Err(mismatch(
-                            case,
-                            "plan placed a CPU shard but the lane never dispatched",
-                        ));
-                    }
-                    compare_bitwise(case, "coexec vs single-cluster", &c, &want)
-                }
-                other => Err(mismatch(
-                    case,
-                    format!("co-executed run not completed: {}", other.label()),
-                )),
-            }
-        }
-    }
+    let cx = Ctx { ft, case };
+    verify_plan_kernels(&cx)?;
+    (case.oracle.row().check)(&cx)
 }
 
 // ---------------------------------------------------------------------
@@ -1325,7 +1048,7 @@ pub struct FuzzSummary {
     /// Cases executed per regime, indexed parallel to [`Regime::ALL`].
     pub regime_counts: [usize; 4],
     /// Cases executed per oracle, indexed parallel to [`OracleKind::ALL`].
-    pub oracle_counts: [usize; 13],
+    pub oracle_counts: [usize; OracleKind::ALL.len()],
     /// Shrunk mismatches, in discovery order.
     pub mismatches: Vec<Mismatch>,
 }
@@ -1358,10 +1081,7 @@ pub fn run_fuzz(
         let case = generate_case(run_seed, i);
         let regime = Regime::classify(&case.shape);
         summary.regime_counts[Regime::ALL.iter().position(|&r| r == regime).unwrap()] += 1;
-        summary.oracle_counts[OracleKind::ALL
-            .iter()
-            .position(|&o| o == case.oracle)
-            .unwrap()] += 1;
+        summary.oracle_counts[case.oracle as usize] += 1;
         match check_case(ft, &case) {
             Ok(()) => progress(i, &case, true),
             Err(m) => {
@@ -1459,32 +1179,24 @@ mod tests {
     #[test]
     fn oracle_schedule_covers_every_oracle_regime_pairing() {
         let mut pairs = std::collections::HashSet::new();
-        // Full coverage needs 13 regime rotations (52 iterations) for the
-        // 13 oracles; run four cycles for slack against future growth of
-        // either axis.
-        for i in 0..208 {
+        // Full coverage needs one regime rotation per oracle; run four
+        // cycles for slack.
+        for i in 0..(16 * ORACLES.len() as u64) {
             let c = generate_case(7, i);
-            let o = OracleKind::ALL.iter().position(|&x| x == c.oracle).unwrap();
-            pairs.insert((o, (i % 4) as usize));
+            assert_eq!(c.fault_seed.is_some(), c.oracle.fault_seeded(), "{c}");
+            pairs.insert((c.oracle, i % 4));
         }
         assert_eq!(
             pairs.len(),
-            OracleKind::ALL.len() * 4,
+            ORACLES.len() * 4,
             "schedule must visit every (oracle, regime) pair"
         );
-        assert_eq!(OracleKind::ALL.len() * 4, 52);
         // The drift formula only mixes when the effective step (7) stays
         // coprime to the oracle count — guard the invariant explicitly.
-        let gcd = |mut a: usize, mut b: usize| {
-            while b != 0 {
-                (a, b) = (b, a % b);
-            }
-            a
-        };
-        assert_eq!(
-            gcd(7, OracleKind::ALL.len()),
-            1,
-            "OracleKind::ALL length must stay coprime with the rotation step"
+        assert_ne!(
+            ORACLES.len() % 7,
+            0,
+            "the oracle count must stay coprime with the rotation step"
         );
     }
 
@@ -1497,26 +1209,6 @@ mod tests {
                 assert_eq!(Regime::classify(&s), regime, "{s}");
                 assert!((s.m * s.n * s.k) as u64 <= INTERPRET_MAX_MNK, "{s}");
             }
-        }
-    }
-
-    #[test]
-    fn small_cases_pass_each_oracle() {
-        let ft = ft();
-        for oracle in OracleKind::ALL {
-            let case = CaseSpec {
-                seed: 3,
-                shape: GemmShape::new(13, 17, 9),
-                cores: 3,
-                strategy: Strategy::MPar,
-                oracle,
-                fault_seed: matches!(
-                    oracle,
-                    OracleKind::FaultRecovery | OracleKind::ShardFailover | OracleKind::CpuFailover
-                )
-                .then_some(5),
-            };
-            check_case(&ft, &case).unwrap_or_else(|m| panic!("{m}"));
         }
     }
 
@@ -1536,19 +1228,18 @@ mod tests {
             oracle: OracleKind::ScalarScale,
             fault_seed: None,
         };
-        let (c1, _, _) =
-            run_simple(&ft, &case, ExecMode::Fast, case.strategy, true, None, None).unwrap();
-        let (c2, _, _) = run_simple(
-            &ft,
-            &case,
-            ExecMode::Fast,
-            case.strategy,
-            true,
-            Some(2.0),
-            None,
-        )
-        .unwrap();
-        assert!(compare_bitwise(&case, "c2 vs c1-unscaled", &c2, &c1).is_err());
+        let cx = Ctx {
+            ft: &ft,
+            case: &case,
+        };
+        let plain = cx.run(ExecMode::Fast, case.strategy, cx.operands(true));
+        let mut ops = cx.operands(true);
+        ops.a.iter_mut().for_each(|x| *x *= 2.0);
+        let scaled = cx.run(ExecMode::Fast, case.strategy, ops);
+        let (plain, scaled) = (plain.unwrap(), scaled.unwrap());
+        assert!(cx
+            .bitwise("c2 vs c1-unscaled", &scaled.c, &plain.c)
+            .is_err());
     }
 
     #[test]

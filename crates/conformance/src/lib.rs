@@ -19,6 +19,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No oracle, codec or lint grows back into one long function.
+#![warn(clippy::too_many_lines)]
 
 pub mod corpus;
 pub mod fuzzer;

@@ -3,10 +3,10 @@
 //!
 //! [`ShardedEngine`] generalises the single-machine [`crate::JobQueue`]
 //! to N cluster fault domains.  Jobs are host-resident (`A`, `B`, `C`
-//! live in host memory, like [`crate::ClusterGrid`]): each shard stages
-//! its stripe onto its cluster's private DDR partition, runs through the
-//! resilience layer with the *pinned* full-shape plan, and merges its
-//! verified rows back.  Pinning matters twice over: replanning a shard's
+//! live in host memory): each shard stages its stripe onto its cluster's
+//! private DDR partition, runs through the resilience layer with the
+//! *pinned* full-shape plan, and merges its verified rows back.
+//! Pinning matters twice over: replanning a shard's
 //! smaller sub-shape could pick different blocks, and resuming with a
 //! different core count would regroup the K-parallel reduction — either
 //! would break the engine's core invariant that the merged result is
@@ -36,8 +36,9 @@ use super::pool::ClusterPool;
 use super::tenant::{TenantId, TenantSpec, TenantTable};
 use crate::backend::{Backend as _, CpuBackend, CpuLaneOutcome, CpuStripeRun};
 use crate::engine::{BreakerState, CircuitBreaker, EngineConfig, JobId};
-use crate::grid::LAUNCH_OVERHEAD_S;
-use crate::plan::sharded::{plan_coexec, plan_sharded, Shard, ShardOrigin, ShardedPlan};
+use crate::plan::sharded::{
+    plan_coexec, plan_sharded, Shard, ShardOrigin, ShardedPlan, LAUNCH_OVERHEAD_S,
+};
 use crate::plan::Plan;
 use crate::{
     ChosenStrategy, ExecRun, Executor, FtImm, FtimmError, GemmProblem, GemmShape, Strategy,
@@ -459,21 +460,7 @@ impl ShardedEngine {
                 break;
             };
             self.tenants.release(tenant);
-            let outcome = if self.pool.placement().is_empty() {
-                if self.spill_admits() {
-                    // Last fault domain: the whole job runs on the CPU
-                    // lane instead of failing terminally.
-                    self.run_job_cpu(ft, tenant, job)
-                } else {
-                    ShardedOutcome::Failed {
-                        error: FtimmError::Invalid(
-                            "no usable clusters: every fault domain is dead".into(),
-                        ),
-                    }
-                }
-            } else {
-                self.run_job(ft, tenant, job)
-            };
+            let outcome = self.run_job(ft, tenant, job);
             self.records.push(ShardedRecord {
                 id,
                 tenant,
@@ -606,44 +593,49 @@ impl ShardedEngine {
     fn run_job(&mut self, ft: &FtImm, tenant: TenantId, mut job: ShardedJob) -> ShardedOutcome {
         let shape = job.shape();
         let functional = self.pool.node(0).machine.mode.is_functional();
+        let placement = self.pool.placement();
+        if placement.is_empty() && !self.spill_admits() {
+            return ShardedOutcome::Failed {
+                error: FtimmError::Invalid("no usable clusters: every fault domain is dead".into()),
+            };
+        }
         if let Some(out) = self.validate(&job) {
             return out;
         }
         let deadline = self.effective_deadline(tenant, &job);
-        // Under CoExecute the co-execution planner decides the CPU/DSP
-        // split from both cost models; a tripped CPU breaker (or any
-        // other policy) keeps planning DSP-only — the cross-job
-        // demotion path.
-        let placement = self.pool.placement();
-        let splan = if self.cfg.spill == SpillPolicy::CoExecute && self.spill_admits() {
+        let ckpt_rows = self.cfg.engine.resilience.ckpt_rows;
+        let mut splan = if placement.is_empty() {
+            // Last fault domain: the whole job runs on the CPU lane
+            // instead of failing terminally.  The plan is still pinned
+            // through the shared LRU cache so a later all-DSP run of the
+            // same shape stays bit-comparable.
+            self.cpu_only_plan(ft.plan_full(&shape, job.strategy, job.cores))
+        } else if self.cfg.spill == SpillPolicy::CoExecute && self.spill_admits() {
+            // The co-execution planner decides the CPU/DSP split from
+            // both cost models; a tripped CPU breaker (or any other
+            // policy) keeps planning DSP-only — the cross-job demotion
+            // path.
             plan_coexec(
                 ft,
                 &shape,
                 job.strategy,
                 job.cores,
                 &placement,
-                self.cfg.engine.resilience.ckpt_rows,
+                ckpt_rows,
                 &self.cfg.cpu,
                 self.cpu.slowdown(),
             )
         } else {
-            plan_sharded(
-                ft,
-                &shape,
-                job.strategy,
-                job.cores,
-                &placement,
-                self.cfg.engine.resilience.ckpt_rows,
-            )
+            plan_sharded(ft, &shape, job.strategy, job.cores, &placement, ckpt_rows)
         };
         // Deadline-pressure routing: when the DSP cost model says the
         // deadline is unmeetable but the CPU model says it is, dispatch
         // the whole job to the CPU lane up front.
         if self.cfg.spill == SpillPolicy::DeadlineAware && self.spill_admits() {
             if let Some(d) = deadline {
-                let cpu_s = self.cpu.predict(&shape).seconds + LAUNCH_OVERHEAD_S;
-                if splan.predicted_s > d && cpu_s <= d {
-                    return self.spill_whole_job(ft, tenant, job, splan.plan, deadline);
+                let cpu_only = self.cpu_only_plan(splan.plan);
+                if splan.predicted_s > d && cpu_only.predicted_s <= d {
+                    splan = cpu_only;
                 }
             }
         }
@@ -971,72 +963,22 @@ impl ShardedEngine {
         }
     }
 
-    /// Run a whole job on the CPU lane because placement found no usable
-    /// cluster (the [`SpillPolicy::LastResort`] entry point).
-    fn run_job_cpu(&mut self, ft: &FtImm, tenant: TenantId, job: ShardedJob) -> ShardedOutcome {
-        if let Some(out) = self.validate(&job) {
-            return out;
-        }
-        let deadline = self.effective_deadline(tenant, &job);
-        // The plan is still pinned through the shared LRU cache so a
-        // later all-DSP run of the same shape stays bit-comparable.
-        let plan = ft.plan_full(&job.shape(), job.strategy, job.cores);
-        self.spill_whole_job(ft, tenant, job, plan, deadline)
-    }
-
-    /// Dispatch an entire job as one CPU-lane stripe under the pinned
-    /// `plan`, producing its terminal outcome.
-    fn spill_whole_job(
-        &mut self,
-        ft: &FtImm,
-        tenant: TenantId,
-        mut job: ShardedJob,
-        plan: Plan,
-        deadline: Option<f64>,
-    ) -> ShardedOutcome {
-        let shape = job.shape();
-        let predicted = self.cpu.predict(&shape).seconds + LAUNCH_OVERHEAD_S;
-        let splan = ShardedPlan {
-            plan,
+    /// The plan of a job the CPU lane runs whole: one failover-origin
+    /// shard over every row of the pinned `plan`, which the shard loop in
+    /// [`ShardedEngine::run_job`] dispatches like any other spilled
+    /// remainder.
+    fn cpu_only_plan(&self, plan: Plan) -> ShardedPlan {
+        let predicted_s = self.cpu.predict(&plan.shape).seconds + LAUNCH_OVERHEAD_S;
+        ShardedPlan {
             shards: vec![Shard {
                 cluster: CPU_LANE,
                 r0: 0,
-                r1: job.m,
+                r1: plan.shape.m,
                 backend: BackendKind::Cpu,
                 origin: ShardOrigin::Failover,
             }],
-            predicted_s: predicted,
-        };
-        let strategy = splan.plan.strategy;
-        let rows = job.m;
-        let run = match self.run_cpu_stripe(ft, &strategy, &mut job, 0, rows, deadline) {
-            Ok(run) => run,
-            Err(error) => return ShardedOutcome::Failed { error },
-        };
-        let shard_run = ShardRun {
-            cluster: CPU_LANE,
-            backend: BackendKind::Cpu,
-            r0: 0,
-            r1: run.rows_verified,
-            seconds: run.seconds,
-        };
-        match run.outcome {
-            CpuLaneOutcome::Done => ShardedOutcome::Completed {
-                c: std::mem::take(&mut job.c),
-                report: Box::new(ShardedReport {
-                    plan: splan,
-                    shard_runs: vec![shard_run],
-                    failovers: Vec::new(),
-                    seconds: run.seconds + LAUNCH_OVERHEAD_S,
-                    useful_flops: shape.flops(),
-                }),
-            },
-            CpuLaneOutcome::Fault { nth } => self.shed_on_cpu_fault(tenant, nth, run.rows_verified),
-            CpuLaneOutcome::Deadline { at } => ShardedOutcome::DeadlineExceeded {
-                at,
-                rows_verified: run.rows_verified,
-                rows_total: job.m,
-            },
+            plan,
+            predicted_s,
         }
     }
 }
@@ -1397,8 +1339,8 @@ mod tests {
         );
         let shape = GemmShape::new(1 << 16, 32, 32);
         let splan = crate::plan::sharded::plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1], 8);
-        let cpu_s = cpublas::predict(&fast_cpu, shape.m, shape.n, shape.k).seconds
-            + crate::grid::LAUNCH_OVERHEAD_S;
+        let cpu_s =
+            cpublas::predict(&fast_cpu, shape.m, shape.n, shape.k).seconds + LAUNCH_OVERHEAD_S;
         let deadline = splan.predicted_s * 0.5;
         assert!(
             cpu_s <= deadline,
@@ -1422,18 +1364,25 @@ mod tests {
     }
 
     #[test]
-    fn timing_mode_jobs_run_without_data() {
+    fn timing_mode_jobs_run_without_data_and_scale_type1() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, 4);
-        let mut eng = ShardedEngine::new(pool, test_cfg());
-        let t = eng.register_tenant(TenantSpec::new("sweep", 5));
-        eng.submit(t, ShardedJob::timing(1 << 16, 32, 32, Strategy::Auto, 8));
-        let records = eng.run_all(&ft);
-        let ShardedOutcome::Completed { report, .. } = &records[0].outcome else {
-            panic!("timing job failed: {}", records[0].outcome.label());
+        let run = |clusters: usize| {
+            let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, clusters);
+            let mut eng = ShardedEngine::new(pool, test_cfg());
+            let t = eng.register_tenant(TenantSpec::new("sweep", 5));
+            eng.submit(t, ShardedJob::timing(1 << 16, 32, 32, Strategy::Auto, 8));
+            match eng.run_all(&ft).remove(0).outcome {
+                ShardedOutcome::Completed { report, .. } => report,
+                other => panic!("timing job failed: {}", other.label()),
+            }
         };
-        assert!(report.plan.clusters_used() > 1);
-        assert!(report.seconds > 0.0);
-        assert!(report.gflops() > 0.0);
+        let (one, four) = (run(1), run(4));
+        assert!(four.plan.clusters_used() > 1);
+        assert!(four.seconds > 0.0);
+        assert!(four.gflops() > 0.0);
+        // Type 1 is bandwidth-bound per cluster; four private DDR
+        // partitions quadruple aggregate bandwidth, less the launches.
+        let speedup = one.seconds / four.seconds;
+        assert!(speedup > 2.5 && speedup <= 4.05, "{speedup}");
     }
 }

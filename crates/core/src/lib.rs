@@ -47,7 +47,6 @@ pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod grid;
 pub mod invoke;
 pub mod kpar;
 pub mod matrix;
@@ -82,7 +81,6 @@ pub use exec::{
     chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_from_json,
     profile_json, validate_batch_dims, validate_problem, ExecOptions, ExecRun, Executor,
 };
-pub use grid::{ClusterGrid, GridReport};
 pub use invoke::invoke_kernel;
 pub use kpar::{run_kpar, KparBlocks};
 pub use matrix::{DdrMatrix, GemmProblem};

@@ -155,14 +155,10 @@ impl Plan {
 
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self.strategy {
-            ChosenStrategy::MPar(_) => "M-par",
-            ChosenStrategy::KPar(_) => "K-par",
-            ChosenStrategy::TGemm => "TGEMM",
-        };
         write!(
             f,
-            "{name} for {} on {} cores ({})",
+            "{} for {} on {} cores ({})",
+            StrategyKind::of(&self.strategy).label(),
             self.shape,
             self.cores,
             self.origin.tag()

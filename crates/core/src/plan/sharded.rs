@@ -36,7 +36,7 @@
 //! 2. The shard count is chosen by the same analytic cost model the
 //!    planner uses ([`super::analytic_seconds`]): a divisor search over
 //!    `1..=clusters` minimising per-shard time plus the serialised host
-//!    dispatch cost ([`crate::grid::LAUNCH_OVERHEAD_S`] per launch), the
+//!    dispatch cost ([`LAUNCH_OVERHEAD_S`] per launch), the
 //!    work-group tradeoff from the DPU partitioner exemplar.  The search
 //!    is a pure O(clusters) function of the cached plan, so it needs no
 //!    memo of its own.
@@ -49,11 +49,15 @@
 //! bitwise-identity argument above is unaffected by tuning.
 
 use crate::backend::predict_cpu_stripe;
-use crate::grid::LAUNCH_OVERHEAD_S;
 use crate::plan::Plan;
 use crate::{FtImm, GemmShape, Strategy};
 use cpublas::CpuConfig;
 use dspsim::BackendKind;
+
+/// Host-side dispatch + cache-coherency cost per cluster launch: cache
+/// write-back before launch and invalidate after (§II of the paper;
+/// the figure is invented, see DESIGN.md §8).
+pub const LAUNCH_OVERHEAD_S: f64 = 50e-6;
 
 /// How a shard came to exist: placed by the cost-model planner up
 /// front, or built by the sharded engine while recovering from a fault.

@@ -82,6 +82,15 @@ impl StrategyKind {
         }
     }
 
+    /// The paper's name for the strategy (tables, plan displays).
+    pub fn label(self) -> &'static str {
+        match self {
+            StrategyKind::MPar => "M-par",
+            StrategyKind::KPar => "K-par",
+            StrategyKind::TGemm => "TGEMM",
+        }
+    }
+
     /// Parse a [`StrategyKind::tag`] back.
     pub fn from_tag(s: &str) -> Result<StrategyKind, String> {
         StrategyKind::ALL

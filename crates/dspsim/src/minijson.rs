@@ -2,11 +2,14 @@
 //! and the profile exporters.
 //!
 //! The workspace builds offline with no serialisation framework, so
-//! every JSON codec in the tree is hand-written against this module.  The grammar is the subset those codecs need —
-//! objects, arrays, strings without exotic escapes, and numbers — and the
-//! reader rejects anything else loudly.  Numbers are kept as their source
-//! text until a field claims them, so `u64` seeds survive beyond the
-//! 2^53 range where an `f64` detour would silently round.
+//! every JSON codec in the tree is hand-written against this module.
+//! The grammar is the subset those codecs need — objects, arrays, UTF-8
+//! strings and numbers — and the reader rejects anything else loudly.
+//! The string escapes are exactly the ones [`quote`] writes (`\"`, `\\`,
+//! `\n`) plus `\/`; every other escape, `\uXXXX` included, is an error.
+//! Numbers are kept as their source text until a field claims them, so
+//! `u64` seeds survive beyond the 2^53 range where an `f64` detour would
+//! silently round.
 
 /// Parsed JSON value; numbers keep their source text so integer fields
 /// never take a lossy `f64` detour.
@@ -198,22 +201,26 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Collected as bytes: the delimiters are ASCII, which never occurs
+        // inside a multi-byte sequence, so the source's UTF-8 passes
+        // through whole.
+        let mut out = Vec::new();
         loop {
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return String::from_utf8(out).map_err(|e| format!("bad string: {e}"));
                 }
-                Some(b'\\') => match self.bytes.get(self.pos + 1) {
-                    Some(c @ (b'"' | b'\\' | b'/')) => {
-                        out.push(char::from(*c));
-                        self.pos += 2;
-                    }
-                    _ => return Err(format!("unsupported escape at byte {}", self.pos)),
-                },
+                Some(b'\\') => {
+                    out.push(match self.bytes.get(self.pos + 1) {
+                        Some(&c @ (b'"' | b'\\' | b'/')) => c,
+                        Some(b'n') => b'\n',
+                        _ => return Err(format!("unsupported escape at byte {}", self.pos)),
+                    });
+                    self.pos += 2;
+                }
                 Some(&c) => {
-                    out.push(char::from(c));
+                    out.push(c);
                     self.pos += 1;
                 }
                 None => return Err("unterminated string".into()),
@@ -262,16 +269,17 @@ mod tests {
     }
 
     #[test]
-    fn quote_escapes() {
+    fn reader_accepts_exactly_what_quote_emits() {
         assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(
-            Parser::new(&quote("say \"hi\""))
-                .parse()
-                .unwrap()
-                .as_str("s")
-                .unwrap(),
-            "say \"hi\""
-        );
+        for text in ["a\nb", "say \"hi\"", "back\\slash\\n", "tenant-é ≡ 行"] {
+            let back = Parser::new(&quote(text)).parse().unwrap();
+            assert_eq!(back.as_str("s").unwrap(), text);
+        }
+        // Every escape the writer does not emit stays an error.
+        for text in [r#""\t""#, r#""\u00e9""#, r#""\r""#] {
+            let err = Parser::new(text).parse().unwrap_err();
+            assert!(err.contains("unsupported escape"), "{text}: got {err:?}");
+        }
     }
 
     #[test]

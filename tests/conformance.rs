@@ -2,7 +2,7 @@
 //! fixture, run a short seeded fuzz sweep, and statically verify the
 //! kernels the planner actually uses.  See DESIGN.md §7.
 
-use conformance::{replay_dir, run_fuzz, verify_kernel};
+use conformance::{check_case, replay_dir, run_fuzz, verify_kernel, CaseSpec, OracleKind};
 use dspsim::HwConfig;
 use ftimm::{FtImm, GemmShape, Strategy};
 use kernelgen::KernelSpec;
@@ -51,6 +51,56 @@ fn seeded_fuzz_sweep_is_mismatch_free() {
             .join("\n")
     );
     assert!(summary.regime_counts.iter().all(|&c| c == 4));
+}
+
+/// One small case through every row of the oracle table (the 16-case
+/// sweep above reaches only part of the rotation).
+#[test]
+fn small_cases_pass_each_oracle() {
+    let ft = ft();
+    for oracle in OracleKind::ALL {
+        let case = CaseSpec {
+            seed: 3,
+            shape: GemmShape::new(13, 17, 9),
+            cores: 3,
+            strategy: Strategy::MPar,
+            oracle,
+            fault_seed: oracle.fault_seeded().then_some(5),
+        };
+        check_case(&ft, &case).unwrap_or_else(|m| panic!("{m}"));
+    }
+}
+
+/// The oracle table's committed surface: fixtures and
+/// `perf/baseline.json` key on these tags, and the fuzz schedule on
+/// their order and count.
+#[test]
+fn oracle_table_matches_the_committed_tags() {
+    let tags = OracleKind::ALL.map(OracleKind::tag);
+    assert_eq!(
+        tags,
+        [
+            "reference",
+            "mode-equivalence",
+            "compiled-equivalence",
+            "entry-equivalence",
+            "scalar-scale",
+            "transpose-duality",
+            "tiling-invariance",
+            "fault-recovery",
+            "plan-consistency",
+            "shard-failover",
+            "cpu-failover",
+            "tuned-plan-equivalence",
+            "coexec-equivalence",
+        ]
+    );
+    // Unique tags, one row per oracle, rows in `ALL` order.
+    for oracle in OracleKind::ALL {
+        assert_eq!(OracleKind::from_tag(oracle.tag()), Some(oracle));
+    }
+    // The schedule's step per regime rotation is 7 (see `generate_case`).
+    assert_ne!(OracleKind::ALL.len() % 7, 0);
 }
 
 /// The committed plan-catalog fixture (emitted by the `tune` bench
