@@ -12,11 +12,15 @@
 //!   the compiled tier actually lowered to SIMD; on scalar-fallback
 //!   hosts the gate prints a warning and passes, because both tiers run
 //!   the same code there.
+//! * `--assert-invoke-overhead X` — exit nonzero unless every regime's
+//!   `invoke_kernel` on a staged compiled-mode machine costs at most `X`
+//!   times its bare compiled execution (CI gate).
 
 fn main() {
     let mut out: Option<String> = None;
     let mut iters = 0usize;
     let mut assert_speedup: Option<f64> = None;
+    let mut assert_invoke_overhead: Option<f64> = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -39,6 +43,13 @@ fn main() {
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--assert-speedup needs a number")),
+                )
+            }
+            "--assert-invoke-overhead" => {
+                assert_invoke_overhead = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| die("--assert-invoke-overhead needs a number")),
                 )
             }
             other => die(&format!("unrecognised argument `{other}`")),
@@ -69,10 +80,22 @@ fn main() {
             println!("speedup check OK: min speedup {got:.1}x >= {min}x");
         }
     }
+
+    if let Some(max) = assert_invoke_overhead {
+        let got = report.max_invoke_overhead();
+        if got > max {
+            eprintln!("invoke overhead check FAILED: invoke/compiled {got:.2}x > allowed {max}x");
+            std::process::exit(1);
+        }
+        println!("invoke overhead check OK: invoke/compiled {got:.2}x <= {max}x");
+    }
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: kernel_exec [--out FILE] [--iters N] [--assert-speedup X]");
+    eprintln!(
+        "usage: kernel_exec [--out FILE] [--iters N] [--assert-speedup X] \
+         [--assert-invoke-overhead X]"
+    );
     std::process::exit(2);
 }

@@ -2,11 +2,16 @@
 //!
 //! * `Interpret`: run the generated VLIW program through the simulator's
 //!   hazard-checking interpreter (bit-exact, slow).
-//! * `Fast` / `Compiled`: read the panels out of the simulated
-//!   scratchpads, execute the matching host tier through the
+//! * `Fast` / `Compiled`: execute the matching host tier through the
 //!   [`KernelExecutor`] dispatch point (both bit-equal to `Interpret`;
-//!   `Compiled` runs the kernel's SIMD lowering), write C back, and
-//!   advance the clock by the kernel's cycle count.
+//!   `Compiled` runs the kernel's SIMD lowering) *in place* on the
+//!   simulated scratchpads — `A_s` is a view of the core's SM, `B_a` and
+//!   `C_a` a disjoint pair of views of its AM, as on the DSP — and
+//!   advance the clock by the kernel's cycle count.  Nothing is
+//!   allocated or copied.  The views are three read accesses (SM: A;
+//!   AM: B, then C), which is where armed scratchpad flips strike;
+//!   bindings that are misaligned or whose B and C panels overlap are
+//!   `SimError::BadBinding`.
 //! * `Timing`: advance the clock only.
 
 use crate::FtimmError;
@@ -30,18 +35,12 @@ pub fn invoke_kernel(
             let tier = HostTier::from_mode(m.mode).expect("functional host mode");
             let spec = kernel.spec;
             let ld = spec.na_pad();
-            let mut a = vec![0.0f32; spec.m_s * spec.k_a];
-            let mut b = vec![0.0f32; spec.k_a * ld];
-            let mut c = vec![0.0f32; spec.m_s * ld];
-            {
-                let cr = m.core_mut(core);
-                cr.sm.read_f32_slice(bind.a_off, &mut a)?;
-                cr.am.read_f32_slice(bind.b_off, &mut b)?;
-                cr.am.read_f32_slice(bind.c_off, &mut c)?;
-            }
-            ex.execute(tier, kernel, &a, &b, &mut c)?;
             let cr = m.core_mut(core);
-            cr.am.write_f32_slice(bind.c_off, &c)?;
+            let a = cr.sm.view_f32(bind.a_off, spec.m_s * spec.k_a)?;
+            let (b, c) = cr
+                .am
+                .view_f32_pair((bind.b_off, spec.k_a * ld), (bind.c_off, spec.m_s * ld))?;
+            ex.execute(tier, kernel, a, b, c)?;
             cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
             m.compute(core, kernel.cycles);
@@ -126,6 +125,99 @@ mod tests {
         // The invocation went through the compiled memo.
         let stats = exc.stats();
         assert_eq!(stats.compiles, 1);
+    }
+
+    /// The three views are three read accesses — SM: A; AM: B, then C —
+    /// and a flip armed on one damages the panel at rest before the
+    /// kernel computes on it: the C produced is the C of operands with
+    /// the same word flipped by hand.
+    #[test]
+    fn armed_flips_strike_the_same_word_of_the_same_read_in_place() {
+        const RNG: [u64; 3] = [0x9E37_79B9_7F4A_7C15, 0xD1B5_4A32_D192_ED03, 77];
+        let flip = |panel: &mut [f32], rng: u64| {
+            let word = (rng % panel.len() as u64) as usize;
+            panel[word] = f32::from_bits(panel[word].to_bits() ^ 0x4000_0000);
+        };
+        let panels = || {
+            (
+                crate::reference::fill_matrix(4 * 16, 1),
+                crate::reference::fill_matrix(16 * 32, 2),
+                crate::reference::fill_matrix(4 * 32, 3),
+            )
+        };
+        for mode in [ExecMode::Fast, ExecMode::Compiled] {
+            // Each flip alone, then all three together.
+            for armed in [
+                [true, false, false],
+                [false, true, false],
+                [false, false, true],
+                [true; 3],
+            ] {
+                let (mut m, ex, kernel, bind) = setup(mode);
+                let (mut a, mut b, mut c) = panels();
+                m.core_mut(0).am.write_f32_slice(bind.c_off, &c).unwrap();
+                let core = m.core_mut(0);
+                if armed[0] {
+                    core.sm.schedule_flip(1, RNG[0]);
+                }
+                if armed[1] {
+                    core.am.schedule_flip(1, RNG[1]);
+                }
+                if armed[2] {
+                    core.am.schedule_flip(2, RNG[2]);
+                }
+                invoke_kernel(&mut m, 0, &ex, &kernel, bind).unwrap();
+
+                for (i, panel) in [&mut a[..], &mut b[..], &mut c[..]].into_iter().enumerate() {
+                    if armed[i] {
+                        flip(panel, RNG[i]);
+                    }
+                }
+                let tier = HostTier::from_mode(mode).unwrap();
+                ex.execute(tier, &kernel, &a, &b, &mut c).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&read_c(&mut m)), bits(&c), "{mode:?} {armed:?}: C");
+                // The damage is at rest in the scratchpads, not in a copy.
+                let core = m.core_mut(0);
+                assert_eq!(bits(core.sm.view_f32(0, 64).unwrap()), bits(&a));
+                assert_eq!(bits(core.am.view_f32(0, 512).unwrap()), bits(&b));
+                let fired = armed.iter().filter(|&&x| x).count() as u64;
+                assert_eq!(m.fault_stats().bit_flips, fired);
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_or_misaligned_bindings_are_typed_errors() {
+        for mode in [ExecMode::Fast, ExecMode::Compiled] {
+            let (mut m, ex, kernel, bind) = setup(mode);
+            let before = read_c(&mut m);
+            for bad in [
+                // C inside B, B's tail inside C, C misaligned, A misaligned.
+                KernelBindings { c_off: 64, ..bind },
+                KernelBindings {
+                    b_off: 8192 - 2048 + 128,
+                    ..bind
+                },
+                KernelBindings {
+                    c_off: 8194,
+                    ..bind
+                },
+                KernelBindings { a_off: 2, ..bind },
+            ] {
+                let err = invoke_kernel(&mut m, 0, &ex, &kernel, bad).unwrap_err();
+                assert!(
+                    matches!(err, FtimmError::Sim(dspsim::SimError::BadBinding { .. })),
+                    "{mode:?} {bad:?}: {err}"
+                );
+            }
+            assert_eq!(
+                read_c(&mut m),
+                before,
+                "a refused invocation computes nothing"
+            );
+            assert_eq!(m.core(0).stats.kernel_calls, 0);
+        }
     }
 
     #[test]

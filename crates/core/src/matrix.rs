@@ -19,7 +19,11 @@ impl DdrMatrix {
     /// Bump-allocate a dense matrix in DDR (no data is written; in timing
     /// mode the backing store is never materialised).
     pub fn alloc(m: &mut Machine, rows: usize, cols: usize) -> Result<Self, SimError> {
-        let bytes = rows as u64 * cols as u64 * 4;
+        // A size past `u64` can fit no region: let the allocator refuse it.
+        let bytes = (rows as u64)
+            .checked_mul(cols as u64)
+            .and_then(|elems| elems.checked_mul(4))
+            .unwrap_or(u64::MAX);
         let off = m.ddr.alloc(bytes, 64)?;
         Ok(DdrMatrix {
             rows,
@@ -173,6 +177,25 @@ mod tests {
         assert_eq!(a.off % 64, 0);
         assert_eq!(b.off % 64, 0);
         assert!(b.off >= a.off + 64);
+    }
+
+    #[test]
+    fn alloc_refuses_a_size_that_overflows_u64() {
+        let mut m = Machine::with_mode(ExecMode::Timing);
+        let small = DdrMatrix::alloc(&mut m, 4, 4).unwrap();
+        let before = m.ddr.allocated();
+        for (rows, cols) in [
+            (usize::MAX / 2, 16),
+            (usize::MAX, usize::MAX),
+            (1 << 31, 1 << 31),
+        ] {
+            assert!(matches!(
+                DdrMatrix::alloc(&mut m, rows, cols),
+                Err(SimError::AllocFailure { .. })
+            ));
+            assert_eq!(m.ddr.allocated(), before);
+        }
+        assert!(DdrMatrix::alloc(&mut m, 4, 4).unwrap().off > small.off);
     }
 
     #[test]

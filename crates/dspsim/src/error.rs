@@ -47,8 +47,10 @@ pub enum SimError {
         /// Mnemonic of the reading instruction.
         mnemonic: &'static str,
     },
-    /// An instruction the interpreter cannot execute in this context
-    /// (e.g. a kernel touching a space with no bound buffer).
+    /// A kernel's buffer bindings cannot be honoured: an instruction the
+    /// interpreter cannot execute in this context (e.g. a kernel touching
+    /// a space with no bound buffer), or a scratchpad view that is not
+    /// word-aligned or overlaps the view it is paired with.
     BadBinding {
         /// Description of what was missing.
         detail: String,

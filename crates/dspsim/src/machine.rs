@@ -629,14 +629,12 @@ impl Machine {
         let phys = self.core_map[id];
         let Cluster { gsm, cores } = &mut self.cluster;
         let core = &mut cores[phys];
-        let mut buf = vec![0.0f32; count as usize];
-        core.am.read_f32_slice(am_off, &mut buf)?;
-        let mut acc = vec![0.0f32; count as usize];
-        gsm.read_f32_slice(gsm_off, &mut acc)?;
-        for (a, b) in acc.iter_mut().zip(&buf) {
+        let part = core.am.view_f32(am_off, count as usize)?;
+        let acc = gsm.view_f32_mut(gsm_off, count as usize)?;
+        for (a, b) in acc.iter_mut().zip(part) {
             *a += *b;
         }
-        gsm.write_f32_slice(gsm_off, &acc)
+        Ok(())
     }
 
     /// Transfers observed per DMA path since a fault plan was installed

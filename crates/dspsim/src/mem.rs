@@ -1,6 +1,16 @@
 //! Byte-addressed memory regions with f32 views and bump allocation.
 //!
 //! All four memory levels (DDR, GSM, SM, AM) use the same region type.
+//! Addresses, lengths, capacities and bounds are in bytes; the backing
+//! store is 4-byte words, each held as the f32 with that bit pattern
+//! (little-endian byte order inside a word).  Everything the simulator
+//! does in bulk is word-aligned — f32 slices, DMA rows, the scratchpad
+//! views kernels compute on — and is a slice copy or a borrow of the
+//! store.  Unaligned offsets and the byte-granular primitives (bit
+//! flips, `read_u32`/`read_u64`) go through `to_bits`/`from_bits` and
+//! see exactly the bytes a byte array would hold; no f32 arithmetic
+//! ever touches a stored word, so NaN payloads and `-0.0` survive.
+//!
 //! Backing store materialises on first touch, never on construction or
 //! allocation: a scratchpad materialises whole, DDR grows to the touched
 //! end.  Capacity, allocation and bounds checks never look at what is
@@ -8,12 +18,17 @@
 //! memory however much it allocates.
 
 use crate::SimError;
+use std::ops::Range;
 
 /// One memory region.
 #[derive(Debug, Clone)]
 pub struct MemRegion {
     name: &'static str,
-    data: Vec<u8>,
+    /// Materialised store, one f32 bit pattern per 4-byte word
+    /// (`words.len() == bytes.div_ceil(4)`).
+    words: Vec<f32>,
+    /// Bytes materialised.
+    bytes: u64,
     capacity: u64,
     /// Bump-allocation watermark.
     watermark: u64,
@@ -32,35 +47,39 @@ pub struct MemRegion {
     flips_applied: u64,
 }
 
+/// Word range of `n` words at the (word-aligned, bounds-checked) byte
+/// offset `offset`.
+#[inline]
+fn word_range(offset: u64, n: usize) -> Range<usize> {
+    let w = (offset / 4) as usize;
+    w..w + n
+}
+
 impl MemRegion {
-    /// A fixed-size scratchpad: zero-filled, materialised whole on its
-    /// first read, write or flip.
-    pub fn fixed(name: &'static str, capacity: usize) -> Self {
+    fn new(name: &'static str, capacity: u64, growable: bool) -> Self {
         MemRegion {
             name,
-            data: Vec::new(),
-            capacity: capacity as u64,
+            words: Vec::new(),
+            bytes: 0,
+            capacity,
             watermark: 0,
-            growable: false,
+            growable,
             reads: 0,
             pending_flips: Vec::new(),
             flips_applied: 0,
         }
     }
 
+    /// A fixed-size scratchpad: zero-filled, materialised whole on its
+    /// first read, write or flip.
+    pub fn fixed(name: &'static str, capacity: usize) -> Self {
+        Self::new(name, capacity as u64, false)
+    }
+
     /// A lazily grown region (DDR): zero-filled, backing storage grows to
     /// the end of each touched range.
     pub fn growable(name: &'static str, capacity: u64) -> Self {
-        MemRegion {
-            name,
-            data: Vec::new(),
-            capacity,
-            watermark: 0,
-            growable: true,
-            reads: 0,
-            pending_flips: Vec::new(),
-            flips_applied: 0,
-        }
+        Self::new(name, capacity, true)
     }
 
     /// Region name.
@@ -81,32 +100,42 @@ impl MemRegion {
     /// Bytes of backing store currently materialised (0 until the first
     /// read, write or flip).
     pub fn materialised(&self) -> u64 {
-        self.data.len() as u64
+        self.bytes
     }
 
-    /// Bounds-check an access, then materialise the store it touches.
-    fn ensure(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
-        let end = offset.checked_add(len).ok_or(SimError::OutOfBounds {
-            region: self.name,
-            offset,
-            len,
-            capacity: self.capacity,
-        })?;
-        if end > self.capacity {
-            return Err(SimError::OutOfBounds {
+    /// Bounds-check an access against the capacity; returns its end.
+    fn check(&self, offset: u64, len: u64) -> Result<u64, SimError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.capacity => Ok(end),
+            _ => Err(SimError::OutOfBounds {
                 region: self.name,
                 offset,
                 len,
                 capacity: self.capacity,
-            });
+            }),
         }
-        let want = if self.growable { end } else { self.capacity } as usize;
-        if self.data.is_empty() {
+    }
+
+    /// Materialise the store an access ending at `end` touches.
+    fn touch(&mut self, end: u64) {
+        let want = if self.growable { end } else { self.capacity };
+        if self.bytes >= want {
+            return;
+        }
+        let n = want.div_ceil(4) as usize;
+        if self.words.is_empty() {
             // `vec!` of zeros is one zeroed allocation: no page is written.
-            self.data = vec![0; want];
-        } else if self.data.len() < want {
-            self.data.resize(want, 0);
+            self.words = vec![0.0; n];
+        } else {
+            self.words.resize(n, 0.0);
         }
+        self.bytes = want;
+    }
+
+    /// Bounds-check an access, then materialise the store it touches.
+    fn ensure(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
+        let end = self.check(offset, len)?;
+        self.touch(end);
         Ok(())
     }
 
@@ -114,15 +143,22 @@ impl MemRegion {
     /// the byte offset.
     pub fn alloc(&mut self, bytes: u64, align: u64) -> Result<u64, SimError> {
         debug_assert!(align.is_power_of_two());
-        let start = (self.watermark + align - 1) & !(align - 1);
-        if start + bytes > self.capacity {
-            return Err(SimError::AllocFailure {
-                region: self.name,
-                requested: bytes,
-                available: self.capacity.saturating_sub(start),
-            });
-        }
-        self.watermark = start + bytes;
+        let (region, capacity) = (self.name, self.capacity);
+        let fail = |start: u64| SimError::AllocFailure {
+            region,
+            requested: bytes,
+            available: capacity.saturating_sub(start),
+        };
+        let start = self
+            .watermark
+            .checked_add(align - 1)
+            .ok_or_else(|| fail(u64::MAX))?
+            & !(align - 1);
+        let end = start
+            .checked_add(bytes)
+            .filter(|&end| end <= capacity)
+            .ok_or_else(|| fail(start))?;
+        self.watermark = end;
         Ok(start)
     }
 
@@ -145,11 +181,38 @@ impl MemRegion {
         self.flips_applied
     }
 
+    /// The materialised byte at `at`.
+    fn byte(&self, at: u64) -> u8 {
+        self.words[(at / 4) as usize].to_bits().to_le_bytes()[(at % 4) as usize]
+    }
+
+    /// The four materialised bytes from `at` (any alignment), as a
+    /// little-endian u32.
+    #[inline]
+    fn load_u32(&self, at: u64) -> u32 {
+        if at.is_multiple_of(4) {
+            self.words[(at / 4) as usize].to_bits()
+        } else {
+            u32::from_le_bytes(std::array::from_fn(|i| self.byte(at + i as u64)))
+        }
+    }
+
+    /// XOR `mask` into the materialised byte at `at`; every byte-granular
+    /// store is this on the containing word's bit pattern.
+    fn xor_byte(&mut self, at: u64, mask: u8) {
+        let w = &mut self.words[(at / 4) as usize];
+        *w = f32::from_bits(w.to_bits() ^ (u32::from(mask) << (8 * (at % 4))));
+    }
+
+    fn set_byte(&mut self, at: u64, value: u8) {
+        self.xor_byte(at, self.byte(at) ^ value);
+    }
+
     /// Flip the exponent MSB (bit 30) of the f32 at `offset` in place —
     /// the DMA corruption primitive.
-    pub(crate) fn flip_f32_msb(&mut self, offset: u64) -> Result<(), SimError> {
+    pub fn flip_f32_msb(&mut self, offset: u64) -> Result<(), SimError> {
         self.ensure(offset, 4)?;
-        self.data[offset as usize + 3] ^= 0x40;
+        self.xor_byte(offset + 3, 0x40);
         Ok(())
     }
 
@@ -172,10 +235,9 @@ impl MemRegion {
             // magnitude, zeros become 2.0 — both detectable by checksums.
             if len >= 4 {
                 let word = rng % (len / 4);
-                let msb = (offset + word * 4 + 3) as usize;
-                self.data[msb] ^= 0x40;
+                self.xor_byte(offset + word * 4 + 3, 0x40);
             } else {
-                self.data[offset as usize] ^= 0x40;
+                self.xor_byte(offset, 0x40);
             }
             self.flips_applied += 1;
         }
@@ -183,38 +245,25 @@ impl MemRegion {
 
     /// Read one f32 (little-endian).
     pub fn read_f32(&mut self, offset: u64) -> Result<f32, SimError> {
-        self.ensure(offset, 4)?;
-        self.fault_hook(offset, 4);
-        let o = offset as usize;
-        let bytes = [
-            self.data[o],
-            self.data[o + 1],
-            self.data[o + 2],
-            self.data[o + 3],
-        ];
-        Ok(f32::from_le_bytes(bytes))
+        self.read_u32(offset)
+            .map(|bits| f32::from_bits(bits as u32))
     }
 
     /// Write one f32 (little-endian).
     pub fn write_f32(&mut self, offset: u64, value: f32) -> Result<(), SimError> {
-        self.ensure(offset, 4)?;
-        self.data[offset as usize..offset as usize + 4].copy_from_slice(&value.to_le_bytes());
-        Ok(())
+        self.write_f32_slice(offset, &[value])
     }
 
     /// Read `count` consecutive f32 into `out`.
     pub fn read_f32_slice(&mut self, offset: u64, out: &mut [f32]) -> Result<(), SimError> {
         self.ensure(offset, 4 * out.len() as u64)?;
         self.fault_hook(offset, 4 * out.len() as u64);
-        let base = offset as usize;
-        for (i, v) in out.iter_mut().enumerate() {
-            let o = base + 4 * i;
-            *v = f32::from_le_bytes([
-                self.data[o],
-                self.data[o + 1],
-                self.data[o + 2],
-                self.data[o + 3],
-            ]);
+        if offset.is_multiple_of(4) {
+            out.copy_from_slice(&self.words[word_range(offset, out.len())]);
+        } else {
+            for (v, at) in out.iter_mut().zip((offset..).step_by(4)) {
+                *v = f32::from_bits(self.load_u32(at));
+            }
         }
         Ok(())
     }
@@ -222,9 +271,13 @@ impl MemRegion {
     /// Write a slice of consecutive f32.
     pub fn write_f32_slice(&mut self, offset: u64, values: &[f32]) -> Result<(), SimError> {
         self.ensure(offset, 4 * values.len() as u64)?;
-        let base = offset as usize;
-        for (i, v) in values.iter().enumerate() {
-            self.data[base + 4 * i..base + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+        if offset.is_multiple_of(4) {
+            self.words[word_range(offset, values.len())].copy_from_slice(values);
+        } else {
+            let bytes = values.iter().flat_map(|v| v.to_le_bytes());
+            for (b, at) in bytes.zip(offset..) {
+                self.set_byte(at, b);
+            }
         }
         Ok(())
     }
@@ -233,28 +286,94 @@ impl MemRegion {
     pub fn read_u64(&mut self, offset: u64) -> Result<u64, SimError> {
         self.ensure(offset, 8)?;
         self.fault_hook(offset, 8);
-        let o = offset as usize;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.data[o..o + 8]);
-        Ok(u64::from_le_bytes(b))
+        Ok(u64::from(self.load_u32(offset)) | u64::from(self.load_u32(offset + 4)) << 32)
     }
 
     /// Read one u32 zero-extended to u64.
     pub fn read_u32(&mut self, offset: u64) -> Result<u64, SimError> {
         self.ensure(offset, 4)?;
         self.fault_hook(offset, 4);
-        let o = offset as usize;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&self.data[o..o + 4]);
-        Ok(u32::from_le_bytes(b) as u64)
+        Ok(u64::from(self.load_u32(offset)))
+    }
+
+    /// Word range and byte length of a `count`-element f32 view at
+    /// `offset`.  A view borrows whole words, so a misaligned one is a
+    /// binding error; bounds are checked, nothing is materialised.
+    fn view_span(&self, offset: u64, count: usize) -> Result<(Range<usize>, u64), SimError> {
+        if !offset.is_multiple_of(4) {
+            return Err(SimError::BadBinding {
+                detail: format!(
+                    "{}: f32 view at byte offset {offset} is not word-aligned",
+                    self.name
+                ),
+            });
+        }
+        let len = (count as u64).saturating_mul(4);
+        self.check(offset, len)?;
+        Ok((word_range(offset, count), len))
+    }
+
+    /// Borrow `count` consecutive f32 at `offset` in place.  A read
+    /// access like [`MemRegion::read_f32_slice`] (bounds, materialisation,
+    /// fault hook) that copies nothing.
+    pub fn view_f32(&mut self, offset: u64, count: usize) -> Result<&[f32], SimError> {
+        self.view_f32_mut(offset, count).map(|v| &*v)
+    }
+
+    /// [`MemRegion::view_f32`] for a read-modify-write of the range: the
+    /// access counts as one read.
+    pub fn view_f32_mut(&mut self, offset: u64, count: usize) -> Result<&mut [f32], SimError> {
+        let (span, len) = self.view_span(offset, count)?;
+        self.touch(offset + len);
+        self.fault_hook(offset, len);
+        Ok(&mut self.words[span])
+    }
+
+    /// Borrow two disjoint f32 ranges in place: `shared` read-only,
+    /// `exclusive` for read-modify-write, each given as `(byte offset,
+    /// element count)`.  Two read accesses, `shared` first.  Misaligned
+    /// or overlapping ranges are [`SimError::BadBinding`]; a refused pair
+    /// materialises nothing and fires no fault.
+    pub fn view_f32_pair(
+        &mut self,
+        shared: (u64, usize),
+        exclusive: (u64, usize),
+    ) -> Result<(&[f32], &mut [f32]), SimError> {
+        let (s_words, s_len) = self.view_span(shared.0, shared.1)?;
+        let (x_words, x_len) = self.view_span(exclusive.0, exclusive.1)?;
+        if s_words.start < x_words.end && x_words.start < s_words.end {
+            return Err(SimError::BadBinding {
+                detail: format!(
+                    "{}: f32 views [{}, +{s_len}) and [{}, +{x_len}) overlap",
+                    self.name, shared.0, exclusive.0
+                ),
+            });
+        }
+        self.touch((shared.0 + s_len).max(exclusive.0 + x_len));
+        self.fault_hook(shared.0, s_len);
+        self.fault_hook(exclusive.0, x_len);
+        Ok(if s_words.end <= x_words.start {
+            let (lo, hi) = self.words.split_at_mut(x_words.start);
+            (&lo[s_words], &mut hi[..x_words.len()])
+        } else {
+            let (lo, hi) = self.words.split_at_mut(s_words.start);
+            (&hi[..s_words.len()], &mut lo[x_words])
+        })
     }
 
     /// Raw byte copy *within* this region.
     pub fn copy_within(&mut self, src: u64, dst: u64, len: u64) -> Result<(), SimError> {
         self.ensure(src, len)?;
         self.ensure(dst, len)?;
-        self.data
-            .copy_within(src as usize..(src + len) as usize, dst as usize);
+        if (src | dst | len).is_multiple_of(4) {
+            self.words
+                .copy_within(word_range(src, (len / 4) as usize), (dst / 4) as usize);
+        } else {
+            let bytes: Vec<u8> = (src..src + len).map(|at| self.byte(at)).collect();
+            for (b, at) in bytes.into_iter().zip(dst..) {
+                self.set_byte(at, b);
+            }
+        }
         Ok(())
     }
 
@@ -269,15 +388,25 @@ impl MemRegion {
         src.ensure(src_off, len)?;
         src.fault_hook(src_off, len);
         self.ensure(dst_off, len)?;
-        let (s, e) = (src_off as usize, (src_off + len) as usize);
-        self.data[dst_off as usize..(dst_off + len) as usize].copy_from_slice(&src.data[s..e]);
+        if (src_off | dst_off | len).is_multiple_of(4) {
+            let n = (len / 4) as usize;
+            self.words[word_range(dst_off, n)].copy_from_slice(&src.words[word_range(src_off, n)]);
+        } else {
+            for i in 0..len {
+                self.set_byte(dst_off + i, src.byte(src_off + i));
+            }
+        }
         Ok(())
     }
 
     /// Zero a byte range.
     pub fn zero(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
         self.ensure(offset, len)?;
-        self.data[offset as usize..(offset + len) as usize].fill(0);
+        if (offset | len).is_multiple_of(4) {
+            self.words[word_range(offset, (len / 4) as usize)].fill(0.0);
+        } else {
+            (offset..offset + len).for_each(|at| self.set_byte(at, 0));
+        }
         Ok(())
     }
 }
@@ -309,9 +438,9 @@ mod tests {
     #[test]
     fn growable_region_grows_lazily_up_to_capacity() {
         let mut m = MemRegion::growable("DDR", 1 << 20);
-        assert_eq!(m.data.len(), 0);
+        assert_eq!(m.materialised(), 0);
         m.write_f32(1000, 7.0).unwrap();
-        assert!(m.data.len() >= 1004);
+        assert_eq!(m.materialised(), 1004);
         assert!(m.write_f32(1 << 20, 7.0).is_err());
     }
 
@@ -405,6 +534,82 @@ mod tests {
         assert!(matches!(err, SimError::AllocFailure { .. }));
         m.reset_alloc();
         assert_eq!(m.alloc(10, 1).unwrap(), 0);
+    }
+
+    #[test]
+    fn alloc_refuses_a_request_that_overflows_instead_of_wrapping() {
+        let mut m = MemRegion::fixed("GSM", 256);
+        m.alloc(10, 1).unwrap();
+        for (bytes, align) in [(u64::MAX - 8, 64), (u64::MAX, 1), (u64::MAX - 63, 64)] {
+            let err = m.alloc(bytes, align).unwrap_err();
+            assert!(
+                matches!(err, SimError::AllocFailure { requested, .. } if requested == bytes),
+                "{err:?}"
+            );
+            assert_eq!(m.allocated(), 10, "a refused request moves nothing");
+        }
+        assert_eq!(m.alloc(16, 64).unwrap(), 64);
+    }
+
+    #[test]
+    fn views_borrow_the_store_and_count_as_reads() {
+        let mut am = MemRegion::fixed("AM", 4096);
+        am.write_f32_slice(64, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(am.view_f32(68, 2).unwrap(), [2.0, 3.0]);
+        am.view_f32_mut(64, 2).unwrap()[1] = 9.0;
+        // Either order of the pair, adjacent ranges included.
+        let (b, c) = am.view_f32_pair((64, 2), (72, 2)).unwrap();
+        assert_eq!((b, &*c), (&[1.0, 9.0][..], &[3.0, 4.0][..]));
+        c[0] += b[1];
+        let (b, c) = am.view_f32_pair((72, 2), (64, 2)).unwrap();
+        assert_eq!((b, &*c), (&[12.0, 4.0][..], &[1.0, 9.0][..]));
+
+        // A flip armed on a read strikes the same word of a view as of a
+        // copying read, and stays at rest; the pair is two reads, shared
+        // range first.
+        let mut copy = am.clone();
+        for region in [&mut am, &mut copy] {
+            region.schedule_flip(1, 7);
+            region.schedule_flip(2, 2);
+            region.schedule_flip(3, 5);
+        }
+        let mut out = [[0.0f32; 4]; 3];
+        copy.read_f32_slice(64, &mut out[0]).unwrap();
+        copy.read_f32_slice(64, &mut out[1]).unwrap();
+        copy.read_f32_slice(128, &mut out[2]).unwrap();
+        assert_eq!(am.view_f32(64, 4).unwrap(), out[0]);
+        let (b, c) = am.view_f32_pair((64, 4), (128, 4)).unwrap();
+        assert_eq!((b, &*c), (&out[1][..], &out[2][..]));
+        assert_eq!((am.flips_applied(), copy.flips_applied()), (3, 3));
+        assert_eq!(out[2], [0.0, 2.0, 0.0, 0.0], "word 5 % 4 of the C range");
+    }
+
+    #[test]
+    fn refused_views_are_typed_errors_and_materialise_nothing() {
+        let mut am = MemRegion::fixed("AM", 256);
+        am.schedule_flip(1, 0);
+        let bad_binding = |r: Result<(), SimError>| matches!(r, Err(SimError::BadBinding { .. }));
+        let oob = |r: Result<(), SimError>| matches!(r, Err(SimError::OutOfBounds { .. }));
+        // Misaligned.
+        assert!(bad_binding(am.view_f32(2, 4).map(drop)));
+        assert!(bad_binding(am.view_f32_mut(65, 1).map(drop)));
+        assert!(bad_binding(am.view_f32_pair((0, 4), (66, 4)).map(drop)));
+        assert!(bad_binding(am.view_f32_pair((3, 4), (64, 4)).map(drop)));
+        // Out of bounds, element-count overflow included.
+        assert!(oob(am.view_f32(252, 2).map(drop)));
+        assert!(oob(am.view_f32(0, usize::MAX).map(drop)));
+        assert!(oob(am.view_f32(u64::MAX - 3, 1).map(drop)));
+        assert!(oob(am.view_f32_pair((0, 4), (248, 4)).map(drop)));
+        assert!(oob(am.view_f32_pair((256, 1), (0, 4)).map(drop)));
+        // Overlapping: partial, nested, identical.
+        assert!(bad_binding(am.view_f32_pair((0, 8), (28, 8)).map(drop)));
+        assert!(bad_binding(am.view_f32_pair((0, 16), (16, 2)).map(drop)));
+        assert!(bad_binding(am.view_f32_pair((64, 4), (64, 4)).map(drop)));
+        assert_eq!(am.materialised(), 0);
+        assert_eq!(am.flips_applied(), 0, "a refused view is not a read");
+        // Empty ranges are fine wherever they sit.
+        let (b, c) = am.view_f32_pair((64, 0), (64, 4)).unwrap();
+        assert_eq!((b.len(), c.len()), (0, 4));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Host SIMD inner loops for the `Compiled` kernel execution tier.
 //!
 //! This crate holds the only `unsafe` code of the execution stack: AVX2+FMA
-//! vectorised block loops, monomorphised over the depth unroll `k_u`, that
-//! reproduce the scalar mirror's f32 accumulation order *bit-for-bit*.
+//! register-tiled block loops, monomorphised over the depth unroll `k_u`
+//! and a fixed table of tile shapes, that reproduce the scalar mirror's
+//! f32 accumulation order *bit-for-bit*.
 //!
 //! # The bitwise contract
 //!
@@ -15,13 +16,39 @@
 //! 3. `k_tail` remainder fmas folded into `acc[0]` in ascending `k`;
 //! 4. an ordered regroup `acc[0] += acc[1] … += acc[k_u-1]`.
 //!
-//! Columns never interact, so packing 8 adjacent columns into one AVX
-//! register and running the identical per-lane operation sequence —
-//! `vfmadd` for every `mul_add`, `vaddps` for every regroup `+` — yields
-//! the same bits as the scalar loop: both `f32::mul_add` and
-//! `_mm256_fmadd_ps` are exactly-rounded fused multiply-adds, and IEEE 754
-//! addition has one correctly-rounded answer per lane. Remainder columns
-//! (`ld mod 8`) run the scalar sequence verbatim.
+//! Elements never interact: the value of `C[r][c]` depends on row `r` of
+//! A, column `c` of B and its own `k_u` accumulators, nothing else.  So
+//! *which* elements are computed together is free.  Packing 8 adjacent
+//! columns into the lanes of one AVX register, and holding a block of
+//! `R` rows × `CV` such registers × `k_u` accumulators live at once, runs
+//! the identical per-element operation sequence — `vfmadd` for every
+//! `mul_add`, `vaddps` for every regroup `+` — and yields the same bits
+//! as the scalar loop: both `f32::mul_add` and `_mm256_fmadd_ps` are
+//! exactly-rounded fused multiply-adds, and IEEE 754 addition has one
+//! correctly-rounded answer per lane.  The rows of a block group share
+//! one depth split, so the group's `trips × m_u` rows are tiled as one
+//! range, whatever `m_u` is.  Remainder columns (`ld mod 8`) run the
+//! scalar sequence verbatim.
+//!
+//! # The tile table
+//!
+//! What the tile buys is reuse: per depth step one `B` vector load
+//! serves `R` rows and one `A` broadcast serves `CV` vectors (the paper's
+//! `m_u × k_u` register block, Tables I–III), and `R·CV·k_u` independent
+//! accumulators keep enough fmas in flight to cover the FMA latency.
+//! AVX2 has 16 vector registers; 12 go to accumulators, the rest to the
+//! `B` vectors and the broadcast.  Each column strip is `CV = 2` vectors
+//! (16 columns) wide, then one single-vector strip, then scalar columns;
+//! within a strip the rows are covered tallest tile first:
+//!
+//! | `k_u` | tile heights `R` (accumulators at `CV = 2`) |
+//! |---|---|
+//! | 1 | 6 (12), 4 (8), 2 (4), 1 (2) |
+//! | 2 | 3 (12), 2 (8), 1 (4) |
+//! | 4 | 1 (8) |
+//!
+//! The table is fixed at compile time; nothing selects a shape at run
+//! time except the row count that is left.
 //!
 //! On non-x86_64 hosts, or when the CPU lacks AVX2/FMA, [`execute_block`]
 //! falls back to the scalar sequence, which is *also* bit-identical — the
@@ -179,8 +206,9 @@ fn block_scalar<const KU: usize>(
     }
 }
 
-/// Vectorised block loop: 8 columns per AVX register, per-lane operation
-/// sequence identical to [`scalar_col`].
+/// Vectorised block group: register tiles of `R` rows × `CV` 8-lane
+/// column vectors, every element's operation sequence identical to
+/// [`scalar_col`].
 ///
 /// # Safety
 ///
@@ -197,45 +225,133 @@ unsafe fn block_avx<const KU: usize>(
     b: &[f32],
     c: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
+    // Rows of a group share one depth split and never interact, so the
+    // group's `trips × m_u` rows are tiled as one contiguous range.
+    let rows = g.trips * g.m_u;
+    let ap = a.as_ptr().add(g.mm_base * k_a);
     let bp = b.as_ptr();
-    for trip in 0..g.trips {
-        for mu in 0..g.m_u {
-            let row = g.mm_base + trip * g.m_u + mu;
-            let a_row = &a[row * k_a..row * k_a + k_a];
-            let ap = a_row.as_ptr();
-            let cp = c.as_mut_ptr().add(row * ld);
-            let mut col = 0;
-            while col + 8 <= ld {
-                let mut acc = [_mm256_setzero_ps(); KU];
-                acc[0] = _mm256_loadu_ps(cp.add(col));
-                for j in 0..g.k_iters {
-                    for (ku, av) in acc.iter_mut().enumerate() {
-                        let k = j * KU + ku;
-                        let avec = _mm256_set1_ps(*ap.add(k));
-                        let bvec = _mm256_loadu_ps(bp.add(k * ld + col));
-                        *av = _mm256_fmadd_ps(avec, bvec, *av);
-                    }
-                }
-                for rr in 0..g.k_tail {
-                    let k = g.k_iters * KU + rr;
-                    let avec = _mm256_set1_ps(*ap.add(k));
-                    let bvec = _mm256_loadu_ps(bp.add(k * ld + col));
-                    acc[0] = _mm256_fmadd_ps(avec, bvec, acc[0]);
-                }
-                for ku in 1..KU {
-                    acc[0] = _mm256_add_ps(acc[0], acc[ku]);
-                }
-                _mm256_storeu_ps(cp.add(col), acc[0]);
-                col += 8;
+    let cp = c.as_mut_ptr().add(g.mm_base * ld);
+    let mut col = 0;
+    while col + 16 <= ld {
+        column_strip::<KU, 2>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
+        col += 16;
+    }
+    if col + 8 <= ld {
+        column_strip::<KU, 1>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
+        col += 8;
+    }
+    // ld is a whole number of 32-lane vectors in practice, but the
+    // remainder keeps the contract shape-independent.
+    for row in 0..rows {
+        let a_row = std::slice::from_raw_parts(ap.add(row * k_a), k_a);
+        for col in col..ld {
+            let cv = cp.add(row * ld + col);
+            *cv = scalar_col::<KU>(g, ld, a_row, b, col, *cv);
+        }
+    }
+}
+
+/// All `rows` of one strip of `CV` column vectors, tallest tile first.
+/// The heights are the [tile table](crate#the-tile-table): `R·CV·KU ≤ 12`
+/// accumulator registers at `CV = 2`.
+///
+/// # Safety
+///
+/// As [`tile`], for every row in `0..rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn column_strip<const KU: usize, const CV: usize>(
+    g: &BlockGeom,
+    rows: usize,
+    k_a: usize,
+    ld: usize,
+    ap: *const f32,
+    bp: *const f32,
+    cp: *mut f32,
+) {
+    let mut row = 0;
+    macro_rules! tiles_of {
+        ($r:literal) => {
+            while rows - row >= $r {
+                tile::<KU, $r, CV>(g, k_a, ld, ap.add(row * k_a), bp, cp.add(row * ld));
+                row += $r;
             }
-            // ld is a whole number of 32-lane vectors in practice, but the
-            // remainder keeps the contract shape-independent.
-            while col < ld {
-                let cv = *cp.add(col);
-                *cp.add(col) = scalar_col::<KU>(g, ld, a_row, b, col, cv);
-                col += 1;
+        };
+    }
+    if KU == 1 {
+        tiles_of!(6);
+        tiles_of!(4);
+    }
+    if KU == 2 {
+        tiles_of!(3);
+    }
+    if KU <= 2 {
+        tiles_of!(2);
+    }
+    tiles_of!(1);
+}
+
+/// One register tile: `R` rows × `CV` vectors × `KU` accumulators.  Per
+/// depth step each `B` vector is loaded once for all `R` rows and each
+/// `A` element broadcast once for all `CV` vectors.
+///
+/// # Safety
+///
+/// AVX2+FMA must be available; `ap` must point at `R` rows of `k_a`
+/// readable elements, `bp` at `k_a` rows of leading dimension `ld` with
+/// `8·CV` readable elements each, `cp` at `R` such rows, writable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+// The tile is indexed `[ku][r][v]` alongside the pointers; iterators
+// over one of the three would hide the register-block structure.
+#[allow(clippy::needless_range_loop)]
+unsafe fn tile<const KU: usize, const R: usize, const CV: usize>(
+    g: &BlockGeom,
+    k_a: usize,
+    ld: usize,
+    ap: *const f32,
+    bp: *const f32,
+    cp: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[[_mm256_setzero_ps(); CV]; R]; KU];
+    for r in 0..R {
+        for v in 0..CV {
+            acc[0][r][v] = _mm256_loadu_ps(cp.add(r * ld + 8 * v));
+        }
+    }
+    // acc[ku][r][v] += a[r][k] * b[k][v], for every row and vector.
+    macro_rules! fma_step {
+        ($k:expr, $ku:expr) => {{
+            let k = $k;
+            let mut bvec = [_mm256_setzero_ps(); CV];
+            for v in 0..CV {
+                bvec[v] = _mm256_loadu_ps(bp.add(k * ld + 8 * v));
             }
+            for r in 0..R {
+                let avec = _mm256_set1_ps(*ap.add(r * k_a + k));
+                for v in 0..CV {
+                    acc[$ku][r][v] = _mm256_fmadd_ps(avec, bvec[v], acc[$ku][r][v]);
+                }
+            }
+        }};
+    }
+    for j in 0..g.k_iters {
+        for ku in 0..KU {
+            fma_step!(j * KU + ku, ku);
+        }
+    }
+    for rr in 0..g.k_tail {
+        fma_step!(g.k_iters * KU + rr, 0);
+    }
+    for r in 0..R {
+        for v in 0..CV {
+            let mut sum = acc[0][r][v];
+            for group in acc.iter().skip(1) {
+                sum = _mm256_add_ps(sum, group[r][v]);
+            }
+            _mm256_storeu_ps(cp.add(r * ld + 8 * v), sum);
         }
     }
 }
@@ -279,6 +395,14 @@ mod tests {
         v
     }
 
+    fn reference_block(g: &BlockGeom, k_a: usize, ld: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        match g.k_u {
+            1 => block_scalar::<1>(g, k_a, ld, a, b, c),
+            2 => block_scalar::<2>(g, k_a, ld, a, b, c),
+            _ => block_scalar::<4>(g, k_a, ld, a, b, c),
+        }
+    }
+
     /// The vector path and the scalar path must agree bit-for-bit on
     /// every element, for every supported k_u, including ragged shapes.
     #[test]
@@ -292,11 +416,7 @@ mod tests {
                 let mut c_scalar = c0.clone();
                 for g in geom(m_s, m_s.min(6), k_a, k_u) {
                     execute_block(&g, k_a, ld, &a, &b, &mut c_auto);
-                    match g.k_u {
-                        1 => block_scalar::<1>(&g, k_a, ld, &a, &b, &mut c_scalar),
-                        2 => block_scalar::<2>(&g, k_a, ld, &a, &b, &mut c_scalar),
-                        _ => block_scalar::<4>(&g, k_a, ld, &a, &b, &mut c_scalar),
-                    }
+                    reference_block(&g, k_a, ld, &a, &b, &mut c_scalar);
                 }
                 for (i, (x, y)) in c_auto.iter().zip(&c_scalar).enumerate() {
                     assert_eq!(
@@ -309,27 +429,54 @@ mod tests {
         }
     }
 
-    /// Non-multiple-of-8 leading dimensions exercise the scalar column
-    /// remainder inside the vector path.
+    /// Every tile height, both strip widths, the scalar column remainder
+    /// and every depth-tail length, on panels that start at odd element
+    /// offsets (so no pointer is 8- or 32-byte aligned) and on groups that
+    /// start below row 0 of the panel.
     #[test]
-    fn ragged_ld_remainder_matches_scalar() {
-        let (m_s, k_a, ld) = (4, 19, 13);
-        let a = fill(m_s * k_a, 9);
-        let b = fill(k_a * ld, 10);
-        let c0 = fill(m_s * ld, 11);
+    fn tile_sweep_matches_scalar_bitwise() {
         for &k_u in &SUPPORTED_KU {
-            let mut c_auto = c0.clone();
-            let mut c_scalar = c0.clone();
-            for g in geom(m_s, 2, k_a, k_u) {
-                execute_block(&g, k_a, ld, &a, &b, &mut c_auto);
-                match g.k_u {
-                    1 => block_scalar::<1>(&g, k_a, ld, &a, &b, &mut c_scalar),
-                    2 => block_scalar::<2>(&g, k_a, ld, &a, &b, &mut c_scalar),
-                    _ => block_scalar::<4>(&g, k_a, ld, &a, &b, &mut c_scalar),
+            for (k_iters, k_tail) in [0, 3]
+                .into_iter()
+                .flat_map(|i| (0..k_u).map(move |t| (i, t)))
+            {
+                let k_a = k_iters * k_u + k_tail;
+                if k_a == 0 {
+                    continue;
                 }
-            }
-            for (x, y) in c_auto.iter().zip(&c_scalar) {
-                assert_eq!(x.to_bits(), y.to_bits());
+                for &ld in &[8, 13, 24, 32, 40, 96] {
+                    for m_u in 1..=13 {
+                        for trips in 1..=3 {
+                            let mm_base = [0, 3][(m_u + trips) % 2];
+                            let g = BlockGeom {
+                                mm_base,
+                                m_u,
+                                trips,
+                                k_u,
+                                k_iters,
+                                k_tail,
+                            };
+                            let rows = mm_base + trips * m_u;
+                            let a = fill(1 + rows * k_a, 4);
+                            let b = fill(3 + k_a * ld, 5);
+                            let c0 = fill(5 + rows * ld, 6);
+                            let mut c_auto = c0.clone();
+                            let mut c_scalar = c0;
+                            execute_block(&g, k_a, ld, &a[1..], &b[3..], &mut c_auto[5..]);
+                            reference_block(&g, k_a, ld, &a[1..], &b[3..], &mut c_scalar[5..]);
+                            let same = c_auto.iter().zip(&c_scalar);
+                            if let Some(i) = same
+                                .map(|(x, y)| x.to_bits() == y.to_bits())
+                                .position(|eq| !eq)
+                            {
+                                panic!(
+                                    "{g:?} k_a={k_a} ld={ld}: c[{i}] = {} vs {}",
+                                    c_auto[i], c_scalar[i]
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
