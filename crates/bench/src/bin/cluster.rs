@@ -1,100 +1,43 @@
-//! Multi-cluster report: weak-scaling efficiency of the sharded engine
-//! on the Table I–III regimes and the measured shard-failover cost.
-//!
-//! Usage:
-//! `cargo run --release -p bench --bin cluster -- [options]`
-//!
-//! Options:
-//! * `--out FILE` — write the `BENCH_cluster.json` document
-//! * `--trace FILE` — write the per-cluster Chrome trace of the killed
-//!   failover probe (CI artifact; load in Perfetto)
-//! * `--spill POLICY` — `never` (default), `last-resort` or
-//!   `deadline-aware`; with spilling enabled the `--trace` artifact
-//!   switches to the dual-backend probe (the lone cluster dies and the
-//!   CPU lane carries the remainder, both devices as trace processes)
-//! * `--assert-failover-overhead X` — exit nonzero unless the recovery
-//!   overhead stays within `X` times the lost shard's fault-free work
-//!   (CI gate; the design target is 2)
-
+use bench::cli::{Arg, Cli, Direction};
 use ftimm::SpillPolicy;
+use std::process::ExitCode;
 
-fn main() {
-    let mut out: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut spill = SpillPolicy::Never;
-    let mut assert_overhead: Option<f64> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                )
-            }
-            "--trace" => {
-                trace = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--trace needs a path")),
-                )
-            }
-            "--spill" => {
-                spill = it
-                    .next()
-                    .and_then(|v| bench::cluster::parse_spill(v))
-                    .unwrap_or_else(|| die("--spill takes never | last-resort | deadline-aware"))
-            }
-            "--assert-failover-overhead" => {
-                assert_overhead = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--assert-failover-overhead needs a number")),
-                )
-            }
-            other => die(&format!("unrecognised argument `{other}`")),
-        }
-    }
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "cluster",
+        &[
+            ("--out", Arg::Text("FILE")),
+            ("--trace", Arg::Text("FILE")),
+            ("--spill", Arg::Text("POLICY")),
+            ("--assert-failover-overhead", Arg::Number("X")),
+        ],
+        "",
+    );
+    let spill = cli.get("--spill").map_or(SpillPolicy::Never, |v| {
+        bench::cluster::parse_spill(v).unwrap_or_else(|| {
+            cli.die("--spill takes never | last-resort | deadline-aware | coexec")
+        })
+    });
 
     let report = bench::cluster::compute();
-    print!("{}", bench::cluster::render(&report));
+    let doc = bench::cluster::document(&report);
+    print!("{}", doc.render());
 
-    if let Some(path) = &out {
-        std::fs::write(path, bench::cluster::render_json(&report))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("report written to {path}");
-    }
-
-    if let Some(path) = &trace {
-        let (json, what) = if spill == SpillPolicy::Never {
-            (bench::cluster::failover_trace(), "per-cluster")
+    if let Some(path) = cli.get("--trace") {
+        if spill == SpillPolicy::Never {
+            cli.write(path, &bench::cluster::failover_trace(), "per-cluster trace");
         } else {
-            (bench::cluster::spill_trace(spill), "dual-backend")
-        };
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("{what} trace written to {path}");
-    }
-
-    if let Some(max) = assert_overhead {
-        let got = report.failover.overhead_ratio();
-        if got > max {
-            eprintln!(
-                "failover-overhead check FAILED: recovery cost {got:.2}x the lost shard's \
-                 work > allowed {max}x"
+            cli.write(
+                path,
+                &bench::cluster::spill_trace(spill),
+                "dual-backend trace",
             );
-            std::process::exit(1);
         }
-        println!("failover-overhead check OK: {got:.2}x <= {max}x");
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: cluster [--out FILE] [--trace FILE] [--spill POLICY] \
-         [--assert-failover-overhead X]"
-    );
-    std::process::exit(2);
+    // Recovery must cost at most X times the lost shard's fault-free work.
+    if let Some(max) = cli.num("--assert-failover-overhead") {
+        let got = report.failover.overhead_ratio();
+        cli.gate("failover-overhead", got, max, Direction::AtMost);
+    }
+    cli.finish(Some(&doc))
 }

@@ -1,67 +1,27 @@
-//! Co-execution report: the Fig. 7 crossover as a planner decision on
-//! the Table I–III regimes, against two host comparators.
-//!
-//! Usage:
-//! `cargo run --release -p bench --bin coexec -- [options]`
-//!
-//! Options:
-//! * `--out FILE` — write the `BENCH_coexec.json` document
-//! * `--assert-coexec-no-regression` — exit nonzero if the chosen split
-//!   is predicted slower than the best single backend anywhere in the
-//!   sweep, or if the sweep fails to exhibit all three planner picks
-//!   (DSP-only, co-exec, CPU-only) — the CI gate
+use bench::cli::{Arg, Cli, Direction};
+use std::process::ExitCode;
 
-fn main() {
-    let mut out: Option<String> = None;
-    let mut assert_gate = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                )
-            }
-            "--assert-coexec-no-regression" => assert_gate = true,
-            other => die(&format!("unrecognised argument `{other}`")),
-        }
-    }
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "coexec",
+        &[
+            ("--out", Arg::Text("FILE")),
+            ("--assert-coexec-no-regression", Arg::Switch),
+        ],
+        "",
+    );
 
     let report = bench::coexec::compute();
-    print!("{}", bench::coexec::render(&report));
+    let doc = bench::coexec::document(&report);
+    print!("{}", doc.render());
 
-    if let Some(path) = &out {
-        std::fs::write(path, bench::coexec::render_json(&report))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("report written to {path}");
+    if cli.get("--assert-coexec-no-regression").is_some() {
+        // The chosen split is never predicted slower than the best single
+        // backend, and the sweep shows dsp-only, co-exec and cpu-only.
+        let worst = report.max_regression();
+        cli.gate("coexec-no-regression", worst, 0.0, Direction::AtMost);
+        let picks = report.picks_exhibited() as f64;
+        cli.gate("coexec-all-picks", picks, 3.0, Direction::AtLeast);
     }
-
-    if assert_gate {
-        let got = report.max_regression();
-        if got > 0.0 {
-            eprintln!(
-                "coexec check FAILED: chosen split predicted {:.2e} slower than \
-                 the best single backend",
-                got
-            );
-            std::process::exit(1);
-        }
-        if !report.covers_all_picks() {
-            eprintln!(
-                "coexec check FAILED: sweep does not exhibit all three planner \
-                 picks (dsp-only / co-exec / cpu-only)"
-            );
-            std::process::exit(1);
-        }
-        println!("coexec check OK: no predicted regression, all picks exhibited");
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: coexec [--out FILE] [--assert-coexec-no-regression]");
-    std::process::exit(2);
+    cli.finish(Some(&doc))
 }

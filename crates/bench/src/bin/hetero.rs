@@ -1,71 +1,28 @@
-//! Heterogeneous failover report: CPU-spill cost on the Table I–III
-//! regimes and the model cross-check gate.
-//!
-//! Usage:
-//! `cargo run --release -p bench --bin hetero -- [options]`
-//!
-//! Options:
-//! * `--out FILE` — write the `BENCH_hetero.json` document
-//! * `--assert-cpu-model X` — exit nonzero unless the measured CPU-lane
-//!   time stays within `X` (fraction) of the independent `cpublas`
-//!   model prediction on every regime (CI gate; the design target is
-//!   0.3, i.e. ±30%)
+use bench::cli::{Arg, Cli, Direction};
+use std::process::ExitCode;
 
-fn main() {
-    let mut out: Option<String> = None;
-    let mut assert_model: Option<f64> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                )
-            }
-            "--assert-cpu-model" => {
-                assert_model = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--assert-cpu-model needs a number")),
-                )
-            }
-            other => die(&format!("unrecognised argument `{other}`")),
-        }
-    }
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "hetero",
+        &[
+            ("--out", Arg::Text("FILE")),
+            ("--assert-cpu-model", Arg::Number("X")),
+        ],
+        "",
+    );
 
     let report = bench::hetero::compute();
-    print!("{}", bench::hetero::render(&report));
+    let doc = bench::hetero::document(&report);
+    print!("{}", doc.render());
 
-    if let Some(path) = &out {
-        std::fs::write(path, bench::hetero::render_json(&report))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("report written to {path}");
-    }
-
-    if let Some(max) = assert_model {
-        let got = report.max_model_error();
-        if got > max {
-            eprintln!(
-                "cpu-model check FAILED: lane time drifts {:.1}% from the cpublas \
-                 prediction > allowed {:.1}%",
-                100.0 * got,
-                100.0 * max
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "cpu-model check OK: {:.1}% <= {:.1}%",
-            100.0 * got,
-            100.0 * max
+    // Lane time may drift at most X (fraction) from the cpublas prediction.
+    if let Some(max) = cli.num("--assert-cpu-model") {
+        cli.gate(
+            "cpu-model",
+            report.max_model_error(),
+            max,
+            Direction::AtMost,
         );
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: hetero [--out FILE] [--assert-cpu-model X]");
-    std::process::exit(2);
+    cli.finish(Some(&doc))
 }

@@ -1,60 +1,22 @@
-//! Planner report: chosen plans, predicted vs simulated seconds and the
-//! plan-cache speedup on the paper's representative shapes.
-//!
-//! Usage:
-//! `cargo run --release -p bench --bin planner -- [options]`
-//!
-//! Options:
-//! * `--out FILE` — write the `BENCH_planner.json` document
-//! * `--assert-warm-speedup X` — exit nonzero unless the smallest
-//!   cold/warm planning speedup reaches `X` (CI smoke gate)
+use bench::cli::{Arg, Cli, Direction};
+use std::process::ExitCode;
 
-fn main() {
-    let mut out: Option<String> = None;
-    let mut assert_speedup: Option<f64> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                )
-            }
-            "--assert-warm-speedup" => {
-                assert_speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--assert-warm-speedup needs a number")),
-                )
-            }
-            other => die(&format!("unrecognised argument `{other}`")),
-        }
-    }
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "planner",
+        &[
+            ("--out", Arg::Text("FILE")),
+            ("--assert-warm-speedup", Arg::Number("X")),
+        ],
+        "",
+    );
 
     let report = bench::planner::compute();
-    print!("{}", bench::planner::render(&report));
+    let doc = bench::planner::document(&report);
+    print!("{}", doc.render());
 
-    if let Some(path) = &out {
-        std::fs::write(path, bench::planner::render_json(&report))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("report written to {path}");
+    if let Some(min) = cli.num("--assert-warm-speedup") {
+        cli.gate("warm-plan", report.min_speedup(), min, Direction::AtLeast);
     }
-
-    if let Some(min) = assert_speedup {
-        let got = report.min_speedup();
-        if got < min {
-            eprintln!("warm-plan check FAILED: min speedup {got:.1}x < required {min}x");
-            std::process::exit(1);
-        }
-        println!("warm-plan check OK: min speedup {got:.1}x >= {min}x");
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: planner [--out FILE] [--assert-warm-speedup X]");
-    std::process::exit(2);
+    cli.finish(Some(&doc))
 }

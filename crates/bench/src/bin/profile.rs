@@ -14,143 +14,85 @@
 //! * `--assert-roofline FRAC` — exit nonzero unless achieved GFLOPS
 //!   reaches `FRAC` of the roofline prediction (CI smoke gate)
 
+use bench::cli::{Arg, Cli, Direction};
 use dspsim::{ExecMode, Machine, Phase, PhaseProfile};
 use ftimm::{chrome_trace_json, profile_json, Executor, FtImm, GemmProblem, Strategy};
+use std::process::ExitCode;
 
-struct Args {
-    m: usize,
-    n: usize,
-    k: usize,
-    strategy: Strategy,
-    cores: usize,
-    mode: ExecMode,
-    out_profile: Option<String>,
-    out_trace: Option<String>,
-    assert_roofline: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut dims: Vec<usize> = Vec::new();
-    let mut args = Args {
-        m: 0,
-        n: 0,
-        k: 0,
-        strategy: Strategy::Auto,
-        cores: 8,
-        mode: ExecMode::Fast,
-        out_profile: None,
-        out_trace: None,
-        assert_roofline: None,
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "profile",
+        &[
+            ("--strategy", Arg::Text("auto|rules|mpar|kpar|tgemm")),
+            ("--cores", Arg::Number("N")),
+            ("--mode", Arg::Text("interpret|fast|compiled|timing")),
+            ("--out-profile", Arg::Text("FILE")),
+            ("--out-trace", Arg::Text("FILE")),
+            ("--assert-roofline", Arg::Number("FRAC")),
+        ],
+        "M N K",
+    );
+    let strategy = cli.get("--strategy").map_or(Strategy::Auto, |tag| {
+        Strategy::from_tag(tag).unwrap_or_else(|_| cli.die(&format!("unknown strategy `{tag}`")))
+    });
+    let mode = cli.get("--mode").map_or(ExecMode::Fast, |tag| {
+        ExecMode::from_tag(tag).unwrap_or_else(|| cli.die(&format!("unknown mode `{tag}`")))
+    });
+    let cores = cli.num("--cores").unwrap_or(8);
+    let dims: Vec<usize> = cli
+        .positional()
+        .iter()
+        .map(|a| {
+            a.parse()
+                .unwrap_or_else(|_| cli.die(&format!("unrecognised argument `{a}`")))
+        })
+        .collect();
+    let &[m, n, k] = dims.as_slice() else {
+        cli.die("exactly one M N K triple is required")
     };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut next = |what: &str| {
-            it.next()
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{what} needs a value")))
-        };
-        match a.as_str() {
-            "--strategy" => {
-                args.strategy = match next("--strategy").as_str() {
-                    "auto" => Strategy::Auto,
-                    "rules" => Strategy::Rules,
-                    "mpar" => Strategy::MPar,
-                    "kpar" => Strategy::KPar,
-                    "tgemm" => Strategy::TGemm,
-                    other => die(&format!("unknown strategy `{other}`")),
-                }
-            }
-            "--cores" => {
-                args.cores = next("--cores")
-                    .parse()
-                    .unwrap_or_else(|_| die("--cores needs a number"))
-            }
-            "--mode" => {
-                let tag = next("--mode");
-                args.mode = ExecMode::from_tag(&tag)
-                    .unwrap_or_else(|| die(&format!("unknown mode `{tag}`")))
-            }
-            "--out-profile" => args.out_profile = Some(next("--out-profile")),
-            "--out-trace" => args.out_trace = Some(next("--out-trace")),
-            "--assert-roofline" => {
-                args.assert_roofline = Some(
-                    next("--assert-roofline")
-                        .parse()
-                        .unwrap_or_else(|_| die("--assert-roofline needs a fraction")),
-                )
-            }
-            _ => match a.parse::<usize>() {
-                Ok(v) => dims.push(v),
-                Err(_) => die(&format!("unrecognised argument `{a}`")),
-            },
-        }
-    }
-    if dims.len() != 3 {
-        die("exactly one M N K triple is required");
-    }
-    (args.m, args.n, args.k) = (dims[0], dims[1], dims[2]);
-    args
-}
 
-fn main() {
-    let args = parse_args();
     let ft = FtImm::new(dspsim::HwConfig::default());
-    let mut machine = Machine::new(ft.cfg().clone(), args.mode);
-    let p = GemmProblem::alloc(&mut machine, args.m, args.n, args.k)
-        .unwrap_or_else(|e| die(&format!("allocation failed: {e}")));
+    let mut machine = Machine::new(ft.cfg().clone(), mode);
+    let p = GemmProblem::alloc(&mut machine, m, n, k)
+        .unwrap_or_else(|e| cli.die(&format!("allocation failed: {e}")));
     if machine.mode.is_functional() {
         let fill = ftimm::reference::fill_matrix;
-        p.a.upload(&mut machine, &fill(args.m * args.k, 1)).unwrap();
-        p.b.upload(&mut machine, &fill(args.k * args.n, 2)).unwrap();
-        p.c.upload(&mut machine, &vec![0.0; args.m * args.n])
-            .unwrap();
+        p.a.upload(&mut machine, &fill(m * k, 1)).unwrap();
+        p.b.upload(&mut machine, &fill(k * n, 2)).unwrap();
+        p.c.upload(&mut machine, &vec![0.0; m * n]).unwrap();
     }
 
     let run = Executor::new(&ft)
-        .strategy(args.strategy)
-        .cores(args.cores)
+        .strategy(strategy)
+        .cores(cores)
         .profiled()
         .dispatch(&mut machine, &p)
-        .unwrap_or_else(|e| die(&format!("dispatch rejected: {e}")));
+        .unwrap_or_else(|e| cli.die(&format!("dispatch rejected: {e}")));
     let report = match &run.result {
         Ok(r) => r,
-        Err(e) => die(&format!("run failed: {e}")),
+        Err(e) => cli.die(&format!("run failed: {e}")),
     };
     let prof = report.profile.expect("profiled run carries a profile");
 
     println!(
-        "{}x{}x{}  plan={}  cores={}  mode={:?}",
-        args.m, args.n, args.k, run.plan, report.cores_used, args.mode
+        "{m}x{n}x{k}  plan={}  cores={}  mode={mode:?}",
+        run.plan, report.cores_used
     );
     print_phase_table(&prof);
 
-    if let Some(path) = &args.out_profile {
-        std::fs::write(path, profile_json(&prof))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("profile written to {path}");
+    if let Some(path) = cli.get("--out-profile") {
+        cli.write(path, &profile_json(&prof), "profile");
     }
-    if let Some(path) = &args.out_trace {
+    if let Some(path) = cli.get("--out-trace") {
         let profiler = run.profiler.as_ref().expect("profiled run keeps spans");
-        std::fs::write(path, chrome_trace_json(profiler))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("trace written to {path} (load in chrome://tracing)");
+        cli.write(path, &chrome_trace_json(profiler), "trace");
     }
-
-    if let Some(frac) = args.assert_roofline {
+    // Achieved GFLOPS must reach FRAC of the roofline prediction.
+    if let Some(frac) = cli.num::<f64>("--assert-roofline") {
         let bound = frac * prof.roofline_gflops;
-        if prof.achieved_gflops < bound {
-            eprintln!(
-                "roofline check FAILED: achieved {:.1} GFLOPS < {frac} x roofline {:.1} GFLOPS",
-                prof.achieved_gflops, prof.roofline_gflops
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "roofline check OK: achieved {:.1} GFLOPS >= {frac} x roofline {:.1} GFLOPS",
-            prof.achieved_gflops, prof.roofline_gflops
-        );
+        cli.gate("roofline", prof.achieved_gflops, bound, Direction::AtLeast);
     }
+    cli.finish(None)
 }
 
 fn print_phase_table(prof: &PhaseProfile) {
@@ -201,14 +143,4 @@ fn print_phase_table(prof: &PhaseProfile) {
         prof.achieved_gflops,
         100.0 * prof.achieved_gflops / prof.roofline_gflops
     );
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: profile [--strategy auto|rules|mpar|kpar|tgemm] [--cores N] \
-         [--mode interpret|fast|compiled|timing] [--out-profile FILE] [--out-trace FILE] \
-         [--assert-roofline FRAC] M N K"
-    );
-    std::process::exit(2);
 }

@@ -1,91 +1,34 @@
-//! Tuner report: default vs tuned plans on the paper's representative
-//! shapes, per-regime calibration agreement, and the catalog warm-start
-//! proof.
-//!
-//! Usage:
-//! `cargo run --release -p bench --bin tune -- [options]`
-//!
-//! Options:
-//! * `--out FILE` — write the `BENCH_tune.json` document
-//! * `--catalog FILE` — where to persist the `ftimm-plan-catalog-v1`
-//!   (default `ftimm-plan-catalog.json` in the working directory)
-//! * `--assert-no-regression` — exit nonzero if any tuned plan is
-//!   predicted slower than the analytic default (CI gate)
-//! * `--assert-warm-zero-sims` — exit nonzero unless the catalog
-//!   warm-start context re-planned every shape with zero timing
-//!   simulations (CI gate)
+use bench::cli::{Arg, Cli, Direction};
+use std::path::Path;
+use std::process::ExitCode;
 
-use std::path::PathBuf;
-
-fn main() {
-    let mut out: Option<String> = None;
-    let mut catalog = PathBuf::from("ftimm-plan-catalog.json");
-    let mut assert_no_regression = false;
-    let mut assert_warm_zero_sims = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                )
-            }
-            "--catalog" => {
-                catalog = PathBuf::from(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--catalog needs a path")),
-                )
-            }
-            "--assert-no-regression" => assert_no_regression = true,
-            "--assert-warm-zero-sims" => assert_warm_zero_sims = true,
-            other => die(&format!("unrecognised argument `{other}`")),
-        }
-    }
-
-    let report = bench::tune::compute(&catalog);
-    print!("{}", bench::tune::render(&report));
-    println!("catalog written to {}", catalog.display());
-
-    if let Some(path) = &out {
-        std::fs::write(path, bench::tune::render_json(&report))
-            .unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("report written to {path}");
-    }
-
-    if assert_no_regression {
-        let worst = report.max_regression_s();
-        if worst > 0.0 {
-            eprintln!(
-                "no-regression check FAILED: a tuned plan is {worst:.3e}s slower than its default"
-            );
-            std::process::exit(1);
-        }
-        println!("no-regression check OK: worst tuned-vs-default delta {worst:.3e}s");
-    }
-
-    if assert_warm_zero_sims {
-        if report.warm_simulations != 0 {
-            eprintln!(
-                "warm-zero-sims check FAILED: warm start ran {} timing simulations",
-                report.warm_simulations
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "warm-zero-sims check OK: {} catalog hits, 0 simulations",
-            report.warm_catalog_hits
-        );
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: tune [--out FILE] [--catalog FILE] [--assert-no-regression] [--assert-warm-zero-sims]"
+fn main() -> ExitCode {
+    let mut cli = Cli::parse(
+        "tune",
+        &[
+            ("--out", Arg::Text("FILE")),
+            ("--catalog", Arg::Text("FILE")),
+            ("--assert-no-regression", Arg::Switch),
+            ("--assert-warm-zero-sims", Arg::Switch),
+        ],
+        "",
     );
-    std::process::exit(2);
+    let catalog = cli.get("--catalog").unwrap_or("ftimm-plan-catalog.json");
+
+    let report = bench::tune::compute(Path::new(catalog));
+    let doc = bench::tune::document(&report);
+    print!("{}", doc.render());
+    println!("catalog written to {catalog}");
+
+    // No tuned plan may be predicted slower than its analytic default.
+    if cli.get("--assert-no-regression").is_some() {
+        let worst = report.max_regression_s();
+        cli.gate("no-regression", worst, 0.0, Direction::AtMost);
+    }
+    // The catalog warm start must re-plan every shape simulation-free.
+    if cli.get("--assert-warm-zero-sims").is_some() {
+        let sims = report.warm_simulations as f64;
+        cli.gate("warm-zero-sims", sims, 0.0, Direction::AtMost);
+    }
+    cli.finish(Some(&doc))
 }

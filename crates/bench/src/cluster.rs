@@ -8,7 +8,7 @@
 //! `cluster` binary and archived by CI; its `--assert-failover-overhead`
 //! gate keeps recovery cost bounded by twice the lost shard's work.
 
-use crate::common::format_table;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, FaultPlan, HwConfig, Profiler};
 use ftimm::reference::fill_matrix;
 use ftimm::{
@@ -16,7 +16,6 @@ use ftimm::{
     ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy,
     TenantSpec,
 };
-use std::fmt::Write as _;
 
 /// Cores driven per cluster (the paper's full GPDSP cluster).
 pub const CORES: usize = 8;
@@ -260,71 +259,38 @@ pub fn spill_trace(spill: SpillPolicy) -> String {
     chrome_trace_json_clusters(&labelled)
 }
 
-/// Render the printable report.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.regime.to_string(),
-                format!("{}", r.clusters),
-                r.shape.to_string(),
-                format!("{:.3e}", r.seconds),
-                format!("{:.2}", r.efficiency),
-            ]
-        })
-        .collect();
-    let mut s = format_table(
-        &format!("Weak scaling — sharded engine, 1..{MAX_CLUSTERS} clusters ({CORES} cores each)"),
-        &["regime", "clusters", "MxNxK", "seconds", "efficiency"],
-        &rows,
-    );
-    let f = &report.failover;
-    let _ = writeln!(
-        s,
-        "failover probe: fault-free {:.3e}s, with kill {:.3e}s, overhead {:.3e}s \
-         ({:.2}x the lost shard's {:.3e}s)",
-        f.fault_free_s,
-        f.with_kill_s,
-        f.overhead_s(),
-        f.overhead_ratio(),
-        f.shard_fault_free_s
-    );
-    s
-}
-
-/// Serialise the report as the `BENCH_cluster.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ftimm-bench-cluster-v1\",\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"regime\": \"{}\", \"clusters\": {}, \"m\": {}, \"n\": {}, \"k\": {}, \
-             \"seconds\": {:?}, \"efficiency\": {:?}}}",
-            r.regime, r.clusters, r.shape.m, r.shape.n, r.shape.k, r.seconds, r.efficiency
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let f = &report.failover;
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"failover\": {{\"shard_fault_free_s\": {:?}, \"fault_free_s\": {:?}, \
-         \"with_kill_s\": {:?}, \"overhead_s\": {:?}, \"overhead_ratio\": {:?}}},",
-        f.shard_fault_free_s,
-        f.fault_free_s,
-        f.with_kill_s,
-        f.overhead_s(),
-        f.overhead_ratio()
-    );
-    let _ = writeln!(s, "  \"min_efficiency\": {:?}", report.min_efficiency());
-    s.push('}');
-    s
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_cluster.json` document.
+pub fn document(report: &Report) -> Document {
+    let ratio = Fixed(1.0, 2, "");
+    let rows = Table::new(
+        "rows",
+        format!("Weak scaling — sharded engine, 1..{MAX_CLUSTERS} clusters ({CORES} cores each)"),
+        &report.rows,
+    )
+    .col("regime", "regime", |r| Text(r.regime.into()))
+    .col("clusters", "clusters", |r| Count(r.clusters as u64))
+    .shape(|r| r.shape)
+    .col("seconds", "seconds", |r| Num(r.seconds, Sci))
+    .col("efficiency", "efficiency", |r| Num(r.efficiency, ratio));
+    let failover = Table::new(
+        "failover",
+        "Failover probe — cluster 0 of 2 killed halfway through its shard",
+        std::slice::from_ref(&report.failover),
+    )
+    .col("shard_fault_free_s", "lost shard", |f| {
+        Num(f.shard_fault_free_s, Sci)
+    })
+    .col("fault_free_s", "fault-free", |f| Num(f.fault_free_s, Sci))
+    .col("with_kill_s", "with kill", |f| Num(f.with_kill_s, Sci))
+    .col("overhead_s", "overhead", |f| Num(f.overhead_s(), Sci))
+    .col("overhead_ratio", "x lost shard", |f| {
+        Num(f.overhead_ratio(), ratio)
+    });
+    Document::new("cluster")
+        .table(rows)
+        .table(failover)
+        .value("min_efficiency", Num(report.min_efficiency(), ratio))
 }
 
 #[cfg(test)]
@@ -388,29 +354,58 @@ mod tests {
 
     #[test]
     fn json_document_carries_rows_and_the_failover_probe() {
-        let s = render_json(cached());
-        assert!(s.contains("ftimm-bench-cluster-v1"));
-        assert!(s.contains("\"failover\""));
-        assert!(s.contains("overhead_ratio"));
-        assert!(s.contains("min_efficiency"));
-        for (regime, _) in REGIMES {
-            assert!(s.contains(regime));
+        let report = cached();
+        let v = crate::report::parsed(&document(report), "cluster");
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), report.rows.len());
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(row.get("regime").unwrap().as_str("regime"), Ok(r.regime));
+            assert_eq!(row.get("m").unwrap().as_u64("m"), Ok(r.shape.m as u64));
+            assert_eq!(
+                row.get("efficiency").unwrap().as_f64("efficiency"),
+                Ok(r.efficiency)
+            );
         }
+        let probe = &v.get("failover").unwrap().as_arr("failover").unwrap()[0];
+        assert_eq!(
+            probe.get("overhead_ratio").unwrap().as_f64("ratio"),
+            Ok(report.failover.overhead_ratio())
+        );
+        assert_eq!(
+            v.get("min_efficiency").unwrap().as_f64("min_efficiency"),
+            Ok(report.min_efficiency())
+        );
+        // The printed report is the same description.
+        let text = document(report).render();
+        assert!(text.contains("Weak scaling") && text.contains("Failover probe"));
+        assert!(text.contains(&report.rows[0].shape.to_string()), "{text}");
+    }
+
+    /// The `args.name` labels of a Chrome trace's `ph: "M"` events.
+    fn track_labels(trace: &str) -> Vec<String> {
+        let v = dspsim::minijson::Parser::new(trace).parse().unwrap();
+        let events = v.get("traceEvents").unwrap().as_arr("traceEvents").unwrap();
+        events
+            .iter()
+            .filter_map(|e| e.get("args")?.get("name")?.as_str("name").ok())
+            .map(str::to_string)
+            .collect()
     }
 
     #[test]
     fn failover_trace_has_one_process_per_cluster() {
         let trace = failover_trace();
-        assert!(trace.contains("\"name\":\"cluster 0\""));
-        assert!(trace.contains("\"name\":\"cluster 1\""));
+        let labels = track_labels(&trace);
+        assert!(labels.iter().any(|l| l == "cluster 0"), "{labels:?}");
+        assert!(labels.iter().any(|l| l == "cluster 1"), "{labels:?}");
         assert!(trace.contains("cluster_failed"));
     }
 
     #[test]
     fn spill_trace_shows_both_backends() {
-        let trace = spill_trace(ftimm::SpillPolicy::LastResort);
-        assert!(trace.contains("\"name\":\"cluster 0\""));
-        assert!(trace.contains("\"name\":\"cpu\""));
+        let labels = track_labels(&spill_trace(ftimm::SpillPolicy::LastResort));
+        assert!(labels.iter().any(|l| l == "cluster 0"), "{labels:?}");
+        assert!(labels.iter().any(|l| l == "cpu"), "{labels:?}");
     }
 
     #[test]

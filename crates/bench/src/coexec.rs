@@ -19,14 +19,13 @@
 //! search grid, so any regression means the chooser itself broke.
 
 use crate::cluster::{CORES, MAX_CLUSTERS, REGIMES};
-use crate::common::format_table;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use cpublas::CpuConfig;
 use dspsim::{ExecMode, HwConfig};
 use ftimm::{
     ClusterPool, EngineConfig, FtImm, GemmShape, ResilienceConfig, ShardedConfig, ShardedEngine,
     ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy, TenantSpec,
 };
-use std::fmt::Write as _;
 
 /// Checkpoint grain shared by the chooser and both engine runs (the
 /// split grid and the shard-boundary grid must be the same thing).
@@ -115,12 +114,14 @@ impl Report {
         self.rows.iter().map(Row::regression).fold(0.0, f64::max)
     }
 
-    /// Whether every planner pick shows up somewhere in the sweep (the
-    /// crossover demonstrably has both sides plus the interior).
-    pub fn covers_all_picks(&self) -> bool {
+    /// How many of the three planner picks show up somewhere in the
+    /// sweep: at 3 the crossover demonstrably has both sides plus the
+    /// interior — the second quantity the CI gate bounds.
+    pub fn picks_exhibited(&self) -> usize {
         [Pick::DspOnly, Pick::CoExec, Pick::CpuOnly]
             .iter()
-            .all(|&p| self.rows.iter().any(|r| r.pick() == p))
+            .filter(|&&p| self.rows.iter().any(|r| r.pick() == p))
+            .count()
     }
 }
 
@@ -229,85 +230,31 @@ pub fn compute() -> Report {
     Report { rows }
 }
 
-/// Render the printable report.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.regime.to_string(),
-                r.host.to_string(),
-                r.shape.to_string(),
-                r.pick().label().to_string(),
-                format!("{:.3}", r.split_frac()),
-                format!("{:.3e}", r.predicted_s),
-                format!("{:.3e}", r.dsp_only_s),
-                format!("{:.3e}", r.cpu_only_s),
-                format!("{:.3e}", r.sim_dsp_only_s),
-                format!("{:.3e}", r.sim_coexec_s),
-            ]
-        })
-        .collect();
-    let mut s = format_table(
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_coexec.json` document.
+pub fn document(report: &Report) -> Document {
+    let rows = Table::new(
+        "rows",
         "Co-execution — the Fig. 7 crossover as a planner decision (CPU lane as a peer)",
-        &[
-            "regime",
-            "host",
-            "MxNxK",
-            "pick",
-            "cpu frac",
-            "predicted",
-            "dsp-only",
-            "cpu-only",
-            "sim dsp",
-            "sim coexec",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        s,
-        "max predicted regression vs best single backend: {:+.2e} (gate: <= 0)",
-        report.max_regression()
-    );
-    s
-}
-
-/// Serialise the report as the `BENCH_coexec.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ftimm-bench-coexec-v1\",\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"regime\": \"{}\", \"host\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \
-             \"pick\": \"{}\", \"cpu_rows\": {}, \"split_frac\": {:?}, \
-             \"predicted_s\": {:?}, \"dsp_only_s\": {:?}, \"cpu_only_s\": {:?}, \
-             \"sim_dsp_only_s\": {:?}, \"sim_coexec_s\": {:?}}}",
-            r.regime,
-            r.host,
-            r.shape.m,
-            r.shape.n,
-            r.shape.k,
-            r.pick().label(),
-            r.cpu_rows,
-            r.split_frac(),
-            r.predicted_s,
-            r.dsp_only_s,
-            r.cpu_only_s,
-            r.sim_dsp_only_s,
-            r.sim_coexec_s,
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"max_regression\": {:?},", report.max_regression());
-    let _ = writeln!(s, "  \"covers_all_picks\": {}", report.covers_all_picks());
-    s.push('}');
-    s
+        &report.rows,
+    )
+    .col("regime", "regime", |r| Text(r.regime.into()))
+    .col("host", "host", |r| Text(r.host.into()))
+    .shape(|r| r.shape)
+    .col("pick", "pick", |r| Text(r.pick().label().into()))
+    .col("cpu_rows", "cpu rows", |r| Count(r.cpu_rows as u64))
+    .col("split_frac", "cpu frac", |r| {
+        Num(r.split_frac(), Fixed(1.0, 3, ""))
+    })
+    .col("predicted_s", "predicted", |r| Num(r.predicted_s, Sci))
+    .col("dsp_only_s", "dsp-only", |r| Num(r.dsp_only_s, Sci))
+    .col("cpu_only_s", "cpu-only", |r| Num(r.cpu_only_s, Sci))
+    .col("sim_dsp_only_s", "sim dsp", |r| Num(r.sim_dsp_only_s, Sci))
+    .col("sim_coexec_s", "sim coexec", |r| Num(r.sim_coexec_s, Sci));
+    Document::new("coexec")
+        .table(rows)
+        .value("max_regression", Num(report.max_regression(), Sci))
+        .value("picks_exhibited", Count(report.picks_exhibited() as u64))
 }
 
 #[cfg(test)]
@@ -324,8 +271,9 @@ mod tests {
     fn sweep_covers_every_planner_pick() {
         let report = cached();
         assert_eq!(report.rows.len(), REGIMES.len() * hosts().len());
-        assert!(
-            report.covers_all_picks(),
+        assert_eq!(
+            report.picks_exhibited(),
+            3,
             "picks: {:?}",
             report
                 .rows
@@ -366,15 +314,30 @@ mod tests {
 
     #[test]
     fn json_document_carries_rows_and_the_gate_quantity() {
-        let s = render_json(cached());
-        assert!(s.contains("ftimm-bench-coexec-v1"));
-        assert!(s.contains("max_regression"));
-        assert!(s.contains("\"covers_all_picks\": true"));
-        for (regime, _) in REGIMES {
-            assert!(s.contains(regime));
+        let report = cached();
+        let v = crate::report::parsed(&document(report), "coexec");
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), report.rows.len());
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(row.get("regime").unwrap().as_str("regime"), Ok(r.regime));
+            assert_eq!(row.get("host").unwrap().as_str("host"), Ok(r.host));
+            assert_eq!(
+                row.get("pick").unwrap().as_str("pick"),
+                Ok(r.pick().label())
+            );
+            assert_eq!(
+                row.get("cpu_rows").unwrap().as_u64("cpu_rows"),
+                Ok(r.cpu_rows as u64)
+            );
+            assert_eq!(
+                row.get("sim_coexec_s").unwrap().as_f64("sim_coexec_s"),
+                Ok(r.sim_coexec_s)
+            );
         }
-        for pick in ["dsp-only", "co-exec", "cpu-only"] {
-            assert!(s.contains(pick), "missing pick {pick}");
-        }
+        assert_eq!(
+            v.get("max_regression").unwrap().as_f64("max_regression"),
+            Ok(report.max_regression())
+        );
+        assert_eq!(v.get("picks_exhibited").unwrap().as_u64("picks"), Ok(3));
     }
 }

@@ -16,13 +16,12 @@
 //! when they diverge (default tolerance ±30%).
 
 use crate::cluster::{CORES, REGIMES};
-use crate::common::format_table;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{BackendKind, ExecMode, FaultPlan, HwConfig};
 use ftimm::{
     ClusterPool, EngineConfig, FtImm, GemmShape, ResilienceConfig, ShardedConfig, ShardedEngine,
     ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy, TenantSpec,
 };
-use std::fmt::Write as _;
 
 /// One regime's spill measurement.
 #[derive(Debug, Clone, Copy)]
@@ -157,80 +156,33 @@ pub fn compute() -> Report {
     }
 }
 
-/// Render the printable report.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.regime.to_string(),
-                r.shape.to_string(),
-                format!("{:.3e}", r.fault_free_s),
-                format!("{:.3e}", r.with_kill_s),
-                format!("{}", r.rows_spilled),
-                format!("{:.3e}", r.cpu_lane_s),
-                format!("{:.3e}", r.model_cpu_s),
-                format!("{:.3}", r.model_ratio()),
-                format!("{:.2}x", r.slowdown()),
-            ]
-        })
-        .collect();
-    let mut s = format_table(
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_hetero.json` document.
+pub fn document(report: &Report) -> Document {
+    let rows = Table::new(
+        "rows",
         "Heterogeneous failover — cluster killed mid-shard, remainder on the CPU lane",
-        &[
-            "regime",
-            "MxNxK",
-            "fault-free",
-            "with kill",
-            "rows→cpu",
-            "cpu lane s",
-            "model s",
-            "ratio",
-            "slowdown",
-        ],
-        &rows,
-    );
-    let _ = writeln!(
-        s,
-        "max model error: {:.1}% (gate: within the cpublas prediction)",
-        100.0 * report.max_model_error()
-    );
-    s
-}
-
-/// Serialise the report as the `BENCH_hetero.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ftimm-bench-hetero-v1\",\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"regime\": \"{}\", \"m\": {}, \"n\": {}, \"k\": {}, \
-             \"fault_free_s\": {:?}, \"with_kill_s\": {:?}, \"rows_spilled\": {}, \
-             \"cpu_lane_s\": {:?}, \"model_cpu_s\": {:?}, \"model_ratio\": {:?}, \
-             \"slowdown\": {:?}}}",
-            r.regime,
-            r.shape.m,
-            r.shape.n,
-            r.shape.k,
-            r.fault_free_s,
-            r.with_kill_s,
-            r.rows_spilled,
-            r.cpu_lane_s,
-            r.model_cpu_s,
-            r.model_ratio(),
-            r.slowdown()
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"max_model_error\": {:?}", report.max_model_error());
-    s.push('}');
-    s
+        &report.rows,
+    )
+    .col("regime", "regime", |r| Text(r.regime.into()))
+    .shape(|r| r.shape)
+    .col("fault_free_s", "fault-free", |r| Num(r.fault_free_s, Sci))
+    .col("with_kill_s", "with kill", |r| Num(r.with_kill_s, Sci))
+    .col("rows_spilled", "rows→cpu", |r| {
+        Count(r.rows_spilled as u64)
+    })
+    .col("cpu_lane_s", "cpu lane s", |r| Num(r.cpu_lane_s, Sci))
+    .col("model_cpu_s", "model s", |r| Num(r.model_cpu_s, Sci))
+    .col("model_ratio", "ratio", |r| {
+        Num(r.model_ratio(), Fixed(1.0, 3, ""))
+    })
+    .col("slowdown", "slowdown", |r| {
+        Num(r.slowdown(), Fixed(1.0, 2, "x"))
+    });
+    let error = Num(report.max_model_error(), Fixed(100.0, 1, "%"));
+    Document::new("hetero")
+        .table(rows)
+        .value("max_model_error", error)
 }
 
 #[cfg(test)]
@@ -283,11 +235,24 @@ mod tests {
 
     #[test]
     fn json_document_carries_rows_and_the_gate_quantity() {
-        let s = render_json(cached());
-        assert!(s.contains("ftimm-bench-hetero-v1"));
-        assert!(s.contains("max_model_error"));
-        for (regime, _) in REGIMES {
-            assert!(s.contains(regime));
+        let report = cached();
+        let v = crate::report::parsed(&document(report), "hetero");
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), report.rows.len());
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(row.get("regime").unwrap().as_str("regime"), Ok(r.regime));
+            assert_eq!(
+                row.get("rows_spilled").unwrap().as_u64("rows_spilled"),
+                Ok(r.rows_spilled as u64)
+            );
+            assert_eq!(
+                row.get("model_ratio").unwrap().as_f64("model_ratio"),
+                Ok(r.model_ratio())
+            );
         }
+        assert_eq!(
+            v.get("max_model_error").unwrap().as_f64("max_model_error"),
+            Ok(report.max_model_error())
+        );
     }
 }

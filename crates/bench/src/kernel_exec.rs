@@ -19,10 +19,9 @@
 //! too: whatever sits between the scratchpads and the kernel is paid on
 //! every invocation, and no other row of this report would show it.
 
-use crate::common::format_table;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
 use kernelgen::{HostTier, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -217,91 +216,46 @@ pub fn compute(iters: usize) -> Report {
     }
 }
 
-/// Render the printable report table.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                format!("{}x{}x{}", r.spec.m_s, r.spec.k_a, r.spec.n_a),
-                format!("{}", r.k_u),
-                format!("{}", r.iters),
-                format!("{:.2}us", r.fast_s * 1e6),
-                format!("{:.2}us", r.compiled_s * 1e6),
-                format!("{:.1}x", r.speedup()),
-                format!("{:.2}us", r.invoke_s * 1e6),
-                format!("{:.2}x", r.invoke_overhead()),
-                format!("{:.1}", r.gflops(r.compiled_s)),
-                format!("{:.1}", r.gflops(r.invoke_s)),
-            ]
-        })
-        .collect();
-    format_table(
-        &format!(
-            "Kernel execution — compiled ({}) vs fast (scalar mirror), host wall-clock",
-            report.simd_level
-        ),
-        &[
-            "regime",
-            "m_sxk_axn_a",
-            "k_u",
-            "iters",
-            "fast",
-            "compiled",
-            "speedup",
-            "invoke",
-            "overhead",
-            "GF/s compiled",
-            "GF/s invoke",
-        ],
-        &rows,
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_kernel_exec.json` document.
+pub fn document(report: &Report) -> Document {
+    let (micros, gflops) = (Fixed(1e6, 2, "us"), Fixed(1.0, 1, ""));
+    let (speedup, overhead) = (Fixed(1.0, 1, "x"), Fixed(1.0, 2, "x"));
+    let rows = Table::new(
+        "rows",
+        "Kernel execution — compiled vs fast (scalar mirror), host wall-clock",
+        &report.rows,
     )
-}
-
-/// Serialise the report as the `BENCH_kernel_exec.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = format!(
-        "{{\n  \"schema\": \"ftimm-bench-kernel-exec-v1\",\n  \"simd_level\": \"{}\",\n  \"rows\": [\n",
-        report.simd_level
-    );
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"regime\": \"{}\", \"m_s\": {}, \"k_a\": {}, \"n_a\": {}, \"k_u\": {}, \
-             \"iters\": {}, \"fast_s\": {:?}, \"compiled_s\": {:?}, \"speedup\": {:?}, \
-             \"invoke_s\": {:?}, \"invoke_overhead\": {:?}, \"compiled_gflops\": {:?}, \
-             \"invoke_gflops\": {:?}}}",
-            r.label,
-            r.spec.m_s,
-            r.spec.k_a,
-            r.spec.n_a,
-            r.k_u,
-            r.iters,
-            r.fast_s,
-            r.compiled_s,
-            r.speedup(),
-            r.invoke_s,
-            r.invoke_overhead(),
-            r.gflops(r.compiled_s),
-            r.gflops(r.invoke_s)
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"min_speedup\": {:?},", report.min_speedup());
-    let _ = writeln!(
-        s,
-        "  \"max_invoke_overhead\": {:?}",
-        report.max_invoke_overhead()
-    );
-    s.push('}');
-    s
+    .col("regime", "regime", |r| Text(r.label.clone()))
+    .col("", "m_sxk_axn_a", |r| {
+        Text(format!("{}x{}x{}", r.spec.m_s, r.spec.k_a, r.spec.n_a))
+    })
+    .col("m_s", "", |r| Count(r.spec.m_s as u64))
+    .col("k_a", "", |r| Count(r.spec.k_a as u64))
+    .col("n_a", "", |r| Count(r.spec.n_a as u64))
+    .col("k_u", "k_u", |r| Count(r.k_u as u64))
+    .col("iters", "iters", |r| Count(r.iters as u64))
+    .col("fast_s", "fast", |r| Num(r.fast_s, micros))
+    .col("compiled_s", "compiled", |r| Num(r.compiled_s, micros))
+    .col("speedup", "speedup", |r| Num(r.speedup(), speedup))
+    .col("invoke_s", "invoke", |r| Num(r.invoke_s, micros))
+    .col("invoke_overhead", "overhead", |r| {
+        Num(r.invoke_overhead(), overhead)
+    })
+    .col("compiled_gflops", "GF/s compiled", |r| {
+        Num(r.gflops(r.compiled_s), gflops)
+    })
+    .col("invoke_gflops", "GF/s invoke", |r| {
+        Num(r.gflops(r.invoke_s), gflops)
+    });
+    Document::new("kernel-exec")
+        .value("simd_level", Text(report.simd_level.into()))
+        .table(rows)
+        .value("min_speedup", Num(report.min_speedup(), speedup))
+        .value(
+            "max_invoke_overhead",
+            Num(report.max_invoke_overhead(), overhead),
+        )
 }
 
 #[cfg(test)]
@@ -320,11 +274,35 @@ mod tests {
             assert!(r.fast_s > 0.0 && r.compiled_s > 0.0, "{}", r.label);
             assert!(r.invoke_s > 0.0, "{}", r.label);
         }
-        let s = render_json(&report);
-        assert!(s.contains("ftimm-bench-kernel-exec-v1"));
-        assert!(s.contains("\"regime\": \"Table III\""));
-        assert!(s.contains("min_speedup"));
-        assert!(s.contains("\"invoke_s\"") && s.contains("max_invoke_overhead"));
-        assert!(s.contains(&format!("\"simd_level\": \"{}\"", report.simd_level)));
+        let v = crate::report::parsed(&document(&report), "kernel-exec");
+        assert_eq!(
+            v.get("simd_level").unwrap().as_str("simd_level"),
+            Ok(report.simd_level)
+        );
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(
+            rows[2].get("regime").unwrap().as_str("regime"),
+            Ok("Table III")
+        );
+        assert_eq!(rows[2].get("n_a").unwrap().as_u64("n_a"), Ok(32));
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(
+                row.get("invoke_s").unwrap().as_f64("invoke_s"),
+                Ok(r.invoke_s)
+            );
+            assert_eq!(
+                row.get("speedup").unwrap().as_f64("speedup"),
+                Ok(r.speedup())
+            );
+        }
+        assert_eq!(
+            v.get("min_speedup").unwrap().as_f64("min_speedup"),
+            Ok(report.min_speedup())
+        );
+        assert_eq!(
+            v.get("max_invoke_overhead").unwrap().as_f64("overhead"),
+            Ok(report.max_invoke_overhead())
+        );
     }
 }

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod cli;
 pub mod cluster;
 pub mod coexec;
 pub mod common;
@@ -21,6 +22,7 @@ pub mod fig7;
 pub mod hetero;
 pub mod kernel_exec;
 pub mod planner;
+pub mod report;
 pub mod tables;
 pub mod tune;
 pub mod workload_eval;

@@ -8,10 +8,9 @@
 //! and archived by CI, so regressions in planning cost or in the
 //! analytic/simulated agreement are visible over time.
 
-use crate::common::format_table;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::HwConfig;
 use ftimm::{FtImm, GemmShape, Plan, Strategy, StrategyKind};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One planned shape.
@@ -88,73 +87,38 @@ pub fn compute() -> Report {
     Report { rows }
 }
 
-/// Render the printable report table.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.shape.to_string(),
-                StrategyKind::of(&r.plan.strategy).label().to_string(),
-                format!("{:.3e}", r.plan.predicted_s),
-                format!("{:.3e}", r.plan.simulated_s),
-                format!("{}", r.plan.candidates),
-                format!("{}", r.plan.simulations),
-                format!("{:.1}ms", r.cold_plan_s * 1e3),
-                format!("{:.1}us", r.warm_plan_s * 1e6),
-                format!("{:.0}x", r.speedup()),
-            ]
-        })
-        .collect();
-    format_table(
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_planner.json` document.
+pub fn document(report: &Report) -> Document {
+    let times = Fixed(1.0, 0, "x");
+    let rows = Table::new(
+        "rows",
         "Planner — chosen plan, predicted vs simulated seconds, cache speedup (8 cores)",
-        &[
-            "MxNxK",
-            "plan",
-            "predicted_s",
-            "simulated_s",
-            "cands",
-            "sims",
-            "cold",
-            "warm",
-            "speedup",
-        ],
-        &rows,
+        &report.rows,
     )
-}
-
-/// Serialise the report as the `BENCH_planner.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ftimm-bench-planner-v1\",\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"m\": {}, \"n\": {}, \"k\": {}, \"plan\": \"{}\", \"origin\": \"{}\", \
-             \"predicted_s\": {:?}, \"simulated_s\": {:?}, \"candidates\": {}, \
-             \"simulations\": {}, \"cold_plan_s\": {:?}, \"warm_plan_s\": {:?}}}",
-            r.shape.m,
-            r.shape.n,
-            r.shape.k,
-            StrategyKind::of(&r.plan.strategy).label(),
-            r.plan.origin.tag(),
-            r.plan.predicted_s,
-            r.plan.simulated_s,
-            r.plan.candidates,
-            r.plan.simulations,
-            r.cold_plan_s,
-            r.warm_plan_s
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"min_speedup\": {:?}", report.min_speedup());
-    s.push('}');
-    s
+    .shape(|r| r.shape)
+    .col("plan", "plan", |r| {
+        Text(StrategyKind::of(&r.plan.strategy).label().into())
+    })
+    .col("origin", "origin", |r| Text(r.plan.origin.tag().into()))
+    .col("predicted_s", "predicted_s", |r| {
+        Num(r.plan.predicted_s, Sci)
+    })
+    .col("simulated_s", "simulated_s", |r| {
+        Num(r.plan.simulated_s, Sci)
+    })
+    .col("candidates", "cands", |r| Count(r.plan.candidates.into()))
+    .col("simulations", "sims", |r| Count(r.plan.simulations.into()))
+    .col("cold_plan_s", "cold", |r| {
+        Num(r.cold_plan_s, Fixed(1e3, 1, "ms"))
+    })
+    .col("warm_plan_s", "warm", |r| {
+        Num(r.warm_plan_s, Fixed(1e6, 1, "us"))
+    })
+    .col("speedup", "speedup", |r| Num(r.speedup(), times));
+    Document::new("planner")
+        .table(rows)
+        .value("min_speedup", Num(report.min_speedup(), times))
 }
 
 #[cfg(test)]
@@ -211,11 +175,25 @@ mod tests {
 
     #[test]
     fn json_document_carries_every_row() {
-        let s = render_json(cached());
-        assert!(s.contains("ftimm-bench-planner-v1"));
-        for r in &cached().rows {
-            assert!(s.contains(&format!("\"m\": {}", r.shape.m)));
+        let report = cached();
+        let v = crate::report::parsed(&document(report), "planner");
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), report.rows.len());
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(row.get("m").unwrap().as_u64("m"), Ok(r.shape.m as u64));
+            assert_eq!(row.get("k").unwrap().as_u64("k"), Ok(r.shape.k as u64));
+            assert_eq!(
+                row.get("origin").unwrap().as_str("origin"),
+                Ok(r.plan.origin.tag())
+            );
+            assert_eq!(
+                row.get("simulated_s").unwrap().as_f64("simulated_s"),
+                Ok(r.plan.simulated_s)
+            );
         }
-        assert!(s.contains("min_speedup"));
+        assert_eq!(
+            v.get("min_speedup").unwrap().as_f64("min_speedup"),
+            Ok(report.min_speedup())
+        );
     }
 }

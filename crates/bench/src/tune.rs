@@ -10,13 +10,12 @@
 //! and a fresh context loading the emitted `ftimm-plan-catalog-v1`
 //! serves all shapes simulation-free (`--assert-warm-zero-sims`).
 
-use crate::common::format_table;
 use crate::planner::SHAPES;
+use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, HwConfig, Machine};
 use ftimm::{
     ranking_agreement, FtImm, GemmShape, Plan, RegimeAgreement, Strategy, StrategyKind, TuneConfig,
 };
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// One tuned shape.
@@ -124,124 +123,56 @@ pub fn compute(catalog_path: &Path) -> Report {
     }
 }
 
-/// Render the printable report tables.
-pub fn render(report: &Report) -> String {
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.shape.to_string(),
-                StrategyKind::of(&r.tuned_plan.strategy).label().to_string(),
-                format!("{:.3e}", r.default_plan.simulated_s),
-                format!("{:.3e}", r.tuned_plan.simulated_s),
-                format!("{:.3}x", r.speedup()),
-                if r.adopted { "yes" } else { "no" }.to_string(),
-                format!("{}", r.variants),
-                format!("{}", r.simulations),
-            ]
-        })
-        .collect();
-    let mut s = format_table(
+/// Describe the report once: [`Document::render`] prints it,
+/// [`Document::json`] is the `BENCH_tune.json` document.
+pub fn document(report: &Report) -> Document {
+    let fraction = Fixed(1.0, 2, "");
+    let rows = Table::new(
+        "rows",
         "Tuner — default vs tuned simulated seconds per paper shape (8 cores)",
-        &[
-            "MxNxK",
-            "plan",
-            "default_s",
-            "tuned_s",
-            "speedup",
-            "adopted",
-            "variants",
-            "sims",
-        ],
-        &rows,
-    );
-    let agreement: Vec<Vec<String>> = report
-        .agreement
-        .iter()
-        .filter(|a| a.records > 0)
-        .map(|a| {
-            vec![
-                format!("{:?}", a.regime),
-                format!("{}", a.records),
-                format!("{}", a.pairs),
-                format!("{:.2}", a.raw_fraction()),
-                format!("{:.2}", a.corrected_fraction()),
-            ]
-        })
-        .collect();
-    s.push('\n');
-    s.push_str(&format_table(
-        "Calibration — analytic-vs-simulated ranking agreement per regime",
-        &["regime", "records", "pairs", "raw", "corrected"],
-        &agreement,
-    ));
-    let _ = writeln!(
-        s,
-        "\ntuning took {:.1}ms host time ({} records); warm start: {} simulations, {} catalog hits",
-        report.tuning_s * 1e3,
-        report.records,
-        report.warm_simulations,
-        report.warm_catalog_hits
-    );
-    s
-}
-
-/// Serialise the report as the `BENCH_tune.json` document.
-pub fn render_json(report: &Report) -> String {
-    let mut s = String::from("{\n  \"schema\": \"ftimm-bench-tune-v1\",\n  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"m\": {}, \"n\": {}, \"k\": {}, \"plan\": \"{}\", \"origin\": \"{}\", \
-             \"default_simulated_s\": {:?}, \"tuned_simulated_s\": {:?}, \"speedup\": {:?}, \
-             \"adopted\": {}, \"variants\": {}, \"simulations\": {}}}",
-            r.shape.m,
-            r.shape.n,
-            r.shape.k,
-            StrategyKind::of(&r.tuned_plan.strategy).label(),
-            r.tuned_plan.origin.tag(),
-            r.default_plan.simulated_s,
-            r.tuned_plan.simulated_s,
-            r.speedup(),
-            r.adopted,
-            r.variants,
-            r.simulations
-        );
-        s.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n  \"agreement\": [\n");
+        &report.rows,
+    )
+    .shape(|r| r.shape)
+    .col("plan", "plan", |r| {
+        Text(StrategyKind::of(&r.tuned_plan.strategy).label().into())
+    })
+    .col("origin", "origin", |r| {
+        Text(r.tuned_plan.origin.tag().into())
+    })
+    .col("default_simulated_s", "default_s", |r| {
+        Num(r.default_plan.simulated_s, Sci)
+    })
+    .col("tuned_simulated_s", "tuned_s", |r| {
+        Num(r.tuned_plan.simulated_s, Sci)
+    })
+    .col("speedup", "speedup", |r| {
+        Num(r.speedup(), Fixed(1.0, 3, "x"))
+    })
+    .col("adopted", "adopted", |r| Count(r.adopted.into()))
+    .col("variants", "variants", |r| Count(r.variants.into()))
+    .col("simulations", "sims", |r| Count(r.simulations.into()));
     let reported: Vec<&RegimeAgreement> =
         report.agreement.iter().filter(|a| a.records > 0).collect();
-    for (i, a) in reported.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"regime\": \"{:?}\", \"records\": {}, \"pairs\": {}, \"raw\": {:?}, \
-             \"corrected\": {:?}}}",
-            a.regime,
-            a.records,
-            a.pairs,
-            a.raw_fraction(),
-            a.corrected_fraction()
-        );
-        s.push_str(if i + 1 < reported.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"tuning_s\": {:?},", report.tuning_s);
-    let _ = writeln!(s, "  \"records\": {},", report.records);
-    let _ = writeln!(
-        s,
-        "  \"max_regression_s\": {:?},",
-        report.max_regression_s()
-    );
-    let _ = writeln!(s, "  \"warm_simulations\": {},", report.warm_simulations);
-    let _ = writeln!(s, "  \"warm_catalog_hits\": {}", report.warm_catalog_hits);
-    s.push('}');
-    s
+    let agreement = Table::new(
+        "agreement",
+        "Calibration — analytic-vs-simulated ranking agreement per regime",
+        &reported,
+    )
+    .col("regime", "regime", |a| Text(format!("{:?}", a.regime)))
+    .col("records", "records", |a| Count(a.records as u64))
+    .col("pairs", "pairs", |a| Count(a.pairs as u64))
+    .col("raw", "raw", |a| Num(a.raw_fraction(), fraction))
+    .col("corrected", "corrected", |a| {
+        Num(a.corrected_fraction(), fraction)
+    });
+    Document::new("tune")
+        .table(rows)
+        .table(agreement)
+        .value("tuning_s", Num(report.tuning_s, Fixed(1e3, 1, "ms")))
+        .value("records", Count(report.records as u64))
+        .value("max_regression_s", Num(report.max_regression_s(), Sci))
+        .value("warm_simulations", Count(report.warm_simulations))
+        .value("warm_catalog_hits", Count(report.warm_catalog_hits))
 }
 
 #[cfg(test)]
@@ -299,18 +230,37 @@ mod tests {
     #[test]
     fn json_document_carries_rows_gates_and_agreement() {
         let (report, _) = cached();
-        let s = render_json(report);
-        assert!(s.contains("ftimm-bench-tune-v1"));
-        for r in &report.rows {
-            assert!(s.contains(&format!("\"m\": {}", r.shape.m)));
+        // Flags are counts: the repo's own reader has no booleans.
+        let v = crate::report::parsed(&document(report), "tune");
+        let rows = v.get("rows").unwrap().as_arr("rows").unwrap();
+        assert_eq!(rows.len(), report.rows.len());
+        for (row, r) in rows.iter().zip(&report.rows) {
+            assert_eq!(row.get("m").unwrap().as_u64("m"), Ok(r.shape.m as u64));
+            assert_eq!(
+                row.get("adopted").unwrap().as_u64("adopted"),
+                Ok(r.adopted.into())
+            );
+            assert_eq!(
+                row.get("speedup").unwrap().as_f64("speedup"),
+                Ok(r.speedup())
+            );
         }
-        for key in [
-            "max_regression_s",
-            "warm_simulations",
-            "agreement",
-            "corrected",
-        ] {
-            assert!(s.contains(key), "missing {key}");
+        let agreement = v.get("agreement").unwrap().as_arr("agreement").unwrap();
+        assert!(!agreement.is_empty());
+        for a in agreement {
+            let corrected = a.get("corrected").unwrap().as_f64("corrected").unwrap();
+            assert!((0.0..=1.0).contains(&corrected));
         }
+        assert_eq!(
+            v.get("max_regression_s")
+                .unwrap()
+                .as_f64("max_regression_s"),
+            Ok(report.max_regression_s())
+        );
+        assert_eq!(v.get("warm_simulations").unwrap().as_u64("sims"), Ok(0));
+        assert_eq!(
+            v.get("records").unwrap().as_u64("records"),
+            Ok(report.records as u64)
+        );
     }
 }

@@ -3,9 +3,10 @@
 //! Every mismatch the fuzzer finds is shrunk and serialised to a small
 //! JSON fixture under `tests/fixtures/conformance/`; the repo's
 //! integration suite replays every fixture on every CI run, so a bug
-//! found once by fuzzing can never silently return.  Fixtures are
-//! hand-rolled JSON via [`dspsim::minijson`] and deliberately carry a *recipe*, not data: the case
-//! seed regenerates the matrices and the fault plan exactly.
+//! found once by fuzzing can never silently return.  Fixtures are written
+//! and decoded through [`dspsim::minijson`] and deliberately carry a
+//! *recipe*, not data: the case seed regenerates the matrices and the
+//! fault plan exactly.
 //!
 //! Schema (`ftimm-conformance-case-v1`):
 //!
@@ -20,11 +21,13 @@
 //! }
 //! ```
 //!
-//! Unknown keys are rejected so typos cannot silently disable a fixture.
+//! Decoding is strict in the [`dspsim::minijson::Fields`] sense: unknown
+//! and duplicated keys are rejected, so a typo cannot silently disable a
+//! fixture and a repeated `seed` cannot replay a different case.
 
 use crate::fuzzer::{check_case, CaseSpec, Mismatch, OracleKind};
 use crate::regime::Regime;
-use dspsim::minijson::{quote, Parser, Value};
+use dspsim::minijson::{Fields, Parser, Writer};
 use ftimm::{FtImm, GemmShape, Strategy};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,84 +37,39 @@ pub const SCHEMA: &str = "ftimm-conformance-case-v1";
 
 /// Serialise a case (plus an optional free-form note) to fixture JSON.
 pub fn case_to_json(case: &CaseSpec, note: Option<&str>) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"schema\": {},\n", quote(SCHEMA)));
-    s.push_str(&format!("  \"seed\": {},\n", case.seed));
-    s.push_str(&format!(
-        "  \"m\": {}, \"n\": {}, \"k\": {},\n",
-        case.shape.m, case.shape.n, case.shape.k
-    ));
-    s.push_str(&format!("  \"cores\": {},\n", case.cores));
-    s.push_str(&format!(
-        "  \"strategy\": {},\n",
-        quote(case.strategy.tag())
-    ));
-    s.push_str(&format!("  \"oracle\": {},\n", quote(case.oracle.tag())));
+    let mut w = Writer::new(1);
+    w.begin_obj();
+    w.key("schema").str(SCHEMA);
+    w.key("seed").u64(case.seed);
+    w.key("m").u64(case.shape.m as u64);
+    w.key("n").u64(case.shape.n as u64);
+    w.key("k").u64(case.shape.k as u64);
+    w.key("cores").u64(case.cores as u64);
+    w.key("strategy").str(case.strategy.tag());
+    w.key("oracle").str(case.oracle.tag());
     if let Some(fs) = case.fault_seed {
-        s.push_str(&format!("  \"fault_seed\": {fs},\n"));
+        w.key("fault_seed").u64(fs);
     }
     if let Some(n) = note {
-        s.push_str(&format!("  \"note\": {},\n", quote(n)));
+        w.key("note").str(n);
     }
-    s.push_str(&format!(
-        "  \"regime\": {}\n",
-        quote(Regime::classify(&case.shape).tag())
-    ));
-    s.push('}');
-    s
+    w.key("regime").str(Regime::classify(&case.shape).tag());
+    w.end_obj();
+    w.finish()
 }
 
-fn field_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .1
-        .as_u64(key)
-}
-
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .ok_or_else(|| format!("missing key {key:?}"))?
-        .1
-        .as_str(key)
-}
-
-/// Parse a fixture back into a case.  Strict: bad schema, unknown keys,
-/// unknown tags and regime/shape disagreement are all errors.
+/// Parse a fixture back into a case.  Strict: bad schema, unknown or
+/// duplicated keys, unknown tags and regime/shape disagreement are all
+/// errors.
 pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
     let v = Parser::new(text).parse()?;
-    let obj = v.as_obj("fixture")?;
-    const KNOWN: [&str; 10] = [
-        "schema",
-        "seed",
-        "m",
-        "n",
-        "k",
-        "cores",
-        "strategy",
-        "oracle",
-        "regime",
-        "fault_seed",
-    ];
-    for (k, _) in obj {
-        if k != "note" && !KNOWN.contains(&k.as_str()) {
-            return Err(format!("unknown key {k:?}"));
-        }
-    }
-    let schema = field_str(obj, "schema")?;
-    if schema != SCHEMA {
-        return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
-    }
-    let shape = GemmShape::new(
-        field_u64(obj, "m")? as usize,
-        field_u64(obj, "n")? as usize,
-        field_u64(obj, "k")? as usize,
-    );
+    let mut f = Fields::new(&v, "fixture")?;
+    f.schema(SCHEMA)?;
+    let shape = GemmShape::new(f.usize("m")?, f.usize("n")?, f.usize("k")?);
     if shape.m == 0 || shape.n == 0 || shape.k == 0 {
         return Err(format!("degenerate shape {shape}"));
     }
-    let regime_tag = field_str(obj, "regime")?;
+    let regime_tag = f.str("regime")?;
     let regime =
         Regime::from_tag(regime_tag).ok_or_else(|| format!("unknown regime {regime_tag:?}"))?;
     if Regime::classify(&shape) != regime {
@@ -120,22 +78,23 @@ pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
             Regime::classify(&shape)
         ));
     }
-    let strategy = Strategy::from_tag(field_str(obj, "strategy")?)?;
-    let oracle_s = field_str(obj, "oracle")?;
-    let oracle =
-        OracleKind::from_tag(oracle_s).ok_or_else(|| format!("unknown oracle {oracle_s:?}"))?;
-    let fault_seed = match v.get("fault_seed") {
-        Some(x) => Some(x.as_u64("fault_seed")?),
-        None => None,
-    };
-    Ok(CaseSpec {
-        seed: field_u64(obj, "seed")?,
+    let oracle_s = f.str("oracle")?;
+    let case = CaseSpec {
+        seed: f.u64("seed")?,
         shape,
-        cores: field_u64(obj, "cores")?.max(1) as usize,
-        strategy,
-        oracle,
-        fault_seed,
-    })
+        cores: f.usize("cores")?.max(1),
+        strategy: Strategy::from_tag(f.str("strategy")?)?,
+        oracle: OracleKind::from_tag(oracle_s)
+            .ok_or_else(|| format!("unknown oracle {oracle_s:?}"))?,
+        fault_seed: match f.opt("fault_seed") {
+            Some(x) => Some(x.as_u64("fault_seed")?),
+            None => None,
+        },
+    };
+    // The note is for the human reading the fixture; nothing decodes it.
+    f.opt("note");
+    f.finish()?;
+    Ok(case)
 }
 
 /// Write a shrunk mismatch as a fixture file; returns the path.  The
@@ -236,8 +195,17 @@ mod tests {
         let case = sample_case();
         let good = case_to_json(&case, None);
         // Unknown key.
-        let bad = good.replacen("\"seed\"", "\"sed\"", 1);
-        assert!(case_from_json(&bad).is_err());
+        let bad = good.replacen("\"seed\"", "\"sed\": 1,\n  \"seed\"", 1);
+        let err = case_from_json(&bad).unwrap_err();
+        assert!(err.contains("unknown fixture key \"sed\""), "{err}");
+        // Duplicated key: neither copy may win.
+        let bad = good.replacen("\"seed\": 1234", "\"seed\": 1234,\n  \"seed\": 99", 1);
+        let err = case_from_json(&bad).unwrap_err();
+        assert!(err.contains("duplicate fixture key \"seed\""), "{err}");
+        // Missing key.
+        let bad = good.replacen("\"seed\"", "\"note\"", 1);
+        let err = case_from_json(&bad).unwrap_err();
+        assert!(err.contains("fixture missing \"seed\""), "{err}");
         // Wrong schema.
         let bad = good.replacen("case-v1", "case-v9", 1);
         assert!(case_from_json(&bad).is_err());

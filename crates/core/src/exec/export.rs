@@ -1,15 +1,16 @@
 //! Profile exporters: a self-contained JSON profile document and a
 //! Chrome `trace_event` file loadable in `chrome://tracing` / Perfetto.
 //!
-//! Both are hand-written against [`dspsim::minijson`] (the workspace
-//! builds offline with no serialisation framework), and the profile
-//! document round-trips exactly: `{:?}`-formatted `f64` fields use
-//! Rust's shortest round-trip representation.
+//! Both are written through [`dspsim::minijson::Writer`], and the profile
+//! document round-trips exactly: finite `f64` fields use Rust's shortest
+//! round-trip representation.  [`profile_from_json`] decodes through
+//! [`dspsim::minijson::Fields`], so it is strict in that module's one
+//! sense — every field [`profile_json`] writes is required, and an
+//! unknown or duplicated key (a phase name included) is an error.
 
-use dspsim::minijson::{quote, Parser};
-use dspsim::{EventKind, Phase, PhaseProfile, Profiler, PHASE_COUNT, PROFILE_CORES};
+use dspsim::minijson::{Fields, Parser, Writer};
+use dspsim::{EventKind, Phase, PhaseProfile, Profiler, PROFILE_CORES};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Document identifier embedded in (and required from) profile JSON.
 const PROFILE_SCHEMA: &str = "ftimm-profile-v1";
@@ -17,98 +18,75 @@ const PROFILE_SCHEMA: &str = "ftimm-profile-v1";
 /// Serialise a [`PhaseProfile`] as a self-contained pretty-printed JSON
 /// document (stable field order; exact `f64` round-trip).
 pub fn profile_json(prof: &PhaseProfile) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", quote(PROFILE_SCHEMA));
-    let _ = writeln!(s, "  \"total_s\": {:?},", prof.total_s);
-    s.push_str("  \"phase_s\": {\n");
-    for (i, p) in Phase::ALL.into_iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {}: {:?}{}",
-            quote(p.name()),
-            prof.phase_seconds(p),
-            if i + 1 == PHASE_COUNT { "" } else { "," }
-        );
+    let mut w = Writer::new(2);
+    w.begin_obj();
+    w.key("schema").str(PROFILE_SCHEMA);
+    w.key("total_s").f64(prof.total_s);
+    w.key("phase_s").begin_obj();
+    for p in Phase::ALL {
+        w.key(p.name()).f64(prof.phase_seconds(p));
     }
-    s.push_str("  },\n");
-    s.push_str("  \"core_busy_s\": [");
-    for (i, b) in prof.core_busy_s.iter().enumerate() {
-        let _ = write!(s, "{}{:?}", if i == 0 { "" } else { ", " }, b);
+    w.end_obj();
+    w.key("core_busy_s").begin_arr();
+    for &busy in &prof.core_busy_s {
+        w.f64(busy);
     }
-    s.push_str("],\n");
-    let _ = writeln!(s, "  \"overlap_s\": {:?},", prof.overlap_s);
-    let _ = writeln!(s, "  \"overlap_frac\": {:?},", prof.overlap_frac());
-    let _ = writeln!(s, "  \"roofline_gflops\": {:?},", prof.roofline_gflops);
-    let _ = writeln!(s, "  \"achieved_gflops\": {:?},", prof.achieved_gflops);
-    let _ = writeln!(s, "  \"plan_hits\": {},", prof.plan_hits);
-    let _ = writeln!(s, "  \"plan_misses\": {},", prof.plan_misses);
-    let _ = writeln!(s, "  \"plan_evictions\": {},", prof.plan_evictions);
-    let _ = writeln!(s, "  \"catalog_hits\": {},", prof.catalog_hits);
-    let _ = writeln!(s, "  \"catalog_misses\": {},", prof.catalog_misses);
-    let _ = writeln!(s, "  \"spans\": {},", prof.spans);
-    let _ = writeln!(s, "  \"events\": {},", prof.events);
-    let _ = writeln!(s, "  \"dropped\": {}", prof.dropped);
-    s.push('}');
-    s
+    w.end_arr();
+    w.key("overlap_s").f64(prof.overlap_s);
+    w.key("overlap_frac").f64(prof.overlap_frac());
+    w.key("roofline_gflops").f64(prof.roofline_gflops);
+    w.key("achieved_gflops").f64(prof.achieved_gflops);
+    w.key("plan_hits").u64(prof.plan_hits);
+    w.key("plan_misses").u64(prof.plan_misses);
+    w.key("plan_evictions").u64(prof.plan_evictions);
+    w.key("catalog_hits").u64(prof.catalog_hits);
+    w.key("catalog_misses").u64(prof.catalog_misses);
+    w.key("spans").u64(prof.spans);
+    w.key("events").u64(prof.events);
+    w.key("dropped").u64(prof.dropped);
+    w.end_obj();
+    w.finish()
 }
 
-/// Parse a profile document produced by [`profile_json`].  Unknown keys
-/// are rejected so a typoed document fails loudly.
+/// Parse a profile document produced by [`profile_json`].  Strict:
+/// missing, unknown and duplicated keys all fail loudly.
 pub fn profile_from_json(text: &str) -> Result<PhaseProfile, String> {
     let value = Parser::new(text).parse()?;
-    let obj = value.as_obj("profile")?;
-    let mut prof = PhaseProfile::default();
-    let mut schema_seen = false;
-    for (key, v) in obj {
-        match key.as_str() {
-            "schema" => {
-                let s = v.as_str("schema")?;
-                if s != PROFILE_SCHEMA {
-                    return Err(format!("unsupported profile schema {s:?}"));
-                }
-                schema_seen = true;
-            }
-            "total_s" => prof.total_s = v.as_f64("total_s")?,
-            "phase_s" => {
-                for (name, sec) in v.as_obj("phase_s")? {
-                    let phase = Phase::from_name(name)?;
-                    prof.phase_s[phase.index()] = sec.as_f64(name)?;
-                }
-            }
-            "core_busy_s" => {
-                let items = v.as_arr("core_busy_s")?;
-                if items.len() != PROFILE_CORES {
-                    return Err(format!(
-                        "core_busy_s has {} entries, expected {PROFILE_CORES}",
-                        items.len()
-                    ));
-                }
-                for (i, item) in items.iter().enumerate() {
-                    prof.core_busy_s[i] = item.as_f64("core_busy_s")?;
-                }
-            }
-            "overlap_s" => prof.overlap_s = v.as_f64("overlap_s")?,
-            // Derived from overlap_s / total_s; accepted and recomputed.
-            "overlap_frac" => {
-                v.as_f64("overlap_frac")?;
-            }
-            "roofline_gflops" => prof.roofline_gflops = v.as_f64("roofline_gflops")?,
-            "achieved_gflops" => prof.achieved_gflops = v.as_f64("achieved_gflops")?,
-            "plan_hits" => prof.plan_hits = v.as_u64("plan_hits")?,
-            "plan_misses" => prof.plan_misses = v.as_u64("plan_misses")?,
-            "plan_evictions" => prof.plan_evictions = v.as_u64("plan_evictions")?,
-            "catalog_hits" => prof.catalog_hits = v.as_u64("catalog_hits")?,
-            "catalog_misses" => prof.catalog_misses = v.as_u64("catalog_misses")?,
-            "spans" => prof.spans = v.as_u64("spans")?,
-            "events" => prof.events = v.as_u64("events")?,
-            "dropped" => prof.dropped = v.as_u64("dropped")?,
-            other => return Err(format!("unknown profile key {other:?}")),
-        }
+    let mut f = Fields::new(&value, "profile")?;
+    f.schema(PROFILE_SCHEMA)?;
+    let mut prof = PhaseProfile {
+        total_s: f.f64("total_s")?,
+        ..PhaseProfile::default()
+    };
+    let mut phases = Fields::new(f.req("phase_s")?, "phase_s")?;
+    for p in Phase::ALL {
+        prof.phase_s[p.index()] = phases.f64(p.name())?;
     }
-    if !schema_seen {
-        return Err("profile missing \"schema\"".into());
+    phases.finish()?;
+    let busy = f.arr("core_busy_s")?;
+    if busy.len() != PROFILE_CORES {
+        return Err(format!(
+            "core_busy_s has {} entries, expected {PROFILE_CORES}",
+            busy.len()
+        ));
     }
+    for (slot, item) in prof.core_busy_s.iter_mut().zip(busy) {
+        *slot = item.as_f64_or_inf("core_busy_s")?;
+    }
+    prof.overlap_s = f.f64("overlap_s")?;
+    // Derived from overlap_s / total_s; accepted and recomputed.
+    f.f64("overlap_frac")?;
+    prof.roofline_gflops = f.f64("roofline_gflops")?;
+    prof.achieved_gflops = f.f64("achieved_gflops")?;
+    prof.plan_hits = f.u64("plan_hits")?;
+    prof.plan_misses = f.u64("plan_misses")?;
+    prof.plan_evictions = f.u64("plan_evictions")?;
+    prof.catalog_hits = f.u64("catalog_hits")?;
+    prof.catalog_misses = f.u64("catalog_misses")?;
+    prof.spans = f.u64("spans")?;
+    prof.events = f.u64("events")?;
+    prof.dropped = f.u64("dropped")?;
+    f.finish()?;
     Ok(prof)
 }
 
@@ -153,10 +131,33 @@ pub fn chrome_trace_json(profiler: &Profiler) -> String {
 /// per shard dispatch); they share the cluster's simulated clock, so
 /// their spans interleave correctly on the shared time axis.
 pub fn chrome_trace_json_clusters(clusters: &[(String, Vec<&Profiler>)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    for (pid, (label, profilers)) in clusters.iter().enumerate() {
+    // One `trace_event` object.  Metadata events (`ph` "M") carry their
+    // label in `args`; span and instant events carry a category and the
+    // timing fields `extra` writes.
+    fn event(
+        w: &mut Writer,
+        name: &str,
+        ph: &str,
+        pid: usize,
+        tid: usize,
+        extra: impl FnOnce(&mut Writer),
+    ) {
+        w.begin_obj();
+        w.key("name").str(name).key("ph").str(ph);
+        w.key("pid").u64(pid as u64).key("tid").u64(tid as u64);
+        extra(w);
+        w.end_obj();
+    }
+    fn label(text: &str) -> impl FnOnce(&mut Writer) + '_ {
+        move |w| {
+            w.key("args").begin_obj().key("name").str(text).end_obj();
+        }
+    }
+
+    let mut w = Writer::new(2);
+    w.begin_obj();
+    w.key("traceEvents").begin_arr();
+    for (pid, (process, profilers)) in clusters.iter().enumerate() {
         let mut tids: BTreeSet<usize> = BTreeSet::new();
         for p in profilers {
             for sp in p.spans() {
@@ -166,14 +167,7 @@ pub fn chrome_trace_json_clusters(clusters: &[(String, Vec<&Profiler>)]) -> Stri
                 tids.insert(event_tid(e.kind, e.core));
             }
         }
-        let _ = write!(
-            s,
-            "{}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            if first { "" } else { ",\n" },
-            quote(label)
-        );
-        first = false;
+        event(&mut w, "process_name", "M", pid, 0, label(process));
         for &tid in &tids {
             let name = if tid == PLANNER_TID {
                 "planner".to_string()
@@ -183,41 +177,33 @@ pub fn chrome_trace_json_clusters(clusters: &[(String, Vec<&Profiler>)]) -> Stri
                 let side = if tid % 2 == 0 { "compute" } else { "dma" };
                 format!("core{} {side}", tid / 2)
             };
-            let _ = write!(
-                s,
-                ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                quote(&name)
-            );
+            event(&mut w, "thread_name", "M", pid, tid, label(&name));
         }
         for p in profilers {
             for sp in p.spans() {
-                let _ = write!(
-                    s,
-                    ",\n{{\"name\":{},\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:?},\"dur\":{:?},\
-                     \"pid\":{pid},\"tid\":{}}}",
-                    quote(sp.phase.name()),
-                    sp.t0 * 1e6,
-                    (sp.t1 - sp.t0) * 1e6,
-                    span_tid(sp.phase, sp.core)
-                );
+                let tid = span_tid(sp.phase, sp.core);
+                event(&mut w, sp.phase.name(), "X", pid, tid, |w| {
+                    w.key("cat").str("phase");
+                    w.key("ts").f64(sp.t0 * 1e6);
+                    w.key("dur").f64((sp.t1 - sp.t0) * 1e6);
+                });
             }
         }
         for p in profilers {
             for e in p.events() {
-                let _ = write!(
-                    s,
-                    ",\n{{\"name\":{},\"cat\":\"fault\",\"ph\":\"i\",\"ts\":{:?},\"s\":\"p\",\
-                     \"pid\":{pid},\"tid\":{}}}",
-                    quote(e.kind.name()),
-                    e.t * 1e6,
-                    event_tid(e.kind, e.core)
-                );
+                let tid = event_tid(e.kind, e.core);
+                event(&mut w, e.kind.name(), "i", pid, tid, |w| {
+                    w.key("cat").str("fault");
+                    w.key("ts").f64(e.t * 1e6);
+                    w.key("s").str("p");
+                });
             }
         }
     }
-    s.push_str("\n],\"displayTimeUnit\":\"ms\"}");
-    s
+    w.end_arr();
+    w.key("displayTimeUnit").str("ms");
+    w.end_obj();
+    w.finish()
 }
 
 /// Heterogeneous Chrome trace: one process per cluster (labelled
@@ -282,8 +268,25 @@ mod tests {
         let prof = sample_profile();
         let good = profile_json(&prof);
         for (text, needle) in [
-            (good.replace("total_s", "tolal_s"), "unknown profile key"),
-            (good.replace("dma_load", "dma_lode"), "unknown phase"),
+            (
+                good.replace("\"total_s\"", "\"tolal_s\": 0.0, \"total_s\""),
+                "unknown profile key",
+            ),
+            (
+                good.replace("\"dma_load\"", "\"dma_lode\": 0.0, \"dma_load\""),
+                "unknown phase",
+            ),
+            // A misspelt key is also a missing one, and that is said first.
+            (good.replace("total_s", "tolal_s"), "missing \"total_s\""),
+            (good.replace("dma_load", "dma_lode"), "missing \"dma_load\""),
+            (
+                good.replace("\"spans\"", "\"seed\": 1, \"seed\": 2, \"spans\""),
+                "duplicate profile key \"seed\"",
+            ),
+            (
+                good.replace("\"dropped\"", "\"spans\": 0, \"dropped\""),
+                "duplicate profile key \"spans\"",
+            ),
             (
                 good.replace(PROFILE_SCHEMA, "ftimm-profile-v9"),
                 "unsupported profile schema",

@@ -12,8 +12,9 @@
 //! * [`Plan`] — the IR itself: shape, cores, the resolved
 //!   [`ChosenStrategy`] (with concrete block sizes), where the plan came
 //!   from, and what the planner predicted/measured for it.  Serialisable
-//!   via [`plan_json`]/[`plan_from_json`] so plans can be logged, diffed
-//!   and pinned.
+//!   via [`plan_json`]/[`plan_from_json`] (`ftimm-plan-v1`, written and
+//!   strictly decoded through [`dspsim::minijson`]) so plans can be
+//!   logged, diffed and pinned.
 //! * [`planner::Planner`] — produces plans: a cheap analytic cost model
 //!   ([`cost::analytic_seconds`]) ranks a broadened candidate space
 //!   (mPar/kPar/TGEMM × a block-size grid), and only the top-K
@@ -50,9 +51,8 @@ pub use tune::{
 };
 
 use crate::{ChosenStrategy, GemmShape, KparBlocks, MparBlocks};
-use dspsim::minijson::{quote, Parser, Value};
+use dspsim::minijson::{Fields, Parser, Value, Writer};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Where a [`Plan`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,112 +169,88 @@ impl fmt::Display for Plan {
 /// Document identifier embedded in (and required from) plan JSON.
 const PLAN_SCHEMA: &str = "ftimm-plan-v1";
 
-fn blocks_json(s: &mut String, strategy: &ChosenStrategy) {
-    match strategy {
-        ChosenStrategy::MPar(b) => {
-            let _ = write!(
-                s,
-                "{{\"kind\": \"mpar\", \"n_g\": {}, \"k_g\": {}, \"m_a\": {}, \"n_a\": {}, \
-                 \"k_a\": {}, \"m_s\": {}}}",
-                b.n_g, b.k_g, b.m_a, b.n_a, b.k_a, b.m_s
-            );
-        }
-        ChosenStrategy::KPar(b) => {
-            let _ = write!(
-                s,
-                "{{\"kind\": \"kpar\", \"m_g\": {}, \"n_g\": {}, \"m_a\": {}, \"n_a\": {}, \
-                 \"k_a\": {}, \"m_s\": {}}}",
-                b.m_g, b.n_g, b.m_a, b.n_a, b.k_a, b.m_s
-            );
-        }
-        ChosenStrategy::TGemm => s.push_str("{\"kind\": \"tgemm\"}"),
+/// Write a run of integer fields, in the order given.
+pub(crate) fn write_usizes(w: &mut Writer, fields: &[(&str, usize)]) {
+    for &(key, v) in fields {
+        w.key(key).u64(v as u64);
     }
+}
+
+/// The `m`/`n`/`k` fields every shape-bearing object spells the same way.
+pub(crate) fn write_shape(w: &mut Writer, shape: &GemmShape) {
+    write_usizes(w, &[("m", shape.m), ("n", shape.n), ("k", shape.k)]);
+}
+
+/// Claim the fields [`write_shape`] wrote.
+pub(crate) fn read_shape(f: &mut Fields) -> Result<GemmShape, String> {
+    Ok(GemmShape::new(f.usize("m")?, f.usize("n")?, f.usize("k")?))
+}
+
+/// Write `plan` as one `ftimm-plan-v1` object wherever `w` stands: the
+/// whole document in [`plan_json`], the `"plan"` of a catalog entry in
+/// [`store`].
+pub(crate) fn write_plan(w: &mut Writer, plan: &Plan) {
+    w.begin_obj();
+    w.key("schema").str(PLAN_SCHEMA);
+    w.key("shape").begin_obj();
+    write_shape(w, &plan.shape);
+    w.end_obj();
+    w.key("cores").u64(plan.cores as u64);
+    w.key("strategy").begin_obj();
+    w.key("kind").str(StrategyKind::of(&plan.strategy).tag());
+    match &plan.strategy {
+        ChosenStrategy::MPar(b) => write_usizes(
+            w,
+            &[
+                ("n_g", b.n_g),
+                ("k_g", b.k_g),
+                ("m_a", b.m_a),
+                ("n_a", b.n_a),
+                ("k_a", b.k_a),
+                ("m_s", b.m_s),
+            ],
+        ),
+        ChosenStrategy::KPar(b) => write_usizes(
+            w,
+            &[
+                ("m_g", b.m_g),
+                ("n_g", b.n_g),
+                ("m_a", b.m_a),
+                ("n_a", b.n_a),
+                ("k_a", b.k_a),
+                ("m_s", b.m_s),
+            ],
+        ),
+        ChosenStrategy::TGemm => {}
+    }
+    w.end_obj();
+    w.key("origin").str(plan.origin.tag());
+    w.key("predicted_s").f64(plan.predicted_s);
+    w.key("simulated_s").f64(plan.simulated_s);
+    w.key("candidates").u64(plan.candidates.into());
+    // Co-execution hints are rare; omitting the zero default keeps every
+    // pre-co-exec plan document byte-stable.
+    if plan.coexec_cpu_rows != 0 {
+        w.key("coexec_cpu_rows").u64(plan.coexec_cpu_rows as u64);
+    }
+    w.key("simulations").u64(plan.simulations.into());
+    w.end_obj();
 }
 
 /// Serialise a [`Plan`] as a self-contained pretty-printed JSON document
 /// (stable field order; exact `f64` round-trip; `INFINITY` encodes as
-/// the string `"inf"` since JSON has no infinity literal).
+/// the string `"inf"` since JSON has no infinity literal).  The layout
+/// is pinned — see [`dspsim::minijson`].
 pub fn plan_json(plan: &Plan) -> String {
-    let sec = |v: f64| {
-        if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "\"inf\"".to_string()
-        }
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", quote(PLAN_SCHEMA));
-    let _ = writeln!(
-        s,
-        "  \"shape\": {{\"m\": {}, \"n\": {}, \"k\": {}}},",
-        plan.shape.m, plan.shape.n, plan.shape.k
-    );
-    let _ = writeln!(s, "  \"cores\": {},", plan.cores);
-    s.push_str("  \"strategy\": ");
-    blocks_json(&mut s, &plan.strategy);
-    s.push_str(",\n");
-    let _ = writeln!(s, "  \"origin\": {},", quote(plan.origin.tag()));
-    let _ = writeln!(s, "  \"predicted_s\": {},", sec(plan.predicted_s));
-    let _ = writeln!(s, "  \"simulated_s\": {},", sec(plan.simulated_s));
-    let _ = writeln!(s, "  \"candidates\": {},", plan.candidates);
-    // Co-execution hints are rare; omitting the zero default keeps every
-    // pre-co-exec plan document byte-stable.
-    if plan.coexec_cpu_rows != 0 {
-        let _ = writeln!(s, "  \"coexec_cpu_rows\": {},", plan.coexec_cpu_rows);
-    }
-    let _ = writeln!(s, "  \"simulations\": {}", plan.simulations);
-    s.push('}');
-    s
+    let mut w = Writer::new(1);
+    write_plan(&mut w, plan);
+    w.finish()
 }
 
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing {key:?}"))?
-        .as_u64(key)
-        .map(|x| x as usize)
-}
-
-fn seconds_field(v: &Value, key: &str) -> Result<f64, String> {
-    let field = v.get(key).ok_or_else(|| format!("missing {key:?}"))?;
-    if let Ok(s) = field.as_str(key) {
-        return if s == "inf" {
-            Ok(f64::INFINITY)
-        } else {
-            Err(format!("bad seconds value {s:?} for {key:?}"))
-        };
-    }
-    field.as_f64(key)
-}
-
-fn strategy_from_json(v: &Value) -> Result<ChosenStrategy, String> {
-    let kind = v
-        .get("kind")
-        .ok_or("strategy missing \"kind\"")?
-        .as_str("kind")?;
-    match kind {
-        "mpar" => Ok(ChosenStrategy::MPar(MparBlocks {
-            n_g: field_usize(v, "n_g")?,
-            k_g: field_usize(v, "k_g")?,
-            m_a: field_usize(v, "m_a")?,
-            n_a: field_usize(v, "n_a")?,
-            k_a: field_usize(v, "k_a")?,
-            m_s: field_usize(v, "m_s")?,
-        })),
-        "kpar" => Ok(ChosenStrategy::KPar(KparBlocks {
-            m_g: field_usize(v, "m_g")?,
-            n_g: field_usize(v, "n_g")?,
-            m_a: field_usize(v, "m_a")?,
-            n_a: field_usize(v, "n_a")?,
-            k_a: field_usize(v, "k_a")?,
-            m_s: field_usize(v, "m_s")?,
-        })),
-        "tgemm" => Ok(ChosenStrategy::TGemm),
-        other => Err(format!("unknown strategy kind {other:?}")),
-    }
-}
-
-/// Parse a plan document produced by [`plan_json`].
+/// Parse a plan document produced by [`plan_json`].  Strict in the
+/// [`dspsim::minijson::Fields`] sense at every level: an unknown or
+/// duplicated key is an error, so a typoed `coexec_cpu_rows` cannot
+/// silently drop a tuned co-execution split.
 pub fn plan_from_json(text: &str) -> Result<Plan, String> {
     let value = Parser::new(text).parse()?;
     plan_from_value(&value)
@@ -284,45 +260,50 @@ pub fn plan_from_json(text: &str) -> Result<Plan, String> {
 /// shared with the [`store`] catalog codec which embeds plan documents
 /// verbatim inside catalog entries).
 pub(crate) fn plan_from_value(value: &Value) -> Result<Plan, String> {
-    let obj = value.as_obj("plan")?;
-    let mut schema_ok = false;
-    for (key, v) in obj {
-        if key.as_str() == "schema" {
-            let s = v.as_str("schema")?;
-            if s != PLAN_SCHEMA {
-                return Err(format!("unsupported plan schema {s:?}"));
-            }
-            schema_ok = true;
-        }
-    }
-    if !schema_ok {
-        return Err("plan missing \"schema\"".into());
-    }
-    let shape = value.get("shape").ok_or("missing \"shape\"")?;
+    let mut f = Fields::new(value, "plan")?;
+    f.schema(PLAN_SCHEMA)?;
+    let mut shape = Fields::new(f.req("shape")?, "shape")?;
+    let mut blocks = Fields::new(f.req("strategy")?, "strategy")?;
+    let count = |f: &mut Fields, key: &str| {
+        let v = f.u64(key)?;
+        u32::try_from(v).map_err(|_| format!("{key}: {v} does not fit a u32"))
+    };
     let plan = Plan {
-        shape: GemmShape::new(
-            field_usize(shape, "m")?,
-            field_usize(shape, "n")?,
-            field_usize(shape, "k")?,
-        ),
-        cores: field_usize(value, "cores")?,
-        strategy: strategy_from_json(value.get("strategy").ok_or("missing \"strategy\"")?)?,
-        origin: PlanOrigin::from_tag(
-            value
-                .get("origin")
-                .ok_or("missing \"origin\"")?
-                .as_str("origin")?,
-        )?,
-        predicted_s: seconds_field(value, "predicted_s")?,
-        simulated_s: seconds_field(value, "simulated_s")?,
-        candidates: field_usize(value, "candidates")? as u32,
-        simulations: field_usize(value, "simulations")? as u32,
+        shape: read_shape(&mut shape)?,
+        cores: f.usize("cores")?,
+        strategy: match StrategyKind::from_tag(blocks.str("kind")?)? {
+            StrategyKind::MPar => ChosenStrategy::MPar(MparBlocks {
+                n_g: blocks.usize("n_g")?,
+                k_g: blocks.usize("k_g")?,
+                m_a: blocks.usize("m_a")?,
+                n_a: blocks.usize("n_a")?,
+                k_a: blocks.usize("k_a")?,
+                m_s: blocks.usize("m_s")?,
+            }),
+            StrategyKind::KPar => ChosenStrategy::KPar(KparBlocks {
+                m_g: blocks.usize("m_g")?,
+                n_g: blocks.usize("n_g")?,
+                m_a: blocks.usize("m_a")?,
+                n_a: blocks.usize("n_a")?,
+                k_a: blocks.usize("k_a")?,
+                m_s: blocks.usize("m_s")?,
+            }),
+            StrategyKind::TGemm => ChosenStrategy::TGemm,
+        },
+        origin: PlanOrigin::from_tag(f.str("origin")?)?,
+        predicted_s: f.f64("predicted_s")?,
+        simulated_s: f.f64("simulated_s")?,
+        candidates: count(&mut f, "candidates")?,
+        simulations: count(&mut f, "simulations")?,
         // Optional for backward compatibility with pre-co-exec documents.
-        coexec_cpu_rows: match value.get("coexec_cpu_rows") {
+        coexec_cpu_rows: match f.opt("coexec_cpu_rows") {
             Some(v) => v.as_u64("coexec_cpu_rows")? as usize,
             None => 0,
         },
     };
+    shape.finish()?;
+    blocks.finish()?;
+    f.finish()?;
     Ok(plan)
 }
 
@@ -373,6 +354,76 @@ mod tests {
         }
     }
 
+    /// The layout is part of the repo's recorded results: these bytes are
+    /// folded into the `cold_plan_timing` benchmark's output digest.
+    #[test]
+    fn plan_json_bytes_are_pinned() {
+        let mpar = sample(ChosenStrategy::MPar(MparBlocks {
+            n_g: 32,
+            k_g: 512,
+            m_a: 320,
+            n_a: 32,
+            k_a: 512,
+            m_s: 8,
+        }));
+        assert_eq!(
+            plan_json(&mpar),
+            r#"{
+  "schema": "ftimm-plan-v1",
+  "shape": {"m": 4096, "n": 32, "k": 512},
+  "cores": 8,
+  "strategy": {"kind": "mpar", "n_g": 32, "k_g": 512, "m_a": 320, "n_a": 32, "k_a": 512, "m_s": 8},
+  "origin": "cost-model",
+  "predicted_s": 0.00125,
+  "simulated_s": 0.0015,
+  "candidates": 9,
+  "simulations": 4
+}"#
+        );
+        let mut kpar = sample(ChosenStrategy::KPar(KparBlocks {
+            m_g: 1024,
+            n_g: 32,
+            m_a: 64,
+            n_a: 32,
+            k_a: 672,
+            m_s: 6,
+        }));
+        kpar.origin = PlanOrigin::Tuned;
+        kpar.predicted_s = f64::INFINITY;
+        kpar.simulated_s = 0.0005785425086071996;
+        kpar.coexec_cpu_rows = 128;
+        assert_eq!(
+            plan_json(&kpar),
+            r#"{
+  "schema": "ftimm-plan-v1",
+  "shape": {"m": 4096, "n": 32, "k": 512},
+  "cores": 8,
+  "strategy": {"kind": "kpar", "m_g": 1024, "n_g": 32, "m_a": 64, "n_a": 32, "k_a": 672, "m_s": 6},
+  "origin": "tuned",
+  "predicted_s": "inf",
+  "simulated_s": 0.0005785425086071996,
+  "candidates": 9,
+  "coexec_cpu_rows": 128,
+  "simulations": 4
+}"#
+        );
+        let pinned = Plan::pinned(GemmShape::new(8, 8, 8), 4, ChosenStrategy::TGemm);
+        assert_eq!(
+            plan_json(&pinned),
+            r#"{
+  "schema": "ftimm-plan-v1",
+  "shape": {"m": 8, "n": 8, "k": 8},
+  "cores": 4,
+  "strategy": {"kind": "tgemm"},
+  "origin": "pinned",
+  "predicted_s": "inf",
+  "simulated_s": "inf",
+  "candidates": 0,
+  "simulations": 0
+}"#
+        );
+    }
+
     #[test]
     fn coexec_hint_round_trips_and_zero_stays_byte_stable() {
         // A multi-backend plan carries its CPU-tail hint through the codec.
@@ -407,6 +458,31 @@ mod tests {
             (good.replace("tgemm", "ggemm"), "unknown strategy kind"),
             (good.replace("cost-model", "vibes"), "unknown plan origin"),
             ("{}".to_string(), "missing \"schema\""),
+            // A typoed optional key must not load as "no hint".
+            (
+                good.replace(
+                    "\"simulations\"",
+                    "\"coexec_cpu_row\": 128,\n  \"simulations\"",
+                ),
+                "unknown plan key \"coexec_cpu_row\"",
+            ),
+            (
+                good.replace("\"k\": 512", "\"k\": 512, \"kk\": 1"),
+                "unknown shape key",
+            ),
+            (
+                good.replace("\"tgemm\"", "\"tgemm\", \"m_s\": 8"),
+                "unknown strategy key",
+            ),
+            (
+                good.replace("\"cores\": 8", "\"cores\": 8,\n  \"cores\": 8"),
+                "duplicate plan key \"cores\"",
+            ),
+            (good.replace("\"cores\": 8,", ""), "plan missing \"cores\""),
+            (
+                good.replace("\"candidates\": 9", "\"candidates\": 4294967296"),
+                "does not fit a u32",
+            ),
         ] {
             let err = plan_from_json(&text).unwrap_err();
             assert!(err.contains(needle), "wanted {needle:?}, got {err:?}");

@@ -1,7 +1,9 @@
 //! The on-disk plan catalog: `ftimm-plan-catalog-v1`.
 //!
 //! Tuned plans and calibration records persist across processes through
-//! a single JSON document built on the [`dspsim::minijson`] codec:
+//! a single JSON document, streamed through [`dspsim::minijson::Writer`]
+//! (one entry or record per line) and decoded through
+//! [`dspsim::minijson::Fields`]:
 //!
 //! ```json
 //! {
@@ -11,29 +13,30 @@
 //! }
 //! ```
 //!
-//! Each entry embeds a complete [`super::plan_json`] document under
-//! `"plan"`, so a catalog entry is exactly as expressive (and exactly as
-//! strictly validated) as a standalone plan file.  Failure policy:
+//! Each entry embeds a complete `ftimm-plan-v1` object under `"plan"`,
+//! so a catalog entry is exactly as expressive (and exactly as strictly
+//! validated) as a standalone plan file.  Failure policy:
 //!
 //! * **Document-level** problems — unreadable file, truncated/invalid
-//!   JSON, missing or unknown `schema`, duplicate keys — reject the whole
+//!   JSON, missing or unknown `schema`, an unknown or duplicated
+//!   top-level key, the same plan key stored twice — reject the whole
 //!   catalog with `Err`.  A catalog that lies about its own structure
 //!   cannot be trusted entry-by-entry.
-//! * **Entry-level** corruption — a mangled plan or record, a key that
-//!   disagrees with its plan's shape/cores — is *quarantined*: the entry
-//!   is skipped and counted in [`CatalogLoad::quarantined`], never a
-//!   panic and never a poisoned load.  One bad entry must not cost the
-//!   warm start of every other shape.
+//! * **Entry-level** corruption — a mangled plan or record, an unknown
+//!   or duplicated key inside one, a key that disagrees with its plan's
+//!   shape/cores — is *quarantined*: the entry is skipped and counted in
+//!   [`CatalogLoad::quarantined`], never a panic and never a poisoned
+//!   load.  One bad entry must not cost the warm start of every other
+//!   shape.
 //!
 //! Loading a catalog pre-populates the LRU [`super::PlanCache`] (via
 //! [`crate::FtImm::with_plan_catalog`]), which is what makes
 //! `plan_full` warm-start simulation-free across processes.
 
-use super::{field_usize, plan_from_value, plan_json, seconds_field, Plan, PlanKey};
+use super::{plan_from_value, read_shape, write_plan, write_shape, Plan, PlanKey};
 use crate::plan::tune::{CalibrationRecord, StrategyKind};
-use crate::{GemmShape, Strategy};
-use dspsim::minijson::{quote, Parser, Value};
-use std::fmt::Write as _;
+use crate::Strategy;
+use dspsim::minijson::{Fields, Parser, Value, Writer};
 use std::path::Path;
 
 /// Document identifier embedded in (and required from) catalog JSON.
@@ -69,91 +72,54 @@ pub struct CatalogLoad {
     pub quarantined: usize,
 }
 
-/// Serialise a catalog as a self-contained pretty-printed JSON document
-/// (stable field order, exact `f64` round-trip, `"inf"` sentinel for
-/// infinities — the same conventions as [`plan_json`]).
+/// Serialise a catalog as a self-contained JSON document, one entry or
+/// record per line (stable field order, exact `f64` round-trip, `"inf"`
+/// sentinel for infinities — the same conventions as [`super::plan_json`]).
+/// Streams through one [`Writer`]: no tree is built, whatever the number
+/// of calibration records.
 pub fn catalog_json(catalog: &PlanCatalog) -> String {
-    let sec = |v: f64| {
-        if v.is_finite() {
-            format!("{v:?}")
-        } else {
-            "\"inf\"".to_string()
-        }
-    };
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": {},", quote(PLAN_CATALOG_SCHEMA));
-    s.push_str("  \"entries\": [");
-    for (i, (key, plan)) in catalog.entries.iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        s.push_str("    {\n");
-        let _ = writeln!(
-            s,
-            "      \"key\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"cores\": {}, \
-             \"strategy\": {}}},",
-            key.shape.m,
-            key.shape.n,
-            key.shape.k,
-            key.cores,
-            quote(key.strategy.tag())
-        );
-        // The embedded plan is a verbatim ftimm-plan-v1 document,
-        // re-indented to sit inside the entry object.
-        let doc = plan_json(plan);
-        let mut lines = doc.lines();
-        let _ = write!(s, "      \"plan\": {}", lines.next().unwrap_or("{}"));
-        for line in lines {
-            let _ = write!(s, "\n      {line}");
-        }
-        s.push_str("\n    }");
+    let mut w = Writer::new(2);
+    w.begin_obj();
+    w.key("schema").str(PLAN_CATALOG_SCHEMA);
+    w.key("entries").begin_arr();
+    for (key, plan) in &catalog.entries {
+        w.begin_obj();
+        w.key("key").begin_obj();
+        write_shape(&mut w, &key.shape);
+        w.key("cores").u64(key.cores as u64);
+        w.key("strategy").str(key.strategy.tag());
+        w.end_obj();
+        w.key("plan");
+        write_plan(&mut w, plan);
+        w.end_obj();
     }
-    s.push_str(if catalog.entries.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    s.push_str("  \"records\": [");
-    for (i, r) in catalog.records.iter().enumerate() {
-        s.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            s,
-            "    {{\"m\": {}, \"n\": {}, \"k\": {}, \"cores\": {}, \"kind\": {}, \
-             \"analytic_s\": {}, \"simulated_s\": {}}}",
-            r.shape.m,
-            r.shape.n,
-            r.shape.k,
-            r.cores,
-            quote(r.kind.tag()),
-            sec(r.analytic_s),
-            sec(r.simulated_s)
-        );
+    w.end_arr();
+    w.key("records").begin_arr();
+    for r in &catalog.records {
+        w.begin_obj();
+        write_shape(&mut w, &r.shape);
+        w.key("cores").u64(r.cores as u64);
+        w.key("kind").str(r.kind.tag());
+        w.key("analytic_s").f64(r.analytic_s);
+        w.key("simulated_s").f64(r.simulated_s);
+        w.end_obj();
     }
-    s.push_str(if catalog.records.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    s.push('}');
-    s
+    w.end_arr();
+    w.end_obj();
+    w.finish()
 }
 
 fn parse_entry(v: &Value) -> Result<(PlanKey, Plan), String> {
-    let key_v = v.get("key").ok_or("entry missing \"key\"")?;
+    let mut entry = Fields::new(v, "entry")?;
+    let mut k = Fields::new(entry.req("key")?, "key")?;
     let key = PlanKey {
-        shape: GemmShape::new(
-            field_usize(key_v, "m")?,
-            field_usize(key_v, "n")?,
-            field_usize(key_v, "k")?,
-        ),
-        cores: field_usize(key_v, "cores")?,
-        strategy: Strategy::from_tag(
-            key_v
-                .get("strategy")
-                .ok_or("key missing \"strategy\"")?
-                .as_str("strategy")?,
-        )?,
+        shape: read_shape(&mut k)?,
+        cores: k.usize("cores")?,
+        strategy: Strategy::from_tag(k.str("strategy")?)?,
     };
-    let plan = plan_from_value(v.get("plan").ok_or("entry missing \"plan\"")?)?;
+    k.finish()?;
+    let plan = plan_from_value(entry.req("plan")?)?;
+    entry.finish()?;
     if plan.shape != key.shape || plan.cores != key.cores {
         return Err("entry key does not match its plan".into());
     }
@@ -161,45 +127,31 @@ fn parse_entry(v: &Value) -> Result<(PlanKey, Plan), String> {
 }
 
 fn parse_record(v: &Value) -> Result<CalibrationRecord, String> {
-    Ok(CalibrationRecord {
-        shape: GemmShape::new(
-            field_usize(v, "m")?,
-            field_usize(v, "n")?,
-            field_usize(v, "k")?,
-        ),
-        cores: field_usize(v, "cores")?,
-        kind: StrategyKind::from_tag(
-            v.get("kind")
-                .ok_or("record missing \"kind\"")?
-                .as_str("kind")?,
-        )?,
-        analytic_s: seconds_field(v, "analytic_s")?,
-        simulated_s: seconds_field(v, "simulated_s")?,
-    })
+    let mut f = Fields::new(v, "record")?;
+    let record = CalibrationRecord {
+        shape: read_shape(&mut f)?,
+        cores: f.usize("cores")?,
+        kind: StrategyKind::from_tag(f.str("kind")?)?,
+        analytic_s: f.f64("analytic_s")?,
+        simulated_s: f.f64("simulated_s")?,
+    };
+    f.finish()?;
+    Ok(record)
 }
 
 /// Parse a catalog document produced by [`catalog_json`].
 ///
-/// Structural problems (truncation, unknown schema, duplicate keys)
-/// return `Err`; corrupt individual entries/records are quarantined and
-/// counted, never panicked on.
+/// Structural problems (truncation, unknown schema, an unknown or
+/// duplicated top-level key, duplicate plan keys) return `Err`; corrupt
+/// individual entries/records — an unknown or duplicated key inside one
+/// included — are quarantined and counted, never panicked on.
 pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
     let value = Parser::new(text).parse()?;
-    value.as_obj("catalog")?;
-    let schema = value
-        .get("schema")
-        .ok_or("catalog missing \"schema\"")?
-        .as_str("schema")?;
-    if schema != PLAN_CATALOG_SCHEMA {
-        return Err(format!("unsupported catalog schema {schema:?}"));
-    }
+    let mut top = Fields::new(&value, "catalog")?;
+    top.schema(PLAN_CATALOG_SCHEMA)?;
     let mut catalog = PlanCatalog::default();
     let mut quarantined = 0usize;
-    let entries = value
-        .get("entries")
-        .ok_or("catalog missing \"entries\"")?
-        .as_arr("entries")?;
-    for entry in entries {
+    for entry in top.arr("entries")? {
         match parse_entry(entry) {
             Ok((key, plan)) => {
                 if catalog.entries.iter().any(|(k, _)| *k == key) {
@@ -213,16 +165,13 @@ pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
             Err(_) => quarantined += 1,
         }
     }
-    let records = value
-        .get("records")
-        .ok_or("catalog missing \"records\"")?
-        .as_arr("records")?;
-    for r in records {
+    for r in top.arr("records")? {
         match parse_record(r) {
             Ok(rec) => catalog.records.push(rec),
             Err(_) => quarantined += 1,
         }
     }
+    top.finish()?;
     Ok(CatalogLoad {
         catalog,
         quarantined,
@@ -247,7 +196,7 @@ pub fn load_catalog(path: &Path) -> Result<CatalogLoad, String> {
 mod tests {
     use super::*;
     use crate::plan::PlanOrigin;
-    use crate::{ChosenStrategy, MparBlocks};
+    use crate::{ChosenStrategy, GemmShape, MparBlocks};
 
     fn sample_plan(shape: GemmShape, cores: usize) -> Plan {
         Plan {
@@ -363,6 +312,37 @@ mod tests {
         assert_eq!(load.quarantined, 1);
         assert_eq!(load.catalog.entries.len(), 2);
         assert_eq!(load.catalog.records.len(), 1);
+    }
+
+    #[test]
+    fn unknown_and_duplicated_keys_split_by_level() {
+        let text = catalog_json(&sample_catalog());
+        // At the top level the document lies about its own structure.
+        let bad = text.replacen("\"entries\"", "\"extra\": 1,\n  \"entries\"", 1);
+        let err = catalog_from_json(&bad).unwrap_err();
+        assert!(err.contains("unknown catalog key \"extra\""), "{err}");
+        let bad = text.replacen("\"records\"", "\"records\": [],\n  \"records\"", 1);
+        let err = catalog_from_json(&bad).unwrap_err();
+        assert!(err.contains("duplicate catalog key \"records\""), "{err}");
+        // Inside an entry, its key, its plan or a record: one quarantine.
+        for (needle, with) in [
+            ("{\"key\": ", "{\"typo\": 1, \"key\": "),
+            (
+                "\"cores\": 8, \"strategy\"",
+                "\"cores\": 8, \"cores\": 8, \"strategy\"",
+            ),
+            ("\"origin\": ", "\"coexec_cpu_row\": 128, \"origin\": "),
+            (
+                "\"kind\": \"tgemm\"",
+                "\"kind\": \"tgemm\", \"kind\": \"tgemm\"",
+            ),
+        ] {
+            assert!(text.contains(needle), "{needle}");
+            let load = catalog_from_json(&text.replacen(needle, with, 1)).unwrap();
+            assert_eq!(load.quarantined, 1, "{with}");
+            let kept = load.catalog.entries.len() + load.catalog.records.len();
+            assert_eq!(kept, 3, "{with}");
+        }
     }
 
     #[test]

@@ -1,15 +1,47 @@
-//! Minimal hand-rolled JSON reader/writer shared by [`crate::planfile`]
-//! and the profile exporters.
+//! The one JSON codec of the workspace: a reader ([`Parser`] → [`Value`]),
+//! a streaming writer ([`Writer`]) and a strict object decoder
+//! ([`Fields`]).
 //!
-//! The workspace builds offline with no serialisation framework, so
-//! every JSON codec in the tree is hand-written against this module.
-//! The grammar is the subset those codecs need — objects, arrays, UTF-8
-//! strings and numbers — and the reader rejects anything else loudly.
-//! The string escapes are exactly the ones [`quote`] writes (`\"`, `\\`,
+//! The workspace builds offline with no serialisation framework, so every
+//! persisted schema (`ftimm-plan-v1`, `ftimm-plan-catalog-v1`,
+//! `ftimm-profile-v1`, the fault planfile, `ftimm-conformance-case-v1`),
+//! the Chrome trace and the `ftimm-bench-*-v1` reports are written and
+//! decoded through this module and nothing beside it.
+//!
+//! **Grammar.**  The subset those documents need — objects, arrays, UTF-8
+//! strings and numbers — and the reader rejects anything else loudly
+//! (`true`, `false` and `null` included: flags are written as `0`/`1`).
+//! The string escapes are exactly the ones the writer emits (`\"`, `\\`,
 //! `\n`) plus `\/`; every other escape, `\uXXXX` included, is an error.
 //! Numbers are kept as their source text until a field claims them, so
 //! `u64` seeds survive beyond the 2^53 range where an `f64` detour would
 //! silently round.
+//!
+//! **Layout.**  [`Writer::new`] takes the one layout parameter: containers
+//! nested shallower than that depth are written one item per line with a
+//! two-space indent, deeper ones inline as `{"m": 1, "n": 2}`; an empty
+//! container is `{}` / `[]` at either layout.  Keys appear in call order.
+//! Plan documents are written at depth 1 and that is pinned: the bytes of
+//! `ftimm::plan_json` are folded into the `cold_plan_timing` benchmark's
+//! output digest, so its layout is part of the repo's recorded results.
+//!
+//! **`f64` policy.**  A finite value is written with Rust's shortest
+//! round-trip formatting (`{:?}`), so it reads back bit-equal.  JSON has
+//! no literal for the rest, so every non-finite value is written as the
+//! string `"inf"` — never a bare `inf`/`NaN`, which no reader accepts —
+//! and [`Value::as_f64_or_inf`] / [`Fields::f64`] read that string back as
+//! `INFINITY` (the sign and NaN-ness are not kept; no persisted field is
+//! meaningfully `-inf` or NaN).
+//!
+//! **Strictness.**  [`Fields`] is what *strict* means for every in-repo
+//! schema: an object with a duplicated key is rejected when the view is
+//! made, each field is claimed at most once by name, a required field
+//! that is absent is an error, and [`Fields::finish`] rejects any key
+//! nobody claimed.  Duplicate-key rejection lives here and not in
+//! [`Parser`], which also reads documents the repo does not own (the
+//! benchmark harness's) and keeps every key of those in source order.
+
+use std::fmt::Write as _;
 
 /// Parsed JSON value; numbers keep their source text so integer fields
 /// never take a lossy `f64` detour.
@@ -70,6 +102,15 @@ impl Value {
         }
     }
 
+    /// A number as `f64`, or the writer's `"inf"` sentinel as `INFINITY`
+    /// (the read half of the module's `f64` policy).
+    pub fn as_f64_or_inf(&self, what: &str) -> Result<f64, String> {
+        match self {
+            Value::Str(s) if s == "inf" => Ok(f64::INFINITY),
+            v => v.as_f64(what),
+        }
+    }
+
     /// Look up a field of an object by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -82,6 +123,11 @@ impl Value {
 /// Quote and escape a string for embedding in JSON output.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -92,7 +138,236 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// Streaming JSON emitter: appends to one `String` and builds no tree.
+///
+/// Values are written in call order; inside an object every value is
+/// preceded by its [`Writer::key`].  See the module docs for the layout
+/// rule and the `f64` policy.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    /// Containers nested shallower than this are one item per line.
+    expand: usize,
+    /// One flag per open container: has it received an item yet?
+    open: Vec<bool>,
+    /// A key was just written, so the next value needs no separator.
+    after_key: bool,
+}
+
+impl Writer {
+    /// A writer that lays out containers nested shallower than `expand`
+    /// one item per line and deeper ones inline.
+    pub fn new(expand: usize) -> Self {
+        Writer {
+            out: String::new(),
+            expand,
+            open: Vec::new(),
+            after_key: false,
+        }
+    }
+
+    fn indent(&mut self, depth: usize) {
+        self.out.push('\n');
+        for _ in 0..depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Place whatever separates the next key or value from what came
+    /// before it in the innermost open container.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let depth = self.open.len();
+        let Some(has_items) = self.open.last_mut() else {
+            return;
+        };
+        let first = !std::mem::replace(has_items, true);
+        if !first {
+            self.out.push(',');
+        }
+        if depth <= self.expand {
+            self.indent(depth);
+        } else if !first {
+            self.out.push(' ');
+        }
+    }
+
+    fn begin(&mut self, bracket: char) -> &mut Self {
+        self.item();
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    fn end(&mut self, bracket: char) -> &mut Self {
+        let depth = self.open.len();
+        let had_items = self.open.pop().expect("end_* without a matching begin_*");
+        if had_items && depth <= self.expand {
+            self.indent(depth - 1);
+        }
+        self.out.push(bracket);
+        self
+    }
+
+    /// Open an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Close the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Open an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Close the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// Write an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        push_quoted(&mut self.out, key);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// Write a string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.item();
+        push_quoted(&mut self.out, s);
+        self
+    }
+
+    /// Write an integer value (exact; no float detour).
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.item();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Write a float value: shortest round-trip text when finite, the
+    /// `"inf"` string sentinel otherwise.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if !v.is_finite() {
+            return self.str("inf");
+        }
+        self.item();
+        let _ = write!(self.out, "{v:?}");
+        self
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        assert!(
+            self.open.is_empty() && !self.after_key,
+            "unbalanced JSON document"
+        );
+        self.out
+    }
+}
+
+/// Strict view of one parsed object, borrowing from its [`Value`].
+///
+/// Every decoder of an in-repo schema reads objects through this view, so
+/// they all reject the same things with the same words: `duplicate
+/// {what} key`, `{what} missing "k"`, `unsupported {what} schema` and —
+/// from [`Fields::finish`] — `unknown {what} key`.
+#[derive(Debug)]
+#[must_use = "call finish() so unknown keys are rejected"]
+pub struct Fields<'a> {
+    what: &'a str,
+    fields: &'a [(String, Value)],
+    /// Bit `i` set: field `i` has been claimed.
+    claimed: u64,
+}
+
+impl<'a> Fields<'a> {
+    /// View `value` as a `what` object; a key that appears twice is an
+    /// error.  (Claims are tracked in one machine word, which caps a
+    /// strict object at 64 keys — several times the widest schema here.)
+    pub fn new(value: &'a Value, what: &'a str) -> Result<Self, String> {
+        let fields = value.as_obj(what)?;
+        if fields.len() > u64::BITS as usize {
+            return Err(format!("{what}: more than {} keys", u64::BITS));
+        }
+        for (i, (key, _)) in fields.iter().enumerate() {
+            if fields[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(format!("duplicate {what} key {key:?}"));
+            }
+        }
+        Ok(Fields {
+            what,
+            fields,
+            claimed: 0,
+        })
+    }
+
+    /// Claim an optional field.
+    pub fn opt(&mut self, key: &str) -> Option<&'a Value> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        self.claimed |= 1 << i;
+        Some(&self.fields[i].1)
+    }
+
+    /// Claim a required field.
+    pub fn req(&mut self, key: &str) -> Result<&'a Value, String> {
+        self.opt(key)
+            .ok_or_else(|| format!("{} missing {key:?}", self.what))
+    }
+
+    /// Claim a required integer field.
+    pub fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.req(key)?.as_u64(key)
+    }
+
+    /// Claim a required integer field that must fit a `usize`.
+    pub fn usize(&mut self, key: &str) -> Result<usize, String> {
+        let v = self.u64(key)?;
+        usize::try_from(v).map_err(|_| format!("{key}: {v} does not fit a usize"))
+    }
+
+    /// Claim a required float field (a number, or the `"inf"` sentinel).
+    pub fn f64(&mut self, key: &str) -> Result<f64, String> {
+        self.req(key)?.as_f64_or_inf(key)
+    }
+
+    /// Claim a required string field.
+    pub fn str(&mut self, key: &str) -> Result<&'a str, String> {
+        self.req(key)?.as_str(key)
+    }
+
+    /// Claim a required array field.
+    pub fn arr(&mut self, key: &str) -> Result<&'a [Value], String> {
+        self.req(key)?.as_arr(key)
+    }
+
+    /// Claim the required `"schema"` field and check it names `want`.
+    pub fn schema(&mut self, want: &str) -> Result<(), String> {
+        let got = self.str("schema")?;
+        if got != want {
+            return Err(format!("unsupported {} schema {got:?}", self.what));
+        }
+        Ok(())
+    }
+
+    /// Reject any key no accessor claimed.
+    pub fn finish(self) -> Result<(), String> {
+        match (0..self.fields.len()).find(|i| self.claimed >> i & 1 == 0) {
+            Some(i) => Err(format!("unknown {} key {:?}", self.what, self.fields[i].0)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Recursive-descent reader over the supported JSON subset.
@@ -294,5 +569,170 @@ mod tests {
             let err = Parser::new(text).parse().unwrap_err();
             assert!(err.contains(needle), "{text}: got {err:?}");
         }
+    }
+
+    #[test]
+    fn writer_nests_by_the_layout_depth() {
+        let doc = |expand: usize| {
+            let mut w = Writer::new(expand);
+            w.begin_obj();
+            w.key("a").begin_arr().u64(1).begin_obj().key("b").str("x");
+            w.end_obj().end_arr();
+            w.key("c").f64(2.5);
+            w.end_obj();
+            w.finish()
+        };
+        assert_eq!(doc(0), r#"{"a": [1, {"b": "x"}], "c": 2.5}"#);
+        assert_eq!(doc(1), "{\n  \"a\": [1, {\"b\": \"x\"}],\n  \"c\": 2.5\n}");
+        assert_eq!(
+            doc(3),
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"x\"\n    }\n  ],\n  \"c\": 2.5\n}"
+        );
+        // Whatever the layout, the reader sees one document.
+        let parsed = Parser::new(&doc(0)).parse().unwrap();
+        assert_eq!(Parser::new(&doc(1)).parse().unwrap(), parsed);
+        assert_eq!(Parser::new(&doc(3)).parse().unwrap(), parsed);
+    }
+
+    #[test]
+    fn writer_keeps_empty_containers_closed_at_both_layouts() {
+        for expand in [0, 4] {
+            let mut w = Writer::new(expand);
+            w.begin_arr().begin_obj().end_obj().begin_arr().end_arr();
+            w.end_arr();
+            let text = w.finish();
+            assert!(text.contains("{}") && text.contains("[]"), "{text}");
+            let v = Parser::new(&text).parse().unwrap();
+            assert_eq!(v, Value::Arr(vec![Value::Obj(vec![]), Value::Arr(vec![])]));
+        }
+        let mut w = Writer::new(1);
+        w.begin_obj().end_obj();
+        assert_eq!(w.finish(), "{}");
+    }
+
+    #[test]
+    fn writer_numbers_round_trip_exactly() {
+        // 0.1 + 0.2 needs all 17 significant digits; the subnormal is the
+        // worst case for shortest-round-trip formatting.
+        let floats = [0.1 + 0.2, 4.9e-324, -1.7976931348623157e308, 0.0, 1e21];
+        let mut w = Writer::new(0);
+        w.begin_arr().u64(u64::MAX).u64(0);
+        for v in floats {
+            w.f64(v);
+        }
+        w.end_arr();
+        let text = w.finish();
+        assert!(text.contains("0.30000000000000004"), "{text}");
+        let v = Parser::new(&text).parse().unwrap();
+        let items = v.as_arr("doc").unwrap();
+        assert_eq!(items[0].as_u64("max").unwrap(), u64::MAX);
+        assert_eq!(items[1].as_u64("zero").unwrap(), 0);
+        for (item, want) in items[2..].iter().zip(floats) {
+            assert_eq!(item.as_f64("f").unwrap().to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn writer_never_emits_a_bare_non_finite() {
+        let mut w = Writer::new(0);
+        w.begin_arr();
+        w.f64(f64::INFINITY).f64(f64::NEG_INFINITY).f64(f64::NAN);
+        w.end_arr();
+        let text = w.finish();
+        assert_eq!(text, r#"["inf", "inf", "inf"]"#);
+        let v = Parser::new(&text).parse().unwrap();
+        for item in v.as_arr("doc").unwrap() {
+            assert_eq!(item.as_f64_or_inf("f").unwrap(), f64::INFINITY);
+            assert!(item.as_f64("f").is_err());
+        }
+        let other = Value::Str("nan".into());
+        assert!(other.as_f64_or_inf("f").is_err());
+    }
+
+    #[test]
+    fn writer_strings_and_keys_round_trip_through_the_reader() {
+        for text in [
+            "say \"hi\"",
+            "back\\slash\\n",
+            "two\nlines",
+            "tenant-é ≡ 行",
+            "",
+        ] {
+            let mut w = Writer::new(1);
+            w.begin_obj().key(text).str(text).end_obj();
+            let v = Parser::new(&w.finish()).parse().unwrap();
+            let fields = v.as_obj("doc").unwrap();
+            assert_eq!(fields[0].0, text);
+            assert_eq!(fields[0].1.as_str("s").unwrap(), text);
+        }
+    }
+
+    fn parse(text: &str) -> Value {
+        Parser::new(text).parse().unwrap()
+    }
+
+    #[test]
+    fn fields_claim_typed_values_and_finish_clean() {
+        let v = parse(
+            r#"{"schema": "s-v1", "n": 7, "x": 1.5, "t": "inf", "name": "a", "items": [1], "extra": 2}"#,
+        );
+        let mut f = Fields::new(&v, "thing").unwrap();
+        f.schema("s-v1").unwrap();
+        assert_eq!(f.u64("n").unwrap(), 7);
+        assert_eq!(f.f64("x").unwrap(), 1.5);
+        assert_eq!(f.f64("t").unwrap(), f64::INFINITY);
+        assert_eq!(f.str("name").unwrap(), "a");
+        assert_eq!(f.arr("items").unwrap().len(), 1);
+        assert!(f.opt("absent").is_none());
+        assert_eq!(f.opt("extra").unwrap().as_u64("extra").unwrap(), 2);
+        f.finish().unwrap();
+    }
+
+    #[test]
+    fn fields_speak_one_error_vocabulary() {
+        let v = parse(r#"{"schema": "s-v2", "n": 7, "typo": 1}"#);
+        let mut f = Fields::new(&v, "thing").unwrap();
+        assert_eq!(
+            f.schema("s-v1").unwrap_err(),
+            "unsupported thing schema \"s-v2\""
+        );
+        assert_eq!(f.usize("n").unwrap(), 7);
+        assert_eq!(f.u64("m").unwrap_err(), "thing missing \"m\"");
+        assert!(f.str("n").unwrap_err().contains("expected a string"));
+        assert_eq!(f.finish().unwrap_err(), "unknown thing key \"typo\"");
+
+        let dup = parse(r#"{"n": 1, "m": 2, "n": 1}"#);
+        assert_eq!(
+            Fields::new(&dup, "thing").unwrap_err(),
+            "duplicate thing key \"n\""
+        );
+        assert!(Fields::new(&parse("[1]"), "thing")
+            .unwrap_err()
+            .contains("expected an object"));
+        let empty = parse("{}");
+        let mut f = Fields::new(&empty, "thing").unwrap();
+        assert_eq!(f.schema("s-v1").unwrap_err(), "thing missing \"schema\"");
+    }
+
+    #[test]
+    fn fields_cap_an_object_at_one_claim_word() {
+        let wide = |n: usize| {
+            let mut w = Writer::new(0);
+            w.begin_obj();
+            for i in 0..n {
+                w.key(&format!("k{i}")).u64(i as u64);
+            }
+            w.end_obj();
+            parse(&w.finish())
+        };
+        let v = wide(64);
+        let mut f = Fields::new(&v, "wide").unwrap();
+        for i in 0..64 {
+            assert_eq!(f.u64(&format!("k{i}")).unwrap(), i);
+        }
+        f.finish().unwrap();
+        assert!(Fields::new(&wide(65), "wide")
+            .unwrap_err()
+            .contains("more than 64 keys"));
     }
 }

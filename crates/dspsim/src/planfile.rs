@@ -1,11 +1,15 @@
 //! JSON round-tripping for [`FaultPlan`] so chaos scenarios can live in
 //! fixture files instead of being constructed in code.
 //!
-//! The workspace builds offline with no serialisation framework, so this
-//! module carries its own tiny JSON writer and reads back through the
-//! shared [`crate::minijson`] reader (numbers keep
-//! their source text there, so `u64` seeds survive beyond the 2^53 range
-//! where an `f64` detour would silently round).
+//! The document is written through [`crate::minijson::Writer`] and decoded
+//! through [`crate::minijson::Fields`], so it is *strict* in the module's
+//! one sense: an unknown or duplicated key — at the top level or inside
+//! any fault object — is an error, so a typoed fixture fails loudly
+//! instead of silently injecting nothing.  Every top-level key is
+//! optional (an absent array injects nothing; an absent `seed` is 0);
+//! every key of a fault object is required.  Numbers keep their source
+//! text in the reader, so `u64` seeds survive beyond the 2^53 range where
+//! an `f64` detour would silently round.
 //!
 //! ```
 //! use dspsim::{DmaPath, FaultPlan};
@@ -15,310 +19,176 @@
 //! ```
 
 use crate::fault::{ClusterFailure, CoreFailure, CpuFailure, CpuSlowdown, DmaFault, MemFault};
-use crate::minijson::{Parser, Value};
+use crate::minijson::{Fields, Parser, Value, Writer};
 use crate::{DmaFaultKind, DmaPath, FaultPlan, MemTarget};
-use std::fmt::Write as _;
 
-// ---------------------------------------------------------------- writing
+/// Every DMA path with its name in the document.
+const DMA_PATHS: [(DmaPath, &str); 9] = [
+    (DmaPath::DdrToGsm, "DdrToGsm"),
+    (DmaPath::GsmToDdr, "GsmToDdr"),
+    (DmaPath::DdrToSm, "DdrToSm"),
+    (DmaPath::DdrToAm, "DdrToAm"),
+    (DmaPath::SmToDdr, "SmToDdr"),
+    (DmaPath::AmToDdr, "AmToDdr"),
+    (DmaPath::GsmToSm, "GsmToSm"),
+    (DmaPath::GsmToAm, "GsmToAm"),
+    (DmaPath::AmToGsm, "AmToGsm"),
+];
 
-fn dma_path_name(p: DmaPath) -> &'static str {
-    match p {
-        DmaPath::DdrToGsm => "DdrToGsm",
-        DmaPath::GsmToDdr => "GsmToDdr",
-        DmaPath::DdrToSm => "DdrToSm",
-        DmaPath::DdrToAm => "DdrToAm",
-        DmaPath::SmToDdr => "SmToDdr",
-        DmaPath::AmToDdr => "AmToDdr",
-        DmaPath::GsmToSm => "GsmToSm",
-        DmaPath::GsmToAm => "GsmToAm",
-        DmaPath::AmToGsm => "AmToGsm",
-    }
+/// Every DMA fault kind with its name in the document.
+const DMA_KINDS: [(DmaFaultKind, &str); 2] = [
+    (DmaFaultKind::Corrupt, "Corrupt"),
+    (DmaFaultKind::Timeout, "Timeout"),
+];
+
+fn name_of<T: PartialEq>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    let (_, name) = table
+        .iter()
+        .find(|(v, _)| v == value)
+        .expect("the name tables list every variant");
+    name
 }
 
-fn dma_path_from_name(s: &str) -> Result<DmaPath, String> {
-    Ok(match s {
-        "DdrToGsm" => DmaPath::DdrToGsm,
-        "GsmToDdr" => DmaPath::GsmToDdr,
-        "DdrToSm" => DmaPath::DdrToSm,
-        "DdrToAm" => DmaPath::DdrToAm,
-        "SmToDdr" => DmaPath::SmToDdr,
-        "AmToDdr" => DmaPath::AmToDdr,
-        "GsmToSm" => DmaPath::GsmToSm,
-        "GsmToAm" => DmaPath::GsmToAm,
-        "AmToGsm" => DmaPath::AmToGsm,
-        other => return Err(format!("unknown DMA path {other:?}")),
-    })
+fn from_name<T: Copy>(table: &[(T, &str)], name: &str, what: &str) -> Result<T, String> {
+    table
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|(v, _)| *v)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
+}
+
+/// Write `"key": [ {..}, .. ]` with one object per item, `fields` filling
+/// each object.
+fn write_faults<T>(w: &mut Writer, key: &str, items: &[T], fields: impl Fn(&mut Writer, &T)) {
+    w.key(key).begin_arr();
+    for item in items {
+        w.begin_obj();
+        fields(w, item);
+        w.end_obj();
+    }
+    w.end_arr();
+}
+
+/// Decode the optional top-level array `key`, one `what` object per item.
+fn read_faults<T>(
+    top: &mut Fields,
+    key: &str,
+    what: &str,
+    item: impl Fn(&mut Fields) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Some(v) = top.opt(key) else {
+        return Ok(Vec::new());
+    };
+    v.as_arr(key)?
+        .iter()
+        .map(|v| {
+            let mut f = Fields::new(v, what)?;
+            let fault = item(&mut f)?;
+            f.finish()?;
+            Ok(fault)
+        })
+        .collect()
+}
+
+fn read_target(v: &Value) -> Result<MemTarget, String> {
+    let mut f = Fields::new(v, "target")?;
+    let target = match f.str("kind")? {
+        "Gsm" => MemTarget::Gsm,
+        "Sm" => MemTarget::Sm(f.usize("core")?),
+        "Am" => MemTarget::Am(f.usize("core")?),
+        other => return Err(format!("unknown mem target {other:?}")),
+    };
+    f.finish()?;
+    Ok(target)
 }
 
 impl FaultPlan {
-    /// Serialise the plan as pretty-printed JSON (stable field order, so
-    /// fixtures diff cleanly).
+    /// Serialise the plan as pretty-printed JSON (stable field order, one
+    /// fault per line, so fixtures diff cleanly).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"timeout_s\": {:?},", self.timeout_s);
-        s.push_str("  \"dma\": [");
-        for (i, f) in self.dma.iter().enumerate() {
-            let kind = match f.kind {
-                DmaFaultKind::Corrupt => "Corrupt",
-                DmaFaultKind::Timeout => "Timeout",
+        let mut w = Writer::new(2);
+        w.begin_obj();
+        w.key("seed").u64(self.seed);
+        w.key("timeout_s").f64(self.timeout_s);
+        write_faults(&mut w, "dma", &self.dma, |w, f| {
+            w.key("path").str(name_of(&DMA_PATHS, &f.path));
+            w.key("nth").u64(f.nth);
+            w.key("kind").str(name_of(&DMA_KINDS, &f.kind));
+        });
+        write_faults(&mut w, "mem", &self.mem, |w, f| {
+            w.key("target").begin_obj();
+            match f.target {
+                MemTarget::Gsm => w.key("kind").str("Gsm"),
+                MemTarget::Sm(c) => w.key("kind").str("Sm").key("core").u64(c as u64),
+                MemTarget::Am(c) => w.key("kind").str("Am").key("core").u64(c as u64),
             };
-            let _ = write!(
-                s,
-                "{}\n    {{ \"path\": \"{}\", \"nth\": {}, \"kind\": \"{}\" }}",
-                if i == 0 { "" } else { "," },
-                dma_path_name(f.path),
-                f.nth,
-                kind
-            );
-        }
-        s.push_str(if self.dma.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+            w.end_obj();
+            w.key("nth_read").u64(f.nth_read);
         });
-        s.push_str("  \"mem\": [");
-        for (i, f) in self.mem.iter().enumerate() {
-            let target = match f.target {
-                MemTarget::Gsm => "{ \"kind\": \"Gsm\" }".to_string(),
-                MemTarget::Sm(c) => format!("{{ \"kind\": \"Sm\", \"core\": {c} }}"),
-                MemTarget::Am(c) => format!("{{ \"kind\": \"Am\", \"core\": {c} }}"),
-            };
-            let _ = write!(
-                s,
-                "{}\n    {{ \"target\": {target}, \"nth_read\": {} }}",
-                if i == 0 { "" } else { "," },
-                f.nth_read
-            );
-        }
-        s.push_str(if self.mem.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        write_faults(&mut w, "cores", &self.cores, |w, f| {
+            w.key("core").u64(f.core as u64);
+            w.key("at_seconds").f64(f.at_seconds);
         });
-        s.push_str("  \"cores\": [");
-        for (i, f) in self.cores.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{ \"core\": {}, \"at_seconds\": {:?} }}",
-                if i == 0 { "" } else { "," },
-                f.core,
-                f.at_seconds
-            );
-        }
-        s.push_str(if self.cores.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        write_faults(&mut w, "clusters", &self.clusters, |w, f| {
+            w.key("at_seconds").f64(f.at_seconds);
         });
-        s.push_str("  \"clusters\": [");
-        for (i, f) in self.clusters.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{ \"at_seconds\": {:?} }}",
-                if i == 0 { "" } else { "," },
-                f.at_seconds
-            );
-        }
-        s.push_str(if self.clusters.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        write_faults(&mut w, "cpu_slowdowns", &self.cpu_slowdowns, |w, f| {
+            w.key("factor").f64(f.factor);
         });
-        s.push_str("  \"cpu_slowdowns\": [");
-        for (i, f) in self.cpu_slowdowns.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{ \"factor\": {:?} }}",
-                if i == 0 { "" } else { "," },
-                f.factor
-            );
-        }
-        s.push_str(if self.cpu_slowdowns.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+        write_faults(&mut w, "cpu_failures", &self.cpu_failures, |w, f| {
+            w.key("nth").u64(f.nth);
         });
-        s.push_str("  \"cpu_failures\": [");
-        for (i, f) in self.cpu_failures.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{ \"nth\": {} }}",
-                if i == 0 { "" } else { "," },
-                f.nth
-            );
-        }
-        s.push_str(if self.cpu_failures.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        s.push('}');
-        s
+        w.end_obj();
+        w.finish()
     }
 
     /// Parse a plan from JSON as produced by [`FaultPlan::to_json`] (or
-    /// written by hand).  Unknown keys are rejected so a typoed fixture
-    /// fails loudly instead of silently injecting nothing.
+    /// written by hand).  Strict: unknown and duplicated keys are errors.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let value = Parser::new(text).parse()?;
-        let obj = value.as_obj("plan")?;
+        let mut top = Fields::new(&value, "plan")?;
         let mut plan = FaultPlan::new(0);
-        for (key, v) in obj {
-            match key.as_str() {
-                "seed" => plan.seed = v.as_u64("seed")?,
-                "timeout_s" => plan.timeout_s = v.as_f64("timeout_s")?,
-                "dma" => {
-                    for item in v.as_arr("dma")? {
-                        plan.dma.push(parse_dma_fault(item)?);
-                    }
-                }
-                "mem" => {
-                    for item in v.as_arr("mem")? {
-                        plan.mem.push(parse_mem_fault(item)?);
-                    }
-                }
-                "cores" => {
-                    for item in v.as_arr("cores")? {
-                        plan.cores.push(parse_core_failure(item)?);
-                    }
-                }
-                "clusters" => {
-                    for item in v.as_arr("clusters")? {
-                        plan.clusters.push(parse_cluster_failure(item)?);
-                    }
-                }
-                "cpu_slowdowns" => {
-                    for item in v.as_arr("cpu_slowdowns")? {
-                        plan.cpu_slowdowns.push(parse_cpu_slowdown(item)?);
-                    }
-                }
-                "cpu_failures" => {
-                    for item in v.as_arr("cpu_failures")? {
-                        plan.cpu_failures.push(parse_cpu_failure(item)?);
-                    }
-                }
-                other => return Err(format!("unknown plan key {other:?}")),
-            }
+        if let Some(v) = top.opt("seed") {
+            plan.seed = v.as_u64("seed")?;
         }
+        if let Some(v) = top.opt("timeout_s") {
+            plan.timeout_s = v.as_f64_or_inf("timeout_s")?;
+        }
+        plan.dma = read_faults(&mut top, "dma", "dma fault", |f| {
+            Ok(DmaFault {
+                path: from_name(&DMA_PATHS, f.str("path")?, "DMA path")?,
+                nth: f.u64("nth")?,
+                kind: from_name(&DMA_KINDS, f.str("kind")?, "DMA fault kind")?,
+            })
+        })?;
+        plan.mem = read_faults(&mut top, "mem", "mem fault", |f| {
+            Ok(MemFault {
+                target: read_target(f.req("target")?)?,
+                nth_read: f.u64("nth_read")?,
+            })
+        })?;
+        plan.cores = read_faults(&mut top, "cores", "core failure", |f| {
+            Ok(CoreFailure {
+                core: f.usize("core")?,
+                at_seconds: f.f64("at_seconds")?,
+            })
+        })?;
+        plan.clusters = read_faults(&mut top, "clusters", "cluster failure", |f| {
+            Ok(ClusterFailure {
+                at_seconds: f.f64("at_seconds")?,
+            })
+        })?;
+        plan.cpu_slowdowns = read_faults(&mut top, "cpu_slowdowns", "cpu slowdown", |f| {
+            Ok(CpuSlowdown {
+                factor: f.f64("factor")?,
+            })
+        })?;
+        plan.cpu_failures = read_faults(&mut top, "cpu_failures", "cpu failure", |f| {
+            Ok(CpuFailure { nth: f.u64("nth")? })
+        })?;
+        top.finish()?;
         Ok(plan)
     }
-}
-
-fn parse_dma_fault(v: &Value) -> Result<DmaFault, String> {
-    let obj = v.as_obj("dma fault")?;
-    let (mut path, mut nth, mut kind) = (None, None, None);
-    for (key, v) in obj {
-        match key.as_str() {
-            "path" => path = Some(dma_path_from_name(v.as_str("path")?)?),
-            "nth" => nth = Some(v.as_u64("nth")?),
-            "kind" => {
-                kind = Some(match v.as_str("kind")? {
-                    "Corrupt" => DmaFaultKind::Corrupt,
-                    "Timeout" => DmaFaultKind::Timeout,
-                    other => return Err(format!("unknown DMA fault kind {other:?}")),
-                })
-            }
-            other => return Err(format!("unknown dma fault key {other:?}")),
-        }
-    }
-    Ok(DmaFault {
-        path: path.ok_or("dma fault missing \"path\"")?,
-        nth: nth.ok_or("dma fault missing \"nth\"")?,
-        kind: kind.ok_or("dma fault missing \"kind\"")?,
-    })
-}
-
-fn parse_mem_fault(v: &Value) -> Result<MemFault, String> {
-    let obj = v.as_obj("mem fault")?;
-    let (mut target, mut nth_read) = (None, None);
-    for (key, v) in obj {
-        match key.as_str() {
-            "target" => {
-                let t = v.as_obj("target")?;
-                let (mut kind, mut core) = (None, None);
-                for (k, v) in t {
-                    match k.as_str() {
-                        "kind" => kind = Some(v.as_str("target.kind")?.to_string()),
-                        "core" => core = Some(v.as_u64("target.core")? as usize),
-                        other => return Err(format!("unknown target key {other:?}")),
-                    }
-                }
-                target = Some(match kind.as_deref() {
-                    Some("Gsm") => MemTarget::Gsm,
-                    Some("Sm") => MemTarget::Sm(core.ok_or("Sm target missing \"core\"")?),
-                    Some("Am") => MemTarget::Am(core.ok_or("Am target missing \"core\"")?),
-                    Some(other) => return Err(format!("unknown mem target {other:?}")),
-                    None => return Err("target missing \"kind\"".into()),
-                });
-            }
-            "nth_read" => nth_read = Some(v.as_u64("nth_read")?),
-            other => return Err(format!("unknown mem fault key {other:?}")),
-        }
-    }
-    Ok(MemFault {
-        target: target.ok_or("mem fault missing \"target\"")?,
-        nth_read: nth_read.ok_or("mem fault missing \"nth_read\"")?,
-    })
-}
-
-fn parse_core_failure(v: &Value) -> Result<CoreFailure, String> {
-    let obj = v.as_obj("core failure")?;
-    let (mut core, mut at) = (None, None);
-    for (key, v) in obj {
-        match key.as_str() {
-            "core" => core = Some(v.as_u64("core")? as usize),
-            "at_seconds" => at = Some(v.as_f64("at_seconds")?),
-            other => return Err(format!("unknown core failure key {other:?}")),
-        }
-    }
-    Ok(CoreFailure {
-        core: core.ok_or("core failure missing \"core\"")?,
-        at_seconds: at.ok_or("core failure missing \"at_seconds\"")?,
-    })
-}
-
-fn parse_cluster_failure(v: &Value) -> Result<ClusterFailure, String> {
-    let obj = v.as_obj("cluster failure")?;
-    let mut at = None;
-    for (key, v) in obj {
-        match key.as_str() {
-            "at_seconds" => at = Some(v.as_f64("at_seconds")?),
-            other => return Err(format!("unknown cluster failure key {other:?}")),
-        }
-    }
-    Ok(ClusterFailure {
-        at_seconds: at.ok_or("cluster failure missing \"at_seconds\"")?,
-    })
-}
-
-fn parse_cpu_slowdown(v: &Value) -> Result<CpuSlowdown, String> {
-    let obj = v.as_obj("cpu slowdown")?;
-    let mut factor = None;
-    for (key, v) in obj {
-        match key.as_str() {
-            "factor" => factor = Some(v.as_f64("factor")?),
-            other => return Err(format!("unknown cpu slowdown key {other:?}")),
-        }
-    }
-    Ok(CpuSlowdown {
-        factor: factor.ok_or("cpu slowdown missing \"factor\"")?,
-    })
-}
-
-fn parse_cpu_failure(v: &Value) -> Result<CpuFailure, String> {
-    let obj = v.as_obj("cpu failure")?;
-    let mut nth = None;
-    for (key, v) in obj {
-        match key.as_str() {
-            "nth" => nth = Some(v.as_u64("nth")?),
-            other => return Err(format!("unknown cpu failure key {other:?}")),
-        }
-    }
-    Ok(CpuFailure {
-        nth: nth.ok_or("cpu failure missing \"nth\"")?,
-    })
 }
 
 #[cfg(test)]
@@ -423,15 +293,25 @@ mod tests {
                 "missing \"core\"",
             ),
             (
-                "{ \"clusters\": [ { \"at\": 1e-3 } ] }",
+                "{ \"clusters\": [ { \"at_seconds\": 1e-3, \"at\": 1e-3 } ] }",
                 "unknown cluster failure key",
             ),
             ("{ \"clusters\": [ { } ] }", "missing \"at_seconds\""),
             (
-                "{ \"cpu_slowdowns\": [ { \"nth\": 1 } ] }",
+                "{ \"cpu_slowdowns\": [ { \"factor\": 2.0, \"nth\": 1 } ] }",
                 "unknown cpu slowdown key",
             ),
             ("{ \"cpu_failures\": [ { } ] }", "missing \"nth\""),
+            // A repeated key is never first-wins, last-wins or a merge.
+            (
+                "{ \"seed\": 1, \"seed\": 2 }",
+                "duplicate plan key \"seed\"",
+            ),
+            ("{ \"dma\": [], \"dma\": [] }", "duplicate plan key \"dma\""),
+            (
+                "{ \"cpu_failures\": [ { \"nth\": 1, \"nth\": 1 } ] }",
+                "duplicate cpu failure key",
+            ),
         ] {
             let err = FaultPlan::from_json(text).unwrap_err();
             assert!(err.contains(needle), "{text}: got {err:?}");
