@@ -19,7 +19,7 @@ fn main() -> ExitCode {
 
     if let Some(min) = cli.num("--assert-speedup") {
         let got = report.min_speedup();
-        if report.simd_level == "avx2+fma" {
+        if kernelgen::simd_active() {
             cli.gate("speedup", got, min, Direction::AtLeast);
         } else {
             // Both tiers run the same scalar code here: nothing to gate.

@@ -8,9 +8,10 @@
 //! lever on fuzzer throughput and bench turnaround.  `BENCH_kernel_exec.json`
 //! is emitted by the `kernel_exec` binary and archived by CI, which
 //! gates on [`Report::min_speedup`] — but only when the host actually
-//! runs the SIMD lowering ([`kernelgen::simd_level`] returns
-//! `"avx2+fma"`); on scalar-fallback hosts both tiers execute the same
-//! code and the gate degrades to a warning.
+//! runs a SIMD lowering ([`kernelgen::simd_active`]; the report's
+//! `simd_level` names the width, `"avx512f"` or `"avx2+fma"`); on
+//! scalar-fallback hosts both tiers execute the same code and the gate
+//! degrades to a warning.
 //!
 //! A bare `execute` on host vectors is not what a simulation pays, so
 //! each regime is also timed as one [`ftimm::invoke_kernel`] on a staged

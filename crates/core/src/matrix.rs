@@ -80,17 +80,15 @@ impl DdrMatrix {
 
     /// Read the matrix back from simulated DDR.
     pub fn download(&self, m: &mut Machine) -> Result<Vec<f32>, SimError> {
-        let mut out = vec![0.0f32; self.rows * self.cols];
-        if self.ld == self.cols {
-            m.ddr.read_f32_slice(self.off, &mut out)?;
+        let mut out = Vec::with_capacity(self.rows * self.cols);
+        // A dense matrix is read as one long row: one access, one copy.
+        let (rows, cols) = if self.ld == self.cols {
+            (1, self.rows * self.cols)
         } else {
-            for r in 0..self.rows {
-                m.ddr.read_f32_slice(
-                    self.elem_off(r, 0),
-                    &mut out[r * self.cols..(r + 1) * self.cols],
-                )?;
-            }
-        }
+            (self.rows, self.cols)
+        };
+        m.ddr
+            .read_2d_f32(self.off, 4 * self.ld as u64, rows, cols, &mut out)?;
         Ok(out)
     }
 }

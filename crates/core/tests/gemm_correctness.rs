@@ -2,13 +2,13 @@
 //! the full simulated memory hierarchy must match the host reference, and
 //! the three execution modes must agree with each other.
 
-use dspsim::{ExecMode, HwConfig, Machine};
+use dspsim::{ExecMode, HwConfig, Machine, RunReport};
 use ftimm::reference::{assert_close, fill_matrix, sgemm_f64};
 use ftimm::{FtImm, GemmProblem, GemmShape, Strategy};
 
 struct Run {
     c: Vec<f32>,
-    seconds: f64,
+    report: RunReport,
 }
 
 fn run(shape: (usize, usize, usize), strategy: Strategy, cores: usize, mode: ExecMode) -> Run {
@@ -25,10 +25,7 @@ fn run(shape: (usize, usize, usize), strategy: Strategy, cores: usize, mode: Exe
     } else {
         Vec::new()
     };
-    Run {
-        c,
-        seconds: report.seconds,
-    }
+    Run { c, report }
 }
 
 fn check_against_reference(shape: (usize, usize, usize), strategy: Strategy, cores: usize) {
@@ -104,11 +101,39 @@ fn interpret_and_fast_agree_bitwise() {
         }
         // Same simulated time in both functional modes.
         assert!(
-            (fast.seconds - interp.seconds).abs() < 1e-15,
+            (fast.report.seconds - interp.report.seconds).abs() < 1e-15,
             "{strategy:?}: {} vs {}",
-            fast.seconds,
-            interp.seconds
+            fast.report.seconds,
+            interp.report.seconds
         );
+    }
+}
+
+/// The host tiers compute only the real columns (rounded up to the live
+/// vector width); the interpreter fills whole 32-lane vectors.  Around
+/// every width where that differs — one lane either side of 8, 16 and 32,
+/// a second column panel past 96 — all three must still produce the same
+/// C bits and the same report (clock, traffic, kernel calls, flops), with
+/// TGEMM's fixed padded kernels alongside the exact-width ones.
+#[test]
+fn host_tiers_match_interpret_at_every_width_boundary() {
+    for n in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 80, 96, 100] {
+        for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
+            let mut interp = run((37, n, 70), strategy, 3, ExecMode::Interpret);
+            // Only the interpreter retires instructions.
+            assert!(interp.report.totals.instructions > 0);
+            interp.report.totals.instructions = 0;
+            for mode in [ExecMode::Fast, ExecMode::Compiled] {
+                let host = run((37, n, 70), strategy, 3, mode);
+                let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&host.c),
+                    bits(&interp.c),
+                    "N={n} {strategy:?} {mode:?}"
+                );
+                assert_eq!(host.report, interp.report, "N={n} {strategy:?} {mode:?}");
+            }
+        }
     }
 }
 
@@ -119,10 +144,11 @@ fn timing_mode_reproduces_functional_timing() {
         let fast = run(shape, strategy, 8, ExecMode::Fast);
         let timing = run(shape, strategy, 8, ExecMode::Timing);
         assert!(
-            (fast.seconds - timing.seconds).abs() <= 1e-12 * fast.seconds.max(1e-12),
+            (fast.report.seconds - timing.report.seconds).abs()
+                <= 1e-12 * fast.report.seconds.max(1e-12),
             "{strategy:?}: fast {} vs timing {}",
-            fast.seconds,
-            timing.seconds
+            fast.report.seconds,
+            timing.report.seconds
         );
     }
 }

@@ -573,15 +573,7 @@ impl Machine {
             DmaPath::GsmToAm => (gsm, &mut core.am),
             DmaPath::AmToGsm => (&mut core.am, gsm),
         };
-        for row in 0..desc.rows {
-            dst.copy_from(
-                src,
-                desc.src_off + row * desc.src_stride,
-                desc.dst_off + row * desc.dst_stride,
-                desc.row_bytes,
-            )?;
-        }
-        Ok(())
+        dst.copy_2d_from(src, desc)
     }
 
     /// Flip the exponent MSB of one f32 inside the destination footprint

@@ -17,7 +17,7 @@
 //! materialised, so a run that touches no data (timing mode) costs no
 //! memory however much it allocates.
 
-use crate::SimError;
+use crate::{Dma2d, SimError};
 use std::ops::Range;
 
 /// One memory region.
@@ -377,23 +377,79 @@ impl MemRegion {
         Ok(())
     }
 
-    /// Copy bytes from another region into this one (the DMA primitive).
-    pub fn copy_from(
+    /// Bounds-check `rows ≥ 1` rows of `len` bytes, `stride` bytes apart
+    /// from `offset`; returns the block's end.  Strides are unsigned, so
+    /// the last row reaches furthest and its extent is the block's.
+    fn check_rows(&self, offset: u64, stride: u64, rows: u64, len: u64) -> Result<u64, SimError> {
+        let last = (rows - 1).checked_mul(stride);
+        match last.and_then(|span| offset.checked_add(span)) {
+            Some(last) => self.check(last, len),
+            // A row offset past `u64` lies in no region.
+            None => Err(SimError::OutOfBounds {
+                region: self.name,
+                offset: u64::MAX,
+                len,
+                capacity: self.capacity,
+            }),
+        }
+    }
+
+    /// Copy a 2-D block from another region into this one (the DMA
+    /// primitive).  Both extents are checked before either region is
+    /// touched, so a refused descriptor copies nothing, materialises
+    /// nothing and is not a read.  Each row is then one read access of
+    /// `src` and a word-slice copy (byte by byte when an offset, stride
+    /// or the row length is no whole number of words), in row order.
+    pub fn copy_2d_from(&mut self, src: &mut MemRegion, d: &Dma2d) -> Result<(), SimError> {
+        if d.rows == 0 {
+            return Ok(());
+        }
+        let src_end = src.check_rows(d.src_off, d.src_stride, d.rows, d.row_bytes)?;
+        let dst_end = self.check_rows(d.dst_off, d.dst_stride, d.rows, d.row_bytes)?;
+        src.touch(src_end);
+        self.touch(dst_end);
+        let whole_words =
+            (d.src_off | d.src_stride | d.dst_off | d.dst_stride | d.row_bytes).is_multiple_of(4);
+        let n = (d.row_bytes / 4) as usize;
+        for row in 0..d.rows {
+            let from = d.src_off + row * d.src_stride;
+            let to = d.dst_off + row * d.dst_stride;
+            src.fault_hook(from, d.row_bytes);
+            if whole_words {
+                self.words[word_range(to, n)].copy_from_slice(&src.words[word_range(from, n)]);
+            } else {
+                for i in 0..d.row_bytes {
+                    self.set_byte(to + i, src.byte(from + i));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Append `rows` rows of `cols` consecutive f32, `stride` bytes apart
+    /// from `offset`, to `out`: checked and materialised once like
+    /// [`MemRegion::copy_2d_from`], each row one read access.
+    pub fn read_2d_f32(
         &mut self,
-        src: &mut MemRegion,
-        src_off: u64,
-        dst_off: u64,
-        len: u64,
+        offset: u64,
+        stride: u64,
+        rows: usize,
+        cols: usize,
+        out: &mut Vec<f32>,
     ) -> Result<(), SimError> {
-        src.ensure(src_off, len)?;
-        src.fault_hook(src_off, len);
-        self.ensure(dst_off, len)?;
-        if (src_off | dst_off | len).is_multiple_of(4) {
-            let n = (len / 4) as usize;
-            self.words[word_range(dst_off, n)].copy_from_slice(&src.words[word_range(src_off, n)]);
-        } else {
-            for i in 0..len {
-                self.set_byte(dst_off + i, src.byte(src_off + i));
+        if rows == 0 {
+            return Ok(());
+        }
+        let len = (cols as u64).saturating_mul(4);
+        let end = self.check_rows(offset, stride, rows as u64, len)?;
+        self.touch(end);
+        for at in (0..rows as u64).map(|row| offset + row * stride) {
+            self.fault_hook(at, len);
+            if at.is_multiple_of(4) {
+                out.extend_from_slice(&self.words[word_range(at, cols)]);
+            } else {
+                let words = (at..).step_by(4).take(cols);
+                out.extend(words.map(|w| f32::from_bits(self.load_u32(w))));
             }
         }
         Ok(())
@@ -617,10 +673,54 @@ mod tests {
         let mut ddr = MemRegion::growable("DDR", 1 << 16);
         let mut am = MemRegion::fixed("AM", 1 << 10);
         ddr.write_f32_slice(128, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        am.copy_from(&mut ddr, 128, 0, 16).unwrap();
+        am.copy_2d_from(&mut ddr, &Dma2d::flat(128, 0, 16)).unwrap();
         let mut out = [0.0; 4];
         am.read_f32_slice(0, &mut out).unwrap();
         assert_eq!(out, [1.0, 2.0, 3.0, 4.0]);
+        // Two rows of two words from overlapping source rows one word apart.
+        am.copy_2d_from(&mut ddr, &Dma2d::block_f32(2, 2, 32, 1, 8, 2))
+            .unwrap();
+        let mut rows = Vec::new();
+        am.read_2d_f32(32, 8, 2, 2, &mut rows).unwrap();
+        assert_eq!(rows, [1.0, 2.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn refused_descriptors_move_nothing() {
+        let mut ddr = MemRegion::growable("DDR", 1 << 12);
+        let mut am = MemRegion::fixed("AM", 256);
+        ddr.write_f32_slice(0, &[1.0; 16]).unwrap();
+        am.write_f32_slice(0, &[7.0; 64]).unwrap();
+        ddr.schedule_flip(1, 0);
+        let block = |rows, src_off, src_stride, dst_off, dst_stride| Dma2d {
+            rows,
+            row_bytes: 16,
+            src_off,
+            src_stride,
+            dst_off,
+            dst_stride,
+        };
+        for d in [
+            // The third destination row ends past AM; the fourth source
+            // row lies past DDR's capacity.
+            block(3, 0, 16, 200, 24),
+            block(4, 0, 1 << 11, 0, 16),
+            // `(rows - 1) · stride` and `offset + span` overflowing u64.
+            block(3, 0, u64::MAX / 2 + 1, 0, 16),
+            block(2, 64, u64::MAX - 32, 0, 16),
+            block(2, 0, 16, 64, u64::MAX - 32),
+        ] {
+            let err = am.copy_2d_from(&mut ddr, &d).unwrap_err();
+            assert!(matches!(err, SimError::OutOfBounds { .. }), "{d:?}: {err}");
+        }
+        let refused = ddr.read_2d_f32(0, 1 << 11, 3, 4, &mut Vec::new());
+        assert!(matches!(refused, Err(SimError::OutOfBounds { .. })));
+        assert_eq!(ddr.materialised(), 64, "a refused block grows nothing");
+        assert_eq!(ddr.flips_applied(), 0, "a refused block is not a read");
+        assert_eq!(am.view_f32(0, 64).unwrap(), [7.0; 64], "no row was copied");
+        // An empty block is fine wherever it sits.
+        am.copy_2d_from(&mut ddr, &block(0, u64::MAX, 1, u64::MAX, 1))
+            .unwrap();
     }
 
     #[test]

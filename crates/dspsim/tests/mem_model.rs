@@ -8,7 +8,7 @@
 //! two indistinguishable: equal results (bit for bit, so NaN payloads and
 //! `-0.0` count), equal errors, equal `materialised()`, equal bytes.
 
-use dspsim::{MemRegion, SimError};
+use dspsim::{Dma2d, MemRegion, SimError};
 use proptest::prelude::*;
 
 /// The reference region: a byte array and the documented semantics.
@@ -107,15 +107,30 @@ impl Model {
         Ok(())
     }
 
-    fn copy_from(
-        &mut self,
-        src: &mut Model,
-        src_off: u64,
-        dst_off: u64,
-        len: u64,
-    ) -> Result<(), SimError> {
-        let bytes = src.read(src_off, len)?;
-        self.write(dst_off, &bytes)
+    /// The DMA primitive, naively: refuse the descriptor unless every row
+    /// of both sides is in bounds (source first), then move it a byte at
+    /// a time, each source row one read.
+    fn copy_2d_from(&mut self, src: &mut Model, d: &Dma2d) -> Result<(), SimError> {
+        let row_at = |off: u64, stride: u64, row: u64| {
+            u64::try_from(off as u128 + row as u128 * stride as u128).unwrap_or(u64::MAX)
+        };
+        for row in 0..d.rows {
+            src.check(row_at(d.src_off, d.src_stride, row), d.row_bytes)?;
+        }
+        for row in 0..d.rows {
+            self.check(row_at(d.dst_off, d.dst_stride, row), d.row_bytes)?;
+        }
+        for row in 0..d.rows {
+            let from = d.src_off + row * d.src_stride;
+            let to = d.dst_off + row * d.dst_stride;
+            src.ensure(from, d.row_bytes)?;
+            self.ensure(to, d.row_bytes)?;
+            src.hook(from, d.row_bytes);
+            for i in 0..d.row_bytes as usize {
+                self.data[to as usize + i] = src.data[from as usize + i];
+            }
+        }
+        Ok(())
     }
 }
 
@@ -174,6 +189,16 @@ fn same_outcome<T: PartialEq + std::fmt::Debug>(
 ) -> bool {
     match (real, model) {
         (Err(SimError::BadBinding { .. }), Err(SimError::BadBinding { .. })) => true,
+        _ => real == model,
+    }
+}
+
+/// Both sides moved the block, or both refused it for the same region
+/// (the region names its *last* row, the model the first that fails).
+fn same_refusal(real: &Result<(), SimError>, model: &Result<(), SimError>) -> bool {
+    use SimError::OutOfBounds;
+    match (real, model) {
+        (Err(OutOfBounds { region: r, .. }), Err(OutOfBounds { region: m, .. })) => r == m,
         _ => real == model,
     }
 }
@@ -242,7 +267,8 @@ fn step(real: &mut [MemRegion; 2], model: &mut [Model; 2], s: Step) {
             } else {
                 ((r1, r0), (m1, m0))
             };
-            same!(rd.copy_from(rs, a, b, len), md.copy_from(ms, a, b, len));
+            let d = Dma2d::flat(a, b, len);
+            same!(rd.copy_2d_from(rs, &d), md.copy_2d_from(ms, &d));
         }
         7 => same!(
             real[t].copy_within(a, b, len),
@@ -304,6 +330,17 @@ fn step(real: &mut [MemRegion; 2], model: &mut [Model; 2], s: Step) {
     }
 }
 
+/// Every byte, through every alignment (pending flips fire on the same
+/// reads of both sides).
+fn assert_same_bytes(real: &mut [MemRegion; 2], model: &mut [Model; 2]) {
+    for (r, m) in real.iter_mut().zip(model.iter_mut()) {
+        for at in 0..=m.capacity {
+            let want = m.read(at, 4).map(|w| u64::from(le_words(&w)[0]));
+            assert_eq!(r.read_u32(at), want, "{} byte {at}", m.name);
+        }
+    }
+}
+
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
         (
@@ -327,14 +364,81 @@ proptest! {
         for s in ops {
             step(&mut real, &mut model, s);
         }
-        // Every byte, through every alignment (pending flips fire on the
-        // same reads of both sides).
-        for (r, m) in real.iter_mut().zip(model.iter_mut()) {
-            for at in 0..=m.capacity {
-                let want = m.read(at, 4).map(|w| u64::from(le_words(&w)[0]));
-                prop_assert_eq!(r.read_u32(at), want, "byte {}", at);
-            }
+        assert_same_bytes(&mut real, &mut model);
+    }
+}
+
+/// One generated DMA block: `(rows, row bytes, (source offset, stride
+/// pick), (destination offset, stride pick), (alignment mask, direction,
+/// fill seed), armed flip)`.
+type Block = (u64, u64, (u64, u64), (u64, u64), (u8, u8, u64), (u64, u64));
+
+fn blocks() -> impl Strategy<Value = Block> {
+    (
+        0u64..6,
+        0u64..44,
+        (0u64..300, 0u64..u64::MAX),
+        (0u64..300, 0u64..u64::MAX),
+        (0u8..32, 0u8..2, 0u64..u64::MAX),
+        (0u64..8, 0u64..u64::MAX),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// 2-D descriptors against the naive per-byte loop: zero strides,
+    /// overlapping rows, misaligned offsets and lengths, blocks that leave
+    /// either region (refused whole), and a flip armed on one of the
+    /// block's source rows.
+    #[test]
+    fn dma_blocks_match_a_per_byte_loop(block in blocks()) {
+        let (rows, len, (src_off, src_pick), (dst_off, dst_pick), (mask, to_am, seed), flip) = block;
+        let snap = |v: u64, bit: u8| if mask & bit == 0 { v & !3 } else { v };
+        let len = snap(len, 1);
+        // Stride 0, rows overlapping by half, dense, or a gap.
+        let stride = |pick: u64, bit: u8| match pick % 4 {
+            0 => 0,
+            1 => snap(len / 2, bit),
+            2 => len,
+            _ => len + snap(pick >> 8 & 31, bit),
+        };
+        let d = Dma2d {
+            rows,
+            row_bytes: len,
+            src_off: snap(src_off, 2),
+            src_stride: stride(src_pick, 4),
+            dst_off: snap(dst_off, 8),
+            dst_stride: stride(dst_pick, 16),
+        };
+        let (mut real, mut model) = regions();
+        for t in 0..2 {
+            let fill: Vec<f32> = (0..CAPACITY[t] / 8)
+                .map(|i| f32::from_bits(pattern(seed.rotate_left(5 * i as u32 + t as u32))))
+                .collect();
+            let bytes: Vec<u8> = fill.iter().flat_map(|v| v.to_le_bytes()).collect();
+            real[t].write_f32_slice(0, &fill).unwrap();
+            model[t].write(0, &bytes).unwrap();
         }
+        let [r_am, r_ddr] = &mut real;
+        let [m_am, m_ddr] = &mut model;
+        let ((rd, rs), (md, ms)) = if to_am == 1 {
+            ((r_am, r_ddr), (m_am, m_ddr))
+        } else {
+            ((r_ddr, r_am), (m_ddr, m_am))
+        };
+        // Flips 1..=5 strike a row of this block, later ones stay armed.
+        if flip.0 > 0 {
+            rs.schedule_flip(flip.0, flip.1);
+            ms.schedule_flip(flip.0, flip.1);
+        }
+        let (got, want) = (rd.copy_2d_from(rs, &d), md.copy_2d_from(ms, &d));
+        prop_assert!(same_refusal(&got, &want), "{:?}: real {:?} vs model {:?}", d, got, want);
+        for (r, m) in real.iter().zip(model.iter()) {
+            prop_assert_eq!(r.materialised(), m.data.len() as u64, "{:?}: materialised", d);
+            prop_assert_eq!(r.flips_applied(), m.flips, "{:?}: flips applied", d);
+        }
+        assert_same_bytes(&mut real, &mut model);
     }
 }
 
@@ -348,7 +452,8 @@ fn signalling_nan_and_negative_zero_survive_dma_and_views() {
     ddr.write_f32_slice(64, &[1.25, -0.0, f32::from_bits(0x7F80_0001)])
         .unwrap();
     ddr.flip_f32_msb(64).unwrap();
-    am.copy_from(&mut ddr, 64, 128, 12).unwrap();
+    am.copy_2d_from(&mut ddr, &Dma2d::flat(64, 128, 12))
+        .unwrap();
     let want = [0x7FA0_0000, 0x8000_0000, 0x7F80_0001];
     assert_eq!(bits(am.view_f32(128, 3).unwrap()), want);
     let (b, c) = am.view_f32_pair((128, 3), (256, 3)).unwrap();

@@ -1,9 +1,12 @@
 //! Host SIMD inner loops for the `Compiled` kernel execution tier.
 //!
-//! This crate holds the only `unsafe` code of the execution stack: AVX2+FMA
-//! register-tiled block loops, monomorphised over the depth unroll `k_u`
-//! and a fixed table of tile shapes, that reproduce the scalar mirror's
-//! f32 accumulation order *bit-for-bit*.
+//! This crate holds the only `unsafe` code of the execution stack: one
+//! register-tiled block loop, generic over the vector width (`Lanes`:
+//! 8-lane AVX2+FMA or 16-lane AVX-512F, picked once per process by
+//! `is_x86_feature_detected!`) and monomorphised over the depth unroll
+//! `k_u` and a table of tile shapes derived from that width's register
+//! file, that reproduces the scalar mirror's f32 accumulation order
+//! *bit-for-bit*.
 //!
 //! # The bitwise contract
 //!
@@ -18,46 +21,62 @@
 //!
 //! Elements never interact: the value of `C[r][c]` depends on row `r` of
 //! A, column `c` of B and its own `k_u` accumulators, nothing else.  So
-//! *which* elements are computed together is free.  Packing 8 adjacent
-//! columns into the lanes of one AVX register, and holding a block of
+//! *which* elements are computed together is free.  Packing adjacent
+//! columns into the lanes of one vector register, and holding a block of
 //! `R` rows × `CV` such registers × `k_u` accumulators live at once, runs
 //! the identical per-element operation sequence — `vfmadd` for every
 //! `mul_add`, `vaddps` for every regroup `+` — and yields the same bits
-//! as the scalar loop: both `f32::mul_add` and `_mm256_fmadd_ps` are
-//! exactly-rounded fused multiply-adds, and IEEE 754 addition has one
-//! correctly-rounded answer per lane.  The rows of a block group share
-//! one depth split, so the group's `trips × m_u` rows are tiled as one
-//! range, whatever `m_u` is.  Remainder columns (`ld mod 8`) run the
-//! scalar sequence verbatim.
+//! as the scalar loop at either width: `f32::mul_add`, `_mm256_fmadd_ps`
+//! and `_mm512_fmadd_ps` are all exactly-rounded fused multiply-adds, and
+//! IEEE 754 addition has one correctly-rounded answer per lane.  The rows
+//! of a block group share one depth split, so the group's `trips × m_u`
+//! rows are tiled as one range, whatever `m_u` is.
 //!
-//! # The tile table
+//! # Which columns are computed
+//!
+//! The panels have leading dimension `ld` (the kernel's `na_pad`, whole
+//! 32-lane DSP vectors) but only the first `n_a` columns are real.  The
+//! interpreter is the hardware and fills whole DSP vectors; the host
+//! tiers compute columns `0..n_a` rounded up to the live lane count (8,
+//! 16, or 1 on the scalar path), never past `ld`.  So [`execute_block`]
+//! is bit-identical to the interpreter on columns `0..n_a` of every row
+//! of the group; columns `n_a..ld` of those rows are *unspecified*
+//! (computed or left as they were, depending on the width).  Remainder
+//! columns that fill no whole vector inside `ld` run the scalar sequence
+//! verbatim.
+//!
+//! # The tile tables
 //!
 //! What the tile buys is reuse: per depth step one `B` vector load
 //! serves `R` rows and one `A` broadcast serves `CV` vectors (the paper's
 //! `m_u × k_u` register block, Tables I–III), and `R·CV·k_u` independent
-//! accumulators keep enough fmas in flight to cover the FMA latency.
-//! AVX2 has 16 vector registers; 12 go to accumulators, the rest to the
-//! `B` vectors and the broadcast.  Each column strip is `CV = 2` vectors
-//! (16 columns) wide, then one single-vector strip, then scalar columns;
-//! within a strip the rows are covered tallest tile first:
+//! accumulators keep enough fmas in flight: two FMA pipes of latency 4
+//! want ≥ 8 independent chains at either width, which every tallest tile
+//! below supplies (shorter ones only mop up the last rows of a group).
+//! AVX2 has 16 vector registers and gives 12 to accumulators; AVX-512 has
+//! 32 and gives 24; the rest hold the `B` vectors and the broadcast.
+//! Each column strip is `CV = 2` vectors wide, then one single-vector
+//! strip; within a strip the rows are covered tallest tile first, the
+//! heights being those of `12, 8, 6, 4, 3, 2, 1` with
+//! `R · 2 · k_u ≤` the accumulator budget:
 //!
-//! | `k_u` | tile heights `R` (accumulators at `CV = 2`) |
-//! |---|---|
-//! | 1 | 6 (12), 4 (8), 2 (4), 1 (2) |
-//! | 2 | 3 (12), 2 (8), 1 (4) |
-//! | 4 | 1 (8) |
+//! | `k_u` | AVX2+FMA heights `R` | AVX-512F heights `R` |
+//! |---|---|---|
+//! | 1 | 6, 4, 3, 2, 1 | 12, 8, 6, 4, 3, 2, 1 |
+//! | 2 | 3, 2, 1 | 6, 4, 3, 2, 1 |
+//! | 4 | 1 | 3, 2, 1 |
 //!
-//! The table is fixed at compile time; nothing selects a shape at run
-//! time except the row count that is left.
+//! The tables are fixed at compile time; nothing selects a shape at run
+//! time except the row count that is left, and nothing selects a width
+//! except the CPU.
 //!
 //! On non-x86_64 hosts, or when the CPU lacks AVX2/FMA, [`execute_block`]
 //! falls back to the scalar sequence, which is *also* bit-identical — the
-//! tier is then correct but not faster; [`simd_level`] reports which path
-//! is live so benchmark gates can tell the difference.
+//! tier is then correct but not faster; [`simd_level`] names the live
+//! width and [`simd_active`] tells benchmark gates whether there is one.
 
 #![warn(missing_docs)]
 
-#[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
 /// Geometry of one `mm` block group, as lowered from a verified
@@ -83,17 +102,93 @@ pub struct BlockGeom {
 /// `k_u` to this set). [`execute_block`] rejects anything else.
 pub const SUPPORTED_KU: [usize; 3] = [1, 2, 4];
 
-/// Execute one block group: `c[rows] += a[rows] × b`, panels laid out as
-/// the kernel scratchpads (`a`: row-major with leading dimension `k_a`;
-/// `b`/`c`: leading dimension `ld`).
+/// Execute one block group: `c[rows] += a[rows] × b` on the real columns
+/// `0..n_a`, panels laid out as the kernel scratchpads (`a`: row-major
+/// with leading dimension `k_a`; `b`/`c`: leading dimension `ld`).
+/// Columns `n_a..ld` of the group's rows are unspecified afterwards (see
+/// the [crate docs](crate#which-columns-are-computed)); nothing else is
+/// written.
 ///
 /// # Panics
 ///
 /// Panics (release mode included — these bounds make the internal
 /// `unsafe` sound) if the geometry is inconsistent: `k_u` outside
-/// [`SUPPORTED_KU`], `k_iters·k_u + k_tail ≠ k_a`, or any referenced
-/// row/column lying outside `a`, `b` or `c`.
-pub fn execute_block(g: &BlockGeom, k_a: usize, ld: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// [`SUPPORTED_KU`], `k_iters·k_u + k_tail ≠ k_a`, `n_a > ld`, or any
+/// referenced row/column lying outside `a`, `b` or `c`.
+pub fn execute_block(
+    g: &BlockGeom,
+    k_a: usize,
+    n_a: usize,
+    ld: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    execute_block_at(Level::live(), g, k_a, n_a, ld, a, b, c);
+}
+
+/// Whether a vectorised path is live on this host.
+pub fn simd_active() -> bool {
+    Level::live() != Level::Scalar
+}
+
+/// Human-readable name of the live code path (`"avx512f"`, `"avx2+fma"`
+/// or `"scalar"`), for benchmark reports.
+pub fn simd_level() -> &'static str {
+    match Level::live() {
+        Level::Avx512 => "avx512f",
+        Level::Avx2 => "avx2+fma",
+        Level::Scalar => "scalar",
+    }
+}
+
+/// The code paths of [`execute_block`], widest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    Avx512,
+    Avx2,
+    Scalar,
+}
+
+impl Level {
+    const ALL: [Level; 3] = [Level::Avx512, Level::Avx2, Level::Scalar];
+
+    /// Whether this CPU can run the level.
+    fn supported(self) -> bool {
+        match self {
+            Level::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Level::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest supported level, detected once per process.
+    fn live() -> Level {
+        static LIVE: OnceLock<Level> = OnceLock::new();
+        *LIVE.get_or_init(|| {
+            let widest = Level::ALL.into_iter().find(|l| l.supported());
+            widest.expect("the scalar level is always supported")
+        })
+    }
+}
+
+/// [`execute_block`] on a given level (the tests force each one the CPU
+/// supports, so the narrower instantiation cannot rot on a wider host).
+#[allow(clippy::too_many_arguments)] // execute_block's seven and the level
+fn execute_block_at(
+    level: Level,
+    g: &BlockGeom,
+    k_a: usize,
+    n_a: usize,
+    ld: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     let end_row = g.mm_base + g.trips * g.m_u;
     assert!(
         SUPPORTED_KU.contains(&g.k_u),
@@ -105,56 +200,26 @@ pub fn execute_block(g: &BlockGeom, k_a: usize, ld: usize, a: &[f32], b: &[f32],
         k_a,
         "block depth split does not cover k_a"
     );
+    assert!(n_a <= ld, "n_a = {n_a} exceeds the leading dimension {ld}");
     assert!(end_row * k_a <= a.len(), "A panel too small for block rows");
     assert!(end_row * ld <= c.len(), "C panel too small for block rows");
     assert!(k_a * ld <= b.len(), "B panel too small for depth x ld");
-    match g.k_u {
-        1 => dispatch::<1>(g, k_a, ld, a, b, c),
-        2 => dispatch::<2>(g, k_a, ld, a, b, c),
-        _ => dispatch::<4>(g, k_a, ld, a, b, c),
+    assert!(level.supported(), "{level:?} is not available on this CPU");
+    match level {
+        Level::Scalar => match g.k_u {
+            1 => block_scalar::<1>(g, k_a, n_a, ld, a, b, c),
+            2 => block_scalar::<2>(g, k_a, n_a, ld, a, b, c),
+            _ => block_scalar::<4>(g, k_a, n_a, ld, a, b, c),
+        },
+        // SAFETY (both): just above, every row/column access was asserted
+        // in bounds and the CPU asserted to support the level's features.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { vector::block_avx2(g, k_a, n_a, ld, a, b, c) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { vector::block_avx512(g, k_a, n_a, ld, a, b, c) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("only the scalar level is supported off x86_64"),
     }
-}
-
-/// Whether the vectorised path is live on this host.
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Human-readable name of the live code path (`"avx2+fma"` or
-/// `"scalar"`), for benchmark reports and CI gates.
-pub fn simd_level() -> &'static str {
-    if simd_active() {
-        "avx2+fma"
-    } else {
-        "scalar"
-    }
-}
-
-fn dispatch<const KU: usize>(
-    g: &BlockGeom,
-    k_a: usize,
-    ld: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: `execute_block` asserted every row/column access is in
-        // bounds and the CPU supports AVX2+FMA (checked just above).
-        unsafe { block_avx::<KU>(g, k_a, ld, a, b, c) };
-        return;
-    }
-    block_scalar::<KU>(g, k_a, ld, a, b, c);
 }
 
 /// One C element in the reference accumulation order (shared by the
@@ -189,169 +254,251 @@ fn scalar_col<const KU: usize>(
 fn block_scalar<const KU: usize>(
     g: &BlockGeom,
     k_a: usize,
+    n_a: usize,
     ld: usize,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
 ) {
-    for trip in 0..g.trips {
-        for mu in 0..g.m_u {
-            let row = g.mm_base + trip * g.m_u + mu;
-            let a_row = &a[row * k_a..row * k_a + k_a];
-            let c_row = &mut c[row * ld..row * ld + ld];
-            for (col, cv) in c_row.iter_mut().enumerate() {
-                *cv = scalar_col::<KU>(g, ld, a_row, b, col, *cv);
-            }
-        }
-    }
-}
-
-/// Vectorised block group: register tiles of `R` rows × `CV` 8-lane
-/// column vectors, every element's operation sequence identical to
-/// [`scalar_col`].
-///
-/// # Safety
-///
-/// Caller must guarantee AVX2+FMA are available and that all rows
-/// `mm_base .. mm_base + trips·m_u` of `a`/`c` and all `k_a × ld`
-/// elements of `b` are in bounds ([`execute_block`] asserts both).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn block_avx<const KU: usize>(
-    g: &BlockGeom,
-    k_a: usize,
-    ld: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    // Rows of a group share one depth split and never interact, so the
-    // group's `trips × m_u` rows are tiled as one contiguous range.
-    let rows = g.trips * g.m_u;
-    let ap = a.as_ptr().add(g.mm_base * k_a);
-    let bp = b.as_ptr();
-    let cp = c.as_mut_ptr().add(g.mm_base * ld);
-    let mut col = 0;
-    while col + 16 <= ld {
-        column_strip::<KU, 2>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
-        col += 16;
-    }
-    if col + 8 <= ld {
-        column_strip::<KU, 1>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
-        col += 8;
-    }
-    // ld is a whole number of 32-lane vectors in practice, but the
-    // remainder keeps the contract shape-independent.
-    for row in 0..rows {
-        let a_row = std::slice::from_raw_parts(ap.add(row * k_a), k_a);
-        for col in col..ld {
-            let cv = cp.add(row * ld + col);
+    for row in g.mm_base..g.mm_base + g.trips * g.m_u {
+        let a_row = &a[row * k_a..row * k_a + k_a];
+        let c_row = &mut c[row * ld..row * ld + n_a];
+        for (col, cv) in c_row.iter_mut().enumerate() {
             *cv = scalar_col::<KU>(g, ld, a_row, b, col, *cv);
         }
     }
 }
 
-/// All `rows` of one strip of `CV` column vectors, tallest tile first.
-/// The heights are the [tile table](crate#the-tile-table): `R·CV·KU ≤ 12`
-/// accumulator registers at `CV = 2`.
-///
-/// # Safety
-///
-/// As [`tile`], for every row in `0..rows`.
+/// The register-tiled loops: one definition, instantiated per width.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn column_strip<const KU: usize, const CV: usize>(
-    g: &BlockGeom,
-    rows: usize,
-    k_a: usize,
-    ld: usize,
-    ap: *const f32,
-    bp: *const f32,
-    cp: *mut f32,
-) {
-    let mut row = 0;
-    macro_rules! tiles_of {
-        ($r:literal) => {
-            while rows - row >= $r {
-                tile::<KU, $r, CV>(g, k_a, ld, ap.add(row * k_a), bp, cp.add(row * ld));
-                row += $r;
+mod vector {
+    use super::{scalar_col, BlockGeom};
+    use std::arch::x86_64::*;
+
+    /// A vector width the tile loops are instantiated at.  The methods
+    /// wrap the width's intrinsics and are `#[inline(always)]`, as is
+    /// everything between them and the width's `#[target_feature]` entry
+    /// point, so the whole loop nest compiles inside that entry point
+    /// with its features.
+    ///
+    /// # Safety
+    ///
+    /// Every method needs the CPU features of the implementing width;
+    /// `load`/`store` also need `N` readable/writable f32 at `p`
+    /// (unaligned).
+    trait Lanes: Copy {
+        /// f32 lanes per vector.
+        const N: usize;
+        /// Vector registers given to accumulators; the rest of the
+        /// register file holds the `B` vectors and the `A` broadcast.
+        const ACCS: usize;
+        unsafe fn splat(x: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        /// `a * b + self`, fused.
+        unsafe fn fma(self, a: Self, b: Self) -> Self;
+        unsafe fn add(self, o: Self) -> Self;
+    }
+
+    /// A width: its [`Lanes`] and its entry point, [`block`] under the
+    /// width's `#[target_feature]`.
+    macro_rules! width {
+        ($entry:ident, $features:literal, $v:ident: $n:literal lanes, $accs:literal accumulators,
+         $splat:ident, $load:ident, $store:ident, $fma:ident, $add:ident) => {
+            impl Lanes for $v {
+                const N: usize = $n;
+                const ACCS: usize = $accs;
+                #[inline(always)]
+                unsafe fn splat(x: f32) -> Self {
+                    $splat(x)
+                }
+                #[inline(always)]
+                unsafe fn load(p: *const f32) -> Self {
+                    $load(p)
+                }
+                #[inline(always)]
+                unsafe fn store(self, p: *mut f32) {
+                    $store(p, self)
+                }
+                #[inline(always)]
+                unsafe fn fma(self, a: Self, b: Self) -> Self {
+                    $fma(a, b, self)
+                }
+                #[inline(always)]
+                unsafe fn add(self, o: Self) -> Self {
+                    $add(self, o)
+                }
+            }
+
+            /// # Safety
+            ///
+            /// As [`block`]; the CPU must support this width's features.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $entry(
+                g: &BlockGeom,
+                k_a: usize,
+                n_a: usize,
+                ld: usize,
+                a: &[f32],
+                b: &[f32],
+                c: &mut [f32],
+            ) {
+                match g.k_u {
+                    1 => block::<$v, 1>(g, k_a, n_a, ld, a, b, c),
+                    2 => block::<$v, 2>(g, k_a, n_a, ld, a, b, c),
+                    _ => block::<$v, 4>(g, k_a, n_a, ld, a, b, c),
+                }
             }
         };
     }
-    if KU == 1 {
-        tiles_of!(6);
-        tiles_of!(4);
-    }
-    if KU == 2 {
-        tiles_of!(3);
-    }
-    if KU <= 2 {
-        tiles_of!(2);
-    }
-    tiles_of!(1);
-}
+    width!(
+        block_avx2, "avx2,fma", __m256: 8 lanes, 12 accumulators,
+        _mm256_set1_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_fmadd_ps, _mm256_add_ps
+    );
+    width!(
+        block_avx512, "avx512f", __m512: 16 lanes, 24 accumulators,
+        _mm512_set1_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_fmadd_ps, _mm512_add_ps
+    );
 
-/// One register tile: `R` rows × `CV` vectors × `KU` accumulators.  Per
-/// depth step each `B` vector is loaded once for all `R` rows and each
-/// `A` element broadcast once for all `CV` vectors.
-///
-/// # Safety
-///
-/// AVX2+FMA must be available; `ap` must point at `R` rows of `k_a`
-/// readable elements, `bp` at `k_a` rows of leading dimension `ld` with
-/// `8·CV` readable elements each, `cp` at `R` such rows, writable.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-// The tile is indexed `[ku][r][v]` alongside the pointers; iterators
-// over one of the three would hide the register-block structure.
-#[allow(clippy::needless_range_loop)]
-unsafe fn tile<const KU: usize, const R: usize, const CV: usize>(
-    g: &BlockGeom,
-    k_a: usize,
-    ld: usize,
-    ap: *const f32,
-    bp: *const f32,
-    cp: *mut f32,
-) {
-    use std::arch::x86_64::*;
-    let mut acc = [[[_mm256_setzero_ps(); CV]; R]; KU];
-    for r in 0..R {
-        for v in 0..CV {
-            acc[0][r][v] = _mm256_loadu_ps(cp.add(r * ld + 8 * v));
+    /// Vectorised block group: register tiles of `R` rows × `CV` column
+    /// vectors over the whole vectors that cover columns `0..n_a` inside
+    /// `ld`, every element's operation sequence identical to
+    /// [`scalar_col`].
+    ///
+    /// # Safety
+    ///
+    /// Caller must guarantee `V`'s CPU features, `n_a ≤ ld`, and that all
+    /// rows `mm_base .. mm_base + trips·m_u` of `a`/`c` and all `k_a × ld`
+    /// elements of `b` are in bounds (`execute_block_at` asserts all
+    /// three).
+    #[inline(always)]
+    unsafe fn block<V: Lanes, const KU: usize>(
+        g: &BlockGeom,
+        k_a: usize,
+        n_a: usize,
+        ld: usize,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        // Rows of a group share one depth split and never interact, so
+        // the group's `trips × m_u` rows are tiled as one contiguous range.
+        let rows = g.trips * g.m_u;
+        let ap = a.as_ptr().add(g.mm_base * k_a);
+        let bp = b.as_ptr();
+        let cp = c.as_mut_ptr().add(g.mm_base * ld);
+        let vector_cols = n_a.div_ceil(V::N).min(ld / V::N) * V::N;
+        let mut col = 0;
+        while col + 2 * V::N <= vector_cols {
+            column_strip::<V, KU, 2>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
+            col += 2 * V::N;
+        }
+        if col < vector_cols {
+            column_strip::<V, KU, 1>(g, rows, k_a, ld, ap, bp.add(col), cp.add(col));
+            col += V::N;
+        }
+        // ld is a whole number of 32-lane vectors in practice, but the
+        // remainder keeps the contract shape-independent.
+        for row in 0..rows {
+            let a_row = std::slice::from_raw_parts(ap.add(row * k_a), k_a);
+            for col in col..n_a {
+                let cv = cp.add(row * ld + col);
+                *cv = scalar_col::<KU>(g, ld, a_row, b, col, *cv);
+            }
         }
     }
-    // acc[ku][r][v] += a[r][k] * b[k][v], for every row and vector.
-    macro_rules! fma_step {
-        ($k:expr, $ku:expr) => {{
-            let k = $k;
-            let mut bvec = [_mm256_setzero_ps(); CV];
-            for v in 0..CV {
-                bvec[v] = _mm256_loadu_ps(bp.add(k * ld + 8 * v));
-            }
-            for r in 0..R {
-                let avec = _mm256_set1_ps(*ap.add(r * k_a + k));
-                for v in 0..CV {
-                    acc[$ku][r][v] = _mm256_fmadd_ps(avec, bvec[v], acc[$ku][r][v]);
+
+    /// All `rows` of one strip of `CV` column vectors, tallest tile first.
+    /// The heights are the [tile table](crate#the-tile-tables) of `V`:
+    /// those with `R·2·KU ≤ V::ACCS` accumulator registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], for every row in `0..rows`.
+    #[inline(always)]
+    unsafe fn column_strip<V: Lanes, const KU: usize, const CV: usize>(
+        g: &BlockGeom,
+        rows: usize,
+        k_a: usize,
+        ld: usize,
+        ap: *const f32,
+        bp: *const f32,
+        cp: *mut f32,
+    ) {
+        let mut row = 0;
+        macro_rules! tiles_of {
+            ($($r:literal),+) => {$(
+                if const { $r * 2 * KU <= V::ACCS } {
+                    while rows - row >= $r {
+                        tile::<V, KU, $r, CV>(g, k_a, ld, ap.add(row * k_a), bp, cp.add(row * ld));
+                        row += $r;
+                    }
                 }
-            }
-        }};
-    }
-    for j in 0..g.k_iters {
-        for ku in 0..KU {
-            fma_step!(j * KU + ku, ku);
+            )+};
         }
+        tiles_of!(12, 8, 6, 4, 3, 2, 1);
     }
-    for rr in 0..g.k_tail {
-        fma_step!(g.k_iters * KU + rr, 0);
-    }
-    for r in 0..R {
-        for v in 0..CV {
-            let mut sum = acc[0][r][v];
-            for group in acc.iter().skip(1) {
-                sum = _mm256_add_ps(sum, group[r][v]);
+
+    /// One register tile: `R` rows × `CV` vectors × `KU` accumulators.
+    /// Per depth step each `B` vector is loaded once for all `R` rows and
+    /// each `A` element broadcast once for all `CV` vectors.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU features must be available; `ap` must point at `R` rows
+    /// of `k_a` readable elements, `bp` at `k_a` rows of leading dimension
+    /// `ld` with `V::N·CV` readable elements each, `cp` at `R` such rows,
+    /// writable.
+    #[inline(always)]
+    // The tile is indexed `[ku][r][v]` alongside the pointers; iterators
+    // over one of the three would hide the register-block structure.
+    #[allow(clippy::needless_range_loop)]
+    unsafe fn tile<V: Lanes, const KU: usize, const R: usize, const CV: usize>(
+        g: &BlockGeom,
+        k_a: usize,
+        ld: usize,
+        ap: *const f32,
+        bp: *const f32,
+        cp: *mut f32,
+    ) {
+        let mut acc = [[[V::splat(0.0); CV]; R]; KU];
+        for r in 0..R {
+            for v in 0..CV {
+                acc[0][r][v] = V::load(cp.add(r * ld + V::N * v));
             }
-            _mm256_storeu_ps(cp.add(r * ld + 8 * v), sum);
+        }
+        // acc[ku][r][v] += a[r][k] * b[k][v], for every row and vector.
+        macro_rules! fma_step {
+            ($k:expr, $ku:expr) => {{
+                let k = $k;
+                let mut bvec = [V::splat(0.0); CV];
+                for v in 0..CV {
+                    bvec[v] = V::load(bp.add(k * ld + V::N * v));
+                }
+                for r in 0..R {
+                    let avec = V::splat(*ap.add(r * k_a + k));
+                    for v in 0..CV {
+                        acc[$ku][r][v] = acc[$ku][r][v].fma(avec, bvec[v]);
+                    }
+                }
+            }};
+        }
+        for j in 0..g.k_iters {
+            for ku in 0..KU {
+                fma_step!(j * KU + ku, ku);
+            }
+        }
+        for rr in 0..g.k_tail {
+            fma_step!(g.k_iters * KU + rr, 0);
+        }
+        for r in 0..R {
+            for v in 0..CV {
+                let mut sum = acc[0][r][v];
+                for group in acc.iter().skip(1) {
+                    sum = sum.add(group[r][v]);
+                }
+                sum.store(cp.add(r * ld + V::N * v));
+            }
         }
     }
 }
@@ -395,19 +542,36 @@ mod tests {
         v
     }
 
-    fn reference_block(g: &BlockGeom, k_a: usize, ld: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    /// [`scalar_col`] for the block's `k_u`.
+    fn reference_col(
+        g: &BlockGeom,
+        ld: usize,
+        a_row: &[f32],
+        b: &[f32],
+        col: usize,
+        c0: f32,
+    ) -> f32 {
         match g.k_u {
-            1 => block_scalar::<1>(g, k_a, ld, a, b, c),
-            2 => block_scalar::<2>(g, k_a, ld, a, b, c),
-            _ => block_scalar::<4>(g, k_a, ld, a, b, c),
+            1 => scalar_col::<1>(g, ld, a_row, b, col, c0),
+            2 => scalar_col::<2>(g, ld, a_row, b, col, c0),
+            _ => scalar_col::<4>(g, ld, a_row, b, col, c0),
         }
     }
 
-    /// The vector path and the scalar path must agree bit-for-bit on
-    /// every element, for every supported k_u, including ragged shapes.
+    fn supported_levels() -> impl Iterator<Item = Level> {
+        Level::ALL.into_iter().filter(|l| l.supported())
+    }
+
+    /// The live path and the scalar path must agree bit-for-bit on every
+    /// real element, for every supported k_u, including ragged shapes.
     #[test]
-    fn avx_and_scalar_paths_are_bitwise_identical() {
-        for &(m_s, k_a, ld) in &[(6, 37, 96), (1, 129, 32), (7, 4, 64), (3, 1, 32)] {
+    fn live_and_scalar_paths_are_bitwise_identical() {
+        for &(m_s, k_a, n_a, ld) in &[
+            (6, 37, 96, 96),
+            (1, 129, 20, 32),
+            (7, 4, 64, 64),
+            (3, 1, 1, 32),
+        ] {
             for &k_u in &SUPPORTED_KU {
                 let a = fill(m_s * k_a, 1);
                 let b = fill(k_a * ld, 2);
@@ -415,64 +579,88 @@ mod tests {
                 let mut c_auto = c0.clone();
                 let mut c_scalar = c0.clone();
                 for g in geom(m_s, m_s.min(6), k_a, k_u) {
-                    execute_block(&g, k_a, ld, &a, &b, &mut c_auto);
-                    reference_block(&g, k_a, ld, &a, &b, &mut c_scalar);
+                    execute_block(&g, k_a, n_a, ld, &a, &b, &mut c_auto);
+                    execute_block_at(Level::Scalar, &g, k_a, n_a, ld, &a, &b, &mut c_scalar);
                 }
                 for (i, (x, y)) in c_auto.iter().zip(&c_scalar).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "m_s={m_s} k_a={k_a} ld={ld} k_u={k_u} elem {i}: {x} vs {y}"
+                    assert!(
+                        i % ld >= n_a || x.to_bits() == y.to_bits(),
+                        "m_s={m_s} k_a={k_a} n_a={n_a} k_u={k_u} elem {i}: {x} vs {y}"
                     );
                 }
             }
         }
     }
 
-    /// Every tile height, both strip widths, the scalar column remainder
-    /// and every depth-tail length, on panels that start at odd element
-    /// offsets (so no pointer is 8- or 32-byte aligned) and on groups that
-    /// start below row 0 of the panel.
+    /// At every level this CPU supports: every tile height of both tables,
+    /// both strip widths, the scalar column remainder and every depth-tail
+    /// length, on panels that start at odd element offsets (so no pointer
+    /// is vector-aligned) and on groups that start below row 0 of the
+    /// panel.  Columns `0..n_a` of the group's rows carry `scalar_col`'s
+    /// bits; nothing outside those rows — the rows above the group, the
+    /// guard words around the panel — is written.
     #[test]
     fn tile_sweep_matches_scalar_bitwise() {
-        for &k_u in &SUPPORTED_KU {
-            for (k_iters, k_tail) in [0, 3]
-                .into_iter()
-                .flat_map(|i| (0..k_u).map(move |t| (i, t)))
-            {
-                let k_a = k_iters * k_u + k_tail;
-                if k_a == 0 {
-                    continue;
-                }
-                for &ld in &[8, 13, 24, 32, 40, 96] {
-                    for m_u in 1..=13 {
-                        for trips in 1..=3 {
-                            let mm_base = [0, 3][(m_u + trips) % 2];
-                            let g = BlockGeom {
-                                mm_base,
-                                m_u,
-                                trips,
-                                k_u,
-                                k_iters,
-                                k_tail,
-                            };
-                            let rows = mm_base + trips * m_u;
-                            let a = fill(1 + rows * k_a, 4);
-                            let b = fill(3 + k_a * ld, 5);
-                            let c0 = fill(5 + rows * ld, 6);
-                            let mut c_auto = c0.clone();
-                            let mut c_scalar = c0;
-                            execute_block(&g, k_a, ld, &a[1..], &b[3..], &mut c_auto[5..]);
-                            reference_block(&g, k_a, ld, &a[1..], &b[3..], &mut c_scalar[5..]);
-                            let same = c_auto.iter().zip(&c_scalar);
-                            if let Some(i) = same
-                                .map(|(x, y)| x.to_bits() == y.to_bits())
-                                .position(|eq| !eq)
-                            {
-                                panic!(
-                                    "{g:?} k_a={k_a} ld={ld}: c[{i}] = {} vs {}",
-                                    c_auto[i], c_scalar[i]
+        const GUARD: usize = 40;
+        let pad = |n_a: usize| (n_a.div_ceil(32) * 32, n_a);
+        let widths = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 80, 96].map(pad);
+        // … and leading dimensions that are no whole number of vectors.
+        let ragged = [(8, 8), (13, 13), (24, 20), (40, 40)];
+        for level in supported_levels() {
+            for &k_u in &SUPPORTED_KU {
+                for (k_iters, k_tail) in [0, 3]
+                    .into_iter()
+                    .flat_map(|i| (0..k_u).map(move |t| (i, t)))
+                {
+                    let k_a = k_iters * k_u + k_tail;
+                    if k_a == 0 {
+                        continue;
+                    }
+                    for &(ld, n_a) in widths.iter().chain(&ragged) {
+                        for m_u in 1..=13 {
+                            for trips in 1..=3 {
+                                let mm_base = [0, 3][(m_u + trips) % 2];
+                                let g = BlockGeom {
+                                    mm_base,
+                                    m_u,
+                                    trips,
+                                    k_u,
+                                    k_iters,
+                                    k_tail,
+                                };
+                                let rows = mm_base + trips * m_u;
+                                let a = fill(1 + rows * k_a, 4);
+                                let b = fill(3 + k_a * ld, 5);
+                                let c0 = fill(5 + rows * ld + GUARD, 6);
+                                let mut c = c0.clone();
+                                let panel = 5..5 + rows * ld;
+                                execute_block_at(
+                                    level,
+                                    &g,
+                                    k_a,
+                                    n_a,
+                                    ld,
+                                    &a[1..],
+                                    &b[3..],
+                                    &mut c[panel.clone()],
                                 );
+                                for (i, (&got, &was)) in c.iter().zip(&c0).enumerate() {
+                                    let at = i.wrapping_sub(panel.start);
+                                    let (row, col) = (at / ld, at % ld);
+                                    let want = if !panel.contains(&i) || row < mm_base {
+                                        was
+                                    } else if col < n_a {
+                                        let a_row = &a[1 + row * k_a..][..k_a];
+                                        reference_col(&g, ld, a_row, &b[3..], col, was)
+                                    } else {
+                                        continue; // padding lane: unspecified
+                                    };
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "{level:?} {g:?} k_a={k_a} n_a={n_a} ld={ld}: c[{i}]"
+                                    );
+                                }
                             }
                         }
                     }
@@ -492,7 +680,7 @@ mod tests {
             k_iters: 1,
             k_tail: 0,
         };
-        execute_block(&g, 3, 8, &[0.0; 3], &[0.0; 24], &mut [0.0; 8]);
+        execute_block(&g, 3, 8, 8, &[0.0; 3], &[0.0; 24], &mut [0.0; 8]);
     }
 
     #[test]
@@ -506,13 +694,30 @@ mod tests {
             k_iters: 4,
             k_tail: 0,
         };
-        execute_block(&g, 4, 8, &[0.0; 4], &[0.0; 32], &mut [0.0; 16]);
+        execute_block(&g, 4, 8, 8, &[0.0; 4], &[0.0; 32], &mut [0.0; 16]);
     }
 
     #[test]
-    fn simd_level_names_the_live_path() {
-        let level = simd_level();
-        assert!(level == "avx2+fma" || level == "scalar");
-        assert_eq!(level == "avx2+fma", simd_active());
+    #[should_panic(expected = "exceeds the leading dimension")]
+    fn rejects_more_real_columns_than_the_leading_dimension() {
+        let g = BlockGeom {
+            mm_base: 0,
+            m_u: 1,
+            trips: 1,
+            k_u: 1,
+            k_iters: 1,
+            k_tail: 0,
+        };
+        execute_block(&g, 1, 9, 8, &[0.0; 1], &[0.0; 8], &mut [0.0; 8]);
+    }
+
+    #[test]
+    fn simd_level_names_the_widest_supported_level() {
+        let widest = supported_levels().next().unwrap();
+        assert_eq!(Level::live(), widest);
+        let name = ["avx512f", "avx2+fma", "scalar"]
+            [Level::ALL.iter().position(|&l| l == widest).unwrap()];
+        assert_eq!(simd_level(), name);
+        assert_eq!(simd_active(), widest != Level::Scalar);
     }
 }

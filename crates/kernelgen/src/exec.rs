@@ -12,8 +12,10 @@
 //!   (two kernels for the same spec with different forced tilings are
 //!   different executors).
 //!
-//! Both tiers are bit-identical to the interpreter; `Compiled` is the
-//! fast path, `Fast` the reference-shaped fallback. The cache mirrors
+//! Both tiers are bit-identical to the interpreter on the real columns
+//! (the padding lanes are unspecified — the contract is stated once, in
+//! [`crate::fast`]); `Compiled` is the fast path, `Fast` the
+//! reference-shaped fallback. The cache mirrors
 //! `PlanCache`'s shape — bounded Vec-scan LRU, atomic lifetime counters,
 //! capacity 0 disables memoisation (each call lowers afresh, which stays
 //! correct because lowering is pure).
@@ -165,7 +167,7 @@ impl KernelExecutor {
 
     /// Execute one kernel invocation on the requested host tier. Panel
     /// layout contract is `MicroKernel::execute_fast`'s; both tiers are
-    /// bit-identical to the interpreter.
+    /// bit-identical to the interpreter on the real columns `0..n_a`.
     pub fn execute(
         &self,
         tier: HostTier,

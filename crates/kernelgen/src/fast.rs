@@ -2,6 +2,16 @@
 //! accumulation order bit-exactly (same `k_u`-way accumulator split, same
 //! fused multiply-adds, same reduction order), so `ExecMode::Fast` results
 //! equal `ExecMode::Interpret` results bit-for-bit at full host speed.
+//!
+//! The contract every host tier shares: `Interpret` is the hardware and
+//! fills whole 32-lane vectors; a host tier is bit-identical to it on
+//! columns `0..n_a` of every row and leaves lanes `n_a..na_pad` of `C_a`
+//! *unspecified* (this tier does not touch them, `Compiled` rounds `n_a`
+//! up to its vector width).  Those lanes never leave AM: every `AmToDdr`
+//! store and the K-parallel `gsm_accumulate_from_am` reduction move the
+//! task's real `cols`.  TGEMM's kernels are generated for its fixed
+//! padded width, so its `n_a` — and the work it pays for — stay what the
+//! paper charges it.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the generated code
 
@@ -22,10 +32,11 @@ impl MicroKernel {
     /// * `b`: `k_a × na_pad`, leading dimension `na_pad`;
     /// * `c`: `m_s × na_pad`, leading dimension `na_pad`.
     ///
-    /// All `na_pad` columns are computed (as the hardware does); callers
-    /// only consume the first `n_a`.
+    /// Only the real columns `0..n_a` are computed; the padding lanes
+    /// `n_a..na_pad` of `c` are left as they were.
     pub fn execute_fast(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
         let k_a = self.spec.k_a;
+        let n_a = self.spec.n_a;
         let ld = self.spec.na_pad();
         debug_assert!(a.len() >= self.spec.m_s * k_a);
         debug_assert!(b.len() >= k_a * ld);
@@ -40,8 +51,8 @@ impl MicroKernel {
                 for mu in 0..plan.m_u {
                     let row = plan.mm_base + trip * plan.m_u + mu;
                     let a_row = &a[row * k_a..row * k_a + k_a];
-                    let c_row = &mut c[row * ld..row * ld + ld];
-                    for col in 0..ld {
+                    let c_row = &mut c[row * ld..row * ld + n_a];
+                    for col in 0..n_a {
                         // acc[0] starts from C; acc[ku>0] start at zero.
                         let mut acc = [0.0f32; MAX_KU];
                         acc[0] = c_row[col];

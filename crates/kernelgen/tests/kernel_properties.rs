@@ -70,12 +70,12 @@ proptest! {
         let rep = machine.run_kernel(0, &kernel.program, bind, true).unwrap();
         prop_assert_eq!(rep.cycles, kernel.cycles);
 
-        // Bit-identical to the fast executor.
+        // Bit-identical to the fast executor on the real columns.
         let mut c_interp = vec![0.0f32; m_s * ld];
         machine.core_mut(0).am.read_f32_slice(512 * 1024, &mut c_interp).unwrap();
         let mut c_fast = c0.clone();
         kernel.execute_fast(&a, &b, &mut c_fast);
-        for i in 0..c_fast.len() {
+        for i in (0..c_fast.len()).filter(|i| i % ld < n_a) {
             prop_assert_eq!(c_interp[i].to_bits(), c_fast[i].to_bits(), "element {}", i);
         }
 
