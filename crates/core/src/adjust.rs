@@ -3,6 +3,7 @@
 //! shape, and parallelisation-strategy selection.
 
 use crate::shape::{BLOCK_ALIGN, MAX_MICROKERNEL_ROWS, MIN_MICROKERNEL_ROWS};
+use crate::walk::Layout;
 use crate::{GemmShape, KparBlocks, MparBlocks};
 use dspsim::HwConfig;
 use kernelgen::{KernelCache, KernelSpec, MAX_NA};
@@ -26,17 +27,6 @@ pub fn cmr_f3(m_g: f64, k_a: f64, n_g: f64, cores: f64) -> f64 {
 /// Eq. 4: CMR of the AM-resident level of the K-parallel strategy.
 pub fn cmr_f4(m_a: f64, k_a: f64, n_a: f64, cores: f64) -> f64 {
     2.0 * m_a * k_a * n_a * cores / (cores * k_a * (m_a + n_a) + 2.0 * m_a * n_a)
-}
-
-pub(crate) fn pad32(n: usize) -> usize {
-    n.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN
-}
-
-/// AM capacity envelope shared by both strategies' block searches (and
-/// the planner's grid variants): `m_a + 2·k_a` must stay within this
-/// many column-padded rows.
-pub(crate) fn am_budget(cfg: &HwConfig, n_a: usize) -> usize {
-    cfg.am_bytes / (4 * pad32(n_a))
 }
 
 /// Largest micro-kernel height whose double-buffered `A_s` panel fits SM.
@@ -84,7 +74,7 @@ fn pick_ms(cache: &KernelCache, cfg: &HwConfig, m_a: usize, k_a: usize, n_a: usi
 pub fn initial_mpar(cache: &KernelCache, cfg: &HwConfig, cores: usize) -> MparBlocks {
     let n_a = MAX_NA;
     let n_g = MAX_NA;
-    let budget = am_budget(cfg, n_a); // m_a + 2·k_a ≤ budget
+    let budget = Layout::am_rows(cfg, n_a); // m_a + 2·k_a ≤ budget
     let mut best = (0.0f64, 32usize, 32usize);
     let mut k_a = 32;
     while 2 * k_a + 32 <= budget {
@@ -100,7 +90,7 @@ pub fn initial_mpar(cache: &KernelCache, cfg: &HwConfig, cores: usize) -> MparBl
     let (_, m_a, k_a) = best;
     // k_g: as large as possible (maximises C_a reuse), a multiple of k_a,
     // within the double-buffered GSM budget.
-    let k_g = (cfg.gsm_bytes / (2 * 4 * n_g) / k_a).max(1) * k_a;
+    let k_g = (Layout::b_g_rows(cfg, n_g) / k_a).max(1) * k_a;
     let m_s = pick_ms(cache, cfg, m_a, k_a, n_a);
     MparBlocks {
         n_g,
@@ -116,7 +106,7 @@ pub fn initial_mpar(cache: &KernelCache, cfg: &HwConfig, cores: usize) -> MparBl
 /// `C_g` panel once; AM as in M-par).
 pub fn initial_kpar(cache: &KernelCache, cfg: &HwConfig, cores: usize) -> KparBlocks {
     let n_a = MAX_NA;
-    let budget = am_budget(cfg, n_a);
+    let budget = Layout::am_rows(cfg, n_a);
     let mut best = (0.0f64, 32usize, 32usize);
     let mut k_a = 32;
     while 2 * k_a + 32 <= budget {
@@ -166,7 +156,7 @@ pub fn adjust_mpar(
 ) -> MparBlocks {
     let n_a = shape.n.min(MAX_NA);
     let n_g = n_a;
-    let budget = am_budget(cfg, n_a);
+    let budget = Layout::am_rows(cfg, n_a);
     // Re-run the CMR search with the freed budget and the real K; k_a is
     // capped so an m_s ≥ 6 A_s panel still double-buffers in SM.
     let ka_cap = ka_sm_cap(cfg);
@@ -199,7 +189,7 @@ pub fn adjust_mpar(
     } else {
         shape.m
     };
-    let k_g = (cfg.gsm_bytes / (2 * 4 * n_g.max(1)) / k_a).max(1) * k_a;
+    let k_g = (Layout::b_g_rows(cfg, n_g) / k_a).max(1) * k_a;
     let k_g = k_g.min(shape.k.div_ceil(k_a) * k_a);
     MparBlocks {
         n_g,
@@ -221,7 +211,7 @@ pub fn adjust_kpar(
     let init = initial_kpar(cache, cfg, cores);
     let n_a = shape.n.min(MAX_NA);
     let n_g = n_a;
-    let budget = am_budget(cfg, n_a);
+    let budget = Layout::am_rows(cfg, n_a);
     let mut m_a = init.m_a.min(shape.m.div_ceil(32) * 32).max(32);
     // Grow the parallel (K) dimension block as far as the AM budget, the
     // SM budget (m_s ≥ 6 must still fit) and balance allow.

@@ -3,7 +3,7 @@
 use crate::plan::store::{self, CatalogLoad, PlanCatalog};
 use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome, Tuner};
 use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
-use crate::{resilience, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
+use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
 use kernelgen::{
     ExecutorCacheStats, KernelCache, KernelCacheStats, KernelExecutor,
@@ -76,7 +76,8 @@ pub struct TuningStats {
     /// Plan-cache misses while a catalog was attached (shapes the
     /// catalog did not cover).
     pub catalog_misses: u64,
-    /// Corrupt catalog entries/records quarantined during loads.
+    /// Catalog entries/records quarantined during loads: corrupt ones,
+    /// and entries whose plan does not fit this context's hardware.
     pub quarantined: u64,
 }
 
@@ -361,12 +362,20 @@ impl FtImm {
     }
 
     /// Attach an already-parsed catalog (the body of
-    /// [`FtImm::load_plan_catalog`]; exposed for fixture replay).
-    pub fn attach_catalog(&self, load: CatalogLoad) -> usize {
+    /// [`FtImm::load_plan_catalog`]; exposed for fixture replay).  An
+    /// entry whose plan does not fit this context's [`HwConfig`] — a
+    /// catalog tuned on a larger machine, or edited by hand — is
+    /// quarantined like a corrupt one and never served.
+    pub fn attach_catalog(&self, mut load: CatalogLoad) -> usize {
+        let before = load.catalog.entries.len();
+        load.catalog
+            .entries
+            .retain(|(_, p)| walk::fits(&self.cfg, &p.strategy, &p.shape, p.cores));
+        let quarantined = load.quarantined + before - load.catalog.entries.len();
         let kept = self.plan_cache.preload(&load.catalog.entries);
         self.tuning
             .quarantined
-            .fetch_add(load.quarantined as u64, Ordering::Relaxed);
+            .fetch_add(quarantined as u64, Ordering::Relaxed);
         {
             let mut keys = self
                 .tuning
@@ -438,12 +447,15 @@ impl FtImm {
 
     /// Predicted execution time of a plan on the timing model.
     ///
-    /// A plan that cannot run at all — the problem does not fit the
-    /// modelled DDR, a kernel cannot be generated for its blocks, or the
-    /// shape is invalid — predicts `f64::INFINITY`, so candidate ranking
-    /// naturally discards it.  Any *other* failure is a planner bug: it
-    /// trips a debug assertion (and still predicts `INFINITY` in release
-    /// builds).  Both cases tick [`FtImm::planning_failures`].
+    /// The timing model refuses exactly what a functional run refuses,
+    /// so a plan that cannot run at all — the problem does not fit the
+    /// modelled DDR, the blocks overrun a scratchpad (the plan's
+    /// [`crate::walk::Footprint`] does not fit), a kernel cannot be
+    /// generated for its blocks, or the shape is invalid — predicts
+    /// `f64::INFINITY` instead of a price, so candidate ranking discards
+    /// it.  Any *other* failure is a planner bug: it trips a debug
+    /// assertion (and still predicts `INFINITY` in release builds).  Both
+    /// cases tick [`FtImm::planning_failures`].
     pub fn predict_seconds(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
         let mut m = Machine::new(self.cfg.clone(), ExecMode::Timing);
         let p = match GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k) {
@@ -602,6 +614,27 @@ mod tests {
         assert_eq!(ft.planning_failures(), 0);
         assert_eq!(ft.predict_seconds(&huge, &plan, 8), f64::INFINITY);
         assert_eq!(ft.planning_failures(), 1);
+    }
+
+    #[test]
+    fn plans_that_overrun_a_scratchpad_predict_infinity() {
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(64, 64, 4096);
+        // A double-buffered 12 × 1024 A_s needs 96 KiB of a 64 KiB SM.
+        let sm_overrun = ChosenStrategy::KPar(crate::KparBlocks {
+            m_g: 64,
+            n_g: 64,
+            m_a: 64,
+            n_a: 64,
+            k_a: 1024,
+            m_s: 12,
+        });
+        assert!(!walk::fits(ft.cfg(), &sm_overrun, &shape, 8));
+        assert_eq!(ft.predict_seconds(&shape, &sm_overrun, 8), f64::INFINITY);
+        assert_eq!(ft.planning_failures(), 1);
+        let auto = ft.plan_full(&shape, Strategy::Auto, 8);
+        assert!(walk::fits(ft.cfg(), &auto.strategy, &shape, 8), "{auto:?}");
+        assert!(ft.predict_seconds(&shape, &auto.strategy, 8).is_finite());
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   AM: B, then C), which is where armed scratchpad flips strike;
 //!   bindings that are misaligned or whose B and C panels overlap are
 //!   `SimError::BadBinding`.
-//! * `Timing`: advance the clock only.
+//! * `Timing`: refuse what the views would refuse (bounds, alignment,
+//!   overlap — nothing materialised, no read counted), then advance the
+//!   clock.
 
 use crate::FtimmError;
 use dspsim::{ExecMode, KernelBindings, Machine};
@@ -27,19 +29,21 @@ pub fn invoke_kernel(
     bind: KernelBindings,
 ) -> Result<(), FtimmError> {
     m.check_core_alive(core)?;
+    // The three panels as `(byte offset, f32 count)`: A_s in SM, B_a and
+    // C_a in AM, rows `na_pad` wide.
+    let spec = kernel.spec;
+    let ld = spec.na_pad();
+    let a = (bind.a_off, spec.m_s * spec.k_a);
+    let (b, c) = ((bind.b_off, spec.k_a * ld), (bind.c_off, spec.m_s * ld));
     match m.mode {
         ExecMode::Interpret => {
             m.run_kernel(core, &kernel.program, bind, true)?;
         }
         ExecMode::Fast | ExecMode::Compiled => {
             let tier = HostTier::from_mode(m.mode).expect("functional host mode");
-            let spec = kernel.spec;
-            let ld = spec.na_pad();
             let cr = m.core_mut(core);
-            let a = cr.sm.view_f32(bind.a_off, spec.m_s * spec.k_a)?;
-            let (b, c) = cr
-                .am
-                .view_f32_pair((bind.b_off, spec.k_a * ld), (bind.c_off, spec.m_s * ld))?;
+            let a = cr.sm.view_f32(a.0, a.1)?;
+            let (b, c) = cr.am.view_f32_pair(b, c)?;
             ex.execute(tier, kernel, a, b, c)?;
             cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
@@ -47,6 +51,8 @@ pub fn invoke_kernel(
         }
         ExecMode::Timing => {
             let cr = m.core_mut(core);
+            cr.sm.check_f32(a.0, a.1)?;
+            cr.am.check_f32_pair(b, c)?;
             cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
             m.compute(core, kernel.cycles);
@@ -216,6 +222,26 @@ mod tests {
                 before,
                 "a refused invocation computes nothing"
             );
+            assert_eq!(m.core(0).stats.kernel_calls, 0);
+        }
+    }
+
+    #[test]
+    fn timing_mode_refuses_the_bindings_the_views_refuse() {
+        let am = HwConfig::default().am_bytes as u64;
+        for mode in [ExecMode::Compiled, ExecMode::Timing] {
+            let (mut m, ex, kernel, bind) = setup(mode);
+            // C's last row ends one word past AM; C overlapping B.
+            for bad in [
+                KernelBindings {
+                    c_off: am - 4 * 32 * 4 + 4,
+                    ..bind
+                },
+                KernelBindings { c_off: 64, ..bind },
+            ] {
+                let err = invoke_kernel(&mut m, 0, &ex, &kernel, bad).unwrap_err();
+                assert!(matches!(err, FtimmError::Sim(_)), "{mode:?}: {err}");
+            }
             assert_eq!(m.core(0).stats.kernel_calls, 0);
         }
     }

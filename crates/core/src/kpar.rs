@@ -9,7 +9,7 @@
 //! DSP-specific: the AM/SM/GSM layout, the DMA paths and prefetches, the
 //! barriers and what the reduction costs on the clock.
 
-use crate::walk::{pad_lanes, panel_rows, ping_pong, Walk};
+use crate::walk::{panel_rows, ping_pong, Walk};
 use crate::{ChosenStrategy, FtimmError, GemmProblem};
 use dspsim::{transfer_time, Dma2d, DmaPath, Machine, Phase, RunReport};
 use kernelgen::KernelExecutor;
@@ -49,12 +49,9 @@ pub fn run_kpar(
     let active = walk.active();
     m.set_active_streams(active);
     let core_ids: Vec<usize> = (0..cores).collect();
-
-    let c_a_off = 0u64;
-    let c_a_bytes = (bl.m_a * pad_lanes(bl.n_a) * 4) as u64;
-    let b_a_bytes = (bl.k_a * pad_lanes(bl.n_a) * 4) as u64;
-    let b_a_off = [c_a_bytes, c_a_bytes + b_a_bytes];
-    let a_s_off = [0u64, (bl.m_s * bl.k_a * 4) as u64];
+    // AM: private C_a + double-buffered B_a; SM: double-buffered A_s;
+    // GSM: one C_g.
+    let lay = walk.layout();
 
     for g in walk.groups() {
         let c_g = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
@@ -66,7 +63,7 @@ pub fn run_kpar(
             g.n.len() as u64,
         );
         // Load the C_g panel into GSM (Algorithm 5 line 3).
-        let tcg = m.dma(0, DmaPath::DdrToGsm, &c_g(c_ddr, c_ld, 0, g_ld))?;
+        let tcg = m.dma(0, DmaPath::DdrToGsm, &c_g(c_ddr, c_ld, lay.g[0] / 4, g_ld))?;
         m.barrier(&core_ids);
         for &c in &core_ids {
             m.wait(c, tcg);
@@ -79,7 +76,7 @@ pub fn run_kpar(
             if m.mode.is_functional() {
                 m.core_mut(t.core)
                     .am
-                    .zero(c_a_off, t.rows as u64 * ld * 4)?;
+                    .zero(lay.c_a, t.rows as u64 * ld * 4)?;
             }
             // Zeroing cost: two vector-store units, one vector (32 f32)
             // each per cycle.
@@ -95,7 +92,7 @@ pub fn run_kpar(
                         t.cols as u64,
                         p.b.elem_index(ks.start, t.c0),
                         p.b.ld as u64,
-                        b_a_off[bping] / 4,
+                        lay.b_a[bping] / 4,
                         ld,
                     ),
                 )
@@ -114,9 +111,7 @@ pub fn run_kpar(
                         &ks,
                         DmaPath::DdrToSm,
                         |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
-                        a_s_off,
-                        b_a_off[bping],
-                        c_a_off,
+                        lay.b_a[bping],
                     )
                 },
             )?;
@@ -138,8 +133,8 @@ pub fn run_kpar(
                     for r in 0..t.rows {
                         m.gsm_accumulate_from_am(
                             core,
-                            c_a_off + r as u64 * ld * 4,
-                            ((in_group + r * g.n.len()) * 4) as u64,
+                            lay.c_a + r as u64 * ld * 4,
+                            lay.g[0] + ((in_group + r * g.n.len()) * 4) as u64,
                             t.cols as u64,
                         )?;
                     }
@@ -154,7 +149,7 @@ pub fn run_kpar(
             m.barrier(&core_ids);
         }
         // Store the C_g panel back (core 0's engine).
-        let ts = m.dma(0, DmaPath::GsmToDdr, &c_g(0, g_ld, c_ddr, c_ld))?;
+        let ts = m.dma(0, DmaPath::GsmToDdr, &c_g(lay.g[0] / 4, g_ld, c_ddr, c_ld))?;
         m.wait(0, ts);
         m.barrier(&core_ids);
     }

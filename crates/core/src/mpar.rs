@@ -8,7 +8,7 @@
 //! business (shared with the host mirror); this module owns what is
 //! DSP-specific: the AM/SM/GSM layout, the DMA paths and the prefetches.
 
-use crate::walk::{pad_lanes, panel_rows, ping_pong, Group, Walk};
+use crate::walk::{panel_rows, ping_pong, Group, Walk};
 use crate::{ChosenStrategy, FtimmError, GemmProblem};
 use dspsim::{Dma2d, DmaPath, Machine, RunReport};
 use kernelgen::KernelExecutor;
@@ -46,16 +46,9 @@ pub fn run_mpar(
     let walk = Walk::new(&ChosenStrategy::MPar(*bl), p.m(), p.n(), p.k(), cores);
     m.set_active_streams(walk.active());
     let core_ids: Vec<usize> = (0..cores).collect();
-
-    // AM per core: C_a (m_a × pad(n_a)) + double-buffered B_a.
-    let c_a_off = 0u64;
-    let c_a_bytes = (bl.m_a * pad_lanes(bl.n_a) * 4) as u64;
-    let b_a_bytes = (bl.k_a * pad_lanes(bl.n_a) * 4) as u64;
-    let b_a_off = [c_a_bytes, c_a_bytes + b_a_bytes];
-    // SM per core: double-buffered A_s.
-    let a_s_off = [0u64, (bl.m_s * bl.k_a * 4) as u64];
-    // GSM: double-buffered B_g (k_g × n_g, dense).
-    let b_g_elems = (bl.k_g * bl.n_g) as u64;
+    // AM: C_a + double-buffered B_a; SM: double-buffered A_s; GSM:
+    // double-buffered B_g (k_g × n_g, dense).
+    let lay = walk.layout();
 
     let dma_bg = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
@@ -66,7 +59,7 @@ pub fn run_mpar(
                 g.n.len() as u64,
                 p.b.elem_index(g.k.start, g.n.start),
                 p.b.ld as u64,
-                ping as u64 * b_g_elems,
+                lay.g[ping] / 4,
                 g.n.len() as u64,
             ),
         )
@@ -87,7 +80,7 @@ pub fn run_mpar(
             let tc = m.dma(
                 t.core,
                 DmaPath::DdrToAm,
-                &c_panel(c_ddr, c_ld, c_a_off / 4, ld),
+                &c_panel(c_ddr, c_ld, lay.c_a / 4, ld),
             )?;
             m.wait(t.core, tc);
 
@@ -101,9 +94,9 @@ pub fn run_mpar(
                     &Dma2d::block_f32(
                         ks.len() as u64,
                         t.cols as u64,
-                        ping as u64 * b_g_elems + in_group as u64,
+                        lay.g[ping] / 4 + in_group as u64,
                         g.n.len() as u64,
-                        b_a_off[bping] / 4,
+                        lay.b_a[bping] / 4,
                         ld,
                     ),
                 )
@@ -123,9 +116,7 @@ pub fn run_mpar(
                         &ks,
                         DmaPath::DdrToSm,
                         |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
-                        a_s_off,
-                        b_a_off[bping],
-                        c_a_off,
+                        lay.b_a[bping],
                     )
                 },
             )?;
@@ -133,7 +124,7 @@ pub fn run_mpar(
             let ts = m.dma(
                 t.core,
                 DmaPath::AmToDdr,
-                &c_panel(c_a_off / 4, ld, c_ddr, c_ld),
+                &c_panel(lay.c_a / 4, ld, c_ddr, c_ld),
             )?;
             m.wait(t.core, ts);
         }

@@ -10,10 +10,11 @@
 //! keeps Auto a strict superset of the pre-planner behaviour: it can
 //! never pick a slower plan than the old two-candidate evaluation.
 
-use crate::adjust::{adjust_kpar, adjust_mpar, am_budget};
+use crate::adjust::{adjust_kpar, adjust_mpar};
 use crate::plan::cost::analytic_seconds;
 use crate::plan::{Plan, PlanOrigin};
 use crate::shape::BLOCK_ALIGN;
+use crate::walk::{self, Layout};
 use crate::{ChosenStrategy, GemmShape, IrregularType, Strategy};
 use dspsim::HwConfig;
 use kernelgen::KernelCache;
@@ -39,40 +40,29 @@ pub fn choose_strategy(
 
 /// Grid variants around an adjusted candidate: scale the chunk dimension
 /// of the parallel split (`m_a` for M-par, `k_a` for K-par) by ½ and 2,
-/// within alignment and the original block's own capacity envelope.
-/// Varying the chunk size trades per-chunk CMR against load balance —
-/// exactly the axis the CMR search cannot see because it ignores the
-/// concrete M (or K) extent.
+/// within alignment, the shape and the block's §IV-C envelope
+/// ([`Layout::max_m_a`]).  Varying the chunk size trades per-chunk CMR
+/// against load balance — exactly the axis the CMR search cannot see
+/// because it ignores the concrete M (or K) extent.  Whether a variant
+/// can run is the caller's filter.
 fn grid_variants(cfg: &HwConfig, base: &ChosenStrategy, shape: &GemmShape) -> Vec<ChosenStrategy> {
     let align_down = |v: usize| (v / BLOCK_ALIGN).max(1) * BLOCK_ALIGN;
-    let mut out = Vec::new();
+    let align_up = |v: usize| v.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN;
     match base {
-        ChosenStrategy::MPar(b) => {
-            let budget = am_budget(cfg, b.n_a);
-            for m_a in [align_down(b.m_a / 2), align_down(b.m_a * 2)] {
-                if m_a != b.m_a
-                    && m_a >= b.m_s
-                    && m_a <= shape.m.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN
-                    && m_a + 2 * b.k_a <= budget
-                {
-                    out.push(ChosenStrategy::MPar(crate::MparBlocks { m_a, ..*b }));
-                }
-            }
-        }
-        ChosenStrategy::KPar(b) => {
-            let budget = am_budget(cfg, b.n_a);
-            for k_a in [align_down(b.k_a / 2), align_down(b.k_a * 2)] {
-                if k_a != b.k_a
-                    && k_a <= shape.k.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN
-                    && b.m_a + 2 * k_a <= budget
-                {
-                    out.push(ChosenStrategy::KPar(crate::KparBlocks { k_a, ..*b }));
-                }
-            }
-        }
-        ChosenStrategy::TGemm => {}
+        ChosenStrategy::MPar(b) => [align_down(b.m_a / 2), align_down(b.m_a * 2)]
+            .into_iter()
+            .filter(|&m_a| m_a != b.m_a && m_a >= b.m_s && m_a <= align_up(shape.m))
+            .filter(|&m_a| m_a <= Layout::max_m_a(cfg, b.n_a, b.k_a))
+            .map(|m_a| ChosenStrategy::MPar(crate::MparBlocks { m_a, ..*b }))
+            .collect(),
+        ChosenStrategy::KPar(b) => [align_down(b.k_a / 2), align_down(b.k_a * 2)]
+            .into_iter()
+            .filter(|&k_a| k_a != b.k_a && k_a <= align_up(shape.k))
+            .filter(|&k_a| b.m_a <= Layout::max_m_a(cfg, b.n_a, k_a))
+            .map(|k_a| ChosenStrategy::KPar(crate::KparBlocks { k_a, ..*b }))
+            .collect(),
+        ChosenStrategy::TGemm => Vec::new(),
     }
-    out
 }
 
 /// Produces [`Plan`]s from planning requests.  Holds no state of its
@@ -156,9 +146,10 @@ impl<'a> Planner<'a> {
     ) -> Plan {
         // Candidate space.  The rule pick and its alternative lead (they
         // are always simulated); TGEMM and the block-size grid broaden
-        // it.  Beyond the paper: for N > 96 the M-parallel strategy
-        // (iterating 96-wide column panels) competes with TGEMM, whose
-        // N-parallelism leaves cores idle when N spans few chunks.
+        // it, as far as the scratchpads hold them.  Beyond the paper: for
+        // N > 96 the M-parallel strategy (iterating 96-wide column
+        // panels) competes with TGEMM, whose N-parallelism leaves cores
+        // idle when N spans few chunks.
         let rule = choose_strategy(self.cache, self.cfg, shape, cores);
         let alt = match rule {
             ChosenStrategy::MPar(_) => {
@@ -174,7 +165,7 @@ impl<'a> Planner<'a> {
             .chain(grid_variants(self.cfg, &rule, shape))
             .chain(grid_variants(self.cfg, &alt, shape))
         {
-            if !candidates.contains(&extra) {
+            if !candidates.contains(&extra) && walk::fits(self.cfg, &extra, shape, cores) {
                 candidates.push(extra);
             }
         }
@@ -274,6 +265,24 @@ mod tests {
         assert_eq!(plan.simulations as usize, seen.len());
         assert!(plan.candidates >= plan.simulations);
         assert_eq!(plan.origin, PlanOrigin::CostModel);
+    }
+
+    #[test]
+    fn auto_simulates_only_candidates_that_fit() {
+        let (cache, cfg) = setup();
+        let planner = Planner::new(&cache, &cfg);
+        // Doubling this shape's K-par chunk gives k_a = 1024 at m_s = 12:
+        // a 96 KiB A_s pair in a 64 KiB SM.
+        let shape = GemmShape::new(64, 64, 4096);
+        let rule = choose_strategy(&cache, &cfg, &shape, 8);
+        assert!(grid_variants(&cfg, &rule, &shape)
+            .iter()
+            .any(|v| !walk::fits(&cfg, v, &shape, 8)));
+        let plan = planner.plan(&shape, Strategy::Auto, 8, |c| {
+            assert!(walk::fits(&cfg, c, &shape, 8), "{c:?} does not fit");
+            1.0
+        });
+        assert!(walk::fits(&cfg, &plan.strategy, &shape, 8));
     }
 
     #[test]

@@ -31,15 +31,17 @@
 //!   kind, or core count) are still simulated with spare budget — they
 //!   feed the calibration even though they can never be adopted.
 //!
+//! No phase simulates a candidate that cannot run: every one is admitted
+//! through the walk's [`crate::walk::Footprint::fits`].
+//!
 //! Tuned plans and calibration records persist across processes through
 //! the [`crate::plan::store`] catalog.
 
-use crate::adjust::am_budget;
 use crate::plan::cost::analytic_seconds;
 use crate::plan::planner::Planner;
 use crate::plan::{Plan, PlanOrigin};
 use crate::shape::{MAX_MICROKERNEL_ROWS, MIN_MICROKERNEL_ROWS};
-use crate::walk::Walk;
+use crate::walk::{self, Layout, Walk};
 use crate::{ChosenStrategy, GemmShape, IrregularType, KparBlocks, MparBlocks, Strategy};
 use dspsim::HwConfig;
 use kernelgen::KernelCache;
@@ -455,8 +457,8 @@ impl<'a> Tuner<'a> {
 
     /// Bit-safe chunk-dimension variants of `base`: the deterministic
     /// ladder plus `probes` seeded random draws.  Every returned variant
-    /// has the same [`BitSignature`] as `base` (and fits the AM/GSM
-    /// envelopes), so adopting it cannot change results.
+    /// has the same [`BitSignature`] as `base` and fits the scratchpads,
+    /// so adopting it cannot change results.
     fn bit_safe_variants(
         &self,
         base: &ChosenStrategy,
@@ -470,6 +472,7 @@ impl<'a> Tuner<'a> {
         let mut admit = |cand: ChosenStrategy| {
             if cand != *base
                 && !out.contains(&cand)
+                && walk::fits(self.cfg, &cand, shape, cores)
                 && bit_signature(&cand, shape, cores) == base_sig
             {
                 out.push(cand);
@@ -477,14 +480,15 @@ impl<'a> Tuner<'a> {
         };
         match base {
             ChosenStrategy::MPar(b) => {
-                let budget = am_budget(self.cfg, b.n_a);
-                let fits = |m_a: usize| m_a >= 1 && m_a + 2 * b.k_a <= budget;
-                let max_mult = budget.saturating_sub(2 * b.k_a) / b.m_s.max(1);
-                // k_g stays a multiple of k_a within the double-buffered
-                // GSM budget (larger trades B_g reuse against panel
-                // latency; the partition over the real K is unchanged as
-                // long as slice boundaries stay on k_a multiples).
-                let kg_max_mult = (self.cfg.gsm_bytes / (2 * 4 * b.n_g.max(1)) / b.k_a.max(1))
+                // The §IV-C envelope bounds the search: m_a up to what
+                // both B_a buffers leave, k_g in multiples of k_a up to
+                // the double-buffered GSM panel (larger trades B_g reuse
+                // against panel latency; the partition over the real K is
+                // unchanged as long as slice boundaries stay on k_a
+                // multiples).
+                let m_a_max = Layout::max_m_a(self.cfg, b.n_a, b.k_a);
+                let max_mult = m_a_max / b.m_s.max(1);
+                let kg_max_mult = (Layout::b_g_rows(self.cfg, b.n_g) / b.k_a.max(1))
                     .min(shape.k.div_ceil(b.k_a.max(1)))
                     .max(1);
                 let mut ladder: Vec<usize> = vec![
@@ -496,7 +500,7 @@ impl<'a> Tuner<'a> {
                     ladder.push(b.m_a + j * b.m_s);
                 }
                 for m_a in ladder {
-                    if fits(m_a) {
+                    if (1..=m_a_max).contains(&m_a) {
                         admit(ChosenStrategy::MPar(MparBlocks { m_a, ..*b }));
                     }
                 }
@@ -513,33 +517,26 @@ impl<'a> Tuner<'a> {
                 for _ in 0..probes {
                     let m_a = b.m_s.max(1) * rng.one_to(max_mult as u64) as usize;
                     let k_g = b.k_a * rng.one_to(kg_max_mult as u64) as usize;
-                    if fits(m_a) {
+                    if m_a <= m_a_max {
                         admit(ChosenStrategy::MPar(MparBlocks { m_a, k_g, ..*b }));
                     }
                 }
             }
             ChosenStrategy::KPar(b) => {
-                let budget = am_budget(self.cfg, b.n_a);
-                let gsm_elems = self.cfg.gsm_bytes / 4;
-                let fits = |m_g: usize, m_a: usize| {
-                    m_a >= 1 && m_a <= m_g && m_a + 2 * b.k_a <= budget && m_g * b.n_g <= gsm_elems
-                };
                 let mut ladder: Vec<(usize, usize)> =
                     vec![(b.m_g / 2, b.m_a.min(b.m_g / 2)), (b.m_g * 2, b.m_a)];
                 for j in 1..=3usize {
                     ladder.push((b.m_g, b.m_a.saturating_sub(j * b.m_s)));
                     ladder.push((b.m_g, b.m_a + j * b.m_s));
                 }
-                for (m_g, m_a) in ladder {
-                    if fits(m_g, m_a) {
-                        admit(ChosenStrategy::KPar(KparBlocks { m_g, m_a, ..*b }));
-                    }
-                }
-                let max_mult = budget.saturating_sub(2 * b.k_a) / b.m_s.max(1);
+                let m_a_max = Layout::max_m_a(self.cfg, b.n_a, b.k_a);
+                let max_mult = m_a_max / b.m_s.max(1);
                 for _ in 0..probes {
                     let m_a = b.m_s.max(1) * rng.one_to(max_mult as u64) as usize;
-                    let m_g = b.m_g << (rng.next() % 3);
-                    if fits(m_g, m_a) {
+                    ladder.push((b.m_g << (rng.next() % 3), m_a));
+                }
+                for (m_g, m_a) in ladder {
+                    if (1..=m_a_max.min(m_g)).contains(&m_a) {
                         admit(ChosenStrategy::KPar(KparBlocks { m_g, m_a, ..*b }));
                     }
                 }
@@ -551,15 +548,20 @@ impl<'a> Tuner<'a> {
 
     /// Calibration-only variants: block/kind/core-count changes that are
     /// *not* bit-safe and are simulated purely to feed the correction
-    /// model.  Returned as (strategy, cores) pairs.
+    /// model.  Returned as (strategy, cores) pairs, each one that fits
+    /// the scratchpads at its core count.
     fn exploration_variants(
         &self,
         base: &ChosenStrategy,
+        shape: &GemmShape,
         cores: usize,
     ) -> Vec<(ChosenStrategy, usize)> {
         let mut out: Vec<(ChosenStrategy, usize)> = Vec::new();
         let mut push = |c: ChosenStrategy, n: usize| {
-            if (c != *base || n != cores) && !out.contains(&(c, n)) {
+            if (c != *base || n != cores)
+                && !out.contains(&(c, n))
+                && walk::fits(self.cfg, &c, shape, n)
+            {
                 out.push((c, n));
             }
         };
@@ -570,36 +572,31 @@ impl<'a> Tuner<'a> {
                 push(*base, n);
             }
         }
-        // k_a / m_s perturbations: different kernel specs, different
-        // slice partitions — never adoptable, always informative.
-        match base {
-            ChosenStrategy::MPar(b) => {
-                let budget = am_budget(self.cfg, b.n_a);
-                for k_a in [b.k_a.saturating_sub(32), b.k_a + 32] {
-                    if k_a >= 32 && b.m_a + 2 * k_a <= budget {
-                        push(ChosenStrategy::MPar(MparBlocks { k_a, ..*b }), cores);
-                    }
-                }
-                for m_s in [b.m_s.saturating_sub(1), b.m_s + 1] {
-                    if (MIN_MICROKERNEL_ROWS..=MAX_MICROKERNEL_ROWS).contains(&m_s) {
-                        push(ChosenStrategy::MPar(MparBlocks { m_s, ..*b }), cores);
-                    }
-                }
-            }
-            ChosenStrategy::KPar(b) => {
-                let budget = am_budget(self.cfg, b.n_a);
-                for k_a in [b.k_a.saturating_sub(32), b.k_a + 32] {
-                    if k_a >= 32 && b.m_a + 2 * k_a <= budget {
-                        push(ChosenStrategy::KPar(KparBlocks { k_a, ..*b }), cores);
-                    }
-                }
-                for m_s in [b.m_s.saturating_sub(1), b.m_s + 1] {
-                    if (MIN_MICROKERNEL_ROWS..=MAX_MICROKERNEL_ROWS).contains(&m_s) {
-                        push(ChosenStrategy::KPar(KparBlocks { m_s, ..*b }), cores);
-                    }
+        // k_a / m_s perturbations within the §IV-C envelope: different
+        // kernel specs, different slice partitions — never adoptable,
+        // always informative.
+        let with = |k_a, m_s| match *base {
+            ChosenStrategy::MPar(b) => ChosenStrategy::MPar(MparBlocks { k_a, m_s, ..b }),
+            ChosenStrategy::KPar(b) => ChosenStrategy::KPar(KparBlocks { k_a, m_s, ..b }),
+            ChosenStrategy::TGemm => ChosenStrategy::TGemm,
+        };
+        if let ChosenStrategy::MPar(MparBlocks {
+            m_a, n_a, k_a, m_s, ..
+        })
+        | ChosenStrategy::KPar(KparBlocks {
+            m_a, n_a, k_a, m_s, ..
+        }) = *base
+        {
+            for k in [k_a.saturating_sub(32), k_a + 32] {
+                if k >= 32 && m_a <= Layout::max_m_a(self.cfg, n_a, k) {
+                    push(with(k, m_s), cores);
                 }
             }
-            ChosenStrategy::TGemm => {}
+            for m in [m_s.saturating_sub(1), m_s + 1] {
+                if (MIN_MICROKERNEL_ROWS..=MAX_MICROKERNEL_ROWS).contains(&m) {
+                    push(with(k_a, m), cores);
+                }
+            }
         }
         out
     }
@@ -733,7 +730,7 @@ impl<'a> Tuner<'a> {
         // left — candidates that can never be adopted but teach the
         // correction model how the analytic model errs per regime.
         if self.config.explore {
-            for (cand, n) in self.exploration_variants(&default_plan.strategy, cores) {
+            for (cand, n) in self.exploration_variants(&default_plan.strategy, shape, cores) {
                 if sims >= max {
                     break;
                 }

@@ -47,7 +47,6 @@ pub fn run_tgemm(
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
     crate::exec::validate_problem(p)?;
-    let tp = TgemmParams::default();
     let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
     // Groups are A_g panels; tasks are their n_a column chunks, dealt
     // round-robin over cores (Algorithm 1 line 5: the parallel loop over
@@ -55,15 +54,9 @@ pub fn run_tgemm(
     let walk = Walk::new(&ChosenStrategy::TGemm, p.m(), p.n(), p.k(), cores);
     m.set_active_streams(walk.active());
     let core_ids: Vec<usize> = (0..cores).collect();
-
-    // GSM: double-buffered A_g panel.
-    let a_g_elems = (tp.m_g * tp.k_g) as u64;
-    // AM per core: C_a (m_g × 96) + double-buffered B_a (k_g × 96).
-    let c_a_off = 0u64;
-    let c_a_bytes = (tp.m_g * tp.n_a * 4) as u64;
-    let b_a_off = [c_a_bytes, c_a_bytes + (tp.k_g * tp.n_a * 4) as u64];
-    // SM per core: double-buffered A_s (m_s × k_g).
-    let a_s_off = [0u64, (tp.m_s * tp.k_g * 4) as u64];
+    // GSM: double-buffered A_g (m_g × k_g); AM: C_a (m_g × 96) +
+    // double-buffered B_a (k_g × 96); SM: double-buffered A_s (m_s × k_g).
+    let lay = walk.layout();
 
     let dma_ag = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
@@ -74,7 +67,7 @@ pub fn run_tgemm(
                 g.k.len() as u64,
                 p.a.elem_index(g.m.start, g.k.start),
                 p.a.ld as u64,
-                ping as u64 * a_g_elems,
+                lay.g[ping] / 4,
                 g.k.len() as u64,
             ),
         )
@@ -104,7 +97,7 @@ pub fn run_tgemm(
                         t.cols as u64,
                         p.b.elem_index(ks.start, t.c0),
                         p.b.ld as u64,
-                        b_a_off[ping] / 4,
+                        lay.b_a[ping] / 4,
                         ld,
                     ),
                 )?;
@@ -114,14 +107,14 @@ pub fn run_tgemm(
                 let tc = m.dma(
                     t.core,
                     DmaPath::DdrToAm,
-                    &c_panel(c_ddr, c_ld, c_a_off / 4, ld),
+                    &c_panel(c_ddr, c_ld, lay.c_a / 4, ld),
                 )?;
                 m.wait(t.core, tb);
                 m.wait(t.core, tc);
 
                 // Inner loop over m_s rows of A_g, ping-ponged through SM
                 // into TGEMM's single micro-kernel: always n_a = 96 wide.
-                let a_g = ping as u64 * a_g_elems;
+                let a_g = lay.g[ping] / 4;
                 panel_rows(
                     m,
                     ex,
@@ -130,15 +123,13 @@ pub fn run_tgemm(
                     &ks,
                     DmaPath::GsmToSm,
                     |u| (a_g + (u * ks.len()) as u64, ks.len() as u64),
-                    a_s_off,
-                    b_a_off[ping],
-                    c_a_off,
+                    lay.b_a[ping],
                 )?;
                 // Write C back (only the real columns).
                 let ts = m.dma(
                     t.core,
                     DmaPath::AmToDdr,
-                    &c_panel(c_a_off / 4, ld, c_ddr, c_ld),
+                    &c_panel(lay.c_a / 4, ld, c_ddr, c_ld),
                 )?;
                 m.wait(t.core, ts);
             }

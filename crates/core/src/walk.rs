@@ -27,13 +27,20 @@
 //! consume it.  [`Walk::levels`] states the same blocking as nested
 //! partition levels — what the tuner's [`crate::BitSignature`] compares.
 //!
+//! Where those panels live is the walk's business too: [`Walk::layout`]
+//! is the one scratchpad [`Layout`] every emitter addresses, and
+//! [`Walk::footprint`] reads off the walk how far into each scratchpad a
+//! run reaches.  [`Footprint::fits`] is therefore the one feasibility
+//! predicate: it holds exactly when a run of the walk raises no
+//! scratchpad `OutOfBounds`, functional or timing.
+//!
 //! The two crate-private functions at the end are the part of *emitting*
 //! the walk on the DSP that does not depend on the strategy: the
 //! double-buffered prefetch order and the `A_s` + kernel-invoke loop.
 
 use crate::plan::StrategyKind;
-use crate::{invoke_kernel, ChosenStrategy, FtimmError, TgemmParams};
-use dspsim::{Dma2d, DmaPath, DmaTicket, KernelBindings, Machine, SimError};
+use crate::{invoke_kernel, ChosenStrategy, FtimmError, GemmShape, TgemmParams};
+use dspsim::{Dma2d, DmaPath, DmaTicket, HwConfig, KernelBindings, Machine, SimError};
 use kernelgen::{GenError, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
 use std::ops::Range;
 use std::sync::Arc;
@@ -42,6 +49,82 @@ use std::sync::Arc;
 /// of an AM panel).
 pub(crate) fn pad_lanes(n: usize) -> usize {
     n.div_ceil(32) * 32
+}
+
+/// The scratchpad layout of a walk (§IV-C), in byte offsets: per core,
+/// `C_a` then the two `B_a` buffers in AM and the two `A_s` buffers in
+/// SM; per cluster, the double-buffered `B_g` (M-par) or `A_g` (TGEMM)
+/// panel in GSM, or K-par's single `C_g`.  Each buffer is sized for the
+/// full block, so it holds any block the walk cuts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// AM: the task's `C_a` panel.
+    pub c_a: u64,
+    /// AM: the two `B_a` buffers.
+    pub b_a: [u64; 2],
+    /// SM: the two `A_s` buffers.
+    pub a_s: [u64; 2],
+    /// GSM: the two group-panel buffers (both `0` for K-par's one `C_g`).
+    pub g: [u64; 2],
+}
+
+/// The block ranges the planner and tuner search, read off the layout at
+/// full block size: the paper's §IV-C envelope.  It bounds what is
+/// *proposed*; whether a proposal can run is [`Footprint::fits`], which
+/// admits more wherever a second buffer holds a short tail or none.
+impl Layout {
+    /// Rows of `C_a` plus both `B_a` buffers an AM holds at panel width
+    /// `n_a`: the envelope `m_a + 2·k_a` (2048 at `n_a = 96`).
+    pub fn am_rows(cfg: &HwConfig, n_a: usize) -> usize {
+        cfg.am_bytes / (4 * pad_lanes(n_a))
+    }
+
+    /// The tallest `C_a` the envelope leaves beside two `k_a`-deep `B_a`.
+    pub fn max_m_a(cfg: &HwConfig, n_a: usize, k_a: usize) -> usize {
+        Layout::am_rows(cfg, n_a).saturating_sub(2 * k_a)
+    }
+
+    /// Depth of a double-buffered `B_g` panel `n_g` wide that GSM holds.
+    pub fn b_g_rows(cfg: &HwConfig, n_g: usize) -> usize {
+        cfg.gsm_bytes / (2 * 4 * n_g.max(1))
+    }
+}
+
+/// How far a walk reaches into each scratchpad at its [`Layout`]: the
+/// byte end of its furthest access into one core's SM and AM and into
+/// the cluster's GSM.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Per-core SM bytes.
+    pub sm: u64,
+    /// Per-core AM bytes.
+    pub am: u64,
+    /// Cluster GSM bytes.
+    pub gsm: u64,
+}
+
+impl Footprint {
+    /// Whether every level fits `cfg`'s capacities — the feasibility
+    /// predicate the planner, the tuner and catalog loads share.
+    pub fn fits(&self, cfg: &HwConfig) -> bool {
+        self.sm <= cfg.sm_bytes as u64
+            && self.am <= cfg.am_bytes as u64
+            && self.gsm <= cfg.gsm_bytes as u64
+    }
+}
+
+/// Whether `strategy` can run `shape` on `cores` cores of a fresh `cfg`
+/// machine (cores clamped to the cluster as the emitters clamp them).
+pub(crate) fn fits(
+    cfg: &HwConfig,
+    strategy: &ChosenStrategy,
+    shape: &GemmShape,
+    cores: usize,
+) -> bool {
+    let cores = cores.clamp(1, cfg.cores_per_cluster);
+    Walk::new(strategy, shape.m, shape.n, shape.k, cores)
+        .footprint()
+        .fits(cfg)
 }
 
 /// `range` cut into consecutive blocks of `step` (the last one short).
@@ -292,6 +375,77 @@ impl Walk {
         push_partition(&mut out[2], self.k, &lv.k);
         out
     }
+
+    /// Where the emitters put this walk's panels.
+    pub fn layout(&self) -> Layout {
+        let row = pad_lanes(self.n_a) as u64 * 4;
+        let c_a = self.m_a as u64 * row;
+        let [g_m, g_n, g_k] = self.group.map(|g| g as u64);
+        let g = match self.kind {
+            StrategyKind::MPar => [0, g_k * g_n * 4],
+            StrategyKind::TGemm => [0, g_m * g_k * 4],
+            StrategyKind::KPar => [0, 0],
+        };
+        Layout {
+            c_a: 0,
+            b_a: [c_a, c_a + self.k_a as u64 * row],
+            a_s: [0, (self.m_s * self.k_a * 4) as u64],
+            g,
+        }
+    }
+
+    /// How far a run of this walk reaches into each scratchpad.
+    ///
+    /// Closed form from the first two items of each level: every level
+    /// is cut from its origin, so the first group, task, K step and row
+    /// block are the largest, and the largest item a double buffer's
+    /// second slot ever holds is the second one.  Every access is inside
+    /// one of: `C_a` (`rows × ld`), a `B_a` slot (the kernel's
+    /// `K step × ld` view), an `A_s` slot (`height × K step`) or a group
+    /// panel (dense).  TGEMM picks its `B_a` slot by group, not by K step.
+    pub fn footprint(&self) -> Footprint {
+        let lay = self.layout();
+        let mut groups = self.groups();
+        let (Some(g0), g1) = (groups.next(), groups.next()) else {
+            return Footprint::default();
+        };
+        let Some(t0) = self.tasks(&g0).next() else {
+            return Footprint::default();
+        };
+        let ld = t0.ld as u64 * 4;
+        let depth = |g: &Group| g.k.len() as u64;
+        let kb = match self.kind {
+            StrategyKind::TGemm => [Some(depth(&g0)), g1.as_ref().map(depth)],
+            _ => {
+                let mut steps = self.k_steps(&g0, &t0).map(|r| r.len() as u64);
+                [steps.next(), steps.next()]
+            }
+        };
+        let k0 = kb[0].unwrap_or(0);
+        let mut heights = self.row_blocks(&t0).map(|(_, h)| h as u64);
+        let ms = [heights.next(), heights.next()];
+        let panel = |g: &Group| {
+            let (a, b) = match self.kind {
+                StrategyKind::MPar => (g.k.len(), g.n.len()),
+                StrategyKind::TGemm => (g.m.len(), g.k.len()),
+                StrategyKind::KPar => (g.m.len(), g.n.len()),
+            };
+            (a * b * 4) as u64
+        };
+        let slot = |base: [u64; 2], len: [Option<u64>; 2], row: u64| {
+            (0..2)
+                .filter_map(|i| len[i].map(|l| base[i] + l * row))
+                .max()
+                .unwrap_or(0)
+        };
+        Footprint {
+            sm: slot(lay.a_s, ms, k0 * 4),
+            // C_a (`rows × ld`) ends before its full-block slot does, and
+            // every task fills the first B_a after it.
+            am: slot(lay.b_a, kb, ld),
+            gsm: slot(lay.g, [Some(panel(&g0)), g1.as_ref().map(panel)], 1),
+        }
+    }
 }
 
 /// The double-buffered prefetch every level of the DSP emitters uses:
@@ -326,9 +480,8 @@ pub(crate) fn ping_pong<T>(
 /// the `A_s` row blocks into SM over `path` and invoke the matching kernel
 /// on each.  `a_src(u)` is the source `(element index, leading dimension)`
 /// of the block at row offset `u` — DDR for M-/K-parallel, the GSM `A_g`
-/// ping for TGEMM; `a_s_off`, `b_off` and `c_off` are the byte offsets of
-/// the two `A_s` buffers in SM and of the step's `B_a` and the task's
-/// `C_a` in AM.
+/// ping for TGEMM; `b_off` is the byte offset of the step's `B_a` buffer
+/// in AM ([`Layout::b_a`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn panel_rows(
     m: &mut Machine,
@@ -338,30 +491,29 @@ pub(crate) fn panel_rows(
     k_step: &Range<usize>,
     path: DmaPath,
     a_src: impl Fn(usize) -> (u64, u64),
-    a_s_off: [u64; 2],
     b_off: u64,
-    c_off: u64,
 ) -> Result<(), FtimmError> {
     let k_len = k_step.len();
+    let Layout { c_a, a_s, .. } = walk.layout();
     ping_pong(
         m,
         walk.row_blocks(task),
         |m, &(u, ms), sping| {
             let (src, src_ld) = a_src(u);
-            let a_s = a_s_off[sping] / 4;
+            let dst = a_s[sping] / 4;
             m.dma(
                 task.core,
                 path,
-                &Dma2d::block_f32(ms as u64, k_len as u64, src, src_ld, a_s, k_len as u64),
+                &Dma2d::block_f32(ms as u64, k_len as u64, src, src_ld, dst, k_len as u64),
             )
         },
         |m, ticket| m.wait(task.core, ticket),
         |m, (u, ms), sping| {
             let kernel = walk.kernel(ex.kernels(), task, ms, k_len)?;
             let bind = KernelBindings {
-                a_off: a_s_off[sping],
+                a_off: a_s[sping],
                 b_off,
-                c_off: c_off + (u * task.ld * 4) as u64,
+                c_off: c_a + (u * task.ld * 4) as u64,
             };
             invoke_kernel(m, task.core, ex, &kernel, bind)
         },
@@ -446,6 +598,53 @@ mod tests {
             Walk::new(&ChosenStrategy::KPar(bl), 16, 16, 100, 8).active(),
             2
         );
+    }
+
+    #[test]
+    fn the_layout_is_the_paper_blocks_at_full_size() {
+        let mpar = MparBlocks {
+            n_g: 96,
+            k_g: 5888,
+            m_a: 320,
+            n_a: 96,
+            k_a: 864,
+            m_s: 8,
+        };
+        let lay = Walk::new(&ChosenStrategy::MPar(mpar), 4096, 96, 8192, 8).layout();
+        let row = 96 * 4;
+        assert_eq!(lay.b_a, [320 * row, (320 + 864) * row]);
+        assert_eq!(lay.a_s, [0, 8 * 864 * 4]);
+        assert_eq!(lay.g, [0, 5888 * 96 * 4]);
+        // TGEMM: 192 KiB C_a and B_a panels, 12 KiB A_s, 1 MiB A_g.
+        let lay = Walk::new(&ChosenStrategy::TGemm, 70, 100, 600, 4).layout();
+        assert_eq!((lay.c_a, lay.b_a), (0, [196_608, 393_216]));
+        assert_eq!((lay.a_s, lay.g), ([0, 12_288], [0, 1 << 20]));
+        // The envelope at the paper's width is m_a + 2·k_a = 2048.
+        let cfg = dspsim::HwConfig::default();
+        assert_eq!(Layout::max_m_a(&cfg, 96, 864), 320);
+    }
+
+    #[test]
+    fn footprint_counts_what_the_second_buffers_hold() {
+        let bl = MparBlocks {
+            n_g: 32,
+            k_g: 1024,
+            m_a: 64,
+            n_a: 32,
+            k_a: 32,
+            m_s: 6,
+        };
+        let at = |k: usize| Walk::new(&ChosenStrategy::MPar(bl), 10, 20, k, 2).footprint();
+        let row = 32 * 4;
+        // One K step of 20: the second B_a buffer stays empty.
+        assert_eq!(at(20).am, 64 * row + 20 * row);
+        // Steps of 32 and 8: the second buffer holds the 8-deep tail.
+        assert_eq!(at(40).am, (64 + 32 + 8) * row);
+        // Row blocks of 6 and 4 over a 32-deep step; one B_g of 32 × 20.
+        assert_eq!(at(40).sm, (6 * 32 + 4 * 32) * 4);
+        assert_eq!(at(40).gsm, 40 * 20 * 4);
+        // Two B_g groups: the second one sits 1024 × 32 words in.
+        assert_eq!(at(1030).gsm, (1024 * 32 + 6 * 20) * 4);
     }
 
     #[test]

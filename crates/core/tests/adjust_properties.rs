@@ -1,15 +1,19 @@
 //! Property tests for dynamic adjusting: for arbitrary shapes, the block
-//! sizes it emits must fit every scratchpad (C_a once + B_a twice in AM,
-//! A_s twice in SM, panels in GSM), stay within matrix bounds where
-//! required, and respect the paper's m_s rule.
+//! sizes it emits must fit every scratchpad (the walk's footprint: C_a
+//! and both B_a in AM, both A_s in SM, the panels in GSM), stay within
+//! matrix bounds where required, and respect the paper's m_s rule.
 
 use dspsim::HwConfig;
-use ftimm::{adjust_kpar, adjust_mpar, choose_strategy, ChosenStrategy, GemmShape};
+use ftimm::{adjust_kpar, adjust_mpar, choose_strategy, ChosenStrategy, GemmShape, Walk};
 use kernelgen::KernelCache;
 use proptest::prelude::*;
 
-fn pad32(n: usize) -> usize {
-    n.div_ceil(32) * 32
+/// The feasibility predicate: what a run of `plan` on `shape` touches
+/// fits every scratchpad of `cfg`.
+fn fits(cfg: &HwConfig, plan: ChosenStrategy, shape: &GemmShape, cores: usize) -> bool {
+    Walk::new(&plan, shape.m, shape.n, shape.k, cores)
+        .footprint()
+        .fits(cfg)
 }
 
 proptest! {
@@ -26,13 +30,7 @@ proptest! {
         let cache = KernelCache::new(cfg.clone());
         let shape = GemmShape::new(m, n, k);
         let b = adjust_mpar(&cache, &cfg, &shape, cores);
-        // AM: C_a + 2 × B_a.
-        let am = (b.m_a + 2 * b.k_a) * pad32(b.n_a) * 4;
-        prop_assert!(am <= cfg.am_bytes, "{b:?}: AM {am}");
-        // SM: 2 × A_s.
-        prop_assert!(2 * b.m_s * b.k_a * 4 <= cfg.sm_bytes, "{b:?}");
-        // GSM: 2 × B_g.
-        prop_assert!(2 * b.k_g * b.n_g * 4 <= cfg.gsm_bytes, "{b:?}");
+        prop_assert!(fits(&cfg, ChosenStrategy::MPar(b), &shape, cores), "{b:?} on {shape}");
         // Block sanity.
         prop_assert!(b.n_a <= 96 && b.n_a >= n.min(96));
         prop_assert!(b.m_s >= 1 && b.m_s <= b.m_a);
@@ -54,11 +52,7 @@ proptest! {
         let cache = KernelCache::new(cfg.clone());
         let shape = GemmShape::new(m, n, k);
         let b = adjust_kpar(&cache, &cfg, &shape, cores);
-        let am = (b.m_a + 2 * b.k_a) * pad32(b.n_a) * 4;
-        prop_assert!(am <= cfg.am_bytes, "{b:?}: AM {am}");
-        prop_assert!(2 * b.m_s * b.k_a * 4 <= cfg.sm_bytes, "{b:?}");
-        // GSM: C_g panel.
-        prop_assert!(b.m_g * b.n_g * 4 <= cfg.gsm_bytes, "{b:?}");
+        prop_assert!(fits(&cfg, ChosenStrategy::KPar(b), &shape, cores), "{b:?} on {shape}");
         prop_assert!(b.m_a <= b.m_g, "{b:?}");
         prop_assert!(b.m_s <= b.m_a, "{b:?}");
         if m >= 6 {

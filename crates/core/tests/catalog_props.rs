@@ -1,14 +1,18 @@
 //! Property tests over what is particular to the `ftimm-plan-catalog-v1`
 //! codec: a plan key stored twice rejects the document, and entry-level
 //! corruption (a key disagreeing with its embedded plan) quarantines
-//! exactly that entry and keeps the rest.  The properties every decoder
+//! exactly that entry and keeps the rest.  Attaching a catalog re-checks
+//! every plan against the context's hardware: one that does not fit is
+//! quarantined too, never served.  The properties every decoder
 //! shares — exact round trip, truncation, unknown and duplicated JSON
 //! keys, unknown schema versions — run over this schema as one row of the
 //! table in the workspace root's `tests/codecs.rs`.
 
+use dspsim::HwConfig;
 use ftimm::{
-    catalog_from_json, catalog_json, CalibrationRecord, ChosenStrategy, GemmShape, KparBlocks,
-    MparBlocks, Plan, PlanCatalog, PlanKey, PlanOrigin, Strategy, StrategyKind,
+    catalog_from_json, catalog_json, CalibrationRecord, ChosenStrategy, FtImm, GemmShape,
+    KparBlocks, MparBlocks, Plan, PlanCatalog, PlanKey, PlanOrigin, Strategy, StrategyKind,
+    TuneConfig, Walk,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -184,5 +188,108 @@ proptest! {
         for (key, _) in &load.catalog.entries {
             prop_assert!(key.shape.m < 1_000_000);
         }
+    }
+}
+
+/// A cheap tuning budget: the catalog tests need a tuned plan, not a
+/// good one.
+fn quick_tune() -> TuneConfig {
+    TuneConfig {
+        max_simulations: 6,
+        random_probes: 1,
+        neighborhood: 1,
+        explore: false,
+        ..TuneConfig::default()
+    }
+}
+
+fn fits(cfg: &HwConfig, plan: &Plan) -> bool {
+    let s = plan.shape;
+    let cores = plan.cores.clamp(1, cfg.cores_per_cluster);
+    Walk::new(&plan.strategy, s.m, s.n, s.k, cores)
+        .footprint()
+        .fits(cfg)
+}
+
+/// A hand-edited entry whose `k_a` overruns SM parses cleanly, and is
+/// quarantined on attach: the shape is re-planned, not served.
+#[test]
+fn an_entry_that_overruns_sm_is_quarantined_on_attach() {
+    let shape = GemmShape::new(32, 32, 1 << 14);
+    let cfg = HwConfig::default();
+    let tuned = FtImm::new(cfg.clone()).tune(&shape, 8, &quick_tune()).plan;
+    let ChosenStrategy::KPar(b) = tuned.strategy else {
+        panic!("premise: {shape} tunes to K-par, got {tuned:?}")
+    };
+    let mut edited = tuned;
+    edited.strategy = ChosenStrategy::KPar(KparBlocks { k_a: 4096, ..b });
+    assert!(fits(&cfg, &tuned) && !fits(&cfg, &edited));
+    let key = PlanKey {
+        shape,
+        cores: 8,
+        strategy: Strategy::Auto,
+    };
+    let catalog = PlanCatalog {
+        entries: vec![(key, edited)],
+        records: Vec::new(),
+    };
+    let load = catalog_from_json(&catalog_json(&catalog)).unwrap();
+    assert_eq!(load.quarantined, 0, "the document itself is well formed");
+
+    let ft = FtImm::new(cfg.clone());
+    assert_eq!(ft.attach_catalog(load), 0, "nothing preloaded");
+    let stats = ft.tuning_stats();
+    assert_eq!(stats.quarantined, 1);
+    let served = ft.plan_full(&shape, Strategy::Auto, 8);
+    assert_ne!(served, edited);
+    assert!(
+        fits(&cfg, &served) && ft.timing_simulations() > 0,
+        "{served:?}"
+    );
+    assert_eq!(ft.tuning_stats().catalog_hits, 0);
+}
+
+/// A catalog tuned on a machine with four times the scratchpads, attached
+/// under the default machine: whatever does not fit is quarantined, and
+/// every plan that is served fits.
+#[test]
+fn a_catalog_from_a_larger_machine_serves_only_what_fits() {
+    let big = HwConfig {
+        sm_bytes: 4 * HwConfig::default().sm_bytes,
+        am_bytes: 4 * HwConfig::default().am_bytes,
+        gsm_bytes: 4 * HwConfig::default().gsm_bytes,
+        ..HwConfig::default()
+    };
+    let shapes = [
+        GemmShape::new(32, 32, 1 << 16),
+        GemmShape::new(1 << 16, 32, 32),
+        GemmShape::new(64, 64, 4096),
+    ];
+    let path = std::env::temp_dir().join(format!("ftimm-catalog-big-{}.json", std::process::id()));
+    let tuned = {
+        let ft = FtImm::new(big);
+        let tuned: Vec<Plan> = shapes
+            .iter()
+            .map(|s| ft.tune(s, 8, &quick_tune()).plan)
+            .collect();
+        ft.save_plan_catalog(&path).unwrap();
+        tuned
+    };
+    let cfg = HwConfig::default();
+    let misfits = tuned.iter().filter(|p| !fits(&cfg, p)).count();
+    assert!(
+        misfits > 0,
+        "premise: the larger machine tunes past the default"
+    );
+
+    let ft = FtImm::new(cfg.clone());
+    let kept = ft.load_plan_catalog(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(kept, shapes.len() - misfits);
+    assert_eq!(ft.tuning_stats().quarantined, misfits as u64);
+    for (shape, plan) in shapes.iter().zip(&tuned) {
+        let served = ft.plan_full(shape, Strategy::Auto, 8);
+        assert!(fits(&cfg, &served), "{served:?}");
+        assert_eq!(served == *plan, fits(&cfg, plan), "{shape}");
     }
 }

@@ -458,10 +458,11 @@ impl Machine {
         t
     }
 
-    /// Issue a DMA on a core's engine: functional strided copy (unless in
-    /// timing mode) plus completion-time accounting.  Armed faults strike
-    /// here: a `Timeout` charges the watchdog and errors out, a `Corrupt`
-    /// completes the transfer but flips one f32 of the destination.
+    /// Issue a DMA on a core's engine: functional strided copy (in timing
+    /// mode, the copy's extent check alone) plus completion-time
+    /// accounting.  Armed faults strike here: a `Timeout` charges the
+    /// watchdog and errors out, a `Corrupt` completes the transfer but
+    /// flips one f32 of the destination.
     pub fn dma(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<DmaTicket, SimError> {
         self.check_core_alive(id)?;
         self.preempt_point(id)?;
@@ -505,12 +506,10 @@ impl Machine {
             }
         }
         let corrupted = armed.is_some() && self.mode.is_functional();
-        if self.mode.is_functional() {
-            self.dma_copy(id, path, desc)?;
-            if let Some(f) = armed {
-                self.corrupt_dma_dst(id, path, desc, f.rng)?;
-                self.fault.injected_corruptions += 1;
-            }
+        self.dma_copy(id, path, desc)?;
+        if let Some(f) = armed.filter(|_| corrupted) {
+            self.corrupt_dma_dst(id, path, desc, f.rng)?;
+            self.fault.injected_corruptions += 1;
         }
         let dur = transfer_time(&self.cfg, path, desc.bytes(), self.active_streams);
         let phys = self.core_map[id];
@@ -557,12 +556,15 @@ impl Machine {
         Ok(())
     }
 
-    fn dma_copy(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<(), SimError> {
+    /// The (source, destination) regions of a transfer on `path` issued
+    /// by logical core `id`.
+    #[inline]
+    fn regions(&mut self, id: usize, path: DmaPath) -> (&mut MemRegion, &mut MemRegion) {
         let phys = self.core_map[id];
         let Machine { ddr, cluster, .. } = self;
         let Cluster { gsm, cores } = cluster;
         let core = &mut cores[phys];
-        let (src, dst): (&mut MemRegion, &mut MemRegion) = match path {
+        match path {
             DmaPath::DdrToGsm => (ddr, gsm),
             DmaPath::GsmToDdr => (gsm, ddr),
             DmaPath::DdrToSm => (ddr, &mut core.sm),
@@ -572,8 +574,20 @@ impl Machine {
             DmaPath::GsmToSm => (gsm, &mut core.sm),
             DmaPath::GsmToAm => (gsm, &mut core.am),
             DmaPath::AmToGsm => (&mut core.am, gsm),
-        };
-        dst.copy_2d_from(src, desc)
+        }
+    }
+
+    /// Move a transfer's data — or, in timing mode, only check both of
+    /// its extents, so timing refuses exactly what a functional run
+    /// refuses and still materialises nothing.
+    fn dma_copy(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<(), SimError> {
+        let functional = self.mode.is_functional();
+        let (src, dst) = self.regions(id, path);
+        if functional {
+            dst.copy_2d_from(src, desc)
+        } else {
+            dst.check_2d_from(src, desc).map(drop)
+        }
     }
 
     /// Flip the exponent MSB of one f32 inside the destination footprint
@@ -585,23 +599,9 @@ impl Machine {
         desc: &Dma2d,
         rng: u64,
     ) -> Result<(), SimError> {
-        let phys = self.core_map[id];
-        let Machine { ddr, cluster, .. } = self;
-        let Cluster { gsm, cores } = cluster;
-        let core = &mut cores[phys];
-        let dst: &mut MemRegion = match path {
-            DmaPath::DdrToGsm => gsm,
-            DmaPath::GsmToDdr => ddr,
-            DmaPath::DdrToSm => &mut core.sm,
-            DmaPath::DdrToAm => &mut core.am,
-            DmaPath::SmToDdr => ddr,
-            DmaPath::AmToDdr => ddr,
-            DmaPath::GsmToSm => &mut core.sm,
-            DmaPath::GsmToAm => &mut core.am,
-            DmaPath::AmToGsm => gsm,
-        };
         let row = rng % desc.rows.max(1);
         let word = (rng >> 24) % (desc.row_bytes / 4).max(1);
+        let (_, dst) = self.regions(id, path);
         dst.flip_f32_msb(desc.dst_off + row * desc.dst_stride + word * 4)
     }
 
@@ -707,13 +707,37 @@ mod tests {
     }
 
     #[test]
+    fn timing_mode_refuses_what_a_functional_copy_refuses() {
+        // One row past AM, then a source row past DDR.
+        let am = HwConfig::default().am_bytes as u64;
+        for d in [
+            Dma2d::flat(0, am - 64, 128),
+            Dma2d::flat(DDR_CAPACITY, 0, 4),
+        ] {
+            let mut errs = Vec::new();
+            for mode in [ExecMode::Fast, ExecMode::Timing] {
+                let mut m = Machine::with_mode(mode);
+                errs.push(m.dma(0, DmaPath::DdrToAm, &d).unwrap_err());
+                assert_eq!(
+                    m.core(0).stats.dma_transfers,
+                    0,
+                    "{mode:?}: nothing charged"
+                );
+                assert_eq!(m.core(0).am.materialised() + m.ddr.materialised(), 0);
+            }
+            assert!(matches!(errs[0], SimError::OutOfBounds { .. }), "{d:?}");
+            assert_eq!(errs[0], errs[1], "{d:?}");
+        }
+    }
+
+    #[test]
     fn dma_engine_serialises_transfers() {
         let mut m = Machine::with_mode(ExecMode::Timing);
         let t1 = m
-            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 20))
+            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 19))
             .unwrap();
         let t2 = m
-            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 20))
+            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 19))
             .unwrap();
         assert!(t2.done_at > t1.done_at);
         // Second transfer waits for the engine, not for the core.
@@ -725,7 +749,7 @@ mod tests {
         // Issue DMA for the next block, compute on the current one: total
         // time should be max(dma, compute) per step, not the sum.
         let mut m = Machine::with_mode(ExecMode::Timing);
-        let d = Dma2d::flat(0, 0, 1 << 20);
+        let d = Dma2d::flat(0, 0, 1 << 19);
         let dma_dur = transfer_time(&m.cfg, DmaPath::DdrToAm, d.bytes(), 1);
         let comp_cycles = (dma_dur / m.cfg.cycle_s() * 2.0) as u64; // compute-bound
         let mut pending = m.dma(0, DmaPath::DdrToAm, &d).unwrap();
@@ -817,7 +841,7 @@ mod tests {
         let mut m = Machine::with_mode(ExecMode::Timing);
         for _ in 0..16 {
             let t = m
-                .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 20))
+                .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 19))
                 .unwrap();
             m.wait(0, t);
         }

@@ -299,6 +299,7 @@ impl MemRegion {
     /// Word range and byte length of a `count`-element f32 view at
     /// `offset`.  A view borrows whole words, so a misaligned one is a
     /// binding error; bounds are checked, nothing is materialised.
+    #[inline]
     fn view_span(&self, offset: u64, count: usize) -> Result<(Range<usize>, u64), SimError> {
         if !offset.is_multiple_of(4) {
             return Err(SimError::BadBinding {
@@ -311,6 +312,45 @@ impl MemRegion {
         let len = (count as u64).saturating_mul(4);
         self.check(offset, len)?;
         Ok((word_range(offset, count), len))
+    }
+
+    /// The spans of a [`MemRegion::view_f32_pair`]: each one checked like
+    /// a single view, then refused if they overlap.
+    #[inline]
+    fn pair_spans(
+        &self,
+        shared: (u64, usize),
+        exclusive: (u64, usize),
+    ) -> Result<[(Range<usize>, u64); 2], SimError> {
+        let (s_words, s_len) = self.view_span(shared.0, shared.1)?;
+        let (x_words, x_len) = self.view_span(exclusive.0, exclusive.1)?;
+        if s_words.start < x_words.end && x_words.start < s_words.end {
+            return Err(SimError::BadBinding {
+                detail: format!(
+                    "{}: f32 views [{}, +{s_len}) and [{}, +{x_len}) overlap",
+                    self.name, shared.0, exclusive.0
+                ),
+            });
+        }
+        Ok([(s_words, s_len), (x_words, x_len)])
+    }
+
+    /// Refuse exactly what [`MemRegion::view_f32`] refuses, without
+    /// taking the view: nothing is materialised and no read is counted.
+    #[inline]
+    pub fn check_f32(&self, offset: u64, count: usize) -> Result<(), SimError> {
+        self.view_span(offset, count).map(drop)
+    }
+
+    /// Refuse exactly what [`MemRegion::view_f32_pair`] refuses, without
+    /// taking the views.
+    #[inline]
+    pub fn check_f32_pair(
+        &self,
+        shared: (u64, usize),
+        exclusive: (u64, usize),
+    ) -> Result<(), SimError> {
+        self.pair_spans(shared, exclusive).map(drop)
     }
 
     /// Borrow `count` consecutive f32 at `offset` in place.  A read
@@ -339,16 +379,7 @@ impl MemRegion {
         shared: (u64, usize),
         exclusive: (u64, usize),
     ) -> Result<(&[f32], &mut [f32]), SimError> {
-        let (s_words, s_len) = self.view_span(shared.0, shared.1)?;
-        let (x_words, x_len) = self.view_span(exclusive.0, exclusive.1)?;
-        if s_words.start < x_words.end && x_words.start < s_words.end {
-            return Err(SimError::BadBinding {
-                detail: format!(
-                    "{}: f32 views [{}, +{s_len}) and [{}, +{x_len}) overlap",
-                    self.name, shared.0, exclusive.0
-                ),
-            });
-        }
+        let [(s_words, s_len), (x_words, x_len)] = self.pair_spans(shared, exclusive)?;
         self.touch((shared.0 + s_len).max(exclusive.0 + x_len));
         self.fault_hook(shared.0, s_len);
         self.fault_hook(exclusive.0, x_len);
@@ -394,6 +425,24 @@ impl MemRegion {
         }
     }
 
+    /// Bounds-check both extents of copying `d` from `src` into this
+    /// region; returns their ends (`None` for an empty block).  Touches
+    /// nothing: it is what [`MemRegion::copy_2d_from`] checks first and
+    /// all a timing-mode DMA does.
+    pub(crate) fn check_2d_from(
+        &self,
+        src: &MemRegion,
+        d: &Dma2d,
+    ) -> Result<Option<(u64, u64)>, SimError> {
+        if d.rows == 0 {
+            return Ok(None);
+        }
+        Ok(Some((
+            src.check_rows(d.src_off, d.src_stride, d.rows, d.row_bytes)?,
+            self.check_rows(d.dst_off, d.dst_stride, d.rows, d.row_bytes)?,
+        )))
+    }
+
     /// Copy a 2-D block from another region into this one (the DMA
     /// primitive).  Both extents are checked before either region is
     /// touched, so a refused descriptor copies nothing, materialises
@@ -401,11 +450,9 @@ impl MemRegion {
     /// `src` and a word-slice copy (byte by byte when an offset, stride
     /// or the row length is no whole number of words), in row order.
     pub fn copy_2d_from(&mut self, src: &mut MemRegion, d: &Dma2d) -> Result<(), SimError> {
-        if d.rows == 0 {
+        let Some((src_end, dst_end)) = self.check_2d_from(src, d)? else {
             return Ok(());
-        }
-        let src_end = src.check_rows(d.src_off, d.src_stride, d.rows, d.row_bytes)?;
-        let dst_end = self.check_rows(d.dst_off, d.dst_stride, d.rows, d.row_bytes)?;
+        };
         src.touch(src_end);
         self.touch(dst_end);
         let whole_words =

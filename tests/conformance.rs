@@ -138,6 +138,7 @@ fn plan_catalog_fixture_replays_simulation_free() {
     let stats = warm.tuning_stats();
     assert_eq!(stats.catalog_hits, 4);
     assert_eq!(stats.catalog_misses, 0);
+    assert_eq!(stats.quarantined, 0, "every fixture plan fits the machine");
 }
 
 /// The static verifier passes every micro-kernel spec the generator

@@ -79,6 +79,45 @@ fn planning_is_deterministic_for_every_regime_and_strategy() {
     }
 }
 
+/// Every plan a strategy or the tuner returns runs functionally: over
+/// shapes of the four fuzz regimes, and the five shapes `Strategy::Auto`
+/// once resolved to a K-par plan whose `A_s` pair overran SM.
+#[test]
+fn every_plan_any_strategy_or_the_tuner_returns_runs_functionally() {
+    let ft = FtImm::new(HwConfig::default());
+    let mut rng = Rng64::new(0xF175);
+    let mut shapes: Vec<GemmShape> = (0..3)
+        .flat_map(|_| Regime::ALL)
+        .map(|r| r.sample(&mut rng))
+        .collect();
+    for (m, n, k) in [
+        (64, 64, 4096),
+        (48, 48, 4096),
+        (32, 64, 4096),
+        (50, 64, 4687),
+        (82, 31, 7009),
+    ] {
+        shapes.push(GemmShape::new(m, n, k));
+    }
+    for shape in &shapes {
+        let mut plans: Vec<_> = Strategy::ALL
+            .iter()
+            .map(|&s| (s.tag(), ft.plan(shape, s, 8)))
+            .collect();
+        plans.push((
+            "tuned",
+            ft.tune(shape, 8, &test_tune_config()).plan.strategy,
+        ));
+        for (what, plan) in plans {
+            let mut m = Machine::with_mode(ExecMode::Compiled);
+            let p = GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k).unwrap();
+            if let Err(e) = ft.run_plan(&mut m, &p, &plan, 8) {
+                panic!("{shape} {what}: {plan:?} does not run: {e}");
+            }
+        }
+    }
+}
+
 #[test]
 fn auto_on_a_cached_shape_runs_zero_timing_simulations() {
     let ft = FtImm::new(HwConfig::default());
