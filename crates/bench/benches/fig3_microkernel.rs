@@ -39,7 +39,7 @@ fn bench(c: &mut Criterion) {
             b_off: 0,
             c_off: 512 * 1024,
         };
-        b.iter(|| m.run_kernel(0, &kernel.program, bind, false).unwrap())
+        b.iter(|| m.run_kernel(0, kernel.program(), bind, false).unwrap())
     });
     for tier in [HostTier::Fast, HostTier::Compiled] {
         let name = match tier {

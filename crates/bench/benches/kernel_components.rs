@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("assembler_round_trip", |b| {
         let k = MicroKernel::generate(KernelSpec::new(6, 64, 96).unwrap(), &cfg).unwrap();
-        let text = asm::render(&k.program);
+        let text = asm::render(k.program());
         b.iter(|| asm::parse(&text).unwrap())
     });
     g.bench_function("dma_timing_model", |b| {

@@ -37,7 +37,7 @@ pub fn compute() -> Vec<TableRepro> {
                 "Table {number}: {regime} (body = 2 pipelined iterations, II = {})",
                 kernel.blocks[0].ii
             ),
-            &kernel.program,
+            kernel.program(),
         )
         .expect("kernel has a steady-state loop");
         TableRepro {
@@ -120,7 +120,7 @@ mod tests {
         let rep = m
             .run_kernel(
                 0,
-                &k.program,
+                k.program(),
                 KernelBindings {
                     a_off: 0,
                     b_off: 0,

@@ -427,7 +427,7 @@ fn for_each_static_bundle(sections: &[Section], f: &mut impl FnMut(&Bundle)) {
 /// Verify a generated kernel against the default latency table, as the
 /// fuzzer does for every kernel a plan pulls.
 pub fn verify_kernel(kernel: &kernelgen::MicroKernel) -> VerifyReport {
-    verify_program(&kernel.program, &LatencyTable::default())
+    verify_program(kernel.program(), &LatencyTable::default())
 }
 
 #[cfg(test)]
@@ -464,9 +464,10 @@ mod tests {
 
     #[test]
     fn corrupted_bundle_is_rejected() {
-        // Take a real kernel and smuggle a duplicate-unit FMAC plus a
-        // wrong-unit instruction into its first straight section.
-        let mut kernel = generated(6, 64, 96);
+        // Take a copy of a real kernel's program and smuggle a
+        // duplicate-unit FMAC plus a wrong-unit instruction into its first
+        // straight section.
+        let mut program = generated(6, 64, 96).program().clone();
         let extra = Instruction::vfmulas32(v(0), v(1), v(2));
         let wrong = Instruction::sldh(r(0), AddrExpr::flat(MemSpace::Sm, BufId::A, 0));
         // The generator wraps everything in loops; find the first straight
@@ -487,11 +488,11 @@ mod tests {
             }
             None
         }
-        let bundle = first_straight(&mut kernel.program.sections).unwrap();
+        let bundle = first_straight(&mut program.sections).unwrap();
         bundle.push_unchecked(Unit::VectorFmac1, extra.clone());
         bundle.push_unchecked(Unit::VectorFmac1, extra);
         bundle.push_unchecked(Unit::VectorFmac2, wrong);
-        let rep = verify_kernel(&kernel);
+        let rep = verify_program(&program, &LatencyTable::default());
         assert!(!rep.is_clean());
         assert!(rep
             .violations

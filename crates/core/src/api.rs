@@ -11,7 +11,7 @@ use kernelgen::{
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Strategy requested by the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +94,14 @@ struct TuningState {
     plans_tuned: AtomicU64,
     variants_adopted: AtomicU64,
     quarantined: AtomicU64,
+}
+
+/// Lock one part of the tuning state, recovering from poisoning: every
+/// entry is an immutable [`Plan`], [`PlanKey`] or calibration record that
+/// is pushed or replaced whole, so what a panicking thread left behind is
+/// still a valid state, and planning and tuning carry on with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn upsert_plan(entries: &mut Vec<(PlanKey, Plan)>, key: PlanKey, plan: Plan) {
@@ -230,12 +238,7 @@ impl FtImm {
         };
         if let Some(plan) = self.plan_cache.get(&key) {
             if self.tuning.catalog_attached.load(Ordering::Relaxed)
-                && self
-                    .tuning
-                    .catalog_keys
-                    .lock()
-                    .expect("tuning state poisoned")
-                    .contains(&key)
+                && lock(&self.tuning.catalog_keys).contains(&key)
             {
                 self.tuning.catalog_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -277,11 +280,7 @@ impl FtImm {
             self.timing_simulations.fetch_add(1, Ordering::Relaxed);
             self.predict_seconds(shape, cand, n)
         });
-        self.tuning
-            .records
-            .lock()
-            .expect("tuning state poisoned")
-            .extend(outcome.records.iter().copied());
+        lock(&self.tuning.records).extend(outcome.records.iter().copied());
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
         if outcome.adopted_variant {
             self.tuning.variants_adopted.fetch_add(1, Ordering::Relaxed);
@@ -308,11 +307,7 @@ impl FtImm {
             outcome.plan.coexec_cpu_rows = choice.cpu_rows;
             self.plan_cache.insert(key, outcome.plan);
         }
-        upsert_plan(
-            &mut self.tuning.tuned.lock().expect("tuning state poisoned"),
-            key,
-            outcome.plan,
-        );
+        upsert_plan(&mut lock(&self.tuning.tuned), key, outcome.plan);
         outcome
     }
 
@@ -338,16 +333,12 @@ impl FtImm {
     /// The calibration fitted from every record this context holds
     /// (tuner-observed plus catalog-loaded).
     pub fn calibration(&self) -> Calibration {
-        Calibration::fit(&self.tuning.records.lock().expect("tuning state poisoned"))
+        Calibration::fit(&lock(&self.tuning.records))
     }
 
     /// A copy of every calibration record this context holds.
     pub fn calibration_records(&self) -> Vec<CalibrationRecord> {
-        self.tuning
-            .records
-            .lock()
-            .expect("tuning state poisoned")
-            .clone()
+        lock(&self.tuning.records).clone()
     }
 
     /// Load an on-disk plan catalog into this context: preload the plan
@@ -377,11 +368,7 @@ impl FtImm {
             .quarantined
             .fetch_add(quarantined as u64, Ordering::Relaxed);
         {
-            let mut keys = self
-                .tuning
-                .catalog_keys
-                .lock()
-                .expect("tuning state poisoned");
+            let mut keys = lock(&self.tuning.catalog_keys);
             for (key, _) in &load.catalog.entries {
                 if !keys.contains(key) {
                     keys.push(*key);
@@ -389,16 +376,12 @@ impl FtImm {
             }
         }
         {
-            let mut tuned = self.tuning.tuned.lock().expect("tuning state poisoned");
+            let mut tuned = lock(&self.tuning.tuned);
             for (key, plan) in &load.catalog.entries {
                 upsert_plan(&mut tuned, *key, *plan);
             }
         }
-        self.tuning
-            .records
-            .lock()
-            .expect("tuning state poisoned")
-            .extend(load.catalog.records.iter().copied());
+        lock(&self.tuning.records).extend(load.catalog.records.iter().copied());
         self.tuning.catalog_attached.store(true, Ordering::Relaxed);
         kept
     }
@@ -408,13 +391,7 @@ impl FtImm {
     /// accumulates) as an `ftimm-plan-catalog-v1` document at `path`.
     pub fn save_plan_catalog(&self, path: &Path) -> Result<(), String> {
         let mut catalog = PlanCatalog::default();
-        for (key, plan) in self
-            .tuning
-            .tuned
-            .lock()
-            .expect("tuning state poisoned")
-            .iter()
-        {
+        for (key, plan) in lock(&self.tuning.tuned).iter() {
             catalog.upsert(*key, *plan);
         }
         catalog.records = self.calibration_records();
@@ -426,12 +403,7 @@ impl FtImm {
         TuningStats {
             plans_tuned: self.tuning.plans_tuned.load(Ordering::Relaxed),
             variants_adopted: self.tuning.variants_adopted.load(Ordering::Relaxed),
-            calibration_records: self
-                .tuning
-                .records
-                .lock()
-                .expect("tuning state poisoned")
-                .len() as u64,
+            calibration_records: lock(&self.tuning.records).len() as u64,
             catalog_attached: self.tuning.catalog_attached.load(Ordering::Relaxed),
             catalog_hits: self.tuning.catalog_hits.load(Ordering::Relaxed),
             catalog_misses: self.tuning.catalog_misses.load(Ordering::Relaxed),
@@ -761,6 +733,38 @@ mod tests {
         let tail = sp.shards.last().unwrap();
         assert_eq!(tail.backend, dspsim::BackendKind::Cpu);
         assert_eq!(tail.rows(), tuned.coexec_cpu_rows);
+    }
+
+    #[test]
+    fn a_poisoned_tuning_lock_does_not_stop_planning_or_tuning() {
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(4096, 32, 256);
+        ft.plan_full(&shape, Strategy::Auto, 8);
+        // The catalog check on a plan-cache hit takes the keys lock too.
+        ft.tuning.catalog_attached.store(true, Ordering::Relaxed);
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _held = (
+                        lock(&ft.tuning.records),
+                        lock(&ft.tuning.tuned),
+                        lock(&ft.tuning.catalog_keys),
+                    );
+                    panic!("a tuning client dies holding the locks");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(ft.tuning.records.is_poisoned());
+        assert!(ft.tuning.tuned.is_poisoned());
+        assert!(ft.tuning.catalog_keys.is_poisoned());
+        let cached = ft.plan_full(&shape, Strategy::Auto, 8);
+        assert!(cached.simulated_s.is_finite());
+        let outcome = ft.tune(&shape, 8, &crate::plan::TuneConfig::default());
+        assert!(outcome.plan.simulated_s <= outcome.default_plan.simulated_s);
+        let fresh = ft.plan_full(&GemmShape::new(64, 64, 64), Strategy::Auto, 4);
+        assert!(fresh.simulated_s.is_finite());
+        assert_eq!(ft.tuning_stats().plans_tuned, 1);
     }
 
     #[test]

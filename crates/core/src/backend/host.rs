@@ -122,8 +122,9 @@ pub(crate) fn run_strategy_host(
             }
             for ks in walk.k_steps(&g, &t) {
                 load_block(&mut b_a, b, nn, ks.start, t.c0, ks.len(), t.cols, t.ld);
+                let mut kernel_for = walk.step_kernels(ex.kernels(), &t, ks.len());
                 for (u, ms) in walk.row_blocks(&t) {
-                    let kernel = walk.kernel(ex.kernels(), &t, ms, ks.len())?;
+                    let kernel = kernel_for(ms)?;
                     load_block(&mut a_s, a, kk, t.r0 + u, ks.start, ms, ks.len(), ks.len());
                     ex.execute(
                         tier,

@@ -353,6 +353,31 @@ impl Walk {
         }
     }
 
+    /// The kernels of one K step of `task`, by row-block height: maps a
+    /// height to [`Walk::kernel`], fetching from `cache` once per height
+    /// instead of once per row block.  A task's row blocks are full `m_s`
+    /// blocks and then at most one short one, so one held kernel suffices,
+    /// and each height is fetched at its first row block — where a
+    /// per-block fetch would be, so a failed fetch surfaces at the same
+    /// point of the walk.
+    pub(crate) fn step_kernels<'a>(
+        &'a self,
+        cache: &'a KernelCache,
+        task: &Task,
+        k_len: usize,
+    ) -> impl FnMut(usize) -> Result<Arc<MicroKernel>, GenError> + 'a {
+        let task = *task;
+        let mut held: Option<Arc<MicroKernel>> = None;
+        move |ms| match &held {
+            Some(kernel) if kernel.spec.m_s == ms => Ok(Arc::clone(kernel)),
+            _ => {
+                let kernel = self.kernel(cache, &task, ms, k_len)?;
+                held = Some(Arc::clone(&kernel));
+                Ok(kernel)
+            }
+        }
+    }
+
     /// The blocking as nested partition levels.
     pub fn levels(&self) -> Levels {
         let [g_m, g_n, g_k] = self.group;
@@ -478,7 +503,8 @@ pub(crate) fn ping_pong<T>(
 
 /// The DSP emitters' shared inner loop: for one K step of `task`, ping-pong
 /// the `A_s` row blocks into SM over `path` and invoke the matching kernel
-/// on each.  `a_src(u)` is the source `(element index, leading dimension)`
+/// on each (fetched once per row-block height, [`Walk::step_kernels`]).
+/// `a_src(u)` is the source `(element index, leading dimension)`
 /// of the block at row offset `u` — DDR for M-/K-parallel, the GSM `A_g`
 /// ping for TGEMM; `b_off` is the byte offset of the step's `B_a` buffer
 /// in AM ([`Layout::b_a`]).
@@ -495,6 +521,7 @@ pub(crate) fn panel_rows(
 ) -> Result<(), FtimmError> {
     let k_len = k_step.len();
     let Layout { c_a, a_s, .. } = walk.layout();
+    let mut kernel_for = walk.step_kernels(ex.kernels(), task, k_len);
     ping_pong(
         m,
         walk.row_blocks(task),
@@ -509,7 +536,7 @@ pub(crate) fn panel_rows(
         },
         |m, ticket| m.wait(task.core, ticket),
         |m, (u, ms), sping| {
-            let kernel = walk.kernel(ex.kernels(), task, ms, k_len)?;
+            let kernel = kernel_for(ms)?;
             let bind = KernelBindings {
                 a_off: a_s[sping],
                 b_off,

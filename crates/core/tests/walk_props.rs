@@ -14,9 +14,13 @@
 //! * (d) the enumeration is what runs: a timing-mode `run_plan` invokes
 //!   exactly one kernel per `(task, K step, row block)` triple;
 //! * (e) the leaf partitions read off the enumeration are those of the
-//!   nested [`ftimm::walk::Levels`] the tuner's `BitSignature` compares.
+//!   nested [`ftimm::walk::Levels`] the tuner's `BitSignature` compares;
+//! * (f) a timing walk prices kernels without building their programs,
+//!   and fetches each from the kernel cache once per `(task, K step,
+//!   height)`, not once per row block.
 
 use dspsim::{ExecMode, HwConfig, Machine};
+use ftimm::plan::TuneConfig;
 use ftimm::walk::Task;
 use ftimm::{
     ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, MparBlocks, Strategy, Walk,
@@ -199,5 +203,62 @@ proptest! {
         let report = ft().run_plan(&mut machine, &p, &plan, cores).unwrap();
         let walk = Walk::new(&plan, m, n, k, cores);
         prop_assert_eq!(report.totals.kernel_calls, check_walk(&walk, m, n, k, cores));
+    }
+}
+
+/// (f) On a cold context, planning, tuning and predicting one shape per
+/// regime builds no program, and a pinned timing run fetches kernels at
+/// most twice per `(task, K step)` — a task's row blocks have at most two
+/// heights — however many row blocks it invokes.
+#[test]
+fn a_timing_walk_builds_no_program_and_fetches_per_height() {
+    let cfg = HwConfig::default();
+    for (shape, cores) in [
+        (GemmShape::new(20_000, 32, 64), 8), // tall-skinny (type 1)
+        (GemmShape::new(40, 48, 12_000), 8), // short-wide (type 2)
+        (GemmShape::new(300, 80, 5), 4),     // tiny K
+        (GemmShape::new(150, 96, 140), 8),   // square
+    ] {
+        let ft = FtImm::new(cfg.clone());
+        let planned = ft.plan_full(&shape, Strategy::Auto, cores).strategy;
+        let tuned = ft.tune(&shape, cores, &TuneConfig::default()).plan.strategy;
+        for plan in [planned, tuned, ft.plan(&shape, Strategy::TGemm, cores)] {
+            assert!(
+                ft.predict_seconds(&shape, &plan, cores).is_finite(),
+                "{shape:?} {plan:?}"
+            );
+        }
+        assert_eq!(ft.kernel_cache_stats().programs_built, 0, "{shape:?}");
+
+        let fetched = |ft: &FtImm| {
+            let s = ft.kernel_cache_stats();
+            s.hits + s.misses
+        };
+        let before = fetched(&ft);
+        let mut machine = Machine::with_mode(ExecMode::Timing);
+        let p = GemmProblem::alloc(&mut machine, shape.m, shape.n, shape.k).unwrap();
+        let report = ft.run_plan(&mut machine, &p, &tuned, cores).unwrap();
+        let fetches = fetched(&ft) - before;
+        let walk = Walk::new(
+            &tuned,
+            shape.m,
+            shape.n,
+            shape.k,
+            cores.min(cfg.cores_per_cluster),
+        );
+        let steps: u64 = walk
+            .groups()
+            .map(|g| {
+                walk.tasks(&g)
+                    .map(|t| walk.k_steps(&g, &t).count() as u64)
+                    .sum::<u64>()
+            })
+            .sum();
+        assert!(
+            fetches <= 2 * steps && fetches <= report.totals.kernel_calls,
+            "{shape:?}: {fetches} fetches for {steps} (task, K step) pairs, {} calls",
+            report.totals.kernel_calls
+        );
+        assert_eq!(ft.kernel_cache_stats().programs_built, 0, "{shape:?}");
     }
 }

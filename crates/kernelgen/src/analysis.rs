@@ -31,7 +31,7 @@ pub struct KernelReport {
 impl KernelReport {
     /// Analyse a kernel.
     pub fn analyse(kernel: &MicroKernel) -> Self {
-        let program = &kernel.program;
+        let program = kernel.program();
         let total_cycles = program.cycles();
         let steady_cycles = pipelined_cycles(&program.sections, false);
         let mut unit_counts = [0u64; 12];
@@ -235,7 +235,7 @@ mod tests {
     fn occupancy_never_exceeds_one() {
         for (m, k, n) in [(6, 512, 96), (7, 33, 48), (1, 5, 1)] {
             let kn = kernel(m, k, n);
-            verify_occupancy(&kn.program).unwrap_or_else(|v| panic!("{v}"));
+            verify_occupancy(kn.program()).unwrap_or_else(|v| panic!("{v}"));
             let r = KernelReport::analyse(&kn);
             for (u, o) in &r.unit_occupancy {
                 assert!(*o <= 1.0 + 1e-12, "{u}: {o}");

@@ -1,6 +1,8 @@
-//! Assembling complete micro-kernel programs from the steady-state
-//! schedule: C-panel prologue, software-pipelined `kk` phase, depth
-//! remainder, accumulator reduction and C store, per `mm` block.
+//! Pricing and assembling micro-kernels from the steady-state schedule:
+//! C-panel prologue, software-pipelined `kk` phase, depth remainder,
+//! accumulator reduction and C store, per `mm` block.  The search prices
+//! candidates in closed form; the winner's program is assembled on first
+//! use.
 
 use crate::modsched::{IterOp, ScheduleMemo, SlotOp, SteadySchedule};
 use crate::{tiling, GenError, KernelLayout, KernelSpec, LineScheduler, RegMap, Tiling};
@@ -9,6 +11,8 @@ use ftimm_isa::{
     AddrExpr, BufId, Bundle, Instruction, LoopLevel, MemSpace, Program, Section, NUM_SREGS,
     NUM_VREGS,
 };
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// Plan of one `mm` block group (a run of blocks with the same `m_u`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +39,7 @@ pub const SEARCH_WIDTH: usize = 8;
 
 /// Cycles of the pipelined `kk` halves alone — `k_iters + 1` halves of
 /// II bundles per block — with every II at its resource lower bound.
-/// [`build`] can only add to it: scheduling never lowers an II, and the
+/// A price can only add to it: scheduling never lowers an II, and the
 /// C-panel prologue and the epilogue have non-negative length.
 pub fn steady_cycles_lower_bound(spec: &KernelSpec, t: &Tiling, cfg: &HwConfig) -> u64 {
     let halves = (spec.k_a / t.k_u + 1) as u64;
@@ -48,6 +52,10 @@ pub fn steady_cycles_lower_bound(spec: &KernelSpec, t: &Tiling, cfg: &HwConfig) 
 }
 
 /// A generated micro-kernel.
+///
+/// Generation prices a tiling in closed form and builds no program
+/// ([`MicroKernel::program`] builds it on first use): everything timing
+/// mode and the host tiers read — `blocks`, `cycles`, `flops` — is here.
 #[derive(Debug, Clone)]
 pub struct MicroKernel {
     /// The shape it computes.
@@ -57,38 +65,43 @@ pub struct MicroKernel {
     /// Block structure (main group, plus a remainder group if
     /// `m_s mod m_u ≠ 0`).
     pub blocks: Vec<BlockPlan>,
-    /// The VLIW program.
-    pub program: Program,
     /// Total cycles of one invocation (loops expanded — identical to what
-    /// the interpreter executes).
+    /// the interpreter executes), priced in closed form: each block group
+    /// costs `trips · (overhead + (k_iters + 1)·II)`.
     pub cycles: u64,
     /// Total flops of one invocation, padding lanes included
-    /// (`program.flops()`, counted once at build time).
+    /// (`2·m_s·na_pad·k_a`, which is `program().flops()`).
     pub flops: u64,
     /// Theoretical upper-bound efficiency for this `n_a` (§IV-A3).
     pub upper_bound: f64,
+    /// The main-group tiling the program is built from.
+    tiling: Tiling,
+    /// The hardware and schedules the kernel was priced against.
+    memo: Arc<ScheduleMemo>,
+    /// The VLIW program, built on first use.
+    program: OnceLock<Program>,
 }
 
 impl MicroKernel {
     /// Generate the best kernel for a spec: the fewest total cycles over
     /// the first [`SEARCH_WIDTH`] feasible tilings (earliest wins ties).
     ///
-    /// A candidate is built only if it can still win.  Every build spends
-    /// at least [`steady_cycles_lower_bound`] cycles, and a candidate
-    /// replaces the incumbent only when strictly faster, so skipping one
-    /// whose bound already reaches the incumbent's cycles returns exactly
-    /// the kernel the exhaustive search returns.
+    /// A candidate is priced only if it can still win.  Every candidate
+    /// costs at least [`steady_cycles_lower_bound`] cycles, and a
+    /// candidate replaces the incumbent only when strictly faster, so
+    /// skipping one whose bound already reaches the incumbent's cycles
+    /// returns exactly the kernel the exhaustive search returns.
     pub fn generate(spec: KernelSpec, cfg: &HwConfig) -> Result<MicroKernel, GenError> {
-        Self::generate_with(spec, cfg, &ScheduleMemo::default())
+        Self::generate_with(spec, &Arc::new(ScheduleMemo::new(cfg.clone())))
     }
 
-    /// [`MicroKernel::generate`] drawing steady-state schedules from a
-    /// memo shared between kernels (which must all be for `cfg`).
+    /// [`MicroKernel::generate`] drawing schedules and prices from a memo
+    /// shared between kernels.
     pub(crate) fn generate_with(
         spec: KernelSpec,
-        cfg: &HwConfig,
-        schedules: &ScheduleMemo,
+        memo: &Arc<ScheduleMemo>,
     ) -> Result<MicroKernel, GenError> {
+        let cfg = memo.cfg();
         let cands = tiling::candidates(&spec, cfg)?;
         let mut best: Option<MicroKernel> = None;
         // The candidate list is sorted by steady-state quality; the first
@@ -98,7 +111,7 @@ impl MicroKernel {
             if best.as_ref().is_some_and(|b| bound >= b.cycles) {
                 continue;
             }
-            let k = build_with(spec, t, cfg, schedules)?;
+            let k = MicroKernel::priced(spec, t, memo)?;
             if best.as_ref().is_none_or(|b| k.cycles < b.cycles) {
                 best = Some(k);
             }
@@ -114,16 +127,15 @@ impl MicroKernel {
         k_u: usize,
         cfg: &HwConfig,
     ) -> Result<MicroKernel, GenError> {
-        Self::generate_forced_with(spec, m_u, k_u, cfg, &ScheduleMemo::default())
+        Self::generate_forced_with(spec, m_u, k_u, &Arc::new(ScheduleMemo::new(cfg.clone())))
     }
 
-    /// [`MicroKernel::generate_forced`] over a shared schedule memo.
+    /// [`MicroKernel::generate_forced`] over a shared memo.
     pub(crate) fn generate_forced_with(
         spec: KernelSpec,
         m_u: usize,
         k_u: usize,
-        cfg: &HwConfig,
-        schedules: &ScheduleMemo,
+        memo: &Arc<ScheduleMemo>,
     ) -> Result<MicroKernel, GenError> {
         spec.validate()?;
         if m_u == 0 || m_u > spec.m_s {
@@ -137,14 +149,73 @@ impl MicroKernel {
             });
         }
         let v_n = spec.v_n();
-        let ii = Tiling::ii_lower_bound(m_u, k_u, v_n, cfg);
+        let ii = Tiling::ii_lower_bound(m_u, k_u, v_n, memo.cfg());
         let t = Tiling { m_u, k_u, v_n, ii };
         if !t.fits_registers() {
             return Err(GenError::BadForcedTiling {
                 detail: format!("tiling {t:?} exceeds the register files"),
             });
         }
-        build_with(spec, t, cfg, schedules)
+        MicroKernel::priced(spec, t, memo)
+    }
+
+    /// The kernel of `spec` under main-group tiling `t`, priced in closed
+    /// form: one memoised [`group_price`] per block group, no program.
+    fn priced(
+        spec: KernelSpec,
+        t: Tiling,
+        memo: &Arc<ScheduleMemo>,
+    ) -> Result<MicroKernel, GenError> {
+        let (k_iters, k_tail) = (spec.k_a / t.k_u, spec.k_a % t.k_u);
+        let mut blocks = Vec::with_capacity(2);
+        let mut cycles = 0;
+        for (mm_base, trips, gt) in groups(&spec, t, memo.cfg()) {
+            let (overhead, ii) = group_price(gt, k_iters, k_tail, memo)?;
+            cycles += trips * (overhead + (k_iters as u64 + 1) * u64::from(ii));
+            blocks.push(BlockPlan {
+                mm_base,
+                m_u: gt.m_u,
+                trips,
+                k_u: gt.k_u,
+                k_iters,
+                k_tail,
+                ii,
+            });
+        }
+        Ok(MicroKernel {
+            spec,
+            layout: KernelLayout::for_spec(&spec),
+            blocks,
+            cycles,
+            flops: 2 * (spec.m_s * spec.na_pad() * spec.k_a) as u64,
+            upper_bound: tiling::upper_bound_efficiency(spec.n_a),
+            tiling: t,
+            memo: Arc::clone(memo),
+            program: OnceLock::new(),
+        })
+    }
+
+    /// The VLIW program, built on first use (Interpret mode, the static
+    /// verifier and the table and asm printers read it; timing mode and
+    /// the host tiers never do).
+    pub fn program(&self) -> &Program {
+        self.program.get_or_init(|| {
+            // Pricing built one group of every (tiling, k_tail, class)
+            // this program is made of, and a group's build differs from
+            // its class representative only in addresses, loop trips and
+            // straight halves that are copies of the representative's, so
+            // this build cannot fail where pricing succeeded (the pricing
+            // proptest builds every kernel it prices).
+            let (program, blocks) =
+                assemble(self.spec, self.tiling, &self.memo).expect("a priced tiling builds");
+            debug_assert_eq!(
+                (program.cycles(), &blocks),
+                (self.cycles, &self.blocks),
+                "{}: priced ≠ built",
+                self.spec
+            );
+            program
+        })
     }
 
     /// Efficiency on useful flops: `2·m·n·k / (cycles · flops-per-cycle)`.
@@ -157,6 +228,65 @@ impl MicroKernel {
     pub fn seconds(&self, cfg: &HwConfig) -> f64 {
         self.cycles as f64 * cfg.cycle_s()
     }
+}
+
+/// The block groups of `spec` under main-group tiling `t`, as
+/// `(first row, trips, tiling)`: the main group of `⌊m_s / m_u⌋` blocks,
+/// then the remainder rows as one block under their own (smaller) tiling;
+/// either is absent when it has no rows.
+fn groups(
+    spec: &KernelSpec,
+    t: Tiling,
+    cfg: &HwConfig,
+) -> impl Iterator<Item = (usize, u64, Tiling)> {
+    let (n_main, m_rem) = (spec.m_s / t.m_u, spec.m_s % t.m_u);
+    let ii = Tiling::ii_lower_bound(m_rem, t.k_u, t.v_n, cfg);
+    let rem = Tiling {
+        m_u: m_rem,
+        ii,
+        ..t
+    };
+    [(0, n_main as u64, t), (n_main * t.m_u, 1, rem)]
+        .into_iter()
+        .filter(|&(_, trips, g)| trips > 0 && g.m_u > 0)
+}
+
+/// The class of a group's `k_iters`, as the representative it is priced
+/// at.  A group is `pro + (k_iters + 1)·II + epi` cycles: each `kk` half is
+/// exactly II bundles, the C-panel prologue depends on the tiling alone,
+/// and the epilogue on the tiling, `k_tail` and the drain's residual
+/// latencies — which depend only on which parity last wrote each
+/// register, so on whether `k_iters` is 1, even or odd.  The even and odd
+/// representatives (4 and 3) run the pipelined loop once, so each kind of
+/// half any member of their class emits is built when the price is.
+fn k_class(k_iters: usize) -> usize {
+    if k_iters == 1 {
+        1
+    } else {
+        4 - k_iters % 2
+    }
+}
+
+/// `(overhead, achieved II)` of one block of tiling `t` at depth
+/// `k_iters·k_u + k_tail`: memoised per `(t, k_tail, class)`, each entry
+/// computed by building the class representative's group once.
+fn group_price(
+    t: Tiling,
+    k_iters: usize,
+    k_tail: usize,
+    memo: &ScheduleMemo,
+) -> Result<(u64, u32), GenError> {
+    let class = k_class(k_iters);
+    memo.price((t, k_tail, class), || {
+        let rep = KernelSpec {
+            m_s: t.m_u,
+            k_a: class * t.k_u + k_tail,
+            n_a: t.v_n * 32,
+        };
+        let (section, plan) = build_group(rep, t, 0, 1, memo)?;
+        let steady = (class as u64 + 1) * u64::from(plan.ii);
+        Ok((section.cycles() - steady, plan.ii))
+    })
 }
 
 /// Emission context for one block group.
@@ -355,52 +485,37 @@ fn kk_residuals(
     (res_s, res_v)
 }
 
-/// Build the complete program for a spec and main-group tiling.
+/// Build `spec` under main-group tiling `t` now, with fresh memos: the
+/// reference the priced, pruned search is tested against.  Its block plan
+/// and program come from the builder; `cycles` and `flops` are priced as
+/// everywhere, and a build measures them as `program().cycles()` and
+/// `program().flops()`.
 pub fn build(spec: KernelSpec, t: Tiling, cfg: &HwConfig) -> Result<MicroKernel, GenError> {
-    build_with(spec, t, cfg, &ScheduleMemo::default())
+    let memo = Arc::new(ScheduleMemo::new(cfg.clone()));
+    let (program, blocks) = assemble(spec, t, &memo)?;
+    Ok(MicroKernel {
+        blocks,
+        program: OnceLock::from(program),
+        ..MicroKernel::priced(spec, t, &memo)?
+    })
 }
 
-fn build_with(
+/// Build the complete program for a spec and main-group tiling, with the
+/// block plan the builder followed.
+fn assemble(
     spec: KernelSpec,
     t: Tiling,
-    cfg: &HwConfig,
-    schedules: &ScheduleMemo,
-) -> Result<MicroKernel, GenError> {
+    memo: &ScheduleMemo,
+) -> Result<(Program, Vec<BlockPlan>), GenError> {
     let mut program = Program::new(spec.to_string());
-    let mut blocks = Vec::new();
-
-    let n_main = spec.m_s / t.m_u;
-    let m_rem = spec.m_s % t.m_u;
-    if n_main > 0 {
-        let (section, plan) = build_group(spec, t, 0, n_main as u64, cfg, schedules)?;
+    let mut blocks = Vec::with_capacity(2);
+    for (mm_base, trips, gt) in groups(&spec, t, memo.cfg()) {
+        let (section, plan) = build_group(spec, gt, mm_base, trips, memo)?;
         program.sections.push(section);
         blocks.push(plan);
     }
-    if m_rem > 0 {
-        // The remainder rows get their own (smaller) schedule.
-        let ii = Tiling::ii_lower_bound(m_rem, t.k_u, t.v_n, cfg);
-        let rt = Tiling {
-            m_u: m_rem,
-            k_u: t.k_u,
-            v_n: t.v_n,
-            ii,
-        };
-        let (section, plan) = build_group(spec, rt, n_main * t.m_u, 1, cfg, schedules)?;
-        program.sections.push(section);
-        blocks.push(plan);
-    }
-
-    let cycles = program.cycles();
-    let flops = program.flops();
-    Ok(MicroKernel {
-        spec,
-        layout: KernelLayout::for_spec(&spec),
-        blocks,
-        program,
-        cycles,
-        flops,
-        upper_bound: tiling::upper_bound_efficiency(spec.n_a),
-    })
+    memo.programs_built.fetch_add(1, Ordering::Relaxed);
+    Ok((program, blocks))
 }
 
 /// Build one block group: a level-0 loop over `trips` blocks of `m_u` rows.
@@ -409,10 +524,10 @@ fn build_group(
     t: Tiling,
     mm_base: usize,
     trips: u64,
-    cfg: &HwConfig,
-    schedules: &ScheduleMemo,
+    memo: &ScheduleMemo,
 ) -> Result<(Section, BlockPlan), GenError> {
-    let sched = schedules.get(t, cfg)?;
+    let cfg = memo.cfg();
+    let sched = memo.get(t)?;
     let t = sched.tiling; // II may have grown during scheduling
     let regs = RegMap::new(&t);
     let emitter = Emitter {

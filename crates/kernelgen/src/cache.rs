@@ -3,14 +3,19 @@
 //!
 //! Bounded like the plan cache and the executor memo — least recently
 //! used entry out, lifetime counters, capacity 0 disables — because a
-//! kernel is tens of KB and a cold planning stream generates a dozen new
-//! ones per shape without end.  An evicted kernel regenerates
-//! identically: generation is a pure function of `(spec, tiling, cfg)`.
+//! cold planning stream generates a dozen new kernels per shape without
+//! end.  A generated kernel is priced, not built: its block plan and
+//! closed-form cycle count are a few hundred bytes, and only a kernel
+//! whose program was asked for (Interpret mode, the static verifier, the
+//! printers) carries the tens of KB of its VLIW program.  An evicted
+//! kernel regenerates identically: generation is a pure function of
+//! `(spec, tiling, cfg)`.
 
 use crate::modsched::ScheduleMemo;
 use crate::{GenError, KernelSpec, MicroKernel};
 use dspsim::HwConfig;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default entry bound, sized on the benchmark's workloads.  The
@@ -19,9 +24,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// shapes (`cold_plan_timing`) generates ~12 new kernels per shape and
 /// revisits older ones at geometrically distributed distances (mean
 /// ~3000 kernels): over its first ~2000 shapes it regenerates 19 / 13 /
-/// 6 / 0.5 kernels per shape at 1024 / 2048 / 4096 / 8192 entries and
-/// retains ~45 KB per entry, so this bound trades ~6 regenerations per
-/// shape for a ~200 MiB ceiling.
+/// 6 / 0.5 kernels per shape at 1024 / 2048 / 4096 / 8192 entries, so
+/// this bound trades ~6 regenerations per shape for a bounded footprint:
+/// ~45 KB per entry (a ~200 MiB ceiling) applies only to kernels whose
+/// program was built; a timing-only stream builds none.
 pub const DEFAULT_KERNEL_CACHE_CAPACITY: usize = 4096;
 
 type Key = (KernelSpec, Option<(usize, usize)>);
@@ -39,6 +45,9 @@ pub struct KernelCacheStats {
     pub len: usize,
     /// Entry bound (`0` disables caching).
     pub capacity: usize,
+    /// Complete VLIW programs built for this cache's kernels (on first
+    /// use of [`MicroKernel::program`]; `0` after timing-only work).
+    pub programs_built: u64,
 }
 
 /// The mutable half of the cache: entries stamped with the logical time
@@ -62,8 +71,9 @@ impl Lru {
             return None;
         };
         self.hits += 1;
-        // A blocking walk asks for the same kernel hundreds of times in a
-        // row; the most recent entry needs no reordering.
+        // A blocking walk asks for the same kernel once per task and K
+        // step, many times in a row; the most recent entry needs no
+        // reordering.
         if *stamp != self.clock {
             self.clock += 1;
             self.order.remove(stamp);
@@ -98,12 +108,12 @@ impl Lru {
 
 /// A thread-safe, bounded LRU cache of generated micro-kernels.
 pub struct KernelCache {
-    cfg: HwConfig,
     capacity: usize,
     lru: Mutex<Lru>,
-    /// Steady-state schedules shared by every kernel generated here;
-    /// they depend on the tiling alone, so they outlive evictions.
-    schedules: ScheduleMemo,
+    /// The hardware, plus the schedules and block-group prices shared by
+    /// every kernel generated here; they depend on the tiling alone, so
+    /// they outlive evictions.
+    memo: Arc<ScheduleMemo>,
 }
 
 /// Lock the cache state, recovering from poisoning: it holds only
@@ -124,16 +134,15 @@ impl KernelCache {
     /// generation is pure).
     pub fn with_capacity(cfg: HwConfig, capacity: usize) -> Self {
         KernelCache {
-            cfg,
             capacity,
             lru: Mutex::new(Lru::default()),
-            schedules: ScheduleMemo::default(),
+            memo: Arc::new(ScheduleMemo::new(cfg)),
         }
     }
 
     /// The hardware configuration kernels are generated for.
     pub fn cfg(&self) -> &HwConfig {
-        &self.cfg
+        self.memo.cfg()
     }
 
     /// Get or generate the auto-tuned kernel for a spec.
@@ -165,10 +174,8 @@ impl KernelCache {
         // so a racing duplicate is harmless and identical.  Errors return
         // here and are never cached.
         let kernel = Arc::new(match forced {
-            None => MicroKernel::generate_with(spec, &self.cfg, &self.schedules)?,
-            Some((m_u, k_u)) => {
-                MicroKernel::generate_forced_with(spec, m_u, k_u, &self.cfg, &self.schedules)?
-            }
+            None => MicroKernel::generate_with(spec, &self.memo)?,
+            Some((m_u, k_u)) => MicroKernel::generate_forced_with(spec, m_u, k_u, &self.memo)?,
         });
         Ok(lock(&self.lru).insert(key, kernel, self.capacity))
     }
@@ -192,6 +199,7 @@ impl KernelCache {
             evictions: lru.evictions,
             len: lru.map.len(),
             capacity: self.capacity,
+            programs_built: self.memo.programs_built.load(Ordering::Relaxed),
         }
     }
 }
@@ -208,6 +216,18 @@ mod tests {
         let b = cache.get(spec).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn programs_are_built_once_on_first_use() {
+        let cache = KernelCache::new(HwConfig::default());
+        let kernel = cache.get(KernelSpec::new(6, 64, 96).unwrap()).unwrap();
+        cache.get_forced(kernel.spec, 6, 1).unwrap();
+        assert_eq!(cache.stats().programs_built, 0, "generation only prices");
+        let program = kernel.program();
+        assert!(std::ptr::eq(program, kernel.program()));
+        assert_eq!(program.cycles(), kernel.cycles);
+        assert_eq!(cache.stats().programs_built, 1);
     }
 
     #[test]
@@ -289,7 +309,7 @@ mod tests {
             assert_eq!(old.spec, new.spec);
             assert_eq!(old.blocks, new.blocks);
             assert_eq!(old.cycles, new.cycles);
-            assert_eq!(old.program, new.program);
+            assert_eq!(old.program(), new.program());
         }
         assert_eq!(cache.stats().evictions, 3);
     }
@@ -300,7 +320,7 @@ mod tests {
         let a = cache.get(spec(4)).unwrap();
         let b = cache.get(spec(4)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "capacity 0 must not cache");
-        assert_eq!(a.program, b.program);
+        assert_eq!(a.program(), b.program());
         assert_eq!(a.cycles, b.cycles);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));

@@ -11,10 +11,13 @@
 //!    model ([`modsched`]) — the 2-broadcasts-per-cycle ceiling of the
 //!    scalar unit reproduces the paper's 66.7 % upper bound for
 //!    `n_a ≤ 32`,
-//! 3. emits a complete [`ftimm_isa::Program`] with C-panel prologue,
-//!    pipelined body, depth remainder, accumulator reduction and store
-//!    ([`build()`]), and
-//! 4. keeps the candidate with the fewest total cycles.
+//! 3. prices each candidate in closed form — a block group costs
+//!    `prologue + (k_iters + 1)·II + epilogue`, the overheads memoised
+//!    per tiling, depth tail and `k_iters` class — and keeps the one with
+//!    the fewest total cycles, and
+//! 4. builds the winner's complete [`ftimm_isa::Program`] (C-panel
+//!    prologue, pipelined body, depth remainder, accumulator reduction
+//!    and store) on first use of [`MicroKernel::program`] only.
 //!
 //! Generated kernels are *executed* by `dspsim`'s interpreter (bit-exact,
 //! hazard-checked) or by one of two order-mirroring host tiers behind the

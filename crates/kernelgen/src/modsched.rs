@@ -20,7 +20,8 @@ use crate::{GenError, Tiling};
 use dspsim::HwConfig;
 use ftimm_isa::{Unit, UnitClass};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Semantic description of one steady-state operation (bound to concrete
 /// instructions later, per half parity).
@@ -185,29 +186,83 @@ pub fn schedule(tiling: Tiling, cfg: &HwConfig) -> Result<SteadySchedule, GenErr
     })
 }
 
-/// Scheduled and verified steady states by requested tiling, for **one**
-/// hardware configuration: [`schedule`] and [`SteadySchedule::verify`]
-/// are pure functions of `(Tiling, HwConfig)`, and the kernels of
-/// different shapes keep asking for the same few tilings.  Only tilings
-/// that fit the register files are ever scheduled, so the memo holds a
-/// couple of hundred small entries at most.  Failures are not stored.
-#[derive(Debug, Default)]
-pub(crate) struct ScheduleMemo(Mutex<HashMap<Tiling, Arc<SteadySchedule>>>);
+/// Key of a block-group price: the group's tiling (as requested), its
+/// depth tail `k_tail` and the representative of its `k_iters` class
+/// (see `build::k_class`).
+pub(crate) type PriceKey = (Tiling, usize, usize);
+
+/// What generation derives from a tiling alone, for **one** hardware
+/// configuration (which the memo owns): the scheduled and verified steady
+/// state per requested tiling, and the price `(overhead, achieved II)` of
+/// a block group per [`PriceKey`].  Both are pure functions of their key
+/// and the configuration, and the kernels of different shapes keep asking
+/// for the same few tilings.  Only tilings that fit the register files
+/// are ever scheduled, so the memo holds a few hundred small entries at
+/// most.  Failures are not stored.  Kernels keep an `Arc` to the memo
+/// they were priced against, to build their program from on first use;
+/// it also counts those builds.
+pub(crate) struct ScheduleMemo {
+    cfg: HwConfig,
+    schedules: Mutex<HashMap<Tiling, Arc<SteadySchedule>>>,
+    prices: Mutex<HashMap<PriceKey, (u64, u32)>>,
+    /// Complete programs built against this memo so far.
+    pub(crate) programs_built: AtomicU64,
+}
+
+impl std::fmt::Debug for ScheduleMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScheduleMemo").finish_non_exhaustive()
+    }
+}
+
+/// Lock a memo map, recovering from poisoning: entries are immutable and
+/// inserted whole, so a map observed after a panicking thread is valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl ScheduleMemo {
+    /// An empty memo for `cfg`.
+    pub(crate) fn new(cfg: HwConfig) -> Self {
+        ScheduleMemo {
+            cfg,
+            schedules: Mutex::default(),
+            prices: Mutex::default(),
+            programs_built: AtomicU64::new(0),
+        }
+    }
+
+    /// The hardware configuration everything here is derived for.
+    pub(crate) fn cfg(&self) -> &HwConfig {
+        &self.cfg
+    }
+
     /// The verified schedule for `tiling`, computed on first request.
-    pub(crate) fn get(
-        &self,
-        tiling: Tiling,
-        cfg: &HwConfig,
-    ) -> Result<Arc<SteadySchedule>, GenError> {
-        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(sched) = lock().get(&tiling) {
+    pub(crate) fn get(&self, tiling: Tiling) -> Result<Arc<SteadySchedule>, GenError> {
+        if let Some(sched) = lock(&self.schedules).get(&tiling) {
             return Ok(Arc::clone(sched));
         }
-        let sched = schedule(tiling, cfg)?;
-        sched.verify(cfg)?;
-        Ok(Arc::clone(lock().entry(tiling).or_insert(Arc::new(sched))))
+        let sched = schedule(tiling, &self.cfg)?;
+        sched.verify(&self.cfg)?;
+        Ok(Arc::clone(
+            lock(&self.schedules)
+                .entry(tiling)
+                .or_insert(Arc::new(sched)),
+        ))
+    }
+
+    /// The price stored under `key`, computed by `compute` on first
+    /// request (outside the lock: `compute` schedules through this memo).
+    pub(crate) fn price(
+        &self,
+        key: PriceKey,
+        compute: impl FnOnce() -> Result<(u64, u32), GenError>,
+    ) -> Result<(u64, u32), GenError> {
+        if let Some(&price) = lock(&self.prices).get(&key) {
+            return Ok(price);
+        }
+        let price = compute()?;
+        Ok(*lock(&self.prices).entry(key).or_insert(price))
     }
 }
 

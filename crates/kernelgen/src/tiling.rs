@@ -3,10 +3,11 @@
 //! §IV-A2 of the paper: the tiling sizes are chosen to keep all three FMAC
 //! units busy while hiding their latency `t_fma`, under the 64-register
 //! budget.  We implement this as an explicit candidate enumeration; the
-//! generator builds every feasible candidate and keeps the one with the
-//! fewest modeled cycles, which reproduces the paper's rules (`k_u = 1`
-//! with maximal `m_u` for `n_a > 64`; `k_u > 1` for `n_a ≤ 64` or small
-//! `m_s`) without hard-coding them.
+//! generator prices the first [`crate::build::SEARCH_WIDTH`] candidates
+//! in closed form (skipping any whose steady-state lower bound cannot
+//! win) and keeps the one with the fewest cycles, which reproduces the
+//! paper's rules (`k_u = 1` with maximal `m_u` for `n_a > 64`; `k_u > 1`
+//! for `n_a ≤ 64` or small `m_s`) without hard-coding them.
 
 use crate::{GenError, KernelSpec};
 use dspsim::HwConfig;

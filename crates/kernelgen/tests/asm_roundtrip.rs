@@ -59,12 +59,12 @@ fn kernels_round_trip_through_assembly_text() {
     ] {
         let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
         let kernel = MicroKernel::generate(spec, &cfg).unwrap();
-        let text = asm::render(&kernel.program);
+        let text = asm::render(kernel.program());
         let reparsed = asm::parse(&text).unwrap_or_else(|e| panic!("{spec}: parse failed: {e}"));
-        assert_eq!(kernel.program, reparsed, "{spec}: structural mismatch");
+        assert_eq!(kernel.program(), &reparsed, "{spec}: structural mismatch");
 
         // Execute both; results and cycle counts are identical.
-        let (c1, cy1) = run(&kernel.program, 5, spec);
+        let (c1, cy1) = run(kernel.program(), 5, spec);
         let (c2, cy2) = run(&reparsed, 5, spec);
         assert_eq!(cy1, cy2);
         for (i, (x, y)) in c1.iter().zip(&c2).enumerate() {
@@ -80,8 +80,8 @@ fn assembly_listings_are_human_scale() {
     let cfg = HwConfig::default();
     let small = MicroKernel::generate(KernelSpec::new(6, 8, 96).unwrap(), &cfg).unwrap();
     let large = MicroKernel::generate(KernelSpec::new(6, 864, 96).unwrap(), &cfg).unwrap();
-    let ls = asm::render(&small.program).lines().count();
-    let ll = asm::render(&large.program).lines().count();
+    let ls = asm::render(small.program()).lines().count();
+    let ll = asm::render(large.program()).lines().count();
     assert!(ll < 4 * ls, "listing grows with k_a: {ls} vs {ll}");
     assert!(
         large.cycles > 50 * small.cycles / 2,

@@ -48,7 +48,7 @@ fn main() {
     println!();
     if let Some(table) = PipelineTable::from_innermost_loop(
         "Steady-state body of uk_ms6_ka512_na96:",
-        &kernel.program,
+        kernel.program(),
     ) {
         print!("{table}");
         println!("FMAC occupancy: {:.1}%", 100.0 * table.fmac_occupancy());
@@ -63,5 +63,5 @@ fn main() {
         "\nFull assembly of uk_ms2_ka4_na32 ({} cycles):\n",
         tiny.cycles
     );
-    print!("{}", tiny.program);
+    print!("{}", tiny.program());
 }
