@@ -191,11 +191,12 @@ mod tests {
     fn plan_cache_eliminates_repeat_simulations() {
         let r = compute_plan_cache(3);
         // The cached context simulates only on the first request; the
-        // uncached one re-simulates every time.
+        // uncached one re-simulates every time.  The counts are the
+        // deterministic property; the timings are host wall-clock and
+        // only rendered.
         assert!(r.cached_sims > 0);
         assert_eq!(r.uncached_sims % r.cached_sims, 0);
         assert_eq!(r.uncached_sims / r.cached_sims, 3);
-        assert!(r.uncached_s > r.cached_s, "{r:?}");
         assert!(render_plan_cache(&r).contains("cache off"));
     }
 

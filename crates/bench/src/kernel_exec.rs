@@ -1,5 +1,6 @@
-//! Host kernel-execution tiers: the compiled SIMD lowering against the
-//! scalar mirror on the paper's Table I–III micro-kernel regimes.
+//! Host kernel-execution tiers: a kernel's lowering on `hostsimd`'s SIMD
+//! level against its scalar level on the paper's Table I–III
+//! micro-kernel regimes.
 //!
 //! Not a paper figure — this is the perf trajectory of the host
 //! execution path itself.  Every functional simulation (`ExecMode::Fast`
@@ -37,7 +38,7 @@ pub struct Row {
     pub k_u: usize,
     /// Timed executions per tier.
     pub iters: usize,
-    /// Mean seconds per execution, scalar mirror tier.
+    /// Mean seconds per execution, scalar (`Fast`) tier.
     pub fast_s: f64,
     /// Mean seconds per execution, compiled SIMD tier.
     pub compiled_s: f64,
@@ -127,7 +128,7 @@ fn panels(spec: &KernelSpec) -> [Vec<f32>; 3] {
 fn time_tier(ex: &KernelExecutor, tier: HostTier, kernel: &MicroKernel, iters: usize) -> f64 {
     let [a, b, c0] = panels(&kernel.spec);
     let mut c = c0.clone();
-    // Warm the executor memo so lowering cost stays out of the timing.
+    // Lower the kernel first so lowering cost stays out of the timing.
     ex.execute(tier, kernel, &a, &b, &mut c).expect("warmup");
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -224,7 +225,7 @@ pub fn document(report: &Report) -> Document {
     let (speedup, overhead) = (Fixed(1.0, 1, "x"), Fixed(1.0, 2, "x"));
     let rows = Table::new(
         "rows",
-        "Kernel execution — compiled vs fast (scalar mirror), host wall-clock",
+        "Kernel execution — compiled vs fast (scalar level), host wall-clock",
         &report.rows,
     )
     .col("regime", "regime", |r| Text(r.label.clone()))

@@ -3,7 +3,7 @@
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§V).  Each module exposes `compute()` returning structured
 //! rows and `render()` producing the printable table; the `fig*`/`tables`
-//! binaries print them, the criterion benches time them, and the
+//! binaries print them, the repo benchmark (`perf/`) times them, and the
 //! integration tests assert the paper's qualitative shapes on them.
 
 #![forbid(unsafe_code)]

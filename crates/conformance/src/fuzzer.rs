@@ -686,8 +686,9 @@ fn mode_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     cx.same_clock(("fast", fast.seconds), ("interpret", interp.seconds))
 }
 
-/// The three-way host-tier contract: the SIMD lowering (`Compiled`), the
-/// scalar mirror (`Fast`) and the hazard-checking interpreter all
+/// The three-way host-tier contract: the lowering on its SIMD level
+/// (`Compiled`) and on its scalar level (`Fast`) and the hazard-checking
+/// interpreter all
 /// bit-exact (and simulated seconds equal), pinning the SIMD lowering to
 /// the interpreter's exact accumulation order.
 fn compiled_equivalence(cx: &Ctx) -> Result<(), Mismatch> {

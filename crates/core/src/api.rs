@@ -2,19 +2,16 @@
 
 use crate::plan::store::{self, CatalogLoad, PlanCatalog};
 use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome, Tuner};
-use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
-use kernelgen::{
-    ExecutorCacheStats, KernelCache, KernelCacheStats, KernelExecutor,
-    DEFAULT_EXECUTOR_CACHE_CAPACITY, DEFAULT_KERNEL_CACHE_CAPACITY,
-};
+use kernelgen::{CacheStats, KernelCache, KernelExecutor, DEFAULT_KERNEL_CACHE_CAPACITY};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Strategy requested by the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Dynamic adjusting picks blocks and parallelisation (the ftIMM
     /// default): candidate strategies are evaluated on the timing model
@@ -116,8 +113,8 @@ fn upsert_plan(entries: &mut Vec<(PlanKey, Plan)>, key: PlanKey, plan: Plan) {
 pub struct FtImm {
     cfg: HwConfig,
     /// Host-side kernel execution service: owns the shared kernel cache
-    /// and the bounded memo of compiled (SIMD-lowered) kernels; every
-    /// host kernel invocation dispatches through it.
+    /// (each kernel carrying its host lowering); every host kernel
+    /// invocation dispatches through it.
     exec: Arc<KernelExecutor>,
     /// Memo of resolved plans: repeated shapes plan by lookup, without
     /// re-running the cost model or the timing simulations.
@@ -143,30 +140,23 @@ impl FtImm {
     /// Create a context with an explicit plan cache capacity (`0`
     /// disables plan memoisation — every call plans from scratch).
     pub fn with_plan_cache_capacity(cfg: HwConfig, capacity: usize) -> Self {
-        FtImm::with_cache_capacities(
-            cfg,
-            capacity,
-            DEFAULT_EXECUTOR_CACHE_CAPACITY,
-            DEFAULT_KERNEL_CACHE_CAPACITY,
-        )
+        FtImm::with_cache_capacities(cfg, capacity, DEFAULT_KERNEL_CACHE_CAPACITY)
     }
 
-    /// Create a context with explicit plan-cache, executor-cache and
-    /// kernel-cache capacities (`0` disables the respective memo; a
-    /// disabled executor memo re-lowers the compiled tier on every
-    /// invocation and a disabled kernel cache regenerates every kernel
-    /// on every lookup, but both stay bit-identical).
+    /// Create a context with explicit plan-cache and kernel-cache
+    /// capacities (`0` disables the respective memo; a disabled kernel
+    /// cache regenerates — and re-lowers — every kernel on every lookup,
+    /// but stays bit-identical).
     pub fn with_cache_capacities(
         cfg: HwConfig,
         plan_capacity: usize,
-        executor_capacity: usize,
         kernel_capacity: usize,
     ) -> Self {
         FtImm {
-            exec: Arc::new(KernelExecutor::with_capacity(
-                Arc::new(KernelCache::with_capacity(cfg.clone(), kernel_capacity)),
-                executor_capacity,
-            )),
+            exec: Arc::new(KernelExecutor::new(Arc::new(KernelCache::with_capacity(
+                cfg.clone(),
+                kernel_capacity,
+            )))),
             cfg,
             plan_cache: PlanCache::new(plan_capacity),
             timing_simulations: AtomicU64::new(0),
@@ -197,13 +187,15 @@ impl FtImm {
         &self.exec
     }
 
-    /// Hit/miss/eviction/compile counters of the compiled-kernel memo.
-    pub fn executor_stats(&self) -> ExecutorCacheStats {
+    /// Host-lowering counters ([`KernelExecutor::stats`]): hits are host
+    /// invocations whose kernel was already lowered, misses are
+    /// lowerings; the rest are the kernel cache's.
+    pub fn executor_stats(&self) -> CacheStats {
         self.exec.stats()
     }
 
     /// Hit/miss/eviction counters of the generated-kernel cache.
-    pub fn kernel_cache_stats(&self) -> KernelCacheStats {
+    pub fn kernel_cache_stats(&self) -> CacheStats {
         self.cache().stats()
     }
 
@@ -213,7 +205,7 @@ impl FtImm {
     }
 
     /// Hit/miss/eviction counters of the shared plan cache.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+    pub fn plan_cache_stats(&self) -> CacheStats {
         self.plan_cache.stats()
     }
 
@@ -342,7 +334,7 @@ impl FtImm {
     }
 
     /// Load an on-disk plan catalog into this context: preload the plan
-    /// cache (one bulk-load eviction event at most), adopt the catalog's
+    /// cache (evicting as plain inserts do), adopt the catalog's
     /// calibration records, and start attributing cache traffic to
     /// catalog hit/miss counters.  Corrupt entries are quarantined (see
     /// [`TuningStats::quarantined`]), not fatal.  Returns the number of
@@ -363,7 +355,7 @@ impl FtImm {
             .entries
             .retain(|(_, p)| walk::fits(&self.cfg, &p.strategy, &p.shape, p.cores));
         let quarantined = load.quarantined + before - load.catalog.entries.len();
-        let kept = self.plan_cache.preload(&load.catalog.entries);
+        let kept = cache::preload(&self.plan_cache, &load.catalog.entries);
         self.tuning
             .quarantined
             .fetch_add(quarantined as u64, Ordering::Relaxed);

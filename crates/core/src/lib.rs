@@ -89,9 +89,9 @@ pub use plan::{
     analytic_seconds, bit_signature, catalog_from_json, catalog_json, choose_coexec_split,
     choose_strategy, corrected_seconds, load_catalog, plan_coexec, plan_from_json, plan_json,
     plan_sharded, ranking_agreement, save_catalog, BitSignature, Calibration, CalibrationRecord,
-    CatalogLoad, CoexecChoice, CoexecTune, Plan, PlanCache, PlanCacheStats, PlanCatalog, PlanKey,
-    PlanOrigin, Planner, RegimeAgreement, Shard, ShardOrigin, ShardedPlan, StrategyKind,
-    TuneConfig, TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA, REGIMES,
+    CatalogLoad, CoexecChoice, CoexecTune, Plan, PlanCache, PlanCatalog, PlanKey, PlanOrigin,
+    Planner, RegimeAgreement, Shard, ShardOrigin, ShardedPlan, StrategyKind, TuneConfig,
+    TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA, REGIMES,
 };
 pub use resilience::{
     max_abs_error_vs_oracle, run_resilient, run_resilient_full, ResilienceConfig, ResilientRun,

@@ -6,23 +6,19 @@
 //! count, and the *requested* [`Strategy`] (an `Auto` plan and a forced
 //! `MPar` plan for the same shape are different entries) — and evicts
 //! least-recently-used entries beyond its capacity, so a shape-diverse
-//! workload cannot grow it without bound.
-//!
-//! Counters are cheap atomics read by the profiler exporters; the map
-//! itself sits behind a [`Mutex`] (planning is rare and bounded — the
-//! lock is never held across a simulation).
+//! workload cannot grow it without bound.  It is the kernel cache's
+//! [`BoundedLru`]; its lock is never held across a simulation.
 
 use crate::plan::Plan;
 use crate::{GemmShape, Strategy};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use kernelgen::BoundedLru;
 
 /// Default entry bound: a few hundred distinct (shape, cores, strategy)
 /// workloads — far beyond any benchmark here — in well under a MiB.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Everything a cached plan depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Problem shape.
     pub shape: GemmShape,
@@ -32,116 +28,18 @@ pub struct PlanKey {
     pub strategy: Strategy,
 }
 
-/// Snapshot of a cache's lifetime counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Lookups that returned a cached plan.
-    pub hits: u64,
-    /// Lookups that found nothing (the caller then plans and inserts).
-    pub misses: u64,
-    /// Entries evicted to the capacity bound.
-    pub evictions: u64,
-    /// Entries currently held.
-    pub len: usize,
-    /// Entry bound (`0` disables caching entirely).
-    pub capacity: usize,
-}
+/// Bounded LRU memo of `(shape, cores, strategy) → Plan` (capacity 0
+/// disables it: every lookup misses, nothing is stored).
+pub type PlanCache = BoundedLru<PlanKey, Plan>;
 
-/// Bounded LRU memo of `(shape, cores, strategy) → Plan`.
-#[derive(Debug)]
-pub struct PlanCache {
-    capacity: usize,
-    /// LRU order: index 0 is the coldest entry, the back the hottest.
-    /// Linear scan is fine at this capacity (planning is not hot).
-    entries: Mutex<Vec<(PlanKey, Plan)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (`0` disables caching:
-    /// every lookup misses, nothing is stored).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity,
-            entries: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+/// Warm-start `cache` from catalog `entries`: inserts in order, so an
+/// over-capacity load evicts exactly as that many [`BoundedLru::insert`]s
+/// do.  Returns how many of `entries` are held afterwards.
+pub fn preload(cache: &PlanCache, entries: &[(PlanKey, Plan)]) -> usize {
+    for &(key, plan) in entries {
+        cache.insert(key, plan);
     }
-
-    /// Look up a plan, refreshing its recency on a hit.
-    pub fn get(&self, key: &PlanKey) -> Option<Plan> {
-        let mut entries = self.entries.lock().expect("plan cache poisoned");
-        if let Some(pos) = entries.iter().position(|(k, _)| k == key) {
-            let entry = entries.remove(pos);
-            let plan = entry.1;
-            entries.push(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(plan)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Store a plan, evicting the least-recently-used entry if full.
-    pub fn insert(&self, key: PlanKey, plan: Plan) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut entries = self.entries.lock().expect("plan cache poisoned");
-        if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
-            entries.remove(pos);
-        } else if entries.len() == self.capacity {
-            entries.remove(0);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        entries.push((key, plan));
-    }
-
-    /// Bulk-load `entries` (a catalog warm start) in order, replacing
-    /// duplicates in place, then trim to capacity in one step.
-    ///
-    /// Unlike per-plan [`PlanCache::insert`], an over-capacity preload
-    /// counts **one** eviction for the whole trim, not one per dropped
-    /// probe: the counter tracks capacity-pressure *events*, and a bulk
-    /// load that overflows is a single event — counting every dropped
-    /// catalog entry would make a large catalog look like cache thrash.
-    /// Returns how many preloaded entries were kept.
-    pub fn preload(&self, entries: &[(PlanKey, Plan)]) -> usize {
-        if self.capacity == 0 || entries.is_empty() {
-            return 0;
-        }
-        let mut held = self.entries.lock().expect("plan cache poisoned");
-        for (key, plan) in entries {
-            if let Some(pos) = held.iter().position(|(k, _)| k == key) {
-                held.remove(pos);
-            }
-            held.push((*key, *plan));
-        }
-        if held.len() > self.capacity {
-            let overflow = held.len() - self.capacity;
-            held.drain(..overflow);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        held.iter()
-            .filter(|(k, _)| entries.iter().any(|(bk, _)| bk == k))
-            .count()
-    }
-
-    /// Lifetime counters and current occupancy.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.entries.lock().expect("plan cache poisoned").len(),
-            capacity: self.capacity,
-        }
-    }
+    entries.iter().filter(|(k, _)| cache.contains(k)).count()
 }
 
 #[cfg(test)]
@@ -197,17 +95,17 @@ mod tests {
     }
 
     #[test]
-    fn over_capacity_preload_counts_one_eviction_not_per_probe() {
+    fn over_capacity_preload_evicts_like_inserts() {
         let cache = PlanCache::new(3);
         cache.insert(key(0), plan(0));
-        // Preload 5 entries into capacity 3: two oldest fall out (the
-        // resident entry and preload #1), but that is ONE bulk-load
-        // eviction event, not two — and certainly not one per probe.
+        // Preload 5 entries into capacity 3: the resident entry and
+        // preloads #1 and #2 fall out, one eviction each — the one rule
+        // every insert follows.
         let batch: Vec<_> = (1..=5).map(|m| (key(m), plan(m))).collect();
-        let kept = cache.preload(&batch);
+        let kept = preload(&cache, &batch);
         assert_eq!(kept, 3);
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 1, "bulk load is one eviction event");
+        assert_eq!(stats.evictions, 3, "one eviction per displaced entry");
         assert_eq!(stats.len, 3);
         assert_eq!(cache.get(&key(0)), None);
         assert_eq!(cache.get(&key(1)), None);
@@ -220,14 +118,14 @@ mod tests {
     fn preload_replaces_duplicates_and_respects_zero_capacity() {
         let cache = PlanCache::new(4);
         cache.insert(key(1), plan(9));
-        let kept = cache.preload(&[(key(1), plan(1)), (key(2), plan(2))]);
+        let kept = preload(&cache, &[(key(1), plan(1)), (key(2), plan(2))]);
         assert_eq!(kept, 2);
         assert_eq!(cache.get(&key(1)), Some(plan(1)));
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().len, 2);
 
         let disabled = PlanCache::new(0);
-        assert_eq!(disabled.preload(&[(key(1), plan(1))]), 0);
+        assert_eq!(preload(&disabled, &[(key(1), plan(1))]), 0);
         assert_eq!(disabled.stats().len, 0);
     }
 

@@ -35,7 +35,7 @@ pub mod sharded;
 pub mod store;
 pub mod tune;
 
-pub use cache::{PlanCache, PlanCacheStats, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use cache::{PlanCache, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use cost::{analytic_seconds, corrected_seconds};
 pub use planner::{choose_strategy, Planner};
 pub use sharded::{

@@ -228,7 +228,7 @@ fn a_timing_walk_builds_no_program_and_fetches_per_height() {
                 "{shape:?} {plan:?}"
             );
         }
-        assert_eq!(ft.kernel_cache_stats().programs_built, 0, "{shape:?}");
+        assert_eq!(ft.cache().programs_built(), 0, "{shape:?}");
 
         let fetched = |ft: &FtImm| {
             let s = ft.kernel_cache_stats();
@@ -259,6 +259,6 @@ fn a_timing_walk_builds_no_program_and_fetches_per_height() {
             "{shape:?}: {fetches} fetches for {steps} (task, K step) pairs, {} calls",
             report.totals.kernel_calls
         );
-        assert_eq!(ft.kernel_cache_stats().programs_built, 0, "{shape:?}");
+        assert_eq!(ft.cache().programs_built(), 0, "{shape:?}");
     }
 }

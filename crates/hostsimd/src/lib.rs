@@ -1,17 +1,19 @@
-//! Host SIMD inner loops for the `Compiled` kernel execution tier.
+//! Host inner loops for both kernel execution tiers: the scalar level
+//! ([`execute_block_scalar`], the `Fast` tier) and the SIMD levels
+//! ([`execute_block`], the `Compiled` tier).
 //!
 //! This crate holds the only `unsafe` code of the execution stack: one
 //! register-tiled block loop, generic over the vector width (`Lanes`:
 //! 8-lane AVX2+FMA or 16-lane AVX-512F, picked once per process by
 //! `is_x86_feature_detected!`) and monomorphised over the depth unroll
 //! `k_u` and a table of tile shapes derived from that width's register
-//! file, that reproduces the scalar mirror's f32 accumulation order
+//! file, that reproduces the scalar level's f32 accumulation order
 //! *bit-for-bit*.
 //!
 //! # The bitwise contract
 //!
-//! The reference order (dspsim's interpreter, mirrored by
-//! `kernelgen::fast`) computes each C element independently:
+//! The reference order (dspsim's interpreter, mirrored one element at a
+//! time by the scalar level) computes each C element independently:
 //!
 //! 1. `k_u` accumulators; `acc[0]` seeded from C, the rest from 0;
 //! 2. `k_iters` steady-state iterations of one fused multiply-add per
@@ -97,9 +99,9 @@ pub struct BlockGeom {
     pub k_tail: usize,
 }
 
-/// The depth unrolls the generator's tiling space ever produces
-/// (`kernelgen::tiling` candidates and `generate_forced` both restrict
-/// `k_u` to this set). [`execute_block`] rejects anything else.
+/// The depth unrolls there are: `kernelgen`'s tiling candidates and
+/// forced tilings draw `k_u` from this set, its lowering re-checks it,
+/// and [`execute_block`] rejects anything else.
 pub const SUPPORTED_KU: [usize; 3] = [1, 2, 4];
 
 /// Execute one block group: `c[rows] += a[rows] × b` on the real columns
@@ -125,6 +127,21 @@ pub fn execute_block(
     c: &mut [f32],
 ) {
     execute_block_at(Level::live(), g, k_a, n_a, ld, a, b, c);
+}
+
+/// [`execute_block`] on the scalar level on any CPU: the same bits, one
+/// element at a time, no SIMD (the `Fast` host tier).  Same contract and
+/// panics.
+pub fn execute_block_scalar(
+    g: &BlockGeom,
+    k_a: usize,
+    n_a: usize,
+    ld: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    execute_block_at(Level::Scalar, g, k_a, n_a, ld, a, b, c);
 }
 
 /// Whether a vectorised path is live on this host.

@@ -5,7 +5,9 @@
 //! use.
 
 use crate::modsched::{IterOp, ScheduleMemo, SlotOp, SteadySchedule};
-use crate::{tiling, GenError, KernelLayout, KernelSpec, LineScheduler, RegMap, Tiling};
+use crate::{
+    tiling, CompiledKernel, GenError, KernelLayout, KernelSpec, LineScheduler, RegMap, Tiling,
+};
 use dspsim::HwConfig;
 use ftimm_isa::{
     AddrExpr, BufId, Bundle, Instruction, LoopLevel, MemSpace, Program, Section, NUM_SREGS,
@@ -80,6 +82,8 @@ pub struct MicroKernel {
     memo: Arc<ScheduleMemo>,
     /// The VLIW program, built on first use.
     program: OnceLock<Program>,
+    /// The host tiers' lowering, built on first use.
+    lowered: OnceLock<CompiledKernel>,
 }
 
 impl MicroKernel {
@@ -143,7 +147,7 @@ impl MicroKernel {
                 detail: format!("m_u = {m_u} outside 1..={}", spec.m_s),
             });
         }
-        if !(k_u == 1 || k_u == 2 || k_u == 4) || k_u > spec.k_a {
+        if !hostsimd::SUPPORTED_KU.contains(&k_u) || k_u > spec.k_a {
             return Err(GenError::BadForcedTiling {
                 detail: format!("k_u = {k_u} unsupported for k_a = {}", spec.k_a),
             });
@@ -192,6 +196,7 @@ impl MicroKernel {
             tiling: t,
             memo: Arc::clone(memo),
             program: OnceLock::new(),
+            lowered: OnceLock::new(),
         })
     }
 
@@ -216,6 +221,23 @@ impl MicroKernel {
             );
             program
         })
+    }
+
+    /// The block plan lowered to host block loops
+    /// ([`CompiledKernel::lower`], which re-verifies it), on first use; it
+    /// lives, and is evicted, with the kernel.
+    pub fn lowered(&self) -> Result<&CompiledKernel, GenError> {
+        self.lower_once().map(|(lowered, _)| lowered)
+    }
+
+    /// [`MicroKernel::lowered`], and whether this call did the lowering.
+    pub(crate) fn lower_once(&self) -> Result<(&CompiledKernel, bool), GenError> {
+        if let Some(lowered) = self.lowered.get() {
+            return Ok((lowered, false));
+        }
+        // Lowering is pure, so a racing thread's result is identical.
+        let lowered = CompiledKernel::lower(self)?;
+        Ok((self.lowered.get_or_init(|| lowered), true))
     }
 
     /// Efficiency on useful flops: `2·m·n·k / (cycles · flops-per-cycle)`.

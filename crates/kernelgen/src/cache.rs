@@ -1,13 +1,15 @@
-//! Kernel cache: generated kernels keyed by shape (and forced tiling),
-//! shared across blocking layers and sweeps.
+//! Bounded caches: [`BoundedLru`], the one least-recently-used map with
+//! lifetime counters ([`CacheStats`]) behind both the generated-kernel
+//! cache ([`KernelCache`]) and `ftimm`'s plan cache.
 //!
-//! Bounded like the plan cache and the executor memo — least recently
-//! used entry out, lifetime counters, capacity 0 disables — because a
-//! cold planning stream generates a dozen new kernels per shape without
-//! end.  A generated kernel is priced, not built: its block plan and
-//! closed-form cycle count are a few hundred bytes, and only a kernel
-//! whose program was asked for (Interpret mode, the static verifier, the
-//! printers) carries the tens of KB of its VLIW program.  An evicted
+//! The kernel cache is bounded — least recently used entry out, capacity
+//! 0 disables — because a cold planning stream generates a dozen new
+//! kernels per shape without end.  A generated kernel is priced, not
+//! built: its block plan and closed-form cycle count are a few hundred
+//! bytes.  Only a kernel whose program was asked for (Interpret mode, the
+//! static verifier, the printers) carries the tens of KB of its VLIW
+//! program, and only one a host tier ran carries its lowering (a few
+//! dozen bytes); both live, and are evicted, with the kernel.  An evicted
 //! kernel regenerates identically: generation is a pure function of
 //! `(spec, tiling, cfg)`.
 
@@ -15,6 +17,7 @@ use crate::modsched::ScheduleMemo;
 use crate::{GenError, KernelSpec, MicroKernel};
 use dspsim::HwConfig;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -30,97 +33,145 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// program was built; a timing-only stream builds none.
 pub const DEFAULT_KERNEL_CACHE_CAPACITY: usize = 4096;
 
-type Key = (KernelSpec, Option<(usize, usize)>);
+/// Lock a mutex, recovering from poisoning.  Only for state that every
+/// update leaves valid at every step — here, maps of immutable,
+/// deterministically computed entries and their counters — so what a
+/// panicking thread left behind is still a valid state.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-/// Snapshot of a kernel cache's lifetime counters.
+/// Snapshot of a bounded cache's lifetime counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelCacheStats {
-    /// Lookups answered by a cached kernel.
+pub struct CacheStats {
+    /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to generate (failed generations included).
+    /// Lookups that found nothing (the caller then computes and inserts).
     pub misses: u64,
-    /// Kernels evicted to the capacity bound.
+    /// Entries evicted to the capacity bound.
     pub evictions: u64,
-    /// Kernels currently held.
+    /// Entries currently held.
     pub len: usize,
     /// Entry bound (`0` disables caching).
     pub capacity: usize,
-    /// Complete VLIW programs built for this cache's kernels (on first
-    /// use of [`MicroKernel::program`]; `0` after timing-only work).
-    pub programs_built: u64,
 }
 
-/// The mutable half of the cache: entries stamped with the logical time
-/// of their last use, and the same stamps in ascending order so the
-/// least recently used key is the first one.
-#[derive(Default)]
-struct Lru {
-    map: HashMap<Key, (u64, Arc<MicroKernel>)>,
-    order: BTreeMap<u64, Key>,
+/// A thread-safe map of at most `capacity` entries: inserting a new key
+/// into a full map evicts the least recently used entry, and capacity 0
+/// stores nothing (every lookup misses).  Values are cloned out, so they
+/// are cheap handles (`Arc`s) or small `Copy` records.
+pub struct BoundedLru<K, V> {
+    capacity: usize,
+    state: Mutex<Lru<K, V>>,
+}
+
+/// The mutable half: entries stamped with the logical time of their last
+/// use, and the same stamps in ascending order so the least recently
+/// used key is the first one.
+struct Lru<K, V> {
+    map: HashMap<K, (u64, V)>,
+    order: BTreeMap<u64, K>,
     clock: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl Lru {
-    /// Look a kernel up, making it the most recently used on a hit.
-    fn get(&mut self, key: &Key) -> Option<Arc<MicroKernel>> {
-        let Some((stamp, kernel)) = self.map.get_mut(key) else {
-            self.misses += 1;
-            return None;
-        };
-        self.hits += 1;
-        // A blocking walk asks for the same kernel once per task and K
-        // step, many times in a row; the most recent entry needs no
-        // reordering.
-        if *stamp != self.clock {
-            self.clock += 1;
-            self.order.remove(stamp);
-            self.order.insert(self.clock, *key);
-            *stamp = self.clock;
+impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
+    /// An empty map bounded to `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        BoundedLru {
+            capacity,
+            state: Mutex::new(Lru {
+                map: HashMap::new(),
+                order: BTreeMap::new(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
         }
-        Some(Arc::clone(kernel))
     }
 
-    /// Store a freshly generated kernel, evicting down to `capacity`;
-    /// returns the resident kernel (a racing thread's, if it got there
-    /// first — the two are identical).
-    fn insert(&mut self, key: Key, kernel: Arc<MicroKernel>, capacity: usize) -> Arc<MicroKernel> {
-        if capacity == 0 {
-            return kernel;
+    /// Look a value up, making it the most recently used on a hit.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let mut guard = lock(&self.state);
+        let s = &mut *guard;
+        let Some((stamp, value)) = s.map.get_mut(key) else {
+            s.misses += 1;
+            return None;
+        };
+        s.hits += 1;
+        // A blocking walk asks for the same kernel many times in a row;
+        // the most recent entry needs no reordering.
+        if *stamp != s.clock {
+            s.clock += 1;
+            s.order.remove(stamp);
+            s.order.insert(s.clock, key.clone());
+            *stamp = s.clock;
         }
-        if let Some((_, resident)) = self.map.get(&key) {
-            return Arc::clone(resident);
+        Some(value.clone())
+    }
+
+    /// Store `value` under `key` as the most recently used entry,
+    /// replacing any value the key held; a new key in a full map first
+    /// evicts the least recently used entry.
+    pub fn insert(&self, key: K, value: V) {
+        if self.capacity == 0 {
+            return;
         }
-        if self.map.len() >= capacity {
-            if let Some((_, coldest)) = self.order.pop_first() {
-                self.map.remove(&coldest);
-                self.evictions += 1;
+        let mut guard = lock(&self.state);
+        let s = &mut *guard;
+        if let Some((stamp, _)) = s.map.get(&key) {
+            s.order.remove(stamp);
+        } else if s.map.len() >= self.capacity {
+            if let Some((_, coldest)) = s.order.pop_first() {
+                s.map.remove(&coldest);
+                s.evictions += 1;
             }
         }
-        self.clock += 1;
-        self.order.insert(self.clock, key);
-        self.map.insert(key, (self.clock, Arc::clone(&kernel)));
-        kernel
+        s.clock += 1;
+        s.order.insert(s.clock, key.clone());
+        s.map.insert(key, (s.clock, value));
+    }
+
+    /// Whether `key` is held; counts as neither a hit nor a miss.
+    pub fn contains(&self, key: &K) -> bool {
+        lock(&self.state).map.contains_key(key)
+    }
+
+    /// Number of entries held.
+    pub fn len(&self) -> usize {
+        lock(&self.state).map.len()
+    }
+
+    /// Whether the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lifetime counters and current occupancy.
+    pub fn stats(&self) -> CacheStats {
+        let s = lock(&self.state);
+        CacheStats {
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            len: s.map.len(),
+            capacity: self.capacity,
+        }
     }
 }
 
+type Key = (KernelSpec, Option<(usize, usize)>);
+
 /// A thread-safe, bounded LRU cache of generated micro-kernels.
 pub struct KernelCache {
-    capacity: usize,
-    lru: Mutex<Lru>,
+    kernels: BoundedLru<Key, Arc<MicroKernel>>,
     /// The hardware, plus the schedules and block-group prices shared by
     /// every kernel generated here; they depend on the tiling alone, so
     /// they outlive evictions.
     memo: Arc<ScheduleMemo>,
-}
-
-/// Lock the cache state, recovering from poisoning: it holds only
-/// immutable, deterministically generated kernels and counters, so state
-/// observed after a panicking thread is still valid.
-fn lock(m: &Mutex<Lru>) -> MutexGuard<'_, Lru> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl KernelCache {
@@ -134,8 +185,7 @@ impl KernelCache {
     /// generation is pure).
     pub fn with_capacity(cfg: HwConfig, capacity: usize) -> Self {
         KernelCache {
-            capacity,
-            lru: Mutex::new(Lru::default()),
+            kernels: BoundedLru::new(capacity),
             memo: Arc::new(ScheduleMemo::new(cfg)),
         }
     }
@@ -167,7 +217,7 @@ impl KernelCache {
         forced: Option<(usize, usize)>,
     ) -> Result<Arc<MicroKernel>, GenError> {
         let key = (spec, forced);
-        if let Some(k) = lock(&self.lru).get(&key) {
+        if let Some(k) = self.kernels.get(&key) {
             return Ok(k);
         }
         // Generate outside the lock: generation is pure and deterministic,
@@ -177,30 +227,30 @@ impl KernelCache {
             None => MicroKernel::generate_with(spec, &self.memo)?,
             Some((m_u, k_u)) => MicroKernel::generate_forced_with(spec, m_u, k_u, &self.memo)?,
         });
-        Ok(lock(&self.lru).insert(key, kernel, self.capacity))
+        self.kernels.insert(key, Arc::clone(&kernel));
+        Ok(kernel)
     }
 
     /// Number of cached kernels.
     pub fn len(&self) -> usize {
-        lock(&self.lru).map.len()
+        self.kernels.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        lock(&self.lru).map.is_empty()
+        self.kernels.is_empty()
     }
 
-    /// Lifetime counters and current occupancy.
-    pub fn stats(&self) -> KernelCacheStats {
-        let lru = lock(&self.lru);
-        KernelCacheStats {
-            hits: lru.hits,
-            misses: lru.misses,
-            evictions: lru.evictions,
-            len: lru.map.len(),
-            capacity: self.capacity,
-            programs_built: self.memo.programs_built.load(Ordering::Relaxed),
-        }
+    /// Lifetime counters and current occupancy (lookups that failed to
+    /// generate count as misses).
+    pub fn stats(&self) -> CacheStats {
+        self.kernels.stats()
+    }
+
+    /// Complete VLIW programs built for this cache's kernels (on first
+    /// use of [`MicroKernel::program`]; `0` after timing-only work).
+    pub fn programs_built(&self) -> u64 {
+        self.memo.programs_built.load(Ordering::Relaxed)
     }
 }
 
@@ -223,11 +273,11 @@ mod tests {
         let cache = KernelCache::new(HwConfig::default());
         let kernel = cache.get(KernelSpec::new(6, 64, 96).unwrap()).unwrap();
         cache.get_forced(kernel.spec, 6, 1).unwrap();
-        assert_eq!(cache.stats().programs_built, 0, "generation only prices");
+        assert_eq!(cache.programs_built(), 0, "generation only prices");
         let program = kernel.program();
         assert!(std::ptr::eq(program, kernel.program()));
         assert_eq!(program.cycles(), kernel.cycles);
-        assert_eq!(cache.stats().programs_built, 1);
+        assert_eq!(cache.programs_built(), 1);
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! The `Compiled` execution tier: lower a verified [`MicroKernel`] block
-//! plan into specialised host-SIMD block loops.
+//! Lowering a verified [`MicroKernel`] block plan into host block loops,
+//! which both host tiers run.
 //!
 //! Lowering is a *verification pass*, not a translation of trust: every
-//! structural invariant the SIMD loops rely on (supported `k_u`, exact
+//! structural invariant the block loops rely on (supported `k_u`, exact
 //! depth split, contiguous row coverage) is re-checked here and reported
 //! as [`GenError::LoweringInvariant`] instead of being assumed. The
-//! resulting [`CompiledKernel`] executes through `hostsimd`, whose
-//! register-tiled loops — instantiated at the widest of AVX-512F and
-//! AVX2+FMA the CPU has — preserve the interpreter's per-element fma
-//! accumulation order bit-for-bit (see the `hostsimd` crate docs for the
-//! argument); on hosts with neither it degrades to a scalar path with
-//! the same bits.
+//! resulting [`CompiledKernel`] executes through `hostsimd`: `Compiled`
+//! on its register-tiled loops — instantiated at the widest of AVX-512F
+//! and AVX2+FMA the CPU has, or its scalar level on hosts with neither —
+//! and `Fast` on its scalar level; every level preserves the
+//! interpreter's per-element fma accumulation order bit-for-bit (see the
+//! `hostsimd` crate docs for the argument).
 
-use crate::{GenError, KernelSpec, MicroKernel};
+use crate::{GenError, HostTier, KernelSpec, MicroKernel};
 use hostsimd::BlockGeom;
 
-/// A micro-kernel lowered to specialised host block loops.
+/// A micro-kernel lowered to host block loops.
 ///
-/// Obtained from [`CompiledKernel::lower`]; executed with
-/// [`CompiledKernel::execute`], whose panel layout contract is identical
-/// to `MicroKernel::execute_fast`.
+/// Obtained from [`CompiledKernel::lower`] (once per kernel:
+/// [`MicroKernel::lowered`]); executed with [`CompiledKernel::execute`].
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     spec: KernelSpec,
@@ -28,7 +27,7 @@ pub struct CompiledKernel {
 
 impl CompiledKernel {
     /// Lower a generated kernel's block plan, re-verifying the structural
-    /// invariants the SIMD loops depend on.
+    /// invariants the block loops depend on.
     pub fn lower(kernel: &MicroKernel) -> Result<Self, GenError> {
         let spec = kernel.spec;
         spec.validate()?;
@@ -84,21 +83,30 @@ impl CompiledKernel {
         Ok(CompiledKernel { spec, blocks })
     }
 
-    /// The shape this kernel computes.
-    pub fn spec(&self) -> &KernelSpec {
-        &self.spec
-    }
-
-    /// Compute `c += a × b` with the same panel layout contract as
-    /// `MicroKernel::execute_fast` (`a`: `m_s × k_a` row-major; `b`/`c`:
-    /// leading dimension [`KernelSpec::na_pad`]): bit-identical to it and
-    /// to the interpreter on the real columns `0..n_a` of every row, the
-    /// padding lanes `n_a..na_pad` of `c` unspecified.
-    pub fn execute(&self, a: &[f32], b: &[f32], c: &mut [f32]) {
+    /// Compute `c += a × b` on `tier`, on dense panels laid out exactly
+    /// as the kernel's scratchpad buffers:
+    /// * `a`: `m_s × k_a`, row-major, leading dimension `k_a`;
+    /// * `b`: `k_a × na_pad`, leading dimension [`KernelSpec::na_pad`];
+    /// * `c`: `m_s × na_pad`, leading dimension `na_pad`.
+    ///
+    /// Bit-identical on both tiers and to the interpreter on the real
+    /// columns `0..n_a` of every row.  The padding lanes `n_a..na_pad` of
+    /// `c` are unspecified: the interpreter is the hardware and fills
+    /// whole 32-lane vectors, a host level rounds `n_a` up to its own
+    /// width.  Those lanes never leave AM: every `AmToDdr` store and the
+    /// K-parallel `gsm_accumulate_from_am` reduction move the task's real
+    /// `cols`.  TGEMM's kernels are generated for its fixed padded width,
+    /// so its `n_a` — and the work it pays for — stay what the paper
+    /// charges it.
+    pub fn execute(&self, tier: HostTier, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let run = match tier {
+            HostTier::Fast => hostsimd::execute_block_scalar,
+            HostTier::Compiled => hostsimd::execute_block,
+        };
         let KernelSpec { k_a, n_a, .. } = self.spec;
         let ld = self.spec.na_pad();
         for g in &self.blocks {
-            hostsimd::execute_block(g, k_a, n_a, ld, a, b, c);
+            run(g, k_a, n_a, ld, a, b, c);
         }
     }
 }
@@ -139,8 +147,8 @@ mod tests {
             let c0 = fill(m_s * ld, 3);
             let mut c_fast = c0.clone();
             let mut c_comp = c0;
-            kernel.execute_fast(&a, &b, &mut c_fast);
-            compiled.execute(&a, &b, &mut c_comp);
+            compiled.execute(HostTier::Fast, &a, &b, &mut c_fast);
+            compiled.execute(HostTier::Compiled, &a, &b, &mut c_comp);
             // The tiers agree on the real columns; what either leaves in
             // the padding lanes is unspecified.
             for (i, (x, y)) in c_fast.iter().zip(&c_comp).enumerate() {

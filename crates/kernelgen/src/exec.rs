@@ -1,34 +1,20 @@
 //! The single dispatch point for host-side kernel execution.
 //!
-//! Every consumer that used to call `MicroKernel::execute_fast` directly
-//! now routes through [`KernelExecutor::execute`], which picks a
-//! [`HostTier`]:
+//! [`KernelExecutor::execute`] runs a kernel's lowering
+//! ([`MicroKernel::lowered`]: built once per kernel, evicted with it from
+//! the [`KernelCache`]) on the requested [`HostTier`]:
 //!
-//! * [`HostTier::Fast`] — the generic scalar mirror
-//!   (`MicroKernel::execute_fast`), one `f32::mul_add` per element-step;
-//! * [`HostTier::Compiled`] — the kernel lowered once to specialised
-//!   SIMD block loops ([`CompiledKernel`]) and memoised in a bounded LRU
-//!   cache keyed like the plan cache: the kernel spec × its block tiling
-//!   (two kernels for the same spec with different forced tilings are
-//!   different executors).
+//! * [`HostTier::Fast`] — `hostsimd`'s scalar level: host math, no SIMD;
+//! * [`HostTier::Compiled`] — `hostsimd`'s widest SIMD level.
 //!
-//! Both tiers are bit-identical to the interpreter on the real columns
-//! (the padding lanes are unspecified — the contract is stated once, in
-//! [`crate::fast`]); `Compiled` is the fast path, `Fast` the
-//! reference-shaped fallback. The cache mirrors
-//! `PlanCache`'s shape — bounded Vec-scan LRU, atomic lifetime counters,
-//! capacity 0 disables memoisation (each call lowers afresh, which stays
-//! correct because lowering is pure).
+//! Both are bit-identical to the interpreter on the real columns; the
+//! padding lanes are unspecified (the contract is stated once, at
+//! [`CompiledKernel::execute`]).
 
-use crate::{BlockPlan, CompiledKernel, GenError, KernelCache, KernelSpec, MicroKernel};
+use crate::{CacheStats, CompiledKernel, GenError, KernelCache, MicroKernel};
 use dspsim::ExecMode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Default executor-cache bound: kernels are keyed by spec × tiling and a
-/// run touches a handful of specs; 64 distinct compiled kernels is far
-/// beyond any sweep here.
-pub const DEFAULT_EXECUTOR_CACHE_CAPACITY: usize = 64;
+use std::sync::Arc;
 
 /// Which host execution tier computes a kernel invocation.
 ///
@@ -36,9 +22,9 @@ pub const DEFAULT_EXECUTOR_CACHE_CAPACITY: usize = 64;
 /// interpreter; [`HostTier::from_mode`] maps it (and `Timing`) to `None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostTier {
-    /// Generic scalar mirror of the accumulation order.
+    /// The lowered kernel on `hostsimd`'s scalar level.
     Fast,
-    /// Specialised SIMD block loops, memoised per kernel.
+    /// The lowered kernel on `hostsimd`'s widest SIMD level.
     Compiled,
 }
 
@@ -53,70 +39,24 @@ impl HostTier {
     }
 }
 
-/// Everything a compiled executor depends on: the shape *and* the block
-/// tiling (a forced-tiling kernel and the auto-tuned kernel for the same
-/// spec lower to different loops).
-type Key = (KernelSpec, Vec<BlockPlan>);
-
-/// Snapshot of an executor cache's lifetime counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecutorCacheStats {
-    /// Lookups answered by a memoised compiled kernel.
-    pub hits: u64,
-    /// Lookups that had to lower the kernel.
-    pub misses: u64,
-    /// Entries evicted to the capacity bound.
-    pub evictions: u64,
-    /// Lowering passes run (misses that succeeded).
-    pub compiles: u64,
-    /// Entries currently held.
-    pub len: usize,
-    /// Entry bound (`0` disables memoisation).
-    pub capacity: usize,
-}
-
-/// Lock an executor-cache map, recovering from poisoning: entries are
-/// immutable, deterministically lowered kernels, so state observed after
-/// a panicking thread is still valid.
-fn lock(
-    m: &Mutex<Vec<(Key, Arc<CompiledKernel>)>>,
-) -> MutexGuard<'_, Vec<(Key, Arc<CompiledKernel>)>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The host-side kernel execution service: owns the generated-kernel
-/// cache and the bounded memo of compiled executors, and dispatches
-/// every host kernel invocation to the requested tier.
+/// cache and dispatches every host kernel invocation to the requested
+/// tier, counting lowerings.
 pub struct KernelExecutor {
     kernels: Arc<KernelCache>,
-    capacity: usize,
-    /// LRU order: index 0 coldest, back hottest (same idiom as the plan
-    /// cache; linear scan is fine at this capacity).
-    entries: Mutex<Vec<(Key, Arc<CompiledKernel>)>>,
+    /// Lookups of a kernel that was already lowered.
     hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    compiles: AtomicU64,
+    /// Lowerings run.
+    lowerings: AtomicU64,
 }
 
 impl KernelExecutor {
-    /// An executor over an existing kernel cache, with the default
-    /// compiled-kernel memo bound.
+    /// An executor over an existing kernel cache.
     pub fn new(kernels: Arc<KernelCache>) -> Self {
-        Self::with_capacity(kernels, DEFAULT_EXECUTOR_CACHE_CAPACITY)
-    }
-
-    /// An executor whose compiled-kernel memo holds at most `capacity`
-    /// entries (`0` disables memoisation; every invocation re-lowers).
-    pub fn with_capacity(kernels: Arc<KernelCache>, capacity: usize) -> Self {
         KernelExecutor {
             kernels,
-            capacity,
-            entries: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
+            lowerings: AtomicU64::new(0),
         }
     }
 
@@ -125,49 +65,17 @@ impl KernelExecutor {
         &self.kernels
     }
 
-    /// Shared handle to the generated-kernel cache.
-    pub fn kernels_arc(&self) -> Arc<KernelCache> {
-        Arc::clone(&self.kernels)
+    /// A kernel's lowering ([`MicroKernel::lowered`]), counted as a hit if
+    /// it already existed and as a miss if this call lowered it.
+    pub fn compiled<'k>(&self, kernel: &'k MicroKernel) -> Result<&'k CompiledKernel, GenError> {
+        let (lowered, fresh) = kernel.lower_once()?;
+        let counter = if fresh { &self.lowerings } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(lowered)
     }
 
-    /// The compiled executor for a kernel: memoised lowering keyed by
-    /// spec × block tiling, LRU-bounded.
-    pub fn compiled(&self, kernel: &MicroKernel) -> Result<Arc<CompiledKernel>, GenError> {
-        {
-            let mut entries = lock(&self.entries);
-            if let Some(pos) = entries
-                .iter()
-                .position(|((spec, blocks), _)| *spec == kernel.spec && *blocks == kernel.blocks)
-            {
-                let entry = entries.remove(pos);
-                let compiled = Arc::clone(&entry.1);
-                entries.push(entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(compiled);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        // Lower outside the lock: lowering is pure and deterministic, so
-        // a racing duplicate insert is harmless and identical.
-        let compiled = Arc::new(CompiledKernel::lower(kernel)?);
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        if self.capacity > 0 {
-            let key = (kernel.spec, kernel.blocks.clone());
-            let mut entries = lock(&self.entries);
-            if let Some(pos) = entries.iter().position(|(k, _)| *k == key) {
-                entries.remove(pos);
-            } else if entries.len() >= self.capacity {
-                entries.remove(0);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            entries.push((key, Arc::clone(&compiled)));
-        }
-        Ok(compiled)
-    }
-
-    /// Execute one kernel invocation on the requested host tier. Panel
-    /// layout contract is `MicroKernel::execute_fast`'s; both tiers are
-    /// bit-identical to the interpreter on the real columns `0..n_a`.
+    /// Execute one kernel invocation on the requested host tier (panel
+    /// layout and bitwise contract: [`CompiledKernel::execute`]).
     pub fn execute(
         &self,
         tier: HostTier,
@@ -176,27 +84,18 @@ impl KernelExecutor {
         b: &[f32],
         c: &mut [f32],
     ) -> Result<(), GenError> {
-        match tier {
-            HostTier::Fast => {
-                kernel.execute_fast(a, b, c);
-                Ok(())
-            }
-            HostTier::Compiled => {
-                self.compiled(kernel)?.execute(a, b, c);
-                Ok(())
-            }
-        }
+        self.compiled(kernel)?.execute(tier, a, b, c);
+        Ok(())
     }
 
-    /// Lifetime counters and current occupancy of the compiled memo.
-    pub fn stats(&self) -> ExecutorCacheStats {
-        ExecutorCacheStats {
+    /// `hits`: lookups of an already lowered kernel; `misses`: lowerings.
+    /// A lowering lives and is evicted with its kernel, so `evictions`,
+    /// `len` and `capacity` are the kernel cache's.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            compiles: self.compiles.load(Ordering::Relaxed),
-            len: lock(&self.entries).len(),
-            capacity: self.capacity,
+            misses: self.lowerings.load(Ordering::Relaxed),
+            ..self.kernels.stats()
         }
     }
 }
@@ -204,75 +103,73 @@ impl KernelExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelSpec;
     use dspsim::HwConfig;
 
     fn executor(capacity: usize) -> KernelExecutor {
-        KernelExecutor::with_capacity(Arc::new(KernelCache::new(HwConfig::default())), capacity)
+        KernelExecutor::new(Arc::new(KernelCache::with_capacity(
+            HwConfig::default(),
+            capacity,
+        )))
     }
 
     fn spec(m_s: usize) -> KernelSpec {
         KernelSpec::new(m_s, 32, 32).unwrap()
     }
 
+    fn fill(n: usize, seed: u32) -> Vec<f32> {
+        // Deterministic, poorly-conditioned values to expose ordering
+        // differences: mixes magnitudes across 6 decades.
+        (0..n)
+            .map(|i| {
+                let x = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+                let m = (x % 1000) as f32 - 500.0;
+                let e = [(1e-3f32), 1.0, 1e3][(x >> 10) as usize % 3];
+                m * e
+            })
+            .collect()
+    }
+
     #[test]
-    fn hits_reuse_the_same_closure() {
+    fn a_kernel_is_lowered_once_and_shared_by_both_tiers() {
         let ex = executor(8);
         let kernel = ex.kernels().get(spec(4)).unwrap();
         let a = ex.compiled(&kernel).unwrap();
         let b = ex.compiled(&kernel).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "a hit must reuse the lowered kernel");
-        let stats = ex.stats();
-        assert_eq!((stats.hits, stats.misses, stats.compiles), (1, 1, 1));
-        assert_eq!(stats.len, 1);
-    }
-
-    #[test]
-    fn forced_tilings_are_distinct_entries() {
-        let ex = executor(8);
-        let tuned = ex.kernels().get(spec(8)).unwrap();
-        let forced = ex.kernels().get_forced(spec(8), 8, 1).unwrap();
-        let a = ex.compiled(&tuned).unwrap();
-        let b = ex.compiled(&forced).unwrap();
-        if tuned.blocks != forced.blocks {
-            assert!(!Arc::ptr_eq(&a, &b));
-            assert_eq!(ex.stats().len, 2);
+        assert!(std::ptr::eq(a, b), "a hit must reuse the lowered kernel");
+        assert!(std::ptr::eq(a, kernel.lowered().unwrap()));
+        let (av, bv, mut cv) = (fill(4 * 32, 1), fill(32 * 32, 2), fill(4 * 32, 3));
+        for tier in [HostTier::Fast, HostTier::Compiled] {
+            ex.execute(tier, &kernel, &av, &bv, &mut cv).unwrap();
         }
+        let stats = ex.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 1));
+        assert_eq!((stats.len, stats.capacity), (1, 8));
     }
 
+    /// A lowering lives and dies with its kernel: evicted from a
+    /// capacity-1 cache and regenerated, the kernel lowers again and
+    /// computes the same bits.
     #[test]
-    fn zero_capacity_disables_memoisation_but_stays_correct() {
-        let ex = executor(0);
-        let kernel = ex.kernels().get(spec(4)).unwrap();
-        let a = ex.compiled(&kernel).unwrap();
-        let b = ex.compiled(&kernel).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b), "capacity 0 must not memoise");
-        let stats = ex.stats();
-        assert_eq!((stats.hits, stats.misses, stats.compiles), (0, 2, 2));
-        assert_eq!(stats.len, 0);
-        // Still executes correctly.
-        let ld = kernel.spec.na_pad();
-        let av = vec![1.0f32; 4 * 32];
-        let bv = vec![1.0f32; 32 * ld];
-        let mut cv = vec![0.0f32; 4 * ld];
-        ex.execute(HostTier::Compiled, &kernel, &av, &bv, &mut cv)
+    fn an_evicted_kernel_lowers_again_to_the_same_bits() {
+        let ex = executor(1);
+        let first = ex.kernels().get(spec(5)).unwrap();
+        let ld = first.spec.na_pad();
+        let (a, b, c0) = (fill(5 * 32, 1), fill(32 * ld, 2), fill(5 * ld, 3));
+        let mut c_first = c0.clone();
+        ex.execute(HostTier::Compiled, &first, &a, &b, &mut c_first)
             .unwrap();
-        assert_eq!(cv[0], 32.0);
-    }
-
-    #[test]
-    fn evictions_are_counted_at_the_bound() {
-        let ex = executor(2);
-        for m_s in 1..=3usize {
-            let kernel = ex.kernels().get(spec(m_s)).unwrap();
-            ex.compiled(&kernel).unwrap();
-        }
+        ex.kernels().get(spec(6)).unwrap(); // evicts spec(5)
+        let again = ex.kernels().get(spec(5)).unwrap(); // and back
+        assert!(!Arc::ptr_eq(&first, &again), "must have been regenerated");
+        let mut c_again = c0;
+        ex.execute(HostTier::Compiled, &again, &a, &b, &mut c_again)
+            .unwrap();
         let stats = ex.stats();
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.len, 2);
-        // The first spec was evicted: looking it up again is a miss.
-        let kernel = ex.kernels().get(spec(1)).unwrap();
-        ex.compiled(&kernel).unwrap();
-        assert_eq!(ex.stats().misses, 4);
+        assert_eq!((stats.misses, stats.evictions), (2, 2));
+        for (x, y) in c_first.iter().zip(&c_again) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]
@@ -294,6 +191,55 @@ mod tests {
             .unwrap();
         for (x, y) in c_fast.iter().zip(&c_comp) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn fast_matches_a_naive_single_accumulator_only_when_ku_is_1() {
+        let ex = executor(8);
+        let k = ex
+            .kernels()
+            .get_forced(KernelSpec::new(4, 37, 96).unwrap(), 4, 1)
+            .unwrap();
+        let a = fill(4 * 37, 1);
+        let b = fill(37 * 96, 2);
+        let mut c = fill(4 * 96, 3);
+        let c0 = c.clone();
+        ex.execute(HostTier::Fast, &k, &a, &b, &mut c).unwrap();
+        // k_u = 1 with a k-tail handled by acc[0] in ascending k order is
+        // exactly the naive loop.
+        for row in 0..4 {
+            for col in 0..96 {
+                let mut acc = c0[row * 96 + col];
+                for kk in 0..37 {
+                    acc = a[row * 37 + kk].mul_add(b[kk * 96 + col], acc);
+                }
+                assert_eq!(c[row * 96 + col].to_bits(), acc.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn fast_is_close_to_f64_reference() {
+        let ex = executor(8);
+        let k = ex
+            .kernels()
+            .get(KernelSpec::new(6, 128, 64).unwrap())
+            .unwrap();
+        let a = fill(6 * 128, 7);
+        let b = fill(128 * 64, 8);
+        let mut c = vec![0.0f32; 6 * 64];
+        ex.execute(HostTier::Fast, &k, &a, &b, &mut c).unwrap();
+        for row in 0..6 {
+            for col in 0..64 {
+                let mut acc = 0.0f64;
+                for kk in 0..128 {
+                    acc += a[row * 128 + kk] as f64 * b[kk * 64 + col] as f64;
+                }
+                let got = c[row * 64 + col] as f64;
+                let tol = 1e-3 * acc.abs().max(1.0);
+                assert!((got - acc).abs() <= tol, "({row},{col}): {got} vs {acc}");
+            }
         }
     }
 

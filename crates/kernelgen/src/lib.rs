@@ -21,9 +21,10 @@
 //!
 //! Generated kernels are *executed* by `dspsim`'s interpreter (bit-exact,
 //! hazard-checked) or by one of two order-mirroring host tiers behind the
-//! [`KernelExecutor`] dispatch point: the generic scalar mirror
-//! ([`fast`]) or the specialised SIMD lowering ([`compiled`]); their
-//! cycle count doubles as the analytic timing model.
+//! [`KernelExecutor`] dispatch point, both running the kernel's one
+//! lowering ([`compiled`]): on `hostsimd`'s scalar level (`Fast`) or its
+//! SIMD levels (`Compiled`); their cycle count doubles as the analytic
+//! timing model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,6 @@ pub mod build;
 pub mod cache;
 pub mod compiled;
 pub mod exec;
-pub mod fast;
 pub mod linesched;
 pub mod modsched;
 pub mod regmap;
@@ -42,9 +42,9 @@ pub mod tiling;
 
 pub use analysis::{verify_occupancy, KernelReport, OccupancyViolation};
 pub use build::{build, BlockPlan, MicroKernel};
-pub use cache::{KernelCache, KernelCacheStats, DEFAULT_KERNEL_CACHE_CAPACITY};
+pub use cache::{BoundedLru, CacheStats, KernelCache, DEFAULT_KERNEL_CACHE_CAPACITY};
 pub use compiled::CompiledKernel;
-pub use exec::{ExecutorCacheStats, HostTier, KernelExecutor, DEFAULT_EXECUTOR_CACHE_CAPACITY};
+pub use exec::{HostTier, KernelExecutor};
 pub use hostsimd::{simd_active, simd_level};
 pub use linesched::LineScheduler;
 pub use regmap::RegMap;

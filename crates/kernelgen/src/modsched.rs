@@ -16,12 +16,13 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the (mu, ku, nn) math
 
+use crate::cache::lock;
 use crate::{GenError, Tiling};
 use dspsim::HwConfig;
 use ftimm_isa::{Unit, UnitClass};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Semantic description of one steady-state operation (bound to concrete
 /// instructions later, per half parity).
@@ -213,12 +214,6 @@ impl std::fmt::Debug for ScheduleMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduleMemo").finish_non_exhaustive()
     }
-}
-
-/// Lock a memo map, recovering from poisoning: entries are immutable and
-/// inserted whole, so a map observed after a panicking thread is valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ScheduleMemo {

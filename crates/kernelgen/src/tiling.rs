@@ -108,7 +108,7 @@ pub fn candidates(spec: &KernelSpec, cfg: &HwConfig) -> Result<Vec<Tiling>, GenE
     spec.validate()?;
     let v_n = spec.v_n();
     let mut out = Vec::new();
-    for k_u in [1usize, 2, 4] {
+    for k_u in hostsimd::SUPPORTED_KU {
         if k_u > spec.k_a {
             continue;
         }

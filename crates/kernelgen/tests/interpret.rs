@@ -1,10 +1,11 @@
 //! End-to-end validation of generated kernels: every kernel is executed by
 //! the `dspsim` interpreter with hazard checking enabled, and its results
 //! are compared against a float64 reference (accuracy) and against the
-//! order-mirroring fast executor (bit-exactness).
+//! order-mirroring `Fast` host tier (bit-exactness).
 
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
-use kernelgen::{KernelCache, KernelSpec, MicroKernel};
+use kernelgen::{HostTier, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
+use std::sync::Arc;
 
 const A_OFF: u64 = 0;
 const B_OFF: u64 = 0;
@@ -42,10 +43,10 @@ fn run_interpreted(kernel: &MicroKernel, a: &[f32], b: &[f32], c0: &[f32]) -> (V
 
 fn check_spec(spec: KernelSpec, forced: Option<(usize, usize)>) {
     let cfg = HwConfig::default();
-    let cache = KernelCache::new(cfg.clone());
+    let ex = KernelExecutor::new(Arc::new(KernelCache::new(cfg.clone())));
     let kernel = match forced {
-        None => cache.get(spec).unwrap(),
-        Some((mu, ku)) => cache.get_forced(spec, mu, ku).unwrap(),
+        None => ex.kernels().get(spec).unwrap(),
+        Some((mu, ku)) => ex.kernels().get_forced(spec, mu, ku).unwrap(),
     };
     let ld = spec.na_pad();
     let a = fill(spec.m_s * spec.k_a, 1);
@@ -60,10 +61,11 @@ fn check_spec(spec: KernelSpec, forced: Option<(usize, usize)>) {
         "{spec}: analytic timing diverges from execution"
     );
 
-    // 2. Fast executor is bit-identical to the interpreter on the real
+    // 2. The `Fast` tier is bit-identical to the interpreter on the real
     //    columns (the padding lanes are the interpreter's alone).
     let mut c_fast = c0.clone();
-    kernel.execute_fast(&a, &b, &mut c_fast);
+    ex.execute(HostTier::Fast, &kernel, &a, &b, &mut c_fast)
+        .unwrap();
     for (i, (x, y)) in c_interp.iter().zip(&c_fast).enumerate() {
         assert!(
             i % ld >= spec.n_a || x.to_bits() == y.to_bits(),

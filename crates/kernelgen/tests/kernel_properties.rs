@@ -1,14 +1,16 @@
 //! Property tests on the kernel generator: every generated kernel for a
 //! random shape is hazard-free under interpretation, cycle-exact against
-//! its analytic count, bit-identical between interpreter and fast
-//! executor, and within its architectural upper bound — and the priced
+//! its analytic count, bit-identical between interpreter and the `Fast`
+//! host tier, and within its architectural upper bound — and the priced
 //! search returns exactly what building every candidate returns.
 
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
 use kernelgen::build::{steady_cycles_lower_bound, SEARCH_WIDTH};
-use kernelgen::{build, candidates, GenError, KernelCache, KernelSpec, MicroKernel};
+use kernelgen::{
+    build, candidates, GenError, HostTier, KernelCache, KernelExecutor, KernelSpec, MicroKernel,
+};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The search as it was before pricing: build every one of the first
 /// `SEARCH_WIDTH` candidates and keep the first with the fewest *built*
@@ -121,9 +123,9 @@ proptest! {
         seed in 0u32..1000,
     ) {
         let cfg = HwConfig::default();
-        let cache = KernelCache::new(cfg.clone());
+        let ex = KernelExecutor::new(Arc::new(KernelCache::new(cfg.clone())));
         let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
-        let kernel = cache.get(spec).unwrap();
+        let kernel = ex.kernels().get(spec).unwrap();
 
         // Efficiency bounded by the §IV-A3 upper bound.
         prop_assert!(kernel.efficiency(&cfg) <= kernel.upper_bound + 1e-9);
@@ -153,11 +155,11 @@ proptest! {
         let rep = machine.run_kernel(0, kernel.program(), bind, true).unwrap();
         prop_assert_eq!(rep.cycles, kernel.cycles);
 
-        // Bit-identical to the fast executor on the real columns.
+        // Bit-identical to the `Fast` tier on the real columns.
         let mut c_interp = vec![0.0f32; m_s * ld];
         machine.core_mut(0).am.read_f32_slice(512 * 1024, &mut c_interp).unwrap();
         let mut c_fast = c0.clone();
-        kernel.execute_fast(&a, &b, &mut c_fast);
+        ex.execute(HostTier::Fast, &kernel, &a, &b, &mut c_fast).unwrap();
         for i in (0..c_fast.len()).filter(|i| i % ld < n_a) {
             prop_assert_eq!(c_interp[i].to_bits(), c_fast[i].to_bits(), "element {}", i);
         }
