@@ -126,7 +126,6 @@ mod tests {
                     b_off: 0,
                     c_off: 256 * 1024,
                 },
-                true,
             )
             .unwrap();
         assert_eq!(rep.cycles, k.cycles);

@@ -1,33 +1,31 @@
 //! The ISA static verifier: a lint pass over [`ftimm_isa::Program`].
 //!
-//! `Bundle::push` enforces issue rules *at construction*, and the
-//! `dspsim` interpreter re-checks RAW latencies *at execution* — but a
+//! `Bundle::push` enforces the issue rules *at construction*, and the
+//! `dspsim` interpreter checks the scoreboard *at execution* — but a
 //! program that was deserialized, hand-built, or mangled by a generator
 //! bug can bypass the first, and `ExecMode::Fast`/`Timing` runs never hit
-//! the second.  This pass re-derives every rule from the architectural
-//! model alone, so it can vet any kernel `kernelgen` emits (or refuses
-//! to) without executing it:
+//! the second.  This pass applies the same rules without executing, so it
+//! can vet any kernel `kernelgen` emits (or refuses to):
 //!
 //! * **structure** — loop levels within [`ftimm_isa::addr::MAX_LOOP_DEPTH`],
 //!   no zero-trip loops;
-//! * **issue rules** — operand signatures, opcode/unit-class membership,
-//!   one instruction per unit, ≤ 5 scalar + ≤ 6 vector slots per cycle
-//!   (`SBR` rides the control unit outside the scalar budget, matching
-//!   the paper's tables);
-//! * **hazards** — RAW against [`ftimm_isa::LatencyTable`] over the exact
+//! * **issue rules** — every rule [`Bundle::check_issue`] states, each
+//!   broken one reported;
+//! * **hazards** — the [`Scoreboard`]'s RAW and WAW rules over the exact
 //!   dynamic bundle order the interpreter executes (loop-carried
-//!   included), plus WAW writes that would retire out of order;
+//!   included), slots in the order it applies them;
 //! * **register lifetime** — no read of a register the program never
-//!   defined before that point;
-//! * **occupancy** — [`kernelgen::verify_occupancy`]'s structured check.
+//!   defined before that point (the interpreter's zeroed register file
+//!   makes this a lint only the verifier reports).
 //!
 //! The pass collects every violation (it does not stop at the first) so
 //! fuzzer reports and CI logs show the whole damage picture.
 
 use ftimm_isa::{
-    Bundle, Instruction, LatencyTable, Program, Section, Unit, MAX_SCALAR_SLOTS, MAX_VECTOR_SLOTS,
-    NUM_SREGS, NUM_VREGS,
+    Bundle, Hazard, IsaError, LatencyTable, Program, Scoreboard, Section, Unit, MAX_SCALAR_SLOTS,
+    MAX_VECTOR_SLOTS,
 };
+use std::convert::Infallible;
 use std::fmt;
 
 /// What a [`Violation`] found.
@@ -82,11 +80,42 @@ pub enum ViolationKind {
         /// The register, as displayed.
         register: String,
     },
-    /// A unit that issues more instructions than the program has cycles.
-    Occupancy {
-        /// The structured diagnostic from `kernelgen`.
-        diag: kernelgen::OccupancyViolation,
-    },
+}
+
+impl ViolationKind {
+    /// The violation a broken issue rule is.
+    fn issue(e: IsaError) -> Self {
+        match e {
+            IsaError::WrongUnit { opcode, .. } => ViolationKind::WrongUnit {
+                mnemonic: opcode.mnemonic(),
+            },
+            IsaError::UnitConflict { .. } => ViolationKind::DuplicateUnit,
+            IsaError::SlotOverflow {
+                scalar: true, got, ..
+            } => ViolationKind::ScalarOverflow { got },
+            IsaError::SlotOverflow { got, .. } => ViolationKind::VectorOverflow { got },
+            e => ViolationKind::MalformedInstruction {
+                detail: e.to_string(),
+            },
+        }
+    }
+
+    /// The violation a scoreboard hazard is.
+    fn hazard(h: Hazard) -> Self {
+        match h {
+            Hazard::Undefined(reg) => ViolationKind::UndefinedRead {
+                register: reg.to_string(),
+            },
+            Hazard::Raw { reg, ready } => ViolationKind::ReadAfterWrite {
+                register: reg.to_string(),
+                ready_cycle: ready,
+            },
+            Hazard::Waw { reg, prior_retire } => ViolationKind::WriteAfterWrite {
+                register: reg.to_string(),
+                prior_retire_cycle: prior_retire,
+            },
+        }
+    }
 }
 
 /// One rule violation, located by dynamic cycle and (where meaningful)
@@ -94,7 +123,7 @@ pub enum ViolationKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Dynamic cycle (bundle index with loops expanded); `None` for
-    /// whole-program checks such as occupancy.
+    /// the structure checks.
     pub cycle: Option<u64>,
     /// The unit involved, when the rule is per-slot.
     pub unit: Option<Unit>,
@@ -142,7 +171,6 @@ impl fmt::Display for Violation {
             ViolationKind::UndefinedRead { register } => {
                 write!(f, "read of never-written {register}")
             }
-            ViolationKind::Occupancy { diag } => write!(f, "{diag}"),
         }
     }
 }
@@ -188,230 +216,72 @@ impl fmt::Display for VerifyReport {
 /// body repeats its damage every trip and would otherwise flood memory.
 const MAX_VIOLATIONS: usize = 64;
 
-struct VerifyState<'a> {
-    lat: &'a LatencyTable,
-    cycle: u64,
-    /// `ready[r]` — first cycle register `r` may be read again.
-    ready_s: [u64; NUM_SREGS],
-    ready_v: [u64; NUM_VREGS],
-    /// Whether the register has ever been written.
-    def_s: [bool; NUM_SREGS],
-    def_v: [bool; NUM_VREGS],
-    violations: Vec<Violation>,
-}
-
-impl VerifyState<'_> {
-    fn report(&mut self, cycle: Option<u64>, unit: Option<Unit>, kind: ViolationKind) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(Violation { cycle, unit, kind });
-        }
-    }
-
-    fn check_bundle_static(&mut self, bundle: &Bundle) {
-        let cycle = self.cycle;
-        let slots = bundle.slots();
-        let mut scalar_exec = 0usize;
-        let mut vector = 0usize;
-        for (i, (unit, inst)) in slots.iter().enumerate() {
-            if let Err(e) = inst.validate() {
-                self.report(
-                    Some(cycle),
-                    Some(*unit),
-                    ViolationKind::MalformedInstruction {
-                        detail: e.to_string(),
-                    },
-                );
-            }
-            if !inst.opcode.unit_class().members().contains(unit) {
-                self.report(
-                    Some(cycle),
-                    Some(*unit),
-                    ViolationKind::WrongUnit {
-                        mnemonic: inst.opcode.mnemonic(),
-                    },
-                );
-            }
-            if slots[..i].iter().any(|(u, _)| u == unit) {
-                self.report(Some(cycle), Some(*unit), ViolationKind::DuplicateUnit);
-            }
-            if unit.is_scalar_side() {
-                if *unit != Unit::Control {
-                    scalar_exec += 1;
-                }
-            } else {
-                vector += 1;
-            }
-        }
-        if scalar_exec > MAX_SCALAR_SLOTS {
-            self.report(
-                Some(cycle),
-                None,
-                ViolationKind::ScalarOverflow { got: scalar_exec },
-            );
-        }
-        if vector > MAX_VECTOR_SLOTS {
-            self.report(
-                Some(cycle),
-                None,
-                ViolationKind::VectorOverflow { got: vector },
-            );
-        }
-    }
-
-    /// Hazard/lifetime checks, mirroring the interpreter's in-bundle
-    /// order: instructions take effect one by one in canonical unit
-    /// order, so a same-cycle def is *not* readable by its bundle-mates.
-    fn check_bundle_dynamic(&mut self, bundle: &Bundle, inst_checks: bool) {
-        let cycle = self.cycle;
-        for (unit, inst) in bundle.slots().iter() {
-            if inst_checks {
-                self.check_instruction_hazards(cycle, *unit, inst);
-            }
-            let lat = self.lat.of(inst.opcode) as u64;
-            for r in &inst.sdefs {
-                self.ready_s[r.index()] = cycle + lat;
-                self.def_s[r.index()] = true;
-            }
-            for r in &inst.vdefs {
-                self.ready_v[r.index()] = cycle + lat;
-                self.def_v[r.index()] = true;
-            }
-        }
-        self.cycle += 1;
-    }
-
-    fn check_instruction_hazards(&mut self, cycle: u64, unit: Unit, inst: &Instruction) {
-        let lat = self.lat.of(inst.opcode) as u64;
-        for r in &inst.suses {
-            let i = r.index();
-            if !self.def_s[i] {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::UndefinedRead {
-                        register: r.to_string(),
-                    },
-                );
-            } else if cycle < self.ready_s[i] {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::ReadAfterWrite {
-                        register: r.to_string(),
-                        ready_cycle: self.ready_s[i],
-                    },
-                );
-            }
-        }
-        for r in &inst.vuses {
-            let i = r.index();
-            if !self.def_v[i] {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::UndefinedRead {
-                        register: r.to_string(),
-                    },
-                );
-            } else if cycle < self.ready_v[i] {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::ReadAfterWrite {
-                        register: r.to_string(),
-                        ready_cycle: self.ready_v[i],
-                    },
-                );
-            }
-        }
-        // WAW: a new write must not retire at or before an in-flight one.
-        // (A register that is also read by this instruction was already
-        // gated by the RAW check above — VFMULAS32's accumulator pattern.)
-        for r in &inst.sdefs {
-            let i = r.index();
-            if !inst.suses.contains(r) && cycle < self.ready_s[i] && cycle + lat <= self.ready_s[i]
-            {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::WriteAfterWrite {
-                        register: r.to_string(),
-                        prior_retire_cycle: self.ready_s[i],
-                    },
-                );
-            }
-        }
-        for r in &inst.vdefs {
-            let i = r.index();
-            if !inst.vuses.contains(r) && cycle < self.ready_v[i] && cycle + lat <= self.ready_v[i]
-            {
-                self.report(
-                    Some(cycle),
-                    Some(unit),
-                    ViolationKind::WriteAfterWrite {
-                        register: r.to_string(),
-                        prior_retire_cycle: self.ready_v[i],
-                    },
-                );
-            }
-        }
+/// Record a violation unless the report is full.
+fn report(
+    violations: &mut Vec<Violation>,
+    cycle: Option<u64>,
+    unit: Option<Unit>,
+    kind: ViolationKind,
+) {
+    if violations.len() < MAX_VIOLATIONS {
+        violations.push(Violation { cycle, unit, kind });
     }
 }
 
-fn check_structure(sections: &[Section], state: &mut VerifyState<'_>) {
+fn check_structure(sections: &[Section], violations: &mut Vec<Violation>) {
     for s in sections {
         if let Section::Loop { level, trips, body } = s {
             if (level.0 as usize) >= ftimm_isa::addr::MAX_LOOP_DEPTH {
-                state.report(None, None, ViolationKind::LoopTooDeep { level: level.0 });
+                let kind = ViolationKind::LoopTooDeep { level: level.0 };
+                report(violations, None, None, kind);
             }
             if *trips == 0 {
-                state.report(None, None, ViolationKind::ZeroTripLoop);
+                report(violations, None, None, ViolationKind::ZeroTripLoop);
             }
-            check_structure(body, state);
+            check_structure(body, violations);
         }
     }
 }
 
 /// Run the full lint pass over a program.
 pub fn verify_program(program: &Program, lat: &LatencyTable) -> VerifyReport {
-    let mut state = VerifyState {
-        lat,
-        cycle: 0,
-        ready_s: [0; NUM_SREGS],
-        ready_v: [0; NUM_VREGS],
-        def_s: [false; NUM_SREGS],
-        def_v: [false; NUM_VREGS],
-        violations: Vec::new(),
-    };
-    check_structure(&program.sections, &mut state);
+    let mut violations = Vec::new();
+    check_structure(&program.sections, &mut violations);
 
     // Pass 1 — per-bundle issue rules, each *static* bundle once (a loop
     // body's rule violations don't depend on the trip).
+    let mut cycle = 0;
     for_each_static_bundle(&program.sections, &mut |b| {
-        state.check_bundle_static(b);
-        state.cycle += 1;
+        b.check_issue(|unit, e| {
+            report(&mut violations, Some(cycle), unit, ViolationKind::issue(e));
+        });
+        cycle += 1;
     });
-    let static_ok = state.violations.is_empty();
-    state.cycle = 0;
 
     // Pass 2 — hazards over the dynamic order (loop-carried effects need
     // the real trip sequence).  Skipped when the bundle structure itself
     // is broken: hazard states of malformed slots are meaningless.
+    let static_ok = violations.is_empty();
+    let mut board = Scoreboard::new(*lat);
+    let mut cycle = 0;
     program
-        .visit::<std::convert::Infallible>(&mut |_idx, bundle| {
-            state.check_bundle_dynamic(bundle, static_ok);
+        .visit::<Infallible>(&mut |_idx, bundle| {
+            board.step(cycle, bundle, |unit, inst, board| {
+                for h in board.hazards(cycle, inst).filter(|_| static_ok) {
+                    let kind = ViolationKind::hazard(h);
+                    report(&mut violations, Some(cycle), Some(unit), kind);
+                }
+                Ok::<(), Infallible>(())
+            })?;
+            cycle += 1;
             Ok(())
         })
         .unwrap_or_else(|e| match e {});
 
-    if let Err(diag) = kernelgen::verify_occupancy(program) {
-        state.report(None, Some(diag.unit), ViolationKind::Occupancy { diag });
-    }
-
     VerifyReport {
         name: program.name.clone(),
-        cycles: state.cycle,
-        violations: state.violations,
+        cycles: cycle,
+        violations,
     }
 }
 

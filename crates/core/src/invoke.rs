@@ -37,7 +37,7 @@ pub fn invoke_kernel(
     let (b, c) = ((bind.b_off, spec.k_a * ld), (bind.c_off, spec.m_s * ld));
     match m.mode {
         ExecMode::Interpret => {
-            m.run_kernel(core, kernel.program(), bind, true)?;
+            m.run_kernel(core, kernel.program(), bind)?;
         }
         ExecMode::Fast | ExecMode::Compiled => {
             let tier = HostTier::from_mode(m.mode).expect("functional host mode");

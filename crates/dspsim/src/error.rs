@@ -35,16 +35,15 @@ pub enum SimError {
         /// Region capacity in bytes.
         capacity: u64,
     },
-    /// A register was read before its producing instruction's latency
-    /// elapsed (the generated schedule has a hazard).
+    /// An instruction broke a scoreboard timing rule (the generated
+    /// schedule has a hazard).
     Hazard {
-        /// Register name (`R7` / `V12`).
-        register: String,
-        /// Cycle of the offending read.
-        read_cycle: u64,
-        /// First cycle the value is architecturally ready.
-        ready_cycle: u64,
-        /// Mnemonic of the reading instruction.
+        /// Which rule: a read before its producer retired (RAW) or a write
+        /// retiring no later than one in flight (WAW).
+        hazard: ftimm_isa::Hazard,
+        /// Cycle the offending instruction issued in.
+        cycle: u64,
+        /// Its mnemonic.
         mnemonic: &'static str,
     },
     /// A kernel's buffer bindings cannot be honoured: an instruction the
@@ -121,15 +120,10 @@ impl fmt::Display for SimError {
                 offset + len
             ),
             SimError::Hazard {
-                register,
-                read_cycle,
-                ready_cycle,
+                hazard,
+                cycle,
                 mnemonic,
-            } => write!(
-                f,
-                "hazard: {mnemonic} reads {register} in cycle {read_cycle} but it is ready in \
-                 cycle {ready_cycle}"
-            ),
+            } => write!(f, "hazard: {mnemonic} in cycle {cycle}: {hazard}"),
             SimError::BadBinding { detail } => write!(f, "bad binding: {detail}"),
             SimError::AllocFailure {
                 region,
@@ -191,13 +185,15 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let e = SimError::Hazard {
-            register: "V3".into(),
-            read_cycle: 10,
-            ready_cycle: 12,
+            hazard: ftimm_isa::Hazard::Raw {
+                reg: ftimm_isa::Reg::V(ftimm_isa::VReg::new(3).unwrap()),
+                ready: 12,
+            },
+            cycle: 10,
             mnemonic: "VFMULAS32",
         };
         let s = e.to_string();
-        assert!(s.contains("V3"));
+        assert!(s.contains("RAW on V3"), "{s}");
         assert!(s.contains("cycle 10"));
         assert!(s.contains("cycle 12"));
     }

@@ -1,11 +1,11 @@
 //! The VLIW interpreter: executes generated kernel programs bit-exactly
-//! against a core's register files and scratchpads, with an integrated
-//! hazard checker that verifies the static schedule respected every
-//! instruction latency.
+//! against a core's register files and scratchpads, checking every
+//! instruction against the [`Scoreboard`] so a schedule that breaks a
+//! latency is an error, not a wrong answer.
 
 use crate::{Core, Machine, SimError};
 use ftimm_isa::{
-    BufId, Instruction, LatencyTable, MemSpace, Opcode, Program, NUM_SREGS, NUM_VREGS, VECTOR_LANES,
+    BufId, Hazard, Instruction, LatencyTable, MemSpace, Opcode, Program, Scoreboard, VECTOR_LANES,
 };
 
 /// Runtime placement of the three kernel buffers.
@@ -43,55 +43,11 @@ pub struct ExecReport {
 struct ExecState<'a> {
     core: &'a mut Core,
     bind: KernelBindings,
-    lat: &'a LatencyTable,
-    check: bool,
-    cycle: u64,
     instructions: u64,
     fma_lanes: u64,
-    ready_s: [u64; NUM_SREGS],
-    ready_v: [u64; NUM_VREGS],
 }
 
 impl ExecState<'_> {
-    fn check_uses(&self, inst: &Instruction) -> Result<(), SimError> {
-        if !self.check {
-            return Ok(());
-        }
-        for r in &inst.suses {
-            let ready = self.ready_s[r.index()];
-            if self.cycle < ready {
-                return Err(SimError::Hazard {
-                    register: r.to_string(),
-                    read_cycle: self.cycle,
-                    ready_cycle: ready,
-                    mnemonic: inst.opcode.mnemonic(),
-                });
-            }
-        }
-        for r in &inst.vuses {
-            let ready = self.ready_v[r.index()];
-            if self.cycle < ready {
-                return Err(SimError::Hazard {
-                    register: r.to_string(),
-                    read_cycle: self.cycle,
-                    ready_cycle: ready,
-                    mnemonic: inst.opcode.mnemonic(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn mark_defs(&mut self, inst: &Instruction) {
-        let lat = self.lat.of(inst.opcode) as u64;
-        for r in &inst.sdefs {
-            self.ready_s[r.index()] = self.cycle + lat;
-        }
-        for r in &inst.vdefs {
-            self.ready_v[r.index()] = self.cycle + lat;
-        }
-    }
-
     fn addr(&self, inst: &Instruction, indices: &[u64]) -> Result<(MemSpace, u64), SimError> {
         let mem = inst.mem.ok_or_else(|| SimError::BadBinding {
             detail: format!("{} has no memory operand", inst.opcode),
@@ -100,7 +56,6 @@ impl ExecState<'_> {
     }
 
     fn execute(&mut self, inst: &Instruction, indices: &[u64]) -> Result<(), SimError> {
-        self.check_uses(inst)?;
         self.instructions += 1;
         match inst.opcode {
             Opcode::Sldh => {
@@ -184,7 +139,6 @@ impl ExecState<'_> {
                 self.core.vregs[inst.vdefs[0].index()] = self.core.vregs[inst.vuses[0].index()];
             }
         }
-        self.mark_defs(inst);
         Ok(())
     }
 
@@ -198,36 +152,40 @@ impl ExecState<'_> {
 
 /// Interpret `program` on `core` with the given buffer bindings.
 ///
-/// With `check_hazards`, every register read is verified against the
-/// producing instruction's latency; a violation means the kernel
-/// generator emitted an invalid schedule.
+/// Each instruction is checked against the scoreboard before it executes:
+/// a RAW or WAW hazard means the kernel generator emitted an invalid
+/// schedule and is a [`SimError::Hazard`].  Reads of never-written
+/// registers see the zeroed register file and are not errors here.
 pub fn run_program(
     core: &mut Core,
     program: &Program,
     bind: KernelBindings,
     lat: &LatencyTable,
-    check_hazards: bool,
 ) -> Result<ExecReport, SimError> {
     let mut st = ExecState {
         core,
         bind,
-        lat,
-        check: check_hazards,
-        cycle: 0,
         instructions: 0,
         fma_lanes: 0,
-        ready_s: [0; NUM_SREGS],
-        ready_v: [0; NUM_VREGS],
     };
+    let mut board = Scoreboard::new(*lat);
+    let mut cycle = 0;
     program.visit::<SimError>(&mut |indices, bundle| {
-        for (_unit, inst) in bundle.iter() {
-            st.execute(inst, indices)?;
-        }
-        st.cycle += 1;
+        board.step(cycle, bundle, |_, inst, board| {
+            if let Some(hazard) = board.hazards(cycle, inst).find(Hazard::is_timing) {
+                return Err(SimError::Hazard {
+                    hazard,
+                    cycle,
+                    mnemonic: inst.opcode.mnemonic(),
+                });
+            }
+            st.execute(inst, indices)
+        })?;
+        cycle += 1;
         Ok(())
     })?;
     Ok(ExecReport {
-        cycles: st.cycle,
+        cycles: cycle,
         instructions: st.instructions,
         fma_lanes: st.fma_lanes,
     })
@@ -242,14 +200,13 @@ impl Machine {
         id: usize,
         program: &Program,
         bind: KernelBindings,
-        check_hazards: bool,
     ) -> Result<ExecReport, SimError> {
         self.check_core_alive(id)?;
         let lat = self.cfg.latencies;
         let cycle_s = self.cfg.cycle_s();
         let phys = self.physical_core(id);
         let core = &mut self.cluster.cores[phys];
-        let report = run_program(core, program, bind, &lat, check_hazards)?;
+        let report = run_program(core, program, bind, &lat)?;
         core.stats.instructions += report.instructions;
         core.stats.flops += 2 * report.fma_lanes;
         core.stats.kernel_calls += 1;
@@ -263,7 +220,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::{ExecMode, HwConfig};
-    use ftimm_isa::{AddrExpr, Bundle, LoopLevel, SReg, Section, VReg};
+    use ftimm_isa::{AddrExpr, Bundle, Hazard, LoopLevel, Reg, SReg, Section, VReg};
 
     fn v(n: u16) -> VReg {
         VReg::new(n).unwrap()
@@ -320,7 +277,7 @@ mod tests {
     fn interpreter_computes_axpy() {
         let mut m = machine_with_data();
         let p = scalar_times_vector_program();
-        let rep = m.run_kernel(0, &p, BIND, true).unwrap();
+        let rep = m.run_kernel(0, &p, BIND).unwrap();
         assert_eq!(rep.fma_lanes, 32);
         assert!(rep.cycles >= 7);
         for i in 0..32u64 {
@@ -346,12 +303,53 @@ mod tests {
         bundles.push(b1);
         let mut p = Program::new("hazard");
         p.sections.push(Section::Straight(bundles));
-        let mut m = machine_with_data();
-        let err = m.run_kernel(0, &p, BIND, true).unwrap_err();
-        assert!(matches!(err, SimError::Hazard { .. }), "got {err}");
-        // Without checking, it executes (reading the too-new value).
-        let mut m2 = machine_with_data();
-        m2.run_kernel(0, &p, BIND, false).unwrap();
+        let err = machine_with_data().run_kernel(0, &p, BIND).unwrap_err();
+        let raw = Hazard::Raw {
+            reg: Reg::V(v(0)),
+            ready: 2,
+        };
+        assert_eq!(
+            err,
+            SimError::Hazard {
+                hazard: raw,
+                cycle: 1,
+                mnemonic: "VFMULAS32"
+            }
+        );
+    }
+
+    #[test]
+    fn hazard_checker_catches_out_of_order_retirement() {
+        // VLDW V0 (latency 5) then VCLR V0 (latency 1) a cycle later: the
+        // clear would land before the load.
+        let mut b0 = Bundle::new();
+        b0.push_auto(Instruction::vldw(
+            v(0),
+            AddrExpr::flat(MemSpace::Am, BufId::B, 0),
+        ))
+        .unwrap();
+        let mut b1 = Bundle::new();
+        b1.push_auto(Instruction::vclr(v(0))).unwrap();
+        let mut p = Program::new("waw");
+        p.sections.push(Section::Straight(vec![b0, b1]));
+        let err = machine_with_data().run_kernel(0, &p, BIND).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Hazard {
+                    hazard: Hazard::Waw { .. },
+                    cycle: 1,
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        // Reading a never-written register is not an interpreter error.
+        let mut b = Bundle::new();
+        b.push_auto(Instruction::vmov(v(1), v(9))).unwrap();
+        let mut p = Program::new("undefined");
+        p.sections.push(Section::Straight(vec![b]));
+        machine_with_data().run_kernel(0, &p, BIND).unwrap();
     }
 
     #[test]
@@ -391,7 +389,7 @@ mod tests {
                 m.core_mut(0).am.write_f32(i * 128 + lane * 4, 1.0).unwrap();
             }
         }
-        let rep = m.run_kernel(0, &p, BIND, true).unwrap();
+        let rep = m.run_kernel(0, &p, BIND).unwrap();
         assert_eq!(rep.fma_lanes, 4 * 32);
         for i in 0..4u64 {
             let got = m.core_mut(0).am.read_f32(4096 + i * 128).unwrap();
@@ -410,7 +408,7 @@ mod tests {
         .unwrap();
         p.sections.push(Section::Straight(vec![bu]));
         let mut m = machine_with_data();
-        let err = m.run_kernel(0, &p, BIND, true).unwrap_err();
+        let err = m.run_kernel(0, &p, BIND).unwrap_err();
         assert!(matches!(err, SimError::OutOfBounds { .. }));
     }
 
@@ -436,7 +434,7 @@ mod tests {
         push1(Instruction::svbcast2(v(0), r(1), v(1), r(2)), lat.t_bcast);
         let mut p = Program::new("packed");
         p.sections.push(Section::Straight(bundles));
-        m.run_kernel(0, &p, BIND, true).unwrap();
+        m.run_kernel(0, &p, BIND).unwrap();
         assert_eq!(m.core(0).vregs[0][0], 1.25);
         assert_eq!(m.core(0).vregs[0][31], 1.25);
         assert_eq!(m.core(0).vregs[1][0], -8.0);
@@ -452,7 +450,7 @@ mod tests {
         let mut bu = Bundle::new();
         bu.push_auto(Instruction::vstdw(v(4), c).unwrap()).unwrap();
         p.sections.push(Section::Straight(vec![bu]));
-        m.run_kernel(0, &p, BIND, false).unwrap();
+        m.run_kernel(0, &p, BIND).unwrap();
         assert_eq!(m.core_mut(0).am.read_f32(4096).unwrap(), 1.0);
         assert_eq!(m.core_mut(0).am.read_f32(4096 + 128).unwrap(), 2.0);
     }

@@ -30,7 +30,6 @@ pub mod minijson;
 pub mod planfile;
 pub mod profiler;
 pub mod stats;
-pub mod trace;
 
 pub use crate::core::Core;
 pub use config::HwConfig;
@@ -48,4 +47,3 @@ pub use profiler::{
     DEFAULT_PROFILE_CAPACITY, PHASE_COUNT, PROFILE_CORES,
 };
 pub use stats::{BackendKind, CoreStats, FaultStats, RunReport};
-pub use trace::{run_traced, ExecTrace};

@@ -1,16 +1,70 @@
 //! VLIW bundles: the set of instructions issued in one cycle.
 
 use crate::{Instruction, IsaError, Unit, MAX_SCALAR_SLOTS, MAX_VECTOR_SLOTS};
+use std::convert::Infallible;
 use std::fmt;
+
+/// What a bundle's slots so far occupy: a mask of taken units and the
+/// two side widths.
+#[derive(Debug, Clone, Copy, Default)]
+struct Usage {
+    taken: u16,
+    scalar: usize,
+    vector: usize,
+}
+
+impl Usage {
+    fn add(mut self, unit: Unit) -> Self {
+        self.taken |= 1 << unit.index();
+        if !unit.is_scalar_side() {
+            self.vector += 1;
+        } else if unit != Unit::Control {
+            self.scalar += 1;
+        }
+        self
+    }
+
+    /// The per-slot rules, in order: operand shape, unit class, unit
+    /// free.  `broken` hears each one `inst` on `unit` breaks after these
+    /// slots; an `Err` from it ends the check.
+    fn check_slot<E>(
+        self,
+        unit: Unit,
+        inst: &Instruction,
+        broken: &mut impl FnMut(IsaError) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if let Err(e) = inst.validate() {
+            broken(e)?;
+        }
+        let opcode = inst.opcode;
+        if !opcode.unit_class().members().contains(&unit) {
+            broken(IsaError::WrongUnit { opcode, unit })?;
+        }
+        if self.taken & (1 << unit.index()) != 0 {
+            broken(IsaError::UnitConflict { unit })?;
+        }
+        Ok(())
+    }
+
+    /// The side widths, scalar then vector: `broken` hears each one these
+    /// slots exceed.
+    fn check_widths<E>(self, broken: &mut impl FnMut(IsaError) -> Result<(), E>) -> Result<(), E> {
+        for (scalar, got, limit) in [
+            (true, self.scalar, MAX_SCALAR_SLOTS),
+            (false, self.vector, MAX_VECTOR_SLOTS),
+        ] {
+            if got > limit {
+                broken(IsaError::SlotOverflow { scalar, got, limit })?;
+            }
+        }
+        Ok(())
+    }
+}
 
 /// All instructions issued in a single cycle, each bound to a concrete
 /// functional unit.
 ///
-/// Invariants (enforced by [`Bundle::push`]):
-/// * at most one instruction per unit,
-/// * the unit belongs to the opcode's unit class,
-/// * at most [`MAX_SCALAR_SLOTS`] scalar-side and [`MAX_VECTOR_SLOTS`]
-///   vector-side instructions.
+/// [`Bundle::push`] keeps every issue rule of [`Bundle::check_issue`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bundle {
     slots: Vec<(Unit, Instruction)>,
@@ -22,45 +76,40 @@ impl Bundle {
         Bundle::default()
     }
 
-    /// Add an instruction on a concrete unit.
+    /// Add an instruction on a concrete unit, unless that breaks an issue
+    /// rule of [`Bundle::check_issue`] (the first one is the error).
     pub fn push(&mut self, unit: Unit, inst: Instruction) -> Result<(), IsaError> {
-        inst.validate()?;
-        if !inst.opcode.unit_class().members().contains(&unit) {
-            return Err(IsaError::OperandMismatch {
-                opcode: inst.opcode,
-                detail: format!("cannot issue on unit {unit}"),
-            });
-        }
-        if self.slots.iter().any(|(u, _)| *u == unit) {
-            return Err(IsaError::UnitConflict { unit });
-        }
-        let scalar_count = self.count_side(true) + usize::from(unit.is_scalar_side());
-        let vector_count = self.count_side(false) + usize::from(!unit.is_scalar_side());
-        // The control unit shares the scalar dispatch; the paper's split is
-        // "5 scalar + 6 vector" with SBR shown on its own row, so we allow
-        // 5 scalar execution slots plus SBR.
-        let scalar_exec = scalar_count
-            - usize::from(self.has(Unit::Control))
-            - usize::from(unit == Unit::Control);
-        if scalar_exec > MAX_SCALAR_SLOTS {
-            return Err(IsaError::SlotOverflow {
-                scalar: true,
-                got: scalar_exec,
-                limit: MAX_SCALAR_SLOTS,
-            });
-        }
-        if vector_count > MAX_VECTOR_SLOTS {
-            return Err(IsaError::SlotOverflow {
-                scalar: false,
-                got: vector_count,
-                limit: MAX_VECTOR_SLOTS,
-            });
-        }
+        let usage = self.slots.iter().fold(Usage::default(), |u, s| u.add(s.0));
+        usage.check_slot(unit, &inst, &mut Err)?;
+        usage.add(unit).check_widths(&mut Err)?;
         // Keep slots in canonical unit order so bundle equality does not
         // depend on insertion order (the assembler round-trip relies on it).
         let pos = self.slots.partition_point(|(u, _)| *u < unit);
         self.slots.insert(pos, (unit, inst));
         Ok(())
+    }
+
+    /// The issue rules, stated once.  Per slot in [`Bundle::slots`] order:
+    /// the operand shape ([`Instruction::validate`]), the unit belonging to
+    /// the opcode's class, and no earlier slot on the same unit.  Then the
+    /// side widths: at most [`MAX_SCALAR_SLOTS`] scalar-side execution
+    /// slots (`SBR` rides the control unit outside that budget, as in the
+    /// paper's "5 scalar + 6 vector" split) and at most
+    /// [`MAX_VECTOR_SLOTS`] vector-side slots.  `broken` hears every broken
+    /// rule with its slot's unit (`None` for a width).
+    pub fn check_issue(&self, mut broken: impl FnMut(Option<Unit>, IsaError)) {
+        let mut usage = Usage::default();
+        for &(unit, ref inst) in &self.slots {
+            let Ok(()) = usage.check_slot::<Infallible>(unit, inst, &mut |e| {
+                broken(Some(unit), e);
+                Ok(())
+            });
+            usage = usage.add(unit);
+        }
+        let Ok(()) = usage.check_widths::<Infallible>(&mut |e| {
+            broken(None, e);
+            Ok(())
+        });
     }
 
     /// Add an instruction on a concrete unit **without** checking any
@@ -76,11 +125,9 @@ impl Bundle {
         self.slots.insert(pos, (unit, inst));
     }
 
-    /// The raw `(unit, instruction)` slots in canonical unit order,
-    /// including any duplicate units smuggled in via
-    /// [`Bundle::push_unchecked`].  [`Bundle::iter`] silently drops
-    /// duplicates (it looks units up one by one), so verification passes
-    /// must walk this instead.
+    /// The `(unit, instruction)` slots in canonical unit order (the order
+    /// they take effect in), including any duplicate units smuggled in via
+    /// [`Bundle::push_unchecked`].
     pub fn slots(&self) -> &[(Unit, Instruction)] {
         &self.slots
     }
@@ -89,7 +136,7 @@ impl Bundle {
     pub fn push_auto(&mut self, inst: Instruction) -> Result<Unit, IsaError> {
         let class = inst.opcode.unit_class();
         for &unit in class.members() {
-            if !self.has(unit) {
+            if self.on_unit(unit).is_none() {
                 self.push(unit, inst)?;
                 return Ok(unit);
             }
@@ -99,28 +146,9 @@ impl Bundle {
         })
     }
 
-    fn count_side(&self, scalar: bool) -> usize {
-        self.slots
-            .iter()
-            .filter(|(u, _)| u.is_scalar_side() == scalar)
-            .count()
-    }
-
-    /// Whether the unit already has an instruction this cycle.
-    pub fn has(&self, unit: Unit) -> bool {
-        self.slots.iter().any(|(u, _)| *u == unit)
-    }
-
     /// The instruction on a unit, if any.
     pub fn on_unit(&self, unit: Unit) -> Option<&Instruction> {
         self.slots.iter().find(|(u, _)| *u == unit).map(|(_, i)| i)
-    }
-
-    /// Iterate `(unit, instruction)` pairs in canonical unit order.
-    pub fn iter(&self) -> impl Iterator<Item = (Unit, &Instruction)> {
-        Unit::ALL
-            .into_iter()
-            .filter_map(move |u| self.on_unit(u).map(|i| (u, i)))
     }
 
     /// Number of instructions in the bundle.
@@ -145,7 +173,7 @@ impl fmt::Display for Bundle {
             return f.write_str("  { NOP }");
         }
         f.write_str("  {")?;
-        for (n, (unit, inst)) in self.iter().enumerate() {
+        for (n, (unit, inst)) in self.slots.iter().enumerate() {
             if n > 0 {
                 f.write_str(" ||")?;
             }
@@ -190,7 +218,8 @@ mod tests {
         let err = b
             .push(Unit::ScalarLs1, Instruction::vfmulas32(v(0), v(1), v(2)))
             .unwrap_err();
-        assert!(matches!(err, IsaError::OperandMismatch { .. }));
+        assert!(matches!(err, IsaError::WrongUnit { .. }), "{err}");
+        assert!(b.is_empty(), "a refused push leaves the bundle as it was");
     }
 
     #[test]

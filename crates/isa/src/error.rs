@@ -10,6 +10,13 @@ pub enum IsaError {
         /// The contested unit.
         unit: crate::Unit,
     },
+    /// An instruction placed on a unit outside its opcode's unit class.
+    WrongUnit {
+        /// The opcode in question.
+        opcode: crate::Opcode,
+        /// The unit it was placed on.
+        unit: crate::Unit,
+    },
     /// A bundle exceeds the scalar- or vector-side issue width.
     SlotOverflow {
         /// `true` if the scalar side overflowed, `false` for the vector side.
@@ -49,6 +56,9 @@ impl fmt::Display for IsaError {
         match self {
             IsaError::UnitConflict { unit } => {
                 write!(f, "two instructions in one bundle target unit {unit}")
+            }
+            IsaError::WrongUnit { opcode, unit } => {
+                write!(f, "{opcode} cannot issue on unit {unit}")
             }
             IsaError::SlotOverflow { scalar, got, limit } => write!(
                 f,

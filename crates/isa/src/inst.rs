@@ -1,6 +1,6 @@
 //! Instructions: an opcode plus typed operands.
 
-use crate::{AddrExpr, IsaError, Opcode, SReg, VReg};
+use crate::{AddrExpr, IsaError, Opcode, Reg, SReg, VReg};
 use std::fmt;
 
 /// A displayable operand (used by the assembler round-trip).
@@ -219,6 +219,20 @@ impl Instruction {
         i.vdefs.push(vd);
         i.vuses.push(vs);
         i
+    }
+
+    /// Registers read, scalar then vector.
+    #[inline]
+    pub fn reads(&self) -> impl Iterator<Item = Reg> + '_ {
+        let s = self.suses.iter().map(|&r| Reg::S(r));
+        s.chain(self.vuses.iter().map(|&r| Reg::V(r)))
+    }
+
+    /// Registers written, scalar then vector.
+    #[inline]
+    pub fn writes(&self) -> impl Iterator<Item = Reg> + '_ {
+        let s = self.sdefs.iter().map(|&r| Reg::S(r));
+        s.chain(self.vdefs.iter().map(|&r| Reg::V(r)))
     }
 
     /// Check that the operand lists have the shape the opcode requires.

@@ -40,6 +40,7 @@ pub mod opcode;
 pub mod pipeline;
 pub mod program;
 pub mod reg;
+pub mod scoreboard;
 pub mod unit;
 
 pub use addr::{AddrExpr, BufId, MemSpace};
@@ -48,9 +49,10 @@ pub use error::IsaError;
 pub use inst::{Instruction, Operand, RegList, MAX_REG_OPERANDS};
 pub use latency::LatencyTable;
 pub use opcode::Opcode;
-pub use pipeline::PipelineTable;
+pub use pipeline::{Occupancy, PipelineTable};
 pub use program::{LoopLevel, Program, Section};
-pub use reg::{SReg, VReg};
+pub use reg::{Reg, SReg, VReg};
+pub use scoreboard::{Hazard, Scoreboard};
 pub use unit::{Unit, UnitClass};
 
 /// Number of f32 lanes in one architectural vector register

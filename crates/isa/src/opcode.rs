@@ -156,7 +156,7 @@ mod tests {
         assert_eq!(Opcode::Svbcast2.unit_class(), UnitClass::ScalarFmac2);
         // Only one such unit exists: at most 2 f32 broadcast per cycle
         // (via SVBCAST2), matching §IV-A1 of the paper.
-        assert_eq!(UnitClass::ScalarFmac2.throughput_per_cycle(), 1);
+        assert_eq!(UnitClass::ScalarFmac2.members().len(), 1);
     }
 
     #[test]

@@ -6,6 +6,60 @@
 use crate::{Bundle, Program, Section, Unit};
 use std::fmt;
 
+/// Per-unit issue counts over a span of cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Instructions issued on each unit, by [`Unit::index`].
+    pub issued: [u64; Unit::ALL.len()],
+    /// Cycles spanned.
+    pub cycles: u64,
+}
+
+impl Occupancy {
+    /// Counts over a bundle sequence, one cycle per bundle.
+    pub fn of_bundles(bundles: &[Bundle]) -> Self {
+        let mut o = Occupancy {
+            cycles: bundles.len() as u64,
+            ..Occupancy::default()
+        };
+        for (unit, _) in bundles.iter().flat_map(Bundle::slots) {
+            o.issued[unit.index()] += 1;
+        }
+        o
+    }
+
+    /// Dynamic counts over a program, loops expanded.
+    pub fn of_program(program: &Program) -> Self {
+        fn add(o: &mut Occupancy, sections: &[Section], times: u64) {
+            for s in sections {
+                match s {
+                    Section::Straight(bundles) => {
+                        let part = Occupancy::of_bundles(bundles);
+                        o.cycles += times * part.cycles;
+                        for (n, p) in o.issued.iter_mut().zip(part.issued) {
+                            *n += times * p;
+                        }
+                    }
+                    Section::Loop { trips, body, .. } => add(o, body, times * trips),
+                }
+            }
+        }
+        let mut o = Occupancy::default();
+        add(&mut o, &program.sections, 1);
+        o
+    }
+
+    /// Fraction of the cycles `unit` issues in (0 over no cycles).
+    pub fn of(&self, unit: Unit) -> f64 {
+        self.issued[unit.index()] as f64 / self.cycles.max(1) as f64
+    }
+
+    /// Mean occupancy of the three vector FMAC units.
+    pub fn fmac(&self) -> f64 {
+        (self.of(Unit::VectorFmac1) + self.of(Unit::VectorFmac2) + self.of(Unit::VectorFmac3)) / 3.0
+    }
+}
+
 /// A rendered unit × cycle occupancy table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineTable {
@@ -13,8 +67,9 @@ pub struct PipelineTable {
     pub title: String,
     /// One row per unit that issues at least one instruction.
     pub rows: Vec<PipelineRow>,
-    /// Number of cycles (columns).
-    pub cycles: usize,
+    /// Issue counts of the depicted bundles, and their number of cycles
+    /// (columns).
+    pub occupancy: Occupancy,
 }
 
 /// One row of a pipeline table.
@@ -29,21 +84,22 @@ pub struct PipelineRow {
 impl PipelineTable {
     /// Build a table from an explicit bundle sequence.
     pub fn from_bundles(title: impl Into<String>, bundles: &[Bundle]) -> Self {
-        let cycles = bundles.len();
-        let mut rows = Vec::new();
-        for unit in Unit::ALL {
-            let cells: Vec<Option<&'static str>> = bundles
-                .iter()
-                .map(|b| b.on_unit(unit).map(|i| i.opcode.mnemonic()))
-                .collect();
-            if cells.iter().any(Option::is_some) {
-                rows.push(PipelineRow { unit, cells });
-            }
-        }
+        let occupancy = Occupancy::of_bundles(bundles);
+        let rows = Unit::ALL
+            .into_iter()
+            .filter(|u| occupancy.issued[u.index()] > 0)
+            .map(|unit| PipelineRow {
+                unit,
+                cells: bundles
+                    .iter()
+                    .map(|b| b.on_unit(unit).map(|i| i.opcode.mnemonic()))
+                    .collect(),
+            })
+            .collect();
         PipelineTable {
             title: title.into(),
             rows,
-            cycles,
+            occupancy,
         }
     }
 
@@ -57,19 +113,12 @@ impl PipelineTable {
     /// Occupancy (filled cells / total cells) of a specific unit row, or
     /// `None` if the unit never issues.
     pub fn occupancy(&self, unit: Unit) -> Option<f64> {
-        let row = self.rows.iter().find(|r| r.unit == unit)?;
-        let filled = row.cells.iter().filter(|c| c.is_some()).count();
-        Some(filled as f64 / self.cycles.max(1) as f64)
+        (self.occupancy.issued[unit.index()] > 0).then(|| self.occupancy.of(unit))
     }
 
     /// Mean occupancy of the three vector FMAC units (0 if none issue).
     pub fn fmac_occupancy(&self) -> f64 {
-        let units = [Unit::VectorFmac1, Unit::VectorFmac2, Unit::VectorFmac3];
-        units
-            .iter()
-            .map(|&u| self.occupancy(u).unwrap_or(0.0))
-            .sum::<f64>()
-            / units.len() as f64
+        self.occupancy.fmac()
     }
 }
 
@@ -122,12 +171,12 @@ impl fmt::Display for PipelineTable {
             .unwrap_or(3)
             .max(3);
         write!(f, "| {:label_w$} |", "Cycle")?;
-        for c in 1..=self.cycles {
+        for c in 1..=self.occupancy.cycles {
             write!(f, " {c:^cell_w$} |")?;
         }
         writeln!(f)?;
         write!(f, "|{:-<w$}|", "", w = label_w + 2)?;
-        for _ in 0..self.cycles {
+        for _ in 0..self.occupancy.cycles {
             write!(f, "{:-<w$}|", "", w = cell_w + 2)?;
         }
         writeln!(f)?;
@@ -198,6 +247,19 @@ mod tests {
     }
 
     #[test]
+    fn program_occupancy_expands_loops() {
+        let mut p = looped(vec![body_bundle(true), Bundle::new()]);
+        p.sections.push(Section::Straight(vec![body_bundle(false)]));
+        let o = Occupancy::of_program(&p);
+        assert_eq!(o.cycles, p.cycles());
+        assert_eq!(o.issued.iter().sum::<u64>(), p.instructions());
+        assert_eq!(o.issued[Unit::VectorFmac1.index()], 9);
+        assert_eq!(o.issued[Unit::VectorFmac2.index()], 8);
+        assert!((o.of(Unit::ScalarLs1) - 8.0 / 17.0).abs() < 1e-12);
+        assert_eq!(Occupancy::default().of(Unit::Control), 0.0);
+    }
+
+    #[test]
     fn innermost_loop_is_extracted() {
         let inner = Section::Loop {
             level: LoopLevel(1),
@@ -212,7 +274,7 @@ mod tests {
             body: vec![Section::Straight(vec![Bundle::new()]), inner],
         });
         let t = PipelineTable::from_innermost_loop("x", &p).unwrap();
-        assert_eq!(t.cycles, 1);
+        assert_eq!(t.occupancy.cycles, 1);
         assert_eq!(t.occupancy(Unit::VectorFmac2), Some(1.0));
     }
 

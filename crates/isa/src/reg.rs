@@ -67,6 +67,36 @@ impl fmt::Display for VReg {
     }
 }
 
+/// A register of either file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Reg {
+    /// A scalar register.
+    S(SReg),
+    /// A vector register.
+    V(VReg),
+}
+
+impl Reg {
+    /// Dense index over both files: scalar registers `0..NUM_SREGS`, then
+    /// vector registers.
+    #[inline]
+    pub fn id(self) -> usize {
+        match self {
+            Reg::S(r) => r.index(),
+            Reg::V(r) => NUM_SREGS + r.index(),
+        }
+    }
+}
+
+impl fmt::Display for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Reg::S(r) => r.fmt(f),
+            Reg::V(r) => r.fmt(f),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

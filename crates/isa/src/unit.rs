@@ -53,6 +53,11 @@ impl Unit {
         Unit::VectorMisc,
     ];
 
+    /// Position in [`Unit::ALL`] (the tables' row order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether this unit counts against the scalar-side issue width.
     ///
     /// The control unit issues from the scalar instruction stream on the
@@ -133,11 +138,6 @@ impl UnitClass {
             UnitClass::VectorMisc => &[Unit::VectorMisc],
         }
     }
-
-    /// Number of instructions of this class that can issue per cycle.
-    pub fn throughput_per_cycle(self) -> usize {
-        self.members().len()
-    }
 }
 
 #[cfg(test)]
@@ -147,6 +147,7 @@ mod tests {
     #[test]
     fn all_units_unique_and_complete() {
         for (i, a) in Unit::ALL.iter().enumerate() {
+            assert_eq!(a.index(), i, "{a:?}");
             for b in &Unit::ALL[i + 1..] {
                 assert_ne!(a, b);
             }
@@ -174,9 +175,8 @@ mod tests {
             UnitClass::VectorFmac,
             UnitClass::VectorMisc,
         ] {
-            assert_eq!(class.members().len(), class.throughput_per_cycle());
             assert!(!class.members().is_empty());
         }
-        assert_eq!(UnitClass::VectorFmac.throughput_per_cycle(), 3);
+        assert_eq!(UnitClass::VectorFmac.members().len(), 3);
     }
 }

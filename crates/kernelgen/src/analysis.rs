@@ -4,7 +4,7 @@
 //! generator's output (tests below assert analytic invariants).
 
 use crate::MicroKernel;
-use ftimm_isa::{Program, Section, Unit};
+use ftimm_isa::{Occupancy, Section, Unit, NUM_SREGS};
 use std::fmt;
 
 /// Cycle and instruction breakdown of one kernel.
@@ -20,8 +20,8 @@ pub struct KernelReport {
     pub overhead_cycles: u64,
     /// Dynamic instruction count.
     pub instructions: u64,
-    /// Per-unit dynamic occupancy: issued instructions / total cycles.
-    pub unit_occupancy: Vec<(Unit, f64)>,
+    /// Dynamic per-unit issue counts over the whole program.
+    pub units: Occupancy,
     /// Distinct vector registers referenced.
     pub vregs_used: usize,
     /// Distinct scalar registers referenced.
@@ -34,63 +34,33 @@ impl KernelReport {
         let program = kernel.program();
         let total_cycles = program.cycles();
         let steady_cycles = pipelined_cycles(&program.sections, false);
-        let mut unit_counts = [0u64; 12];
-        let mut vregs = [false; ftimm_isa::NUM_VREGS];
-        let mut sregs = [false; ftimm_isa::NUM_SREGS];
-        let mut instructions = 0u64;
+        // Bit `Reg::id` for every register the program names.
+        let mut named = 0u128;
         program
             .visit::<std::convert::Infallible>(&mut |_idx, bundle| {
-                for (unit, inst) in bundle.iter() {
-                    let ui = Unit::ALL.iter().position(|&u| u == unit).expect("unit");
-                    unit_counts[ui] += 1;
-                    instructions += 1;
-                    for r in inst.vdefs.iter().chain(&inst.vuses) {
-                        vregs[r.index()] = true;
-                    }
-                    for r in inst.sdefs.iter().chain(&inst.suses) {
-                        sregs[r.index()] = true;
+                for (_, inst) in bundle.slots() {
+                    for r in inst.reads().chain(inst.writes()) {
+                        named |= 1 << r.id();
                     }
                 }
                 Ok(())
             })
             .unwrap_or_else(|e| match e {});
-        let unit_occupancy = Unit::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| unit_counts[*i] > 0)
-            .map(|(i, &u)| (u, unit_counts[i] as f64 / total_cycles.max(1) as f64))
-            .collect();
         KernelReport {
             name: program.name.clone(),
             total_cycles,
             steady_cycles,
             overhead_cycles: total_cycles - steady_cycles,
-            instructions,
-            unit_occupancy,
-            vregs_used: vregs.iter().filter(|&&b| b).count(),
-            sregs_used: sregs.iter().filter(|&&b| b).count(),
+            instructions: program.instructions(),
+            units: Occupancy::of_program(program),
+            vregs_used: (named >> NUM_SREGS).count_ones() as usize,
+            sregs_used: (named & ((1 << NUM_SREGS) - 1)).count_ones() as usize,
         }
     }
 
     /// Fraction of cycles spent in steady state (amortisation quality).
     pub fn steady_fraction(&self) -> f64 {
         self.steady_cycles as f64 / self.total_cycles.max(1) as f64
-    }
-
-    /// Occupancy of one unit (0 if it never issues).
-    pub fn occupancy(&self, unit: Unit) -> f64 {
-        self.unit_occupancy
-            .iter()
-            .find(|(u, _)| *u == unit)
-            .map_or(0.0, |(_, o)| *o)
-    }
-
-    /// Mean occupancy of the three vector FMAC units.
-    pub fn fmac_occupancy(&self) -> f64 {
-        (self.occupancy(Unit::VectorFmac1)
-            + self.occupancy(Unit::VectorFmac2)
-            + self.occupancy(Unit::VectorFmac3))
-            / 3.0
     }
 }
 
@@ -130,61 +100,19 @@ impl fmt::Display for KernelReport {
             "  instructions: {}  registers: {} vector, {} scalar",
             self.instructions, self.vregs_used, self.sregs_used
         )?;
-        for (u, o) in &self.unit_occupancy {
-            writeln!(f, "  {:<20} {:>5.1}%", u.row_label(), 100.0 * o)?;
+        for u in Unit::ALL
+            .into_iter()
+            .filter(|u| self.units.issued[u.index()] > 0)
+        {
+            writeln!(
+                f,
+                "  {:<20} {:>5.1}%",
+                u.row_label(),
+                100.0 * self.units.of(u)
+            )?;
         }
         Ok(())
     }
-}
-
-/// An occupancy violation: a unit that would have to issue more
-/// instructions than the program has cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OccupancyViolation {
-    /// The over-subscribed unit.
-    pub unit: Unit,
-    /// Dynamic instructions issued on that unit.
-    pub issued: u64,
-    /// Total program cycles (the issue capacity of any single unit).
-    pub cycles: u64,
-}
-
-impl fmt::Display for OccupancyViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} issues {} instructions in {} cycles (> 100% occupancy)",
-            self.unit, self.issued, self.cycles
-        )
-    }
-}
-
-/// Occupancy check used by tests, debugging and the conformance crate's
-/// static verifier: no unit of a valid program can exceed 100 %.
-///
-/// Returns the first over-subscribed unit (in [`Unit::ALL`] order) with
-/// its issue count, or `Ok(())` when every unit fits.
-pub fn verify_occupancy(program: &Program) -> Result<(), OccupancyViolation> {
-    let report_cycles = program.cycles().max(1);
-    let mut counts = [0u64; 12];
-    program
-        .visit::<std::convert::Infallible>(&mut |_i, b| {
-            for (u, _) in b.iter() {
-                counts[Unit::ALL.iter().position(|&x| x == u).expect("unit")] += 1;
-            }
-            Ok(())
-        })
-        .unwrap_or_else(|e| match e {});
-    for (i, &unit) in Unit::ALL.iter().enumerate() {
-        if counts[i] > report_cycles {
-            return Err(OccupancyViolation {
-                unit,
-                issued: counts[i],
-                cycles: report_cycles,
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -220,8 +148,8 @@ mod tests {
     fn fmac_occupancy_tracks_efficiency_regime() {
         let full = KernelReport::analyse(&kernel(6, 512, 96));
         let walled = KernelReport::analyse(&kernel(6, 512, 32));
-        assert!(full.fmac_occupancy() > 0.9, "{}", full.fmac_occupancy());
-        assert!(walled.fmac_occupancy() < 0.7, "{}", walled.fmac_occupancy());
+        assert!(full.units.fmac() > 0.9, "{}", full.units.fmac());
+        assert!(walled.units.fmac() < 0.7, "{}", walled.units.fmac());
     }
 
     #[test]
@@ -234,11 +162,11 @@ mod tests {
     #[test]
     fn occupancy_never_exceeds_one() {
         for (m, k, n) in [(6, 512, 96), (7, 33, 48), (1, 5, 1)] {
-            let kn = kernel(m, k, n);
-            verify_occupancy(kn.program()).unwrap_or_else(|v| panic!("{v}"));
-            let r = KernelReport::analyse(&kn);
-            for (u, o) in &r.unit_occupancy {
-                assert!(*o <= 1.0 + 1e-12, "{u}: {o}");
+            let r = KernelReport::analyse(&kernel(m, k, n));
+            assert_eq!(r.units.cycles, r.total_cycles);
+            assert_eq!(r.units.issued.iter().sum::<u64>(), r.instructions);
+            for u in Unit::ALL {
+                assert!(r.units.of(u) <= 1.0, "{u}: {}", r.units.of(u));
             }
         }
     }

@@ -10,8 +10,7 @@ use crate::{
 };
 use dspsim::HwConfig;
 use ftimm_isa::{
-    AddrExpr, BufId, Bundle, Instruction, LoopLevel, MemSpace, Program, Section, NUM_SREGS,
-    NUM_VREGS,
+    AddrExpr, BufId, Bundle, Instruction, LoopLevel, MemSpace, Program, Scoreboard, Section,
 };
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -458,18 +457,17 @@ impl Emitter {
     }
 }
 
-/// Residual latencies of all registers at the end of the `kk` phase
-/// (cycle 0 of the following section = end of the drain half).
+/// The `kk` phase's writes still in flight at its end (cycle 0 of the
+/// following section = end of the drain half).
 fn kk_residuals(
     sched: &SteadySchedule,
     emitter: &Emitter,
     k_iters: usize,
     cfg: &HwConfig,
-) -> ([u64; NUM_SREGS], [u64; NUM_VREGS]) {
+) -> Scoreboard {
     let ii = sched.tiling.ii as u64;
     let total = (k_iters as u64 + 1) * ii;
-    let mut res_s = [0u64; NUM_SREGS];
-    let mut res_v = [0u64; NUM_VREGS];
+    let mut pending = Scoreboard::new(cfg.latencies);
     for op in &sched.ops {
         if matches!(op.op, IterOp::Branch) {
             continue;
@@ -495,16 +493,13 @@ fn kk_residuals(
                 let issue = j as u64 * ii + op.s as u64;
                 let lat = cfg.latencies.of(inst.opcode) as u64;
                 let residual = (issue + lat).saturating_sub(total);
-                for rdef in &inst.sdefs {
-                    res_s[rdef.index()] = res_s[rdef.index()].max(residual);
-                }
-                for rdef in &inst.vdefs {
-                    res_v[rdef.index()] = res_v[rdef.index()].max(residual);
+                for rdef in inst.writes() {
+                    pending.hold(rdef, residual);
                 }
             }
         }
     }
-    (res_s, res_v)
+    pending
 }
 
 /// Build `spec` under main-group tiling `t` now, with fresh memos: the
@@ -624,8 +619,7 @@ fn build_group(
     )?));
 
     // --- Tail, reduction and C store. ---
-    let (res_s, res_v) = kk_residuals(&sched, &emitter, k_iters, cfg);
-    let mut epi = LineScheduler::new(cfg, &res_s, &res_v);
+    let mut epi = LineScheduler::new(kk_residuals(&sched, &emitter, k_iters, cfg));
     for rr in 0..k_tail {
         let k_row = k_iters * t.k_u + rr;
         for nn in 0..t.v_n {

@@ -40,7 +40,7 @@ pub mod regmap;
 pub mod spec;
 pub mod tiling;
 
-pub use analysis::{verify_occupancy, KernelReport, OccupancyViolation};
+pub use analysis::KernelReport;
 pub use build::{build, BlockPlan, MicroKernel};
 pub use cache::{BoundedLru, CacheStats, KernelCache, DEFAULT_KERNEL_CACHE_CAPACITY};
 pub use compiled::CompiledKernel;

@@ -2,85 +2,57 @@
 //! load prologue, the depth-remainder tail and the reduction/store
 //! epilogue of each `mm` block).
 //!
-//! Instructions are placed at the earliest cycle at which (a) all their
-//! register operands are ready and (b) a unit of their class is free.
-//! Later instructions never issue before earlier ones (in-order), which
-//! keeps the semantics identical to program order while packing bundles.
+//! Instructions are placed at the earliest cycle at which (a) the
+//! [`Scoreboard`] sees no RAW or WAW hazard, (b) every earlier read and
+//! write of a register it overwrites has issued, and (c) a unit of its
+//! class is free.  Later instructions never issue before earlier ones
+//! (in-order), which keeps the semantics identical to program order while
+//! packing bundles.
 
 use crate::GenError;
 use dspsim::HwConfig;
-use ftimm_isa::{Bundle, Instruction, LatencyTable, NUM_SREGS, NUM_VREGS};
+use ftimm_isa::{Bundle, Instruction, Scoreboard, NUM_SREGS, NUM_VREGS};
 
 /// Straight-line scheduler.
-pub struct LineScheduler<'a> {
-    lat: &'a LatencyTable,
+pub struct LineScheduler {
     bundles: Vec<Bundle>,
-    ready_s: [u64; NUM_SREGS],
-    ready_v: [u64; NUM_VREGS],
-    /// One past the issue cycle of the latest read of each register (0 =
-    /// never read).  WAR ordering: a rewrite must land strictly after
-    /// every read of the old value.
-    read_s: [u64; NUM_SREGS],
-    read_v: [u64; NUM_VREGS],
-    /// One past the issue cycle of the latest write (0 = never written;
-    /// WAW ordering).
-    def_s: [u64; NUM_SREGS],
-    def_v: [u64; NUM_VREGS],
+    /// Retire cycles of everything placed so far (and of the preceding
+    /// section's writes still in flight).
+    board: Scoreboard,
+    /// One past the issue cycle of the latest read or write of each
+    /// register, by `Reg::id` (0 = untouched).  A rewrite issues strictly
+    /// after it: the core applies a bundle's writes slot by slot, so a
+    /// same-cycle rewrite could be seen by a same-cycle reader or be
+    /// overtaken by a same-cycle writer.
+    touched: [u64; NUM_SREGS + NUM_VREGS],
     /// Earliest issue cycle for the next instruction (in-order constraint).
     horizon: u64,
 }
 
-impl<'a> LineScheduler<'a> {
-    /// New scheduler; `residual_s`/`residual_v` carry not-yet-expired
-    /// latencies of registers written by a *preceding* section (cycle 0
-    /// here is the first cycle after that section).
-    pub fn new(
-        cfg: &'a HwConfig,
-        residual_s: &[u64; NUM_SREGS],
-        residual_v: &[u64; NUM_VREGS],
-    ) -> Self {
+impl LineScheduler {
+    /// New scheduler after a preceding section whose writes still in
+    /// flight `pending` holds (cycle 0 here is the first cycle after that
+    /// section).
+    pub fn new(pending: Scoreboard) -> Self {
         LineScheduler {
-            lat: &cfg.latencies,
             bundles: Vec::new(),
-            ready_s: *residual_s,
-            ready_v: *residual_v,
-            read_s: [0; NUM_SREGS],
-            read_v: [0; NUM_VREGS],
-            def_s: [0; NUM_SREGS],
-            def_v: [0; NUM_VREGS],
+            board: pending,
+            touched: [0; NUM_SREGS + NUM_VREGS],
             horizon: 0,
         }
     }
 
-    /// Convenience: no residual latencies.
-    pub fn fresh(cfg: &'a HwConfig) -> Self {
-        LineScheduler::new(cfg, &[0; NUM_SREGS], &[0; NUM_VREGS])
-    }
-
-    fn ready_cycle(&self, inst: &Instruction) -> u64 {
-        let mut c = self.horizon;
-        for r in &inst.suses {
-            c = c.max(self.ready_s[r.index()]);
-        }
-        for r in &inst.vuses {
-            c = c.max(self.ready_v[r.index()]);
-        }
-        // WAR/WAW: a new definition must issue strictly after every issued
-        // read of the old value and after the previous definition — the
-        // in-order core applies register writes at issue, so a same-cycle
-        // overwrite would be visible to a same-cycle reader.
-        for r in &inst.sdefs {
-            c = c.max(self.read_s[r.index()]).max(self.def_s[r.index()]);
-        }
-        for r in &inst.vdefs {
-            c = c.max(self.read_v[r.index()]).max(self.def_v[r.index()]);
-        }
-        c
+    /// Convenience: nothing in flight.
+    pub fn fresh(cfg: &HwConfig) -> Self {
+        LineScheduler::new(Scoreboard::new(cfg.latencies))
     }
 
     /// Schedule one instruction.
     pub fn push(&mut self, inst: Instruction) -> Result<(), GenError> {
-        let mut cycle = self.ready_cycle(&inst);
+        let mut cycle = inst
+            .writes()
+            .map(|r| self.touched[r.id()])
+            .fold(self.board.earliest(&inst).max(self.horizon), u64::max);
         loop {
             while self.bundles.len() as u64 <= cycle {
                 self.bundles.push(Bundle::new());
@@ -90,20 +62,9 @@ impl<'a> LineScheduler<'a> {
                 Err(_) => cycle += 1,
             }
         }
-        let lat = self.lat.of(inst.opcode) as u64;
-        for r in &inst.sdefs {
-            self.ready_s[r.index()] = cycle + lat;
-            self.def_s[r.index()] = cycle + 1;
-        }
-        for r in &inst.vdefs {
-            self.ready_v[r.index()] = cycle + lat;
-            self.def_v[r.index()] = cycle + 1;
-        }
-        for r in &inst.suses {
-            self.read_s[r.index()] = self.read_s[r.index()].max(cycle + 1);
-        }
-        for r in &inst.vuses {
-            self.read_v[r.index()] = self.read_v[r.index()].max(cycle + 1);
+        self.board.issue(cycle, &inst);
+        for r in inst.reads().chain(inst.writes()) {
+            self.touched[r.id()] = self.touched[r.id()].max(cycle + 1);
         }
         self.horizon = self.horizon.max(cycle);
         Ok(())
@@ -112,22 +73,10 @@ impl<'a> LineScheduler<'a> {
     /// Finish: pad with empty bundles until every pending latency has
     /// expired, so following sections start hazard-free at cycle 0.
     pub fn finish(mut self) -> Vec<Bundle> {
-        let drain = self
-            .ready_s
-            .iter()
-            .chain(self.ready_v.iter())
-            .copied()
-            .max()
-            .unwrap_or(0);
-        while (self.bundles.len() as u64) < drain {
-            self.bundles.push(Bundle::new());
+        let drain = self.board.settled() as usize;
+        if self.bundles.len() < drain {
+            self.bundles.resize(drain, Bundle::new());
         }
-        self.bundles
-    }
-
-    /// Finish without latency padding (when the caller knows the next
-    /// section cannot read these registers early).
-    pub fn finish_unpadded(self) -> Vec<Bundle> {
         self.bundles
     }
 }
@@ -136,7 +85,7 @@ impl<'a> LineScheduler<'a> {
 mod tests {
     use super::*;
     use dspsim::{run_program, Core, HwConfig, KernelBindings};
-    use ftimm_isa::{AddrExpr, BufId, MemSpace, Program, SReg, Section, VReg};
+    use ftimm_isa::{AddrExpr, BufId, MemSpace, Program, Reg, SReg, Section, VReg};
 
     fn cfg() -> HwConfig {
         HwConfig::default()
@@ -146,6 +95,11 @@ mod tests {
     }
     fn r(n: u16) -> SReg {
         SReg::new(n).unwrap()
+    }
+    /// `(cycle, instructions)` of every non-empty bundle.
+    fn busy(bundles: &[Bundle]) -> Vec<(usize, usize)> {
+        let busy = bundles.iter().enumerate().filter(|(_, b)| !b.is_empty());
+        busy.map(|(c, b)| (c, b.len())).collect()
     }
 
     #[test]
@@ -159,14 +113,13 @@ mod tests {
         .unwrap();
         ls.push(Instruction::sfexts32l(r(1), r(0))).unwrap();
         ls.push(Instruction::svbcast(v(0), r(1))).unwrap();
-        let bundles = ls.finish_unpadded();
-        // SLDH at 0, SFEXTS32L at t_sld, SVBCAST at t_sld + t_sext.
-        assert!(bundles[0].len() == 1);
-        assert!(bundles[cfg.latencies.t_sld as usize].len() == 1);
-        assert_eq!(
-            bundles.len() as u32,
-            cfg.latencies.t_sld + cfg.latencies.t_sext + 1
-        );
+        let bundles = ls.finish();
+        // SLDH at 0, SFEXTS32L at t_sld, SVBCAST at t_sld + t_sext, then
+        // padding until the broadcast lands.
+        let lat = cfg.latencies;
+        let (sext, bcast) = (lat.t_sld as usize, (lat.t_sld + lat.t_sext) as usize);
+        assert_eq!(busy(&bundles), [(0, 1), (sext, 1), (bcast, 1)]);
+        assert_eq!(bundles.len(), bcast + lat.t_bcast as usize);
     }
 
     #[test]
@@ -177,9 +130,7 @@ mod tests {
             ls.push(Instruction::vfmulas32(v(n * 3), v(n * 3 + 1), v(n * 3 + 2)))
                 .unwrap();
         }
-        let bundles = ls.finish_unpadded();
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].len(), 3);
+        assert_eq!(busy(&ls.finish()), [(0, 3)]);
     }
 
     #[test]
@@ -190,25 +141,17 @@ mod tests {
             ls.push(Instruction::vfmulas32(v(n * 3), v(n * 3 + 1), v(n * 3 + 2)))
                 .unwrap();
         }
-        let bundles = ls.finish_unpadded();
-        assert_eq!(bundles.len(), 2);
-        assert_eq!(bundles[0].len(), 3);
-        assert_eq!(bundles[1].len(), 1);
+        assert_eq!(busy(&ls.finish()), [(0, 3), (1, 1)]);
     }
 
     #[test]
     fn residuals_delay_first_use() {
         let cfg = cfg();
-        let mut res_v = [0u64; NUM_VREGS];
-        res_v[5] = 4; // V5 becomes ready at cycle 4
-        let mut ls = LineScheduler::new(&cfg, &[0; NUM_SREGS], &res_v);
+        let mut pending = Scoreboard::new(cfg.latencies);
+        pending.hold(Reg::V(v(5)), 4); // V5 becomes ready at cycle 4
+        let mut ls = LineScheduler::new(pending);
         ls.push(Instruction::vfadds32(v(6), v(5), v(5))).unwrap();
-        let bundles = ls.finish_unpadded();
-        assert_eq!(bundles.len(), 5);
-        assert!(bundles[4].len() == 1);
-        for b in &bundles[..4] {
-            assert!(b.is_empty());
-        }
+        assert_eq!(busy(&ls.finish()), [(4, 1)]);
     }
 
     #[test]
@@ -258,7 +201,7 @@ mod tests {
             b_off: 0,
             c_off: 4096,
         };
-        run_program(&mut core, &p, bind, &cfg.latencies, true).unwrap();
+        run_program(&mut core, &p, bind, &cfg.latencies).unwrap();
         assert_eq!(core.am.read_f32(4096).unwrap(), 6.0);
     }
 }

@@ -124,23 +124,16 @@ pub struct SteadySchedule {
 /// Modulo reservation table over `ii` cycles.
 struct Mrt {
     ii: u32,
-    /// `busy[cycle][unit index in Unit::ALL]`.
-    busy: Vec<[bool; 12]>,
+    /// `busy[cycle][Unit::index]`.
+    busy: Vec<[bool; Unit::ALL.len()]>,
 }
 
 impl Mrt {
     fn new(ii: u32) -> Self {
         Mrt {
             ii,
-            busy: vec![[false; 12]; ii as usize],
+            busy: vec![[false; Unit::ALL.len()]; ii as usize],
         }
-    }
-
-    fn unit_index(unit: Unit) -> usize {
-        Unit::ALL
-            .iter()
-            .position(|&u| u == unit)
-            .expect("unit in ALL")
     }
 
     /// Place on the first free unit of `class` at slot `s ≥ earliest`,
@@ -154,9 +147,8 @@ impl Mrt {
         for s in earliest..limit {
             let row = (s % self.ii) as usize;
             for &unit in class.members() {
-                let ui = Self::unit_index(unit);
-                if !self.busy[row][ui] {
-                    self.busy[row][ui] = true;
+                if !self.busy[row][unit.index()] {
+                    self.busy[row][unit.index()] = true;
                     return Ok((s, unit));
                 }
             }

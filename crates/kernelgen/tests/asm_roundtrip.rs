@@ -39,7 +39,6 @@ fn run(program: &ftimm_isa::Program, seed: u32, spec: KernelSpec) -> (Vec<f32>, 
                 b_off: 0,
                 c_off: 512 * 1024,
             },
-            true,
         )
         .unwrap();
     let mut c = vec![0.0f32; spec.m_s * ld];

@@ -34,7 +34,7 @@ fn run_interpreted(kernel: &MicroKernel, a: &[f32], b: &[f32], c0: &[f32]) -> (V
         c_off: C_OFF,
     };
     let rep = m
-        .run_kernel(0, kernel.program(), bind, true)
+        .run_kernel(0, kernel.program(), bind)
         .unwrap_or_else(|e| panic!("{spec}: {e}"));
     let mut c = vec![0.0f32; spec.m_s * ld];
     m.core_mut(0).am.read_f32_slice(C_OFF, &mut c).unwrap();

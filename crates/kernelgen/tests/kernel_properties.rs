@@ -152,7 +152,7 @@ proptest! {
 
         // Hazard-checked interpretation must succeed, with the exact
         // analytic cycle count.
-        let rep = machine.run_kernel(0, kernel.program(), bind, true).unwrap();
+        let rep = machine.run_kernel(0, kernel.program(), bind).unwrap();
         prop_assert_eq!(rep.cycles, kernel.cycles);
 
         // Bit-identical to the `Fast` tier on the real columns.

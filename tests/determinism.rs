@@ -84,3 +84,51 @@ fn shape_display_round_trips_through_plan() {
     let t = ft.predict_seconds(&shape, &plan, 8);
     assert!(t.is_finite() && t > 0.0);
 }
+
+/// FNV-1a of the assembly text of every program over a fixed kernel grid:
+/// the three Tables I–III kernels, then `m_s` 1–14 × `n_a` around every
+/// vector-width boundary × a short and a long `K`, each generated and
+/// under forced `k_u` ∈ {1, 2, 4} (refusals hashed as their error).  Any
+/// change to what the generator emits moves it.
+#[test]
+fn generated_programs_are_pinned() {
+    use kernelgen::{KernelCache, KernelSpec};
+    let cache = KernelCache::new(HwConfig::default());
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |text: &str| {
+        for b in text.bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut programs = 0;
+    for (n_a, m_u, k_u) in [(96, 6, 1), (64, 6, 2), (32, 6, 2)] {
+        let spec = KernelSpec::new(6, 512, n_a).unwrap();
+        eat(&cache
+            .get_forced(spec, m_u, k_u)
+            .unwrap()
+            .program()
+            .to_string());
+        programs += 1;
+    }
+    for m_s in 1..=14 {
+        for n_a in [1, 16, 32, 33, 64, 65, 96] {
+            for k_a in [5, 512] {
+                let spec = KernelSpec::new(m_s, k_a, n_a).unwrap();
+                let auto = cache.get(spec).unwrap();
+                eat(&auto.program().to_string());
+                programs += 1;
+                for k_u in [1, 2, 4] {
+                    match cache.get_forced(spec, auto.blocks[0].m_u, k_u) {
+                        Ok(k) => {
+                            eat(&k.program().to_string());
+                            programs += 1;
+                        }
+                        Err(e) => eat(&format!("{spec} k_u={k_u}: {e}")),
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(programs, 596);
+    assert_eq!(hash, 0x1211_bfe1_0c5b_2705, "generated programs moved");
+}
