@@ -770,11 +770,9 @@ impl ShardedEngine {
                 Ok(_) => {
                     if functional {
                         let m = &mut self.pool.node_mut(shard.cluster).machine;
-                        match problem.c.download(m) {
-                            Ok(out) => {
-                                job.c[shard.r0 * job.n..shard.r1 * job.n].copy_from_slice(&out)
-                            }
-                            Err(e) => return ShardedOutcome::Failed { error: e.into() },
+                        let out = &mut job.c[shard.r0 * job.n..shard.r1 * job.n];
+                        if let Err(e) = problem.c.download_into(m, out) {
+                            return ShardedOutcome::Failed { error: e.into() };
                         }
                     }
                     rows_done += shard.rows();
@@ -794,10 +792,9 @@ impl ShardedEngine {
                         // The DDR partition outlives the cluster: salvage
                         // the checkpoint-verified rows host-side.
                         let span = problem.c.view(0, 0, salvaged, job.n);
-                        match span.download(m) {
-                            Ok(out) => job.c[shard.r0 * job.n..(shard.r0 + salvaged) * job.n]
-                                .copy_from_slice(&out),
-                            Err(e) => return ShardedOutcome::Failed { error: e.into() },
+                        let out = &mut job.c[shard.r0 * job.n..(shard.r0 + salvaged) * job.n];
+                        if let Err(e) = span.download_into(m, out) {
+                            return ShardedOutcome::Failed { error: e.into() };
                         }
                     }
                     rows_done += salvaged;

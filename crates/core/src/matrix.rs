@@ -80,7 +80,13 @@ impl DdrMatrix {
 
     /// Read the matrix back from simulated DDR.
     pub fn download(&self, m: &mut Machine) -> Result<Vec<f32>, SimError> {
-        let mut out = Vec::with_capacity(self.rows * self.cols);
+        let mut out = vec![0.0; self.rows * self.cols];
+        self.download_into(m, &mut out).map(|()| out)
+    }
+
+    /// Read the matrix back into `out` (dense, `rows · cols` long, else a
+    /// panic): one copy, straight into the caller's buffer.
+    pub(crate) fn download_into(&self, m: &mut Machine, out: &mut [f32]) -> Result<(), SimError> {
         // A dense matrix is read as one long row: one access, one copy.
         let (rows, cols) = if self.ld == self.cols {
             (1, self.rows * self.cols)
@@ -88,8 +94,15 @@ impl DdrMatrix {
             (self.rows, self.cols)
         };
         m.ddr
-            .read_2d_f32(self.off, 4 * self.ld as u64, rows, cols, &mut out)?;
-        Ok(out)
+            .read_2d_f32(self.off, 4 * self.ld as u64, rows, cols, out)
+    }
+
+    /// Borrow the matrix in place, one read access: its `(rows − 1)·ld +
+    /// cols` words of DDR, row `i` at `i·ld` (`off` must be word-aligned,
+    /// as [`DdrMatrix::alloc`] and [`DdrMatrix::view`] leave it).
+    pub(crate) fn view_f32<'m>(&self, m: &'m mut Machine) -> Result<&'m [f32], SimError> {
+        let extent = (self.rows * self.ld).saturating_sub(self.ld - self.cols);
+        m.ddr.view_f32(self.off, extent)
     }
 }
 

@@ -7,11 +7,16 @@
 //! * **Silent data corruption** (injected DMA payload corruption or
 //!   scratchpad bit flips) is caught after the run by algorithm-based
 //!   fault tolerance: row and column checksums of the final `C` are
-//!   compared against checksums predicted in `f64` from host snapshots of
-//!   `A`, `B` and the initial `C`.  Suspect rows are restored from the
-//!   snapshot and only that row range is re-executed, which is bit-exact
-//!   with a fault-free run (per-element accumulation order depends only
-//!   on block sizes, not on row partitioning).
+//!   compared against checksums predicted in `f64` from `A`, `B` and the
+//!   initial `C`.  Both sides are read in place in DDR by
+//!   [`hostsimd::checksum_sweep`]; the initial `C` is the only operand
+//!   copied, as the snapshot that suspect rows are restored from.  Only
+//!   the suspect row range is re-executed.  That is bit-exact with a
+//!   fault-free run when the range keeps the run's row-block heights
+//!   (per-element accumulation order depends only on block sizes, not on
+//!   row partitioning).  A range that cuts a block, such as one row, runs
+//!   the kernel of its own height, whose depth unroll may differ: its rows
+//!   then match a fault-free run only to f32 rounding.
 //! * **DMA timeouts** abort the run mid-flight — either after the fault
 //!   plan's full hang charge or earlier when a watchdog DMA budget is
 //!   armed ([`dspsim::WatchdogConfig`]).  The affected row span is
@@ -45,6 +50,7 @@
 use crate::exec::validate_problem;
 use crate::{ChosenStrategy, DdrMatrix, FtImm, FtimmError, GemmProblem};
 use dspsim::{EventKind, Machine, RunReport, SimError};
+use hostsimd::checksum_sweep;
 
 /// Tuning knobs for the recovery loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,15 +63,24 @@ pub struct ResilienceConfig {
     /// Relative ABFT tolerance: a checksum mismatch larger than
     /// `abft_tol * (1 + |expected| + mass)` flags the row/column, where
     /// `mass` is the absolute product mass of the checked sum
-    /// (`Σ|c0| + Σ|a|·|b|` over the row or column) captured from the
-    /// pre-run snapshots.  Normalising by mass — not by the final `|C|`
-    /// values — keeps heavily cancelled rows from tripping the check on
-    /// their own fault-free rounding noise, and a corrupted value cannot
-    /// inflate its own allowance.  The default sits well above the f32
-    /// rounding noise of the checked sums (measured ≲ 1e-7 of mass at
+    /// (`Σ|c0| + Σ|a|·|b|` over the row or column) computed from the
+    /// operands before the first run.  Normalising by mass — not by the
+    /// final `|C|` values — keeps heavily cancelled rows from tripping the
+    /// check on their own fault-free rounding noise, and a corrupted value
+    /// cannot inflate its own allowance.  The default sits well above the
+    /// f32 rounding noise of the checked sums (measured ≲ 1e-7 of mass at
     /// K ≈ 350) while staying below the error a single exponent-bit flip
     /// in a mass-significant element causes; very deep problems
     /// (K ≫ 10⁴) may need it loosened.
+    ///
+    /// **Coverage.** A row or column is checked only when its mass lies
+    /// within half the f32 range (the half is headroom for the rounding
+    /// growth of f32 partial sums).  Beyond that — an infinite, NaN or
+    /// near-overflow operand — the fault-free result may itself be
+    /// non-finite, so no sum can tell corruption from the right answer:
+    /// such rows and columns are not checked, and corruption that lands
+    /// only in them goes undetected.  A checked row or column whose final
+    /// sum is not finite is a mismatch.
     pub abft_tol: f64,
     /// Checkpoint granularity in `C` rows.  `0` (the default) disables
     /// checkpointing: the whole problem is one span and a mid-run fault
@@ -87,152 +102,101 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Host-side ABFT reference state: snapshots taken before the first run
-/// and the `f64` checksums the finished `C` must reproduce.
+/// `[signed sums, absolute masses]` along one dimension of a matrix.
+type Sums = [Vec<f64>; 2];
+
+fn zeros(n: usize) -> Sums {
+    [vec![0.0; n], vec![0.0; n]]
+}
+
+/// [`checksum_sweep`] of `x`, read in place, into `[by_row, by_col]`,
+/// weighted by `[col_w, row_w]` (unit weights where `None`).
+fn sweep(
+    m: &mut Machine,
+    x: &DdrMatrix,
+    [col_w, row_w]: [Option<&Sums>; 2],
+    [by_row, by_col]: [&mut Sums; 2],
+) -> Result<(), FtimmError> {
+    let ones = vec![1.0; x.rows.max(x.cols)];
+    let col_w = col_w.map_or([&ones[..x.cols]; 2], |[s, mass]| [s, mass]);
+    let row_w = row_w.map_or([&ones[..x.rows]; 2], |[s, mass]| [s, mass]);
+    let ([r0, r1], [c0, c1]) = (by_row, by_col);
+    checksum_sweep(x.view_f32(m)?, x.ld, col_w, row_w, [r0, r1], [c0, c1]);
+    Ok(())
+}
+
+/// Host-side ABFT reference state: the initial `C` and the `f64`
+/// checksums the finished `C` must reproduce, captured before the first
+/// run.
 struct AbftRef {
     /// Initial `C` (dense `m × n`), for restoring corrupted rows.
     c0: Vec<f32>,
-    /// Expected final row sums: `Σ_j c0[i][j] + Σ_k a[i][k]·rowsum(B)[k]`.
-    expected_row: Vec<f64>,
-    /// Expected final column sums.
-    expected_col: Vec<f64>,
-    /// Absolute mass of each row sum: `Σ_j |c0[i][j]| + Σ_k
-    /// |a[i][k]|·rowsum(|B|)[k]` — the total magnitude that flows
-    /// through the row's accumulators.  Rounding error scales with this
-    /// mass, *not* with the final values: a heavily cancelled row can
-    /// finish near zero while its f32 accumulation carries the noise of
-    /// thousands of large products, so normalising the tolerance by the
-    /// final `|C|` sums (as an earlier revision did) false-positives on
-    /// fault-free runs.
-    row_mass: Vec<f64>,
-    /// Absolute mass of each column sum (same bound, transposed).
-    col_mass: Vec<f64>,
+    /// Expected final row sums, `Σ_j c0[i][j] + Σ_k a[i][k]·rowsum(B)[k]`,
+    /// and their masses, `Σ_j |c0[i][j]| + Σ_k |a[i][k]|·rowsum(|B|)[k]`
+    /// — the total magnitude that flows through the row's accumulators.
+    /// Rounding error scales with this mass, *not* with the final
+    /// values: a heavily cancelled row can finish near zero while its f32
+    /// accumulation carries the noise of thousands of large products, so
+    /// normalising the tolerance by the final `|C|` sums (as an earlier
+    /// revision did) false-positives on fault-free runs.
+    row: Sums,
+    /// Expected final column sums and masses (same bound, transposed).
+    col: Sums,
+}
+
+/// Whether a checksum disagrees with its expectation `e`.  Only a
+/// checksum whose pre-run `mass` lies within half the f32 range is
+/// checked (see [`ResilienceConfig`]); a checked checksum whose `sum` is
+/// not finite is a mismatch (`NaN > tol` is false, so `>` alone would let
+/// it pass).
+fn mismatch(sum: f64, e: f64, mass: f64, tol: f64) -> bool {
+    mass <= f64::from(f32::MAX) / 2.0
+        && (!sum.is_finite() || (sum - e).abs() > tol * (1.0 + e.abs() + mass))
 }
 
 impl AbftRef {
+    /// Read the operands in place: C0's sums (and its copy, for
+    /// restores), B's row sums, A against them (row expectations and A's
+    /// column sums in one pass), then B against A's column sums (column
+    /// expectations).
     fn capture(m: &mut Machine, p: &GemmProblem) -> Result<Self, FtimmError> {
         let (mm, nn, kk) = (p.m(), p.n(), p.k());
-        let a = p.a.download(m).map_err(FtimmError::Sim)?;
-        let b = p.b.download(m).map_err(FtimmError::Sim)?;
-        let c0 = p.c.download(m).map_err(FtimmError::Sim)?;
-        // rowsum(B)[k] = Σ_j b[k][j];  colsum(A)[k] = Σ_i a[i][k] — and
-        // the same sums over |B| and |A| for the mass bounds.
-        let mut b_rowsum = vec![0.0f64; kk];
-        let mut b_rowsum_abs = vec![0.0f64; kk];
-        for k in 0..kk {
-            for j in 0..nn {
-                b_rowsum[k] += b[k * nn + j] as f64;
-                b_rowsum_abs[k] += (b[k * nn + j] as f64).abs();
-            }
-        }
-        let mut a_colsum = vec![0.0f64; kk];
-        let mut a_colsum_abs = vec![0.0f64; kk];
-        for i in 0..mm {
-            for k in 0..kk {
-                a_colsum[k] += a[i * kk + k] as f64;
-                a_colsum_abs[k] += (a[i * kk + k] as f64).abs();
-            }
-        }
-        let mut expected_row = vec![0.0f64; mm];
-        let mut row_mass = vec![0.0f64; mm];
-        for i in 0..mm {
-            let (mut s, mut mass) = (0.0f64, 0.0f64);
-            for j in 0..nn {
-                s += c0[i * nn + j] as f64;
-                mass += (c0[i * nn + j] as f64).abs();
-            }
-            for k in 0..kk {
-                s += a[i * kk + k] as f64 * b_rowsum[k];
-                mass += (a[i * kk + k] as f64).abs() * b_rowsum_abs[k];
-            }
-            expected_row[i] = s;
-            row_mass[i] = mass;
-        }
-        let mut expected_col = vec![0.0f64; nn];
-        let mut col_mass = vec![0.0f64; nn];
-        for j in 0..nn {
-            let (mut s, mut mass) = (0.0f64, 0.0f64);
-            for i in 0..mm {
-                s += c0[i * nn + j] as f64;
-                mass += (c0[i * nn + j] as f64).abs();
-            }
-            for k in 0..kk {
-                s += a_colsum[k] * b[k * nn + j] as f64;
-                mass += a_colsum_abs[k] * (b[k * nn + j] as f64).abs();
-            }
-            expected_col[j] = s;
-            col_mass[j] = mass;
-        }
-        Ok(AbftRef {
-            c0,
-            expected_row,
-            expected_col,
-            row_mass,
-            col_mass,
-        })
+        let (mut row, mut col, mut b_rows, mut a_cols) =
+            (zeros(mm), zeros(nn), zeros(kk), zeros(kk));
+        sweep(m, &p.c, [None; 2], [&mut row, &mut col])?;
+        sweep(m, &p.b, [None; 2], [&mut b_rows, &mut zeros(nn)])?;
+        sweep(m, &p.a, [Some(&b_rows), None], [&mut row, &mut a_cols])?;
+        sweep(m, &p.b, [None, Some(&a_cols)], [&mut zeros(kk), &mut col])?;
+        let c0 = p.c.download(m)?;
+        Ok(AbftRef { c0, row, col })
     }
 
     /// Check rows `[r0, r1)` of the finished `C` against their expected
-    /// row sums; `None` when clean, otherwise the smallest contiguous row
-    /// range covering every suspect row in the window.
-    fn verify_rows(
-        &self,
-        m: &mut Machine,
-        p: &GemmProblem,
-        tol: f64,
-        r0: usize,
-        r1: usize,
-    ) -> Result<Option<(usize, usize)>, FtimmError> {
-        let nn = p.n();
-        let c =
-            p.c.view(r0, 0, r1 - r0, nn)
-                .download(m)
-                .map_err(FtimmError::Sim)?;
-        let mut bad_rows: Option<(usize, usize)> = None;
-        for i in r0..r1 {
-            let mut sum = 0.0f64;
-            for j in 0..nn {
-                sum += c[(i - r0) * nn + j] as f64;
-            }
-            let e = self.expected_row[i];
-            // A corrupted exponent can overflow f32 to inf/NaN, making the
-            // sum non-finite; `>` alone would let that pass silently.
-            if !sum.is_finite() || (sum - e).abs() > tol * (1.0 + e.abs() + self.row_mass[i]) {
-                bad_rows = Some(match bad_rows {
-                    None => (i, i + 1),
-                    Some((b0, _)) => (b0, i + 1),
-                });
-            }
-        }
-        Ok(bad_rows)
-    }
-
-    /// Check the finished `C` in full; `None` when clean, otherwise the
-    /// smallest contiguous row range `[r0, r1)` covering every suspect
-    /// row (a column-only mismatch — a compensated row — flags
-    /// everything).
+    /// row sums and, with `cols` (on the whole of `C`), every column, in
+    /// one pass over `C` in place.  `None` when clean, otherwise the
+    /// smallest contiguous row range covering every suspect row (a
+    /// column-only mismatch — a compensated row — flags all of them).
     fn verify(
         &self,
         m: &mut Machine,
         p: &GemmProblem,
         tol: f64,
+        (r0, r1): (usize, usize),
+        cols: bool,
     ) -> Result<Option<(usize, usize)>, FtimmError> {
-        let (mm, nn) = (p.m(), p.n());
-        if let Some(bad) = self.verify_rows(m, p, tol, 0, mm)? {
-            return Ok(Some(bad));
+        let c = p.c.view(r0, 0, r1 - r0, p.n());
+        let (mut row, mut col) = (zeros(c.rows), zeros(c.cols));
+        sweep(m, &c, [None; 2], [&mut row, &mut col])?;
+        let [e, mass] = &self.row;
+        let mut suspects = (r0..)
+            .zip(&row[0])
+            .filter(|&(i, &s)| mismatch(s, e[i], mass[i], tol));
+        if let Some((first, _)) = suspects.next() {
+            return Ok(Some((first, suspects.last().map_or(first, |(i, _)| i) + 1)));
         }
-        let c = p.c.download(m).map_err(FtimmError::Sim)?;
-        for j in 0..nn {
-            let mut sum = 0.0f64;
-            for i in 0..mm {
-                sum += c[i * nn + j] as f64;
-            }
-            let e = self.expected_col[j];
-            if !sum.is_finite() || (sum - e).abs() > tol * (1.0 + e.abs() + self.col_mass[j]) {
-                return Ok(Some((0, mm)));
-            }
-        }
-        Ok(None)
+        let [e, mass] = &self.col;
+        let bad_col = cols && (0..c.cols).any(|j| mismatch(col[0][j], e[j], mass[j], tol));
+        Ok(bad_col.then_some((r0, r1)))
     }
 
     /// Restore rows `[r0, r1)` of `C` to their pre-run contents.
@@ -427,7 +391,7 @@ fn run_spans(
             // need the whole C and run once at the end.
             if let Some(r) = &abft {
                 loop {
-                    match r.verify_rows(m, p, cx.rcfg.abft_tol, s0, s1)? {
+                    match r.verify(m, p, cx.rcfg.abft_tol, (s0, s1), false)? {
                         None => break,
                         Some((b0, b1)) => {
                             rec.charge(cx, m, corrupt_err(p, b0))?;
@@ -446,7 +410,7 @@ fn run_spans(
     // column pass that catches row-compensated corruption.
     if let Some(r) = &abft {
         loop {
-            match r.verify(m, p, cx.rcfg.abft_tol)? {
+            match r.verify(m, p, cx.rcfg.abft_tol, (0, mm), true)? {
                 None => break,
                 Some((b0, b1)) => {
                     rec.charge(cx, m, corrupt_err(p, b0))?;
@@ -683,5 +647,189 @@ mod tests {
              (got {} rows)",
             run.rows_verified
         );
+    }
+
+    /// The download-and-loop capture the in-place sweeps replaced: three
+    /// dense copies, then scalar f64 chains.  `(rows, columns)`.
+    fn capture_by_download(m: &mut Machine, p: &GemmProblem) -> (Sums, Sums) {
+        let (mm, nn, kk) = (p.m(), p.n(), p.k());
+        let a = p.a.download(m).unwrap();
+        let b = p.b.download(m).unwrap();
+        let c0 = p.c.download(m).unwrap();
+        let (mut b_rowsum, mut b_rowsum_abs) = (vec![0.0f64; kk], vec![0.0f64; kk]);
+        for k in 0..kk {
+            for j in 0..nn {
+                b_rowsum[k] += b[k * nn + j] as f64;
+                b_rowsum_abs[k] += (b[k * nn + j] as f64).abs();
+            }
+        }
+        let (mut a_colsum, mut a_colsum_abs) = (vec![0.0f64; kk], vec![0.0f64; kk]);
+        for i in 0..mm {
+            for k in 0..kk {
+                a_colsum[k] += a[i * kk + k] as f64;
+                a_colsum_abs[k] += (a[i * kk + k] as f64).abs();
+            }
+        }
+        let (mut row, mut col) = (zeros(mm), zeros(nn));
+        for i in 0..mm {
+            let (mut s, mut mass) = (0.0f64, 0.0f64);
+            for j in 0..nn {
+                s += c0[i * nn + j] as f64;
+                mass += (c0[i * nn + j] as f64).abs();
+            }
+            for k in 0..kk {
+                s += a[i * kk + k] as f64 * b_rowsum[k];
+                mass += (a[i * kk + k] as f64).abs() * b_rowsum_abs[k];
+            }
+            (row[0][i], row[1][i]) = (s, mass);
+        }
+        for j in 0..nn {
+            let (mut s, mut mass) = (0.0f64, 0.0f64);
+            for i in 0..mm {
+                s += c0[i * nn + j] as f64;
+                mass += (c0[i * nn + j] as f64).abs();
+            }
+            for k in 0..kk {
+                s += a_colsum[k] * b[k * nn + j] as f64;
+                mass += a_colsum_abs[k] * (b[k * nn + j] as f64).abs();
+            }
+            (col[0][j], col[1][j]) = (s, mass);
+        }
+        (row, col)
+    }
+
+    /// The download-and-loop verdict on rows `[r0, r1)`, then (when
+    /// `cols`) on every column, against the reference sums.
+    fn verdict_by_download(
+        m: &mut Machine,
+        p: &GemmProblem,
+        (row, col): &(Sums, Sums),
+        (r0, r1): (usize, usize),
+        cols: bool,
+    ) -> Option<(usize, usize)> {
+        let nn = p.n();
+        let c = p.c.view(r0, 0, r1 - r0, nn).download(m).unwrap();
+        let off = |s: f64, e: f64, mass: f64| {
+            !s.is_finite() || (s - e).abs() > 1e-6 * (1.0 + e.abs() + mass)
+        };
+        let bad: Vec<usize> = (r0..r1)
+            .filter(|&i| {
+                let s = c[(i - r0) * nn..][..nn].iter().map(|&v| v as f64).sum();
+                off(s, row[0][i], row[1][i])
+            })
+            .collect();
+        if let (Some(&b0), Some(&b1)) = (bad.first(), bad.last()) {
+            return Some((b0, b1 + 1));
+        }
+        let bad_col = (0..nn).any(|j| {
+            let s = (0..r1 - r0).map(|i| c[i * nn + j] as f64).sum();
+            off(s, col[0][j], col[1][j])
+        });
+        (cols && bad_col).then_some((r0, r1))
+    }
+
+    /// A problem whose operands are views at `(2, 3)` into larger
+    /// matrices (`ld > cols`, non-zero offset) when `strided`, with NaN in
+    /// every word of the backing that is not the view's.
+    fn layout_problem(
+        m: &mut Machine,
+        (mm, nn, kk): (usize, usize, usize),
+        strided: bool,
+    ) -> GemmProblem {
+        let operand = |m: &mut Machine, rows: usize, cols: usize, seed: u32| {
+            let pad = if strided { (3, 5) } else { (0, 0) };
+            let full = DdrMatrix::alloc(m, rows + pad.0, cols + pad.1).unwrap();
+            full.upload(m, &vec![f32::NAN; full.rows * full.cols])
+                .unwrap();
+            let v = full.view(pad.0.min(2), pad.1.min(3), rows, cols);
+            v.upload(m, &reference::fill_matrix(rows * cols, seed))
+                .unwrap();
+            v
+        };
+        GemmProblem {
+            a: operand(m, mm, kk, 11),
+            b: operand(m, kk, nn, 12),
+            c: operand(m, mm, nn, 13),
+        }
+    }
+
+    /// Shapes with M, K and N tails off every block and lane size, down
+    /// to 1×1×1, K = 1 and N = 1.
+    const LAYOUT_SHAPES: [(usize, usize, usize); 8] = [
+        (1, 1, 1),
+        (6, 5, 1),
+        (7, 1, 13),
+        (13, 9, 17),
+        (37, 24, 48),
+        (64, 17, 33),
+        (5, 96, 130),
+        (19, 31, 7),
+    ];
+
+    #[test]
+    fn in_place_capture_matches_the_download_capture() {
+        for &shape in &LAYOUT_SHAPES {
+            for strided in [false, true] {
+                let mut m = Machine::with_mode(ExecMode::Fast);
+                let p = layout_problem(&mut m, shape, strided);
+                let got = AbftRef::capture(&mut m, &p).unwrap();
+                let (row, col) = capture_by_download(&mut m, &p);
+                assert_eq!(got.c0, p.c.download(&mut m).unwrap());
+                // Columns add in the same order as before: the same bits.
+                assert_eq!(got.col, col, "{shape:?} strided={strided}");
+                let pairs = |s: &Sums| s[0].iter().zip(&s[1]).map(|(&e, &m)| [e, m]).collect();
+                let (got_rows, want_rows): (Vec<[f64; 2]>, Vec<_>) = (pairs(&got.row), pairs(&row));
+                for (i, (g, w)) in got_rows.iter().zip(&want_rows).enumerate() {
+                    assert!(
+                        (0..2).all(|s| (g[s] - w[s]).abs() <= 1e-12 * w[1]),
+                        "{shape:?} strided={strided} row {i}: {g:?} vs {w:?}"
+                    );
+                }
+                assert_eq!(got_rows.len(), shape.0);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_verdicts_match_the_download_verdicts() {
+        let ft = FtImm::new(HwConfig::default());
+        let tol = ResilienceConfig::default().abft_tol;
+        let mut rng = 0x5EEDu64;
+        for &(mm, nn, kk) in &LAYOUT_SHAPES {
+            for strided in [false, true] {
+                let mut m = Machine::with_mode(ExecMode::Fast);
+                let p = layout_problem(&mut m, (mm, nn, kk), strided);
+                let abft = AbftRef::capture(&mut m, &p).unwrap();
+                let want = capture_by_download(&mut m, &p);
+                let plan = ft.plan(&crate::GemmShape::new(mm, nn, kk), Strategy::Auto, 4);
+                ft.run_plan(&mut m, &p, &plan, 4).unwrap();
+                let case = format!("{mm}x{nn}x{kk} strided={strided}");
+                let whole = (0, mm);
+                assert_eq!(
+                    abft.verify(&mut m, &p, tol, whole, true).unwrap(),
+                    None,
+                    "{case}"
+                );
+                assert_eq!(verdict_by_download(&mut m, &p, &want, (0, mm), true), None);
+                for (r0, r1) in ckpt_spans(mm, 8) {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let word = (rng >> 33) as usize % ((r1 - r0) * nn);
+                    let at = p.c.elem_off(r0 + word / nn, word % nn);
+                    m.ddr.flip_f32_msb(at).unwrap();
+                    let got = abft.verify(&mut m, &p, tol, (r0, r1), false).unwrap();
+                    let span_want = verdict_by_download(&mut m, &p, &want, (r0, r1), false);
+                    assert_eq!(got, span_want, "{case} span {r0}..{r1}");
+                    assert!(
+                        got.is_some(),
+                        "{case}: a flip in span {r0}..{r1} went unseen"
+                    );
+                    let full = abft.verify(&mut m, &p, tol, whole, true).unwrap();
+                    assert_eq!(full, verdict_by_download(&mut m, &p, &want, (0, mm), true));
+                    m.ddr.flip_f32_msb(at).unwrap();
+                }
+            }
+        }
     }
 }

@@ -473,30 +473,34 @@ impl MemRegion {
         Ok(())
     }
 
-    /// Append `rows` rows of `cols` consecutive f32, `stride` bytes apart
-    /// from `offset`, to `out`: checked and materialised once like
-    /// [`MemRegion::copy_2d_from`], each row one read access.
+    /// Copy `rows` rows of `cols` consecutive f32, `stride` bytes apart
+    /// from `offset`, into `out` (`rows · cols` long, else a panic): checked
+    /// and materialised once like [`MemRegion::copy_2d_from`], each row one
+    /// read access.
     pub fn read_2d_f32(
         &mut self,
         offset: u64,
         stride: u64,
         rows: usize,
         cols: usize,
-        out: &mut Vec<f32>,
+        out: &mut [f32],
     ) -> Result<(), SimError> {
+        assert_eq!(out.len(), rows * cols, "read_2d_f32 output size");
         if rows == 0 {
             return Ok(());
         }
         let len = (cols as u64).saturating_mul(4);
         let end = self.check_rows(offset, stride, rows as u64, len)?;
         self.touch(end);
-        for at in (0..rows as u64).map(|row| offset + row * stride) {
+        for row in 0..rows {
+            let (at, dst) = (offset + row as u64 * stride, &mut out[row * cols..][..cols]);
             self.fault_hook(at, len);
             if at.is_multiple_of(4) {
-                out.extend_from_slice(&self.words[word_range(at, cols)]);
+                dst.copy_from_slice(&self.words[word_range(at, cols)]);
             } else {
-                let words = (at..).step_by(4).take(cols);
-                out.extend(words.map(|w| f32::from_bits(self.load_u32(w))));
+                for (d, w) in dst.iter_mut().zip((at..).step_by(4)) {
+                    *d = f32::from_bits(self.load_u32(w));
+                }
             }
         }
         Ok(())
@@ -727,7 +731,7 @@ mod tests {
         // Two rows of two words from overlapping source rows one word apart.
         am.copy_2d_from(&mut ddr, &Dma2d::block_f32(2, 2, 32, 1, 8, 2))
             .unwrap();
-        let mut rows = Vec::new();
+        let mut rows = [0.0; 4];
         am.read_2d_f32(32, 8, 2, 2, &mut rows).unwrap();
         assert_eq!(rows, [1.0, 2.0, 2.0, 3.0]);
     }
@@ -760,7 +764,7 @@ mod tests {
             let err = am.copy_2d_from(&mut ddr, &d).unwrap_err();
             assert!(matches!(err, SimError::OutOfBounds { .. }), "{d:?}: {err}");
         }
-        let refused = ddr.read_2d_f32(0, 1 << 11, 3, 4, &mut Vec::new());
+        let refused = ddr.read_2d_f32(0, 1 << 11, 3, 4, &mut [0.0; 12]);
         assert!(matches!(refused, Err(SimError::OutOfBounds { .. })));
         assert_eq!(ddr.materialised(), 64, "a refused block grows nothing");
         assert_eq!(ddr.flips_applied(), 0, "a refused block is not a read");

@@ -76,6 +76,9 @@
 //! falls back to the scalar sequence, which is *also* bit-identical — the
 //! tier is then correct but not faster; [`simd_level`] names the live
 //! width and [`simd_active`] tells benchmark gates whether there is one.
+//!
+//! [`checksum_sweep`] (the resilience layer's ABFT pass) runs at the same
+//! level, in safe code whose 8 f64 lanes no width reorders.
 
 #![warn(missing_docs)]
 
@@ -142,6 +145,134 @@ pub fn execute_block_scalar(
     c: &mut [f32],
 ) {
     execute_block_at(Level::Scalar, g, k_a, n_a, ld, a, b, c);
+}
+
+/// One pass over the row-major f32 matrix `x` (leading dimension `ld`,
+/// `by_row[0].len()` rows × `by_col[0].len()` columns, the words between
+/// rows never read) that adds, in f64, weighted `[signed, absolute]` sums:
+/// `by_row[0][i] += Σ_j x[i][j]·col_w[0][j]`, `by_row[1][i] += Σ_j
+/// |x[i][j]|·col_w[1][j]`, and per column `j` likewise with `row_w[·][i]`.
+/// Products are rounded before they are added (no fused multiply-add); a
+/// column adds its rows in ascending order; lane `l` of a row adds columns
+/// `j ≡ l (mod 8)` in ascending order from `+0.0`, and the 8 lanes are
+/// added in order from `+0.0` onto `by_row`.  So every level returns the
+/// same bits (NaN payloads aside).  Panics if a side's slices differ in
+/// length, if `cols > ld` with more than one row, or if `x` is shorter
+/// than `(rows − 1)·ld + cols`.
+pub fn checksum_sweep<'c>(
+    x: &[f32],
+    ld: usize,
+    col_w: [&[f64]; 2],
+    row_w: [&[f64]; 2],
+    mut by_row: [&'c mut [f64]; 2],
+    mut by_col: [&'c mut [f64]; 2],
+) {
+    sweep_at(
+        Level::live(),
+        (x, ld, col_w, row_w, &mut by_row, &mut by_col),
+    );
+}
+
+/// [`checksum_sweep`] on a given level.
+fn sweep_at(level: Level, args: Sweep) {
+    let (_, ld, col_w, row_w, ref by_row, ref by_col) = args;
+    let (rows, cols) = (by_row[0].len(), by_col[0].len());
+    let row_side = [row_w[0], row_w[1], by_row[1]].map(<[f64]>::len) == [rows; 3];
+    let col_side = [col_w[0], col_w[1], by_col[1]].map(<[f64]>::len) == [cols; 3];
+    assert!(row_side && col_side, "checksum sides differ in length");
+    assert!(rows <= 1 || cols <= ld, "{cols} columns exceed ld = {ld}");
+    assert!(level.supported(), "{level:?} is not available on this CPU");
+    match level {
+        Level::Scalar => sweep::<1>(args),
+        // SAFETY (both): the CPU was asserted to support the level.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { sweep_avx2(args) },
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { sweep_avx512(args) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("only the scalar level is supported off x86_64"),
+    }
+}
+
+/// The arguments of a checksum sweep.
+type Sweep<'a, 'b, 'c> = (
+    &'a [f32],
+    usize,
+    [&'a [f64]; 2],
+    [&'a [f64]; 2],
+    &'b mut [&'c mut [f64]; 2],
+    &'b mut [&'c mut [f64]; 2],
+);
+
+/// [`sweep`] compiled for AVX2 (two rows per block suit its registers).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn sweep_avx2(args: Sweep) {
+    sweep::<2>(args)
+}
+
+/// [`sweep`] compiled for AVX-512F (four rows per block).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512(args: Sweep) {
+    sweep::<4>(args)
+}
+
+/// The sweep in blocks of `R` rows, then single rows.
+#[inline(always)]
+fn sweep<const R: usize>((x, ld, col_w, row_w, by_row, by_col): Sweep) {
+    let rows = by_row[0].len();
+    let blocked = rows - rows % R;
+    for i in (0..blocked).step_by(R) {
+        sweep_rows::<R>(i, (x, ld, col_w, row_w, by_row, by_col));
+    }
+    for i in blocked..rows {
+        sweep_rows::<1>(i, (x, ld, col_w, row_w, by_row, by_col));
+    }
+}
+
+/// Rows `i0 .. i0 + R`, 8 columns at a time: each block of columns loads
+/// its sums once for all `R` rows, and each row keeps its 8 lanes in
+/// registers.  The lane arithmetic is element-wise on `[f64; 8]`, which
+/// the compiler vectorises at the caller's width without reordering it.
+#[inline(always)]
+fn sweep_rows<const R: usize>(i0: usize, (x, ld, col_w, row_w, by_row, by_col): Sweep) {
+    let cols = by_col[0].len();
+    let vector_cols = cols / 8 * 8;
+    let mut lanes = [[[0.0f64; 8]; 2]; R];
+    for j in (0..vector_cols).step_by(8) {
+        let w: [[f64; 8]; 2] = col_w.map(|w| w[j..j + 8].try_into().unwrap());
+        let mut sums: [[f64; 8]; 2] = [0, 1].map(|s| by_col[s][j..j + 8].try_into().unwrap());
+        for (r, lanes) in lanes.iter_mut().enumerate() {
+            let i = i0 + r;
+            let v: &[f32; 8] = x[i * ld + j..][..8].try_into().unwrap();
+            let (v, rw) = (v.map(f64::from), [row_w[0][i], row_w[1][i]]);
+            let a = v.map(f64::abs);
+            for l in 0..8 {
+                lanes[0][l] += v[l] * w[0][l];
+                lanes[1][l] += a[l] * w[1][l];
+                sums[0][l] += v[l] * rw[0];
+                sums[1][l] += a[l] * rw[1];
+            }
+        }
+        for (c, s) in by_col.iter_mut().zip(sums) {
+            c[j..j + 8].copy_from_slice(&s);
+        }
+    }
+    for (r, &lanes) in lanes.iter().enumerate() {
+        // A copy: indexing it by `j % 8` keeps the lanes above in registers.
+        let (i, mut lanes) = (i0 + r, lanes);
+        for j in vector_cols..cols {
+            let (v, a) = (f64::from(x[i * ld + j]), f64::from(x[i * ld + j]).abs());
+            lanes[0][j % 8] += v * col_w[0][j];
+            lanes[1][j % 8] += a * col_w[1][j];
+            by_col[0][j] += v * row_w[0][i];
+            by_col[1][j] += a * row_w[1][i];
+        }
+        for (side, lanes) in lanes.iter().enumerate() {
+            by_row[side][i] += lanes.iter().fold(0.0, |s, l| s + l);
+        }
+    }
 }
 
 /// Whether a vectorised path is live on this host.
@@ -726,6 +857,106 @@ mod tests {
             k_tail: 0,
         };
         execute_block(&g, 1, 9, 8, &[0.0; 1], &[0.0; 8], &mut [0.0; 8]);
+    }
+
+    /// The documented order of [`checksum_sweep`], written out on its
+    /// own: `[row sums, row masses, column sums, column masses]`, each
+    /// added onto `init`.
+    fn sweep_by_definition(
+        x: &[f32],
+        (rows, cols, ld): (usize, usize, usize),
+        col_w: [&[f64]; 2],
+        row_w: [&[f64]; 2],
+        init: f64,
+    ) -> [Vec<f64>; 4] {
+        let at = |i: usize, j: usize| f64::from(x[i * ld + j]);
+        let row = |i: usize, side: usize| {
+            let mut lanes = [0.0f64; 8];
+            for j in 0..cols {
+                let v = if side == 0 { at(i, j) } else { at(i, j).abs() };
+                lanes[j % 8] += v * col_w[side][j];
+            }
+            init + lanes.iter().fold(0.0, |s, l| s + l)
+        };
+        let col = |j: usize, side: usize| {
+            (0..rows).fold(init, |s, i| {
+                let v = if side == 0 { at(i, j) } else { at(i, j).abs() };
+                s + v * row_w[side][i]
+            })
+        };
+        [
+            (0..rows).map(|i| row(i, 0)).collect(),
+            (0..rows).map(|i| row(i, 1)).collect(),
+            (0..cols).map(|j| col(j, 0)).collect(),
+            (0..cols).map(|j| col(j, 1)).collect(),
+        ]
+    }
+
+    /// At every level this CPU supports, on row and column counts around
+    /// the row blocks and the 8 lanes (1×1, one column, one row, ragged
+    /// tails) and strided matrices whose gaps hold NaN: the sweep returns
+    /// the documented order's bits and reads no gap.
+    #[test]
+    fn checksum_sweep_has_the_same_bits_at_every_level() {
+        let shapes = [
+            (1, 1, 1),
+            (1, 9, 9),
+            (3, 8, 8),
+            (5, 17, 24),
+            (7, 33, 40),
+            (9, 96, 96),
+            (13, 7, 7),
+            (4, 1, 3),
+            (6, 16, 21),
+            (0, 5, 5),
+        ];
+        let weights = |n: usize, seed: u32| -> Vec<f64> {
+            fill(n, seed).iter().map(|&v| f64::from(v) / 3.0).collect()
+        };
+        for level in supported_levels() {
+            for &(rows, cols, ld) in &shapes {
+                let mut x = fill(rows * ld, 7);
+                for (i, v) in x.iter_mut().enumerate() {
+                    if i % ld >= cols {
+                        *v = f32::NAN;
+                    }
+                }
+                let (cw, cw_abs) = (weights(cols, 8), weights(cols, 9));
+                let (rw, rw_abs) = (weights(rows, 10), weights(rows, 11));
+                let init = 0.375;
+                let mut got = [
+                    vec![init; rows],
+                    vec![init; rows],
+                    vec![init; cols],
+                    vec![init; cols],
+                ];
+                let [rs, rm, cs, cm] = &mut got;
+                let (by_row, by_col) = (&mut [&mut rs[..], rm], &mut [&mut cs[..], cm]);
+                sweep_at(
+                    level,
+                    (&x, ld, [&cw, &cw_abs], [&rw, &rw_abs], by_row, by_col),
+                );
+                let want =
+                    sweep_by_definition(&x, (rows, cols, ld), [&cw, &cw_abs], [&rw, &rw_abs], init);
+                for (side, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(g),
+                        bits(w),
+                        "{level:?} {rows}x{cols} ld={ld} side {side}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn checksum_sweep_rejects_a_short_matrix() {
+        let one = [1.0; 3];
+        let (mut a, mut b, mut c, mut d) = ([0.0; 3], [0.0; 3], [0.0; 3], [0.0; 3]);
+        let (by_row, by_col) = ([&mut a[..], &mut b], [&mut c[..], &mut d]);
+        checksum_sweep(&[0.0; 8], 3, [&one, &one], [&one, &one], by_row, by_col);
     }
 
     #[test]
