@@ -143,9 +143,11 @@ fn timing_seconds(ft: &FtImm, shape: &GemmShape, clusters: usize) -> f64 {
     run_completed(ft, &mut eng, job, "timing run").seconds
 }
 
-/// Shape of the functional failover probe (big enough for several
-/// checkpoint spans per shard, small enough for Fast mode in CI).
-const PROBE: (usize, usize, usize) = (128, 32, 32);
+/// Shape of the functional failover probe: type 1, split into two
+/// shards of more than two rounds of the walk each (eight 3040-row
+/// tasks a round), so a kill halfway through shard 0 salvages whole
+/// rounds; small enough for Fast mode in CI.
+const PROBE: (usize, usize, usize) = (110_000, 32, 8);
 
 fn probe_job() -> ShardedJob {
     let (m, n, k) = PROBE;

@@ -18,7 +18,7 @@
 //! best single backend — both degenerate candidates are always in the
 //! search grid, so any regression means the chooser itself broke.
 
-use crate::cluster::{CORES, MAX_CLUSTERS, REGIMES};
+use crate::cluster::{CORES, MAX_CLUSTERS};
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use cpublas::CpuConfig;
 use dspsim::{ExecMode, HwConfig};
@@ -30,6 +30,14 @@ use ftimm::{
 /// Checkpoint grain shared by the chooser and both engine runs (the
 /// split grid and the shard-boundary grid must be the same thing).
 const GRAIN: usize = 64;
+
+/// The cluster report's regimes, type 1 at an M whose last round of the
+/// walk is partial: the default host takes the rows left to one core.
+pub const REGIMES: [(&str, (usize, usize, usize)); 3] = [
+    ("table1-type1", (50_000, 32, 32)),
+    crate::cluster::REGIMES[1],
+    crate::cluster::REGIMES[2],
+];
 
 /// Which side of the crossover the planner landed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -599,11 +599,9 @@ impl Ctx<'_> {
 
     /// The bitwise oracle of every sharded run: a fault-free
     /// single-cluster *checkpointed* run of the exact pinned plan and ckpt
-    /// grid the sharded engine replicates.  Checkpointing re-anchors the
-    /// kernel blocking every span (see `ftimm::plan::sharded`), so the
-    /// engine — and the CPU lane's host mirror, which replays the same
-    /// plan and grid — is bitwise identical to this, not to a plain
-    /// un-checkpointed run.
+    /// grain the sharded engine uses.  Its spans, the engine's shards and
+    /// the CPU lane's spans all cut M on the walk's unit grid (see
+    /// `ftimm::RowGrid`), so all of them are a plain run's bits too.
     fn checkpointed_oracle(&self) -> Result<Run, Mismatch> {
         let (ft, case) = (self.ft, self.case);
         self.staged_run(

@@ -672,9 +672,10 @@ mod tests {
     fn tuning_stamps_a_coexec_hint_that_round_trips_the_catalog() {
         let path =
             std::env::temp_dir().join(format!("ftimm-api-coexec-{}.json", std::process::id()));
-        // Table I type-1: the regime where the default CPU model takes a
-        // real M tail, so the tuned hint is a genuine mixed split.
-        let shape = GemmShape::new(8192, 32, 32);
+        // Table I type-1 with a partial last round: the regime where the
+        // default CPU model takes a real M tail, so the tuned hint is a
+        // genuine mixed split.
+        let shape = GemmShape::new(50_000, 32, 32);
         let cx = crate::plan::CoexecTune::default();
         let cfg = crate::plan::TuneConfig {
             coexec: Some(cx),
@@ -701,7 +702,13 @@ mod tests {
                 choice.cpu_rows > 0 && choice.cpu_rows < shape.m,
                 "premise: this regime mixes, got {choice:?}"
             );
-            assert_eq!((shape.m - choice.cpu_rows) % cx.grain_rows, 0);
+            // The split sits on the shard grain: the checkpoint grain
+            // rounded up to whole units of the tuned plan's walk.
+            let unit = crate::Walk::new(&outcome.plan.strategy, shape.m, 32, 32, 8)
+                .grid()
+                .unit;
+            let grain = cx.grain_rows.div_ceil(unit) * unit;
+            assert_eq!((shape.m - choice.cpu_rows) % grain, 0);
             ft.save_plan_catalog(&path).unwrap();
             outcome.plan
         };

@@ -31,7 +31,7 @@
 
 use crate::engine::CircuitBreaker;
 use crate::error::FtimmError;
-use crate::resilience::ckpt_spans;
+use crate::walk::Walk;
 use crate::ChosenStrategy;
 use cpublas::CpuConfig;
 use dspsim::{FaultPlan, Phase, Profiler, Span};
@@ -227,7 +227,9 @@ impl CpuBackend {
         // rows across the checkpoint spans.
         let total_s = super::predict_cpu_stripe(&self.cfg, rows, n, k, self.slowdown).seconds;
         let per_row_s = total_s / rows as f64;
-        let spans = ckpt_spans(rows, ckpt_rows);
+        let cores = cores.clamp(1, self.dsp_cores_per_cluster);
+        let grid = Walk::new(strategy, rows, n, k, cores).grid();
+        let spans = grid.spans(rows, ckpt_rows);
         let mut rows_verified = 0usize;
         for &(s0, s1) in &spans {
             let span_s = per_row_s * (s1 - s0) as f64;
@@ -302,6 +304,10 @@ mod tests {
     use crate::{reference, FtImm, GemmShape, Strategy};
     use dspsim::HwConfig;
 
+    /// The span tests run the 8-core plans (32-row tasks) on one core,
+    /// where every task is a round: 32-row checkpoints stay 32-row spans.
+    const ONE_CORE: usize = 1;
+
     fn setup(m: usize, n: usize, k: usize) -> (FtImm, Vec<f32>, Vec<f32>, Vec<f32>) {
         let ft = FtImm::new(HwConfig::default());
         (
@@ -358,7 +364,7 @@ mod tests {
             .run_stripe(
                 ft.executor(),
                 &strategy,
-                8,
+                ONE_CORE,
                 &a,
                 &b,
                 &mut c,
@@ -381,7 +387,7 @@ mod tests {
             .run_stripe(
                 ft.executor(),
                 &strategy,
-                8,
+                ONE_CORE,
                 &a,
                 &b,
                 &mut c,
@@ -410,7 +416,7 @@ mod tests {
             .run_stripe(
                 ft.executor(),
                 &strategy,
-                8,
+                ONE_CORE,
                 &a,
                 &b,
                 &mut c,
@@ -437,7 +443,7 @@ mod tests {
         be.run_stripe(
             ft.executor(),
             &strategy,
-            8,
+            ONE_CORE,
             &a,
             &b,
             &mut c,

@@ -19,11 +19,11 @@
 //!   saturation and injected cluster death; placement is load-aware and
 //!   prefers healthy clusters.
 //! * **Failover** — a shard whose cluster dies mid-run resumes from its
-//!   last `ckpt_rows` row-span checkpoint on a surviving cluster, and
-//!   the merged result is bitwise identical to a fault-free
-//!   single-cluster checkpointed run of the same plan and ckpt grid
-//!   (shard boundaries and salvage points sit on that grid, the plan
-//!   and core count are pinned — see [`crate::plan::sharded`]).
+//!   last row-span checkpoint on a surviving cluster, and the merged
+//!   result is bitwise identical to a fault-free plain single-cluster
+//!   run of the same plan (shard boundaries and salvage points sit on
+//!   the walk's unit grid, the plan and core count are pinned — see
+//!   [`crate::plan::sharded`]).
 //! * **Admission control** — per-tenant quotas, priorities and default
 //!   deadlines; lowest-priority jobs are shed first under degraded
 //!   capacity, and every submitted [`crate::JobId`] gets exactly one

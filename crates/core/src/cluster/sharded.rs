@@ -10,10 +10,10 @@
 //! smaller sub-shape could pick different blocks, and resuming with a
 //! different core count would regroup the K-parallel reduction — either
 //! would break the engine's core invariant that the merged result is
-//! **bitwise identical** to a fault-free single-cluster checkpointed
-//! run of the same plan and `ckpt_rows` grid (shard boundaries are
-//! quantised to that grid — see [`crate::plan::sharded`] for why the
-//! grid, not the row split, is what accumulation order depends on).
+//! **bitwise identical** to a fault-free plain single-cluster run of the
+//! same plan (shard boundaries are quantised to the walk's unit grid —
+//! see [`crate::plan::sharded`] for why the grid, not the row split, is
+//! what accumulation order depends on).
 //!
 //! **Failover.** A shard whose cluster dies mid-run
 //! ([`dspsim::SimError::ClusterFailed`], injected via
@@ -95,9 +95,10 @@ pub enum SpillPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedConfig {
     /// Breaker/resilience knobs shared with the single-cluster engine.
-    /// `engine.resilience.ckpt_rows` is both the failover checkpoint
-    /// grain (a dead shard resumes from its last completed row span)
-    /// and the shard-boundary grid (see [`crate::plan::sharded`]); 0
+    /// `engine.resilience.ckpt_rows` is the minimum of two grains: a
+    /// shard's checkpoint spans (whole rounds of the walk; a dead shard
+    /// resumes from its last completed span) and the shard boundaries
+    /// (whole units of the walk, see [`crate::plan::sharded`]).  0
     /// disables checkpointing and forces single-shard plans, so
     /// [`ShardedConfig::default`] overrides the all-purpose
     /// [`EngineConfig::default`] with a non-zero grain.
@@ -269,7 +270,7 @@ impl ShardedReport {
 pub enum ShardedOutcome {
     /// The job finished (possibly after absorbed faults and failovers);
     /// `c` is the merged accumulator, bitwise identical to a fault-free
-    /// single-cluster checkpointed run of the same plan and ckpt grid.
+    /// plain single-cluster run of the same plan.
     Completed {
         /// Updated host C.
         c: Vec<f32>,
@@ -885,6 +886,7 @@ impl ShardedEngine {
         m.ddr.reset_alloc();
         let problem = GemmProblem::alloc(m, shard.rows(), job.n, job.k)?;
         if m.mode.is_functional() {
+            m.ddr.materialise_allocated();
             problem
                 .a
                 .upload(m, &job.a[shard.r0 * job.k..shard.r1 * job.k])?;
@@ -986,6 +988,7 @@ mod tests {
     use crate::cluster::ClusterHealth;
     use crate::reference::fill_matrix;
     use crate::resilience::ResilienceConfig;
+    use crate::Walk;
     use dspsim::{ExecMode, FaultPlan, HwConfig, Machine};
 
     const M: usize = 96;
@@ -1019,10 +1022,9 @@ mod tests {
         )
     }
 
-    /// Fault-free single-cluster *checkpointed* run with the same pinned
-    /// plan and ckpt grid — the bitwise oracle for everything sharded
-    /// (checkpoint spans re-anchor the kernel blocking, so a plain
-    /// un-checkpointed run is not bit-comparable).
+    /// Fault-free plain run of the same pinned plan on one cluster — the
+    /// bitwise oracle for everything sharded (shards and checkpoint spans
+    /// cut M on the walk's unit grid, see [`crate::RowGrid`]).
     fn single_cluster_oracle(ft: &FtImm) -> Vec<f32> {
         oracle_for(ft, M, N, K)
     }
@@ -1034,12 +1036,7 @@ mod tests {
         p.b.upload(&mut mach, &fill_matrix(k * n, 2)).unwrap();
         p.c.upload(&mut mach, &fill_matrix(m * n, 3)).unwrap();
         let plan = ft.plan_full(&GemmShape::new(m, n, k), Strategy::Auto, CORES);
-        Executor::new(ft)
-            .with_plan(plan.strategy)
-            .cores(CORES)
-            .resilient(test_cfg().engine.resilience)
-            .run(&mut mach, &p)
-            .unwrap();
+        ft.run_plan(&mut mach, &p, &plan.strategy, CORES).unwrap();
         p.c.download(&mut mach).unwrap()
     }
 
@@ -1191,16 +1188,19 @@ mod tests {
 
     /// A shape the co-execution planner actually splits under the test
     /// grid (ckpt 8, two clusters, default CPU model): tall-skinny
-    /// type-1, where Fig. 7's crossover gives the host a real tail.
-    const CM: usize = 4096;
+    /// type-1, where Fig. 7's crossover gives the host a real tail.  Four
+    /// 6080-row tasks make a round; the host takes the 1680 rows the
+    /// last, partial round would leave to one core.
+    const CM: usize = 26_000;
+    const CK: usize = 8;
 
     fn coexec_job() -> ShardedJob {
         ShardedJob::gemm(
             CM,
             32,
-            32,
-            fill_matrix(CM * 32, 1),
-            fill_matrix(32 * 32, 2),
+            CK,
+            fill_matrix(CM * CK, 1),
+            fill_matrix(CK * 32, 2),
             fill_matrix(CM * 32, 3),
             Strategy::Auto,
             CORES,
@@ -1208,7 +1208,7 @@ mod tests {
     }
 
     fn coexec_oracle(ft: &FtImm) -> Vec<f32> {
-        oracle_for(ft, CM, 32, 32)
+        oracle_for(ft, CM, 32, CK)
     }
 
     fn coexec_cfg() -> ShardedConfig {
@@ -1377,9 +1377,24 @@ mod tests {
         assert!(four.plan.clusters_used() > 1);
         assert!(four.seconds > 0.0);
         assert!(four.gflops() > 0.0);
-        // Type 1 is bandwidth-bound per cluster; four private DDR
-        // partitions quadruple aggregate bandwidth, less the launches.
+        // Type 1 is bandwidth-bound per cluster, and the walk deals M in
+        // rounds of one task per core: one cluster runs every round, each
+        // of four only the rounds of its shard, but with a launch of its
+        // own.  So four clusters take at most their share of the single
+        // cluster's rounds plus three more launches.
+        let round = Walk::new(&four.plan.plan.strategy, 1 << 16, 32, 32, 8)
+            .grid()
+            .round;
+        let rounds = |rows: usize| rows.div_ceil(round) as f64;
+        let most = four.plan.shards.iter().map(|s| rounds(s.rows()));
+        let share = most.fold(0.0, f64::max) / rounds(1 << 16);
+        let bound = (one.seconds - LAUNCH_OVERHEAD_S) * share + 4.0 * LAUNCH_OVERHEAD_S;
+        assert!(four.seconds <= bound, "{} > {bound}", four.seconds);
         let speedup = one.seconds / four.seconds;
-        assert!(speedup > 2.5 && speedup <= 4.05, "{speedup}");
+        assert!(speedup <= 4.05, "{speedup}");
+        // Whole rounds keep every core busy: both runs beat the 8-row
+        // spans that dealt one task at a time (5510 and 1565 µs).
+        assert!(one.seconds < 5.51e-3, "{}", one.seconds);
+        assert!(four.seconds < 1.565e-3, "{}", four.seconds);
     }
 }

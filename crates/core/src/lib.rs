@@ -98,4 +98,4 @@ pub use resilience::{
 };
 pub use shape::{GemmShape, IrregularType, BLOCK_ALIGN, SUFFICIENTLY_LARGE, TINY_K_MAX};
 pub use tgemm::{run_tgemm, TgemmParams};
-pub use walk::Walk;
+pub use walk::{RowGrid, Walk};

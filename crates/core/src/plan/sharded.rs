@@ -7,24 +7,23 @@
 //! [`ChosenStrategy`](crate::ChosenStrategy) on a contiguous stripe of C
 //! rows.
 //!
-//! **Bitwise identity and the checkpoint grid.**  A row's f32
-//! accumulation order is *not* independent of the rows around it: the
-//! micro-kernel's `k_u`-way accumulator split is chosen per
-//! `KernelSpec`, and a row's spec height depends on where the row falls
-//! in the strategy's local M-blocking.  Re-anchoring that blocking —
-//! which both sharding and checkpointed execution do (the resilience
-//! layer runs every `ckpt_rows` span as an independent sub-run of the
-//! pinned plan, see [`crate::resilience`]) — can therefore flip low
-//! bits.  The sharded engine always executes shards through that
-//! checkpointed path, so the invariant this module maintains is:
-//! *shard boundaries land on multiples of `grain_rows` (the engine's
-//! `ckpt_rows`)*.  The global span partition is then identical to a
-//! single-cluster checkpointed run of the same plan, every span is a
-//! deterministic sub-run, and the merged result — with or without
-//! failover, whose salvage points sit on the same grid — is bitwise
-//! identical to that single-cluster run.  `grain_rows == 0` disables
-//! checkpointing and hence the grid, so the plan degenerates to a
-//! single shard.
+//! **Bitwise identity and the unit grid.**  A row's f32 accumulation
+//! order is *not* independent of the rows around it: the micro-kernel's
+//! `k_u`-way accumulator split is chosen per `KernelSpec`, and a row's
+//! spec height depends on where the row falls in the strategy's
+//! M-blocking.  A shard runs the pinned plan as a problem of its own, so
+//! its walk deals tasks and row blocks from the shard's first row.  The
+//! invariant this module maintains is therefore: *shard boundaries land
+//! on the unit grid of the pinned plan's walk* ([`crate::RowGrid`]:
+//! `m_a` for M-parallel, the group height for K-parallel and TGEMM).
+//! Every shard then deals the plain walk's own tasks, and so does every
+//! checkpoint span inside it, every salvage point of a failover and the
+//! CPU lane's stripe: the merged result, with or without failover, is
+//! bitwise identical to a plain single-cluster run of the plan.  The
+//! grain is `grain_rows` (the engine's `ckpt_rows`) rounded up to whole
+//! units — not to whole rounds, so a job still spreads over clusters.
+//! `grain_rows == 0` means no checkpoint grid, so the plan degenerates
+//! to a single shard.
 //!
 //! Planning is two-staged and fully cached:
 //!
@@ -50,6 +49,7 @@
 
 use crate::backend::predict_cpu_stripe;
 use crate::plan::Plan;
+use crate::walk::Walk;
 use crate::{FtImm, GemmShape, Strategy};
 use cpublas::CpuConfig;
 use dspsim::BackendKind;
@@ -125,11 +125,11 @@ impl ShardedPlan {
 /// indices, best first).  The full shape is planned through the LRU plan
 /// cache; the shard count is the divisor minimising the analytic
 /// per-shard time plus `LAUNCH_OVERHEAD_S` per launch.  Every shard
-/// boundary is a multiple of `grain_rows` — the caller's checkpoint
-/// span (`ckpt_rows`) — so the sharded span partition matches a
-/// single-cluster checkpointed run bit-for-bit (see the module docs);
-/// `grain_rows == 0` means no checkpoint grid and forces a single
-/// shard.  Panics if `placement` is empty (the caller decides what an
+/// boundary is a multiple of the grain — the caller's checkpoint span
+/// (`ckpt_rows`) rounded up to whole units of the plan's walk — so the
+/// merged run matches a plain single-cluster run bit-for-bit (see the
+/// module docs); `grain_rows == 0` means no checkpoint grid and forces
+/// a single shard.  Panics if `placement` is empty (the caller decides what an
 /// empty pool means).
 pub fn plan_sharded(
     ft: &FtImm,
@@ -141,7 +141,7 @@ pub fn plan_sharded(
 ) -> ShardedPlan {
     assert!(!placement.is_empty(), "plan_sharded needs ≥ 1 cluster");
     let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(shape, grain_rows);
+    let g = grain(&plan, grain_rows);
     // Whole grains of rows; the last grain may be short.
     let units = shape.m.div_ceil(g).max(1);
     let (best_d, best_t) =
@@ -162,7 +162,7 @@ pub fn plan_sharded(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoexecChoice {
     /// Rows of the M tail placed on the CPU lane (a multiple of the
-    /// checkpoint grain away from `m`, or `0`/`m` exactly).
+    /// shard grain away from `m`, or `0`/`m` exactly).
     pub cpu_rows: usize,
     /// Predicted makespan of the chosen split, seconds.
     pub predicted_s: f64,
@@ -179,7 +179,7 @@ pub struct CoexecChoice {
 /// through the pinned full-shape plan, and the CPU model through
 /// [`predict_cpu_stripe`] (scaled by the lane's health `cpu_slowdown`).
 /// The split is searched on a bounded fraction grid (≤ 33 candidates)
-/// over the checkpoint-grain units, each candidate costed as
+/// over the shard grains, each candidate costed as
 /// `max(DSP side with its own divisor search, CPU side)` — launches are
 /// charged per device since the lanes run concurrently.  The degenerate
 /// all-DSP and all-CPU candidates are always in the grid and ties keep
@@ -187,8 +187,7 @@ pub struct CoexecChoice {
 /// predicted slower than the best single-backend plan.
 ///
 /// `grain_rows == 0` disables the checkpoint grid, so only the
-/// degenerate picks are available (a mid-M split would break bitwise
-/// identity without span re-anchoring).
+/// degenerate picks are available.
 #[allow(clippy::too_many_arguments)]
 pub fn choose_coexec_split(
     ft: &FtImm,
@@ -202,7 +201,7 @@ pub fn choose_coexec_split(
 ) -> CoexecChoice {
     assert!(clusters >= 1, "choose_coexec_split needs ≥ 1 cluster");
     let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(shape, grain_rows);
+    let g = grain(&plan, grain_rows);
     let units = shape.m.div_ceil(g).max(1);
     // Bounded fraction grid: O(1) in M, endpoints always included.
     let steps = units.min(COEXEC_SPLIT_STEPS);
@@ -249,7 +248,7 @@ pub fn choose_coexec_split(
 /// Plan one GEMM across `placement` *and* the CPU lane: like
 /// [`plan_sharded`], but the M tail chosen by [`choose_coexec_split`]
 /// (or pinned by a tuned plan's [`Plan::coexec_cpu_rows`] hint, when it
-/// sits on the checkpoint grid) is emitted as one
+/// sits on the shard grain) is emitted as one
 /// [`BackendKind::Cpu`] shard with [`ShardOrigin::Planned`].  The CPU
 /// stripe executes through the host mirror on the same grid, so the
 /// merged C keeps the module's bitwise-identity contract.  Degenerate
@@ -267,7 +266,7 @@ pub fn plan_coexec(
 ) -> ShardedPlan {
     assert!(!placement.is_empty(), "plan_coexec needs ≥ 1 cluster");
     let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(shape, grain_rows);
+    let g = grain(&plan, grain_rows);
     let units = shape.m.div_ceil(g).max(1);
     // A tuned plan pins its split; anything off the grid (e.g. a hint
     // tuned under a different ckpt_rows) falls back to the live search.
@@ -334,13 +333,17 @@ pub fn plan_coexec(
 /// O(clusters × steps) even for M in the millions of rows).
 const COEXEC_SPLIT_STEPS: usize = 32;
 
-/// The checkpoint grain: no grid (`grain_rows == 0`) means one grain
-/// spanning all of M.
-fn grain(shape: &GemmShape, grain_rows: usize) -> usize {
+/// The shard grain: `grain_rows` rounded up to whole units of the pinned
+/// plan's [`crate::RowGrid`], so every shard boundary lies on the unit
+/// grid.  No checkpoint grid (`grain_rows == 0`) means one grain spanning
+/// all of M.
+fn grain(plan: &Plan, grain_rows: usize) -> usize {
+    let GemmShape { m, n, k } = plan.shape;
+    let unit = Walk::new(&plan.strategy, m, n, k, plan.cores).grid().unit;
     if grain_rows == 0 {
-        shape.m.max(1)
+        m.max(1)
     } else {
-        grain_rows
+        grain_rows.div_ceil(unit) * unit
     }
 }
 
@@ -539,14 +542,19 @@ mod tests {
     fn mixed_split_tiles_m_with_a_grid_aligned_cpu_tail() {
         let ft = FtImm::new(HwConfig::default());
         // Table I type-1 regime: tall-skinny M is where co-execution
-        // pays — the default CPU model takes a real tail here.
-        let shape = GemmShape::new(8192, 32, 32);
+        // pays.  Eight 6080-row tasks make a round; the default CPU model
+        // takes the 1360 rows the last, partial round would leave to
+        // one core.
+        let shape = GemmShape::new(50_000, 32, 32);
         let cpu = CpuConfig::default();
         let choice = choose_coexec_split(&ft, &shape, Strategy::Auto, 8, 4, 64, &cpu, 1.0);
         assert!(
             choice.cpu_rows > 0 && choice.cpu_rows < shape.m,
             "expected a mixed split, got {choice:?}"
         );
+        let plan = ft.plan_full(&shape, Strategy::Auto, 8);
+        let unit = Walk::new(&plan.strategy, shape.m, 32, 32, 8).grid().unit;
+        assert_eq!((shape.m - choice.cpu_rows) % unit, 0);
         assert_eq!((shape.m - choice.cpu_rows) % 64, 0);
         assert!(choice.predicted_s <= choice.dsp_only_s);
         assert!(choice.predicted_s <= choice.cpu_only_s);
@@ -613,8 +621,8 @@ mod tests {
     #[test]
     fn grain_zero_permits_only_degenerate_splits() {
         let ft = FtImm::new(HwConfig::default());
-        // No checkpoint grid: a mid-M split would break bitwise
-        // identity, so the chooser may only pick 0 or m.
+        // No checkpoint grid: one grain spans M, so the chooser may only
+        // pick 0 or m.
         for cpu in [
             CpuConfig::default(),
             CpuConfig {

@@ -11,12 +11,10 @@
 //!   initial `C`.  Both sides are read in place in DDR by
 //!   [`hostsimd::checksum_sweep`]; the initial `C` is the only operand
 //!   copied, as the snapshot that suspect rows are restored from.  Only
-//!   the suspect row range is re-executed.  That is bit-exact with a
-//!   fault-free run when the range keeps the run's row-block heights
-//!   (per-element accumulation order depends only on block sizes, not on
-//!   row partitioning).  A range that cuts a block, such as one row, runs
-//!   the kernel of its own height, whose depth unroll may differ: its rows
-//!   then match a fault-free run only to f32 rounding.
+//!   the suspect row range, widened to its enclosing units of the walk's
+//!   [`RowGrid`], is re-executed: the re-run deals the walk's own tasks
+//!   and row blocks, so the recovered `C` is bit-exact with a fault-free
+//!   run.
 //! * **DMA timeouts** abort the run mid-flight — either after the fault
 //!   plan's full hang charge or earlier when a watchdog DMA budget is
 //!   armed ([`dspsim::WatchdogConfig`]).  The affected row span is
@@ -28,13 +26,15 @@
 //!   reduction and are only numerically (not bitwise) equivalent.
 //! * **Checkpointing** ([`ResilienceConfig::ckpt_rows`] > 0) splits the M
 //!   dimension into row spans that execute and row-checksum-verify one at
-//!   a time.  A fault then costs only the unverified span: verified spans
-//!   are never restored or re-executed, so
-//!   [`dspsim::FaultStats::rows_reexecuted`] stays strictly below a full
-//!   restart's.  Span-by-span execution is bit-exact with the monolithic
-//!   run (row partitioning does not change per-element accumulation
-//!   order) but *not* time-identical — each span reloads its `B` panels —
-//!   which is the classic checkpoint overhead trade-off.
+//!   a time.  A span is whole rounds of the walk ([`RowGrid::spans`]): it
+//!   ends where every core's task ends, so no core idles inside a span,
+//!   and it starts on the unit grid, so span-by-span execution is
+//!   bit-exact with the monolithic run.  A fault then costs only the
+//!   unverified span: verified spans are never restored or re-executed,
+//!   so [`dspsim::FaultStats::rows_reexecuted`] stays strictly below a
+//!   full restart's whenever there are two spans or more.  Each span
+//!   still reloads its `B` panels and pays its own prologue, the
+//!   checkpoint overhead a coarser `ckpt_rows` trades away.
 //! * **Deadline preemption** ([`dspsim::SimError::WatchdogTripped`] with
 //!   a `Core` unit) is *not* retried: it is a budget decision by the
 //!   caller, surfaced immediately together with the rows verified so far
@@ -48,6 +48,7 @@
 //! unwrapped run.
 
 use crate::exec::validate_problem;
+use crate::walk::{RowGrid, Walk};
 use crate::{ChosenStrategy, DdrMatrix, FtImm, FtimmError, GemmProblem};
 use dspsim::{EventKind, Machine, RunReport, SimError};
 use hostsimd::checksum_sweep;
@@ -82,12 +83,14 @@ pub struct ResilienceConfig {
     /// only in them goes undetected.  A checked row or column whose final
     /// sum is not finite is a mismatch.
     pub abft_tol: f64,
-    /// Checkpoint granularity in `C` rows.  `0` (the default) disables
+    /// Minimum checkpoint span in `C` rows.  `0` (the default) disables
     /// checkpointing: the whole problem is one span and a mid-run fault
     /// restarts it all.  A positive value executes and verifies the
     /// problem span by span, so recovery re-executes only the unverified
-    /// span.  Bit-exact either way; timing differs (per-span `B` panel
-    /// reloads).
+    /// span; each span is rounded up to whole rounds of the plan's walk
+    /// ([`RowGrid::spans`]), so a value below one round checkpoints once
+    /// per round.  Bit-exact either way; timing differs (per-span `B`
+    /// panel reloads).
     pub ckpt_rows: usize,
 }
 
@@ -214,25 +217,6 @@ impl AbftRef {
     }
 }
 
-/// The checkpoint span partition of `mm` rows at granularity `ckpt`:
-/// contiguous `[r0, r1)` spans on the `ckpt` grid, the last possibly
-/// short.  `ckpt == 0` (checkpointing off) or `ckpt >= mm` yields the
-/// single monolithic span.  This partition is the unit of bitwise
-/// identity across execution backends: the DSP resilience layer and the
-/// CPU fallback backend ([`crate::backend::CpuBackend`]) both anchor
-/// their M-blocking at each span start, so any executor that walks the
-/// same partition with the same pinned plan produces the same bits.
-pub(crate) fn ckpt_spans(mm: usize, ckpt: usize) -> Vec<(usize, usize)> {
-    if ckpt == 0 || ckpt >= mm {
-        vec![(0, mm)]
-    } else {
-        (0..mm)
-            .step_by(ckpt)
-            .map(|r| (r, (r + ckpt).min(mm)))
-            .collect()
-    }
-}
-
 /// The row-restricted sub-problem `C[r0..r1, :] += A[r0..r1, :] × B`.
 fn row_span(p: &GemmProblem, r0: usize, r1: usize) -> GemmProblem {
     GemmProblem {
@@ -278,6 +262,7 @@ struct Ctx<'a> {
     plan: &'a ChosenStrategy,
     cores: usize,
     rcfg: &'a ResilienceConfig,
+    grid: RowGrid,
 }
 
 /// Mutable recovery bookkeeping for one resilient run.
@@ -367,6 +352,29 @@ fn corrupt_err(p: &GemmProblem, row: usize) -> FtimmError {
     })
 }
 
+/// Verify rows `[r0, r1)` (and, with `cols`, every column) until clean:
+/// each suspect range is widened to its enclosing units of the grid,
+/// restored and re-executed, so the re-run deals the walk's own tasks and
+/// reproduces a fault-free run bit for bit.
+fn verify_until_clean(
+    cx: &Ctx,
+    m: &mut Machine,
+    p: &GemmProblem,
+    r: &AbftRef,
+    rec: &mut Recovery,
+    rows: (usize, usize),
+    cols: bool,
+) -> Result<(), FtimmError> {
+    while let Some(suspect) = r.verify(m, p, cx.rcfg.abft_tol, rows, cols)? {
+        let (b0, b1) = cx.grid.widen(suspect, p.m());
+        rec.charge(cx, m, corrupt_err(p, suspect.0))?;
+        r.restore_rows(m, p, b0, b1)?;
+        rec.rows_reexecuted += (b1 - b0) as u64;
+        execute_span(cx, m, p, Some(r), rec, b0, b1)?;
+    }
+    Ok(())
+}
+
 fn run_spans(
     cx: &Ctx,
     m: &mut Machine,
@@ -381,27 +389,15 @@ fn run_spans(
     };
 
     let mm = p.m();
-    let spans = ckpt_spans(mm, cx.rcfg.ckpt_rows);
+    let spans = cx.grid.spans(mm, cx.rcfg.ckpt_rows);
     let checkpointing = spans.len() > 1;
 
     for &(s0, s1) in &spans {
         execute_span(cx, m, p, abft.as_ref(), rec, s0, s1)?;
-        if checkpointing {
-            // Row-checksum gate for this checkpoint span.  Column sums
-            // need the whole C and run once at the end.
-            if let Some(r) = &abft {
-                loop {
-                    match r.verify(m, p, cx.rcfg.abft_tol, (s0, s1), false)? {
-                        None => break,
-                        Some((b0, b1)) => {
-                            rec.charge(cx, m, corrupt_err(p, b0))?;
-                            r.restore_rows(m, p, b0, b1)?;
-                            rec.rows_reexecuted += (b1 - b0) as u64;
-                            execute_span(cx, m, p, abft.as_ref(), rec, b0, b1)?;
-                        }
-                    }
-                }
-            }
+        // Row-checksum gate for this checkpoint span.  Column sums need
+        // the whole C and run once at the end.
+        if let (true, Some(r)) = (checkpointing, &abft) {
+            verify_until_clean(cx, m, p, r, rec, (s0, s1), false)?;
         }
         rec.rows_verified = s1;
     }
@@ -409,17 +405,7 @@ fn run_spans(
     // Full-matrix verification: re-checks every row sum and adds the
     // column pass that catches row-compensated corruption.
     if let Some(r) = &abft {
-        loop {
-            match r.verify(m, p, cx.rcfg.abft_tol, (0, mm), true)? {
-                None => break,
-                Some((b0, b1)) => {
-                    rec.charge(cx, m, corrupt_err(p, b0))?;
-                    r.restore_rows(m, p, b0, b1)?;
-                    rec.rows_reexecuted += (b1 - b0) as u64;
-                    execute_span(cx, m, p, abft.as_ref(), rec, b0, b1)?;
-                }
-            }
-        }
+        verify_until_clean(cx, m, p, r, rec, (0, mm), true)?;
     }
 
     let ids: Vec<usize> = (0..cx.cores.clamp(1, m.alive_cores())).collect();
@@ -442,11 +428,13 @@ pub fn run_resilient_full(
     cores: usize,
     rcfg: &ResilienceConfig,
 ) -> ResilientRun {
+    let walk_cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
     let cx = Ctx {
         ft,
         plan,
         cores,
         rcfg,
+        grid: Walk::new(plan, p.m(), p.n(), p.k(), walk_cores).grid(),
     };
     let mut rec = Recovery::new();
     let result = run_spans(&cx, m, p, &mut rec);
@@ -580,6 +568,39 @@ mod tests {
     }
 
     #[test]
+    fn recovery_of_a_corrupted_row_block_is_bit_exact() {
+        // A corrupted `A_s` transfer taints rows of one 8-row block of a
+        // 32-row task.  The suspect rows widen to that task (one `m_a`
+        // unit), so the re-run deals the walk's own row blocks and
+        // reproduces the fault-free bits, with or without checkpoints.
+        let ft = FtImm::new(HwConfig::default());
+        let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
+        let mut m = Machine::with_mode(ExecMode::Fast);
+        let p = problem(&mut m, 64, 24, 48);
+        ft.run_plan(&mut m, &p, &plan, 4).unwrap();
+        let want = p.c.download(&mut m).unwrap();
+        for nth in 1..=7 {
+            for ckpt_rows in [0, 16] {
+                let mut m = Machine::with_mode(ExecMode::Fast);
+                let p = problem(&mut m, 64, 24, 48);
+                m.install_faults(&FaultPlan::new(9).corrupt_dma(DmaPath::DdrToSm, nth));
+                let rcfg = ResilienceConfig {
+                    ckpt_rows,
+                    ..ResilienceConfig::default()
+                };
+                let rep = run_resilient(&ft, &mut m, &p, &plan, 4, &rcfg).unwrap();
+                let case = format!("DdrToSm #{nth} ckpt {ckpt_rows}");
+                assert_eq!(rep.faults.dma_corruptions, 1, "{case}");
+                assert_eq!(rep.faults.rows_reexecuted, 32, "{case}");
+                let got = p.c.download(&mut m).unwrap();
+                for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{case}: C[{i}] {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_retry_budget_surfaces_corruption() {
         let ft = FtImm::new(HwConfig::default());
         let mut m = Machine::with_mode(ExecMode::Fast);
@@ -628,9 +649,11 @@ mod tests {
         let ft = FtImm::new(HwConfig::default());
         let mut m = Machine::with_mode(ExecMode::Fast);
         let p = problem(&mut m, 64, 24, 48);
-        // A corruption in the third of four checkpoint spans (DdrToSm
-        // sees two transfers per span) with a zero retry budget: spans 1
-        // and 2 verify, span 3 fails terminally.
+        // The 4-core plan's 32-row tasks run on one core, where each task
+        // is a round: 16-row checkpoints round up to two 32-row spans.  A
+        // corruption in the second span (DdrToSm sees four transfers per
+        // span) with a zero retry budget: span 1 verifies, span 2 fails
+        // terminally.
         m.install_faults(&FaultPlan::new(5).corrupt_dma(DmaPath::DdrToSm, 5));
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
         let rcfg = ResilienceConfig {
@@ -638,7 +661,7 @@ mod tests {
             ckpt_rows: 16,
             ..ResilienceConfig::default()
         };
-        let run = run_resilient_full(&ft, &mut m, &p, &plan, 4, &rcfg);
+        let run = run_resilient_full(&ft, &mut m, &p, &plan, 1, &rcfg);
         assert!(run.result.is_err());
         assert_eq!(run.rows_total, 64);
         assert!(
@@ -811,7 +834,7 @@ mod tests {
                     "{case}"
                 );
                 assert_eq!(verdict_by_download(&mut m, &p, &want, (0, mm), true), None);
-                for (r0, r1) in ckpt_spans(mm, 8) {
+                for (r0, r1) in (RowGrid { unit: 1, round: 8 }).spans(mm, 8) {
                     rng = rng
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);

@@ -34,6 +34,9 @@
 //! predicate: it holds exactly when a run of the walk raises no
 //! scratchpad `OutOfBounds`, functional or timing.
 //!
+//! So is where a run may be cut in M: [`Walk::grid`] is the [`RowGrid`]
+//! that checkpoint spans, shards, the CPU lane and recovery all cut on.
+//!
 //! The two crate-private functions at the end are the part of *emitting*
 //! the walk on the DSP that does not depend on the strategy: the
 //! double-buffered prefetch order and the `A_s` + kernel-invoke loop.
@@ -125,6 +128,40 @@ pub(crate) fn fits(
     Walk::new(strategy, shape.m, shape.n, shape.k, cores)
         .footprint()
         .fits(cfg)
+}
+
+/// Where a run of a walk may be cut in M.  A sub-run of rows `[r0, r1)`
+/// (a checkpoint span, a shard, a CPU-lane stripe, a recovered range)
+/// runs the pinned plan as a problem of its own, dealing tasks and row
+/// blocks from `r0`: with `r0` on the unit grid they are the full walk's,
+/// so its rows are the full run's bit for bit.  Neither quantum depends
+/// on M.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowGrid {
+    /// `m_a` (M-parallel) or the group height `m_g` (K-parallel, TGEMM).
+    pub unit: usize,
+    /// Where every core's task ends: `unit × cores` for M-parallel, which
+    /// deals units round-robin, `unit` where each task uses every core.
+    pub round: usize,
+}
+
+impl RowGrid {
+    /// The checkpoint spans of `[0, m)`: at least `min_rows` each, rounded
+    /// up to whole rounds, the last possibly short.  `min_rows == 0`
+    /// (checkpointing off), or a round that covers `m`, yields one span.
+    pub fn spans(&self, m: usize, min_rows: usize) -> Vec<(usize, usize)> {
+        let step = min_rows.div_ceil(self.round) * self.round;
+        if step == 0 || step >= m {
+            return vec![(0, m)];
+        }
+        blocks(0..m, step).map(|b| (b.start, b.end)).collect()
+    }
+
+    /// Rows `[r0, r1)` of an `m`-row run widened to their enclosing units.
+    pub fn widen(&self, (r0, r1): (usize, usize), m: usize) -> (usize, usize) {
+        let u = self.unit;
+        (r0 / u * u, (r1.div_ceil(u) * u).min(m))
+    }
 }
 
 /// `range` cut into consecutive blocks of `step` (the last one short).
@@ -260,6 +297,15 @@ impl Walk {
             k_a,
             m_s,
         }
+    }
+
+    /// Where a run of this walk may be cut in M.
+    pub fn grid(&self) -> RowGrid {
+        let (unit, round) = match self.kind {
+            StrategyKind::MPar => (self.m_a, self.m_a * self.cores),
+            StrategyKind::KPar | StrategyKind::TGemm => (self.group[0], self.group[0]),
+        };
+        RowGrid { unit, round }
     }
 
     /// Which of the three loop nests this is.

@@ -6,7 +6,7 @@
 //!   and corruption in the rows that *can* be checked is still caught.
 //! * Operands that are strided views of larger matrices (`ld > cols`, a
 //!   non-zero offset) run resilient ≡ plain, bit for bit, and recover
-//!   from a DMA corruption.
+//!   from a DMA corruption bit for bit too.
 
 use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine};
 use ftimm::reference::fill_matrix;
@@ -29,24 +29,11 @@ fn poisoned(m: &mut Machine, poison: Option<f32>) -> GemmProblem {
 }
 
 /// Assert two `C`s carry the same bits, naming the first that differs.
+/// Recovered runs are held to it too: recovery re-runs whole units of
+/// the walk, so a recovered `C` is a fault-free one bit for bit.
 fn same_bits(got: &[f32], want: &[f32], case: &str) {
-    agree(got, want, case, |g, w| g.to_bits() == w.to_bits());
-}
-
-/// Assert a recovered `C` is a fault-free one up to f32 rounding: the
-/// same bits wherever the fault-free value is not finite, within 1e-5 of
-/// it elsewhere.  Recovery re-runs only the suspect rows, whose own
-/// row blocking may pick other kernels than the span's, so its bits may
-/// differ in the last place.
-fn recovered(got: &[f32], want: &[f32], case: &str) {
-    agree(got, want, case, |g, w| {
-        g.to_bits() == w.to_bits() || (w.is_finite() && (g - w).abs() <= 1e-5 * (1.0 + w.abs()))
-    });
-}
-
-fn agree(got: &[f32], want: &[f32], case: &str, ok: impl Fn(f32, f32) -> bool) {
     assert_eq!(got.len(), want.len(), "{case}");
-    if let Some(i) = (0..got.len()).find(|&i| !ok(got[i], want[i])) {
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
         panic!("{case}: C[{i}] = {} vs {}", got[i], want[i]);
     }
 }
@@ -131,7 +118,7 @@ fn corruption_in_a_checked_row_is_recovered_beside_an_unchecked_one() {
                 rep.faults.retries >= 1,
                 "{case}: the corruption went unseen"
             );
-            recovered(&p.c.download(&mut m).unwrap(), &want, &case);
+            same_bits(&p.c.download(&mut m).unwrap(), &want, &case);
         }
     }
 }
@@ -181,12 +168,8 @@ fn strided_views_run_resilient_as_plain_and_recover_bitwise() {
                 let rep = run_resilient(&ft, &mut m, &p, &chosen, CORES, &rcfg).unwrap();
                 let case = format!("{shape:?} ckpt {ckpt_rows} fault {}", fault.is_some());
                 let got = p.c.download(&mut m).unwrap();
-                if rep.faults.retries == 0 {
-                    same_bits(&got, &want, &case);
-                } else {
-                    recovered(&got, &want, &case);
-                    recoveries += 1;
-                }
+                same_bits(&got, &want, &case);
+                recoveries += usize::from(rep.faults.retries > 0);
             }
         }
     }

@@ -3,19 +3,22 @@
 //! domain — a CPU fault mid-failover must terminate the job with a
 //! shed-and-reason, never hang a watchdog or drop the [`ftimm::JobId`];
 //! and spilled output must stay bitwise identical to a fault-free
-//! single-cluster checkpointed run of the same pinned plan.
+//! plain run of the same pinned plan.
 
 use dspsim::{BackendKind, ExecMode, FaultPlan, HwConfig, Machine};
 use ftimm::reference::fill_matrix;
 use ftimm::{
-    BreakerState, ClusterHealth, ClusterPool, EngineConfig, Executor, FtImm, GemmProblem,
-    GemmShape, ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome,
-    SpillPolicy, Strategy, TenantSpec, CPU_LANE,
+    BreakerState, ClusterHealth, ClusterPool, EngineConfig, FtImm, GemmProblem, GemmShape,
+    ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, SpillPolicy,
+    Strategy, TenantSpec, CPU_LANE,
 };
 
-const M: usize = 96;
+/// Type 1 with two and a half rounds of the walk (four 3040-row tasks
+/// each), so a kill halfway through the only shard lands after its
+/// first checkpoint span.
+const M: usize = 30_000;
 const N: usize = 16;
-const K: usize = 24;
+const K: usize = 8;
 const CORES: usize = 4;
 
 fn cfg(spill: SpillPolicy) -> ShardedConfig {
@@ -45,10 +48,10 @@ fn job() -> ShardedJob {
     )
 }
 
-/// Fault-free single-cluster *checkpointed* run of the same pinned plan
-/// and ckpt grid — the bitwise oracle for every spilled or failed-over
-/// run below (checkpoint spans re-anchor the kernel blocking, so a plain
-/// un-checkpointed run is not bit-comparable).
+/// Fault-free plain run of the same pinned plan on one cluster — the
+/// bitwise oracle for every spilled or failed-over run below (salvage
+/// points and the CPU lane's spans lie on the walk's unit grid, so every
+/// part is a plain run's rows bit for bit).
 fn single_cluster_oracle(ft: &FtImm) -> Vec<f32> {
     let mut m = Machine::new(HwConfig::default(), ExecMode::Fast);
     let p = GemmProblem::alloc(&mut m, M, N, K).unwrap();
@@ -56,12 +59,7 @@ fn single_cluster_oracle(ft: &FtImm) -> Vec<f32> {
     p.b.upload(&mut m, &fill_matrix(K * N, 2)).unwrap();
     p.c.upload(&mut m, &fill_matrix(M * N, 3)).unwrap();
     let plan = ft.plan_full(&GemmShape::new(M, N, K), Strategy::Auto, CORES);
-    Executor::new(ft)
-        .with_plan(plan.strategy)
-        .cores(CORES)
-        .resilient(cfg(SpillPolicy::Never).engine.resilience)
-        .run(&mut m, &p)
-        .unwrap();
+    ft.run_plan(&mut m, &p, &plan.strategy, CORES).unwrap();
     p.c.download(&mut m).unwrap()
 }
 

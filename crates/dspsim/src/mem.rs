@@ -132,6 +132,12 @@ impl MemRegion {
         self.bytes = want;
     }
 
+    /// Materialise everything allocated so far in one step, where DDR
+    /// grown upload by upload would reallocate once per upload.
+    pub fn materialise_allocated(&mut self) {
+        self.touch(self.watermark);
+    }
+
     /// Bounds-check an access, then materialise the store it touches.
     fn ensure(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
         let end = self.check(offset, len)?;

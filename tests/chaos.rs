@@ -246,26 +246,31 @@ fn deadline_preemption_is_reported_at_a_reproducible_instant() {
 
 #[test]
 fn checkpointed_recovery_reexecutes_strictly_fewer_rows_bit_exactly() {
-    let (_, c_plain, _) = baseline(Strategy::MPar);
+    let (_, c_plain, plan) = baseline(Strategy::MPar);
     // The same mid-run DMA hang, recovered once without checkpoints
-    // (whole-problem restart) and once with 16-row spans.
+    // (whole-problem restart) and once with 16-row spans.  The plan's
+    // 32-row tasks run on one core, where each task is a round, so the
+    // spans round up to two 32-row spans.
     let faults = FaultPlan::new(37).timeout_dma(DmaPath::DdrToSm, 2);
-    let (full, c_full) = chaotic(Strategy::MPar, &faults, &ResilienceConfig::default()).unwrap();
-    let (ckpt, c_ckpt) = chaotic(
-        Strategy::MPar,
-        &faults,
-        &ResilienceConfig {
-            ckpt_rows: 16,
-            ..ResilienceConfig::default()
-        },
-    )
-    .unwrap();
+    let on_one_core = |rcfg: &ResilienceConfig| {
+        let ft = FtImm::new(HwConfig::default());
+        let mut m = Machine::with_mode(ExecMode::Fast);
+        let p = upload_problem(&mut m);
+        m.install_faults(&faults);
+        let rep = run_resilient(&ft, &mut m, &p, &plan, 1, rcfg).unwrap();
+        (rep, p.c.download(&mut m).unwrap())
+    };
+    let (full, c_full) = on_one_core(&ResilienceConfig::default());
+    let (ckpt, c_ckpt) = on_one_core(&ResilienceConfig {
+        ckpt_rows: 16,
+        ..ResilienceConfig::default()
+    });
     assert_eq!(full.faults.dma_timeouts, 1);
     assert_eq!(ckpt.faults.dma_timeouts, 1);
     // Whole-problem restart re-executes every row; the checkpointed run
-    // only the faulted 16-row span.
+    // only the faulted 32-row span.
     assert_eq!(full.faults.rows_reexecuted, M as u64);
-    assert_eq!(ckpt.faults.rows_reexecuted, 16);
+    assert_eq!(ckpt.faults.rows_reexecuted, 32);
     assert!(ckpt.faults.rows_reexecuted < full.faults.rows_reexecuted);
     // Both recoveries are bit-exact against the fault-free run.
     assert_bits_eq(&c_plain, &c_full);
