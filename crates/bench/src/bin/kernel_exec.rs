@@ -7,7 +7,6 @@ fn main() -> ExitCode {
         &[
             ("--out", Arg::Text("FILE")),
             ("--iters", Arg::Number("N")),
-            ("--assert-speedup", Arg::Number("X")),
             ("--assert-invoke-overhead", Arg::Number("X")),
         ],
         "",
@@ -17,19 +16,6 @@ fn main() -> ExitCode {
     let doc = bench::kernel_exec::document(&report);
     print!("{}", doc.render());
 
-    if let Some(min) = cli.num("--assert-speedup") {
-        let got = report.min_speedup();
-        if kernelgen::simd_active() {
-            cli.gate("speedup", got, min, Direction::AtLeast);
-        } else {
-            // Both tiers run the same scalar code here: nothing to gate.
-            println!(
-                "speedup check SKIPPED: compiled tier fell back to `{}` on this host \
-                 (measured {got:.1}x)",
-                report.simd_level
-            );
-        }
-    }
     if let Some(max) = cli.num("--assert-invoke-overhead") {
         let got = report.max_invoke_overhead();
         cli.gate("invoke-overhead", got, max, Direction::AtMost);

@@ -8,7 +8,7 @@
 //! Options:
 //! * `--strategy auto|rules|mpar|kpar|tgemm` (default `auto`)
 //! * `--cores N` (default 8)
-//! * `--mode interpret|fast|compiled|timing` (default `fast`)
+//! * `--mode interpret|compiled|timing` (default `compiled`)
 //! * `--out-profile FILE` — write the profile JSON document
 //! * `--out-trace FILE` — write a Chrome trace (`chrome://tracing`)
 //! * `--assert-roofline FRAC` — exit nonzero unless achieved GFLOPS
@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         &[
             ("--strategy", Arg::Text("auto|rules|mpar|kpar|tgemm")),
             ("--cores", Arg::Number("N")),
-            ("--mode", Arg::Text("interpret|fast|compiled|timing")),
+            ("--mode", Arg::Text("interpret|compiled|timing")),
             ("--out-profile", Arg::Text("FILE")),
             ("--out-trace", Arg::Text("FILE")),
             ("--assert-roofline", Arg::Number("FRAC")),
@@ -35,7 +35,7 @@ fn main() -> ExitCode {
     let strategy = cli.get("--strategy").map_or(Strategy::Auto, |tag| {
         Strategy::from_tag(tag).unwrap_or_else(|_| cli.die(&format!("unknown strategy `{tag}`")))
     });
-    let mode = cli.get("--mode").map_or(ExecMode::Fast, |tag| {
+    let mode = cli.get("--mode").map_or(ExecMode::Compiled, |tag| {
         ExecMode::from_tag(tag).unwrap_or_else(|| cli.die(&format!("unknown mode `{tag}`")))
     });
     let cores = cli.num("--cores").unwrap_or(8);

@@ -180,7 +180,7 @@ mod tests {
 
     const FLAGS: [(&str, Arg); 3] = [
         ("--out", Arg::Text("FILE")),
-        ("--assert-speedup", Arg::Number("X")),
+        ("--assert-warm-speedup", Arg::Number("X")),
         ("--assert-clean", Arg::Switch),
     ];
 
@@ -203,22 +203,22 @@ mod tests {
                 "r.json",
                 "--assert-clean",
                 "16",
-                "--assert-speedup",
+                "--assert-warm-speedup",
                 "2.5",
                 "32",
             ],
         )
         .unwrap();
         assert_eq!(cli.get("--out"), Some("r.json"));
-        assert_eq!(cli.num("--assert-speedup"), Some(2.5));
+        assert_eq!(cli.num("--assert-warm-speedup"), Some(2.5));
         assert_eq!(cli.get("--assert-clean"), Some(""));
         assert_eq!(cli.positional(), ["8", "16", "32"]);
         let cli = parse("", &[]).unwrap();
         assert!(cli.get("--assert-clean").is_none());
-        assert!(cli.num::<f64>("--assert-speedup").is_none());
+        assert!(cli.num::<f64>("--assert-warm-speedup").is_none());
         assert_eq!(
             cli.usage,
-            "usage: demo [--out FILE] [--assert-speedup X] [--assert-clean]"
+            "usage: demo [--out FILE] [--assert-warm-speedup X] [--assert-clean]"
         );
     }
 
@@ -235,7 +235,7 @@ mod tests {
             ("", &["--out"][..], "--out needs a value (FILE)"),
             (
                 "",
-                &["--assert-speedup", "fast"][..],
+                &["--assert-warm-speedup", "fast"][..],
                 "`fast` is not a number",
             ),
         ] {

@@ -146,7 +146,7 @@ fn timing_seconds(ft: &FtImm, shape: &GemmShape, clusters: usize) -> f64 {
 /// Shape of the functional failover probe: type 1, split into two
 /// shards of more than two rounds of the walk each (eight 3040-row
 /// tasks a round), so a kill halfway through shard 0 salvages whole
-/// rounds; small enough for Fast mode in CI.
+/// rounds; small enough for a functional run in CI.
 const PROBE: (usize, usize, usize) = (110_000, 32, 8);
 
 fn probe_job() -> ShardedJob {
@@ -166,12 +166,12 @@ fn probe_job() -> ShardedJob {
 /// Measure the failover cost; with `profile` on, also return the
 /// per-cluster recordings of the killed run for Chrome-trace export.
 fn failover_probe(ft: &FtImm, profile: bool) -> (FailoverCost, Vec<Vec<Profiler>>) {
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
     let mut eng = ShardedEngine::new(pool, sharded_cfg(false));
     let clean = run_completed(ft, &mut eng, probe_job(), "fault-free probe");
     let shard_fault_free_s = clean.shard_runs[0].seconds;
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
     let mut eng = ShardedEngine::new(pool, sharded_cfg(profile));
     eng.install_faults(0, &FaultPlan::new(5).kill_cluster(shard_fault_free_s * 0.5));
     let killed = run_completed(ft, &mut eng, probe_job(), "killed probe");
@@ -233,12 +233,12 @@ pub fn failover_trace() -> String {
 /// death, the CPU timeline carrying the spilled spans.
 pub fn spill_trace(spill: SpillPolicy) -> String {
     let ft = FtImm::new(HwConfig::default());
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, sharded_cfg(false));
     let clean = run_completed(&ft, &mut eng, probe_job(), "fault-free spill probe");
     let shard_fault_free_s = clean.shard_runs[0].seconds;
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let cfg = ShardedConfig {
         spill,
         ..sharded_cfg(true)

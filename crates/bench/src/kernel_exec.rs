@@ -1,29 +1,26 @@
-//! Host kernel-execution tiers: a kernel's lowering on `hostsimd`'s SIMD
-//! level against its scalar level on the paper's Table I–III
-//! micro-kernel regimes.
+//! Host kernel execution: a kernel's lowering at `hostsimd`'s widest
+//! level on the paper's Table I–III micro-kernel regimes, bare and as one
+//! in-simulator invocation.
 //!
 //! Not a paper figure — this is the perf trajectory of the host
-//! execution path itself.  Every functional simulation (`ExecMode::Fast`
-//! / `ExecMode::Compiled`) spends its host wall-clock inside the kernel
-//! executor, so the `compiled` tier's speedup over `fast` is the direct
-//! lever on fuzzer throughput and bench turnaround.  `BENCH_kernel_exec.json`
-//! is emitted by the `kernel_exec` binary and archived by CI, which
-//! gates on [`Report::min_speedup`] — but only when the host actually
-//! runs a SIMD lowering ([`kernelgen::simd_active`]; the report's
-//! `simd_level` names the width, `"avx512f"` or `"avx2+fma"`); on
-//! scalar-fallback hosts both tiers execute the same code and the gate
-//! degrades to a warning.
+//! execution path itself.  Every functional simulation
+//! (`ExecMode::Compiled`) spends its host wall-clock inside the kernel
+//! executor, so the compiled rate is the direct lever on fuzzer
+//! throughput and bench turnaround.  `BENCH_kernel_exec.json` is emitted
+//! by the `kernel_exec` binary and archived by CI; the report's
+//! `simd_level` names the width the lowering ran at (`"avx512f"`,
+//! `"avx2+fma"` or `"scalar"`).
 //!
 //! A bare `execute` on host vectors is not what a simulation pays, so
 //! each regime is also timed as one [`ftimm::invoke_kernel`] on a staged
 //! `ExecMode::Compiled` machine — panels resident in the modelled SM/AM,
-//! clock and counters advanced.  CI gates [`Report::max_invoke_overhead`]
-//! too: whatever sits between the scratchpads and the kernel is paid on
-//! every invocation, and no other row of this report would show it.
+//! clock and counters advanced.  CI gates [`Report::max_invoke_overhead`]:
+//! whatever sits between the scratchpads and the kernel is paid on every
+//! invocation, and no other row of this report would show it.
 
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
-use kernelgen::{HostTier, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
+use kernelgen::{KernelCache, KernelExecutor, KernelSpec, MicroKernel};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,22 +33,15 @@ pub struct Row {
     pub spec: KernelSpec,
     /// Depth unroll of the kernel measured.
     pub k_u: usize,
-    /// Timed executions per tier.
+    /// Timed executions per batch.
     pub iters: usize,
-    /// Mean seconds per execution, scalar (`Fast`) tier.
-    pub fast_s: f64,
-    /// Mean seconds per execution, compiled SIMD tier.
+    /// Mean seconds per bare execution of the lowering.
     pub compiled_s: f64,
     /// Mean seconds per `invoke_kernel` on a staged compiled-mode machine.
     pub invoke_s: f64,
 }
 
 impl Row {
-    /// Compiled-over-fast speedup for this regime.
-    pub fn speedup(&self) -> f64 {
-        self.fast_s / self.compiled_s.max(1e-12)
-    }
-
     /// What an in-simulator invocation costs over the bare kernel.
     pub fn invoke_overhead(&self) -> f64 {
         self.invoke_s / self.compiled_s.max(1e-12)
@@ -66,22 +56,13 @@ impl Row {
 /// The whole report.
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// What the compiled tier lowered to on this host.
+    /// The level the lowering ran at on this host.
     pub simd_level: &'static str,
     /// One row per Table I–III regime (plus the tuned control).
     pub rows: Vec<Row>,
 }
 
 impl Report {
-    /// The smallest compiled/fast speedup across the rows (the CI gate
-    /// asserts on this conservative figure).
-    pub fn min_speedup(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(Row::speedup)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// The largest `invoke_s / compiled_s` across the rows.
     pub fn max_invoke_overhead(&self) -> f64 {
         self.rows
@@ -123,25 +104,25 @@ fn panels(spec: &KernelSpec) -> [Vec<f32>; 3] {
     ]
 }
 
-/// Wall-clock seconds per execution of `kernel` under `tier`, averaged
-/// over an adaptively-sized batch.
-fn time_tier(ex: &KernelExecutor, tier: HostTier, kernel: &MicroKernel, iters: usize) -> f64 {
+/// Wall-clock seconds per bare execution of `kernel`'s lowering,
+/// averaged over a batch of `iters`.
+fn time_execute(ex: &KernelExecutor, kernel: &MicroKernel, iters: usize) -> f64 {
     let [a, b, c0] = panels(&kernel.spec);
     let mut c = c0.clone();
     // Lower the kernel first so lowering cost stays out of the timing.
-    ex.execute(tier, kernel, &a, &b, &mut c).expect("warmup");
+    let lowered = ex.compiled(kernel).expect("kernel lowers");
     let t0 = Instant::now();
     for _ in 0..iters {
         // Reset C so accumulators stay in range; the copy is ~k_a times
-        // cheaper than the kernel and identical across tiers.
+        // cheaper than the kernel, and `time_invoke` pays it too.
         c.copy_from_slice(&c0);
-        ex.execute(tier, kernel, &a, &b, &mut c).expect("execute");
+        lowered.execute(&a, &b, &mut c);
     }
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
 /// Wall-clock seconds per `invoke_kernel` of `kernel` on a compiled-mode
-/// machine whose core 0 holds the panels: what [`time_tier`] measures
+/// machine whose core 0 holds the panels: what [`time_execute`] measures
 /// plus everything between the scratchpads and the kernel.
 fn time_invoke(ex: &KernelExecutor, cfg: &HwConfig, kernel: &MicroKernel, iters: usize) -> f64 {
     let [a, b, c0] = panels(&kernel.spec);
@@ -158,7 +139,7 @@ fn time_invoke(ex: &KernelExecutor, cfg: &HwConfig, kernel: &MicroKernel, iters:
     ftimm::invoke_kernel(&mut m, 0, ex, kernel, bind).expect("warmup");
     let t0 = Instant::now();
     for _ in 0..iters {
-        // The same C reset as `time_tier`, into the scratchpad.
+        // The same C reset as `time_execute`, into the scratchpad.
         let am = &mut m.core_mut(0).am;
         am.write_f32_slice(bind.c_off, &c0).expect("reset C");
         ftimm::invoke_kernel(&mut m, 0, ex, kernel, bind).expect("invoke");
@@ -166,15 +147,14 @@ fn time_invoke(ex: &KernelExecutor, cfg: &HwConfig, kernel: &MicroKernel, iters:
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
-/// The fastest of three batches.  Batches are sized for the scalar tier,
-/// so a compiled one lasts about a millisecond — short enough for a
-/// single descheduling to double it, and the overhead gate compares two.
+/// The fastest of three batches: a single descheduling can double a
+/// batch of a few milliseconds, and the overhead gate compares two.
 fn fastest_of_3(mut batch: impl FnMut() -> f64) -> f64 {
     (0..3).map(|_| batch()).fold(f64::INFINITY, f64::min)
 }
 
-/// Measure every regime.  `iters = 0` sizes each batch so a measurement
-/// takes roughly 100 ms of the scalar tier.
+/// Measure every regime.  `iters = 0` sizes each batch so it takes
+/// roughly 20 ms of bare execution.
 pub fn compute(iters: usize) -> Report {
     let cfg = HwConfig::default();
     let ex = KernelExecutor::new(Arc::new(KernelCache::new(cfg.clone())));
@@ -195,18 +175,16 @@ pub fn compute(iters: usize) -> Report {
             let iters = if iters > 0 {
                 iters
             } else {
-                let probe = time_tier(&ex, HostTier::Fast, &kernel, 3);
-                ((0.1 / probe.max(1e-9)) as usize).clamp(10, 20_000)
+                let probe = time_execute(&ex, &kernel, 10);
+                ((0.02 / probe.max(1e-9)) as usize).clamp(10, 100_000)
             };
-            let fast_s = time_tier(&ex, HostTier::Fast, &kernel, iters);
-            let compiled_s = fastest_of_3(|| time_tier(&ex, HostTier::Compiled, &kernel, iters));
+            let compiled_s = fastest_of_3(|| time_execute(&ex, &kernel, iters));
             let invoke_s = fastest_of_3(|| time_invoke(&ex, &cfg, &kernel, iters));
             Row {
                 label: label.to_string(),
                 spec,
                 k_u: kernel.blocks[0].k_u,
                 iters,
-                fast_s,
                 compiled_s,
                 invoke_s,
             }
@@ -222,10 +200,10 @@ pub fn compute(iters: usize) -> Report {
 /// [`Document::json`] is the `BENCH_kernel_exec.json` document.
 pub fn document(report: &Report) -> Document {
     let (micros, gflops) = (Fixed(1e6, 2, "us"), Fixed(1.0, 1, ""));
-    let (speedup, overhead) = (Fixed(1.0, 1, "x"), Fixed(1.0, 2, "x"));
+    let overhead = Fixed(1.0, 2, "x");
     let rows = Table::new(
         "rows",
-        "Kernel execution — compiled vs fast (scalar level), host wall-clock",
+        "Kernel execution — bare lowering vs in-simulator invocation, host wall-clock",
         &report.rows,
     )
     .col("regime", "regime", |r| Text(r.label.clone()))
@@ -237,9 +215,7 @@ pub fn document(report: &Report) -> Document {
     .col("n_a", "", |r| Count(r.spec.n_a as u64))
     .col("k_u", "k_u", |r| Count(r.k_u as u64))
     .col("iters", "iters", |r| Count(r.iters as u64))
-    .col("fast_s", "fast", |r| Num(r.fast_s, micros))
     .col("compiled_s", "compiled", |r| Num(r.compiled_s, micros))
-    .col("speedup", "speedup", |r| Num(r.speedup(), speedup))
     .col("invoke_s", "invoke", |r| Num(r.invoke_s, micros))
     .col("invoke_overhead", "overhead", |r| {
         Num(r.invoke_overhead(), overhead)
@@ -253,7 +229,6 @@ pub fn document(report: &Report) -> Document {
     Document::new("kernel-exec")
         .value("simd_level", Text(report.simd_level.into()))
         .table(rows)
-        .value("min_speedup", Num(report.min_speedup(), speedup))
         .value(
             "max_invoke_overhead",
             Num(report.max_invoke_overhead(), overhead),
@@ -273,7 +248,7 @@ mod tests {
         assert_eq!(report.rows[0].k_u, 1);
         assert_eq!(report.rows[1].k_u, 2);
         for r in &report.rows {
-            assert!(r.fast_s > 0.0 && r.compiled_s > 0.0, "{}", r.label);
+            assert!(r.compiled_s > 0.0, "{}", r.label);
             assert!(r.invoke_s > 0.0, "{}", r.label);
         }
         let v = crate::report::parsed(&document(&report), "kernel-exec");
@@ -294,14 +269,10 @@ mod tests {
                 Ok(r.invoke_s)
             );
             assert_eq!(
-                row.get("speedup").unwrap().as_f64("speedup"),
-                Ok(r.speedup())
+                row.get("compiled_s").unwrap().as_f64("compiled_s"),
+                Ok(r.compiled_s)
             );
         }
-        assert_eq!(
-            v.get("min_speedup").unwrap().as_f64("min_speedup"),
-            Ok(report.min_speedup())
-        );
         assert_eq!(
             v.get("max_invoke_overhead").unwrap().as_f64("overhead"),
             Ok(report.max_invoke_overhead())

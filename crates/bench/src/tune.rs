@@ -79,7 +79,7 @@ impl Report {
 /// everything to measure the zero-simulation claim.
 pub fn compute(catalog_path: &Path) -> Report {
     let ft = FtImm::new(HwConfig::default());
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     machine.profile_begin(64);
     let rows: Vec<Row> = SHAPES
         .iter()

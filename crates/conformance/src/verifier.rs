@@ -3,12 +3,12 @@
 //! `Bundle::push` enforces the issue rules *at construction*, and the
 //! `dspsim` interpreter checks the scoreboard *at execution* — but a
 //! program that was deserialized, hand-built, or mangled by a generator
-//! bug can bypass the first, and `ExecMode::Fast`/`Timing` runs never hit
-//! the second.  This pass applies the same rules without executing, so it
+//! bug can bypass the first, and `ExecMode::Compiled`/`Timing` runs never
+//! hit the second.  This pass applies the same rules without executing, so it
 //! can vet any kernel `kernelgen` emits (or refuses to):
 //!
 //! * **structure** — loop levels within [`ftimm_isa::addr::MAX_LOOP_DEPTH`],
-//!   no zero-trip loops;
+//!   each nested loop deeper than its parent, no zero-trip loops;
 //! * **issue rules** — every rule [`Bundle::check_issue`] states, each
 //!   broken one reported;
 //! * **hazards** — the [`Scoreboard`]'s RAW and WAW rules over the exact
@@ -35,6 +35,14 @@ pub enum ViolationKind {
     LoopTooDeep {
         /// The offending level.
         level: u8,
+    },
+    /// A loop nested inside another loop at a level no deeper than the
+    /// enclosing one's (the two would share one index slot).
+    LoopNotNested {
+        /// The inner loop's level.
+        level: u8,
+        /// The enclosing loop's level.
+        outer: u8,
     },
     /// A counted loop with zero trips (legal nowhere in the generator's
     /// output; `Program::cycles` would silently drop the body).
@@ -143,6 +151,9 @@ impl fmt::Display for Violation {
         write!(f, ": ")?;
         match &self.kind {
             ViolationKind::LoopTooDeep { level } => write!(f, "loop level {level} too deep"),
+            ViolationKind::LoopNotNested { level, outer } => {
+                write!(f, "loop level {level} nested in level {outer}")
+            }
             ViolationKind::ZeroTripLoop => write!(f, "zero-trip loop"),
             ViolationKind::MalformedInstruction { detail } => {
                 write!(f, "malformed instruction: {detail}")
@@ -228,17 +239,24 @@ fn report(
     }
 }
 
-fn check_structure(sections: &[Section], violations: &mut Vec<Violation>) {
+fn check_structure(sections: &[Section], outer: Option<u8>, violations: &mut Vec<Violation>) {
     for s in sections {
         if let Section::Loop { level, trips, body } = s {
             if (level.0 as usize) >= ftimm_isa::addr::MAX_LOOP_DEPTH {
                 let kind = ViolationKind::LoopTooDeep { level: level.0 };
                 report(violations, None, None, kind);
             }
+            if let Some(outer) = outer.filter(|&o| o >= level.0) {
+                let kind = ViolationKind::LoopNotNested {
+                    level: level.0,
+                    outer,
+                };
+                report(violations, None, None, kind);
+            }
             if *trips == 0 {
                 report(violations, None, None, ViolationKind::ZeroTripLoop);
             }
-            check_structure(body, violations);
+            check_structure(body, Some(level.0), violations);
         }
     }
 }
@@ -246,7 +264,7 @@ fn check_structure(sections: &[Section], violations: &mut Vec<Violation>) {
 /// Run the full lint pass over a program.
 pub fn verify_program(program: &Program, lat: &LatencyTable) -> VerifyReport {
     let mut violations = Vec::new();
-    check_structure(&program.sections, &mut violations);
+    check_structure(&program.sections, None, &mut violations);
 
     // Pass 1 — per-bundle issue rules, each *static* bundle once (a loop
     // body's rule violations don't depend on the trip).
@@ -466,6 +484,31 @@ mod tests {
             .violations
             .iter()
             .any(|x| matches!(x.kind, ViolationKind::UndefinedRead { .. })));
+    }
+
+    /// An inner loop at a level no deeper than its parent's is a
+    /// structure violation in the report, not a panic in the dynamic walk.
+    #[test]
+    fn a_loop_not_nested_deeper_is_reported() {
+        let inner = Section::Loop {
+            level: LoopLevel(0),
+            trips: 1,
+            body: vec![Section::Straight(vec![Bundle::new()])],
+        };
+        let mut p = Program::new("flat");
+        p.sections.push(Section::Loop {
+            level: LoopLevel(1),
+            trips: 2,
+            body: vec![inner],
+        });
+        let rep = verify_program(&p, &LatencyTable::default());
+        assert_eq!(rep.cycles, 2);
+        assert!(
+            rep.violations
+                .iter()
+                .any(|x| matches!(x.kind, ViolationKind::LoopNotNested { level: 0, outer: 1 })),
+            "{rep}"
+        );
     }
 
     #[test]

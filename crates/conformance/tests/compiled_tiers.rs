@@ -1,15 +1,15 @@
-//! Property sweep of the three host execution tiers.
+//! Property sweep of the host execution path against the interpreter.
 //!
-//! The tier contract is *bitwise* identity: the lowering on its SIMD
-//! level (`ExecMode::Compiled`) and on its scalar level
-//! (`ExecMode::Fast`), and the
-//! hazard-checking interpreter (`ExecMode::Interpret`) must produce
-//! bit-identical `C` and the same simulated seconds for every shape,
-//! strategy and core count.  The sweep draws shapes from each of the
+//! The contract is *bitwise* identity: the kernel lowering at the CPU's
+//! widest SIMD level (`ExecMode::Compiled`) and the hazard-checking
+//! interpreter (`ExecMode::Interpret`) must produce bit-identical `C`
+//! and the same simulated seconds for every shape, strategy and core
+//! count.  (That every SIMD level equals the scalar one is `hostsimd`'s
+//! own level-forcing tests.)  The sweep draws shapes from each of the
 //! fuzzer's four regimes (under the interpreter flop budget so the
 //! debug-build run stays fast) and fills the operands adversarially —
 //! mixed magnitudes across ~40 binades, signed zeros and subnormals —
-//! so any tier that reorders an accumulation, flushes denormals or
+//! so a lowering that reorders an accumulation, flushes denormals or
 //! contracts differently is caught by exact bit comparison, not hidden
 //! inside a tolerance.
 
@@ -65,7 +65,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn compiled_fast_and_interpret_agree_bitwise(
+    fn compiled_and_interpret_agree_bitwise(
         regime_ix in 0usize..4,
         strat_ix in 0usize..3,
         cores in 1usize..5,
@@ -78,29 +78,21 @@ proptest! {
         let ft = FtImm::new(HwConfig::default());
 
         let (cc, tc) = run_tier(&ft, &shape, strategy, cores, seed, ExecMode::Compiled);
-        let (cf, tf) = run_tier(&ft, &shape, strategy, cores, seed, ExecMode::Fast);
         let (ci, ti) = run_tier(&ft, &shape, strategy, cores, seed, ExecMode::Interpret);
 
         for i in 0..cc.len() {
-            prop_assert_eq!(
-                cc[i].to_bits(), cf[i].to_bits(),
-                "{} {:?} cores={}: compiled vs fast at {} ({} vs {})",
-                shape, strategy, cores, i, cc[i], cf[i]
-            );
             prop_assert_eq!(
                 cc[i].to_bits(), ci[i].to_bits(),
                 "{} {:?} cores={}: compiled vs interpret at {} ({} vs {})",
                 shape, strategy, cores, i, cc[i], ci[i]
             );
         }
-        prop_assert!((tc - tf).abs() < 1e-15, "seconds: compiled {} vs fast {}", tc, tf);
         prop_assert!((tc - ti).abs() < 1e-15, "seconds: compiled {} vs interpret {}", tc, ti);
     }
 }
 
-/// A kernel carries its lowering: re-running the same problem, on either
-/// host tier, must not lower any kernel again, and the hit counter must
-/// move.
+/// A kernel carries its lowering: re-running the same problem must not
+/// lower any kernel again, and the hit counter must move.
 #[test]
 fn kernels_are_lowered_once_across_runs() {
     let ft = FtImm::new(HwConfig::default());
@@ -109,17 +101,14 @@ fn kernels_are_lowered_once_across_runs() {
     let after_first = ft.executor_stats();
     assert!(after_first.misses > 0, "first run must lower kernels");
     let second = run_tier(&ft, &shape, Strategy::MPar, 2, 7, ExecMode::Compiled);
-    let fast = run_tier(&ft, &shape, Strategy::MPar, 2, 7, ExecMode::Fast);
     let after = ft.executor_stats();
     assert_eq!(
         after.misses, after_first.misses,
-        "identical re-runs must reuse the kernels' lowerings"
+        "an identical re-run must reuse the kernels' lowerings"
     );
     assert!(after.hits > after_first.hits);
-    for rerun in [&second.0, &fast.0] {
-        for (x, y) in first.0.iter().zip(rerun) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    for (x, y) in first.0.iter().zip(&second.0) {
+        assert_eq!(x.to_bits(), y.to_bits());
     }
 }
 

@@ -108,7 +108,7 @@ fn upsert_plan(entries: &mut Vec<(PlanKey, Plan)>, key: PlanKey, plan: Plan) {
     }
 }
 
-/// The ftIMM library context: a kernel cache and its host-tier executor
+/// The ftIMM library context: a kernel cache and its host kernel executor
 /// bound to a hardware configuration.
 pub struct FtImm {
     cfg: HwConfig,
@@ -181,8 +181,8 @@ impl FtImm {
         self.exec.kernels()
     }
 
-    /// The host-tier kernel executor (dispatch point for `Fast` and
-    /// `Compiled` kernel invocations).
+    /// The host kernel executor (hands out the lowering every `Compiled`
+    /// kernel invocation runs).
     pub fn executor(&self) -> &KernelExecutor {
         &self.exec
     }
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn invalid_problems_are_rejected_up_front() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = GemmProblem::alloc(&mut m, 8, 8, 8).unwrap();
         // C with the wrong shape: caught before any core runs.
         let bad = GemmProblem {

@@ -35,7 +35,7 @@ use crate::walk::Walk;
 use crate::ChosenStrategy;
 use cpublas::CpuConfig;
 use dspsim::{FaultPlan, Phase, Profiler, Span};
-use kernelgen::{HostTier, KernelExecutor};
+use kernelgen::KernelExecutor;
 
 /// How a CPU-lane dispatch ended.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,10 +83,6 @@ pub struct CpuBackend {
     /// nths.
     spans_run: u64,
     slowdown: f64,
-    /// Host tier kernels run on.  Defaults to `Compiled` (the SIMD
-    /// lowering) — bit-identical to `Fast` by contract, so failover
-    /// output never depends on this choice.
-    tier: HostTier,
     armed_failures: Vec<u64>,
     dispatches: u64,
     breaker: CircuitBreaker,
@@ -104,7 +100,6 @@ impl CpuBackend {
             clock: 0.0,
             spans_run: 0,
             slowdown: 1.0,
-            tier: HostTier::Compiled,
             armed_failures: Vec::new(),
             dispatches: 0,
             breaker: CircuitBreaker::new(),
@@ -118,18 +113,6 @@ impl CpuBackend {
     pub fn with_dsp_cores(mut self, cores_per_cluster: usize) -> Self {
         self.dsp_cores_per_cluster = cores_per_cluster;
         self
-    }
-
-    /// Pick the host tier kernel invocations run on (`Compiled` by
-    /// default; `Fast` is the scalar reference mirror — bit-identical).
-    pub fn with_tier(mut self, tier: HostTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// The host tier this backend dispatches kernels on.
-    pub fn tier(&self) -> HostTier {
-        self.tier
     }
 
     /// The CPU model config (also the analytic cost model's input).
@@ -267,7 +250,6 @@ impl CpuBackend {
             if !c.is_empty() {
                 super::host::run_strategy_host(
                     ex,
-                    self.tier,
                     strategy,
                     cores,
                     self.dsp_cores_per_cluster,

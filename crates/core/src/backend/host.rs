@@ -13,9 +13,9 @@
 //! [`crate::tgemm::run_tgemm`] emit DMAs from: this module consumes it
 //! with slice copies where they issue transfers, invoking the *same*
 //! generated kernels from the shared kernel cache through the
-//! [`KernelExecutor`] dispatch point.  Both host tiers qualify: `Fast`
-//! and `Compiled` are bit-identical by contract, so the spill lane may
-//! run the SIMD tier without perturbing failover bits.
+//! [`KernelExecutor`]: their lowering is bit-identical to the
+//! interpreter on every SIMD level, so the spill lane's output does not
+//! depend on the host CPU and failover bits are never perturbed.
 //!
 //! Two deliberate differences, both bit-neutral:
 //!
@@ -37,7 +37,7 @@
 
 use crate::walk::Walk;
 use crate::{ChosenStrategy, FtimmError};
-use kernelgen::{HostTier, KernelExecutor};
+use kernelgen::KernelExecutor;
 
 /// Stage a `rows × cols` block of `src` (leading dimension `src_ld`) at
 /// `(r0, c0)` into `dst` with leading dimension `ld >= cols`, zeroing
@@ -98,7 +98,6 @@ fn store_block(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_strategy_host(
     ex: &KernelExecutor,
-    tier: HostTier,
     strategy: &ChosenStrategy,
     cores: usize,
     cores_per_cluster: usize,
@@ -126,13 +125,8 @@ pub(crate) fn run_strategy_host(
                 for (u, ms) in walk.row_blocks(&t) {
                     let kernel = kernel_for(ms)?;
                     load_block(&mut a_s, a, kk, t.r0 + u, ks.start, ms, ks.len(), ks.len());
-                    ex.execute(
-                        tier,
-                        &kernel,
-                        &a_s,
-                        &b_a,
-                        &mut c_a[u * t.ld..(u + ms) * t.ld],
-                    )?;
+                    let c_rows = &mut c_a[u * t.ld..(u + ms) * t.ld];
+                    ex.compiled(&kernel)?.execute(&a_s, &b_a, c_rows);
                 }
             }
             if walk.reduces() {
@@ -167,7 +161,7 @@ mod tests {
         let b = reference::fill_matrix(kk * nn, 2);
         let c0 = reference::fill_matrix(mm * nn, 3);
 
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = GemmProblem::alloc(&mut m, mm, nn, kk).unwrap();
         p.a.upload(&mut m, &a).unwrap();
         p.b.upload(&mut m, &b).unwrap();
@@ -176,35 +170,32 @@ mod tests {
         ft.run_plan(&mut m, &p, &plan, cores).unwrap();
         let want = p.c.download(&mut m).unwrap();
 
-        for tier in [HostTier::Fast, HostTier::Compiled] {
-            let mut c = c0.clone();
-            run_strategy_host(
-                ft.executor(),
-                tier,
-                &plan,
-                cores,
-                HwConfig::default().cores_per_cluster,
-                &a,
-                &b,
-                &mut c,
-                mm,
-                nn,
-                kk,
-            )
-            .unwrap();
-            let mismatches = want
-                .iter()
-                .zip(&c)
-                .filter(|(w, g)| w.to_bits() != g.to_bits())
-                .count();
-            assert_eq!(
-                mismatches,
-                0,
-                "{strategy:?} ({tier:?}) {mm}x{nn}x{kk} on {cores} cores: \
-                 {mismatches} of {} elements differ",
-                want.len()
-            );
-        }
+        let mut c = c0;
+        run_strategy_host(
+            ft.executor(),
+            &plan,
+            cores,
+            HwConfig::default().cores_per_cluster,
+            &a,
+            &b,
+            &mut c,
+            mm,
+            nn,
+            kk,
+        )
+        .unwrap();
+        let mismatches = want
+            .iter()
+            .zip(&c)
+            .filter(|(w, g)| w.to_bits() != g.to_bits())
+            .count();
+        assert_eq!(
+            mismatches,
+            0,
+            "{strategy:?} {mm}x{nn}x{kk} on {cores} cores: \
+             {mismatches} of {} elements differ",
+            want.len()
+        );
     }
 
     #[test]

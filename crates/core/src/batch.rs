@@ -159,7 +159,7 @@ mod tests {
         let batch = GemmBatch::new(50, 10, 12, 4).unwrap();
         let shape = batch.flat_shape();
         let ft = FtImm::new(HwConfig::default());
-        let mut machine = Machine::with_mode(ExecMode::Fast);
+        let mut machine = Machine::with_mode(ExecMode::Compiled);
         let elements = fill_matrix(shape.m * shape.k, 1);
         let operator = fill_matrix(shape.k * shape.n, 2);
         let mut out = vec![0.0f32; shape.m * shape.n];
@@ -223,7 +223,7 @@ mod tests {
         let elements = fill_matrix(shape.m * shape.k, 1);
         let operator = fill_matrix(shape.k * shape.n, 2);
 
-        let mut m_clean = Machine::with_mode(ExecMode::Fast);
+        let mut m_clean = Machine::with_mode(ExecMode::Compiled);
         let mut want = vec![0.0f32; shape.m * shape.n];
         batch
             .run(
@@ -237,7 +237,7 @@ mod tests {
             )
             .unwrap();
 
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         m.install_faults(&dspsim::FaultPlan::new(17).corrupt_dma(dspsim::DmaPath::DdrToAm, 1));
         let mut out = vec![0.0f32; shape.m * shape.n];
         let rep = batch

@@ -1030,7 +1030,7 @@ mod tests {
     }
 
     fn oracle_for(ft: &FtImm, m: usize, n: usize, k: usize) -> Vec<f32> {
-        let mut mach = Machine::new(HwConfig::default(), ExecMode::Fast);
+        let mut mach = Machine::new(HwConfig::default(), ExecMode::Compiled);
         let p = GemmProblem::alloc(&mut mach, m, n, k).unwrap();
         p.a.upload(&mut mach, &fill_matrix(m * k, 1)).unwrap();
         p.b.upload(&mut mach, &fill_matrix(k * n, 2)).unwrap();
@@ -1053,7 +1053,7 @@ mod tests {
     #[test]
     fn fault_free_sharded_run_is_bitwise_identical_to_single_cluster() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 3);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 3);
         let mut eng = ShardedEngine::new(pool, test_cfg());
         let t = eng.register_tenant(TenantSpec::new("ci", 5));
         let id = eng.submit(t, job());
@@ -1073,7 +1073,7 @@ mod tests {
 
         // Measure how long the first shard keeps its cluster busy when
         // nothing fails, so the kill lands mid-shard.
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(pool, test_cfg());
         let t = eng.register_tenant(TenantSpec::new("probe", 5));
         eng.submit(t, job());
@@ -1085,7 +1085,7 @@ mod tests {
         assert!(shard0.seconds > 0.0);
 
         // Now kill shard 0's cluster halfway through that window.
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(pool, test_cfg());
         eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard0.seconds * 0.5));
         let t = eng.register_tenant(TenantSpec::new("chaos", 5));
@@ -1107,7 +1107,7 @@ mod tests {
     #[test]
     fn quota_rejection_and_shedding_are_terminal_outcomes() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(
             pool,
             ShardedConfig {
@@ -1145,7 +1145,7 @@ mod tests {
     #[test]
     fn all_clusters_dead_fails_jobs_terminally() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
         let mut eng = ShardedEngine::new(pool, test_cfg());
         eng.pool.mark_dead(0);
         let t = eng.register_tenant(TenantSpec::new("t", 1));
@@ -1157,7 +1157,7 @@ mod tests {
     #[test]
     fn last_resort_spill_runs_the_whole_job_on_cpu_bitwise() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
         let mut eng = ShardedEngine::new(
             pool,
             ShardedConfig {
@@ -1221,7 +1221,7 @@ mod tests {
     #[test]
     fn coexec_dispatches_both_backends_from_job_start_bitwise() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(pool, coexec_cfg());
         let t = eng.register_tenant(TenantSpec::new("co", 5));
         eng.submit(t, coexec_job());
@@ -1252,7 +1252,7 @@ mod tests {
     #[test]
     fn coexec_cpu_fault_demotes_the_tail_to_dsp_in_job() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(pool, coexec_cfg());
         // Kill the first CPU checkpoint span: the co-executed tail
         // faults immediately and must demote back to the DSP pool.
@@ -1278,7 +1278,7 @@ mod tests {
     #[test]
     fn open_cpu_breaker_demotes_later_plans_to_dsp_only() {
         let ft = FtImm::new(HwConfig::default());
-        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
         let mut eng = ShardedEngine::new(
             pool,
             ShardedConfig {

@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn a_clean_job_completes_and_leaves_breakers_closed() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = problem(&mut m, 64, 24, 48);
         let mut q = JobQueue::new(EngineConfig::default());
         let id = q.submit(Job::gemm(p, Strategy::MPar, 4));
@@ -636,7 +636,7 @@ mod tests {
     fn deadline_zero_preempts_immediately_and_reproducibly() {
         let run = |_: u64| {
             let ft = FtImm::new(HwConfig::default());
-            let mut m = Machine::with_mode(ExecMode::Fast);
+            let mut m = Machine::with_mode(ExecMode::Compiled);
             // Consume some simulated time first so the deadline is not
             // trivially at t = 0.
             let warm = problem(&mut m, 16, 8, 8);
@@ -668,13 +668,13 @@ mod tests {
         let batch = GemmBatch::new(10, 8, 12, 4).unwrap();
         let shape = batch.flat_shape();
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let elements = fill_matrix(shape.m * shape.k, 1);
         let operator = fill_matrix(shape.k * shape.n, 2);
         let out = vec![0.0f32; shape.m * shape.n];
 
         // Oracle: the plain batch API on a fresh machine.
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let mut want = vec![0.0f32; shape.m * shape.n];
         batch
             .run(
@@ -717,7 +717,7 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_recloses_via_canary_probe() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         // Two DMA timeouts on the A-panel path: both absorbed by retries,
         // both implicating the same core (deterministic schedule).
         m.install_faults(
@@ -779,7 +779,7 @@ mod tests {
     #[test]
     fn a_job_failing_on_two_maps_is_poisoned() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         // More timeouts than the retry budget on every attempt: the job
         // fails on its first map, is re-tried on a map excluding the
         // implicated core, fails again and is quarantined.

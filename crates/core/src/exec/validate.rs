@@ -37,7 +37,7 @@ mod tests {
 
     #[test]
     fn problem_validation_reports_shape_mismatches() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = GemmProblem::alloc(&mut m, 8, 8, 8).unwrap();
         assert!(validate_problem(&p).is_ok());
         let bad = GemmProblem {

@@ -2,11 +2,11 @@
 //!
 //! * `Interpret`: run the generated VLIW program through the simulator's
 //!   hazard-checking interpreter (bit-exact, slow).
-//! * `Fast` / `Compiled`: execute the matching host tier through the
-//!   [`KernelExecutor`] dispatch point (both run the kernel's lowering,
-//!   bit-equal to `Interpret`; `Compiled` on SIMD) *in place* on the
-//!   simulated scratchpads — `A_s` is a view of the core's SM, `B_a` and
-//!   `C_a` a disjoint pair of views of its AM, as on the DSP — and
+//! * `Compiled`: run the kernel's lowering (built once through the
+//!   [`KernelExecutor`], executed at the CPU's widest SIMD level,
+//!   bit-equal to `Interpret`) *in place* on the simulated scratchpads —
+//!   `A_s` is a view of the core's SM, `B_a` and `C_a` a disjoint pair
+//!   of views of its AM, as on the DSP — and
 //!   advance the clock by the kernel's cycle count.  Nothing is
 //!   allocated or copied.  The views are three read accesses (SM: A;
 //!   AM: B, then C), which is where armed scratchpad flips strike;
@@ -18,7 +18,7 @@
 
 use crate::FtimmError;
 use dspsim::{ExecMode, KernelBindings, Machine};
-use kernelgen::{HostTier, KernelExecutor, MicroKernel};
+use kernelgen::{KernelExecutor, MicroKernel};
 
 /// Execute one kernel invocation on `core` with the given buffer bindings.
 pub fn invoke_kernel(
@@ -39,12 +39,11 @@ pub fn invoke_kernel(
         ExecMode::Interpret => {
             m.run_kernel(core, kernel.program(), bind)?;
         }
-        ExecMode::Fast | ExecMode::Compiled => {
-            let tier = HostTier::from_mode(m.mode).expect("functional host mode");
+        ExecMode::Compiled => {
             let cr = m.core_mut(core);
             let a = cr.sm.view_f32(a.0, a.1)?;
             let (b, c) = cr.am.view_f32_pair(b, c)?;
-            ex.execute(tier, kernel, a, b, c)?;
+            ex.compiled(kernel)?.execute(a, b, c);
             cr.stats.flops += kernel.flops;
             cr.stats.kernel_calls += 1;
             m.compute(core, kernel.cycles);
@@ -102,21 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_interpret_agree_bitwise() {
-        let (mut mi, exi, kernel, bind) = setup(ExecMode::Interpret);
-        invoke_kernel(&mut mi, 0, &exi, &kernel, bind).unwrap();
-        let (mut mf, exf, _, _) = setup(ExecMode::Fast);
-        invoke_kernel(&mut mf, 0, &exf, &kernel, bind).unwrap();
-        let ci = read_c(&mut mi);
-        let cf = read_c(&mut mf);
-        for (x, y) in ci.iter().zip(&cf) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Both advance the clock by the same cycles.
-        assert!((mi.core_time(0) - mf.core_time(0)).abs() < 1e-18);
-    }
-
-    #[test]
     fn compiled_and_interpret_agree_bitwise_and_on_the_clock() {
         let (mut mi, exi, kernel, bind) = setup(ExecMode::Interpret);
         invoke_kernel(&mut mi, 0, &exi, &kernel, bind).unwrap();
@@ -150,79 +134,74 @@ mod tests {
                 crate::reference::fill_matrix(4 * 32, 3),
             )
         };
-        for mode in [ExecMode::Fast, ExecMode::Compiled] {
-            // Each flip alone, then all three together.
-            for armed in [
-                [true, false, false],
-                [false, true, false],
-                [false, false, true],
-                [true; 3],
-            ] {
-                let (mut m, ex, kernel, bind) = setup(mode);
-                let (mut a, mut b, mut c) = panels();
-                m.core_mut(0).am.write_f32_slice(bind.c_off, &c).unwrap();
-                let core = m.core_mut(0);
-                if armed[0] {
-                    core.sm.schedule_flip(1, RNG[0]);
-                }
-                if armed[1] {
-                    core.am.schedule_flip(1, RNG[1]);
-                }
-                if armed[2] {
-                    core.am.schedule_flip(2, RNG[2]);
-                }
-                invoke_kernel(&mut m, 0, &ex, &kernel, bind).unwrap();
-
-                for (i, panel) in [&mut a[..], &mut b[..], &mut c[..]].into_iter().enumerate() {
-                    if armed[i] {
-                        flip(panel, RNG[i]);
-                    }
-                }
-                let tier = HostTier::from_mode(mode).unwrap();
-                ex.execute(tier, &kernel, &a, &b, &mut c).unwrap();
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&read_c(&mut m)), bits(&c), "{mode:?} {armed:?}: C");
-                // The damage is at rest in the scratchpads, not in a copy.
-                let core = m.core_mut(0);
-                assert_eq!(bits(core.sm.view_f32(0, 64).unwrap()), bits(&a));
-                assert_eq!(bits(core.am.view_f32(0, 512).unwrap()), bits(&b));
-                let fired = armed.iter().filter(|&&x| x).count() as u64;
-                assert_eq!(m.fault_stats().bit_flips, fired);
+        // Each flip alone, then all three together.
+        for armed in [
+            [true, false, false],
+            [false, true, false],
+            [false, false, true],
+            [true; 3],
+        ] {
+            let (mut m, ex, kernel, bind) = setup(ExecMode::Compiled);
+            let (mut a, mut b, mut c) = panels();
+            m.core_mut(0).am.write_f32_slice(bind.c_off, &c).unwrap();
+            let core = m.core_mut(0);
+            if armed[0] {
+                core.sm.schedule_flip(1, RNG[0]);
             }
+            if armed[1] {
+                core.am.schedule_flip(1, RNG[1]);
+            }
+            if armed[2] {
+                core.am.schedule_flip(2, RNG[2]);
+            }
+            invoke_kernel(&mut m, 0, &ex, &kernel, bind).unwrap();
+
+            for (i, panel) in [&mut a[..], &mut b[..], &mut c[..]].into_iter().enumerate() {
+                if armed[i] {
+                    flip(panel, RNG[i]);
+                }
+            }
+            ex.compiled(&kernel).unwrap().execute(&a, &b, &mut c);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&read_c(&mut m)), bits(&c), "{armed:?}: C");
+            // The damage is at rest in the scratchpads, not in a copy.
+            let core = m.core_mut(0);
+            assert_eq!(bits(core.sm.view_f32(0, 64).unwrap()), bits(&a));
+            assert_eq!(bits(core.am.view_f32(0, 512).unwrap()), bits(&b));
+            let fired = armed.iter().filter(|&&x| x).count() as u64;
+            assert_eq!(m.fault_stats().bit_flips, fired);
         }
     }
 
     #[test]
     fn overlapping_or_misaligned_bindings_are_typed_errors() {
-        for mode in [ExecMode::Fast, ExecMode::Compiled] {
-            let (mut m, ex, kernel, bind) = setup(mode);
-            let before = read_c(&mut m);
-            for bad in [
-                // C inside B, B's tail inside C, C misaligned, A misaligned.
-                KernelBindings { c_off: 64, ..bind },
-                KernelBindings {
-                    b_off: 8192 - 2048 + 128,
-                    ..bind
-                },
-                KernelBindings {
-                    c_off: 8194,
-                    ..bind
-                },
-                KernelBindings { a_off: 2, ..bind },
-            ] {
-                let err = invoke_kernel(&mut m, 0, &ex, &kernel, bad).unwrap_err();
-                assert!(
-                    matches!(err, FtimmError::Sim(dspsim::SimError::BadBinding { .. })),
-                    "{mode:?} {bad:?}: {err}"
-                );
-            }
-            assert_eq!(
-                read_c(&mut m),
-                before,
-                "a refused invocation computes nothing"
+        let (mut m, ex, kernel, bind) = setup(ExecMode::Compiled);
+        let before = read_c(&mut m);
+        for bad in [
+            // C inside B, B's tail inside C, C misaligned, A misaligned.
+            KernelBindings { c_off: 64, ..bind },
+            KernelBindings {
+                b_off: 8192 - 2048 + 128,
+                ..bind
+            },
+            KernelBindings {
+                c_off: 8194,
+                ..bind
+            },
+            KernelBindings { a_off: 2, ..bind },
+        ] {
+            let err = invoke_kernel(&mut m, 0, &ex, &kernel, bad).unwrap_err();
+            assert!(
+                matches!(err, FtimmError::Sim(dspsim::SimError::BadBinding { .. })),
+                "{bad:?}: {err}"
             );
-            assert_eq!(m.core(0).stats.kernel_calls, 0);
         }
+        assert_eq!(
+            read_c(&mut m),
+            before,
+            "a refused invocation computes nothing"
+        );
+        assert_eq!(m.core(0).stats.kernel_calls, 0);
     }
 
     #[test]

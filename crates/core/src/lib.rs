@@ -25,7 +25,7 @@
 //! use ftimm::{FtImm, GemmProblem, Strategy};
 //!
 //! let ft = FtImm::new(dspsim::HwConfig::default());
-//! let mut machine = Machine::with_mode(ExecMode::Fast);
+//! let mut machine = Machine::with_mode(ExecMode::Compiled);
 //! let p = GemmProblem::alloc(&mut machine, 512, 32, 256).unwrap();
 //! let a = ftimm::reference::fill_matrix(512 * 256, 1);
 //! let b = ftimm::reference::fill_matrix(256 * 32, 2);

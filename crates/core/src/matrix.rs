@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn upload_download_round_trip() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let mat = DdrMatrix::alloc(&mut m, 3, 5).unwrap();
         let data: Vec<f32> = (0..15).map(|i| i as f32).collect();
         mat.upload(&mut m, &data).unwrap();
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn alloc_is_aligned_and_disjoint() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let a = DdrMatrix::alloc(&mut m, 4, 4).unwrap();
         let b = DdrMatrix::alloc(&mut m, 4, 4).unwrap();
         assert_eq!(a.off % 64, 0);
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn problem_accessors_and_validation() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = GemmProblem::alloc(&mut m, 8, 3, 17).unwrap();
         assert_eq!((p.m(), p.n(), p.k()), (8, 3, 17));
         assert_eq!(p.flops(), 2 * 8 * 3 * 17);

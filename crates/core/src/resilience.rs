@@ -493,13 +493,13 @@ mod tests {
     #[test]
     fn fault_free_resilient_run_matches_plain_run_bitwise() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m1 = Machine::with_mode(ExecMode::Fast);
+        let mut m1 = Machine::with_mode(ExecMode::Compiled);
         let p1 = problem(&mut m1, 64, 24, 48);
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
         let plain = ft.run_plan(&mut m1, &p1, &plan, 4).unwrap();
         let c_plain = p1.c.download(&mut m1).unwrap();
 
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = problem(&mut m2, 64, 24, 48);
         let resil =
             run_resilient(&ft, &mut m2, &p2, &plan, 4, &ResilienceConfig::default()).unwrap();
@@ -524,7 +524,7 @@ mod tests {
         // clean on the first pass (also pinned as conformance fixture
         // `shard-failover-tgemm-1x18x351-*`).
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let s = 8802051278782657661u64 as u32;
         let p = GemmProblem::alloc(&mut m, 1, 18, 351).unwrap();
         p.a.upload(&mut m, &reference::fill_matrix(351, s.wrapping_add(1)))
@@ -546,7 +546,7 @@ mod tests {
     #[test]
     fn abft_catches_a_seeded_flip_and_recovers() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = problem(&mut m, 64, 24, 48);
         m.install_faults(&FaultPlan::new(9).corrupt_dma(dspsim::DmaPath::DdrToAm, 2));
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
@@ -557,7 +557,7 @@ mod tests {
         assert!(rep.faults.rows_reexecuted >= 1);
 
         // Recovered C is bit-identical to a fault-free run.
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = problem(&mut m2, 64, 24, 48);
         ft.run_plan(&mut m2, &p2, &plan, 4).unwrap();
         let want = p2.c.download(&mut m2).unwrap();
@@ -575,13 +575,13 @@ mod tests {
         // reproduces the fault-free bits, with or without checkpoints.
         let ft = FtImm::new(HwConfig::default());
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = problem(&mut m, 64, 24, 48);
         ft.run_plan(&mut m, &p, &plan, 4).unwrap();
         let want = p.c.download(&mut m).unwrap();
         for nth in 1..=7 {
             for ckpt_rows in [0, 16] {
-                let mut m = Machine::with_mode(ExecMode::Fast);
+                let mut m = Machine::with_mode(ExecMode::Compiled);
                 let p = problem(&mut m, 64, 24, 48);
                 m.install_faults(&FaultPlan::new(9).corrupt_dma(DmaPath::DdrToSm, nth));
                 let rcfg = ResilienceConfig {
@@ -603,7 +603,7 @@ mod tests {
     #[test]
     fn zero_retry_budget_surfaces_corruption() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = problem(&mut m, 64, 24, 48);
         m.install_faults(&FaultPlan::new(3).corrupt_dma(dspsim::DmaPath::DdrToAm, 1));
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
@@ -623,12 +623,12 @@ mod tests {
         let ft = FtImm::new(HwConfig::default());
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
 
-        let mut m1 = Machine::with_mode(ExecMode::Fast);
+        let mut m1 = Machine::with_mode(ExecMode::Compiled);
         let p1 = problem(&mut m1, 64, 24, 48);
         ft.run_plan(&mut m1, &p1, &plan, 4).unwrap();
         let want = p1.c.download(&mut m1).unwrap();
 
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = problem(&mut m2, 64, 24, 48);
         let rcfg = ResilienceConfig {
             ckpt_rows: 16,
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn failed_run_reports_checkpoint_progress() {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = problem(&mut m, 64, 24, 48);
         // The 4-core plan's 32-row tasks run on one core, where each task
         // is a round: 16-row checkpoints round up to two 32-row spans.  A
@@ -793,7 +793,7 @@ mod tests {
     fn in_place_capture_matches_the_download_capture() {
         for &shape in &LAYOUT_SHAPES {
             for strided in [false, true] {
-                let mut m = Machine::with_mode(ExecMode::Fast);
+                let mut m = Machine::with_mode(ExecMode::Compiled);
                 let p = layout_problem(&mut m, shape, strided);
                 let got = AbftRef::capture(&mut m, &p).unwrap();
                 let (row, col) = capture_by_download(&mut m, &p);
@@ -820,7 +820,7 @@ mod tests {
         let mut rng = 0x5EEDu64;
         for &(mm, nn, kk) in &LAYOUT_SHAPES {
             for strided in [false, true] {
-                let mut m = Machine::with_mode(ExecMode::Fast);
+                let mut m = Machine::with_mode(ExecMode::Compiled);
                 let p = layout_problem(&mut m, (mm, nn, kk), strided);
                 let abft = AbftRef::capture(&mut m, &p).unwrap();
                 let want = capture_by_download(&mut m, &p);

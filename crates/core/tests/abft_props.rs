@@ -44,7 +44,7 @@ fn plan(ft: &FtImm, p: &GemmProblem, strategy: Strategy) -> ftimm::ChosenStrateg
 
 /// `C` of a plain (unwrapped) run, and its simulated seconds.
 fn plain_run(ft: &FtImm, poison: Option<f32>) -> (Vec<f32>, f64) {
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     let p = poisoned(&mut m, poison);
     let rep = ft
         .run_plan(&mut m, &p, &plan(ft, &p, Strategy::MPar), CORES)
@@ -64,7 +64,7 @@ fn non_finite_results_are_not_reported_as_corruption() {
             "{poison}: row 5 should leave the f32 range"
         );
         for ckpt_rows in [0, 16] {
-            let mut m = Machine::with_mode(ExecMode::Fast);
+            let mut m = Machine::with_mode(ExecMode::Compiled);
             let p = poisoned(&mut m, Some(poison));
             let rcfg = ResilienceConfig {
                 max_retries: 0,
@@ -96,7 +96,7 @@ fn corruption_in_a_checked_row_is_recovered_beside_an_unchecked_one() {
     let (want, _) = plain_run(&ft, Some(f32::INFINITY));
     for (path, nth) in [(DmaPath::DdrToAm, 2), (DmaPath::DdrToSm, 3)] {
         for ckpt_rows in [0, 16] {
-            let mut m = Machine::with_mode(ExecMode::Fast);
+            let mut m = Machine::with_mode(ExecMode::Compiled);
             let p = poisoned(&mut m, Some(f32::INFINITY));
             m.install_faults(&FaultPlan::new(9).corrupt_dma(path, nth));
             let rcfg = ResilienceConfig {
@@ -146,7 +146,7 @@ fn strided_views_run_resilient_as_plain_and_recover_bitwise() {
     let ft = FtImm::new(HwConfig::default());
     let mut recoveries = 0;
     for shape in [(1, 1, 1), (37, 24, 48), (70, 17, 33), (9, 1, 130)] {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = strided(&mut m, shape);
         let chosen = plan(&ft, &p, Strategy::Auto);
         ft.run_plan(&mut m, &p, &chosen, CORES).unwrap();
@@ -156,7 +156,7 @@ fn strided_views_run_resilient_as_plain_and_recover_bitwise() {
                 None,
                 Some(FaultPlan::new(4).corrupt_dma(DmaPath::DdrToAm, 1)),
             ] {
-                let mut m = Machine::with_mode(ExecMode::Fast);
+                let mut m = Machine::with_mode(ExecMode::Compiled);
                 let p = strided(&mut m, shape);
                 if let Some(f) = &fault {
                     m.install_faults(f);

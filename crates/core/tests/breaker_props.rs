@@ -151,7 +151,7 @@ fn problem(m: &mut Machine, rows: usize, cols: usize, depth: usize) -> GemmProbl
 #[test]
 fn job_failing_on_two_core_maps_is_quarantined() {
     let ft = FtImm::new(HwConfig::default());
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     // More A-panel timeouts than any retry budget can absorb.
     let mut plan = FaultPlan::new(33);
     for n in 1..=64 {

@@ -53,7 +53,7 @@ fn job() -> ShardedJob {
 /// points and the CPU lane's spans lie on the walk's unit grid, so every
 /// part is a plain run's rows bit for bit).
 fn single_cluster_oracle(ft: &FtImm) -> Vec<f32> {
-    let mut m = Machine::new(HwConfig::default(), ExecMode::Fast);
+    let mut m = Machine::new(HwConfig::default(), ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut m, M, N, K).unwrap();
     p.a.upload(&mut m, &fill_matrix(M * K, 1)).unwrap();
     p.b.upload(&mut m, &fill_matrix(K * N, 2)).unwrap();
@@ -77,7 +77,7 @@ fn assert_bits_eq(got: &[f32], want: &[f32]) {
 /// used to land kills mid-shard (the clocks are deterministic, so a
 /// half-way kill is exactly reproducible).
 fn probe_shard_seconds(ft: &FtImm) -> f64 {
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::Never));
     let t = eng.register_tenant(TenantSpec::new("probe", 5));
     eng.submit(t, job());
@@ -99,7 +99,7 @@ fn cluster_death_with_no_survivors_spills_remainder_to_cpu_bitwise() {
     let ft = FtImm::new(HwConfig::default());
     let shard_s = probe_shard_seconds(&ft);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::LastResort));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
     let t = eng.register_tenant(TenantSpec::new("chaos", 5));
@@ -145,7 +145,7 @@ fn cpu_fault_mid_failover_sheds_with_reason_instead_of_hanging() {
     let ft = FtImm::new(HwConfig::default());
     let shard_s = probe_shard_seconds(&ft);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::LastResort));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
     // The very first CPU checkpoint span faults.
@@ -174,7 +174,7 @@ fn never_policy_keeps_cpu_cold_and_fails_terminally() {
     let ft = FtImm::new(HwConfig::default());
     let shard_s = probe_shard_seconds(&ft);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::Never));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
     eng.install_cpu_faults(&FaultPlan::new(2).fail_cpu(1).cpu_slowdown(4.0));
@@ -197,7 +197,7 @@ fn repeated_cpu_faults_open_the_breaker_and_fail_fast() {
     let ft = FtImm::new(HwConfig::default());
     let shard_s = probe_shard_seconds(&ft);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::LastResort));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
     // Spans 1..=3 fault: one strike per job, three strikes open the
@@ -238,7 +238,7 @@ fn queued_jobs_keep_completing_on_cpu_after_total_cluster_loss() {
     let ft = FtImm::new(HwConfig::default());
     let shard_s = probe_shard_seconds(&ft);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 1);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::LastResort));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
     let t = eng.register_tenant(TenantSpec::new("chaos", 5).with_quota(8));

@@ -3,7 +3,7 @@
 //!
 //! * The five shapes `Strategy::Auto` used to resolve to a K-par plan
 //!   whose double-buffered `A_s` overran the 64 KiB SM: `gemm` now
-//!   succeeds in `Fast` and `Compiled` and matches the f64 reference, and
+//!   succeeds in `Compiled` and matches the f64 reference, and
 //!   the tuned plan runs.
 //! * Exactness: over random M-par and K-par blocks on small shapes, on
 //!   the default machine and on a small one (so every scratchpad is
@@ -87,15 +87,13 @@ fn auto_runs_and_is_correct_where_it_used_to_overrun_sm() {
     let ft = FtImm::new(HwConfig::default());
     for (m, n, k) in FIXTURES {
         let shape = GemmShape::new(m, n, k);
-        for mode in [ExecMode::Fast, ExecMode::Compiled] {
-            let (mut machine, p) = staged(ft.cfg(), &shape, mode);
-            let (_, plan) = ft
-                .gemm(&mut machine, &p, Strategy::Auto, 8)
-                .unwrap_or_else(|e| panic!("{shape} {mode:?}: {e}"));
-            assert!(fits(ft.cfg(), &plan.strategy, &shape, 8), "{plan:?}");
-            let c = p.c.download(&mut machine).unwrap();
-            assert_matches_reference(&shape, &c, mode.tag());
-        }
+        let (mut machine, p) = staged(ft.cfg(), &shape, ExecMode::Compiled);
+        let (_, plan) = ft
+            .gemm(&mut machine, &p, Strategy::Auto, 8)
+            .unwrap_or_else(|e| panic!("{shape}: {e}"));
+        assert!(fits(ft.cfg(), &plan.strategy, &shape, 8), "{plan:?}");
+        let c = p.c.download(&mut machine).unwrap();
+        assert_matches_reference(&shape, &c, "compiled");
     }
 }
 
@@ -167,7 +165,7 @@ impl Case {
             "{:?} on {} × {} cores, {cfg:?}",
             self.strategy, self.shape, self.cores
         );
-        let [functional, timing] = [ExecMode::Fast, ExecMode::Timing].map(|mode| {
+        let [functional, timing] = [ExecMode::Compiled, ExecMode::Timing].map(|mode| {
             let (mut machine, p) = staged(cfg, &self.shape, mode);
             match self
                 .ft

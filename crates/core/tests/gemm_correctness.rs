@@ -30,7 +30,7 @@ fn run(shape: (usize, usize, usize), strategy: Strategy, cores: usize, mode: Exe
 
 fn check_against_reference(shape: (usize, usize, usize), strategy: Strategy, cores: usize) {
     let (m, n, k) = shape;
-    let got = run(shape, strategy, cores, ExecMode::Fast);
+    let got = run(shape, strategy, cores, ExecMode::Compiled);
     let want = sgemm_f64(
         m,
         n,
@@ -86,53 +86,47 @@ fn single_core_runs_match_reference() {
 }
 
 #[test]
-fn interpret_and_fast_agree_bitwise() {
+fn interpret_and_compiled_agree_bitwise() {
     let shape = (96, 40, 160);
     for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
-        let fast = run(shape, strategy, 3, ExecMode::Fast);
+        let host = run(shape, strategy, 3, ExecMode::Compiled);
         let interp = run(shape, strategy, 3, ExecMode::Interpret);
-        assert_eq!(fast.c.len(), interp.c.len());
-        for (i, (x, y)) in fast.c.iter().zip(&interp.c).enumerate() {
+        assert_eq!(host.c.len(), interp.c.len());
+        for (i, (x, y)) in host.c.iter().zip(&interp.c).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "{strategy:?} element {i}: fast {x} vs interp {y}"
+                "{strategy:?} element {i}: compiled {x} vs interp {y}"
             );
         }
         // Same simulated time in both functional modes.
         assert!(
-            (fast.report.seconds - interp.report.seconds).abs() < 1e-15,
+            (host.report.seconds - interp.report.seconds).abs() < 1e-15,
             "{strategy:?}: {} vs {}",
-            fast.report.seconds,
+            host.report.seconds,
             interp.report.seconds
         );
     }
 }
 
-/// The host tiers compute only the real columns (rounded up to the live
+/// The host path computes only the real columns (rounded up to the live
 /// vector width); the interpreter fills whole 32-lane vectors.  Around
 /// every width where that differs — one lane either side of 8, 16 and 32,
-/// a second column panel past 96 — all three must still produce the same
-/// C bits and the same report (clock, traffic, kernel calls, flops), with
+/// a second column panel past 96 — both must still produce the same C
+/// bits and the same report (clock, traffic, kernel calls, flops), with
 /// TGEMM's fixed padded kernels alongside the exact-width ones.
 #[test]
-fn host_tiers_match_interpret_at_every_width_boundary() {
+fn compiled_matches_interpret_at_every_width_boundary() {
     for n in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 80, 96, 100] {
         for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
             let mut interp = run((37, n, 70), strategy, 3, ExecMode::Interpret);
             // Only the interpreter retires instructions.
             assert!(interp.report.totals.instructions > 0);
             interp.report.totals.instructions = 0;
-            for mode in [ExecMode::Fast, ExecMode::Compiled] {
-                let host = run((37, n, 70), strategy, 3, mode);
-                let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&host.c),
-                    bits(&interp.c),
-                    "N={n} {strategy:?} {mode:?}"
-                );
-                assert_eq!(host.report, interp.report, "N={n} {strategy:?} {mode:?}");
-            }
+            let host = run((37, n, 70), strategy, 3, ExecMode::Compiled);
+            let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&host.c), bits(&interp.c), "N={n} {strategy:?}");
+            assert_eq!(host.report, interp.report, "N={n} {strategy:?}");
         }
     }
 }
@@ -141,13 +135,13 @@ fn host_tiers_match_interpret_at_every_width_boundary() {
 fn timing_mode_reproduces_functional_timing() {
     let shape = (512, 32, 512);
     for strategy in [Strategy::MPar, Strategy::KPar, Strategy::TGemm] {
-        let fast = run(shape, strategy, 8, ExecMode::Fast);
+        let functional = run(shape, strategy, 8, ExecMode::Compiled);
         let timing = run(shape, strategy, 8, ExecMode::Timing);
         assert!(
-            (fast.report.seconds - timing.report.seconds).abs()
-                <= 1e-12 * fast.report.seconds.max(1e-12),
-            "{strategy:?}: fast {} vs timing {}",
-            fast.report.seconds,
+            (functional.report.seconds - timing.report.seconds).abs()
+                <= 1e-12 * functional.report.seconds.max(1e-12),
+            "{strategy:?}: functional {} vs timing {}",
+            functional.report.seconds,
             timing.report.seconds
         );
     }

@@ -84,7 +84,7 @@ fn run_parts(
     cores: usize,
     parts: &[(usize, usize)],
 ) -> Vec<f32> {
-    let mut mach = Machine::with_mode(ExecMode::Fast);
+    let mut mach = Machine::with_mode(ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut mach, m, n, k).unwrap();
     p.a.upload(&mut mach, &fill_matrix(m * k, 1)).unwrap();
     p.b.upload(&mut mach, &fill_matrix(k * n, 2)).unwrap();

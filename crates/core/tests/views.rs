@@ -18,7 +18,7 @@ fn gemm_on_views_equals_gemm_on_copies() {
     let b_host = fill_matrix(big_k * big_n, 2);
 
     // Run 1: views into the big matrices.
-    let mut mv = Machine::with_mode(ExecMode::Fast);
+    let mut mv = Machine::with_mode(ExecMode::Compiled);
     let big_a = DdrMatrix::alloc(&mut mv, big_m, big_k).unwrap();
     let big_b = DdrMatrix::alloc(&mut mv, big_k, big_n).unwrap();
     let big_c = DdrMatrix::alloc(&mut mv, big_m, big_n).unwrap();
@@ -43,7 +43,7 @@ fn gemm_on_views_equals_gemm_on_copies() {
         }
         out
     };
-    let mut md = Machine::with_mode(ExecMode::Fast);
+    let mut md = Machine::with_mode(ExecMode::Compiled);
     let pd = GemmProblem::alloc(&mut md, m, n, k).unwrap();
     pd.a.upload(&mut md, &extract(&a_host, big_k, r0, c0, m, k))
         .unwrap();
@@ -62,7 +62,7 @@ fn gemm_on_views_equals_gemm_on_copies() {
 #[test]
 fn view_does_not_clobber_surroundings() {
     let ft = FtImm::new(HwConfig::default());
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     let big_c = DdrMatrix::alloc(&mut machine, 64, 64).unwrap();
     let sentinel = fill_matrix(64 * 64, 9);
     big_c.upload(&mut machine, &sentinel).unwrap();
@@ -96,7 +96,7 @@ fn view_does_not_clobber_surroundings() {
 #[test]
 #[should_panic(expected = "view out of bounds")]
 fn oob_views_panic() {
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     let m = DdrMatrix::alloc(&mut machine, 4, 4).unwrap();
     let _ = m.view(2, 2, 3, 1);
 }

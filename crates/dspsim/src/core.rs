@@ -29,8 +29,8 @@ impl Core {
     pub fn new(id: usize, cfg: &HwConfig) -> Self {
         Core {
             id,
-            sm: MemRegion::fixed("SM", cfg.sm_bytes),
-            am: MemRegion::fixed("AM", cfg.am_bytes),
+            sm: MemRegion::new("SM", cfg.sm_bytes as u64),
+            am: MemRegion::new("AM", cfg.am_bytes as u64),
             sregs: [0; NUM_SREGS],
             vregs: vec![[0.0; VECTOR_LANES]; NUM_VREGS],
             t_compute: 0.0,

@@ -13,12 +13,10 @@ pub enum ExecMode {
     /// Execute generated VLIW programs instruction-by-instruction
     /// (bit-exact, hazard-checked, slow — for validation).
     Interpret,
-    /// Move data and compute with host-native f32 math in the kernel's
-    /// accumulation order (bit-equal to `Interpret`, fast).
-    Fast,
-    /// Like `Fast`, but kernel invocations run through the compiled host
-    /// tier: the block plan lowered once to specialised SIMD loops
-    /// (bit-equal to `Interpret`, fastest).
+    /// Move data and compute each kernel invocation on the host: the
+    /// kernel's block plan, lowered once, runs at the widest SIMD level
+    /// the CPU has, in the interpreter's accumulation order (bit-equal to
+    /// `Interpret`, fast).
     Compiled,
     /// Only account cycles and bytes; no data is touched (for paper-scale
     /// sweeps).
@@ -35,7 +33,6 @@ impl ExecMode {
     pub fn tag(self) -> &'static str {
         match self {
             ExecMode::Interpret => "interpret",
-            ExecMode::Fast => "fast",
             ExecMode::Compiled => "compiled",
             ExecMode::Timing => "timing",
         }
@@ -45,7 +42,6 @@ impl ExecMode {
     pub fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "interpret" => Some(ExecMode::Interpret),
-            "fast" => Some(ExecMode::Fast),
             "compiled" => Some(ExecMode::Compiled),
             "timing" => Some(ExecMode::Timing),
             _ => None,
@@ -101,12 +97,12 @@ impl Machine {
         let core_map = (0..cfg.cores_per_cluster).collect();
         Machine {
             cluster: Cluster {
-                gsm: MemRegion::fixed("GSM", cfg.gsm_bytes),
+                gsm: MemRegion::new("GSM", cfg.gsm_bytes as u64),
                 cores,
             },
             cfg,
             mode,
-            ddr: MemRegion::growable("DDR", DDR_CAPACITY),
+            ddr: MemRegion::new("DDR", DDR_CAPACITY),
             active_streams: 1,
             core_map,
             fault: FaultState::default(),
@@ -683,7 +679,7 @@ mod tests {
 
     #[test]
     fn dma_moves_data_and_time() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         m.ddr.write_f32_slice(0, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         let t = m.dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 64, 16)).unwrap();
         assert!(t.done_at > 0.0);
@@ -715,7 +711,7 @@ mod tests {
             Dma2d::flat(DDR_CAPACITY, 0, 4),
         ] {
             let mut errs = Vec::new();
-            for mode in [ExecMode::Fast, ExecMode::Timing] {
+            for mode in [ExecMode::Compiled, ExecMode::Timing] {
                 let mut m = Machine::with_mode(mode);
                 errs.push(m.dma(0, DmaPath::DdrToAm, &d).unwrap_err());
                 assert_eq!(
@@ -778,7 +774,7 @@ mod tests {
 
     #[test]
     fn gsm_reduction_accumulates() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         m.cluster.gsm.write_f32_slice(0, &[1.0, 1.0]).unwrap();
         m.core_mut(0).am.write_f32_slice(0, &[2.0, 3.0]).unwrap();
         m.gsm_accumulate_from_am(0, 0, 0, 2).unwrap();
@@ -789,7 +785,7 @@ mod tests {
 
     #[test]
     fn strided_block_copy_transposes_leading_dimension() {
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         // 2×3 block at ld=5 in DDR → dense 2×3 in AM.
         for r in 0..2u64 {
             for c in 0..3u64 {

@@ -12,10 +12,11 @@
 //! ever touches a stored word, so NaN payloads and `-0.0` survive.
 //!
 //! Backing store materialises on first touch, never on construction or
-//! allocation: a scratchpad materialises whole, DDR grows to the touched
-//! end.  Capacity, allocation and bounds checks never look at what is
-//! materialised, so a run that touches no data (timing mode) costs no
-//! memory however much it allocates.
+//! allocation, and grows to the end of each touched range — a scratchpad
+//! as well as DDR, so a case that uses the first 10 KB of the 6 MB GSM
+//! zero-fills 10 KB, not 6 MB.  Capacity, allocation and bounds checks
+//! never look at what is materialised, so a run that touches no data
+//! (timing mode) costs no memory however much it allocates.
 
 use crate::{Dma2d, SimError};
 use std::ops::Range;
@@ -32,9 +33,6 @@ pub struct MemRegion {
     capacity: u64,
     /// Bump-allocation watermark.
     watermark: u64,
-    /// What a touch materialises: the range's end (`true`, DDR) or the
-    /// whole region (`false`, scratchpads).
-    growable: bool,
     /// Reads observed since a flip was scheduled (untouched — and never
     /// counted — while no flips are pending, so fault-free runs pay
     /// nothing).
@@ -56,30 +54,20 @@ fn word_range(offset: u64, n: usize) -> Range<usize> {
 }
 
 impl MemRegion {
-    fn new(name: &'static str, capacity: u64, growable: bool) -> Self {
+    /// An empty, zero-filled region of `capacity` bytes (a scratchpad or
+    /// a DDR partition): backing storage grows to the end of each
+    /// touched range.
+    pub fn new(name: &'static str, capacity: u64) -> Self {
         MemRegion {
             name,
             words: Vec::new(),
             bytes: 0,
             capacity,
             watermark: 0,
-            growable,
             reads: 0,
             pending_flips: Vec::new(),
             flips_applied: 0,
         }
-    }
-
-    /// A fixed-size scratchpad: zero-filled, materialised whole on its
-    /// first read, write or flip.
-    pub fn fixed(name: &'static str, capacity: usize) -> Self {
-        Self::new(name, capacity as u64, false)
-    }
-
-    /// A lazily grown region (DDR): zero-filled, backing storage grows to
-    /// the end of each touched range.
-    pub fn growable(name: &'static str, capacity: u64) -> Self {
-        Self::new(name, capacity, true)
     }
 
     /// Region name.
@@ -116,20 +104,25 @@ impl MemRegion {
         }
     }
 
-    /// Materialise the store an access ending at `end` touches.
+    /// Materialise the store up to `end`, the end of an access.
+    ///
+    /// Only what is touched is zero-filled: zeroing whole scratchpads
+    /// (6 MB of GSM, 768 KB per AM) cost small jobs a memset of recycled
+    /// heap or a page fault per fresh page, whichever the allocator's
+    /// history dealt.  `Vec::resize` grows the capacity geometrically,
+    /// so touches at rising ends reallocate logarithmically often.
     fn touch(&mut self, end: u64) {
-        let want = if self.growable { end } else { self.capacity };
-        if self.bytes >= want {
+        if self.bytes >= end {
             return;
         }
-        let n = want.div_ceil(4) as usize;
+        let n = end.div_ceil(4) as usize;
         if self.words.is_empty() {
             // `vec!` of zeros is one zeroed allocation: no page is written.
             self.words = vec![0.0; n];
         } else {
             self.words.resize(n, 0.0);
         }
-        self.bytes = want;
+        self.bytes = end;
     }
 
     /// Materialise everything allocated so far in one step, where DDR
@@ -530,7 +523,7 @@ mod tests {
 
     #[test]
     fn f32_round_trips() {
-        let mut m = MemRegion::fixed("SM", 64);
+        let mut m = MemRegion::new("SM", 64);
         m.write_f32(12, 3.5).unwrap();
         assert_eq!(m.read_f32(12).unwrap(), 3.5);
         m.write_f32_slice(16, &[1.0, -2.0, 0.25]).unwrap();
@@ -541,7 +534,7 @@ mod tests {
 
     #[test]
     fn bounds_are_enforced() {
-        let mut m = MemRegion::fixed("AM", 16);
+        let mut m = MemRegion::new("AM", 16);
         assert!(m.write_f32(14, 1.0).is_err());
         assert!(m.read_f32(u64::MAX - 1).is_err(), "offset overflow guarded");
         assert!(m.read_u64(9).is_err());
@@ -550,7 +543,7 @@ mod tests {
 
     #[test]
     fn growable_region_grows_lazily_up_to_capacity() {
-        let mut m = MemRegion::growable("DDR", 1 << 20);
+        let mut m = MemRegion::new("DDR", 1 << 20);
         assert_eq!(m.materialised(), 0);
         m.write_f32(1000, 7.0).unwrap();
         assert_eq!(m.materialised(), 1004);
@@ -559,7 +552,7 @@ mod tests {
 
     #[test]
     fn alloc_materialises_nothing_and_checks_are_independent_of_it() {
-        let mut m = MemRegion::growable("DDR", 2 << 30);
+        let mut m = MemRegion::new("DDR", 2 << 30);
         assert_eq!(m.alloc(1 << 30, 64).unwrap(), 0);
         assert_eq!((m.allocated(), m.materialised()), (1 << 30, 0));
         // Capacity is enforced against the watermark, not the store.
@@ -586,24 +579,30 @@ mod tests {
         m.write_f32(8, 1.0).unwrap();
         assert_eq!(m.materialised(), 4100);
 
-        let mut sm = MemRegion::fixed("SM", 1024);
+        let mut sm = MemRegion::new("SM", 1024);
         sm.alloc(512, 64).unwrap();
         assert_eq!(sm.materialised(), 0);
         assert!(sm.write_f32(1022, 1.0).is_err());
         assert_eq!(sm.materialised(), 0);
         sm.write_f32(0, 1.0).unwrap();
-        assert_eq!(sm.materialised(), 1024, "a scratchpad materialises whole");
+        assert_eq!(
+            sm.materialised(),
+            4,
+            "a scratchpad grows to the touched end"
+        );
+        sm.write_f32(1016, 1.0).unwrap();
+        assert_eq!((sm.materialised(), sm.read_f32(0).unwrap()), (1020, 1.0));
     }
 
     #[test]
     fn flips_materialise_an_untouched_scratchpad_and_hit_the_same_word() {
         // Scheduled flip: the first read of 8 words picks word rng % 8.
-        let mut am = MemRegion::fixed("AM", 4096);
+        let mut am = MemRegion::new("AM", 4096);
         am.schedule_flip(1, 13);
         assert_eq!(am.materialised(), 0, "arming a flip touches nothing");
         let mut out = [0.0f32; 8];
         am.read_f32_slice(256, &mut out).unwrap();
-        assert_eq!(am.materialised(), 4096);
+        assert_eq!(am.materialised(), 256 + 32);
         assert_eq!(am.flips_applied(), 1);
         let mut want = [0.0f32; 8];
         want[13 % 8] = 2.0; // bit 30 of +0.0
@@ -615,9 +614,9 @@ mod tests {
         );
 
         // DMA-corruption primitive on a never-touched region.
-        let mut sm = MemRegion::fixed("SM", 4096);
+        let mut sm = MemRegion::new("SM", 4096);
         sm.flip_f32_msb(1000).unwrap();
-        assert_eq!(sm.materialised(), 4096);
+        assert_eq!(sm.materialised(), 1004);
         assert_eq!(sm.read_f32(1000).unwrap(), 2.0);
         assert_eq!(sm.read_f32(996).unwrap(), 0.0);
         assert_eq!(sm.read_f32(1004).unwrap(), 0.0);
@@ -626,7 +625,7 @@ mod tests {
 
     #[test]
     fn packed_u64_matches_two_f32() {
-        let mut m = MemRegion::fixed("SM", 32);
+        let mut m = MemRegion::new("SM", 32);
         m.write_f32(8, 1.5).unwrap();
         m.write_f32(12, -3.0).unwrap();
         let packed = m.read_u64(8).unwrap();
@@ -637,7 +636,7 @@ mod tests {
 
     #[test]
     fn bump_alloc_aligns_and_fails_cleanly() {
-        let mut m = MemRegion::fixed("GSM", 256);
+        let mut m = MemRegion::new("GSM", 256);
         let a = m.alloc(10, 1).unwrap();
         let b = m.alloc(16, 64).unwrap();
         assert_eq!(a, 0);
@@ -651,7 +650,7 @@ mod tests {
 
     #[test]
     fn alloc_refuses_a_request_that_overflows_instead_of_wrapping() {
-        let mut m = MemRegion::fixed("GSM", 256);
+        let mut m = MemRegion::new("GSM", 256);
         m.alloc(10, 1).unwrap();
         for (bytes, align) in [(u64::MAX - 8, 64), (u64::MAX, 1), (u64::MAX - 63, 64)] {
             let err = m.alloc(bytes, align).unwrap_err();
@@ -666,7 +665,7 @@ mod tests {
 
     #[test]
     fn views_borrow_the_store_and_count_as_reads() {
-        let mut am = MemRegion::fixed("AM", 4096);
+        let mut am = MemRegion::new("AM", 4096);
         am.write_f32_slice(64, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(am.view_f32(68, 2).unwrap(), [2.0, 3.0]);
         am.view_f32_mut(64, 2).unwrap()[1] = 9.0;
@@ -699,7 +698,7 @@ mod tests {
 
     #[test]
     fn refused_views_are_typed_errors_and_materialise_nothing() {
-        let mut am = MemRegion::fixed("AM", 256);
+        let mut am = MemRegion::new("AM", 256);
         am.schedule_flip(1, 0);
         let bad_binding = |r: Result<(), SimError>| matches!(r, Err(SimError::BadBinding { .. }));
         let oob = |r: Result<(), SimError>| matches!(r, Err(SimError::OutOfBounds { .. }));
@@ -727,8 +726,8 @@ mod tests {
 
     #[test]
     fn dma_copy_between_regions() {
-        let mut ddr = MemRegion::growable("DDR", 1 << 16);
-        let mut am = MemRegion::fixed("AM", 1 << 10);
+        let mut ddr = MemRegion::new("DDR", 1 << 16);
+        let mut am = MemRegion::new("AM", 1 << 10);
         ddr.write_f32_slice(128, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         am.copy_2d_from(&mut ddr, &Dma2d::flat(128, 0, 16)).unwrap();
         let mut out = [0.0; 4];
@@ -744,8 +743,8 @@ mod tests {
 
     #[test]
     fn refused_descriptors_move_nothing() {
-        let mut ddr = MemRegion::growable("DDR", 1 << 12);
-        let mut am = MemRegion::fixed("AM", 256);
+        let mut ddr = MemRegion::new("DDR", 1 << 12);
+        let mut am = MemRegion::new("AM", 256);
         ddr.write_f32_slice(0, &[1.0; 16]).unwrap();
         am.write_f32_slice(0, &[7.0; 64]).unwrap();
         ddr.schedule_flip(1, 0);
@@ -782,7 +781,7 @@ mod tests {
 
     #[test]
     fn zero_clears_range_only() {
-        let mut m = MemRegion::fixed("AM", 64);
+        let mut m = MemRegion::new("AM", 64);
         m.write_f32_slice(0, &[1.0; 4]).unwrap();
         m.zero(4, 8).unwrap();
         let mut out = [0.0; 4];

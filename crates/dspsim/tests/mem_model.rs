@@ -16,19 +16,17 @@ struct Model {
     name: &'static str,
     data: Vec<u8>,
     capacity: u64,
-    growable: bool,
     reads: u64,
     pending: Vec<(u64, u64)>,
     flips: u64,
 }
 
 impl Model {
-    fn new(name: &'static str, capacity: u64, growable: bool) -> Self {
+    fn new(name: &'static str, capacity: u64) -> Self {
         Model {
             name,
             data: Vec::new(),
             capacity,
-            growable,
             reads: 0,
             pending: Vec::new(),
             flips: 0,
@@ -49,9 +47,9 @@ impl Model {
 
     fn ensure(&mut self, offset: u64, len: u64) -> Result<(), SimError> {
         let end = self.check(offset, len)?;
-        let want = if self.growable { end } else { self.capacity } as usize;
-        if self.data.len() < want {
-            self.data.resize(want, 0);
+        // Every region, scratchpad or DDR, grows to the touched end.
+        if self.data.len() < end as usize {
+            self.data.resize(end as usize, 0);
         }
         Ok(())
     }
@@ -172,12 +170,12 @@ const CAPACITY: [u64; 2] = [301, 400];
 fn regions() -> ([MemRegion; 2], [Model; 2]) {
     (
         [
-            MemRegion::fixed("AM", CAPACITY[0] as usize),
-            MemRegion::growable("DDR", CAPACITY[1]),
+            MemRegion::new("AM", CAPACITY[0]),
+            MemRegion::new("DDR", CAPACITY[1]),
         ],
         [
-            Model::new("AM", CAPACITY[0], false),
-            Model::new("DDR", CAPACITY[1], true),
+            Model::new("AM", CAPACITY[0]),
+            Model::new("DDR", CAPACITY[1]),
         ],
     )
 }
@@ -447,8 +445,8 @@ proptest! {
 /// a DMA copy, and the view itself.
 #[test]
 fn signalling_nan_and_negative_zero_survive_dma_and_views() {
-    let mut ddr = MemRegion::growable("DDR", 1 << 12);
-    let mut am = MemRegion::fixed("AM", 1 << 10);
+    let mut ddr = MemRegion::new("DDR", 1 << 12);
+    let mut am = MemRegion::new("AM", 1 << 10);
     ddr.write_f32_slice(64, &[1.25, -0.0, f32::from_bits(0x7F80_0001)])
         .unwrap();
     ddr.flip_f32_msb(64).unwrap();

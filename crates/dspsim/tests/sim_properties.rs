@@ -12,7 +12,7 @@ proptest! {
         offset in 0u64..1000,
         values in prop::collection::vec(-1e6f32..1e6, 1..64),
     ) {
-        let mut r = MemRegion::fixed("AM", 8192);
+        let mut r = MemRegion::new("AM", 8192);
         r.write_f32_slice(offset, &values).unwrap();
         let mut out = vec![0.0f32; values.len()];
         r.read_f32_slice(offset, &mut out).unwrap();
@@ -24,7 +24,7 @@ proptest! {
         offset in 0u64..u64::MAX,
         len in 1u64..(1u64 << 20),
     ) {
-        let mut r = MemRegion::fixed("SM", 4096);
+        let mut r = MemRegion::new("SM", 4096);
         // Succeeds exactly when the range fits; errors otherwise; never
         // panics, even near u64 overflow.
         let fits = offset.checked_add(len).is_some_and(|end| end <= 4096);
@@ -42,7 +42,7 @@ proptest! {
         dst_ld in 16u64..32,
     ) {
         prop_assume!(cols <= src_ld && cols <= dst_ld);
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         for r in 0..rows {
             for c in 0..cols {
                 m.ddr.write_f32((r * src_ld + c) * 4, (r * 100 + c) as f32).unwrap();

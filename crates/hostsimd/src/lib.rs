@@ -1,6 +1,8 @@
-//! Host inner loops for both kernel execution tiers: the scalar level
-//! ([`execute_block_scalar`], the `Fast` tier) and the SIMD levels
-//! ([`execute_block`], the `Compiled` tier).
+//! The host inner loop of every functional kernel invocation:
+//! [`execute_block`] runs a lowered block group at the widest level the
+//! CPU has (AVX-512F, AVX2+FMA, or the scalar level on hosts with
+//! neither).  The scalar level is also the reference the tests force
+//! every SIMD level against.
 //!
 //! This crate holds the only `unsafe` code of the execution stack: one
 //! register-tiled block loop, generic over the vector width (`Lanes`:
@@ -39,7 +41,7 @@
 //! The panels have leading dimension `ld` (the kernel's `na_pad`, whole
 //! 32-lane DSP vectors) but only the first `n_a` columns are real.  The
 //! interpreter is the hardware and fills whole DSP vectors; the host
-//! tiers compute columns `0..n_a` rounded up to the live lane count (8,
+//! levels compute columns `0..n_a` rounded up to the live lane count (8,
 //! 16, or 1 on the scalar path), never past `ld`.  So [`execute_block`]
 //! is bit-identical to the interpreter on columns `0..n_a` of every row
 //! of the group; columns `n_a..ld` of those rows are *unspecified*
@@ -74,8 +76,8 @@
 //!
 //! On non-x86_64 hosts, or when the CPU lacks AVX2/FMA, [`execute_block`]
 //! falls back to the scalar sequence, which is *also* bit-identical — the
-//! tier is then correct but not faster; [`simd_level`] names the live
-//! width and [`simd_active`] tells benchmark gates whether there is one.
+//! host path is then correct but not faster; [`simd_level`] names the live
+//! width for benchmark reports.
 //!
 //! [`checksum_sweep`] (the resilience layer's ABFT pass) runs at the same
 //! level, in safe code whose 8 f64 lanes no width reorders.
@@ -130,21 +132,6 @@ pub fn execute_block(
     c: &mut [f32],
 ) {
     execute_block_at(Level::live(), g, k_a, n_a, ld, a, b, c);
-}
-
-/// [`execute_block`] on the scalar level on any CPU: the same bits, one
-/// element at a time, no SIMD (the `Fast` host tier).  Same contract and
-/// panics.
-pub fn execute_block_scalar(
-    g: &BlockGeom,
-    k_a: usize,
-    n_a: usize,
-    ld: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    execute_block_at(Level::Scalar, g, k_a, n_a, ld, a, b, c);
 }
 
 /// One pass over the row-major f32 matrix `x` (leading dimension `ld`,
@@ -273,11 +260,6 @@ fn sweep_rows<const R: usize>(i0: usize, (x, ld, col_w, row_w, by_row, by_col): 
             by_row[side][i] += lanes.iter().fold(0.0, |s, l| s + l);
         }
     }
-}
-
-/// Whether a vectorised path is live on this host.
-pub fn simd_active() -> bool {
-    Level::live() != Level::Scalar
 }
 
 /// Human-readable name of the live code path (`"avx512f"`, `"avx2+fma"`
@@ -966,6 +948,5 @@ mod tests {
         let name = ["avx512f", "avx2+fma", "scalar"]
             [Level::ALL.iter().position(|&l| l == widest).unwrap()];
         assert_eq!(simd_level(), name);
-        assert_eq!(simd_active(), widest != Level::Scalar);
     }
 }

@@ -104,6 +104,15 @@ impl Parser {
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| Self::err(n, format!("bad trip count `{trips}`")))?;
             let top = self.stack.last_mut().expect("stack never empty");
+            if let Some((outer, _)) = top.header.filter(|(outer, _)| outer.0 >= level) {
+                return Err(Self::err(
+                    n,
+                    format!(
+                        "loop L{level} is not nested deeper than its enclosing L{}",
+                        outer.0
+                    ),
+                ));
+            }
             top.flush();
             self.stack.push(Frame {
                 header: Some((LoopLevel::checked(level)?, trips)),
@@ -411,6 +420,8 @@ mod tests {
         assert!(parse("what is this").is_err());
         assert!(parse(".loop L0 x2\n").is_err(), "unterminated loop");
         assert!(parse(".endloop\n").is_err(), "stray endloop");
+        let flat = ".loop L1 x2\n.loop L0 x1\n{ NOP }\n.endloop\n.endloop\n";
+        assert!(parse(flat).is_err(), "inner loop not deeper than outer");
         assert!(parse("  { [Vector FMAC1] FROB V1 }").is_err());
     }
 

@@ -132,7 +132,9 @@ impl Program {
     /// `f(indices, bundle)` is called once per dynamic bundle execution;
     /// `indices[level]` is the current trip of each enclosing loop.  This
     /// is the reference execution order used by the interpreter and tests.
-    /// Returns early on error.
+    /// Returns early on error.  A loop nested no deeper than an enclosing
+    /// one (which `asm::parse` refuses and the verifier reports) shares
+    /// that loop's index slot instead of unwinding the stack under it.
     pub fn visit<E>(&self, f: &mut impl FnMut(&[u64], &Bundle) -> Result<(), E>) -> Result<(), E> {
         let mut indices = Vec::new();
         for s in &self.sections {
@@ -154,9 +156,9 @@ impl Program {
                 Ok(())
             }
             Section::Loop { level, trips, body } => {
-                let lvl = level.0 as usize;
-                while indices.len() <= lvl {
-                    indices.push(0);
+                let (lvl, outer) = (level.0 as usize, indices.len());
+                if outer <= lvl {
+                    indices.resize(lvl + 1, 0);
                 }
                 for trip in 0..*trips {
                     indices[lvl] = trip;
@@ -164,7 +166,7 @@ impl Program {
                         Self::visit_section(s, indices, f)?;
                     }
                 }
-                indices.truncate(lvl);
+                indices.truncate(lvl.max(outer));
                 Ok(())
             }
         }

@@ -62,7 +62,9 @@ fn arb_bundle() -> impl Strategy<Value = Bundle> {
     })
 }
 
-fn arb_section(depth: u8) -> BoxedStrategy<Section> {
+/// A section whose loops sit at levels `min_level..` and nest strictly
+/// deeper than their parent (what `asm::parse` accepts).
+fn arb_section(depth: u8, min_level: u8) -> BoxedStrategy<Section> {
     let straight = prop::collection::vec(arb_bundle(), 1..4).prop_map(Section::Straight);
     if depth == 0 {
         straight.boxed()
@@ -70,9 +72,9 @@ fn arb_section(depth: u8) -> BoxedStrategy<Section> {
         prop_oneof![
             straight,
             (
-                0u8..4,
+                min_level..min_level + 2,
                 1u64..5,
-                prop::collection::vec(arb_section(depth - 1), 1..3)
+                prop::collection::vec(arb_section(depth - 1, min_level + 2), 1..3)
             )
                 .prop_map(|(level, trips, body)| Section::Loop {
                     level: LoopLevel::checked(level).unwrap(),
@@ -88,7 +90,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn render_parse_round_trip(sections in prop::collection::vec(arb_section(2), 1..4)) {
+    fn render_parse_round_trip(sections in prop::collection::vec(arb_section(2, 0), 1..4)) {
         let mut p = Program::new("prop");
         p.sections = sections;
         let text = asm::render(&p);
@@ -98,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn cycle_and_flop_counts_survive_round_trip(sections in prop::collection::vec(arb_section(1), 1..3)) {
+    fn cycle_and_flop_counts_survive_round_trip(sections in prop::collection::vec(arb_section(1, 0), 1..3)) {
         let mut p = Program::new("prop2");
         p.sections = sections;
         let q = asm::parse(&asm::render(&p)).unwrap();

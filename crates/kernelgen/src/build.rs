@@ -56,7 +56,7 @@ pub fn steady_cycles_lower_bound(spec: &KernelSpec, t: &Tiling, cfg: &HwConfig) 
 ///
 /// Generation prices a tiling in closed form and builds no program
 /// ([`MicroKernel::program`] builds it on first use): everything timing
-/// mode and the host tiers read — `blocks`, `cycles`, `flops` — is here.
+/// mode and the host path read — `blocks`, `cycles`, `flops` — is here.
 #[derive(Debug, Clone)]
 pub struct MicroKernel {
     /// The shape it computes.
@@ -81,7 +81,7 @@ pub struct MicroKernel {
     memo: Arc<ScheduleMemo>,
     /// The VLIW program, built on first use.
     program: OnceLock<Program>,
-    /// The host tiers' lowering, built on first use.
+    /// The host lowering, built on first use.
     lowered: OnceLock<CompiledKernel>,
 }
 
@@ -201,7 +201,7 @@ impl MicroKernel {
 
     /// The VLIW program, built on first use (Interpret mode, the static
     /// verifier and the table and asm printers read it; timing mode and
-    /// the host tiers never do).
+    /// the host path never do).
     pub fn program(&self) -> &Program {
         self.program.get_or_init(|| {
             // Pricing built one group of every (tiling, k_tail, class)

@@ -8,7 +8,7 @@
 //! built: its block plan and closed-form cycle count are a few hundred
 //! bytes.  Only a kernel whose program was asked for (Interpret mode, the
 //! static verifier, the printers) carries the tens of KB of its VLIW
-//! program, and only one a host tier ran carries its lowering (a few
+//! program, and only one the host ran carries its lowering (a few
 //! dozen bytes); both live, and are evicted, with the kernel.  An evicted
 //! kernel regenerates identically: generation is a pure function of
 //! `(spec, tiling, cfg)`.

@@ -1,47 +1,31 @@
-//! The single dispatch point for host-side kernel execution.
+//! The host-side kernel executor.
 //!
-//! [`KernelExecutor::execute`] runs a kernel's lowering
+//! [`KernelExecutor::compiled`] hands out a kernel's lowering
 //! ([`MicroKernel::lowered`]: built once per kernel, evicted with it from
-//! the [`KernelCache`]) on the requested [`HostTier`]:
-//!
-//! * [`HostTier::Fast`] — `hostsimd`'s scalar level: host math, no SIMD;
-//! * [`HostTier::Compiled`] — `hostsimd`'s widest SIMD level.
-//!
-//! Both are bit-identical to the interpreter on the real columns; the
-//! padding lanes are unspecified (the contract is stated once, at
-//! [`CompiledKernel::execute`]).
+//! the [`KernelCache`]), counting lowerings against reuses.  Its
+//! [`CompiledKernel::execute`] is the one host path: `hostsimd`'s widest
+//! level, bit-identical to the interpreter on the real columns (the
+//! padding lanes are unspecified; the contract is stated once, there).
 
 use crate::{CacheStats, CompiledKernel, GenError, KernelCache, MicroKernel};
-use dspsim::ExecMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which host execution tier computes a kernel invocation.
-///
-/// `Interpret` is not a host tier — it runs inside dspsim's VLIW
-/// interpreter; [`HostTier::from_mode`] maps it (and `Timing`) to `None`.
+/// An import shim for the benchmark package (`perf/`), which names both
+/// variants when it times a kernel through [`KernelExecutor::execute`].
+/// Both run the one host path, [`CompiledKernel::execute`]; nothing in
+/// this workspace chooses between them, and the shim goes when the
+/// benchmark stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostTier {
-    /// The lowered kernel on `hostsimd`'s scalar level.
+    /// Same path as `Compiled`.
     Fast,
-    /// The lowered kernel on `hostsimd`'s widest SIMD level.
+    /// The lowered kernel at `hostsimd`'s widest level.
     Compiled,
 }
 
-impl HostTier {
-    /// The host tier implied by a simulator execution mode, if any.
-    pub fn from_mode(mode: ExecMode) -> Option<Self> {
-        match mode {
-            ExecMode::Fast => Some(HostTier::Fast),
-            ExecMode::Compiled => Some(HostTier::Compiled),
-            ExecMode::Interpret | ExecMode::Timing => None,
-        }
-    }
-}
-
 /// The host-side kernel execution service: owns the generated-kernel
-/// cache and dispatches every host kernel invocation to the requested
-/// tier, counting lowerings.
+/// cache and hands out each kernel's lowering, counting lowerings.
 pub struct KernelExecutor {
     kernels: Arc<KernelCache>,
     /// Lookups of a kernel that was already lowered.
@@ -74,17 +58,17 @@ impl KernelExecutor {
         Ok(lowered)
     }
 
-    /// Execute one kernel invocation on the requested host tier (panel
-    /// layout and bitwise contract: [`CompiledKernel::execute`]).
+    /// Lower (or reuse) `kernel` and run it once: [`CompiledKernel::execute`]
+    /// whatever `_tier` says (see [`HostTier`]).
     pub fn execute(
         &self,
-        tier: HostTier,
+        _tier: HostTier,
         kernel: &MicroKernel,
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
     ) -> Result<(), GenError> {
-        self.compiled(kernel)?.execute(tier, a, b, c);
+        self.compiled(kernel)?.execute(a, b, c);
         Ok(())
     }
 
@@ -130,8 +114,13 @@ mod tests {
             .collect()
     }
 
+    /// One invocation through the executor: lower (or reuse), then run.
+    fn run(ex: &KernelExecutor, kernel: &MicroKernel, a: &[f32], b: &[f32], c: &mut [f32]) {
+        ex.compiled(kernel).unwrap().execute(a, b, c);
+    }
+
     #[test]
-    fn a_kernel_is_lowered_once_and_shared_by_both_tiers() {
+    fn a_kernel_is_lowered_once_and_then_reused() {
         let ex = executor(8);
         let kernel = ex.kernels().get(spec(4)).unwrap();
         let a = ex.compiled(&kernel).unwrap();
@@ -139,11 +128,9 @@ mod tests {
         assert!(std::ptr::eq(a, b), "a hit must reuse the lowered kernel");
         assert!(std::ptr::eq(a, kernel.lowered().unwrap()));
         let (av, bv, mut cv) = (fill(4 * 32, 1), fill(32 * 32, 2), fill(4 * 32, 3));
-        for tier in [HostTier::Fast, HostTier::Compiled] {
-            ex.execute(tier, &kernel, &av, &bv, &mut cv).unwrap();
-        }
+        run(&ex, &kernel, &av, &bv, &mut cv);
         let stats = ex.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 1));
+        assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!((stats.len, stats.capacity), (1, 8));
     }
 
@@ -157,14 +144,12 @@ mod tests {
         let ld = first.spec.na_pad();
         let (a, b, c0) = (fill(5 * 32, 1), fill(32 * ld, 2), fill(5 * ld, 3));
         let mut c_first = c0.clone();
-        ex.execute(HostTier::Compiled, &first, &a, &b, &mut c_first)
-            .unwrap();
+        run(&ex, &first, &a, &b, &mut c_first);
         ex.kernels().get(spec(6)).unwrap(); // evicts spec(5)
         let again = ex.kernels().get(spec(5)).unwrap(); // and back
         assert!(!Arc::ptr_eq(&first, &again), "must have been regenerated");
         let mut c_again = c0;
-        ex.execute(HostTier::Compiled, &again, &a, &b, &mut c_again)
-            .unwrap();
+        run(&ex, &again, &a, &b, &mut c_again);
         let stats = ex.stats();
         assert_eq!((stats.misses, stats.evictions), (2, 2));
         for (x, y) in c_first.iter().zip(&c_again) {
@@ -173,29 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn both_tiers_agree_bitwise_through_the_dispatch_point() {
-        let ex = executor(8);
-        let kernel = ex
-            .kernels()
-            .get(KernelSpec::new(5, 37, 96).unwrap())
-            .unwrap();
-        let ld = kernel.spec.na_pad();
-        let a: Vec<f32> = (0..5 * 37).map(|i| (i as f32).sin() * 1e3).collect();
-        let b: Vec<f32> = (0..37 * ld).map(|i| (i as f32).cos() * 1e-3).collect();
-        let c0: Vec<f32> = (0..5 * ld).map(|i| i as f32).collect();
-        let mut c_fast = c0.clone();
-        let mut c_comp = c0;
-        ex.execute(HostTier::Fast, &kernel, &a, &b, &mut c_fast)
-            .unwrap();
-        ex.execute(HostTier::Compiled, &kernel, &a, &b, &mut c_comp)
-            .unwrap();
-        for (x, y) in c_fast.iter().zip(&c_comp) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_matches_a_naive_single_accumulator_only_when_ku_is_1() {
+    fn the_lowering_matches_a_naive_single_accumulator_when_ku_is_1() {
         let ex = executor(8);
         let k = ex
             .kernels()
@@ -205,7 +168,7 @@ mod tests {
         let b = fill(37 * 96, 2);
         let mut c = fill(4 * 96, 3);
         let c0 = c.clone();
-        ex.execute(HostTier::Fast, &k, &a, &b, &mut c).unwrap();
+        run(&ex, &k, &a, &b, &mut c);
         // k_u = 1 with a k-tail handled by acc[0] in ascending k order is
         // exactly the naive loop.
         for row in 0..4 {
@@ -220,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_is_close_to_f64_reference() {
+    fn the_lowering_is_close_to_f64_reference() {
         let ex = executor(8);
         let k = ex
             .kernels()
@@ -229,7 +192,7 @@ mod tests {
         let a = fill(6 * 128, 7);
         let b = fill(128 * 64, 8);
         let mut c = vec![0.0f32; 6 * 64];
-        ex.execute(HostTier::Fast, &k, &a, &b, &mut c).unwrap();
+        run(&ex, &k, &a, &b, &mut c);
         for row in 0..6 {
             for col in 0..64 {
                 let mut acc = 0.0f64;
@@ -241,16 +204,5 @@ mod tests {
                 assert!((got - acc).abs() <= tol, "({row},{col}): {got} vs {acc}");
             }
         }
-    }
-
-    #[test]
-    fn tier_follows_exec_mode() {
-        assert_eq!(HostTier::from_mode(ExecMode::Fast), Some(HostTier::Fast));
-        assert_eq!(
-            HostTier::from_mode(ExecMode::Compiled),
-            Some(HostTier::Compiled)
-        );
-        assert_eq!(HostTier::from_mode(ExecMode::Interpret), None);
-        assert_eq!(HostTier::from_mode(ExecMode::Timing), None);
     }
 }

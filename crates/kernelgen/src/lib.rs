@@ -20,11 +20,10 @@
 //!    and store) on first use of [`MicroKernel::program`] only.
 //!
 //! Generated kernels are *executed* by `dspsim`'s interpreter (bit-exact,
-//! hazard-checked) or by one of two order-mirroring host tiers behind the
-//! [`KernelExecutor`] dispatch point, both running the kernel's one
-//! lowering ([`compiled`]): on `hostsimd`'s scalar level (`Fast`) or its
-//! SIMD levels (`Compiled`); their cycle count doubles as the analytic
-//! timing model.
+//! hazard-checked) or on the host by their one lowering ([`compiled`],
+//! handed out by the [`KernelExecutor`]), which mirrors the interpreter's
+//! accumulation order at `hostsimd`'s widest SIMD level; their cycle
+//! count doubles as the analytic timing model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +44,7 @@ pub use build::{build, BlockPlan, MicroKernel};
 pub use cache::{BoundedLru, CacheStats, KernelCache, DEFAULT_KERNEL_CACHE_CAPACITY};
 pub use compiled::CompiledKernel;
 pub use exec::{HostTier, KernelExecutor};
-pub use hostsimd::{simd_active, simd_level};
+pub use hostsimd::simd_level;
 pub use linesched::LineScheduler;
 pub use regmap::RegMap;
 pub use spec::{GenError, KernelLayout, KernelSpec, MAX_NA};

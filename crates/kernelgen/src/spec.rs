@@ -115,7 +115,7 @@ pub enum GenError {
         detail: String,
     },
     /// A verified kernel's block plan violated a structural invariant
-    /// while being lowered to the `Compiled` host tier.
+    /// while being lowered for the host (`ExecMode::Compiled`).
     LoweringInvariant {
         /// Explanation.
         detail: String,

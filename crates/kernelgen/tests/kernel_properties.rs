@@ -1,13 +1,13 @@
 //! Property tests on the kernel generator: every generated kernel for a
 //! random shape is hazard-free under interpretation, cycle-exact against
-//! its analytic count, bit-identical between interpreter and the `Fast`
-//! host tier, and within its architectural upper bound — and the priced
+//! its analytic count, bit-identical between interpreter and the host
+//! lowering, and within its architectural upper bound — and the priced
 //! search returns exactly what building every candidate returns.
 
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
 use kernelgen::build::{steady_cycles_lower_bound, SEARCH_WIDTH};
 use kernelgen::{
-    build, candidates, GenError, HostTier, KernelCache, KernelExecutor, KernelSpec, MicroKernel,
+    build, candidates, GenError, KernelCache, KernelExecutor, KernelSpec, MicroKernel,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -155,13 +155,13 @@ proptest! {
         let rep = machine.run_kernel(0, kernel.program(), bind).unwrap();
         prop_assert_eq!(rep.cycles, kernel.cycles);
 
-        // Bit-identical to the `Fast` tier on the real columns.
+        // Bit-identical to the host lowering on the real columns.
         let mut c_interp = vec![0.0f32; m_s * ld];
         machine.core_mut(0).am.read_f32_slice(512 * 1024, &mut c_interp).unwrap();
-        let mut c_fast = c0.clone();
-        ex.execute(HostTier::Fast, &kernel, &a, &b, &mut c_fast).unwrap();
-        for i in (0..c_fast.len()).filter(|i| i % ld < n_a) {
-            prop_assert_eq!(c_interp[i].to_bits(), c_fast[i].to_bits(), "element {}", i);
+        let mut c_host = c0.clone();
+        ex.compiled(&kernel).unwrap().execute(&a, &b, &mut c_host);
+        for i in (0..c_host.len()).filter(|i| i % ld < n_a) {
+            prop_assert_eq!(c_interp[i].to_bits(), c_host[i].to_bits(), "element {}", i);
         }
 
         // Numerically sane on the useful columns.

@@ -60,7 +60,7 @@ fn main() {
     // Weights as K×N (already transposed for C = cols × W).
     let weights = gen.matrix(shape.k, shape.n);
 
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut machine, shape.m, shape.n, shape.k).unwrap();
     p.a.upload(&mut machine, &cols).unwrap();
     p.b.upload(&mut machine, &weights).unwrap();

@@ -22,7 +22,7 @@ fn main() {
     );
 
     let ft = FtImm::new(HwConfig::default());
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut machine, shape.m, shape.n, shape.k).unwrap();
     p.a.upload(&mut machine, &inst.points).unwrap();
     p.b.upload(&mut machine, &inst.centroids_t()).unwrap();

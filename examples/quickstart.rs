@@ -13,7 +13,7 @@ fn main() {
 
     // 1. Build the library context and a functional machine.
     let ft = FtImm::new(HwConfig::default());
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
 
     // 2. Place the operands in simulated DDR.
     let p = GemmProblem::alloc(&mut machine, m, n, k).expect("DDR allocation");

@@ -42,7 +42,7 @@ fn oracle() -> Vec<f64> {
 /// Fault-free baseline through the *plain* (unwrapped) runner.
 fn baseline(strategy: Strategy) -> (RunReport, Vec<f32>, ChosenStrategy) {
     let ft = FtImm::new(HwConfig::default());
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     let p = upload_problem(&mut m);
     let plan = ft.plan(&GemmShape::new(M, N, K), strategy, CORES);
     let rep = ft.run_plan(&mut m, &p, &plan, CORES).unwrap();
@@ -57,7 +57,7 @@ fn chaotic(
     rcfg: &ResilienceConfig,
 ) -> Result<(RunReport, Vec<f32>), FtimmError> {
     let ft = FtImm::new(HwConfig::default());
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     let p = upload_problem(&mut m);
     m.install_faults(faults);
     let plan = ft.plan(&GemmShape::new(M, N, K), strategy, CORES);
@@ -208,7 +208,7 @@ fn deadline_preemption_is_reported_at_a_reproducible_instant() {
     let deadline = plain.seconds * 0.5;
     let trip = || {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = upload_problem(&mut m);
         let cfg = EngineConfig {
             resilience: ResilienceConfig {
@@ -254,7 +254,7 @@ fn checkpointed_recovery_reexecutes_strictly_fewer_rows_bit_exactly() {
     let faults = FaultPlan::new(37).timeout_dma(DmaPath::DdrToSm, 2);
     let on_one_core = |rcfg: &ResilienceConfig| {
         let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Fast);
+        let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = upload_problem(&mut m);
         m.install_faults(&faults);
         let rep = run_resilient(&ft, &mut m, &p, &plan, 1, rcfg).unwrap();

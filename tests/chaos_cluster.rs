@@ -53,7 +53,7 @@ fn job(shape: &GemmShape, seed: u32) -> ShardedJob {
 /// bitwise oracle for every sharded run.
 fn single_cluster_oracle(ft: &FtImm, shape: &GemmShape, seed: u32) -> Vec<f32> {
     let (m, n, k) = (shape.m, shape.n, shape.k);
-    let mut machine = Machine::new(HwConfig::default(), ExecMode::Fast);
+    let mut machine = Machine::new(HwConfig::default(), ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut machine, m, n, k).unwrap();
     p.a.upload(&mut machine, &fill_matrix(m * k, seed.wrapping_add(1)))
         .unwrap();
@@ -81,7 +81,7 @@ fn run_one(
     faults: Option<(usize, FaultPlan)>,
     j: ShardedJob,
 ) -> ShardedOutcome {
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, clusters);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, clusters);
     let mut eng = ShardedEngine::new(pool, cfg());
     if let Some((cluster, plan)) = &faults {
         eng.install_faults(*cluster, plan);
@@ -145,7 +145,7 @@ fn survivors_keep_serving_after_a_cluster_death() {
     let shape = GemmShape::new(96, 16, 24);
     let shard0_s = probe(&ft, &shape, 7, 2);
 
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
     let mut eng = ShardedEngine::new(pool, cfg());
     eng.install_faults(0, &FaultPlan::new(7).kill_cluster(shard0_s * 0.4));
     let t = eng.register_tenant(TenantSpec::new("ops", 5));
@@ -195,7 +195,7 @@ fn deadline_preemption_is_terminal_and_reproducible() {
 fn every_submission_gets_exactly_one_terminal_outcome() {
     let ft = FtImm::new(HwConfig::default());
     let shape = GemmShape::new(96, 16, 24);
-    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Fast, 2);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 2);
     let mut eng = ShardedEngine::new(
         pool,
         ShardedConfig {

@@ -2,7 +2,9 @@
 //! fixture, run a short seeded fuzz sweep, and statically verify the
 //! kernels the planner actually uses.  See DESIGN.md §7.
 
-use conformance::{check_case, replay_dir, run_fuzz, verify_kernel, CaseSpec, OracleKind};
+use conformance::{
+    check_case, generate_case, replay_dir, run_fuzz, verify_kernel, CaseSpec, OracleKind,
+};
 use dspsim::HwConfig;
 use ftimm::{FtImm, GemmShape, Strategy};
 use kernelgen::KernelSpec;
@@ -103,6 +105,25 @@ fn oracle_table_matches_the_committed_tags() {
     assert_ne!(OracleKind::ALL.len() % 7, 0);
 }
 
+/// The benchmark's `conformance_sweep` runs the first 104 draws of
+/// `generate_case` under reference seed `0x51A1`, and keys its metrics
+/// on the oracles they name: an edit to the oracle table or to the
+/// generator that shifts those cases changes the benchmark's case mix.
+/// Pinned as an FNV-1a hash over each draw's `Display` text and data
+/// seed.
+#[test]
+fn benchmark_fuzz_schedule_is_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..104 {
+        let case = generate_case(0x51A1, i);
+        let text = format!("{case} seed={}\n", case.seed);
+        for byte in text.bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(hash, 0x3dd8_4e47_04d3_bbe6, "schedule hash {hash:#018x}");
+}
+
 /// The committed plan-catalog fixture (emitted by the `tune` bench
 /// binary) must load clean and serve all four Table I–III regimes —
 /// type-1 tall-skinny, type-2 short-wide, type-3 large-square and the
@@ -139,6 +160,30 @@ fn plan_catalog_fixture_replays_simulation_free() {
     assert_eq!(stats.catalog_hits, 4);
     assert_eq!(stats.catalog_misses, 0);
     assert_eq!(stats.quarantined, 0, "every fixture plan fits the machine");
+}
+
+/// A loop nested no deeper than its parent parses as an error, and the
+/// same program built by hand is a verifier finding, not a panic.
+#[test]
+fn mis_nested_loops_are_refused_not_panicked_on() {
+    use ftimm_isa::{asm, Bundle, LatencyTable, LoopLevel, Program, Section};
+    let text = ".loop L1 x2\n.loop L0 x1\n{ NOP }\n.endloop\n.endloop\n";
+    let err = asm::parse(text).unwrap_err();
+    assert!(err.to_string().contains("not nested deeper"), "{err}");
+
+    let mut p = Program::new("flat");
+    p.sections.push(Section::Loop {
+        level: LoopLevel(1),
+        trips: 2,
+        body: vec![Section::Loop {
+            level: LoopLevel(0),
+            trips: 1,
+            body: vec![Section::Straight(vec![Bundle::new()])],
+        }],
+    });
+    let report = conformance::verify_program(&p, &LatencyTable::default());
+    assert!(!report.is_clean());
+    assert!(report.to_string().contains("nested in level 1"), "{report}");
 }
 
 /// The static verifier passes every micro-kernel spec the generator

@@ -25,8 +25,8 @@ fn full_run(mode: ExecMode) -> (Vec<f32>, f64, u64) {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
-    let (c1, t1, b1) = full_run(ExecMode::Fast);
-    let (c2, t2, b2) = full_run(ExecMode::Fast);
+    let (c1, t1, b1) = full_run(ExecMode::Compiled);
+    let (c2, t2, b2) = full_run(ExecMode::Compiled);
     assert_eq!(t1.to_bits(), t2.to_bits());
     assert_eq!(b1, b2);
     for (x, y) in c1.iter().zip(&c2) {
@@ -71,9 +71,9 @@ fn stats_track_kernel_calls_and_flops() {
 
 #[test]
 fn modes_report_identical_traffic() {
-    let (_, _, fast_bytes) = full_run(ExecMode::Fast);
+    let (_, _, functional_bytes) = full_run(ExecMode::Compiled);
     let (_, _, timing_bytes) = full_run(ExecMode::Timing);
-    assert_eq!(fast_bytes, timing_bytes);
+    assert_eq!(functional_bytes, timing_bytes);
 }
 
 #[test]

@@ -38,12 +38,12 @@ fn plan_then_execute_matches_one_shot_in_every_regime() {
         let shape = regime.sample(&mut rng);
         let plan = ft.plan_full(&shape, Strategy::Auto, 8);
 
-        let mut m1 = Machine::with_mode(ExecMode::Fast);
+        let mut m1 = Machine::with_mode(ExecMode::Compiled);
         let p1 = staged(&mut m1, &shape);
         let r1 = ft.run_plan(&mut m1, &p1, &plan.strategy, 8).unwrap();
         let c1 = p1.c.download(&mut m1).unwrap();
 
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = staged(&mut m2, &shape);
         let (r2, used) = ft.gemm(&mut m2, &p2, Strategy::Auto, 8).unwrap();
         let c2 = p2.c.download(&mut m2).unwrap();
@@ -137,7 +137,8 @@ fn auto_on_a_cached_shape_runs_zero_timing_simulations() {
 
 /// Count-based guard on what planning costs: a timing-mode walk touches
 /// no modelled memory at all, and a functional run materialises only the
-/// scratchpads of the cores it uses.
+/// scratchpads of the cores it uses, each only as far as the walk
+/// reaches into it ([`ftimm::walk::Walk::footprint`]).
 #[test]
 fn timing_walks_materialise_nothing_and_functional_runs_only_their_cores() {
     let ft = FtImm::new(HwConfig::default());
@@ -155,23 +156,34 @@ fn timing_walks_materialise_nothing_and_functional_runs_only_their_cores() {
         assert_eq!((core.sm.materialised(), core.am.materialised()), (0, 0));
     }
 
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     let p = staged(&mut m, &shape);
     let plan = ft.plan_full(&shape, Strategy::Auto, 2);
     ft.run_plan(&mut m, &p, &plan.strategy, 2).unwrap();
     assert!(m.ddr.materialised() > 0);
-    for (id, core) in m.cluster.cores.iter().enumerate() {
-        let want = if id < 2 {
-            (core.sm.capacity(), core.am.capacity())
+    let reach = ftimm::walk::Walk::new(&plan.strategy, shape.m, shape.n, shape.k, 2).footprint();
+    assert!(reach.sm < m.core(0).sm.capacity() && reach.am < m.core(0).am.capacity());
+    let cores = &m.cluster.cores;
+    for (id, core) in cores.iter().enumerate() {
+        let (sm, am) = (core.sm.materialised(), core.am.materialised());
+        if id < 2 {
+            assert!(
+                sm > 0 && sm <= reach.sm,
+                "core {id}: SM {sm} of {}",
+                reach.sm
+            );
+            assert!(
+                am > 0 && am <= reach.am,
+                "core {id}: AM {am} of {}",
+                reach.am
+            );
         } else {
-            (0, 0)
-        };
-        assert_eq!(
-            (core.sm.materialised(), core.am.materialised()),
-            want,
-            "core {id}"
-        );
+            assert_eq!((sm, am), (0, 0), "core {id}");
+        }
     }
+    let widest = |f: fn(&dspsim::Core) -> u64| cores.iter().map(f).max().unwrap();
+    assert_eq!(widest(|c| c.sm.materialised()), reach.sm);
+    assert_eq!(widest(|c| c.am.materialised()), reach.am);
 }
 
 #[test]
@@ -256,7 +268,7 @@ fn tuned_plan_then_execute_matches_one_shot_in_every_regime() {
         let outcome = ft.tune(&shape, 8, &test_tune_config());
 
         // Staged: execute the tuned plan's resolved strategy directly.
-        let mut m1 = Machine::with_mode(ExecMode::Fast);
+        let mut m1 = Machine::with_mode(ExecMode::Compiled);
         let p1 = staged(&mut m1, &shape);
         let r1 = ft
             .run_plan(&mut m1, &p1, &outcome.plan.strategy, 8)
@@ -265,7 +277,7 @@ fn tuned_plan_then_execute_matches_one_shot_in_every_regime() {
 
         // One-shot: `gemm` resolves through the plan cache, which the
         // tune populated under the `Auto` key.
-        let mut m2 = Machine::with_mode(ExecMode::Fast);
+        let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = staged(&mut m2, &shape);
         let (r2, used) = ft.gemm(&mut m2, &p2, Strategy::Auto, 8).unwrap();
         let c2 = p2.c.download(&mut m2).unwrap();

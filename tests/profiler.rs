@@ -44,8 +44,8 @@ fn profiled_run(mode: ExecMode, profile: bool) -> (f64, Vec<f32>, Option<dspsim:
 fn profiling_is_a_pure_observer() {
     // The profiler reads clocks but never advances them: a profiled run
     // must be bit-exact with an unprofiled one, in time and in C.
-    let (t_plain, c_plain, none) = profiled_run(ExecMode::Fast, false);
-    let (t_prof, c_prof, prof) = profiled_run(ExecMode::Fast, true);
+    let (t_plain, c_plain, none) = profiled_run(ExecMode::Compiled, false);
+    let (t_prof, c_prof, prof) = profiled_run(ExecMode::Compiled, true);
     assert!(none.is_none());
     assert!(prof.is_some());
     assert_eq!(t_plain.to_bits(), t_prof.to_bits());
@@ -108,7 +108,7 @@ fn profile_document_round_trips_exactly() {
 #[test]
 fn chaos_events_attribute_faults_to_cores() {
     let ft = FtImm::new(HwConfig::default());
-    let mut m = Machine::with_mode(ExecMode::Fast);
+    let mut m = Machine::with_mode(ExecMode::Compiled);
     let p = upload_problem(&mut m);
     m.install_faults(&FaultPlan::new(13).timeout_dma(DmaPath::DdrToSm, 2));
 

@@ -37,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn fast_mode_matches_f64_reference(
+    fn compiled_mode_matches_f64_reference(
         m in 1usize..200,
         n in 1usize..97,
         k in 1usize..200,
@@ -45,7 +45,7 @@ proptest! {
         pick in 0usize..3,
     ) {
         let strategy = [Strategy::MPar, Strategy::KPar, Strategy::TGemm][pick];
-        let (c, _) = run(m, n, k, strategy, cores, ExecMode::Fast);
+        let (c, _) = run(m, n, k, strategy, cores, ExecMode::Compiled);
         let want = sgemm_f64(
             m, n, k,
             &fill_matrix(m * k, 11),
@@ -63,20 +63,20 @@ proptest! {
     }
 
     #[test]
-    fn interpret_equals_fast_bitwise(
+    fn interpret_equals_compiled_bitwise(
         m in 1usize..48,
         n in 1usize..97,
         k in 1usize..64,
         pick in 0usize..2,
     ) {
         let strategy = [Strategy::MPar, Strategy::KPar][pick];
-        let (cf, tf) = run(m, n, k, strategy, 2, ExecMode::Fast);
+        let (cc, tc) = run(m, n, k, strategy, 2, ExecMode::Compiled);
         let (ci, ti) = run(m, n, k, strategy, 2, ExecMode::Interpret);
-        prop_assert_eq!(cf.len(), ci.len());
-        for i in 0..cf.len() {
-            prop_assert_eq!(cf[i].to_bits(), ci[i].to_bits(), "elem {}", i);
+        prop_assert_eq!(cc.len(), ci.len());
+        for i in 0..cc.len() {
+            prop_assert_eq!(cc[i].to_bits(), ci[i].to_bits(), "elem {}", i);
         }
-        prop_assert!((tf - ti).abs() < 1e-15);
+        prop_assert!((tc - ti).abs() < 1e-15);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use workloads::{ConvLayer, FemBatch, KmeansInstance, MatrixGen};
 /// Run a workload GEMM functionally; return the result matrix.
 fn run_gemm(a: &[f32], b: &[f32], m: usize, n: usize, k: usize, cores: usize) -> Vec<f32> {
     let ft = FtImm::new(HwConfig::default());
-    let mut machine = Machine::with_mode(ExecMode::Fast);
+    let mut machine = Machine::with_mode(ExecMode::Compiled);
     let p = GemmProblem::alloc(&mut machine, m, n, k).unwrap();
     p.a.upload(&mut machine, a).unwrap();
     p.b.upload(&mut machine, b).unwrap();
