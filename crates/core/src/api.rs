@@ -467,9 +467,9 @@ impl FtImm {
     /// Execute a resolved plan under the resilience layer: ABFT-checked,
     /// retried on injected faults, degraded onto surviving cores.
     ///
-    /// For job-level control on top of this — per-job deadlines, per-core
-    /// circuit breakers, poison quarantine — submit work to a
-    /// [`crate::engine::JobQueue`] instead.
+    /// For job-level control on top of this — per-job deadlines, tenants,
+    /// circuit breakers, cluster failover — submit work to a
+    /// [`crate::ShardedEngine`] instead.
     pub fn run_plan_resilient(
         &self,
         m: &mut Machine,

@@ -29,7 +29,7 @@
 //! [`CircuitBreaker`] records the fault so spill policies can stop
 //! routing work at a trip threshold.
 
-use crate::engine::CircuitBreaker;
+use crate::cluster::CircuitBreaker;
 use crate::error::FtimmError;
 use crate::walk::Walk;
 use crate::ChosenStrategy;

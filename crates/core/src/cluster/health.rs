@@ -2,14 +2,15 @@
 //!
 //! Each cluster in a [`super::ClusterPool`] is a *fault domain*: its own
 //! machine, fault plan, watchdog and per-core circuit breakers.  This
-//! module reduces those per-core signals to one coarse health state the
+//! module holds the [`CircuitBreaker`] each core's faults feed and
+//! reduces those per-core signals to one coarse health state the
 //! placement and shedding policies can act on:
 //!
 //! * **Healthy** — the cluster takes shards normally.
 //! * **Degraded** — the cluster still works but is showing distress
-//!   (accumulated watchdog trips, or enough open circuit breakers that a
-//!   meaningful fraction of its cores is routed around).  Placement
-//!   prefers healthy clusters and uses degraded ones only when needed.
+//!   (accumulated watchdog trips, or enough of its cores' circuit
+//!   breakers open).  Placement prefers healthy clusters and uses
+//!   degraded ones only when needed.
 //! * **Dead** — the whole fault domain failed (an injected
 //!   [`dspsim::FaultPlan::kill_cluster`] fired, surfacing as
 //!   [`dspsim::SimError::ClusterFailed`]).  Dead is terminal: nothing is
@@ -51,25 +52,17 @@ impl ClusterHealth {
     }
 }
 
-/// Thresholds driving healthy → degraded transitions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPolicy {
-    /// Cumulative watchdog trips on the cluster's machine at which it
-    /// degrades.
-    pub degrade_watchdog_trips: u64,
-    /// Open (non-admitting) circuit breakers at which it degrades
-    /// (breaker saturation).
-    pub degrade_open_breakers: usize,
-}
+/// Cumulative watchdog trips on a cluster's machine at which it
+/// degrades.
+pub const DEGRADE_WATCHDOG_TRIPS: u64 = 2;
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            degrade_watchdog_trips: 2,
-            degrade_open_breakers: 2,
-        }
-    }
-}
+/// Open (non-admitting) circuit breakers at which a cluster degrades
+/// (breaker saturation).
+pub const DEGRADE_OPEN_BREAKERS: usize = 2;
+
+/// Simulated seconds an open [`CircuitBreaker`] waits before it
+/// half-opens.
+pub const BREAKER_COOLDOWN_S: f64 = 1e-3;
 
 /// The per-cluster state machine: folds observations into the monotone
 /// health lattice.
@@ -93,15 +86,8 @@ impl HealthMonitor {
 
     /// Fold in an observation of the cluster's distress signals; returns
     /// the (possibly advanced) health.  Never moves backwards.
-    pub fn observe(
-        &mut self,
-        policy: &HealthPolicy,
-        watchdog_trips: u64,
-        open_breakers: usize,
-    ) -> ClusterHealth {
-        if watchdog_trips >= policy.degrade_watchdog_trips
-            || open_breakers >= policy.degrade_open_breakers
-        {
+    pub fn observe(&mut self, watchdog_trips: u64, open_breakers: usize) -> ClusterHealth {
+        if watchdog_trips >= DEGRADE_WATCHDOG_TRIPS || open_breakers >= DEGRADE_OPEN_BREAKERS {
             self.advance_to(ClusterHealth::Degraded);
         }
         self.health()
@@ -118,33 +104,125 @@ impl HealthMonitor {
     }
 }
 
+/// Circuit-breaker state for one fault source (a DSP core or the CPU
+/// lane).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerState {
+    /// Healthy: consecutive faults are counted.
+    Closed,
+    /// Tripped: counts against its cluster's health (a core) or keeps
+    /// work off the lane (the CPU) until the cooldown expires.
+    Open,
+    /// Cooldown expired: the next dispatch is the probe that closes the
+    /// breaker on success or re-opens it on another fault.
+    HalfOpen,
+}
+
+/// Breaker bookkeeping on the simulated clock: Closed counts
+/// consecutive faults and opens at a threshold, Open waits out a
+/// cooldown, HalfOpen admits one probe whose outcome either closes or
+/// re-opens the breaker.
+///
+/// [`super::ShardedEngine`] keeps one per physical core (they feed
+/// [`HealthMonitor`] through [`super::ClusterPool::observe`]) and one
+/// for the CPU lane ([`crate::CpuBackend::breaker`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CircuitBreaker {
+    state: BreakerState,
+    consecutive_faults: u32,
+    opened_at: f64,
+}
+
+impl Default for CircuitBreaker {
+    fn default() -> Self {
+        CircuitBreaker::new()
+    }
+}
+
+impl CircuitBreaker {
+    /// A fresh breaker: Closed with no faults on record.
+    pub fn new() -> Self {
+        CircuitBreaker {
+            state: BreakerState::Closed,
+            consecutive_faults: 0,
+            opened_at: 0.0,
+        }
+    }
+
+    /// Current state.
+    pub fn state(&self) -> BreakerState {
+        self.state
+    }
+
+    /// Consecutive faults recorded since the last success (resets on
+    /// [`CircuitBreaker::record_success`]).
+    pub fn consecutive_faults(&self) -> u32 {
+        self.consecutive_faults
+    }
+
+    /// The source was implicated in a transient fault at simulated `now`.
+    pub fn record_fault(&mut self, threshold: u32, now: f64) {
+        match self.state {
+            BreakerState::Closed => {
+                self.consecutive_faults += 1;
+                if self.consecutive_faults >= threshold {
+                    self.state = BreakerState::Open;
+                    self.opened_at = now;
+                }
+            }
+            // A fault during the half-open probe re-opens immediately.
+            BreakerState::HalfOpen | BreakerState::Open => {
+                self.state = BreakerState::Open;
+                self.opened_at = now;
+            }
+        }
+    }
+
+    /// The source completed work without a fault.
+    pub fn record_success(&mut self) {
+        self.consecutive_faults = 0;
+        self.state = BreakerState::Closed;
+    }
+
+    /// Move Open → HalfOpen once the cooldown has elapsed.
+    pub fn tick(&mut self, now: f64, cooldown_s: f64) {
+        if self.state == BreakerState::Open && now - self.opened_at >= cooldown_s {
+            self.state = BreakerState::HalfOpen;
+        }
+    }
+
+    /// Whether the source may take regular work right now (only when
+    /// Closed).
+    pub fn admits_work(&self) -> bool {
+        self.state == BreakerState::Closed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn transitions_are_monotone() {
-        let policy = HealthPolicy::default();
         let mut m = HealthMonitor::new();
         assert_eq!(m.health(), ClusterHealth::Healthy);
         // Below both thresholds: stays healthy.
-        assert_eq!(m.observe(&policy, 1, 1), ClusterHealth::Healthy);
+        assert_eq!(m.observe(1, 1), ClusterHealth::Healthy);
         // Breaker saturation degrades.
-        assert_eq!(m.observe(&policy, 0, 2), ClusterHealth::Degraded);
+        assert_eq!(m.observe(0, 2), ClusterHealth::Degraded);
         // A calm observation does not upgrade back.
-        assert_eq!(m.observe(&policy, 0, 0), ClusterHealth::Degraded);
+        assert_eq!(m.observe(0, 0), ClusterHealth::Degraded);
         m.mark_dead();
         assert_eq!(m.health(), ClusterHealth::Dead);
         // Dead is terminal.
-        assert_eq!(m.observe(&policy, 0, 0), ClusterHealth::Dead);
+        assert_eq!(m.observe(0, 0), ClusterHealth::Dead);
         assert!(!m.health().is_usable());
     }
 
     #[test]
     fn watchdog_trips_degrade() {
-        let policy = HealthPolicy::default();
         let mut m = HealthMonitor::new();
-        assert_eq!(m.observe(&policy, 2, 0), ClusterHealth::Degraded);
+        assert_eq!(m.observe(2, 0), ClusterHealth::Degraded);
         assert!(m.health().is_usable());
     }
 }

@@ -5,9 +5,9 @@
 //! 16-core CPU front end (§II); the rest of this crate simulates exactly
 //! one cluster.  This module is the front end: a [`ClusterPool`] of N
 //! independent [`dspsim::Machine`]s — each a *fault domain* with its own
-//! [`dspsim::FaultPlan`], watchdog and per-core
-//! [`crate::CircuitBreaker`]s — driven by a [`ShardedEngine`] that
-//! generalises the single-machine [`crate::JobQueue`]:
+//! [`dspsim::FaultPlan`], watchdog and per-core [`CircuitBreaker`]s —
+//! driven by the [`ShardedEngine`], the crate's one job engine (a pool
+//! of one cluster is the single-machine case):
 //!
 //! * **Planning** — one GEMM is split across clusters by the
 //!   multi-device plan IR ([`crate::plan::sharded`]): the full shape is
@@ -26,7 +26,7 @@
 //!   [`crate::plan::sharded`]).
 //! * **Admission control** — per-tenant quotas, priorities and default
 //!   deadlines; lowest-priority jobs are shed first under degraded
-//!   capacity, and every submitted [`crate::JobId`] gets exactly one
+//!   capacity, and every submitted [`JobId`] gets exactly one
 //!   terminal [`ShardedOutcome`].
 //!
 //! See DESIGN.md §4.3 for the full model and invariants.
@@ -36,10 +36,10 @@ pub mod pool;
 pub mod sharded;
 pub mod tenant;
 
-pub use health::{ClusterHealth, HealthMonitor, HealthPolicy};
+pub use health::{BreakerState, CircuitBreaker, ClusterHealth, HealthMonitor};
 pub use pool::{ClusterNode, ClusterPool};
 pub use sharded::{
-    FailoverEvent, ShardRun, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome,
-    ShardedRecord, ShardedReport, SpillPolicy, CPU_LANE,
+    EngineConfig, FailoverEvent, JobId, ShardRun, ShardedConfig, ShardedEngine, ShardedJob,
+    ShardedOutcome, ShardedRecord, ShardedReport, SpillPolicy, CPU_LANE,
 };
 pub use tenant::{TenantId, TenantSpec, TenantTable};

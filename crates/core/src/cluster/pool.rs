@@ -1,7 +1,6 @@
 //! A pool of independent cluster fault domains.
 
-use super::health::{ClusterHealth, HealthMonitor, HealthPolicy};
-use crate::engine::CircuitBreaker;
+use super::health::{CircuitBreaker, ClusterHealth, HealthMonitor};
 use dspsim::{ExecMode, FaultPlan, HwConfig, Machine};
 
 /// One cluster fault domain: a private machine (own DDR partition, own
@@ -12,8 +11,8 @@ use dspsim::{ExecMode, FaultPlan, HwConfig, Machine};
 pub struct ClusterNode {
     /// The simulated cluster.
     pub machine: Machine,
-    /// Per-physical-core circuit breakers (same state machine the
-    /// single-cluster [`crate::JobQueue`] runs).
+    /// Per-physical-core circuit breakers; open ones count towards the
+    /// cluster's health.
     pub breakers: Vec<CircuitBreaker>,
     /// Health state machine.
     pub monitor: HealthMonitor,
@@ -46,7 +45,6 @@ impl ClusterNode {
 #[derive(Debug)]
 pub struct ClusterPool {
     nodes: Vec<ClusterNode>,
-    policy: HealthPolicy,
 }
 
 impl ClusterPool {
@@ -56,19 +54,7 @@ impl ClusterPool {
             nodes: (0..clusters.max(1))
                 .map(|_| ClusterNode::new(cfg, mode))
                 .collect(),
-            policy: HealthPolicy::default(),
         }
-    }
-
-    /// Replace the health policy (defaults are fine for most uses).
-    pub fn with_health_policy(mut self, policy: HealthPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The health policy in force.
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
     }
 
     /// Number of clusters (dead ones included).
@@ -121,8 +107,8 @@ impl ClusterPool {
     pub fn observe(&mut self, cluster: usize) -> ClusterHealth {
         let node = &mut self.nodes[cluster];
         let trips = node.machine.fault_stats().watchdog_trips;
-        let open = node.breakers.iter().filter(|b| !b.admits_work()).count();
-        node.monitor.observe(&self.policy, trips, open)
+        let open = node.open_breakers();
+        node.monitor.observe(trips, open)
     }
 
     /// Usable clusters ordered for placement: healthy before degraded,

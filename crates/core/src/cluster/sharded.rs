@@ -1,11 +1,11 @@
 //! The sharded GEMM engine: multi-tenant jobs planned across a
 //! [`ClusterPool`] with checkpointed shard failover.
 //!
-//! [`ShardedEngine`] generalises the single-machine [`crate::JobQueue`]
-//! to N cluster fault domains.  Jobs are host-resident (`A`, `B`, `C`
-//! live in host memory): each shard stages its stripe onto its cluster's
-//! private DDR partition, runs through the resilience layer with the
-//! *pinned* full-shape plan, and merges its verified rows back.
+//! [`ShardedEngine`] is the crate's job engine: it runs jobs across N
+//! cluster fault domains, N = 1 included.  Jobs are host-resident (`A`,
+//! `B`, `C` live in host memory): each shard stages its stripe onto its
+//! cluster's private DDR partition, runs through the resilience layer
+//! with the *pinned* full-shape plan, and merges its verified rows back.
 //! Pinning matters twice over: replanning a shard's
 //! smaller sub-shape could pick different blocks, and resuming with a
 //! different core count would regroup the K-parallel reduction — either
@@ -32,17 +32,16 @@
 //! reaches exactly one terminal [`ShardedOutcome`] — nothing is ever
 //! silently dropped.
 
+use super::health::{BreakerState, CircuitBreaker, BREAKER_COOLDOWN_S};
 use super::pool::ClusterPool;
 use super::tenant::{TenantId, TenantSpec, TenantTable};
 use crate::backend::{Backend as _, CpuBackend, CpuLaneOutcome, CpuStripeRun};
-use crate::engine::{BreakerState, CircuitBreaker, EngineConfig, JobId};
 use crate::plan::sharded::{
     plan_coexec, plan_sharded, Shard, ShardOrigin, ShardedPlan, LAUNCH_OVERHEAD_S,
 };
 use crate::plan::Plan;
-use crate::{
-    ChosenStrategy, ExecRun, Executor, FtImm, FtimmError, GemmProblem, GemmShape, Strategy,
-};
+use crate::resilience::ResilienceConfig;
+use crate::{ExecRun, Executor, FtImm, FtimmError, GemmProblem, GemmShape, Strategy};
 use cpublas::CpuConfig;
 use dspsim::{BackendKind, Profiler, SimError, DEFAULT_PROFILE_CAPACITY};
 use std::collections::VecDeque;
@@ -91,10 +90,33 @@ pub enum SpillPolicy {
     CoExecute,
 }
 
+/// Breaker and recovery knobs of the [`ShardedEngine`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngineConfig {
+    /// Consecutive transient faults at which a core's (or the CPU
+    /// lane's) circuit breaker opens.
+    pub breaker_threshold: u32,
+    /// Recovery configuration for each shard's resilient run.
+    pub resilience: ResilienceConfig,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            breaker_threshold: 3,
+            resilience: ResilienceConfig::default(),
+        }
+    }
+}
+
+/// Engine-assigned job identifier (submission order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct JobId(pub u64);
+
 /// Tuning knobs for the sharded engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedConfig {
-    /// Breaker/resilience knobs shared with the single-cluster engine.
+    /// Breaker and recovery knobs.
     /// `engine.resilience.ckpt_rows` is the minimum of two grains: a
     /// shard's checkpoint spans (whole rounds of the walk; a dead shard
     /// resumes from its last completed span) and the shard boundaries
@@ -107,10 +129,9 @@ pub struct ShardedConfig {
     /// queue exceeds `usable_clusters × this`, lowest-priority jobs are
     /// shed (graceful degradation after cluster deaths).
     pub max_queue_per_cluster: usize,
-    /// Record per-cluster profiles for Chrome-trace export.
+    /// Record per-cluster profiles for Chrome-trace export (a ring of
+    /// [`DEFAULT_PROFILE_CAPACITY`] spans per shard dispatch).
     pub profile: bool,
-    /// Span-ring capacity per shard dispatch when profiling.
-    pub profile_capacity: usize,
     /// When the CPU lane may absorb work (default: [`SpillPolicy::Never`],
     /// preserving the pure-DSP failure semantics).
     pub spill: SpillPolicy,
@@ -123,15 +144,14 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             engine: EngineConfig {
-                resilience: crate::ResilienceConfig {
+                resilience: ResilienceConfig {
                     ckpt_rows: 64,
-                    ..crate::ResilienceConfig::default()
+                    ..ResilienceConfig::default()
                 },
                 ..EngineConfig::default()
             },
             max_queue_per_cluster: 64,
             profile: false,
-            profile_capacity: DEFAULT_PROFILE_CAPACITY,
             spill: SpillPolicy::Never,
             cpu: CpuConfig::default(),
         }
@@ -264,8 +284,7 @@ impl ShardedReport {
 }
 
 /// Terminal state of one sharded job.  Every submitted [`JobId`] gets
-/// exactly one of these — the sharded analogue of
-/// [`crate::JobOutcome`], extended with the admission-control verdicts.
+/// exactly one of these.
 #[derive(Debug)]
 pub enum ShardedOutcome {
     /// The job finished (possibly after absorbed faults and failovers);
@@ -319,6 +338,12 @@ impl ShardedOutcome {
     }
 }
 
+impl From<FtimmError> for ShardedOutcome {
+    fn from(error: FtimmError) -> Self {
+        ShardedOutcome::Failed { error }
+    }
+}
+
 /// A drained job: id, owning tenant and terminal outcome.
 #[derive(Debug)]
 pub struct ShardedRecord {
@@ -353,7 +378,7 @@ impl ShardedEngine {
         let mut cpu =
             CpuBackend::new(cfg.cpu).with_dsp_cores(pool.node(0).machine.cfg.cores_per_cluster);
         if cfg.profile {
-            cpu.enable_profiling(cfg.profile_capacity);
+            cpu.enable_profiling(DEFAULT_PROFILE_CAPACITY);
         }
         ShardedEngine {
             pool,
@@ -434,7 +459,7 @@ impl ShardedEngine {
     pub fn take_cpu_profiler(&mut self) -> Profiler {
         let p = self.cpu.take_profiler();
         if self.cfg.profile {
-            self.cpu.enable_profiling(self.cfg.profile_capacity);
+            self.cpu.enable_profiling(DEFAULT_PROFILE_CAPACITY);
         }
         p
     }
@@ -478,16 +503,15 @@ impl ShardedEngine {
     /// Move open breakers towards half-open on each cluster's clock (and
     /// the CPU lane's breaker on the CPU clock).
     fn tick_breakers(&mut self) {
-        let cooldown = self.cfg.engine.breaker_cooldown_s;
         for ci in 0..self.pool.len() {
             let node = self.pool.node_mut(ci);
             let now = node.machine.elapsed();
             for b in &mut node.breakers {
-                b.tick(now, cooldown);
+                b.tick(now, BREAKER_COOLDOWN_S);
             }
         }
         let now = self.cpu.elapsed();
-        self.cpu.breaker_mut().tick(now, cooldown);
+        self.cpu.breaker_mut().tick(now, BREAKER_COOLDOWN_S);
     }
 
     /// Whether spill policy and the CPU breaker currently admit work on
@@ -509,24 +533,27 @@ impl ShardedEngine {
         }
         let capacity = self.pool.usable() * self.cfg.max_queue_per_cluster;
         while self.queue.len() > capacity {
-            let min_pri = self
+            // `min_by_key` keeps the first minimum it meets, so walking
+            // the queue newest-first finds the most recent of the lowest.
+            let lowest = self
                 .queue
                 .iter()
-                .map(|(_, t, _)| self.tenants.priority(*t))
-                .min()
-                .expect("queue is non-empty");
-            let idx = self
-                .queue
-                .iter()
-                .rposition(|(_, t, _)| self.tenants.priority(*t) == min_pri)
-                .expect("a minimum exists");
-            let (id, tenant, _job) = self.queue.remove(idx).expect("index in range");
+                .enumerate()
+                .rev()
+                .map(|(i, (_, t, _))| (i, self.tenants.priority(*t)))
+                .min_by_key(|&(_, priority)| priority);
+            let Some((idx, priority)) = lowest else {
+                return;
+            };
+            let Some((id, tenant, _job)) = self.queue.remove(idx) else {
+                return;
+            };
             self.tenants.release(tenant);
             self.records.push(ShardedRecord {
                 id,
                 tenant,
                 outcome: ShardedOutcome::Shed {
-                    priority: min_pri,
+                    priority,
                     reason: format!(
                         "queue {} over capacity {} ({} usable clusters)",
                         self.queue.len() + 1,
@@ -539,11 +566,10 @@ impl ShardedEngine {
     }
 
     /// Feed one shard dispatch's fault record into the cluster's
-    /// breakers and health monitor.  Unlike [`crate::JobQueue`] the
-    /// sharded engine never shrinks a cluster's core map (that would
-    /// regroup reductions and break bitwise identity); breakers here
-    /// drive the *health* state, pushing placement away from distressed
-    /// clusters.
+    /// breakers and health monitor.  The engine never shrinks a
+    /// cluster's core map (that would regroup reductions and break
+    /// bitwise identity); breakers here drive the *health* state,
+    /// pushing placement away from distressed clusters.
     fn absorb(&mut self, ci: usize, exec: &ExecRun) {
         let threshold = self.cfg.engine.breaker_threshold;
         let node = self.pool.node_mut(ci);
@@ -564,23 +590,28 @@ impl ShardedEngine {
         self.pool.observe(ci);
     }
 
+    /// A transient fault on the CPU lane counts against its breaker.
+    fn record_cpu_fault(&mut self) {
+        let threshold = self.cfg.engine.breaker_threshold;
+        let now = self.cpu.elapsed();
+        self.cpu.breaker_mut().record_fault(threshold, now);
+    }
+
     /// Reject a functional-mode job whose host buffers don't match its
     /// dimensions (timing-mode jobs are data-free by convention).
-    fn validate(&self, job: &ShardedJob) -> Option<ShardedOutcome> {
+    fn validate(&self, job: &ShardedJob) -> Result<(), FtimmError> {
         let functional = self.pool.node(0).machine.mode.is_functional();
         if functional
             && (job.a.len() != job.m * job.k
                 || job.b.len() != job.k * job.n
                 || job.c.len() != job.m * job.n)
         {
-            return Some(ShardedOutcome::Failed {
-                error: FtimmError::Invalid(format!(
-                    "host buffer sizes do not match {}x{}x{}",
-                    job.m, job.n, job.k
-                )),
-            });
+            return Err(FtimmError::Invalid(format!(
+                "host buffer sizes do not match {}x{}x{}",
+                job.m, job.n, job.k
+            )));
         }
-        None
+        Ok(())
     }
 
     /// The job's effective deadline: its own, else the tenant default.
@@ -589,29 +620,40 @@ impl ShardedEngine {
             .or_else(|| self.tenants.spec(tenant).and_then(|s| s.default_deadline_s))
     }
 
-    /// Run one job to a terminal outcome: plan across usable clusters,
-    /// dispatch shards, fail over on cluster death, merge.
-    fn run_job(&mut self, ft: &FtImm, tenant: TenantId, mut job: ShardedJob) -> ShardedOutcome {
-        let shape = job.shape();
-        let functional = self.pool.node(0).machine.mode.is_functional();
+    /// Where work goes when its device is lost: the best surviving
+    /// cluster, else the CPU lane if [`Self::spill_admits`], else
+    /// nowhere.
+    fn failover_target(&self) -> Option<(usize, BackendKind)> {
+        match self.pool.placement().first() {
+            Some(&to) => Some((to, BackendKind::Dsp)),
+            None => self.spill_admits().then_some((CPU_LANE, BackendKind::Cpu)),
+        }
+    }
+
+    /// Choose the job's plan: which devices take which rows, and whether
+    /// the CPU lane takes part.
+    fn place(
+        &self,
+        ft: &FtImm,
+        job: &ShardedJob,
+        deadline: Option<f64>,
+    ) -> Result<ShardedPlan, FtimmError> {
         let placement = self.pool.placement();
-        if placement.is_empty() && !self.spill_admits() {
-            return ShardedOutcome::Failed {
-                error: FtimmError::Invalid("no usable clusters: every fault domain is dead".into()),
-            };
+        let spill = self.spill_admits();
+        if placement.is_empty() && !spill {
+            return Err(no_usable_clusters());
         }
-        if let Some(out) = self.validate(&job) {
-            return out;
-        }
-        let deadline = self.effective_deadline(tenant, &job);
-        let ckpt_rows = self.cfg.engine.resilience.ckpt_rows;
-        let mut splan = if placement.is_empty() {
+        self.validate(job)?;
+        let shape = job.shape();
+        if placement.is_empty() {
             // Last fault domain: the whole job runs on the CPU lane
             // instead of failing terminally.  The plan is still pinned
             // through the shared LRU cache so a later all-DSP run of the
             // same shape stays bit-comparable.
-            self.cpu_only_plan(ft.plan_full(&shape, job.strategy, job.cores))
-        } else if self.cfg.spill == SpillPolicy::CoExecute && self.spill_admits() {
+            return Ok(self.cpu_only_plan(ft.plan_full(&shape, job.strategy, job.cores)));
+        }
+        let ckpt_rows = self.cfg.engine.resilience.ckpt_rows;
+        let splan = if spill && self.cfg.spill == SpillPolicy::CoExecute {
             // The co-execution planner decides the CPU/DSP split from
             // both cost models; a tripped CPU breaker (or any other
             // policy) keeps planning DSP-only — the cross-job demotion
@@ -632,239 +674,169 @@ impl ShardedEngine {
         // Deadline-pressure routing: when the DSP cost model says the
         // deadline is unmeetable but the CPU model says it is, dispatch
         // the whole job to the CPU lane up front.
-        if self.cfg.spill == SpillPolicy::DeadlineAware && self.spill_admits() {
-            if let Some(d) = deadline {
-                let cpu_only = self.cpu_only_plan(splan.plan);
-                if splan.predicted_s > d && cpu_only.predicted_s <= d {
-                    splan = cpu_only;
-                }
+        if let (true, SpillPolicy::DeadlineAware, Some(d)) = (spill, self.cfg.spill, deadline) {
+            let cpu_only = self.cpu_only_plan(splan.plan);
+            if splan.predicted_s > d && cpu_only.predicted_s <= d {
+                return Ok(cpu_only);
             }
         }
+        Ok(splan)
+    }
+
+    /// Run one job to a terminal outcome: place it, dispatch its shards
+    /// (a lost shard's remainder runs next, ahead of the queued ones),
+    /// merge.
+    fn run_job(&mut self, ft: &FtImm, tenant: TenantId, job: ShardedJob) -> ShardedOutcome {
+        let deadline = self.effective_deadline(tenant, &job);
+        let splan = match self.place(ft, &job, deadline) {
+            Ok(splan) => splan,
+            Err(error) => return error.into(),
+        };
         let mut work: VecDeque<Shard> = splan.shards.iter().copied().collect();
-        let mut shard_runs = Vec::new();
-        let mut failovers = Vec::new();
-        let mut busy = vec![0.0f64; self.pool.len()];
-        // Planned CPU shards run concurrently with the clusters (their
-        // lane has the work from t=0); failover CPU shards only exist
-        // because a cluster died, so their time serialises after the
-        // cluster timeline.
-        let mut cpu_peer_busy = 0.0f64;
-        let mut cpu_serial_busy = 0.0f64;
-        let mut launches = 0usize;
-        let mut rows_done = 0usize;
-
-        while let Some(mut shard) = work.pop_front() {
-            // A queued DSP shard whose cluster died before dispatch is
-            // rerouted whole: to the best survivor, else the CPU lane.
-            if shard.backend == BackendKind::Dsp && !self.pool.health(shard.cluster).is_usable() {
-                if let Some(&to) = self.pool.placement().first() {
-                    shard.cluster = to;
-                } else if self.spill_admits() {
-                    failovers.push(FailoverEvent {
-                        from: shard.cluster,
-                        to: CPU_LANE,
-                        to_backend: BackendKind::Cpu,
-                        at_row: shard.r0,
-                        rows_salvaged: 0,
-                        rows_resumed: shard.rows(),
-                    });
-                    shard.cluster = CPU_LANE;
-                    shard.backend = BackendKind::Cpu;
-                    shard.origin = ShardOrigin::Failover;
-                } else {
-                    return ShardedOutcome::Failed {
-                        error: FtimmError::Invalid(
-                            "no usable clusters: every fault domain is dead".into(),
-                        ),
-                    };
+        let mut run = InFlight::new(job, tenant, deadline, splan, self.pool.len());
+        while let Some(shard) = work.pop_front() {
+            let step = match self.reroute(&mut run, shard) {
+                Err(error) => Err(error.into()),
+                Ok(shard) if shard.backend == BackendKind::Cpu => {
+                    self.dispatch_cpu(ft, &mut run, shard)
                 }
-            }
-            if shard.backend == BackendKind::Cpu {
-                let run = match self.run_cpu_stripe(
-                    ft,
-                    &splan.plan.strategy,
-                    &mut job,
-                    shard.r0,
-                    shard.r1,
-                    deadline,
-                ) {
-                    Ok(run) => run,
-                    Err(error) => return ShardedOutcome::Failed { error },
-                };
-                if shard.origin == ShardOrigin::Planned {
-                    // A planned peer pays its own dispatch on its own
-                    // timeline — the same convention the co-execution
-                    // cost model uses — so the launch overlaps the
-                    // cluster timeline instead of serialising into it.
-                    cpu_peer_busy += run.seconds + LAUNCH_OVERHEAD_S;
-                } else {
-                    launches += 1;
-                    cpu_serial_busy += run.seconds;
-                }
-                shard_runs.push(ShardRun {
-                    cluster: CPU_LANE,
-                    backend: BackendKind::Cpu,
-                    r0: shard.r0,
-                    r1: shard.r0 + run.rows_verified,
-                    seconds: run.seconds,
-                });
-                match run.outcome {
-                    CpuLaneOutcome::Done => {
-                        rows_done += shard.rows();
-                        continue;
-                    }
-                    CpuLaneOutcome::Fault { nth } => {
-                        // A co-executed shard has somewhere to go: demote
-                        // the unverified remainder back to the DSP pool
-                        // (same shard representation, origin now
-                        // Failover) and record the fault so repeats trip
-                        // the breaker and stop co-execution cross-job.
-                        // A failover-origin CPU shard was already the
-                        // last fault domain — nothing left, shed.
-                        if shard.origin == ShardOrigin::Planned {
-                            if let Some(&to) = self.pool.placement().first() {
-                                let threshold = self.cfg.engine.breaker_threshold;
-                                let now = self.cpu.elapsed();
-                                self.cpu.breaker_mut().record_fault(threshold, now);
-                                let at_row = shard.r0 + run.rows_verified;
-                                failovers.push(FailoverEvent {
-                                    from: CPU_LANE,
-                                    to,
-                                    to_backend: BackendKind::Dsp,
-                                    at_row,
-                                    rows_salvaged: run.rows_verified,
-                                    rows_resumed: shard.r1 - at_row,
-                                });
-                                work.push_front(Shard {
-                                    cluster: to,
-                                    r0: at_row,
-                                    r1: shard.r1,
-                                    backend: BackendKind::Dsp,
-                                    origin: ShardOrigin::Failover,
-                                });
-                                rows_done += run.rows_verified;
-                                continue;
-                            }
-                        }
-                        return self.shed_on_cpu_fault(tenant, nth, shard.r0 + run.rows_verified);
-                    }
-                    CpuLaneOutcome::Deadline { at } => {
-                        return ShardedOutcome::DeadlineExceeded {
-                            at,
-                            rows_verified: rows_done + run.rows_verified,
-                            rows_total: job.m,
-                        };
-                    }
-                }
-            }
-            launches += 1;
-            let (mut exec, problem, dt) = match self.run_shard(ft, &splan, &job, shard, deadline) {
-                Ok(run) => run,
-                Err(error) => return ShardedOutcome::Failed { error },
+                Ok(shard) => self.dispatch_dsp(ft, &mut run, shard),
             };
-            busy[shard.cluster] += dt;
-            if let Some(prof) = exec.profiler.take() {
-                self.profilers[shard.cluster].push(prof);
-            }
-            self.absorb(shard.cluster, &exec);
-            match exec.result {
-                Ok(_) => {
-                    if functional {
-                        let m = &mut self.pool.node_mut(shard.cluster).machine;
-                        let out = &mut job.c[shard.r0 * job.n..shard.r1 * job.n];
-                        if let Err(e) = problem.c.download_into(m, out) {
-                            return ShardedOutcome::Failed { error: e.into() };
-                        }
-                    }
-                    rows_done += shard.rows();
-                    shard_runs.push(ShardRun {
-                        cluster: shard.cluster,
-                        backend: BackendKind::Dsp,
-                        r0: shard.r0,
-                        r1: shard.r1,
-                        seconds: dt,
-                    });
-                }
-                Err(e) if e.is_cluster_death() => {
-                    self.pool.mark_dead(shard.cluster);
-                    let salvaged = exec.rows_verified.min(shard.rows());
-                    if functional && salvaged > 0 {
-                        let m = &mut self.pool.node_mut(shard.cluster).machine;
-                        // The DDR partition outlives the cluster: salvage
-                        // the checkpoint-verified rows host-side.
-                        let span = problem.c.view(0, 0, salvaged, job.n);
-                        let out = &mut job.c[shard.r0 * job.n..(shard.r0 + salvaged) * job.n];
-                        if let Err(e) = span.download_into(m, out) {
-                            return ShardedOutcome::Failed { error: e.into() };
-                        }
-                    }
-                    rows_done += salvaged;
-                    shard_runs.push(ShardRun {
-                        cluster: shard.cluster,
-                        backend: BackendKind::Dsp,
-                        r0: shard.r0,
-                        r1: shard.r0 + salvaged,
-                        seconds: dt,
-                    });
-                    if salvaged == shard.rows() {
-                        continue; // died after its last span: nothing to resume
-                    }
-                    // Resume the checkpointed remainder on the best
-                    // survivor; with none left, the CPU lane is the last
-                    // fault domain before the job is lost.
-                    let (to, to_backend) = match self.pool.placement().first() {
-                        Some(&to) => (to, BackendKind::Dsp),
-                        None if self.spill_admits() => (CPU_LANE, BackendKind::Cpu),
-                        None => return ShardedOutcome::Failed { error: e },
-                    };
-                    failovers.push(FailoverEvent {
-                        from: shard.cluster,
-                        to,
-                        to_backend,
-                        at_row: shard.r0 + salvaged,
-                        rows_salvaged: salvaged,
-                        rows_resumed: shard.r1 - shard.r0 - salvaged,
-                    });
-                    work.push_front(Shard {
-                        cluster: to,
-                        r0: shard.r0 + salvaged,
-                        r1: shard.r1,
-                        backend: to_backend,
-                        origin: ShardOrigin::Failover,
-                    });
-                }
-                Err(e) if e.is_deadline() => {
-                    let at = match &e {
-                        FtimmError::Sim(SimError::WatchdogTripped { at, .. }) => *at,
-                        _ => 0.0,
-                    };
-                    return ShardedOutcome::DeadlineExceeded {
-                        at,
-                        rows_verified: rows_done + exec.rows_verified,
-                        rows_total: job.m,
-                    };
-                }
-                Err(error) => return ShardedOutcome::Failed { error },
+            match step {
+                Ok(None) => {}
+                Ok(Some(rest)) => work.push_front(rest),
+                Err(outcome) => return outcome,
             }
         }
+        run.complete()
+    }
 
-        // Clusters overlap each other, and a *planned* CPU shard (co-
-        // execution) overlaps them too — its lane owned the work from
-        // t=0, so the makespan is the slowest lane.  Failover CPU
-        // dispatches only ever happen *after* a cluster death (salvage
-        // remainders, rerouted shards), so their busy time serialises
-        // after the cluster timeline instead of overlapping it —
-        // losing a cluster is never free.
-        let worst = busy.iter().copied().fold(0.0, f64::max).max(cpu_peer_busy) + cpu_serial_busy;
-        ShardedOutcome::Completed {
-            c: std::mem::take(&mut job.c),
-            report: Box::new(ShardedReport {
-                plan: splan,
-                shard_runs,
-                failovers,
-                seconds: worst + LAUNCH_OVERHEAD_S * launches as f64,
-                useful_flops: shape.flops(),
+    /// A queued DSP shard whose cluster died before dispatch is rerouted
+    /// whole: to the best survivor, else the CPU lane.
+    fn reroute(&self, run: &mut InFlight, shard: Shard) -> Result<Shard, FtimmError> {
+        if shard.backend != BackendKind::Dsp || self.pool.health(shard.cluster).is_usable() {
+            return Ok(shard);
+        }
+        match self.failover_target().ok_or_else(no_usable_clusters)? {
+            (to, BackendKind::Dsp) => Ok(Shard {
+                cluster: to,
+                ..shard
             }),
+            to => Ok(run.fail_over(shard.cluster, shard, shard.r0, to)),
+        }
+    }
+
+    /// Dispatch one shard on the CPU lane.  `Ok(Some(_))` is a remainder
+    /// to run next; `Err` ends the job.
+    fn dispatch_cpu(
+        &mut self,
+        ft: &FtImm,
+        run: &mut InFlight,
+        shard: Shard,
+    ) -> Result<Option<Shard>, ShardedOutcome> {
+        let lane = self.run_cpu_stripe(ft, run, shard)?;
+        if shard.origin == ShardOrigin::Planned {
+            // A planned peer pays its own dispatch on its own timeline —
+            // the same convention the co-execution cost model uses — so
+            // the launch overlaps the cluster timeline instead of
+            // serialising into it.
+            run.cpu_peer_busy += lane.seconds + LAUNCH_OVERHEAD_S;
+        } else {
+            run.launches += 1;
+            run.cpu_serial_busy += lane.seconds;
+        }
+        run.shard_runs.push(ShardRun {
+            cluster: CPU_LANE,
+            backend: BackendKind::Cpu,
+            r0: shard.r0,
+            r1: shard.r0 + lane.rows_verified,
+            seconds: lane.seconds,
+        });
+        match lane.outcome {
+            CpuLaneOutcome::Done => {
+                run.rows_done += shard.rows();
+                Ok(None)
+            }
+            CpuLaneOutcome::Fault { nth } => {
+                // A co-executed shard has somewhere to go: its unverified
+                // remainder demotes back to the DSP pool, and the recorded
+                // fault lets repeats trip the breaker and stop
+                // co-execution cross-job.  A failover-origin CPU shard
+                // was already the last fault domain: the job is shed.
+                self.record_cpu_fault();
+                let at_row = shard.r0 + lane.rows_verified;
+                match self.failover_target() {
+                    Some(to @ (_, BackendKind::Dsp)) if shard.origin == ShardOrigin::Planned => {
+                        run.rows_done += lane.rows_verified;
+                        Ok(Some(run.fail_over(CPU_LANE, shard, at_row, to)))
+                    }
+                    _ => Err(self.shed_on_cpu_fault(run.tenant, nth, at_row)),
+                }
+            }
+            CpuLaneOutcome::Deadline { at } => Err(run.deadline_exceeded(at, lane.rows_verified)),
+        }
+    }
+
+    /// Dispatch one shard on its cluster and merge the rows it verified.
+    /// `Ok(Some(_))` is the remainder of a shard whose cluster died;
+    /// `Err` ends the job.
+    fn dispatch_dsp(
+        &mut self,
+        ft: &FtImm,
+        run: &mut InFlight,
+        shard: Shard,
+    ) -> Result<Option<Shard>, ShardedOutcome> {
+        run.launches += 1;
+        let (mut exec, problem, dt) = self.run_shard(ft, run, shard)?;
+        run.busy[shard.cluster] += dt;
+        if let Some(prof) = exec.profiler.take() {
+            self.profilers[shard.cluster].push(prof);
+        }
+        self.absorb(shard.cluster, &exec);
+        let (rows, death) = match exec.result {
+            Ok(_) => (shard.rows(), None),
+            Err(e) if e.is_cluster_death() => {
+                self.pool.mark_dead(shard.cluster);
+                (exec.rows_verified.min(shard.rows()), Some(e))
+            }
+            Err(e) if e.is_deadline() => {
+                let at = match e {
+                    FtimmError::Sim(SimError::WatchdogTripped { at, .. }) => at,
+                    _ => 0.0,
+                };
+                return Err(run.deadline_exceeded(at, exec.rows_verified));
+            }
+            Err(error) => return Err(error.into()),
+        };
+        let (m, n) = (&mut self.pool.node_mut(shard.cluster).machine, run.job.n);
+        if m.mode.is_functional() && rows > 0 {
+            // Merge the verified rows.  A dead cluster's DDR partition
+            // outlives it, so its checkpointed rows are salvaged too.
+            let out = &mut run.job.c[shard.r0 * n..(shard.r0 + rows) * n];
+            let span = problem.c.view(0, 0, rows, n);
+            span.download_into(m, out).map_err(FtimmError::from)?;
+        }
+        run.rows_done += rows;
+        run.shard_runs.push(ShardRun {
+            cluster: shard.cluster,
+            backend: BackendKind::Dsp,
+            r0: shard.r0,
+            r1: shard.r0 + rows,
+            seconds: dt,
+        });
+        // A cluster that died after its last span leaves nothing to
+        // resume.
+        let Some(error) = death.filter(|_| rows < shard.rows()) else {
+            return Ok(None);
+        };
+        match self.failover_target() {
+            Some(to) => Ok(Some(run.fail_over(
+                shard.cluster,
+                shard,
+                shard.r0 + rows,
+                to,
+            ))),
+            None => Err(error.into()),
         }
     }
 
@@ -874,14 +846,12 @@ impl ShardedEngine {
     fn run_shard(
         &mut self,
         ft: &FtImm,
-        splan: &ShardedPlan,
-        job: &ShardedJob,
+        run: &InFlight,
         shard: Shard,
-        deadline: Option<f64>,
     ) -> Result<(ExecRun, GemmProblem, f64), FtimmError> {
         let cfg = self.cfg;
-        let node = self.pool.node_mut(shard.cluster);
-        let m = &mut node.machine;
+        let job = &run.job;
+        let m = &mut self.pool.node_mut(shard.cluster).machine;
         let t0 = m.elapsed();
         m.ddr.reset_alloc();
         let problem = GemmProblem::alloc(m, shard.rows(), job.n, job.k)?;
@@ -896,35 +866,32 @@ impl ShardedEngine {
                 .upload(m, &job.c[shard.r0 * job.n..shard.r1 * job.n])?;
         }
         let mut ex = Executor::new(ft)
-            .with_plan(splan.plan.strategy)
+            .with_plan(run.splan.plan.strategy)
             .cores(job.cores)
             .resilient(cfg.engine.resilience)
-            .with_deadline(deadline)
-            .dma_budget(cfg.engine.dma_budget_s);
+            .with_deadline(run.deadline);
         if cfg.profile {
-            ex = ex.profiled().profile_capacity(cfg.profile_capacity);
+            ex = ex.profiled();
         }
         let exec = ex.dispatch(m, &problem)?;
         let dt = m.elapsed() - t0;
         Ok((exec, problem, dt))
     }
 
-    /// Dispatch rows `r0..r1` on the CPU lane with the pinned strategy.
-    /// Functional jobs compute in place into `job.c`; timing jobs only
-    /// charge model time (the backend's data-free convention).  A clean
-    /// dispatch records success on the CPU breaker (inside the backend).
+    /// Dispatch a shard's rows on the CPU lane with the pinned strategy.
+    /// Functional jobs compute in place into the job's C; timing jobs
+    /// only charge model time (the backend's data-free convention).  A
+    /// clean dispatch records success on the CPU breaker (inside the
+    /// backend).
     fn run_cpu_stripe(
         &mut self,
         ft: &FtImm,
-        strategy: &ChosenStrategy,
-        job: &mut ShardedJob,
-        r0: usize,
-        r1: usize,
-        deadline: Option<f64>,
+        run: &mut InFlight,
+        shard: Shard,
     ) -> Result<CpuStripeRun, FtimmError> {
-        let (n, k) = (job.n, job.k);
+        let job = &mut run.job;
+        let (n, k, r0, r1) = (job.n, job.k, shard.r0, shard.r1);
         let functional = self.pool.node(0).machine.mode.is_functional();
-        let ckpt = self.cfg.engine.resilience.ckpt_rows;
         let (a, b, c): (&[f32], &[f32], &mut [f32]) = if functional {
             (&job.a[r0 * k..r1 * k], &job.b, &mut job.c[r0 * n..r1 * n])
         } else {
@@ -932,7 +899,7 @@ impl ShardedEngine {
         };
         self.cpu.run_stripe(
             ft.executor(),
-            strategy,
+            &run.splan.plan.strategy,
             job.cores,
             a,
             b,
@@ -940,19 +907,15 @@ impl ShardedEngine {
             n,
             k,
             r1 - r0,
-            ckpt,
-            deadline,
+            self.cfg.engine.resilience.ckpt_rows,
+            run.deadline,
         )
     }
 
-    /// Terminal outcome for a transient CPU fault: the CPU is the last
-    /// fault domain, so there is nowhere further to fail over — record
-    /// the fault on the CPU breaker and shed the job with a reason
-    /// instead of retrying (retry policy belongs to the submitter).
-    fn shed_on_cpu_fault(&mut self, tenant: TenantId, nth: u64, at_row: usize) -> ShardedOutcome {
-        let threshold = self.cfg.engine.breaker_threshold;
-        let now = self.cpu.elapsed();
-        self.cpu.breaker_mut().record_fault(threshold, now);
+    /// Terminal outcome for a transient CPU fault with nowhere further
+    /// to fail over to: shed the job with a reason instead of retrying
+    /// (retry policy belongs to the submitter).
+    fn shed_on_cpu_fault(&self, tenant: TenantId, nth: u64, at_row: usize) -> ShardedOutcome {
         ShardedOutcome::Shed {
             priority: self.tenants.priority(tenant),
             reason: format!(
@@ -978,6 +941,118 @@ impl ShardedEngine {
             }],
             plan,
             predicted_s,
+        }
+    }
+}
+
+/// Why a job has nowhere to run.
+fn no_usable_clusters() -> FtimmError {
+    FtimmError::Invalid("no usable clusters: every fault domain is dead".into())
+}
+
+/// One job in the engine's shard loop: what it runs, under which plan,
+/// and what its dispatches have done so far.
+struct InFlight {
+    job: ShardedJob,
+    tenant: TenantId,
+    deadline: Option<f64>,
+    splan: ShardedPlan,
+    shard_runs: Vec<ShardRun>,
+    failovers: Vec<FailoverEvent>,
+    /// Busy seconds per cluster.
+    busy: Vec<f64>,
+    /// Planned CPU shards run concurrently with the clusters (their
+    /// lane has the work from t=0); failover CPU shards only exist
+    /// because a cluster died, so their time serialises after the
+    /// cluster timeline.
+    cpu_peer_busy: f64,
+    cpu_serial_busy: f64,
+    /// Dispatches whose launch serialises on the host.
+    launches: usize,
+    /// C rows verified so far, across every dispatch.
+    rows_done: usize,
+}
+
+impl InFlight {
+    fn new(
+        job: ShardedJob,
+        tenant: TenantId,
+        deadline: Option<f64>,
+        splan: ShardedPlan,
+        clusters: usize,
+    ) -> Self {
+        InFlight {
+            job,
+            tenant,
+            deadline,
+            splan,
+            shard_runs: Vec::new(),
+            failovers: Vec::new(),
+            busy: vec![0.0; clusters],
+            cpu_peer_busy: 0.0,
+            cpu_serial_busy: 0.0,
+            launches: 0,
+            rows_done: 0,
+        }
+    }
+
+    /// Record that `shard`'s device `from` was lost at `at_row` and
+    /// return the remainder, resuming on `to` with the same plan.
+    fn fail_over(
+        &mut self,
+        from: usize,
+        shard: Shard,
+        at_row: usize,
+        (to, to_backend): (usize, BackendKind),
+    ) -> Shard {
+        self.failovers.push(FailoverEvent {
+            from,
+            to,
+            to_backend,
+            at_row,
+            rows_salvaged: at_row - shard.r0,
+            rows_resumed: shard.r1 - at_row,
+        });
+        Shard {
+            cluster: to,
+            r0: at_row,
+            r1: shard.r1,
+            backend: to_backend,
+            origin: ShardOrigin::Failover,
+        }
+    }
+
+    /// The job passed its deadline at `at` with `rows` of the current
+    /// shard verified.
+    fn deadline_exceeded(&self, at: f64, rows: usize) -> ShardedOutcome {
+        ShardedOutcome::DeadlineExceeded {
+            at,
+            rows_verified: self.rows_done + rows,
+            rows_total: self.job.m,
+        }
+    }
+
+    /// Every shard ran: the merged C and the job's report.
+    fn complete(self) -> ShardedOutcome {
+        // Clusters overlap each other, and a *planned* CPU shard (co-
+        // execution) overlaps them too — its lane owned the work from
+        // t=0, so the makespan is the slowest lane.  Failover CPU
+        // dispatches only ever happen *after* a cluster death (salvage
+        // remainders, rerouted shards), so their busy time serialises
+        // after the cluster timeline instead of overlapping it —
+        // losing a cluster is never free.
+        let worst = self.busy.iter().copied().fold(0.0, f64::max);
+        let worst = worst.max(self.cpu_peer_busy) + self.cpu_serial_busy;
+        let useful_flops = self.job.shape().flops();
+        ShardedOutcome::Completed {
+            c: self.job.c,
+            report: Box::new(ShardedReport {
+                plan: self.splan,
+                shard_runs: self.shard_runs,
+                failovers: self.failovers,
+                seconds: worst + LAUNCH_OVERHEAD_S * self.launches as f64,
+                useful_flops,
+            }),
         }
     }
 }
@@ -1102,6 +1177,49 @@ mod tests {
         assert!(fo.rows_salvaged % 8 == 0, "salvage lands on a checkpoint");
         assert_eq!(eng.pool().health(0), ClusterHealth::Dead);
         assert_bits_eq(c, &single_cluster_oracle(&ft));
+    }
+
+    #[test]
+    fn a_batch_as_a_one_cluster_job_matches_the_batch_api_bitwise() {
+        let ft = FtImm::new(HwConfig::default());
+        let batch = crate::GemmBatch::new(10, 8, 12, 4).unwrap();
+        let s = batch.flat_shape();
+        let elements = fill_matrix(s.m * s.k, 1);
+        let operator = fill_matrix(s.k * s.n, 2);
+        let mut want = vec![0.0f32; s.m * s.n];
+        let mut m = Machine::with_mode(ExecMode::Compiled);
+        batch
+            .run(
+                &ft,
+                &mut m,
+                &elements,
+                &operator,
+                &mut want,
+                Strategy::Auto,
+                CORES,
+            )
+            .unwrap();
+
+        let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
+        let mut eng = ShardedEngine::new(pool, test_cfg());
+        let t = eng.register_tenant(TenantSpec::new("batch", 5));
+        let out = vec![0.0f32; s.m * s.n];
+        let job = ShardedJob::gemm(
+            s.m,
+            s.n,
+            s.k,
+            elements,
+            operator,
+            out,
+            Strategy::Auto,
+            CORES,
+        );
+        eng.submit(t, job);
+        let records = eng.run_all(&ft);
+        let ShardedOutcome::Completed { c, .. } = &records[0].outcome else {
+            panic!("expected completion, got {}", records[0].outcome.label());
+        };
+        assert_bits_eq(c, &want);
     }
 
     #[test]

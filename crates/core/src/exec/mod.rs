@@ -17,8 +17,8 @@
 //!    picks it up on the next dispatch with zero extra simulations
 //!    (tuning time itself is a [`dspsim::Phase::Tune`] span, see
 //!    [`crate::FtImm::tune_on`]);
-//! 3. **guard** — arm the simulator watchdog for the caller's deadline
-//!    and hung-DMA budget, on the simulated clock;
+//! 3. **guard** — arm the simulator watchdog for the caller's deadline,
+//!    on the simulated clock;
 //! 4. **run** — drive the strategy runner directly, or through the
 //!    resilience layer (ABFT verify, bounded retries, checkpointing,
 //!    degradation) when a [`ResilienceConfig`] is attached;
@@ -62,13 +62,9 @@ pub struct ExecOptions {
     pub resilience: Option<ResilienceConfig>,
     /// Watchdog deadline in simulated seconds from dispatch.
     pub deadline_s: Option<f64>,
-    /// Watchdog hung-DMA budget in simulated seconds (armed only when
-    /// finite or a deadline is set).
-    pub dma_budget_s: f64,
-    /// Record phase spans and attach a [`dspsim::PhaseProfile`] to the report.
+    /// Record phase spans (in a ring of [`DEFAULT_PROFILE_CAPACITY`])
+    /// and attach a [`dspsim::PhaseProfile`] to the report.
     pub profile: bool,
-    /// Span-ring capacity used when profiling.
-    pub profile_capacity: usize,
 }
 
 impl Default for ExecOptions {
@@ -79,9 +75,7 @@ impl Default for ExecOptions {
             cores: 8,
             resilience: None,
             deadline_s: None,
-            dma_budget_s: f64::INFINITY,
             profile: false,
-            profile_capacity: DEFAULT_PROFILE_CAPACITY,
         }
     }
 }
@@ -169,22 +163,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Set the watchdog hung-DMA budget.
-    pub fn dma_budget(mut self, budget_s: f64) -> Self {
-        self.opts.dma_budget_s = budget_s;
-        self
-    }
-
     /// Record phase spans and attach a [`dspsim::PhaseProfile`] to the
     /// report.
     pub fn profiled(mut self) -> Self {
         self.opts.profile = true;
-        self
-    }
-
-    /// Span-ring capacity for profiled runs.
-    pub fn profile_capacity(mut self, capacity: usize) -> Self {
-        self.opts.profile_capacity = capacity;
         self
     }
 
@@ -205,21 +187,14 @@ impl<'a> Executor<'a> {
     /// The pipeline after validation: guard → plan → run → report.
     fn dispatch_unchecked(&self, m: &mut Machine, p: &GemmProblem) -> ExecRun {
         if self.opts.profile {
-            m.profile_begin(self.opts.profile_capacity);
+            m.profile_begin(DEFAULT_PROFILE_CAPACITY);
         }
-        // Arm the watchdog for the caller's budget on the simulated
+        // Arm the watchdog for the caller's deadline on the simulated
         // clock.  Planning below evaluates candidates on separate
         // machines, so the guard covers exactly the run.
-        let armed = self.opts.deadline_s.is_some() || self.opts.dma_budget_s.is_finite();
-        if armed {
-            let deadline = self
-                .opts
-                .deadline_s
-                .map_or(f64::INFINITY, |d| m.elapsed() + d);
-            m.arm_watchdog(WatchdogConfig {
-                deadline_s: deadline,
-                dma_budget_s: self.opts.dma_budget_s,
-            });
+        let armed = self.opts.deadline_s.is_some();
+        if let Some(d) = self.opts.deadline_s {
+            m.arm_watchdog(WatchdogConfig::with_deadline(m.elapsed() + d));
         }
 
         let shape = GemmShape::new(p.m(), p.n(), p.k());

@@ -38,13 +38,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod adjust;
 pub mod api;
 pub mod backend;
 pub mod batch;
 pub mod cluster;
-pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod invoke;
@@ -70,11 +70,9 @@ pub use backend::{
 };
 pub use batch::{BatchReport, GemmBatch};
 pub use cluster::{
-    ClusterHealth, ClusterPool, FailoverEvent, ShardRun, ShardedConfig, ShardedEngine, ShardedJob,
-    ShardedOutcome, ShardedRecord, ShardedReport, SpillPolicy, TenantId, TenantSpec, CPU_LANE,
-};
-pub use engine::{
-    BreakerState, CircuitBreaker, EngineConfig, Job, JobId, JobOutcome, JobQueue, JobRecord,
+    BreakerState, CircuitBreaker, ClusterHealth, ClusterPool, EngineConfig, FailoverEvent, JobId,
+    ShardRun, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedRecord,
+    ShardedReport, SpillPolicy, TenantId, TenantSpec, CPU_LANE,
 };
 pub use error::FtimmError;
 pub use exec::{

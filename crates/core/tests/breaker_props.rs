@@ -1,7 +1,7 @@
 //! Property tests over the [`ftimm::CircuitBreaker`] state machine that
 //! guards each physical core (and, per cluster, feeds the health
-//! monitor), plus the poison-quarantine path of the [`ftimm::JobQueue`]
-//! that consumes it.
+//! monitor) and the CPU lane, plus the terminal outcome of a
+//! [`ftimm::ShardedEngine`] job whose faults outlast its retries.
 //!
 //! The invariants: the breaker admits work iff it is `Closed`; it opens
 //! after exactly `threshold` consecutive faults; it only leaves `Open`
@@ -9,11 +9,11 @@
 //! `HalfOpen` is decisive (success recloses, fault re-opens); and a
 //! success from any state fully resets it.
 
-use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine};
+use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig};
 use ftimm::reference::fill_matrix;
 use ftimm::{
-    BreakerState, CircuitBreaker, EngineConfig, FtImm, GemmProblem, Job, JobOutcome, JobQueue,
-    ResilienceConfig, Strategy,
+    BreakerState, CircuitBreaker, ClusterPool, EngineConfig, FtImm, ResilienceConfig,
+    ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, Strategy, TenantSpec,
 };
 use proptest::prelude::*;
 
@@ -136,47 +136,54 @@ proptest! {
     }
 }
 
-fn problem(m: &mut Machine, rows: usize, cols: usize, depth: usize) -> GemmProblem {
-    let p = GemmProblem::alloc(m, rows, cols, depth).unwrap();
-    p.a.upload(m, &fill_matrix(rows * depth, 1)).unwrap();
-    p.b.upload(m, &fill_matrix(depth * cols, 2)).unwrap();
-    p.c.upload(m, &fill_matrix(rows * cols, 3)).unwrap();
-    p
-}
-
-/// The queue-level consequence of breaker verdicts: a job that keeps
-/// failing is retried on a second core map excluding the implicated
-/// core, and after failing on **two distinct maps** it is quarantined
-/// (`Poisoned`) rather than retried forever.
+/// A job whose faults outlast the retry budget on a one-cluster engine
+/// ends in exactly one terminal `Failed`, carrying the transient fault
+/// that exhausted it: the engine neither retries it on another core map
+/// nor drops it.
 #[test]
-fn job_failing_on_two_core_maps_is_quarantined() {
+fn job_exhausting_its_retries_fails_once_with_the_transient_fault() {
     let ft = FtImm::new(HwConfig::default());
-    let mut m = Machine::with_mode(ExecMode::Compiled);
+    let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
+    let mut eng = ShardedEngine::new(
+        pool,
+        ShardedConfig {
+            engine: EngineConfig {
+                resilience: ResilienceConfig {
+                    max_retries: 1,
+                    ..ShardedConfig::default().engine.resilience
+                },
+                ..EngineConfig::default()
+            },
+            ..ShardedConfig::default()
+        },
+    );
     // More A-panel timeouts than any retry budget can absorb.
     let mut plan = FaultPlan::new(33);
     for n in 1..=64 {
         plan = plan.timeout_dma(DmaPath::DdrToAm, n);
     }
-    m.install_faults(&plan);
-    let mut q = JobQueue::new(EngineConfig {
-        resilience: ResilienceConfig {
-            max_retries: 1,
-            ..ResilienceConfig::default()
-        },
-        ..EngineConfig::default()
-    });
-    q.submit(Job::gemm(problem(&mut m, 64, 24, 48), Strategy::MPar, 4));
-    let recs = q.run_all(&ft, &mut m);
-    match &recs[0].outcome {
-        JobOutcome::Poisoned {
-            attempts,
-            core_maps,
-            ..
-        } => {
-            assert_eq!(*attempts, 2);
-            assert_eq!(core_maps.len(), 2, "quarantine after exactly 2 maps");
-            assert_ne!(core_maps[0], core_maps[1], "distinct maps were tried");
+    eng.install_faults(0, &plan);
+    let (m, n, k) = (64, 24, 48);
+    let t = eng.register_tenant(TenantSpec::new("t", 1));
+    eng.submit(
+        t,
+        ShardedJob::gemm(
+            m,
+            n,
+            k,
+            fill_matrix(m * k, 1),
+            fill_matrix(k * n, 2),
+            fill_matrix(m * n, 3),
+            Strategy::MPar,
+            4,
+        ),
+    );
+    let records = eng.run_all(&ft);
+    assert_eq!(records.len(), 1);
+    match &records[0].outcome {
+        ShardedOutcome::Failed { error } => {
+            assert!(error.is_transient_fault(), "got {error}");
         }
-        o => panic!("expected quarantined job, got {o:?}"),
+        o => panic!("expected a failed job, got {o:?}"),
     }
 }

@@ -273,29 +273,6 @@ impl Machine {
         &self.core_map
     }
 
-    /// Replace the logical→physical core map (e.g. to temporarily route
-    /// work around a circuit-broken core).  Unlike [`Machine::retire_core`]
-    /// this is reversible: cores left out keep their state and can be
-    /// mapped back in later.  Panics on an empty, out-of-range, duplicated
-    /// or known-failed entry (a caller bug, not a simulated fault).
-    pub fn set_core_map(&mut self, map: &[usize]) {
-        assert!(!map.is_empty(), "core map must keep at least one core");
-        let mut seen = vec![false; self.cfg.cores_per_cluster];
-        for &p in map {
-            assert!(p < self.cfg.cores_per_cluster, "core {p} out of range");
-            assert!(!seen[p], "core {p} duplicated in map");
-            assert!(!self.is_core_failed(p), "core {p} has failed permanently");
-            seen[p] = true;
-        }
-        self.core_map = map.to_vec();
-    }
-
-    /// Whether a physical core has failed permanently (scheduled death
-    /// reached during a run).
-    pub fn is_core_failed(&self, physical: usize) -> bool {
-        self.fault.failed.get(physical).copied().unwrap_or(false)
-    }
-
     /// Arm the watchdog: subsequent preemption points (every DMA issue,
     /// plus explicit [`Machine::preempt_point`] calls) enforce the given
     /// simulated-time budgets.  Replaces any previously armed config.
@@ -879,18 +856,6 @@ mod tests {
         assert!(fast.elapsed() < slow.elapsed() / 10.0);
         assert_eq!(fast.fault_stats().watchdog_trips, 1);
         assert_eq!(fast.fault_stats().dma_timeouts, 1);
-    }
-
-    #[test]
-    fn core_map_can_route_around_a_core_and_back() {
-        let mut m = Machine::with_mode(ExecMode::Timing);
-        m.set_core_map(&[2, 5]);
-        m.compute(0, 100); // logical 0 → physical 2
-        assert_eq!(m.physical_core(0), 2);
-        assert_eq!(m.alive_cores(), 2);
-        m.set_core_map(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(m.core_time(2), 100.0 * m.cfg.cycle_s());
-        assert_eq!(m.core_time(0), 0.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine, MemTarget, RunReport, SimError};
 use ftimm::reference::{assert_close, fill_matrix, sgemm_f64};
 use ftimm::{
-    run_resilient, ChosenStrategy, EngineConfig, FtImm, FtimmError, GemmProblem, GemmShape, Job,
-    JobOutcome, JobQueue, ResilienceConfig, Strategy,
+    run_resilient, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape, ResilienceConfig,
+    Strategy,
 };
 
 const M: usize = 64;
@@ -199,49 +199,6 @@ fn exhausted_retry_budget_reports_corruption() {
         matches!(err, FtimmError::Sim(SimError::DataCorrupt { .. })),
         "got {err}"
     );
-}
-
-#[test]
-fn deadline_preemption_is_reported_at_a_reproducible_instant() {
-    let (plain, _, _) = baseline(Strategy::MPar);
-    // Half the fault-free runtime: the watchdog must preempt mid-run.
-    let deadline = plain.seconds * 0.5;
-    let trip = || {
-        let ft = FtImm::new(HwConfig::default());
-        let mut m = Machine::with_mode(ExecMode::Compiled);
-        let p = upload_problem(&mut m);
-        let cfg = EngineConfig {
-            resilience: ResilienceConfig {
-                ckpt_rows: 16,
-                ..ResilienceConfig::default()
-            },
-            ..EngineConfig::default()
-        };
-        let mut q = JobQueue::new(cfg);
-        q.submit(Job::gemm(p, Strategy::MPar, CORES).with_deadline(deadline));
-        let recs = q.run_all(&ft, &mut m);
-        match &recs[0].outcome {
-            JobOutcome::DeadlineExceeded {
-                at,
-                rows_verified,
-                rows_total,
-            } => (*at, *rows_verified, *rows_total),
-            o => panic!("expected deadline preemption, got {o:?}"),
-        }
-    };
-    let (at1, rows1, total1) = trip();
-    let (at2, rows2, total2) = trip();
-    assert!(at1 >= deadline, "tripped before the deadline: {at1}");
-    assert_eq!(total1, M);
-    assert!(
-        rows1 < M,
-        "a job preempted at half time cannot have verified every row"
-    );
-    // Deterministic simulator: the trip instant and checkpoint progress
-    // reproduce bit-for-bit.
-    assert_eq!(at1.to_bits(), at2.to_bits());
-    assert_eq!(rows1, rows2);
-    assert_eq!(total1, total2);
 }
 
 #[test]
