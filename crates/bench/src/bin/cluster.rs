@@ -10,6 +10,7 @@ fn main() -> ExitCode {
             ("--trace", Arg::Text("FILE")),
             ("--spill", Arg::Text("POLICY")),
             ("--assert-failover-overhead", Arg::Number("X")),
+            ("--assert-min-efficiency", Arg::Number("X")),
         ],
         "",
     );
@@ -38,6 +39,12 @@ fn main() -> ExitCode {
     if let Some(max) = cli.num("--assert-failover-overhead") {
         let got = report.failover.overhead_ratio();
         cli.gate("failover-overhead", got, max, Direction::AtMost);
+    }
+    // Every regime keeps at least X weak-scaling efficiency on the full
+    // pool.
+    if let Some(min) = cli.num("--assert-min-efficiency") {
+        let got = report.min_efficiency();
+        cli.gate("min-efficiency", got, min, Direction::AtLeast);
     }
     cli.finish(Some(&doc))
 }

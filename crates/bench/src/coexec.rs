@@ -1,11 +1,14 @@
 //! Co-execution report: the Fig. 7 CPU/DSP crossover as a live planner
 //! decision, on the Table I–III regimes.
 //!
-//! Each regime is costed and run against two host comparators — the
+//! Each regime is costed and run against three host comparators — the
 //! default `cpublas` model (a host an order of magnitude below the
-//! cluster) and a fast host well past the crossover — so the sweep
-//! exhibits all three planner picks: DSP-only, a genuine mixed
-//! co-execution split, and CPU-only.  Per row the report carries the
+//! pool), a host twenty times faster that sits near the crossover, and a
+//! fast host well past it — so the sweep exhibits all three planner
+//! picks: DSP-only, a genuine mixed co-execution split, and CPU-only.
+//! The DSP legs are priced on the same timing walk and launch
+//! accounting the engine charges, so a fault-free run's simulated
+//! makespan is the predicted one.  Per row the report carries the
 //! three predicted makespans from [`ftimm::choose_coexec_split`] (both
 //! backend cost models), the chosen M-tail fraction, and two *simulated*
 //! makespans from real [`ftimm::ShardedEngine`] runs: one under
@@ -31,8 +34,8 @@ use ftimm::{
 /// split grid and the shard-boundary grid must be the same thing).
 const GRAIN: usize = 64;
 
-/// The cluster report's regimes, type 1 at an M whose last round of the
-/// walk is partial: the default host takes the rows left to one core.
+/// The cluster report's regimes, type 1 at an M that is not a whole
+/// number of the planned strategy's rounds.
 pub const REGIMES: [(&str, (usize, usize, usize)); 3] = [
     ("table1-type1", (50_000, 32, 32)),
     crate::cluster::REGIMES[1],
@@ -133,11 +136,20 @@ impl Report {
     }
 }
 
-/// The two host comparators: the default model sits below the Fig. 7
-/// crossover on the Table regimes, the fast host well past it.
-pub fn hosts() -> [(&'static str, CpuConfig); 2] {
+/// The three host comparators: the default model sits below the Fig. 7
+/// crossover on the Table regimes, the crossover host (twenty times the
+/// default clock and bandwidth) near it, the fast host well past it.
+pub fn hosts() -> [(&'static str, CpuConfig); 3] {
     [
         ("default-host", CpuConfig::default()),
+        (
+            "crossover-host",
+            CpuConfig {
+                clock_hz: 44e9,
+                ddr_bw: 852e9,
+                ..CpuConfig::default()
+            },
+        ),
         (
             "fast-host",
             CpuConfig {

@@ -30,8 +30,8 @@ use dspsim::{BackendKind, DmaPath, ExecMode, FaultPlan, HwConfig, Machine, RunRe
 use ftimm::reference::{fill_matrix, sgemm_f64};
 use ftimm::{
     ChosenStrategy, ClusterPool, EngineConfig, FtImm, FtimmError, GemmProblem, GemmShape,
-    ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedReport,
-    SpillPolicy, Strategy, TenantSpec, Walk,
+    ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedPlan,
+    ShardedReport, SpillPolicy, Strategy, TenantSpec, Walk,
 };
 use kernelgen::{KernelSpec, MicroKernel};
 use std::collections::HashSet;
@@ -491,6 +491,34 @@ fn ckpt_resilience() -> ResilienceConfig {
     }
 }
 
+/// The pool a sharded oracle runs its job on — clusters and spill
+/// policy — or `None` for the oracles that run no sharded job.
+fn sharded_pool(oracle: OracleKind) -> Option<(usize, SpillPolicy)> {
+    match oracle {
+        OracleKind::ShardFailover => Some((2, SpillPolicy::Never)),
+        OracleKind::CpuFailover => Some((1, SpillPolicy::LastResort)),
+        OracleKind::CoexecEquivalence => Some((2, SpillPolicy::CoExecute)),
+        _ => None,
+    }
+}
+
+/// The multi-device plan the fault-free sharded run of `case` is placed
+/// under — what the engine of its oracle places, on a pool whose
+/// clusters are all usable — or `None` for the oracles that run no
+/// sharded job.
+pub fn sharded_placement(ft: &FtImm, case: &CaseSpec) -> Option<ShardedPlan> {
+    let (clusters, spill) = sharded_pool(case.oracle)?;
+    let placement: Vec<usize> = (0..clusters).collect();
+    let (shape, strategy, cores) = (&case.shape, case.strategy, case.cores);
+    let grain = ckpt_resilience().ckpt_rows;
+    Some(if spill == SpillPolicy::CoExecute {
+        let cpu = coexec_cpu(case.seed);
+        ftimm::plan_coexec(ft, shape, strategy, cores, &placement, grain, &cpu, 1.0)
+    } else {
+        ftimm::plan_sharded(ft, shape, strategy, cores, &placement, grain)
+    })
+}
+
 /// What every oracle is a function of: the planning context (whose plan
 /// and kernel caches persist across a run's cases) and the case.
 struct Ctx<'a> {
@@ -838,12 +866,16 @@ fn plan_consistency(cx: &Ctx) -> Result<(), Mismatch> {
     )
 }
 
-/// The body of both failover oracles: a fault-free sharded probe over
-/// `clusters` clusters is bitwise identical to the checkpointed oracle,
-/// and so is the same job with cluster 0 killed at a seeded instant
-/// inside shard 0's window — via failover to a surviving cluster, or,
-/// when none survives and `spill` admits it, to the CPU lane.
-fn failover(cx: &Ctx, clusters: usize, spill: SpillPolicy) -> Result<(), Mismatch> {
+/// The body of both failover oracles: a fault-free sharded probe on the
+/// oracle's pool ([`sharded_pool`]) is bitwise identical to the
+/// checkpointed oracle, and so is the same job with cluster 0 killed at
+/// a seeded instant inside shard 0's window — via failover to a
+/// surviving cluster, or, when none survives and the pool's spill policy
+/// admits it, to the CPU lane.
+fn failover(cx: &Ctx) -> Result<(), Mismatch> {
+    let Some((clusters, spill)) = sharded_pool(cx.case.oracle) else {
+        return Err(cx.fail("the oracle runs no sharded job"));
+    };
     let oracle = cx.checkpointed_oracle()?;
     let cpu = CpuConfig::default();
     let probe = cx.run_sharded(&oracle.ops, clusters, spill, cpu, None)?;
@@ -874,7 +906,7 @@ fn failover(cx: &Ctx, clusters: usize, spill: SpillPolicy) -> Result<(), Mismatc
 /// run of the same pinned plan and ckpt grid, and the submitted job
 /// reaches a terminal outcome.
 fn shard_failover(cx: &Ctx) -> Result<(), Mismatch> {
-    failover(cx, 2, SpillPolicy::Never)
+    failover(cx)
 }
 
 /// The heterogeneous ladder: a single-cluster sharded run under
@@ -884,7 +916,7 @@ fn shard_failover(cx: &Ctx) -> Result<(), Mismatch> {
 /// walk) and stay bitwise identical to the same checkpointed oracle —
 /// across devices, not just clusters.
 fn cpu_failover(cx: &Ctx) -> Result<(), Mismatch> {
-    failover(cx, 1, SpillPolicy::LastResort)
+    failover(cx)
 }
 
 /// The autotuner contract: tuning is deterministic under a fixed seed, a
@@ -986,11 +1018,12 @@ fn coexec_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     let cpu = coexec_cpu(case.seed);
     let grain = ckpt_resilience().ckpt_rows;
 
-    let plan = || {
-        let (strategy, cores) = (case.strategy, case.cores);
-        ftimm::plan_coexec(ft, &case.shape, strategy, cores, &[0, 1], grain, &cpu, 1.0)
+    let placed = || sharded_placement(ft, case);
+    let (Some((clusters, spill)), Some(splan), Some(replay)) =
+        (sharded_pool(case.oracle), placed(), placed())
+    else {
+        return Err(cx.fail("the oracle runs no sharded job"));
     };
-    let (splan, replay) = (plan(), plan());
     if splan != replay {
         return Err(cx.fail(format!(
             "co-execution planning not deterministic: {splan:?} vs {replay:?}"
@@ -1001,7 +1034,7 @@ fn coexec_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
         &case.shape,
         case.strategy,
         case.cores,
-        2,
+        clusters,
         grain,
         &cpu,
         1.0,
@@ -1012,7 +1045,7 @@ fn coexec_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
         )));
     }
 
-    let run = cx.run_sharded(&oracle.ops, 2, SpillPolicy::CoExecute, cpu, None)?;
+    let run = cx.run_sharded(&oracle.ops, clusters, spill, cpu, None)?;
     if !run.report.failovers.is_empty() {
         return Err(cx.fail("fault-free co-executed run recorded a failover"));
     }

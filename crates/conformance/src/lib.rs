@@ -30,8 +30,8 @@ pub mod verifier;
 
 pub use corpus::{case_from_json, case_to_json, replay_dir, write_fixture, SCHEMA};
 pub use fuzzer::{
-    check_case, fault_plan_for, generate_case, run_fuzz, sample_for_interpret, shrink, CaseSpec,
-    FuzzSummary, Mismatch, OracleKind,
+    check_case, fault_plan_for, generate_case, run_fuzz, sample_for_interpret, sharded_placement,
+    shrink, CaseSpec, FuzzSummary, Mismatch, OracleKind,
 };
 pub use regime::Regime;
 pub use rng::Rng64;

@@ -1,5 +1,6 @@
 //! The public ftIMM entry point.
 
+use crate::plan::sharded::PlacementCache;
 use crate::plan::store::{self, CatalogLoad, PlanCatalog};
 use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome, Tuner};
 use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
@@ -93,11 +94,12 @@ struct TuningState {
     quarantined: AtomicU64,
 }
 
-/// Lock one part of the tuning state, recovering from poisoning: every
-/// entry is an immutable [`Plan`], [`PlanKey`] or calibration record that
-/// is pushed or replaced whole, so what a panicking thread left behind is
-/// still a valid state, and planning and tuning carry on with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock one part of the tuning state (or a placement's walk memo),
+/// recovering from poisoning: every entry is an immutable [`Plan`],
+/// [`PlanKey`], calibration record or walk price that is pushed or
+/// replaced whole, so what a panicking thread left behind is still a
+/// valid state, and planning and tuning carry on with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -119,6 +121,10 @@ pub struct FtImm {
     /// Memo of resolved plans: repeated shapes plan by lookup, without
     /// re-running the cost model or the timing simulations.
     plan_cache: PlanCache,
+    /// Memo of ranked multi-cluster placements
+    /// ([`crate::plan::sharded`]): a repeated job is placed without a
+    /// timing walk.
+    placements: PlacementCache,
     /// Timing-model candidate evaluations performed over this context's
     /// lifetime (cache hits perform none).
     timing_simulations: AtomicU64,
@@ -138,7 +144,8 @@ impl FtImm {
     }
 
     /// Create a context with an explicit plan cache capacity (`0`
-    /// disables plan memoisation — every call plans from scratch).
+    /// disables plan and placement memoisation — every call plans from
+    /// scratch).
     pub fn with_plan_cache_capacity(cfg: HwConfig, capacity: usize) -> Self {
         FtImm::with_cache_capacities(cfg, capacity, DEFAULT_KERNEL_CACHE_CAPACITY)
     }
@@ -159,6 +166,7 @@ impl FtImm {
             )))),
             cfg,
             plan_cache: PlanCache::new(plan_capacity),
+            placements: PlacementCache::new(plan_capacity),
             timing_simulations: AtomicU64::new(0),
             planning_failures: AtomicU64::new(0),
             tuning: TuningState::default(),
@@ -215,6 +223,18 @@ impl FtImm {
         self.timing_simulations.load(Ordering::Relaxed)
     }
 
+    /// Price one planning candidate on the timing model, counted in
+    /// [`FtImm::timing_simulations`].
+    pub(crate) fn simulate(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
+        self.timing_simulations.fetch_add(1, Ordering::Relaxed);
+        self.predict_seconds(shape, plan, cores)
+    }
+
+    /// The placement memo of [`crate::plan::sharded`].
+    pub(crate) fn placements(&self) -> &PlacementCache {
+        &self.placements
+    }
+
     /// Resolve a full [`Plan`] for a shape without running anything,
     /// memoised in the plan cache.
     ///
@@ -240,8 +260,7 @@ impl FtImm {
             self.tuning.catalog_misses.fetch_add(1, Ordering::Relaxed);
         }
         let plan = Planner::new(self.cache(), &self.cfg).plan(shape, strategy, cores, |cand| {
-            self.timing_simulations.fetch_add(1, Ordering::Relaxed);
-            self.predict_seconds(shape, cand, cores)
+            self.simulate(shape, cand, cores)
         });
         self.plan_cache.insert(key, plan);
         plan
@@ -269,8 +288,7 @@ impl FtImm {
         let calibration = self.calibration();
         let tuner = Tuner::new(self.cache(), &self.cfg, *config);
         let mut outcome = tuner.tune(shape, cores, &calibration, |cand, n| {
-            self.timing_simulations.fetch_add(1, Ordering::Relaxed);
-            self.predict_seconds(shape, cand, n)
+            self.simulate(shape, cand, n)
         });
         lock(&self.tuning.records).extend(outcome.records.iter().copied());
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
@@ -672,11 +690,18 @@ mod tests {
     fn tuning_stamps_a_coexec_hint_that_round_trips_the_catalog() {
         let path =
             std::env::temp_dir().join(format!("ftimm-api-coexec-{}.json", std::process::id()));
-        // Table I type-1 with a partial last round: the regime where the
-        // default CPU model takes a real M tail, so the tuned hint is a
-        // genuine mixed split.
-        let shape = GemmShape::new(50_000, 32, 32);
-        let cx = crate::plan::CoexecTune::default();
+        // Table I type-1 on a host ten times the default model, near the
+        // Fig. 7 crossover: the CPU takes a real M tail, so the tuned
+        // hint is a genuine mixed split.
+        let shape = GemmShape::new(32768, 32, 32);
+        let cx = crate::plan::CoexecTune {
+            cpu: cpublas::CpuConfig {
+                clock_hz: 22e9,
+                ddr_bw: 426e9,
+                ..cpublas::CpuConfig::default()
+            },
+            ..crate::plan::CoexecTune::default()
+        };
         let cfg = crate::plan::TuneConfig {
             coexec: Some(cx),
             ..crate::plan::TuneConfig::default()
@@ -703,8 +728,19 @@ mod tests {
                 "premise: this regime mixes, got {choice:?}"
             );
             // The split sits on the shard grain: the checkpoint grain
-            // rounded up to whole units of the tuned plan's walk.
-            let unit = crate::Walk::new(&outcome.plan.strategy, shape.m, 32, 32, 8)
+            // rounded up to whole units of the walk of the variant the
+            // sharded planner pins for the tuned plan.
+            let placement: Vec<usize> = (0..cx.clusters).collect();
+            let pinned = crate::plan::plan_sharded(
+                &ft,
+                &shape,
+                Strategy::Auto,
+                8,
+                &placement,
+                cx.grain_rows,
+            )
+            .plan;
+            let unit = crate::Walk::new(&pinned.strategy, shape.m, 32, 32, 8)
                 .grid()
                 .unit;
             let grain = cx.grain_rows.div_ceil(unit) * unit;

@@ -11,9 +11,10 @@
 //!
 //! * **Planning** — one GEMM is split across clusters by the
 //!   multi-device plan IR ([`crate::plan::sharded`]): the full shape is
-//!   planned once through the LRU plan cache, and the analytic cost
-//!   model picks the M-stripe shard count (per-shard time + serialised
-//!   launch overhead, the work-group tradeoff of the DPU partitioner).
+//!   planned once through the LRU plan cache, and the timing walk ranks
+//!   (bit-equal variant, M-stripe shard count) pairs (largest shard +
+//!   serialised launch overhead, the work-group tradeoff of the DPU
+//!   partitioner).
 //! * **Health** — each cluster runs a monotone healthy → degraded → dead
 //!   state machine ([`ClusterHealth`]) fed by watchdog trips, breaker
 //!   saturation and injected cluster death; placement is load-aware and
@@ -22,7 +23,7 @@
 //!   last row-span checkpoint on a surviving cluster, and the merged
 //!   result is bitwise identical to a fault-free plain single-cluster
 //!   run of the same plan (shard boundaries and salvage points sit on
-//!   the walk's unit grid, the plan and core count are pinned — see
+//!   the pinned walk's unit grid, the plan and core count are pinned — see
 //!   [`crate::plan::sharded`]).
 //! * **Admission control** — per-tenant quotas, priorities and default
 //!   deadlines; lowest-priority jobs are shed first under degraded

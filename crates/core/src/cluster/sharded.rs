@@ -6,14 +6,17 @@
 //! `B`, `C` live in host memory): each shard stages its stripe onto its
 //! cluster's private DDR partition, runs through the resilience layer
 //! with the *pinned* full-shape plan, and merges its verified rows back.
-//! Pinning matters twice over: replanning a shard's
-//! smaller sub-shape could pick different blocks, and resuming with a
-//! different core count would regroup the K-parallel reduction — either
-//! would break the engine's core invariant that the merged result is
-//! **bitwise identical** to a fault-free plain single-cluster run of the
-//! same plan (shard boundaries are quantised to the walk's unit grid —
-//! see [`crate::plan::sharded`] for why the grid, not the row split, is
-//! what accumulation order depends on).
+//! The pinned plan is the sharded planner's pick: `plan_full`'s strategy
+//! or a variant of it with the same [`crate::BitSignature`], re-blocked
+//! so that the pool's cores stay busy.  Pinning matters twice over:
+//! replanning a shard's smaller sub-shape could pick blocks with another
+//! signature, and resuming with a different core count would regroup the
+//! K-parallel reduction — either would break the engine's core invariant
+//! that the merged result is **bitwise identical** to a fault-free plain
+//! single-cluster run of `plan_full`'s plan (shard boundaries are
+//! quantised to the pinned walk's unit grid — see
+//! [`crate::plan::sharded`] for why the grid, not the row split, is what
+//! accumulation order depends on).
 //!
 //! **Failover.** A shard whose cluster dies mid-run
 //! ([`dspsim::SimError::ClusterFailed`], injected via
@@ -1305,10 +1308,9 @@ mod tests {
     }
 
     /// A shape the co-execution planner actually splits under the test
-    /// grid (ckpt 8, two clusters, default CPU model): tall-skinny
-    /// type-1, where Fig. 7's crossover gives the host a real tail.  Four
-    /// 6080-row tasks make a round; the host takes the 1680 rows the
-    /// last, partial round would leave to one core.
+    /// grid (ckpt 8, two clusters, a host five times the default CPU
+    /// model): tall-skinny type-1, where Fig. 7's crossover gives the
+    /// host a real tail — half of M.
     const CM: usize = 26_000;
     const CK: usize = 8;
 
@@ -1332,6 +1334,11 @@ mod tests {
     fn coexec_cfg() -> ShardedConfig {
         ShardedConfig {
             spill: SpillPolicy::CoExecute,
+            cpu: CpuConfig {
+                clock_hz: 11e9,
+                ddr_bw: 213e9,
+                ..CpuConfig::default()
+            },
             ..test_cfg()
         }
     }

@@ -4,55 +4,75 @@
 //! FT-m7032 carries four GPDSP clusters, each with a private DDR
 //! partition (§II of the paper), so the natural cross-device split is
 //! data-parallel over M: every cluster runs the *same* resolved
-//! [`ChosenStrategy`](crate::ChosenStrategy) on a contiguous stripe of C
-//! rows.
+//! [`ChosenStrategy`] on a contiguous stripe of C rows.
 //!
 //! **Bitwise identity and the unit grid.**  A row's f32 accumulation
 //! order is *not* independent of the rows around it: the micro-kernel's
 //! `k_u`-way accumulator split is chosen per `KernelSpec`, and a row's
 //! spec height depends on where the row falls in the strategy's
-//! M-blocking.  A shard runs the pinned plan as a problem of its own, so
-//! its walk deals tasks and row blocks from the shard's first row.  The
-//! invariant this module maintains is therefore: *shard boundaries land
-//! on the unit grid of the pinned plan's walk* ([`crate::RowGrid`]:
-//! `m_a` for M-parallel, the group height for K-parallel and TGEMM).
-//! Every shard then deals the plain walk's own tasks, and so does every
-//! checkpoint span inside it, every salvage point of a failover and the
-//! CPU lane's stripe: the merged result, with or without failover, is
-//! bitwise identical to a plain single-cluster run of the plan.  The
-//! grain is `grain_rows` (the engine's `ckpt_rows`) rounded up to whole
-//! units — not to whole rounds, so a job still spreads over clusters.
+//! M-blocking.  A shard runs the pinned strategy as a problem of its
+//! own, so its walk deals tasks and row blocks from the shard's first
+//! row.  The invariant this module maintains is therefore: *shard
+//! boundaries land on the unit grid of the pinned strategy's walk*
+//! ([`crate::RowGrid`]: `m_a` for M-parallel, the group height for
+//! K-parallel and TGEMM).  Every shard then deals the plain walk's own
+//! tasks, and so does every checkpoint span inside it, every salvage
+//! point of a failover and the CPU lane's stripe.  The grain is
+//! `grain_rows` (the engine's `ckpt_rows`) rounded up to whole units —
+//! not to whole rounds, so a job still spreads over clusters.
 //! `grain_rows == 0` means no checkpoint grid, so the plan degenerates
 //! to a single shard.
 //!
-//! Planning is two-staged and fully cached:
+//! **Planning ranks (variant, shard count) pairs on the timing walk.**
 //!
-//! 1. The full shape is planned once through [`crate::FtImm::plan_full`],
-//!    which memoises in the shared LRU [`super::PlanCache`]; the
-//!    resolved strategy is then *pinned* for every shard (replanning a
-//!    shard's smaller sub-shape could choose different blocks and break
-//!    bitwise identity between sharded and single-cluster runs).
-//! 2. The shard count is chosen by the same analytic cost model the
-//!    planner uses ([`super::analytic_seconds`]): a divisor search over
-//!    `1..=clusters` minimising per-shard time plus the serialised host
-//!    dispatch cost ([`LAUNCH_OVERHEAD_S`] per launch), the
-//!    work-group tradeoff from the DPU partitioner exemplar.  The search
-//!    is a pure O(clusters) function of the cached plan, so it needs no
-//!    memo of its own.
+//! 1. The full shape is planned once through [`FtImm::plan_full`]
+//!    (memoised in [`super::PlanCache`]).  Its strategy fixes the
+//!    result: the merged C of a sharded run is bitwise identical to a
+//!    plain single-cluster run of it.  Tuned and catalog plans arrive
+//!    the same way.
+//! 2. That strategy was blocked for *one* cluster, so its units can be
+//!    too coarse to keep a pool busy: 8192×32×32's eight 1024-row tasks
+//!    leave each of four 2048-row shards two tasks for eight cores, and
+//!    K-parallel 1536×48×2048's 2048-row group is one unit that cannot
+//!    split at all.  So the candidates are the strategy itself plus, for
+//!    each shard count `d ≤ clusters`, the *variant* whose unit fills
+//!    every shard's rounds: M-parallel `m_a = ⌈⌈M/d⌉/cores⌉`, K-parallel
+//!    `m_g = ⌈M/d⌉` (with `m_a ≤ m_g`), each rounded up to `m_s` and
+//!    capped at the original block.  A variant is admitted only if its
+//!    [`BitSignature`] equals the strategy's and its walk fits — the
+//!    autotuner's argument: equal signatures accumulate every element in
+//!    the same order, so the variant changes time, never bits.
+//! 3. A pair is priced by [`crate::FtImm::predict_seconds`]'s timing
+//!    walk of its largest shard plus [`LAUNCH_OVERHEAD_S`] per launch (a
+//!    divisor search over device counts, the work-group tradeoff of the
+//!    DPU partitioner exemplar).  The cheapest pair wins; ties keep the
+//!    earlier candidate, so the planned strategy and fewer shards.  The
+//!    winning variant is pinned for every shard, failover remainder and
+//!    CPU stripe.  The analytic model is not enough here: it ranks
+//!    8192×32×32's and 6144×64×48's pairs wrongly.
 //!
-//! Because stage 1 goes through `plan_full`, sharded planning inherits
-//! tuned plans transparently: a catalog-preloaded or
-//! [`crate::FtImm::tune`]-installed plan under the `Strategy::Auto` key
-//! is what gets pinned across every shard — and since the tuner only
-//! adopts [`super::tune::BitSignature`]-equal variants, the sharded
-//! bitwise-identity argument above is unaffected by tuning.
+//! The co-execution planner prices every DSP leg with the same walk, on
+//! the variant the DSP-only ranking chose, so its all-DSP candidate is
+//! [`plan_sharded`]'s plan bit for bit.
+//!
+//! **Cost.**  A placement's walk prices are memoised by shard height (at
+//! most one per grain), and the ranked placement is memoised on the
+//! context in a [`kernelgen::BoundedLru`] keyed by (shape, requested
+//! strategy, cores, usable clusters, grain).  It is served only while
+//! `plan_full` still returns the plan it was ranked from, so a newly
+//! tuned plan re-ranks; a repeated job is placed without a walk.
 
+use crate::api::lock;
 use crate::backend::predict_cpu_stripe;
+use crate::plan::tune::{bit_signature, BitSignature};
 use crate::plan::Plan;
-use crate::walk::Walk;
-use crate::{FtImm, GemmShape, Strategy};
+use crate::walk::{self, Walk};
+use crate::{ChosenStrategy, FtImm, GemmShape, KparBlocks, MparBlocks, Strategy};
 use cpublas::CpuConfig;
-use dspsim::BackendKind;
+use dspsim::{BackendKind, HwConfig};
+use kernelgen::BoundedLru;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// Host-side dispatch + cache-coherency cost per cluster launch: cache
 /// write-back before launch and invalidate after (§II of the paper;
@@ -100,17 +120,20 @@ impl Shard {
 }
 
 /// A multi-device plan: the pinned full-shape [`Plan`] plus the M-stripe
-/// shard assignment the cost model chose.
+/// shard assignment the ranking chose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedPlan {
-    /// The full-shape plan every shard pins (LRU-cached via
-    /// [`crate::FtImm::plan_full`]).
+    /// The full-shape plan every shard pins: [`FtImm::plan_full`]'s plan
+    /// with its strategy replaced by the winning bit-equal variant (the
+    /// planned strategy itself when no variant is cheaper).  Running it
+    /// gives the planned strategy's C bit for bit.
     pub plan: Plan,
     /// Contiguous M-stripes, one per participating cluster, covering
     /// `[0, m)` exactly.
     pub shards: Vec<Shard>,
-    /// Cost-model estimate of the sharded run: slowest shard plus the
-    /// serialised launch overhead.
+    /// Predicted makespan: the timing walk of the largest DSP shard plus
+    /// [`LAUNCH_OVERHEAD_S`] per launch (and, with a planned CPU tail,
+    /// the larger of that and the CPU lane's model time).
     pub predicted_s: f64,
 }
 
@@ -121,16 +144,231 @@ impl ShardedPlan {
     }
 }
 
+/// Everything a ranked [`Placement`] depends on besides
+/// [`FtImm::plan_full`]'s plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PlacementKey {
+    shape: GemmShape,
+    strategy: Strategy,
+    cores: usize,
+    clusters: usize,
+    grain_rows: usize,
+}
+
+/// The context's memo of ranked placements.
+pub(crate) type PlacementCache = BoundedLru<PlacementKey, Arc<Placement>>;
+
+/// One ranked candidate: a variant of the planned strategy, its shard
+/// grain, and the cheapest shard count found for it.
+pub(crate) struct Placement {
+    /// [`FtImm::plan_full`]'s plan the ranking started from.
+    base: Plan,
+    /// `base` with the variant's strategy.
+    plan: Plan,
+    /// The shard grain: `grain_rows` in whole units of the variant.
+    grain: usize,
+    /// Grains covering M (the last one may be short).
+    units: usize,
+    /// Grains per co-execution split step: the fewest whole grains that
+    /// are also whole multiples of `grain_rows`.
+    split_step: usize,
+    /// DSP shards of the cheapest all-DSP run.
+    shards: usize,
+    /// Its price.
+    predicted_s: f64,
+    /// Timing-walk seconds of the variant by shard height.
+    walks: Mutex<HashMap<usize, f64>>,
+}
+
+impl Placement {
+    /// Price `strategy` (a variant of `base.strategy`) on up to
+    /// `clusters` clusters.
+    fn priced(
+        ft: &FtImm,
+        base: Plan,
+        strategy: ChosenStrategy,
+        clusters: usize,
+        grain_rows: usize,
+    ) -> Placement {
+        let GemmShape { m, n, k } = base.shape;
+        let unit = Walk::new(&strategy, m, n, k, base.cores).grid().unit;
+        let grain = if grain_rows == 0 {
+            m.max(1)
+        } else {
+            grain_rows.div_ceil(unit) * unit
+        };
+        let mut p = Placement {
+            base,
+            plan: Plan { strategy, ..base },
+            grain,
+            units: m.div_ceil(grain).max(1),
+            split_step: grain_rows.max(1) / gcd(grain, grain_rows.max(1)),
+            shards: 1,
+            predicted_s: f64::INFINITY,
+            walks: Mutex::new(HashMap::new()),
+        };
+        (p.shards, p.predicted_s) = p.dsp_leg(ft, clusters, p.units, m, 0.0);
+        p
+    }
+
+    /// The cheapest DSP leg of `units` grains (`rows_total` rows) over
+    /// `1..=clusters` shards: `(shards, makespan)`, the makespan being
+    /// the timing walk of the largest shard — or `peer_s`, a concurrent
+    /// CPU lane's busy time, if that is longer — plus
+    /// [`LAUNCH_OVERHEAD_S`] per DSP launch: the sharded engine's own
+    /// accounting of a fault-free run.  The one price of every DSP leg
+    /// that is compared against another.
+    fn dsp_leg(
+        &self,
+        ft: &FtImm,
+        clusters: usize,
+        units: usize,
+        rows_total: usize,
+        peer_s: f64,
+    ) -> (usize, f64) {
+        let (mut best_d, mut best_t) = (1usize, f64::INFINITY);
+        for d in 1..=clusters.min(units) {
+            let rows = (units.div_ceil(d) * self.grain).min(rows_total);
+            let t = self.walk(ft, rows).max(peer_s) + LAUNCH_OVERHEAD_S * d as f64;
+            if t < best_t {
+                (best_d, best_t) = (d, t);
+            }
+        }
+        (best_d, best_t)
+    }
+
+    /// Cost one split candidate: the CPU side runs the last `cpu_units`
+    /// grains through the shared CPU model and pays its own launch; the
+    /// DSP side runs the rest through [`Placement::dsp_leg`],
+    /// concurrently with it.  Returns `(best DSP shard count, predicted
+    /// seconds)`.
+    fn price_split(
+        &self,
+        ft: &FtImm,
+        clusters: usize,
+        cpu_units: usize,
+        cpu: &CpuConfig,
+        cpu_slowdown: f64,
+    ) -> (usize, f64) {
+        let GemmShape { m, n, k } = self.plan.shape;
+        let cpu_rows = self.cpu_rows(cpu_units);
+        let cpu_t = if cpu_rows == 0 {
+            0.0
+        } else {
+            predict_cpu_stripe(cpu, cpu_rows, n, k, cpu_slowdown).seconds + LAUNCH_OVERHEAD_S
+        };
+        if cpu_units == self.units {
+            return (0, cpu_t);
+        }
+        self.dsp_leg(ft, clusters, self.units - cpu_units, m - cpu_rows, cpu_t)
+    }
+
+    /// Rows of the M tail covered by the last `cpu_units` grains.
+    fn cpu_rows(&self, cpu_units: usize) -> usize {
+        if cpu_units == 0 {
+            0
+        } else {
+            self.plan.shape.m - (self.units - cpu_units) * self.grain
+        }
+    }
+
+    /// Timing-walk seconds of one `rows`-row shard of the variant,
+    /// memoised (the lock is not held across the walk).
+    fn walk(&self, ft: &FtImm, rows: usize) -> f64 {
+        if let Some(&t) = lock(&self.walks).get(&rows) {
+            return t;
+        }
+        let GemmShape { n, k, .. } = self.plan.shape;
+        let t = ft.simulate(
+            &GemmShape::new(rows, n, k),
+            &self.plan.strategy,
+            self.plan.cores,
+        );
+        lock(&self.walks).insert(rows, t);
+        t
+    }
+}
+
+/// The ranked placement of one GEMM on `clusters` clusters: memoised on
+/// the context, and re-ranked when `plan_full`'s plan has changed.
+fn placed(
+    ft: &FtImm,
+    shape: &GemmShape,
+    strategy: Strategy,
+    cores: usize,
+    clusters: usize,
+    grain_rows: usize,
+) -> Arc<Placement> {
+    let base = ft.plan_full(shape, strategy, cores);
+    let key = PlacementKey {
+        shape: *shape,
+        strategy,
+        cores,
+        clusters,
+        grain_rows,
+    };
+    if let Some(p) = ft.placements().get(&key).filter(|p| p.base == base) {
+        return p;
+    }
+    let mut best = Placement::priced(ft, base, base.strategy, clusters, grain_rows);
+    for v in variants(ft.cfg(), &base, clusters) {
+        let cand = Placement::priced(ft, base, v, clusters, grain_rows);
+        if cand.predicted_s < best.predicted_s {
+            best = cand;
+        }
+    }
+    let best = Arc::new(best);
+    ft.placements().insert(key, Arc::clone(&best));
+    best
+}
+
+/// The bit-equal variants of `base.strategy` that fill every shard's
+/// rounds at some shard count `d ≤ clusters` (see the module docs),
+/// each distinct and not the strategy itself.
+fn variants(cfg: &HwConfig, base: &Plan, clusters: usize) -> Vec<ChosenStrategy> {
+    let (shape, m) = (&base.shape, base.shape.m);
+    let cores = base.cores.clamp(1, cfg.cores_per_cluster);
+    let round_up = |rows: usize, m_s: usize| rows.div_ceil(m_s.max(1)) * m_s.max(1);
+    let mut sig: Option<BitSignature> = None;
+    let mut out: Vec<ChosenStrategy> = Vec::new();
+    for d in 1..=clusters {
+        let rows = m.div_ceil(d);
+        let v = match base.strategy {
+            ChosenStrategy::MPar(b) => ChosenStrategy::MPar(MparBlocks {
+                m_a: round_up(rows.div_ceil(cores), b.m_s).min(b.m_a),
+                ..b
+            }),
+            ChosenStrategy::KPar(b) => {
+                let m_g = round_up(rows, b.m_s).min(b.m_g);
+                ChosenStrategy::KPar(KparBlocks {
+                    m_g,
+                    m_a: b.m_a.min(m_g),
+                    ..b
+                })
+            }
+            ChosenStrategy::TGemm => return out,
+        };
+        if v == base.strategy || out.contains(&v) || !walk::fits(cfg, &v, shape, base.cores) {
+            continue;
+        }
+        let sig = sig.get_or_insert_with(|| bit_signature(&base.strategy, shape, base.cores));
+        if bit_signature(&v, shape, base.cores) == *sig {
+            out.push(v);
+        }
+    }
+    out
+}
+
 /// Plan one GEMM across `placement` (an ordered list of usable cluster
-/// indices, best first).  The full shape is planned through the LRU plan
-/// cache; the shard count is the divisor minimising the analytic
-/// per-shard time plus `LAUNCH_OVERHEAD_S` per launch.  Every shard
-/// boundary is a multiple of the grain — the caller's checkpoint span
-/// (`ckpt_rows`) rounded up to whole units of the plan's walk — so the
-/// merged run matches a plain single-cluster run bit-for-bit (see the
-/// module docs); `grain_rows == 0` means no checkpoint grid and forces
-/// a single shard.  Panics if `placement` is empty (the caller decides what an
-/// empty pool means).
+/// indices, best first): the cheapest (bit-equal variant, shard count)
+/// pair on the timing walk (see the module docs), memoised on the
+/// context.  Every shard boundary is a multiple of the grain — the
+/// caller's checkpoint span (`ckpt_rows`) rounded up to whole units of
+/// the pinned variant's walk — so the merged run matches a plain
+/// single-cluster run of [`FtImm::plan_full`]'s plan bit for bit;
+/// `grain_rows == 0` means no checkpoint grid and forces a single shard.
+/// Panics if `placement` is empty (the caller decides what an empty pool
+/// means).
 pub fn plan_sharded(
     ft: &FtImm,
     shape: &GemmShape,
@@ -140,17 +378,11 @@ pub fn plan_sharded(
     grain_rows: usize,
 ) -> ShardedPlan {
     assert!(!placement.is_empty(), "plan_sharded needs ≥ 1 cluster");
-    let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(&plan, grain_rows);
-    // Whole grains of rows; the last grain may be short.
-    let units = shape.m.div_ceil(g).max(1);
-    let (best_d, best_t) =
-        best_dsp_divisor(ft, shape, &plan, cores, placement.len(), units, g, shape.m);
-    let shards = build_dsp_shards(placement, best_d, units, g, shape.m);
+    let p = placed(ft, shape, strategy, cores, placement.len(), grain_rows);
     ShardedPlan {
-        plan,
-        shards,
-        predicted_s: best_t,
+        plan: p.plan,
+        shards: build_dsp_shards(placement, p.shards, p.units, p.grain, shape.m),
+        predicted_s: p.predicted_s,
     }
 }
 
@@ -161,8 +393,8 @@ pub fn plan_sharded(
 /// planner decision rather than a chart.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoexecChoice {
-    /// Rows of the M tail placed on the CPU lane (a multiple of the
-    /// shard grain away from `m`, or `0`/`m` exactly).
+    /// Rows of the M tail placed on the CPU lane (`0`, `m`, or leaving a
+    /// DSP prefix of whole shard grains and whole `grain_rows`).
     pub cpu_rows: usize,
     /// Predicted makespan of the chosen split, seconds.
     pub predicted_s: f64,
@@ -175,16 +407,19 @@ pub struct CoexecChoice {
 
 /// Choose how many M-tail rows to co-execute on the CPU lane.
 ///
-/// Both backend models are consulted — the planner's analytic DSP model
-/// through the pinned full-shape plan, and the CPU model through
-/// [`predict_cpu_stripe`] (scaled by the lane's health `cpu_slowdown`).
-/// The split is searched on a bounded fraction grid (≤ 33 candidates)
-/// over the shard grains, each candidate costed as
-/// `max(DSP side with its own divisor search, CPU side)` — launches are
-/// charged per device since the lanes run concurrently.  The degenerate
-/// all-DSP and all-CPU candidates are always in the grid and ties keep
-/// the DSP-heavier split, so the choice is deterministic and never
-/// predicted slower than the best single-backend plan.
+/// Both backend models are consulted — the DSP side through the timing
+/// walk of the variant [`plan_sharded`]'s ranking pins, and the CPU
+/// model through [`predict_cpu_stripe`] (scaled by the lane's health
+/// `cpu_slowdown`).  The split is searched on a bounded fraction grid
+/// (≤ 33 candidates) whose interior points leave the DSP side a prefix
+/// of whole shard grains that is also a whole number of `grain_rows`.
+/// Each candidate is costed as the engine accounts a fault-free run:
+/// the slower of the DSP side's largest shard (with its own divisor
+/// search) and the CPU side, plus one launch per DSP shard — a planned
+/// CPU tail pays its own launch on its own timeline.  The degenerate
+/// all-DSP and all-CPU candidates are always in the grid
+/// and ties keep the DSP-heavier split, so the choice is deterministic
+/// and never predicted slower than the best single-backend plan.
 ///
 /// `grain_rows == 0` disables the checkpoint grid, so only the
 /// degenerate picks are available.
@@ -200,9 +435,8 @@ pub fn choose_coexec_split(
     cpu_slowdown: f64,
 ) -> CoexecChoice {
     assert!(clusters >= 1, "choose_coexec_split needs ≥ 1 cluster");
-    let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(&plan, grain_rows);
-    let units = shape.m.div_ceil(g).max(1);
+    let p = placed(ft, shape, strategy, cores, clusters, grain_rows);
+    let units = p.units;
     // Bounded fraction grid: O(1) in M, endpoints always included.
     let steps = units.min(COEXEC_SPLIT_STEPS);
     let mut dsp_only_s = f64::INFINITY;
@@ -210,23 +444,16 @@ pub fn choose_coexec_split(
     let (mut best_rows, mut best_t) = (0usize, f64::INFINITY);
     let mut last = None;
     for i in 0..=steps {
-        let cpu_units = units * i / steps;
+        // The DSP prefix of an interior split is whole split steps.
+        let cpu_units = match units * i / steps {
+            0 => 0,
+            c => units - (units - c) / p.split_step * p.split_step,
+        };
         if last == Some(cpu_units) {
             continue;
         }
         last = Some(cpu_units);
-        let (_, t) = eval_split(
-            ft,
-            shape,
-            &plan,
-            cores,
-            clusters,
-            units,
-            g,
-            cpu_units,
-            cpu,
-            cpu_slowdown,
-        );
+        let (_, t) = p.price_split(ft, clusters, cpu_units, cpu, cpu_slowdown);
         if cpu_units == 0 {
             dsp_only_s = t;
         }
@@ -234,7 +461,7 @@ pub fn choose_coexec_split(
             cpu_only_s = t;
         }
         if t < best_t {
-            (best_rows, best_t) = (cpu_rows_for(shape, units, g, cpu_units), t);
+            (best_rows, best_t) = (p.cpu_rows(cpu_units), t);
         }
     }
     CoexecChoice {
@@ -250,9 +477,10 @@ pub fn choose_coexec_split(
 /// (or pinned by a tuned plan's [`Plan::coexec_cpu_rows`] hint, when it
 /// sits on the shard grain) is emitted as one
 /// [`BackendKind::Cpu`] shard with [`ShardOrigin::Planned`].  The CPU
-/// stripe executes through the host mirror on the same grid, so the
-/// merged C keeps the module's bitwise-identity contract.  Degenerate
-/// choices collapse to an ordinary DSP-only plan or a single CPU shard.
+/// stripe executes the pinned variant through the host mirror on the
+/// same grid, so the merged C keeps the module's bitwise-identity
+/// contract.  Degenerate choices collapse to an ordinary DSP-only plan
+/// or a single CPU shard.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_coexec(
     ft: &FtImm,
@@ -265,17 +493,17 @@ pub fn plan_coexec(
     cpu_slowdown: f64,
 ) -> ShardedPlan {
     assert!(!placement.is_empty(), "plan_coexec needs ≥ 1 cluster");
-    let plan = ft.plan_full(shape, strategy, cores);
-    let g = grain(&plan, grain_rows);
-    let units = shape.m.div_ceil(g).max(1);
+    let p = placed(ft, shape, strategy, cores, placement.len(), grain_rows);
+    let g = p.grain;
     // A tuned plan pins its split; anything off the grid (e.g. a hint
     // tuned under a different ckpt_rows) falls back to the live search.
-    let hint = plan.coexec_cpu_rows;
-    let hint_valid =
-        hint == 0 || hint == shape.m || (hint < shape.m && (shape.m - hint).is_multiple_of(g));
+    let hint = p.plan.coexec_cpu_rows;
+    let hint_valid = hint == 0
+        || hint == shape.m
+        || (hint < shape.m && (shape.m - hint).is_multiple_of(g * p.split_step));
     let cpu_rows = if hint_valid && hint != 0 {
         hint
-    } else if hint_valid && hint == 0 && plan.origin == super::PlanOrigin::Tuned {
+    } else if hint_valid && hint == 0 && p.plan.origin == super::PlanOrigin::Tuned {
         // A tuned plan that says "no CPU tail" is also a pinned answer.
         0
     } else {
@@ -296,19 +524,8 @@ pub fn plan_coexec(
     }
     let dsp_units = (shape.m - cpu_rows) / g;
     debug_assert_eq!(dsp_units * g, shape.m - cpu_rows);
-    let cpu_units = units - dsp_units;
-    let (best_d, predicted_s) = eval_split(
-        ft,
-        shape,
-        &plan,
-        cores,
-        placement.len(),
-        units,
-        g,
-        cpu_units,
-        cpu,
-        cpu_slowdown,
-    );
+    let (best_d, predicted_s) =
+        p.price_split(ft, placement.len(), p.units - dsp_units, cpu, cpu_slowdown);
     let b = shape.m - cpu_rows;
     let mut shards = if dsp_units == 0 {
         Vec::new()
@@ -323,101 +540,24 @@ pub fn plan_coexec(
         origin: ShardOrigin::Planned,
     });
     ShardedPlan {
-        plan,
+        plan: p.plan,
         shards,
         predicted_s,
+    }
+}
+
+/// Greatest common divisor.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
 /// Fraction-grid resolution of the split search (keeps the chooser
 /// O(clusters × steps) even for M in the millions of rows).
 const COEXEC_SPLIT_STEPS: usize = 32;
-
-/// The shard grain: `grain_rows` rounded up to whole units of the pinned
-/// plan's [`crate::RowGrid`], so every shard boundary lies on the unit
-/// grid.  No checkpoint grid (`grain_rows == 0`) means one grain spanning
-/// all of M.
-fn grain(plan: &Plan, grain_rows: usize) -> usize {
-    let GemmShape { m, n, k } = plan.shape;
-    let unit = Walk::new(&plan.strategy, m, n, k, plan.cores).grid().unit;
-    if grain_rows == 0 {
-        m.max(1)
-    } else {
-        grain_rows.div_ceil(unit) * unit
-    }
-}
-
-/// Rows of the M tail covered by the last `cpu_units` grains.
-fn cpu_rows_for(shape: &GemmShape, units: usize, g: usize, cpu_units: usize) -> usize {
-    if cpu_units == 0 {
-        0
-    } else {
-        shape.m - (units - cpu_units) * g
-    }
-}
-
-/// Cost one split candidate: the DSP side runs `units - cpu_units`
-/// grains through its own divisor search, the CPU side runs the tail
-/// through the shared CPU model; the lanes overlap, so the makespan is
-/// the max.  Returns `(best DSP shard count, predicted seconds)`.
-#[allow(clippy::too_many_arguments)]
-fn eval_split(
-    ft: &FtImm,
-    shape: &GemmShape,
-    plan: &Plan,
-    cores: usize,
-    clusters: usize,
-    units: usize,
-    g: usize,
-    cpu_units: usize,
-    cpu: &CpuConfig,
-    cpu_slowdown: f64,
-) -> (usize, f64) {
-    let dsp_units = units - cpu_units;
-    let cpu_rows = cpu_rows_for(shape, units, g, cpu_units);
-    let cpu_t = if cpu_rows == 0 {
-        0.0
-    } else {
-        predict_cpu_stripe(cpu, cpu_rows, shape.n, shape.k, cpu_slowdown).seconds
-            + LAUNCH_OVERHEAD_S
-    };
-    if dsp_units == 0 {
-        return (0, cpu_t);
-    }
-    let rows_total = shape.m - cpu_rows;
-    let (best_d, dsp_t) =
-        best_dsp_divisor(ft, shape, plan, cores, clusters, dsp_units, g, rows_total);
-    (best_d, dsp_t.max(cpu_t))
-}
-
-/// The shard-count search shared by [`plan_sharded`] and the
-/// co-execution planner: pick `d ≤ clusters` DSP shards for `units`
-/// grains of `g` rows (covering `rows_total` rows in all), minimising
-/// the analytic biggest-stripe time plus the serialised
-/// `LAUNCH_OVERHEAD_S` per launch.
-#[allow(clippy::too_many_arguments)]
-fn best_dsp_divisor(
-    ft: &FtImm,
-    shape: &GemmShape,
-    plan: &Plan,
-    cores: usize,
-    clusters: usize,
-    units: usize,
-    g: usize,
-    rows_total: usize,
-) -> (usize, f64) {
-    let max_d = clusters.min(units);
-    let (mut best_d, mut best_t) = (1usize, f64::INFINITY);
-    for d in 1..=max_d {
-        let rows = (units.div_ceil(d) * g).min(rows_total);
-        let sub = GemmShape::new(rows, shape.n, shape.k);
-        let t = analytic_shard_seconds(ft, &sub, plan, cores) + LAUNCH_OVERHEAD_S * d as f64;
-        if t < best_t {
-            (best_d, best_t) = (d, t);
-        }
-    }
-    (best_d, best_t)
-}
 
 /// Distribute `units` grains over the first `d` placement entries as
 /// contiguous DSP stripes covering `[0, rows_total)`, remainder grains
@@ -446,10 +586,6 @@ fn build_dsp_shards(
     }
     debug_assert_eq!(r0, rows_total);
     shards
-}
-
-fn analytic_shard_seconds(ft: &FtImm, sub: &GemmShape, plan: &Plan, cores: usize) -> f64 {
-    super::analytic_seconds(ft.cache(), ft.cfg(), sub, &plan.strategy, cores)
 }
 
 #[cfg(test)]
@@ -542,18 +678,22 @@ mod tests {
     fn mixed_split_tiles_m_with_a_grid_aligned_cpu_tail() {
         let ft = FtImm::new(HwConfig::default());
         // Table I type-1 regime: tall-skinny M is where co-execution
-        // pays.  Eight 6080-row tasks make a round; the default CPU model
-        // takes the 1360 rows the last, partial round would leave to
-        // one core.
-        let shape = GemmShape::new(50_000, 32, 32);
-        let cpu = CpuConfig::default();
+        // pays, on a host ten times the default model (near the Fig. 7
+        // crossover: the pool keeps its rounds full, so a slower host
+        // never earns rows).
+        let shape = GemmShape::new(32768, 32, 32);
+        let cpu = CpuConfig {
+            clock_hz: 22e9,
+            ddr_bw: 426e9,
+            ..CpuConfig::default()
+        };
         let choice = choose_coexec_split(&ft, &shape, Strategy::Auto, 8, 4, 64, &cpu, 1.0);
         assert!(
             choice.cpu_rows > 0 && choice.cpu_rows < shape.m,
             "expected a mixed split, got {choice:?}"
         );
-        let plan = ft.plan_full(&shape, Strategy::Auto, 8);
-        let unit = Walk::new(&plan.strategy, shape.m, 32, 32, 8).grid().unit;
+        let pinned = plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64).plan;
+        let unit = Walk::new(&pinned.strategy, shape.m, 32, 32, 8).grid().unit;
         assert_eq!((shape.m - choice.cpu_rows) % unit, 0);
         assert_eq!((shape.m - choice.cpu_rows) % 64, 0);
         assert!(choice.predicted_s <= choice.dsp_only_s);
@@ -636,6 +776,70 @@ mod tests {
             let c = choose_coexec_split(&ft, &shape, Strategy::Auto, 8, 4, 0, &cpu, 1.0);
             assert!(c.cpu_rows == 0 || c.cpu_rows == shape.m, "{c:?}");
         }
+    }
+
+    #[test]
+    fn a_kpar_group_taller_than_m_spreads_over_the_pool() {
+        // K-par 1536×48×2048 is planned with m_g = 2048 > M: one unit,
+        // so the planned strategy cannot split at all (448 µs of walk
+        // plus one launch on one cluster).  A smaller bit-equal group
+        // spreads it.
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(1536, 48, 2048);
+        let sp = plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64);
+        assert!(sp.clusters_used() > 1, "{:?}", sp.shards);
+        assert!(sp.predicted_s <= 464e-6, "{} s", sp.predicted_s);
+        let planned = ft.plan_full(&shape, Strategy::Auto, 8);
+        assert_ne!(sp.plan.strategy, planned.strategy);
+        assert_eq!(
+            bit_signature(&sp.plan.strategy, &shape, 8),
+            bit_signature(&planned.strategy, &shape, 8)
+        );
+    }
+
+    #[test]
+    fn every_shard_but_the_last_fills_a_round() {
+        // 6144×64×48 is planned with eight 768-row tasks: two shards of
+        // that plan would each keep four of eight cores busy.
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(6144, 64, 48);
+        let sp = plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64);
+        assert!(sp.clusters_used() > 1, "{:?}", sp.shards);
+        let round = Walk::new(&sp.plan.strategy, shape.m, 64, 48, 8)
+            .grid()
+            .round;
+        for s in &sp.shards[..sp.shards.len() - 1] {
+            assert!(s.rows() >= round, "{} rows < round {round}", s.rows());
+        }
+    }
+
+    #[test]
+    fn a_repeated_placement_runs_no_timing_walk() {
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(8192, 32, 32);
+        let cpu = CpuConfig::default();
+        let first = plan_coexec(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64, &cpu, 1.0);
+        let sims = ft.timing_simulations();
+        let again = plan_coexec(&ft, &shape, Strategy::Auto, 8, &[3, 2, 1, 0], 64, &cpu, 1.0);
+        let _ = choose_coexec_split(&ft, &shape, Strategy::Auto, 8, 4, 64, &cpu, 2.0);
+        assert_eq!(ft.timing_simulations(), sims);
+        assert_eq!(again.plan, first.plan);
+        assert_eq!(again.predicted_s.to_bits(), first.predicted_s.to_bits());
+    }
+
+    #[test]
+    fn a_newly_tuned_plan_is_ranked_afresh() {
+        let ft = FtImm::new(HwConfig::default());
+        let shape = GemmShape::new(8192, 32, 32);
+        let before = plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64);
+        let tuned = ft.tune(&shape, 8, &crate::plan::TuneConfig::default()).plan;
+        let after = plan_sharded(&ft, &shape, Strategy::Auto, 8, &[0, 1, 2, 3], 64);
+        assert_eq!(before.plan.origin, crate::plan::PlanOrigin::CostModel);
+        assert_eq!(after.plan.origin, crate::plan::PlanOrigin::Tuned);
+        assert_eq!(
+            bit_signature(&after.plan.strategy, &shape, 8),
+            bit_signature(&tuned.strategy, &shape, 8)
+        );
     }
 
     #[test]

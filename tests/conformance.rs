@@ -3,7 +3,8 @@
 //! kernels the planner actually uses.  See DESIGN.md §7.
 
 use conformance::{
-    check_case, generate_case, replay_dir, run_fuzz, verify_kernel, CaseSpec, OracleKind,
+    check_case, generate_case, replay_dir, run_fuzz, sharded_placement, verify_kernel, CaseSpec,
+    OracleKind,
 };
 use dspsim::HwConfig;
 use ftimm::{FtImm, GemmShape, Strategy};
@@ -122,6 +123,32 @@ fn benchmark_fuzz_schedule_is_pinned() {
         }
     }
     assert_eq!(hash, 0x3dd8_4e47_04d3_bbe6, "schedule hash {hash:#018x}");
+}
+
+/// The sharded oracles of that schedule reach the sharded planner's
+/// variant path: at least one of their cases is placed under a pinned
+/// strategy other than `plan_full`'s, so the bitwise checks of
+/// `shard-failover`, `cpu-failover` and `coexec-equivalence` cover it.
+#[test]
+fn benchmark_fuzz_schedule_places_a_pinned_variant() {
+    let ft = ft();
+    let mut placed = 0;
+    let mut variants = Vec::new();
+    for i in 0..104 {
+        let case = generate_case(0x51A1, i);
+        let Some(splan) = sharded_placement(&ft, &case) else {
+            continue;
+        };
+        placed += 1;
+        if splan.plan.strategy != ft.plan(&case.shape, case.strategy, case.cores) {
+            variants.push(case.to_string());
+        }
+    }
+    assert!(placed > 0, "the schedule runs no sharded oracle");
+    assert!(
+        !variants.is_empty(),
+        "none of {placed} sharded cases pins a variant"
+    );
 }
 
 /// The committed plan-catalog fixture (emitted by the `tune` bench
