@@ -1,12 +1,14 @@
 //! The public ftIMM entry point.
 
 use crate::plan::sharded::PlacementCache;
-use crate::plan::store::{self, CatalogLoad, PlanCatalog};
+use crate::plan::store::{self, CatalogLoad};
 use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome, Tuner};
 use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
 use kernelgen::{CacheStats, KernelCache, KernelExecutor, DEFAULT_KERNEL_CACHE_CAPACITY};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -79,13 +81,16 @@ pub struct TuningStats {
     pub quarantined: u64,
 }
 
-/// Tuning state carried by a context: calibration records, tuned plans
-/// pending catalog persistence, and catalog bookkeeping.
+/// Tuning state carried by a context: calibration records and their fit,
+/// tuned plans pending catalog persistence, and catalog bookkeeping.
+/// Every per-job operation on it is a fold or a keyed lookup, so its
+/// cost does not grow with how many shapes the context has tuned.
 #[derive(Debug, Default)]
 struct TuningState {
-    records: Mutex<Vec<CalibrationRecord>>,
-    tuned: Mutex<Vec<(PlanKey, Plan)>>,
-    catalog_keys: Mutex<Vec<PlanKey>>,
+    log: Mutex<CalibrationLog>,
+    tuned: Mutex<TunedPlans>,
+    /// Keys preloaded from attached catalogs (catalog-hit attribution).
+    catalog_keys: Mutex<HashSet<PlanKey>>,
     catalog_attached: AtomicBool,
     catalog_hits: AtomicU64,
     catalog_misses: AtomicU64,
@@ -97,16 +102,49 @@ struct TuningState {
 /// Lock one part of the tuning state (or a placement's walk memo),
 /// recovering from poisoning: every entry is an immutable [`Plan`],
 /// [`PlanKey`], calibration record or walk price that is pushed or
-/// replaced whole, so what a panicking thread left behind is still a
-/// valid state, and planning and tuning carry on with it.
+/// replaced whole (and a record's fold, a plan's index entry, is a step
+/// that cannot panic beside it), so what a panicking thread left behind
+/// is still a valid state, and planning and tuning carry on with it.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn upsert_plan(entries: &mut Vec<(PlanKey, Plan)>, key: PlanKey, plan: Plan) {
-    match entries.iter_mut().find(|(k, _)| *k == key) {
-        Some(slot) => slot.1 = plan,
-        None => entries.push((key, plan)),
+/// The calibration record log and the fit folded from it: each record
+/// is [`Calibration::observe`]d as it is appended, in log order — the
+/// sequence of additions [`Calibration::fit`] makes over the whole log,
+/// so `fit` is bit-equal to a refit at every step.
+#[derive(Debug, Default)]
+struct CalibrationLog {
+    records: Vec<CalibrationRecord>,
+    fit: Calibration,
+}
+
+impl CalibrationLog {
+    fn extend(&mut self, records: &[CalibrationRecord]) {
+        for r in records {
+            self.fit.observe(r);
+        }
+        self.records.extend_from_slice(records);
+    }
+}
+
+/// Tuned plans, one per key, in the order their keys were first tuned or
+/// loaded (the order a saved catalog lists them), indexed by key.
+#[derive(Debug, Default)]
+struct TunedPlans {
+    entries: Vec<(PlanKey, Plan)>,
+    index: HashMap<PlanKey, usize>,
+}
+
+impl TunedPlans {
+    fn upsert(&mut self, key: PlanKey, plan: Plan) {
+        match self.index.entry(key) {
+            Entry::Occupied(slot) => self.entries[*slot.get()].1 = plan,
+            Entry::Vacant(slot) => {
+                slot.insert(self.entries.len());
+                self.entries.push((key, plan));
+            }
+        }
     }
 }
 
@@ -290,7 +328,7 @@ impl FtImm {
         let mut outcome = tuner.tune(shape, cores, &calibration, |cand, n| {
             self.simulate(shape, cand, n)
         });
-        lock(&self.tuning.records).extend(outcome.records.iter().copied());
+        lock(&self.tuning.log).extend(&outcome.records);
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
         if outcome.adopted_variant {
             self.tuning.variants_adopted.fetch_add(1, Ordering::Relaxed);
@@ -317,7 +355,7 @@ impl FtImm {
             outcome.plan.coexec_cpu_rows = choice.cpu_rows;
             self.plan_cache.insert(key, outcome.plan);
         }
-        upsert_plan(&mut lock(&self.tuning.tuned), key, outcome.plan);
+        lock(&self.tuning.tuned).upsert(key, outcome.plan);
         outcome
     }
 
@@ -341,14 +379,16 @@ impl FtImm {
     }
 
     /// The calibration fitted from every record this context holds
-    /// (tuner-observed plus catalog-loaded).
+    /// (tuner-observed plus catalog-loaded): bit-equal to
+    /// [`Calibration::fit`] over [`FtImm::calibration_records`], but
+    /// folded as each record arrives, so reading it costs a copy.
     pub fn calibration(&self) -> Calibration {
-        Calibration::fit(&lock(&self.tuning.records))
+        lock(&self.tuning.log).fit
     }
 
     /// A copy of every calibration record this context holds.
     pub fn calibration_records(&self) -> Vec<CalibrationRecord> {
-        lock(&self.tuning.records).clone()
+        lock(&self.tuning.log).records.clone()
     }
 
     /// Load an on-disk plan catalog into this context: preload the plan
@@ -377,21 +417,14 @@ impl FtImm {
         self.tuning
             .quarantined
             .fetch_add(quarantined as u64, Ordering::Relaxed);
-        {
-            let mut keys = lock(&self.tuning.catalog_keys);
-            for (key, _) in &load.catalog.entries {
-                if !keys.contains(key) {
-                    keys.push(*key);
-                }
-            }
-        }
+        lock(&self.tuning.catalog_keys).extend(load.catalog.entries.iter().map(|(key, _)| *key));
         {
             let mut tuned = lock(&self.tuning.tuned);
             for (key, plan) in &load.catalog.entries {
-                upsert_plan(&mut tuned, *key, *plan);
+                tuned.upsert(*key, *plan);
             }
         }
-        lock(&self.tuning.records).extend(load.catalog.records.iter().copied());
+        lock(&self.tuning.log).extend(&load.catalog.records);
         self.tuning.catalog_attached.store(true, Ordering::Relaxed);
         kept
     }
@@ -400,12 +433,14 @@ impl FtImm {
     /// holds (including catalog-loaded ones, so load → tune → save
     /// accumulates) as an `ftimm-plan-catalog-v1` document at `path`.
     pub fn save_plan_catalog(&self, path: &Path) -> Result<(), String> {
-        let mut catalog = PlanCatalog::default();
-        for (key, plan) in lock(&self.tuning.tuned).iter() {
-            catalog.upsert(*key, *plan);
-        }
-        catalog.records = self.calibration_records();
-        store::save_catalog(path, &catalog)
+        // Written from the locked state: the tuned plans are already one
+        // per key, and the record log is not copied.
+        let text = {
+            let tuned = lock(&self.tuning.tuned);
+            let log = lock(&self.tuning.log);
+            store::catalog_text(&tuned.entries, &log.records)
+        };
+        store::write_catalog_text(path, &text)
     }
 
     /// Tuning and catalog counters.
@@ -413,7 +448,7 @@ impl FtImm {
         TuningStats {
             plans_tuned: self.tuning.plans_tuned.load(Ordering::Relaxed),
             variants_adopted: self.tuning.variants_adopted.load(Ordering::Relaxed),
-            calibration_records: lock(&self.tuning.records).len() as u64,
+            calibration_records: lock(&self.tuning.log).records.len() as u64,
             catalog_attached: self.tuning.catalog_attached.load(Ordering::Relaxed),
             catalog_hits: self.tuning.catalog_hits.load(Ordering::Relaxed),
             catalog_misses: self.tuning.catalog_misses.load(Ordering::Relaxed),
@@ -781,7 +816,7 @@ mod tests {
             let panicked = s
                 .spawn(|| {
                     let _held = (
-                        lock(&ft.tuning.records),
+                        lock(&ft.tuning.log),
                         lock(&ft.tuning.tuned),
                         lock(&ft.tuning.catalog_keys),
                     );
@@ -790,7 +825,7 @@ mod tests {
                 .join();
             assert!(panicked.is_err());
         });
-        assert!(ft.tuning.records.is_poisoned());
+        assert!(ft.tuning.log.is_poisoned());
         assert!(ft.tuning.tuned.is_poisoned());
         assert!(ft.tuning.catalog_keys.is_poisoned());
         let cached = ft.plan_full(&shape, Strategy::Auto, 8);

@@ -2,8 +2,10 @@
 //!
 //! Tuned plans and calibration records persist across processes through
 //! a single JSON document, streamed through [`dspsim::minijson::Writer`]
-//! (one entry or record per line) and decoded through
-//! [`dspsim::minijson::Fields`]:
+//! (one entry or record per line) and decoded one entry or record at a
+//! time ([`Parser::parse_streaming`]) through
+//! [`dspsim::minijson::Fields`]; neither direction builds a tree of the
+//! document:
 //!
 //! ```json
 //! {
@@ -37,6 +39,7 @@ use super::{plan_from_value, read_shape, write_plan, write_shape, Plan, PlanKey}
 use crate::plan::tune::{CalibrationRecord, StrategyKind};
 use crate::Strategy;
 use dspsim::minijson::{Fields, Parser, Value, Writer};
+use std::collections::HashSet;
 use std::path::Path;
 
 /// Document identifier embedded in (and required from) catalog JSON.
@@ -78,11 +81,18 @@ pub struct CatalogLoad {
 /// Streams through one [`Writer`]: no tree is built, whatever the number
 /// of calibration records.
 pub fn catalog_json(catalog: &PlanCatalog) -> String {
+    catalog_text(&catalog.entries, &catalog.records)
+}
+
+/// [`catalog_json`] of a catalog held as its two parts (a context writes
+/// its tuning state without first copying it into a [`PlanCatalog`]).
+/// `entries` must not repeat a key.
+pub(crate) fn catalog_text(entries: &[(PlanKey, Plan)], records: &[CalibrationRecord]) -> String {
     let mut w = Writer::new(2);
     w.begin_obj();
     w.key("schema").str(PLAN_CATALOG_SCHEMA);
     w.key("entries").begin_arr();
-    for (key, plan) in &catalog.entries {
+    for (key, plan) in entries {
         w.begin_obj();
         w.key("key").begin_obj();
         write_shape(&mut w, &key.shape);
@@ -95,7 +105,7 @@ pub fn catalog_json(catalog: &PlanCatalog) -> String {
     }
     w.end_arr();
     w.key("records").begin_arr();
-    for r in &catalog.records {
+    for r in records {
         w.begin_obj();
         write_shape(&mut w, &r.shape);
         w.key("cores").u64(r.cores as u64);
@@ -145,32 +155,45 @@ fn parse_record(v: &Value) -> Result<CalibrationRecord, String> {
 /// duplicated top-level key, duplicate plan keys) return `Err`; corrupt
 /// individual entries/records — an unknown or duplicated key inside one
 /// included — are quarantined and counted, never panicked on.
+///
+/// The `entries` and `records` arrays are decoded one element at a time
+/// ([`Parser::parse_streaming`]), so no tree of the whole document is
+/// built: the reader holds the catalog it returns, one element and the
+/// set of plan keys seen.  The top level is then checked by [`Fields`]
+/// with each streamed array left empty in its place, and the checks run
+/// in the order a whole-tree decode makes them, so every document gets
+/// the same verdict and error.
 pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
-    let value = Parser::new(text).parse()?;
-    let mut top = Fields::new(&value, "catalog")?;
-    top.schema(PLAN_CATALOG_SCHEMA)?;
     let mut catalog = PlanCatalog::default();
+    let mut keys = HashSet::new();
+    let mut duplicate = None;
     let mut quarantined = 0usize;
-    for entry in top.arr("entries")? {
-        match parse_entry(entry) {
-            Ok((key, plan)) => {
-                if catalog.entries.iter().any(|(k, _)| *k == key) {
-                    return Err(format!(
-                        "duplicate catalog key for {} on {} cores",
-                        key.shape, key.cores
-                    ));
+    let top = Parser::new(text).parse_streaming(&["entries", "records"], |field, item| {
+        if field == "entries" {
+            match parse_entry(&item) {
+                Ok((key, plan)) if keys.insert(key) => catalog.entries.push((key, plan)),
+                Ok((key, _)) => {
+                    duplicate.get_or_insert(key);
                 }
-                catalog.entries.push((key, plan));
+                Err(_) => quarantined += 1,
             }
-            Err(_) => quarantined += 1,
+        } else {
+            match parse_record(&item) {
+                Ok(rec) => catalog.records.push(rec),
+                Err(_) => quarantined += 1,
+            }
         }
+    })?;
+    let mut top = Fields::new(&top, "catalog")?;
+    top.schema(PLAN_CATALOG_SCHEMA)?;
+    top.arr("entries")?;
+    if let Some(key) = duplicate {
+        return Err(format!(
+            "duplicate catalog key for {} on {} cores",
+            key.shape, key.cores
+        ));
     }
-    for r in top.arr("records")? {
-        match parse_record(r) {
-            Ok(rec) => catalog.records.push(rec),
-            Err(_) => quarantined += 1,
-        }
-    }
+    top.arr("records")?;
     top.finish()?;
     Ok(CatalogLoad {
         catalog,
@@ -181,8 +204,12 @@ pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
 /// Write a catalog to `path` (atomicity is the caller's concern; the
 /// document is always complete or the write errors).
 pub fn save_catalog(path: &Path, catalog: &PlanCatalog) -> Result<(), String> {
-    std::fs::write(path, catalog_json(catalog))
-        .map_err(|e| format!("write {}: {e}", path.display()))
+    write_catalog_text(path, &catalog_json(catalog))
+}
+
+/// Write an encoded catalog to `path`.
+pub(crate) fn write_catalog_text(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 /// Read and parse a catalog from `path`.

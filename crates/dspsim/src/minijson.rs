@@ -388,6 +388,44 @@ impl<'a> Parser<'a> {
     /// Parse one complete value; trailing non-whitespace is an error.
     pub fn parse(mut self) -> Result<Value, String> {
         let v = self.value()?;
+        self.end(v)
+    }
+
+    /// [`Parser::parse`] a document whose top-level object carries long
+    /// arrays, without building them: each member of an array-valued
+    /// top-level field named in `stream` is handed to `each(field,
+    /// member)` in source order as soon as it is read, and the field stays
+    /// in the returned object as an empty array.  A strict [`Fields`] view
+    /// of the result therefore still sees every top-level key in place —
+    /// duplicated, unknown or of the wrong type — while the reader holds
+    /// one member at a time, however long the arrays are.  Any other
+    /// document parses exactly as [`Parser::parse`] would.  On `Err` the
+    /// members already handed out belong to a document that did not
+    /// parse.
+    pub fn parse_streaming(
+        mut self,
+        stream: &[&str],
+        mut each: impl FnMut(&str, Value),
+    ) -> Result<Value, String> {
+        self.skip_ws();
+        if self.bytes.get(self.pos) != Some(&b'{') {
+            return self.parse();
+        }
+        let v = self.object_by(|p, key| {
+            p.skip_ws();
+            if p.bytes.get(p.pos) == Some(&b'[') && stream.contains(&key) {
+                p.elements(|member| each(key, member))?;
+                Ok(Value::Arr(Vec::new()))
+            } else {
+                p.value()
+            }
+        })?;
+        self.end(v)
+    }
+
+    /// Accept `v` as the whole document: trailing non-whitespace is an
+    /// error.
+    fn end(mut self, v: Value) -> Result<Value, String> {
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(format!("trailing data at byte {}", self.pos));
@@ -428,6 +466,14 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
+        self.object_by(|p, _| p.value())
+    }
+
+    /// An object whose member values `member(parser, key)` reads.
+    fn object_by(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<Value, String>,
+    ) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -439,7 +485,8 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
-            fields.push((key, self.value()?));
+            let value = member(self, &key)?;
+            fields.push((key, value));
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -453,21 +500,27 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
+        self.elements(|v| items.push(v))?;
+        Ok(Value::Arr(items))
+    }
+
+    /// Read an array, handing each member to `each` as it is read.
+    fn elements(&mut self, mut each: impl FnMut(Value)) -> Result<(), String> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(());
         }
         loop {
-            items.push(self.value()?);
+            each(self.value()?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
@@ -568,6 +621,45 @@ mod tests {
         ] {
             let err = Parser::new(text).parse().unwrap_err();
             assert!(err.contains(needle), "{text}: got {err:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_hands_out_named_top_level_arrays_and_keeps_their_keys() {
+        let text = r#"{"b": [{"x": 1}, [2]], "a": [3], "c": [4], "b": 5, "d": {"b": [6]}}"#;
+        let mut seen = Vec::new();
+        let v = Parser::new(text)
+            .parse_streaming(&["a", "b"], |key, member| {
+                seen.push((key.to_string(), member))
+            })
+            .unwrap();
+        let whole = Parser::new(text).parse().unwrap();
+        let member = |key: &str, i: usize| {
+            (
+                key.to_string(),
+                whole.get(key).unwrap().as_arr(key).unwrap()[i].clone(),
+            )
+        };
+        assert_eq!(seen, [member("b", 0), member("b", 1), member("a", 0)]);
+        // Every key stays in place; a streamed array is left empty, and
+        // only arrays of the top level stream.
+        let fields = v.as_obj("doc").unwrap();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "a", "c", "b", "d"]);
+        assert_eq!(fields[0].1, Value::Arr(Vec::new()));
+        assert_eq!(fields[2].1, *whole.get("c").unwrap());
+        assert_eq!(fields[3].1, Value::Num("5".into()));
+        assert_eq!(fields[4].1, *whole.get("d").unwrap());
+        // The grammar is the same as `parse`'s.
+        for text in [
+            "{\"a\": [1, 2",
+            "{\"a\": [1 2]}",
+            "{\"a\": []} 1",
+            "[1]",
+            "7",
+        ] {
+            let streamed = Parser::new(text).parse_streaming(&["a"], |_, _| {});
+            assert_eq!(streamed, Parser::new(text).parse(), "{text}");
         }
     }
 
