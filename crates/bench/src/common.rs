@@ -2,7 +2,7 @@
 
 use cpublas::CpuConfig;
 use dspsim::HwConfig;
-use ftimm::backend::{Backend, BackendPrediction, CpuBackend, DspBackend};
+use ftimm::backend::{Backend, BackendPrediction, CpuBackend};
 use ftimm::{ChosenStrategy, FtImm, GemmShape, Strategy, StrategyKind};
 
 /// A configured measurement context (kernel cache shared across points).
@@ -55,12 +55,6 @@ impl Harness {
     /// Cluster peak in GFLOPS.
     pub fn dsp_peak_gflops(&self) -> f64 {
         self.ft.cfg().cluster_peak_flops() / 1e9
-    }
-
-    /// The DSP cluster as a [`Backend`] (predictions through the shared
-    /// plan cache).
-    pub fn dsp_backend(&self, strategy: Strategy, cores: usize) -> DspBackend<'_> {
-        DspBackend::new(&self.ft, strategy, cores)
     }
 
     /// The CPU comparator as a [`Backend`] — the same model and config

@@ -1,21 +1,17 @@
 //! Tuner report: what the autotuner buys over the planner's analytic
-//! pick on the paper's representative shapes, how much the fitted
-//! calibration improves analytic-vs-simulated ranking agreement per
-//! regime, and proof that a catalog warm start plans every shape with
-//! zero timing simulations.
+//! pick on the paper's representative shapes, and proof that a catalog
+//! warm start plans every shape with zero timing simulations.
 //!
 //! Not a paper figure — `BENCH_tune.json` is emitted by the `tune`
 //! binary and archived by CI with two gates: tuned plans are never
 //! predicted slower than the analytic pick (`--assert-no-regression`),
-//! and a fresh context loading the emitted `ftimm-plan-catalog-v1`
+//! and a fresh context loading the emitted `ftimm-plan-catalog-v2`
 //! serves all shapes simulation-free (`--assert-warm-zero-sims`).
 
 use crate::planner::SHAPES;
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, HwConfig, Machine};
-use ftimm::{
-    ranking_agreement, FtImm, GemmShape, Plan, RegimeAgreement, Strategy, StrategyKind, TuneConfig,
-};
+use ftimm::{FtImm, GemmShape, Plan, Strategy, StrategyKind, TuneConfig};
 use std::path::Path;
 
 /// One tuned shape.
@@ -48,13 +44,8 @@ impl Row {
 pub struct Report {
     /// One row per paper shape.
     pub rows: Vec<Row>,
-    /// Per-regime analytic-vs-simulated ranking agreement, raw and with
-    /// the fitted calibration applied.
-    pub agreement: Vec<RegimeAgreement>,
     /// Host seconds spent tuning, from the profiler's `tune` track.
     pub tuning_s: f64,
-    /// Calibration records the tuning session produced.
-    pub records: usize,
     /// Timing simulations the catalog warm-start context ran while
     /// re-planning every shape (the zero-sims gate).
     pub warm_simulations: u64,
@@ -98,8 +89,6 @@ pub fn compute(catalog_path: &Path) -> Report {
         .collect();
     let tuning_s = machine.profile_end().aggregate().tuning_s();
 
-    let records = ft.calibration_records();
-    let agreement = ranking_agreement(&records, &ft.calibration());
     ft.save_plan_catalog(catalog_path)
         .unwrap_or_else(|e| panic!("saving catalog: {e}"));
 
@@ -115,9 +104,7 @@ pub fn compute(catalog_path: &Path) -> Report {
     }
     Report {
         rows,
-        agreement,
         tuning_s,
-        records: records.len(),
         warm_simulations: warm.timing_simulations(),
         warm_catalog_hits: warm.tuning_stats().catalog_hits,
     }
@@ -126,7 +113,6 @@ pub fn compute(catalog_path: &Path) -> Report {
 /// Describe the report once: [`Document::render`] prints it,
 /// [`Document::json`] is the `BENCH_tune.json` document.
 pub fn document(report: &Report) -> Document {
-    let fraction = Fixed(1.0, 2, "");
     let rows = Table::new(
         "rows",
         "Tuner — default vs tuned simulated seconds per paper shape (8 cores)",
@@ -151,25 +137,9 @@ pub fn document(report: &Report) -> Document {
     .col("adopted", "adopted", |r| Count(r.adopted.into()))
     .col("variants", "variants", |r| Count(r.variants.into()))
     .col("simulations", "sims", |r| Count(r.simulations.into()));
-    let reported: Vec<&RegimeAgreement> =
-        report.agreement.iter().filter(|a| a.records > 0).collect();
-    let agreement = Table::new(
-        "agreement",
-        "Calibration — analytic-vs-simulated ranking agreement per regime",
-        &reported,
-    )
-    .col("regime", "regime", |a| Text(format!("{:?}", a.regime)))
-    .col("records", "records", |a| Count(a.records as u64))
-    .col("pairs", "pairs", |a| Count(a.pairs as u64))
-    .col("raw", "raw", |a| Num(a.raw_fraction(), fraction))
-    .col("corrected", "corrected", |a| {
-        Num(a.corrected_fraction(), fraction)
-    });
     Document::new("tune")
         .table(rows)
-        .table(agreement)
         .value("tuning_s", Num(report.tuning_s, Fixed(1e3, 1, "ms")))
-        .value("records", Count(report.records as u64))
         .value("max_regression_s", Num(report.max_regression_s(), Sci))
         .value("warm_simulations", Count(report.warm_simulations))
         .value("warm_catalog_hits", Count(report.warm_catalog_hits))
@@ -211,11 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn tune_phase_was_profiled_and_records_flowed() {
+    fn tune_phase_was_profiled() {
         let (report, _) = cached();
         assert!(report.tuning_s > 0.0);
-        assert!(report.records > 0);
-        assert!(report.agreement.iter().any(|a| a.records > 0));
     }
 
     #[test]
@@ -224,11 +192,10 @@ mod tests {
         let load = ftimm::load_catalog(path).unwrap();
         assert_eq!(load.quarantined, 0);
         assert_eq!(load.catalog.entries.len(), SHAPES.len());
-        assert!(!load.catalog.records.is_empty());
     }
 
     #[test]
-    fn json_document_carries_rows_gates_and_agreement() {
+    fn json_document_carries_rows_and_gates() {
         let (report, _) = cached();
         // Flags are counts: the repo's own reader has no booleans.
         let v = crate::report::parsed(&document(report), "tune");
@@ -245,12 +212,6 @@ mod tests {
                 Ok(r.speedup())
             );
         }
-        let agreement = v.get("agreement").unwrap().as_arr("agreement").unwrap();
-        assert!(!agreement.is_empty());
-        for a in agreement {
-            let corrected = a.get("corrected").unwrap().as_f64("corrected").unwrap();
-            assert!((0.0..=1.0).contains(&corrected));
-        }
         assert_eq!(
             v.get("max_regression_s")
                 .unwrap()
@@ -258,9 +219,5 @@ mod tests {
             Ok(report.max_regression_s())
         );
         assert_eq!(v.get("warm_simulations").unwrap().as_u64("sims"), Ok(0));
-        assert_eq!(
-            v.get("records").unwrap().as_u64("records"),
-            Ok(report.records as u64)
-        );
     }
 }

@@ -921,7 +921,7 @@ fn cpu_failover(cx: &Ctx) -> Result<(), Mismatch> {
 
 /// The autotuner contract: tuning is deterministic under a fixed seed, a
 /// tuned plan is never predicted slower than the default and survives
-/// the `ftimm-plan-catalog-v1` round-trip bit-for-bit, a fresh context
+/// the `ftimm-plan-catalog-v2` round-trip bit-for-bit, a fresh context
 /// warm-started from the catalog serves it with zero timing simulations,
 /// and executing it is bitwise identical to executing the default `Auto`
 /// plan (the tuner only adopts [`ftimm::BitSignature`]-equal variants).

@@ -2,7 +2,7 @@
 
 use crate::plan::sharded::PlacementCache;
 use crate::plan::store::{self, CatalogLoad};
-use crate::plan::tune::{Calibration, CalibrationRecord, TuneConfig, TuneOutcome, Tuner};
+use crate::plan::tune::{TuneConfig, TuneOutcome, Tuner};
 use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
@@ -67,8 +67,6 @@ pub struct TuningStats {
     pub plans_tuned: u64,
     /// Tunes that adopted a bit-safe variant over the default pick.
     pub variants_adopted: u64,
-    /// Calibration records held (tuner-observed plus catalog-loaded).
-    pub calibration_records: u64,
     /// Whether a plan catalog has been loaded into this context.
     pub catalog_attached: bool,
     /// Plan-cache hits served by a catalog-preloaded entry.
@@ -76,18 +74,17 @@ pub struct TuningStats {
     /// Plan-cache misses while a catalog was attached (shapes the
     /// catalog did not cover).
     pub catalog_misses: u64,
-    /// Catalog entries/records quarantined during loads: corrupt ones,
-    /// and entries whose plan does not fit this context's hardware.
+    /// Catalog entries quarantined during loads: corrupt ones, and
+    /// entries whose plan does not fit this context's hardware.
     pub quarantined: u64,
 }
 
-/// Tuning state carried by a context: calibration records and their fit,
-/// tuned plans pending catalog persistence, and catalog bookkeeping.
-/// Every per-job operation on it is a fold or a keyed lookup, so its
-/// cost does not grow with how many shapes the context has tuned.
+/// Tuning state carried by a context: tuned plans pending catalog
+/// persistence, and catalog bookkeeping.  Every per-job operation on it
+/// is a keyed lookup, so its cost does not grow with how many shapes the
+/// context has tuned.  Nothing in it feeds back into a tune.
 #[derive(Debug, Default)]
 struct TuningState {
-    log: Mutex<CalibrationLog>,
     tuned: Mutex<TunedPlans>,
     /// Keys preloaded from attached catalogs (catalog-hit attribution).
     catalog_keys: Mutex<HashSet<PlanKey>>,
@@ -101,31 +98,12 @@ struct TuningState {
 
 /// Lock one part of the tuning state (or a placement's walk memo),
 /// recovering from poisoning: every entry is an immutable [`Plan`],
-/// [`PlanKey`], calibration record or walk price that is pushed or
-/// replaced whole (and a record's fold, a plan's index entry, is a step
-/// that cannot panic beside it), so what a panicking thread left behind
-/// is still a valid state, and planning and tuning carry on with it.
+/// [`PlanKey`] or walk price that is pushed or replaced whole (and a
+/// plan's index entry is a step that cannot panic beside it), so what a
+/// panicking thread left behind is still a valid state, and planning and
+/// tuning carry on with it.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The calibration record log and the fit folded from it: each record
-/// is [`Calibration::observe`]d as it is appended, in log order — the
-/// sequence of additions [`Calibration::fit`] makes over the whole log,
-/// so `fit` is bit-equal to a refit at every step.
-#[derive(Debug, Default)]
-struct CalibrationLog {
-    records: Vec<CalibrationRecord>,
-    fit: Calibration,
-}
-
-impl CalibrationLog {
-    fn extend(&mut self, records: &[CalibrationRecord]) {
-        for r in records {
-            self.fit.observe(r);
-        }
-        self.records.extend_from_slice(records);
-    }
 }
 
 /// Tuned plans, one per key, in the order their keys were first tuned or
@@ -169,8 +147,8 @@ pub struct FtImm {
     /// Shapes the planner failed to evaluate (capacity or generation
     /// limits): each counted evaluation returned `f64::INFINITY`.
     planning_failures: AtomicU64,
-    /// Autotuner state: calibration records, tuned plans and catalog
-    /// counters (see [`FtImm::tune`] / [`FtImm::with_plan_catalog`]).
+    /// Autotuner state: tuned plans and catalog counters (see
+    /// [`FtImm::tune`] / [`FtImm::with_plan_catalog`]).
     tuning: TuningState,
 }
 
@@ -214,8 +192,7 @@ impl FtImm {
     /// Create a context warm-started from an on-disk plan catalog: every
     /// catalog plan is preloaded into the plan cache, so
     /// [`FtImm::plan_full`] serves covered shapes with **zero** timing
-    /// simulations, and the catalog's calibration records seed
-    /// [`FtImm::calibration`].
+    /// simulations.
     pub fn with_plan_catalog(cfg: HwConfig, path: &Path) -> Result<Self, String> {
         let ft = FtImm::new(cfg);
         ft.load_plan_catalog(path)?;
@@ -305,15 +282,15 @@ impl FtImm {
     }
 
     /// Autotune a shape: search beyond the planner's candidates (bit-safe
-    /// chunk variants, seeded random probes, neighborhood refinement),
-    /// record every simulation as a calibration observation, and install
-    /// the tuned plan under the `Strategy::Auto` cache key so subsequent
-    /// [`FtImm::plan_full`] / [`FtImm::gemm`] calls use it without
-    /// re-planning.
+    /// chunk variants, seeded random probes, neighborhood refinement) and
+    /// install the tuned plan under the `Strategy::Auto` cache key so
+    /// subsequent [`FtImm::plan_full`] / [`FtImm::gemm`] calls use it
+    /// without re-planning.
     ///
-    /// Deterministic for a fixed [`TuneConfig::seed`] and context state.
-    /// The tuned plan is never predicted slower than the analytic pick
-    /// (the default is always simulated first and the minimum wins).
+    /// Deterministic for a fixed [`TuneConfig::seed`], and independent of
+    /// what the context tuned or loaded before.  The tuned plan is never
+    /// predicted slower than the analytic pick (the default is always
+    /// simulated first and the minimum wins).
     ///
     /// With [`TuneConfig::coexec`] set, the CPU/DSP co-execution split
     /// is searched as well ([`crate::plan::choose_coexec_split`] against
@@ -323,12 +300,8 @@ impl FtImm {
     /// bit-signature gate applies, and the hint round-trips through the
     /// plan catalog like every other plan field.
     pub fn tune(&self, shape: &GemmShape, cores: usize, config: &TuneConfig) -> TuneOutcome {
-        let calibration = self.calibration();
         let tuner = Tuner::new(self.cache(), &self.cfg, *config);
-        let mut outcome = tuner.tune(shape, cores, &calibration, |cand, n| {
-            self.simulate(shape, cand, n)
-        });
-        lock(&self.tuning.log).extend(&outcome.records);
+        let mut outcome = tuner.tune(shape, cores, |cand| self.simulate(shape, cand, cores));
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
         if outcome.adopted_variant {
             self.tuning.variants_adopted.fetch_add(1, Ordering::Relaxed);
@@ -378,25 +351,11 @@ impl FtImm {
         outcome
     }
 
-    /// The calibration fitted from every record this context holds
-    /// (tuner-observed plus catalog-loaded): bit-equal to
-    /// [`Calibration::fit`] over [`FtImm::calibration_records`], but
-    /// folded as each record arrives, so reading it costs a copy.
-    pub fn calibration(&self) -> Calibration {
-        lock(&self.tuning.log).fit
-    }
-
-    /// A copy of every calibration record this context holds.
-    pub fn calibration_records(&self) -> Vec<CalibrationRecord> {
-        lock(&self.tuning.log).records.clone()
-    }
-
     /// Load an on-disk plan catalog into this context: preload the plan
-    /// cache (evicting as plain inserts do), adopt the catalog's
-    /// calibration records, and start attributing cache traffic to
-    /// catalog hit/miss counters.  Corrupt entries are quarantined (see
-    /// [`TuningStats::quarantined`]), not fatal.  Returns the number of
-    /// plans preloaded.
+    /// cache (evicting as plain inserts do) and start attributing cache
+    /// traffic to catalog hit/miss counters.  Corrupt entries are
+    /// quarantined (see [`TuningStats::quarantined`]), not fatal.
+    /// Returns the number of plans preloaded.
     pub fn load_plan_catalog(&self, path: &Path) -> Result<usize, String> {
         let load = store::load_catalog(path)?;
         Ok(self.attach_catalog(load))
@@ -424,22 +383,17 @@ impl FtImm {
                 tuned.upsert(*key, *plan);
             }
         }
-        lock(&self.tuning.log).extend(&load.catalog.records);
         self.tuning.catalog_attached.store(true, Ordering::Relaxed);
         kept
     }
 
-    /// Persist every tuned plan and calibration record this context
-    /// holds (including catalog-loaded ones, so load → tune → save
-    /// accumulates) as an `ftimm-plan-catalog-v1` document at `path`.
+    /// Persist every tuned plan this context holds (including
+    /// catalog-loaded ones, so load → tune → save accumulates) as an
+    /// `ftimm-plan-catalog-v2` document at `path`.
     pub fn save_plan_catalog(&self, path: &Path) -> Result<(), String> {
         // Written from the locked state: the tuned plans are already one
-        // per key, and the record log is not copied.
-        let text = {
-            let tuned = lock(&self.tuning.tuned);
-            let log = lock(&self.tuning.log);
-            store::catalog_text(&tuned.entries, &log.records)
-        };
+        // per key.
+        let text = store::catalog_text(&lock(&self.tuning.tuned).entries);
         store::write_catalog_text(path, &text)
     }
 
@@ -448,7 +402,6 @@ impl FtImm {
         TuningStats {
             plans_tuned: self.tuning.plans_tuned.load(Ordering::Relaxed),
             variants_adopted: self.tuning.variants_adopted.load(Ordering::Relaxed),
-            calibration_records: lock(&self.tuning.log).records.len() as u64,
             catalog_attached: self.tuning.catalog_attached.load(Ordering::Relaxed),
             catalog_hits: self.tuning.catalog_hits.load(Ordering::Relaxed),
             catalog_misses: self.tuning.catalog_misses.load(Ordering::Relaxed),
@@ -689,7 +642,6 @@ mod tests {
         assert_eq!(outcome.plan.origin, crate::plan::PlanOrigin::Tuned);
         let stats = ft.tuning_stats();
         assert_eq!(stats.plans_tuned, 1);
-        assert_eq!(stats.calibration_records, outcome.records.len() as u64);
         assert!(!stats.catalog_attached);
         // The tuned plan now serves Auto requests with zero simulations.
         let sims = ft.timing_simulations();
@@ -715,7 +667,6 @@ mod tests {
         assert!(stats.catalog_attached);
         assert_eq!(stats.catalog_hits, 1);
         assert_eq!(stats.quarantined, 0);
-        assert!(stats.calibration_records > 0);
         // A shape the catalog does not cover is a catalog miss.
         ft.plan_full(&GemmShape::new(64, 64, 64), Strategy::Auto, 4);
         assert_eq!(ft.tuning_stats().catalog_misses, 1);
@@ -815,17 +766,12 @@ mod tests {
         std::thread::scope(|s| {
             let panicked = s
                 .spawn(|| {
-                    let _held = (
-                        lock(&ft.tuning.log),
-                        lock(&ft.tuning.tuned),
-                        lock(&ft.tuning.catalog_keys),
-                    );
+                    let _held = (lock(&ft.tuning.tuned), lock(&ft.tuning.catalog_keys));
                     panic!("a tuning client dies holding the locks");
                 })
                 .join();
             assert!(panicked.is_err());
         });
-        assert!(ft.tuning.log.is_poisoned());
         assert!(ft.tuning.tuned.is_poisoned());
         assert!(ft.tuning.catalog_keys.is_poisoned());
         let cached = ft.plan_full(&shape, Strategy::Auto, 8);

@@ -5,14 +5,12 @@
 //! targets the simulated DSP cluster; this module promotes the CPU from
 //! a Fig. 7 chart baseline to a real execution resource:
 //!
-//! * [`Backend`] — the common surface over both devices: identity
-//!   ([`dspsim::BackendKind`]), peak flop/s, and an analytic performance
-//!   prediction ([`BackendPrediction`]).  The planner's analytic cost
-//!   model covers the DSP side; [`cpublas::predict`] covers the CPU
-//!   side, so the Fig. 7 comparison and live dispatch share one model
-//!   and one config.
-//! * [`DspBackend`] — the DSP cluster seen through [`crate::FtImm`]'s
-//!   planner and timing model.
+//! * [`Backend`] — a device's identity ([`dspsim::BackendKind`]), peak
+//!   flop/s, and an analytic performance prediction
+//!   ([`BackendPrediction`]).  [`cpublas::predict`] covers the CPU side,
+//!   so the Fig. 7 comparison and live dispatch share one model and one
+//!   config; the DSP side is priced by [`crate::FtImm`]'s planner and
+//!   timing model.
 //! * [`CpuBackend`] — a stateful host executor that runs a resolved
 //!   [`crate::ChosenStrategy`] on the host CPU with the **same blocking
 //!   and accumulation order as the DSP path** (the kernelgen tiling
@@ -41,7 +39,7 @@ pub(crate) mod host;
 
 pub use cpu::{CpuBackend, CpuLaneOutcome, CpuStripeRun};
 
-use crate::{FtImm, GemmShape, Strategy};
+use crate::GemmShape;
 use dspsim::BackendKind;
 
 /// An analytic performance prediction from a backend's cost model.
@@ -104,54 +102,6 @@ pub trait Backend {
     fn predict(&self, shape: &GemmShape) -> BackendPrediction;
 }
 
-/// The simulated GPDSP cluster as a [`Backend`]: predictions come from
-/// [`FtImm`]'s planner (analytic ranking refined on the timing model,
-/// memoized in the plan cache).
-pub struct DspBackend<'a> {
-    ft: &'a FtImm,
-    strategy: Strategy,
-    cores: usize,
-}
-
-impl<'a> DspBackend<'a> {
-    /// A DSP backend planning with `strategy` on `cores` cores.
-    pub fn new(ft: &'a FtImm, strategy: Strategy, cores: usize) -> Self {
-        DspBackend {
-            ft,
-            strategy,
-            cores,
-        }
-    }
-}
-
-impl Backend for DspBackend<'_> {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Dsp
-    }
-
-    fn peak_flops(&self) -> f64 {
-        self.ft.cfg().core_peak_flops() * self.cores as f64
-    }
-
-    fn predict(&self, shape: &GemmShape) -> BackendPrediction {
-        let plan = self.ft.plan_full(shape, self.strategy, self.cores);
-        // Prefer the timing-model estimate; fall back to the analytic one
-        // (both are INFINITY-when-unknown sentinels).
-        let seconds = if plan.simulated_s.is_finite() {
-            plan.simulated_s
-        } else {
-            plan.predicted_s
-        };
-        let flops = 2.0 * shape.m as f64 * shape.n as f64 * shape.k as f64;
-        let flops_per_s = if seconds > 0.0 { flops / seconds } else { 0.0 };
-        BackendPrediction {
-            seconds,
-            flops_per_s,
-            efficiency: flops_per_s / self.peak_flops(),
-        }
-    }
-}
-
 impl Backend for CpuBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Cpu
@@ -173,24 +123,6 @@ impl Backend for CpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dspsim::HwConfig;
-
-    #[test]
-    fn dsp_backend_predicts_through_the_plan_cache() {
-        let ft = FtImm::new(HwConfig::default());
-        let be = DspBackend::new(&ft, Strategy::Auto, 8);
-        assert_eq!(be.kind(), BackendKind::Dsp);
-        let shape = GemmShape::new(512, 32, 256);
-        let p = be.predict(&shape);
-        assert!(p.seconds > 0.0 && p.seconds.is_finite());
-        assert!(p.flops_per_s > 0.0);
-        assert!(p.efficiency > 0.0 && p.efficiency <= 1.0);
-        // A second prediction of the same shape is a plan-cache hit.
-        let misses = ft.plan_cache_stats().misses;
-        let p2 = be.predict(&shape);
-        assert_eq!(ft.plan_cache_stats().misses, misses);
-        assert_eq!(p.seconds.to_bits(), p2.seconds.to_bits());
-    }
 
     #[test]
     fn cpu_backend_prediction_matches_the_cpublas_model() {

@@ -49,16 +49,6 @@ impl FtimmError {
         matches!(self, FtimmError::Sim(SimError::ClusterFailed { .. }))
     }
 
-    /// Whether this error is a transient fault of the host CPU fallback
-    /// backend.  Like [`FtimmError::is_transient_fault`] it marks lost
-    /// work rather than a dead domain, but it feeds the *CPU* circuit
-    /// breaker: since the CPU lane is the last fault domain there is
-    /// nowhere further to fail over, so the sharded engine sheds the job
-    /// with a reason instead of retrying.
-    pub fn is_cpu_fault(&self) -> bool {
-        matches!(self, FtimmError::CpuFault(_))
-    }
-
     /// Whether this error is a deadline preemption (the armed watchdog
     /// stopped a core that passed its deadline).
     pub fn is_deadline(&self) -> bool {
@@ -133,7 +123,7 @@ mod tests {
         assert!(e.to_string().contains("bad"));
         let e = FtimmError::CpuFault("span 3 lost".into());
         assert!(e.to_string().contains("cpu backend fault"));
-        assert!(e.is_cpu_fault());
+        assert!(matches!(e, FtimmError::CpuFault(_)));
         assert!(!e.is_transient_fault() && !e.is_cluster_death() && !e.is_deadline());
         assert!(std::error::Error::source(&e).is_none());
     }

@@ -66,7 +66,6 @@ pub use adjust::{
 pub use api::{FtImm, Strategy, TuningStats};
 pub use backend::{
     predict_cpu_stripe, Backend, BackendPrediction, CpuBackend, CpuLaneOutcome, CpuStripeRun,
-    DspBackend,
 };
 pub use batch::{BatchReport, GemmBatch};
 pub use cluster::{
@@ -85,11 +84,10 @@ pub use matrix::{DdrMatrix, GemmProblem};
 pub use mpar::{run_mpar, MparBlocks};
 pub use plan::{
     analytic_seconds, bit_signature, catalog_from_json, catalog_json, choose_coexec_split,
-    choose_strategy, corrected_seconds, load_catalog, plan_coexec, plan_from_json, plan_json,
-    plan_sharded, ranking_agreement, save_catalog, BitSignature, Calibration, CalibrationRecord,
-    CatalogLoad, CoexecChoice, CoexecTune, Plan, PlanCache, PlanCatalog, PlanKey, PlanOrigin,
-    Planner, RegimeAgreement, Shard, ShardOrigin, ShardedPlan, StrategyKind, TuneConfig,
-    TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA, REGIMES,
+    choose_strategy, load_catalog, plan_coexec, plan_from_json, plan_json, plan_sharded,
+    save_catalog, BitSignature, CatalogLoad, CoexecChoice, CoexecTune, Plan, PlanCache,
+    PlanCatalog, PlanKey, PlanOrigin, Planner, Shard, ShardOrigin, ShardedPlan, StrategyKind,
+    TuneConfig, TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA,
 };
 pub use resilience::{
     max_abs_error_vs_oracle, run_resilient, run_resilient_full, ResilienceConfig, ResilientRun,

@@ -103,26 +103,6 @@ pub fn analytic_seconds(
     compute_s.max(ddr_s)
 }
 
-/// [`analytic_seconds`] with the tuner's fitted per-(regime × strategy
-/// kind) correction applied — the estimate the autotuner ranks
-/// candidates by once calibration records exist (see
-/// [`crate::plan::tune::Calibration`]).
-pub fn corrected_seconds(
-    cache: &KernelCache,
-    cfg: &HwConfig,
-    shape: &GemmShape,
-    strategy: &ChosenStrategy,
-    cores: usize,
-    calibration: &crate::plan::tune::Calibration,
-) -> f64 {
-    let raw = analytic_seconds(cache, cfg, shape, strategy, cores);
-    calibration.correct(
-        shape.classify(),
-        crate::plan::tune::StrategyKind::of(strategy),
-        raw,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

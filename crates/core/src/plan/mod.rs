@@ -36,7 +36,7 @@ pub mod store;
 pub mod tune;
 
 pub use cache::{PlanCache, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY};
-pub use cost::{analytic_seconds, corrected_seconds};
+pub use cost::analytic_seconds;
 pub use planner::{choose_strategy, Planner};
 pub use sharded::{
     choose_coexec_split, plan_coexec, plan_sharded, CoexecChoice, Shard, ShardOrigin, ShardedPlan,
@@ -46,8 +46,7 @@ pub use store::{
     PLAN_CATALOG_SCHEMA,
 };
 pub use tune::{
-    bit_signature, ranking_agreement, BitSignature, Calibration, CalibrationRecord, CoexecTune,
-    RegimeAgreement, StrategyKind, TuneConfig, TuneOutcome, Tuner, REGIMES,
+    bit_signature, BitSignature, CoexecTune, StrategyKind, TuneConfig, TuneOutcome, Tuner,
 };
 
 use crate::{ChosenStrategy, GemmShape, KparBlocks, MparBlocks};

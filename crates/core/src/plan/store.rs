@@ -1,31 +1,34 @@
-//! The on-disk plan catalog: `ftimm-plan-catalog-v1`.
+//! The on-disk plan catalog: `ftimm-plan-catalog-v2`.
 //!
-//! Tuned plans and calibration records persist across processes through
-//! a single JSON document, streamed through [`dspsim::minijson::Writer`]
-//! (one entry or record per line) and decoded one entry or record at a
-//! time ([`Parser::parse_streaming`]) through
+//! Tuned plans persist across processes through a single JSON document,
+//! streamed through [`dspsim::minijson::Writer`] (one entry per line)
+//! and decoded one entry at a time ([`Parser::parse_streaming`]) through
 //! [`dspsim::minijson::Fields`]; neither direction builds a tree of the
 //! document:
 //!
 //! ```json
 //! {
-//!   "schema": "ftimm-plan-catalog-v1",
-//!   "entries": [ { "key": {...}, "plan": { ...ftimm-plan-v1... } } ],
-//!   "records": [ { "m": .., "kind": "mpar", "analytic_s": .., ... } ]
+//!   "schema": "ftimm-plan-catalog-v2",
+//!   "entries": [ { "key": {...}, "plan": { ...ftimm-plan-v1... } } ]
 //! }
 //! ```
+//!
+//! A `v1` catalog (which also carried the tuner's calibration records)
+//! is refused like any other schema: its plans are re-tuned, not
+//! migrated.
 //!
 //! Each entry embeds a complete `ftimm-plan-v1` object under `"plan"`,
 //! so a catalog entry is exactly as expressive (and exactly as strictly
 //! validated) as a standalone plan file.  Failure policy:
 //!
 //! * **Document-level** problems — unreadable file, truncated/invalid
-//!   JSON, missing or unknown `schema`, an unknown or duplicated
+//!   JSON, missing or unknown `schema` (`v1` included), an unknown or
+//!   duplicated
 //!   top-level key, the same plan key stored twice — reject the whole
 //!   catalog with `Err`.  A catalog that lies about its own structure
 //!   cannot be trusted entry-by-entry.
-//! * **Entry-level** corruption — a mangled plan or record, an unknown
-//!   or duplicated key inside one, a key that disagrees with its plan's
+//! * **Entry-level** corruption — a mangled plan, an unknown or
+//!   duplicated key inside an entry, a key that disagrees with its plan's
 //!   shape/cores — is *quarantined*: the entry is skipped and counted in
 //!   [`CatalogLoad::quarantined`], never a panic and never a poisoned
 //!   load.  One bad entry must not cost the warm start of every other
@@ -36,23 +39,19 @@
 //! `plan_full` warm-start simulation-free across processes.
 
 use super::{plan_from_value, read_shape, write_plan, write_shape, Plan, PlanKey};
-use crate::plan::tune::{CalibrationRecord, StrategyKind};
 use crate::Strategy;
 use dspsim::minijson::{Fields, Parser, Value, Writer};
 use std::collections::HashSet;
 use std::path::Path;
 
 /// Document identifier embedded in (and required from) catalog JSON.
-pub const PLAN_CATALOG_SCHEMA: &str = "ftimm-plan-catalog-v1";
+pub const PLAN_CATALOG_SCHEMA: &str = "ftimm-plan-catalog-v2";
 
-/// A persistable set of tuned plans plus the calibration records they
-/// were tuned from.
+/// A persistable set of tuned plans.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanCatalog {
     /// Tuned plans, keyed exactly like the in-memory plan cache.
     pub entries: Vec<(PlanKey, Plan)>,
-    /// Observed (analytic, simulated) pairs for calibration refitting.
-    pub records: Vec<CalibrationRecord>,
 }
 
 impl PlanCatalog {
@@ -66,28 +65,28 @@ impl PlanCatalog {
 }
 
 /// The result of parsing a catalog: the clean part plus how many
-/// corrupt entries/records were quarantined along the way.
+/// corrupt entries were quarantined along the way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CatalogLoad {
-    /// Every entry and record that validated.
+    /// Every entry that validated.
     pub catalog: PlanCatalog,
-    /// Corrupt entries/records skipped (0 for a pristine catalog).
+    /// Corrupt entries skipped (0 for a pristine catalog).
     pub quarantined: usize,
 }
 
-/// Serialise a catalog as a self-contained JSON document, one entry or
-/// record per line (stable field order, exact `f64` round-trip, `"inf"`
-/// sentinel for infinities — the same conventions as [`super::plan_json`]).
+/// Serialise a catalog as a self-contained JSON document, one entry per
+/// line (stable field order, exact `f64` round-trip, `"inf"` sentinel
+/// for infinities — the same conventions as [`super::plan_json`]).
 /// Streams through one [`Writer`]: no tree is built, whatever the number
-/// of calibration records.
+/// of entries.
 pub fn catalog_json(catalog: &PlanCatalog) -> String {
-    catalog_text(&catalog.entries, &catalog.records)
+    catalog_text(&catalog.entries)
 }
 
-/// [`catalog_json`] of a catalog held as its two parts (a context writes
-/// its tuning state without first copying it into a [`PlanCatalog`]).
+/// [`catalog_json`] of a catalog held as its entries (a context writes
+/// its tuned plans without first copying them into a [`PlanCatalog`]).
 /// `entries` must not repeat a key.
-pub(crate) fn catalog_text(entries: &[(PlanKey, Plan)], records: &[CalibrationRecord]) -> String {
+pub(crate) fn catalog_text(entries: &[(PlanKey, Plan)]) -> String {
     let mut w = Writer::new(2);
     w.begin_obj();
     w.key("schema").str(PLAN_CATALOG_SCHEMA);
@@ -101,17 +100,6 @@ pub(crate) fn catalog_text(entries: &[(PlanKey, Plan)], records: &[CalibrationRe
         w.end_obj();
         w.key("plan");
         write_plan(&mut w, plan);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.key("records").begin_arr();
-    for r in records {
-        w.begin_obj();
-        write_shape(&mut w, &r.shape);
-        w.key("cores").u64(r.cores as u64);
-        w.key("kind").str(r.kind.tag());
-        w.key("analytic_s").f64(r.analytic_s);
-        w.key("simulated_s").f64(r.simulated_s);
         w.end_obj();
     }
     w.end_arr();
@@ -136,31 +124,18 @@ fn parse_entry(v: &Value) -> Result<(PlanKey, Plan), String> {
     Ok((key, plan))
 }
 
-fn parse_record(v: &Value) -> Result<CalibrationRecord, String> {
-    let mut f = Fields::new(v, "record")?;
-    let record = CalibrationRecord {
-        shape: read_shape(&mut f)?,
-        cores: f.usize("cores")?,
-        kind: StrategyKind::from_tag(f.str("kind")?)?,
-        analytic_s: f.f64("analytic_s")?,
-        simulated_s: f.f64("simulated_s")?,
-    };
-    f.finish()?;
-    Ok(record)
-}
-
 /// Parse a catalog document produced by [`catalog_json`].
 ///
 /// Structural problems (truncation, unknown schema, an unknown or
 /// duplicated top-level key, duplicate plan keys) return `Err`; corrupt
-/// individual entries/records — an unknown or duplicated key inside one
+/// individual entries — an unknown or duplicated key inside one
 /// included — are quarantined and counted, never panicked on.
 ///
-/// The `entries` and `records` arrays are decoded one element at a time
+/// The `entries` array is decoded one element at a time
 /// ([`Parser::parse_streaming`]), so no tree of the whole document is
 /// built: the reader holds the catalog it returns, one element and the
 /// set of plan keys seen.  The top level is then checked by [`Fields`]
-/// with each streamed array left empty in its place, and the checks run
+/// with the streamed array left empty in its place, and the checks run
 /// in the order a whole-tree decode makes them, so every document gets
 /// the same verdict and error.
 pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
@@ -168,24 +143,17 @@ pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
     let mut keys = HashSet::new();
     let mut duplicate = None;
     let mut quarantined = 0usize;
-    let top = Parser::new(text).parse_streaming(&["entries", "records"], |field, item| {
-        if field == "entries" {
-            match parse_entry(&item) {
-                Ok((key, plan)) if keys.insert(key) => catalog.entries.push((key, plan)),
-                Ok((key, _)) => {
-                    duplicate.get_or_insert(key);
-                }
-                Err(_) => quarantined += 1,
+    let top =
+        Parser::new(text).parse_streaming(&["entries"], |_, item| match parse_entry(&item) {
+            Ok((key, plan)) if keys.insert(key) => catalog.entries.push((key, plan)),
+            Ok((key, _)) => {
+                duplicate.get_or_insert(key);
             }
-        } else {
-            match parse_record(&item) {
-                Ok(rec) => catalog.records.push(rec),
-                Err(_) => quarantined += 1,
-            }
-        }
-    })?;
+            Err(_) => quarantined += 1,
+        })?;
     let mut top = Fields::new(&top, "catalog")?;
-    top.schema(PLAN_CATALOG_SCHEMA)?;
+    top.schema(PLAN_CATALOG_SCHEMA)
+        .map_err(|e| format!("{e}: this build reads {PLAN_CATALOG_SCHEMA:?}"))?;
     top.arr("entries")?;
     if let Some(key) = duplicate {
         return Err(format!(
@@ -193,7 +161,6 @@ pub fn catalog_from_json(text: &str) -> Result<CatalogLoad, String> {
             key.shape, key.cores
         ));
     }
-    top.arr("records")?;
     top.finish()?;
     Ok(CatalogLoad {
         catalog,
@@ -266,20 +233,6 @@ mod tests {
             },
             sample_plan(other, 4),
         );
-        cat.records.push(CalibrationRecord {
-            shape,
-            cores: 8,
-            kind: StrategyKind::MPar,
-            analytic_s: 1.25e-3,
-            simulated_s: 1.5e-3,
-        });
-        cat.records.push(CalibrationRecord {
-            shape: other,
-            cores: 4,
-            kind: StrategyKind::TGemm,
-            analytic_s: f64::INFINITY,
-            simulated_s: 9.5e-2,
-        });
         cat
     }
 
@@ -311,6 +264,12 @@ mod tests {
             .unwrap_err()
             .contains("unsupported catalog schema"));
         assert!(catalog_from_json("{}").unwrap_err().contains("schema"));
+        // A v1 catalog is refused by name, and the error says what this
+        // build reads instead.
+        let v1 = text.replace(PLAN_CATALOG_SCHEMA, "ftimm-plan-catalog-v1");
+        let err = catalog_from_json(&v1).unwrap_err();
+        assert!(err.contains("\"ftimm-plan-catalog-v1\""), "{err}");
+        assert!(err.contains("\"ftimm-plan-catalog-v2\""), "{err}");
     }
 
     #[test]
@@ -327,18 +286,11 @@ mod tests {
     fn corrupt_entries_are_quarantined_not_fatal() {
         let text = catalog_json(&sample_catalog());
         // Mangle the first entry's plan origin: that entry quarantines,
-        // the second entry and both records survive.
+        // the second entry survives.
         let mangled = text.replacen("\"tuned\"", "\"vibes\"", 1);
         let load = catalog_from_json(&mangled).unwrap();
         assert_eq!(load.quarantined, 1);
         assert_eq!(load.catalog.entries.len(), 1);
-        assert_eq!(load.catalog.records.len(), 2);
-        // Mangle a record's kind: record quarantines, entries survive.
-        let mangled = text.replacen("\"kind\": \"tgemm\"", "\"kind\": \"ggemm\"", 1);
-        let load = catalog_from_json(&mangled).unwrap();
-        assert_eq!(load.quarantined, 1);
-        assert_eq!(load.catalog.entries.len(), 2);
-        assert_eq!(load.catalog.records.len(), 1);
     }
 
     #[test]
@@ -348,10 +300,14 @@ mod tests {
         let bad = text.replacen("\"entries\"", "\"extra\": 1,\n  \"entries\"", 1);
         let err = catalog_from_json(&bad).unwrap_err();
         assert!(err.contains("unknown catalog key \"extra\""), "{err}");
-        let bad = text.replacen("\"records\"", "\"records\": [],\n  \"records\"", 1);
+        let bad = text.replacen("\"entries\"", "\"entries\": [],\n  \"entries\"", 1);
         let err = catalog_from_json(&bad).unwrap_err();
-        assert!(err.contains("duplicate catalog key \"records\""), "{err}");
-        // Inside an entry, its key, its plan or a record: one quarantine.
+        assert!(err.contains("duplicate catalog key \"entries\""), "{err}");
+        // v1's records array is no longer part of the structure.
+        let bad = text.replacen("\"entries\"", "\"records\": [],\n  \"entries\"", 1);
+        let err = catalog_from_json(&bad).unwrap_err();
+        assert!(err.contains("unknown catalog key \"records\""), "{err}");
+        // Inside an entry, its key or its plan: one quarantine.
         for (needle, with) in [
             ("{\"key\": ", "{\"typo\": 1, \"key\": "),
             (
@@ -360,15 +316,14 @@ mod tests {
             ),
             ("\"origin\": ", "\"coexec_cpu_row\": 128, \"origin\": "),
             (
-                "\"kind\": \"tgemm\"",
-                "\"kind\": \"tgemm\", \"kind\": \"tgemm\"",
+                "\"kind\": \"mpar\"",
+                "\"kind\": \"mpar\", \"kind\": \"mpar\"",
             ),
         ] {
             assert!(text.contains(needle), "{needle}");
             let load = catalog_from_json(&text.replacen(needle, with, 1)).unwrap();
             assert_eq!(load.quarantined, 1, "{with}");
-            let kept = load.catalog.entries.len() + load.catalog.records.len();
-            assert_eq!(kept, 3, "{with}");
+            assert_eq!(load.catalog.entries.len(), 1, "{with}");
         }
     }
 

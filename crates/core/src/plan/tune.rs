@@ -1,15 +1,16 @@
 //! The autotuner: a real parameter search over the planner's candidate
-//! space, plus a measured correction model for the analytic cost model.
+//! space.
 //!
 //! The paper picks block sizes from a fixed analytic grid (§IV-C); the
-//! TVM line of work shows a search plus a fitted correction model beats
-//! any fixed grid, and that the winning configuration shifts per shape
-//! regime.  The [`Tuner`] implements that on top of the PR-5 planner:
+//! TVM line of work shows that measuring a wider candidate set beats any
+//! fixed grid, and that the winning configuration shifts per shape
+//! regime.  The [`Tuner`] implements that on top of the planner:
 //!
 //! * **Search** — the planner's `Strategy::Auto` pipeline runs first
 //!   (rule pick, alternative, TGEMM, grid variants), then the tuner
-//!   widens it: chunk-size ladders around the analytic pick, seeded
-//!   random probes, and a neighborhood refinement around the best
+//!   widens it: chunk-size ladders around the analytic pick and seeded
+//!   random probes, ranked by the analytic model and simulated
+//!   best-first, then a neighborhood refinement around the best
 //!   simulated candidate, all budgeted by
 //!   [`TuneConfig::max_simulations`].
 //! * **Bit safety** — ftIMM's conformance regime demands that executing
@@ -21,33 +22,25 @@
 //!   tuner captures that as a [`BitSignature`] and only ever *adopts* a
 //!   variant whose signature equals the default pick's — such variants
 //!   change DMA shapes, reuse and load balance (time), never results.
-//! * **Calibration** — every simulation is logged as a
-//!   [`CalibrationRecord`]; [`Calibration`] fits one multiplicative
-//!   correction factor per (shape regime × strategy kind) as the
-//!   geometric mean of simulated/analytic ratios, and
-//!   [`ranking_agreement`] reports how much the corrected model's
-//!   candidate ranking agrees with the timing model, per regime.
-//!   Variants that are *not* bit-safe (different `k_a`, `m_s`, strategy
-//!   kind, or core count) are still simulated with spare budget — they
-//!   feed the calibration even though they can never be adopted.
 //!
-//! No phase simulates a candidate that cannot run: every one is admitted
-//! through the walk's [`crate::walk::Footprint::fits`].
+//! Past the planner's own candidates the tuner simulates only variants
+//! it could adopt: same signature, same core count.  No phase simulates
+//! a candidate that cannot run: every one is admitted through the
+//! walk's [`crate::walk::Footprint::fits`].
 //!
-//! Tuned plans and calibration records persist across processes through
-//! the [`crate::plan::store`] catalog.
+//! Tuned plans persist across processes through the
+//! [`crate::plan::store`] catalog.
 
 use crate::plan::cost::analytic_seconds;
 use crate::plan::planner::Planner;
 use crate::plan::{Plan, PlanOrigin};
-use crate::shape::{MAX_MICROKERNEL_ROWS, MIN_MICROKERNEL_ROWS};
 use crate::walk::{self, Layout, Walk};
-use crate::{ChosenStrategy, GemmShape, IrregularType, KparBlocks, MparBlocks, Strategy};
+use crate::{ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Strategy};
 use dspsim::HwConfig;
 use kernelgen::KernelCache;
 
-/// The three strategy kinds, as a calibration key (a [`ChosenStrategy`]
-/// carries blocks; the correction model only cares about the kind).
+/// The three strategy kinds (a [`ChosenStrategy`] carries blocks; the
+/// plan codec's tag and the [`BitSignature`] only care about the kind).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// M-dimension parallelisation.
@@ -58,12 +51,9 @@ pub enum StrategyKind {
     TGemm,
 }
 
-/// Number of [`StrategyKind`] variants (calibration table dimension).
-pub const STRATEGY_KINDS: usize = 3;
-
 impl StrategyKind {
-    /// Every kind, in calibration-table order.
-    pub const ALL: [StrategyKind; STRATEGY_KINDS] =
+    /// Every kind, in tag order.
+    pub const ALL: [StrategyKind; 3] =
         [StrategyKind::MPar, StrategyKind::KPar, StrategyKind::TGemm];
 
     /// The kind of a resolved strategy.
@@ -100,193 +90,6 @@ impl StrategyKind {
             .find(|k| k.tag() == s)
             .ok_or_else(|| format!("unknown strategy kind {s:?}"))
     }
-
-    fn index(self) -> usize {
-        StrategyKind::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("in ALL")
-    }
-}
-
-/// Every shape regime, in calibration-table order.
-pub const REGIMES: [IrregularType; 5] = [
-    IrregularType::TallSkinnyTimesSmall,
-    IrregularType::SkinnyTallTimesTallSkinny,
-    IrregularType::RegularTimesTallSkinny,
-    IrregularType::Small,
-    IrregularType::Regular,
-];
-
-fn regime_index(r: IrregularType) -> usize {
-    REGIMES.iter().position(|&x| x == r).expect("in REGIMES")
-}
-
-/// One observed (analytic, simulated) pair from a tuner simulation — the
-/// unit the correction model is fitted from, persisted in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CalibrationRecord {
-    /// The problem shape the candidate was evaluated for.
-    pub shape: GemmShape,
-    /// Core count the candidate was evaluated at.
-    pub cores: usize,
-    /// The candidate's strategy kind.
-    pub kind: StrategyKind,
-    /// What the analytic cost model predicted, seconds.
-    pub analytic_s: f64,
-    /// What the timing model measured, seconds.
-    pub simulated_s: f64,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct CalCell {
-    log_sum: f64,
-    n: u32,
-}
-
-/// Per-(regime × strategy kind) multiplicative corrections for the
-/// analytic cost model, fitted as the geometric mean of observed
-/// simulated/analytic ratios.  A per-regime-only scalar would cancel out
-/// of every within-regime comparison; keying on the kind as well is what
-/// lets the corrected model re-rank candidates of different kinds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Calibration {
-    cells: [[CalCell; STRATEGY_KINDS]; 5],
-}
-
-impl Calibration {
-    /// Fit a calibration from a record set.
-    pub fn fit(records: &[CalibrationRecord]) -> Calibration {
-        let mut cal = Calibration::default();
-        for r in records {
-            cal.observe(r);
-        }
-        cal
-    }
-
-    /// Fold one record into the fit.  Records with non-finite or
-    /// non-positive seconds are ignored.
-    pub fn observe(&mut self, r: &CalibrationRecord) {
-        if !(r.analytic_s.is_finite() && r.simulated_s.is_finite())
-            || r.analytic_s <= 0.0
-            || r.simulated_s <= 0.0
-        {
-            return;
-        }
-        let cell = &mut self.cells[regime_index(r.shape.classify())][r.kind.index()];
-        cell.log_sum += (r.simulated_s / r.analytic_s).ln();
-        cell.n += 1;
-    }
-
-    /// The fitted correction factor for a (regime, kind) cell (`1.0`
-    /// until at least one record lands in it).
-    pub fn factor(&self, regime: IrregularType, kind: StrategyKind) -> f64 {
-        let cell = &self.cells[regime_index(regime)][kind.index()];
-        if cell.n == 0 {
-            1.0
-        } else {
-            (cell.log_sum / f64::from(cell.n)).exp()
-        }
-    }
-
-    /// Apply the correction: the calibrated estimate of simulated
-    /// seconds from an analytic prediction.
-    pub fn correct(&self, regime: IrregularType, kind: StrategyKind, analytic_s: f64) -> f64 {
-        analytic_s * self.factor(regime, kind)
-    }
-
-    /// Total records folded in.
-    pub fn observations(&self) -> u64 {
-        self.cells.iter().flatten().map(|c| u64::from(c.n)).sum()
-    }
-}
-
-/// Per-regime analytic-vs-simulated ranking agreement, raw and after
-/// correction (see [`ranking_agreement`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegimeAgreement {
-    /// The regime.
-    pub regime: IrregularType,
-    /// Records that fell in this regime.
-    pub records: usize,
-    /// Comparable record pairs (same shape and cores, distinct finite
-    /// simulated seconds).
-    pub pairs: usize,
-    /// Pairs the *raw* analytic model ordered the same way the timing
-    /// model did.
-    pub raw_agree: usize,
-    /// Pairs the *corrected* model ordered the same way.
-    pub corrected_agree: usize,
-}
-
-impl RegimeAgreement {
-    /// Raw agreement fraction (`1.0` when there are no pairs).
-    pub fn raw_fraction(&self) -> f64 {
-        if self.pairs == 0 {
-            1.0
-        } else {
-            self.raw_agree as f64 / self.pairs as f64
-        }
-    }
-
-    /// Corrected agreement fraction (`1.0` when there are no pairs).
-    pub fn corrected_fraction(&self) -> f64 {
-        if self.pairs == 0 {
-            1.0
-        } else {
-            self.corrected_agree as f64 / self.pairs as f64
-        }
-    }
-}
-
-/// Pairwise ranking agreement of the analytic model against the timing
-/// model, per regime: over every pair of records for the *same planning
-/// decision* (same shape, same cores), does the model order the two
-/// candidates the way the timing model did?  Reported raw and with
-/// `cal`'s corrections applied, so calibration improvements are
-/// measurable.
-pub fn ranking_agreement(records: &[CalibrationRecord], cal: &Calibration) -> Vec<RegimeAgreement> {
-    let mut out: Vec<RegimeAgreement> = REGIMES
-        .into_iter()
-        .map(|regime| RegimeAgreement {
-            regime,
-            records: 0,
-            pairs: 0,
-            raw_agree: 0,
-            corrected_agree: 0,
-        })
-        .collect();
-    for r in records {
-        out[regime_index(r.shape.classify())].records += 1;
-    }
-    for (i, a) in records.iter().enumerate() {
-        for b in records.iter().skip(i + 1) {
-            if a.shape != b.shape || a.cores != b.cores {
-                continue;
-            }
-            if !(a.analytic_s.is_finite()
-                && b.analytic_s.is_finite()
-                && a.simulated_s.is_finite()
-                && b.simulated_s.is_finite())
-                || a.simulated_s == b.simulated_s
-            {
-                continue;
-            }
-            let regime = a.shape.classify();
-            let agg = &mut out[regime_index(regime)];
-            agg.pairs += 1;
-            let sim_lt = a.simulated_s < b.simulated_s;
-            if (a.analytic_s < b.analytic_s) == sim_lt {
-                agg.raw_agree += 1;
-            }
-            let ca = cal.correct(regime, a.kind, a.analytic_s);
-            let cb = cal.correct(regime, b.kind, b.analytic_s);
-            if (ca < cb) == sim_lt {
-                agg.corrected_agree += 1;
-            }
-        }
-    }
-    out
 }
 
 /// The per-element f32 accumulation-order fingerprint of a resolved
@@ -388,9 +191,6 @@ pub struct TuneConfig {
     pub random_probes: u32,
     /// Refinement simulations around the best candidate found.
     pub neighborhood: u32,
-    /// Spend leftover budget on calibration-only variants (`k_a`/`m_s`
-    /// blocks, alternate core counts) that can never be adopted.
-    pub explore: bool,
     /// Seed of the random-probe stream (tuning is deterministic per
     /// seed).
     pub seed: u64,
@@ -402,10 +202,9 @@ pub struct TuneConfig {
 impl Default for TuneConfig {
     fn default() -> Self {
         TuneConfig {
-            max_simulations: 24,
+            max_simulations: 18,
             random_probes: 6,
             neighborhood: 4,
-            explore: true,
             seed: 0x5EED_CAFE,
             coexec: None,
         }
@@ -428,21 +227,11 @@ pub struct TuneOutcome {
     /// Whether a variant beat the default pick (else the tuned plan
     /// carries the default strategy).
     pub adopted_variant: bool,
-    /// Every simulation's observed (analytic, simulated) pair.
-    pub records: Vec<CalibrationRecord>,
 }
 
-/// Calibration-only exploration budget (simulations) when
-/// [`TuneConfig::explore`] is set.
-const EXPLORE_SIMS: u32 = 6;
-
-/// Core counts the wide exploration samples the rule pick at (records
-/// only — adopted plans never change core count, which would reorder the
-/// K-parallel slice round-robin).
-const EXPLORE_CORE_GRID: [usize; 2] = [2, 4];
-
-/// The autotuner.  Stateless like the [`Planner`]; calibration state
-/// lives with the caller (see [`crate::FtImm::tune`]).
+/// The autotuner.  Stateless like the [`Planner`]: a tune's outcome is a
+/// function of its request, its [`TuneConfig`] and the timing model,
+/// never of what was tuned before.
 pub struct Tuner<'a> {
     cache: &'a KernelCache,
     cfg: &'a HwConfig,
@@ -546,131 +335,42 @@ impl<'a> Tuner<'a> {
         out
     }
 
-    /// Calibration-only variants: block/kind/core-count changes that are
-    /// *not* bit-safe and are simulated purely to feed the correction
-    /// model.  Returned as (strategy, cores) pairs, each one that fits
-    /// the scratchpads at its core count.
-    fn exploration_variants(
-        &self,
-        base: &ChosenStrategy,
-        shape: &GemmShape,
-        cores: usize,
-    ) -> Vec<(ChosenStrategy, usize)> {
-        let mut out: Vec<(ChosenStrategy, usize)> = Vec::new();
-        let mut push = |c: ChosenStrategy, n: usize| {
-            if (c != *base || n != cores)
-                && !out.contains(&(c, n))
-                && walk::fits(self.cfg, &c, shape, n)
-            {
-                out.push((c, n));
-            }
-        };
-        // The rule pick across the core grid: how parallel efficiency
-        // really scales, per regime.
-        for n in EXPLORE_CORE_GRID {
-            if n != cores {
-                push(*base, n);
-            }
-        }
-        // k_a / m_s perturbations within the §IV-C envelope: different
-        // kernel specs, different slice partitions — never adoptable,
-        // always informative.
-        let with = |k_a, m_s| match *base {
-            ChosenStrategy::MPar(b) => ChosenStrategy::MPar(MparBlocks { k_a, m_s, ..b }),
-            ChosenStrategy::KPar(b) => ChosenStrategy::KPar(KparBlocks { k_a, m_s, ..b }),
-            ChosenStrategy::TGemm => ChosenStrategy::TGemm,
-        };
-        if let ChosenStrategy::MPar(MparBlocks {
-            m_a, n_a, k_a, m_s, ..
-        })
-        | ChosenStrategy::KPar(KparBlocks {
-            m_a, n_a, k_a, m_s, ..
-        }) = *base
-        {
-            for k in [k_a.saturating_sub(32), k_a + 32] {
-                if k >= 32 && m_a <= Layout::max_m_a(self.cfg, n_a, k) {
-                    push(with(k, m_s), cores);
-                }
-            }
-            for m in [m_s.saturating_sub(1), m_s + 1] {
-                if (MIN_MICROKERNEL_ROWS..=MAX_MICROKERNEL_ROWS).contains(&m) {
-                    push(with(k_a, m), cores);
-                }
-            }
-        }
-        out
-    }
-
     /// Tune one (shape, cores) request.
     ///
-    /// `simulate` evaluates a candidate at a core count on the timing
-    /// model and returns predicted seconds (`INFINITY` for a candidate
-    /// that cannot run).  `calibration` steers which candidates are
-    /// simulated first; passing [`Calibration::default`] is always
-    /// valid.  Deterministic: the same inputs (including the seed and
-    /// calibration) produce the identical outcome.
+    /// `simulate` evaluates a candidate at the requested core count on
+    /// the timing model and returns predicted seconds (`INFINITY` for a
+    /// candidate that cannot run).  Deterministic: the same inputs
+    /// (including the seed) produce the identical outcome.
     ///
     /// The default `Strategy::Auto` pick is always simulated first and
     /// the tuned plan takes the minimum over everything simulated, so
     /// `plan.simulated_s <= default_plan.simulated_s` holds by
     /// construction — a tuned plan is never predicted slower than the
-    /// analytic pick.
-    // Long until ROADMAP item 12, which may delete its calibration half.
-    #[allow(clippy::too_many_lines)]
-    pub fn tune<F: FnMut(&ChosenStrategy, usize) -> f64>(
+    /// analytic pick.  Every simulation after the planner's own is of a
+    /// variant that could be adopted.
+    pub fn tune<F: FnMut(&ChosenStrategy) -> f64>(
         &self,
         shape: &GemmShape,
         cores: usize,
-        calibration: &Calibration,
         mut simulate: F,
     ) -> TuneOutcome {
-        let regime = shape.classify();
-        let mut records: Vec<CalibrationRecord> = Vec::new();
         let mut sims: u32 = 0;
 
         // Phase 1: the planner's own pipeline (rule pick, alternative,
-        // TGEMM, grid variants), with every simulation recorded.
-        let default_plan = Planner::new(self.cache, self.cfg).plan(
-            shape,
-            Strategy::Auto,
-            cores,
-            |c: &ChosenStrategy| {
+        // TGEMM, grid variants).
+        let default_plan =
+            Planner::new(self.cache, self.cfg).plan(shape, Strategy::Auto, cores, |c| {
                 sims += 1;
-                let analytic_s = analytic_seconds(self.cache, self.cfg, shape, c, cores);
-                let simulated_s = simulate(c, cores);
-                records.push(CalibrationRecord {
-                    shape: *shape,
-                    cores,
-                    kind: StrategyKind::of(c),
-                    analytic_s,
-                    simulated_s,
-                });
-                simulated_s
-            },
-        );
+                simulate(c)
+            });
         let mut best = (default_plan.strategy, default_plan.simulated_s);
         let max = self.config.max_simulations.max(sims);
-        let mut run = |c: &ChosenStrategy,
-                       n: usize,
-                       sims: &mut u32,
-                       records: &mut Vec<CalibrationRecord>|
-         -> f64 {
-            *sims += 1;
-            let analytic_s = analytic_seconds(self.cache, self.cfg, shape, c, n);
-            let simulated_s = simulate(c, n);
-            records.push(CalibrationRecord {
-                shape: *shape,
-                cores: n,
-                kind: StrategyKind::of(c),
-                analytic_s,
-                simulated_s,
-            });
-            simulated_s
-        };
 
         // Phase 2: bit-safe ladder + seeded random probes, ranked by the
-        // calibration-corrected analytic model, simulated best-first
-        // while budget (minus the refinement/exploration reserve) lasts.
+        // analytic model, simulated best-first while budget (minus the
+        // refinement reserve) lasts.  Every variant shares the default's
+        // shape and kind, so no per-(regime × kind) correction of the
+        // model could reorder them.
         let mut rng = SplitMix64::new(
             self.config
                 .seed
@@ -688,23 +388,20 @@ impl<'a> Tuner<'a> {
         );
         let mut scored: Vec<(f64, ChosenStrategy)> = variants
             .iter()
-            .map(|c| {
-                let a = analytic_seconds(self.cache, self.cfg, shape, c, cores);
-                (calibration.correct(regime, StrategyKind::of(c), a), *c)
-            })
+            .map(|c| (analytic_seconds(self.cache, self.cfg, shape, c, cores), *c))
             .filter(|(a, _)| a.is_finite())
             .collect();
         scored.sort_by(|x, y| x.0.total_cmp(&y.0));
-        let reserve = self.config.neighborhood + if self.config.explore { EXPLORE_SIMS } else { 0 };
         let mut simulated: Vec<ChosenStrategy> = Vec::new();
-        for (_, cand) in &scored {
-            if sims + reserve >= max {
+        for (_, cand) in scored {
+            if sims + self.config.neighborhood >= max {
                 break;
             }
-            let t = run(cand, cores, &mut sims, &mut records);
-            simulated.push(*cand);
+            sims += 1;
+            let t = simulate(&cand);
+            simulated.push(cand);
             if t < best.1 {
-                best = (*cand, t);
+                best = (cand, t);
             }
         }
 
@@ -717,26 +414,15 @@ impl<'a> Tuner<'a> {
                 .into_iter()
                 .find(|c| *c != default_plan.strategy && !simulated.contains(c));
             let Some(cand) = next else { break };
-            if sims + if self.config.explore { EXPLORE_SIMS } else { 0 } >= max {
+            if sims >= max {
                 break;
             }
-            let t = run(&cand, cores, &mut sims, &mut records);
+            sims += 1;
+            let t = simulate(&cand);
             simulated.push(cand);
             refined += 1;
             if t < best.1 {
                 best = (cand, t);
-            }
-        }
-
-        // Phase 4: calibration-only exploration with whatever budget is
-        // left — candidates that can never be adopted but teach the
-        // correction model how the analytic model errs per regime.
-        if self.config.explore {
-            for (cand, n) in self.exploration_variants(&default_plan.strategy, shape, cores) {
-                if sims >= max {
-                    break;
-                }
-                run(&cand, n, &mut sims, &mut records);
             }
         }
 
@@ -758,7 +444,6 @@ impl<'a> Tuner<'a> {
             variants: variants.len() as u32,
             simulations: sims,
             adopted_variant,
-            records,
         }
     }
 }
@@ -767,6 +452,7 @@ impl<'a> Tuner<'a> {
 mod tests {
     use super::*;
     use crate::adjust::{adjust_kpar, adjust_mpar};
+    use crate::IrregularType;
 
     fn setup() -> (KernelCache, HwConfig) {
         let cfg = HwConfig::default();
@@ -852,19 +538,14 @@ mod tests {
         let shape = GemmShape::new(4096, 32, 512);
         // A deterministic fake timing model: a fixed skew of the
         // analytic estimate so candidate ranking is non-trivial.
-        let fake = |c: &ChosenStrategy, n: usize| {
-            analytic_seconds(&cache, &cfg, &shape, c, n) * 1.25 + 1e-6
-        };
+        let fake = |c: &ChosenStrategy| analytic_seconds(&cache, &cfg, &shape, c, 8) * 1.25 + 1e-6;
         let tuner = Tuner::new(&cache, &cfg, TuneConfig::default());
-        let cal = Calibration::default();
-        let o1 = tuner.tune(&shape, 8, &cal, fake);
-        let o2 = tuner.tune(&shape, 8, &cal, fake);
+        let o1 = tuner.tune(&shape, 8, fake);
+        let o2 = tuner.tune(&shape, 8, fake);
         assert_eq!(o1.plan, o2.plan, "tuning must be deterministic");
-        assert_eq!(o1.records, o2.records);
         assert!(o1.plan.simulated_s <= o1.default_plan.simulated_s);
         assert_eq!(o1.plan.origin, PlanOrigin::Tuned);
         assert!(o1.simulations <= TuneConfig::default().max_simulations);
-        assert_eq!(o1.simulations as usize, o1.records.len());
         // Adopted strategies are bitwise interchangeable with the default.
         assert_eq!(
             bit_signature(&o1.plan.strategy, &shape, 8),
@@ -873,60 +554,36 @@ mod tests {
     }
 
     #[test]
-    fn calibration_improves_cross_kind_ranking() {
-        // Synthetic regime where the analytic model under-costs KPar 4×:
-        // raw ranking gets every MPar-vs-KPar pair wrong, the fitted
-        // per-kind factors set it right.
-        let shape = GemmShape::new(32, 32, 1 << 14);
-        let mk = |kind: StrategyKind, analytic: f64, simulated: f64| CalibrationRecord {
-            shape,
-            cores: 8,
-            kind,
-            analytic_s: analytic,
-            simulated_s: simulated,
-        };
-        let records = vec![
-            mk(StrategyKind::KPar, 1.0e-3, 4.1e-3),
-            mk(StrategyKind::KPar, 1.1e-3, 4.4e-3),
-            mk(StrategyKind::MPar, 2.0e-3, 2.1e-3),
-            mk(StrategyKind::MPar, 2.2e-3, 2.3e-3),
-        ];
-        let cal = Calibration::fit(&records);
-        assert!(cal.factor(shape.classify(), StrategyKind::KPar) > 3.0);
-        let agreement = ranking_agreement(&records, &cal);
-        let regime = agreement
-            .iter()
-            .find(|a| a.regime == shape.classify())
-            .unwrap();
-        assert_eq!(regime.records, 4);
-        assert!(regime.pairs >= 4);
-        assert!(
-            regime.corrected_agree > regime.raw_agree,
-            "correction must improve ranking agreement: {regime:?}"
-        );
-        assert!(regime.corrected_fraction() >= 1.0 - 1e-12);
-    }
-
-    #[test]
-    fn empty_calibration_is_identity() {
-        let cal = Calibration::default();
-        for regime in REGIMES {
-            for kind in StrategyKind::ALL {
-                assert_eq!(cal.factor(regime, kind), 1.0);
-                assert_eq!(cal.correct(regime, kind, 2.5), 2.5);
+    fn a_tune_simulates_only_what_it_could_adopt() {
+        // Past the planner's own candidates, every simulation is of a
+        // variant with the default pick's signature at the requested
+        // core count, and the default budget holds them all.
+        let (cache, cfg) = setup();
+        let tuner = Tuner::new(&cache, &cfg, TuneConfig::default());
+        for (shape, cores) in [
+            (GemmShape::new(1 << 14, 32, 512), 8),
+            (GemmShape::new(32, 32, 1 << 14), 8),
+            (GemmShape::new(2048, 48, 2048), 8),
+            (GemmShape::new(1 << 14, 32, 512), 4),
+        ] {
+            let mut seen: Vec<ChosenStrategy> = Vec::new();
+            let o = tuner.tune(&shape, cores, |c| {
+                seen.push(*c);
+                analytic_seconds(&cache, &cfg, &shape, c, cores)
+            });
+            let sig = bit_signature(&o.default_plan.strategy, &shape, cores);
+            let planner_sims = o.default_plan.simulations as usize;
+            assert!(seen.len() > planner_sims, "{shape}: nothing tuned");
+            for c in &seen[planner_sims..] {
+                assert_eq!(bit_signature(c, &shape, cores), sig, "{shape}: {c:?}");
             }
+            assert_eq!(o.simulations as usize, seen.len(), "{shape}");
+            assert!(
+                o.simulations <= 18,
+                "{shape}: {} simulations",
+                o.simulations
+            );
         }
-        assert_eq!(cal.observations(), 0);
-        // Non-finite and non-positive records are ignored.
-        let mut cal = cal;
-        cal.observe(&CalibrationRecord {
-            shape: GemmShape::new(8, 8, 8),
-            cores: 1,
-            kind: StrategyKind::TGemm,
-            analytic_s: f64::INFINITY,
-            simulated_s: 1.0,
-        });
-        assert_eq!(cal.observations(), 0);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! The plan-catalog decoder holds no tree of the document it reads.
 //!
 //! A counting global allocator tracks live and peak heap bytes while
-//! `catalog_from_json` decodes a synthetic catalog of 20 000 entries and
-//! 300 000 calibration records (~50 MB of JSON).  The peak heap held
-//! above the input text must stay under twice the decoded catalog's own
-//! size plus 1 MiB: room for the output's vectors while they grow
-//! (a doubling `Vec` holds its old and new buffers for one copy), the set
-//! of plan keys seen and the one element being read.  A decoder that
-//! parses the whole document into a `Value` tree first holds about 1 KB
-//! per record, several times that bound.  The check counts bytes, not
-//! time, so it is deterministic; this binary holds one test so no other
-//! thread allocates while it measures.
+//! `catalog_from_json` decodes a synthetic catalog of 125 000 entries
+//! (~50 MB of JSON).  The peak heap held above the input text must stay
+//! under twice the decoded catalog's own size plus 1 MiB: room for the
+//! output's vector while it grows (a doubling `Vec` holds its old and new
+//! buffers for one copy), the set of plan keys seen and the one element
+//! being read.  A decoder that parses the whole document into a `Value`
+//! tree first holds about 3 KB per entry, eight times that bound.  The
+//! check counts bytes, not time, so it is deterministic; this binary
+//! holds one test so no other thread allocates while it measures.
 
 use ftimm::{
-    catalog_from_json, catalog_json, CalibrationRecord, ChosenStrategy, GemmShape, MparBlocks,
-    Plan, PlanCatalog, PlanKey, PlanOrigin, Strategy, StrategyKind,
+    catalog_from_json, catalog_json, ChosenStrategy, GemmShape, MparBlocks, Plan, PlanCatalog,
+    PlanKey, PlanOrigin, Strategy,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,11 +75,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-const ENTRIES: usize = 20_000;
-const RECORDS: usize = 300_000;
+const ENTRIES: usize = 125_000;
 
-/// A catalog whose every entry and record validates, with seconds that
-/// need all 17 significant digits, as tuned ones do.
+/// A catalog whose every entry validates, with seconds that need all 17
+/// significant digits, as tuned ones do.
 fn synthetic_catalog() -> PlanCatalog {
     let entries = (0..ENTRIES)
         .map(|i| {
@@ -111,16 +109,7 @@ fn synthetic_catalog() -> PlanCatalog {
             (key, plan)
         })
         .collect();
-    let records = (0..RECORDS)
-        .map(|i| CalibrationRecord {
-            shape: GemmShape::new(32 + i % ENTRIES, 32, 512),
-            cores: 8,
-            kind: StrategyKind::ALL[i % StrategyKind::ALL.len()],
-            analytic_s: 1e-4 / (i as f64 + 3.0),
-            simulated_s: 1e-4 / (i as f64 + 7.0),
-        })
-        .collect();
-    PlanCatalog { entries, records }
+    PlanCatalog { entries }
 }
 
 #[test]
@@ -134,9 +123,7 @@ fn catalog_decode_holds_no_tree_of_the_document() {
 
     assert_eq!(load.quarantined, 0);
     assert_eq!(load.catalog.entries.len(), ENTRIES);
-    assert_eq!(load.catalog.records.len(), RECORDS);
-    let output = load.catalog.entries.capacity() * std::mem::size_of::<(PlanKey, Plan)>()
-        + load.catalog.records.capacity() * std::mem::size_of::<CalibrationRecord>();
+    let output = load.catalog.entries.capacity() * std::mem::size_of::<(PlanKey, Plan)>();
     let bound = 2 * output + (1 << 20);
     assert!(
         peak <= bound,

@@ -1,22 +1,19 @@
-//! Property tests over what is particular to the `ftimm-plan-catalog-v1`
+//! Property tests over what is particular to the `ftimm-plan-catalog-v2`
 //! codec: a plan key stored twice rejects the document, and entry-level
 //! corruption (a key disagreeing with its embedded plan) quarantines
 //! exactly that entry and keeps the rest.  The decoder streams the
-//! `entries` and `records` arrays, and is exactly as strict as a decode
-//! of the whole tree about the top level around them.  Attaching a
-//! catalog re-checks every plan against the context's hardware: one that
-//! does not fit is quarantined too, never served; its records join the
-//! context's calibration, which stays bit-equal to a refit of the whole
-//! record log however it grew.  The properties every decoder
+//! `entries` array, and is exactly as strict as a decode of the whole
+//! tree about the top level around it.  Attaching a catalog re-checks
+//! every plan against the context's hardware: one that does not fit is
+//! quarantined too, never served.  The properties every decoder
 //! shares — exact round trip, truncation, unknown and duplicated JSON
 //! keys, unknown schema versions — run over this schema as one row of the
 //! table in the workspace root's `tests/codecs.rs`.
 
 use dspsim::HwConfig;
 use ftimm::{
-    catalog_from_json, catalog_json, Calibration, CalibrationRecord, ChosenStrategy, FtImm,
-    GemmShape, KparBlocks, MparBlocks, Plan, PlanCatalog, PlanKey, PlanOrigin, Strategy,
-    StrategyKind, TuneConfig, Walk,
+    catalog_from_json, catalog_json, ChosenStrategy, FtImm, GemmShape, KparBlocks, MparBlocks,
+    Plan, PlanCatalog, PlanKey, PlanOrigin, Strategy, TuneConfig, Walk,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -105,25 +102,7 @@ fn arb_entry() -> BoxedStrategy<EntrySpec> {
         .boxed()
 }
 
-fn arb_record() -> BoxedStrategy<CalibrationRecord> {
-    (
-        (1usize..4096, 1usize..4096, 1usize..4096, 1usize..16),
-        0usize..StrategyKind::ALL.len(),
-        (arb_seconds(), arb_seconds()),
-    )
-        .prop_map(
-            |((m, n, k, cores), kind, (analytic_s, simulated_s))| CalibrationRecord {
-                shape: GemmShape::new(m, n, k),
-                cores,
-                kind: StrategyKind::ALL[kind],
-                analytic_s,
-                simulated_s,
-            },
-        )
-        .boxed()
-}
-
-fn build_catalog(specs: Vec<EntrySpec>, records: Vec<CalibrationRecord>) -> PlanCatalog {
+fn build_catalog(specs: Vec<EntrySpec>) -> PlanCatalog {
     let entries = specs
         .into_iter()
         .enumerate()
@@ -150,15 +129,12 @@ fn build_catalog(specs: Vec<EntrySpec>, records: Vec<CalibrationRecord>) -> Plan
             (key, plan)
         })
         .collect();
-    PlanCatalog { entries, records }
+    PlanCatalog { entries }
 }
 
 fn arb_nonempty_catalog() -> BoxedStrategy<PlanCatalog> {
-    (
-        prop::collection::vec(arb_entry(), 1..8),
-        prop::collection::vec(arb_record(), 0..8),
-    )
-        .prop_map(|(specs, records)| build_catalog(specs, records))
+    prop::collection::vec(arb_entry(), 1..8)
+        .prop_map(build_catalog)
         .boxed()
 }
 
@@ -175,7 +151,7 @@ proptest! {
     }
 
     /// An entry whose key disagrees with its embedded plan is
-    /// quarantined alone; every other entry and record survives.
+    /// quarantined alone; every other entry survives.
     #[test]
     fn key_plan_mismatches_quarantine_one_entry(
         catalog in arb_nonempty_catalog(),
@@ -188,7 +164,6 @@ proptest! {
         let load = catalog_from_json(&catalog_json(&bad)).expect("document level is intact");
         prop_assert_eq!(load.quarantined, 1);
         prop_assert_eq!(load.catalog.entries.len(), bad.entries.len() - 1);
-        prop_assert_eq!(&load.catalog.records, &bad.records);
         for (key, _) in &load.catalog.entries {
             prop_assert!(key.shape.m < 1_000_000);
         }
@@ -196,7 +171,7 @@ proptest! {
 }
 
 /// The top-level members of an encoded catalog, each as its own text
-/// (`"schema": ...`, `"entries": [...]`, `"records": [...]`): the writer
+/// (`"schema": ...`, `"entries": [...]`): the writer
 /// starts each on a line of its own at a two-space indent.
 fn top_level_members(text: &str) -> Vec<String> {
     let body = text
@@ -226,55 +201,51 @@ fn document(members: &[String]) -> String {
 }
 
 proptest! {
-    /// Top-level members decode in any order: the streamed arrays need
-    /// not follow the schema, nor entries precede records.
+    /// Top-level members decode in either order: the streamed array
+    /// need not follow the schema.
     #[test]
-    fn top_level_members_decode_in_any_order(
-        catalog in arb_nonempty_catalog(),
-        order in 0usize..6,
-    ) {
+    fn top_level_members_decode_in_any_order(catalog in arb_nonempty_catalog()) {
         let members = top_level_members(&catalog_json(&catalog));
-        prop_assert_eq!(members.len(), 3);
-        let perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        let shuffled: Vec<String> = perms[order].iter().map(|&i| members[i].clone()).collect();
+        prop_assert_eq!(members.len(), 2);
+        let shuffled = [members[1].clone(), members[0].clone()];
         let load = catalog_from_json(&document(&shuffled)).expect("order is not structure");
         prop_assert_eq!(load.quarantined, 0);
         prop_assert_eq!(load.catalog, catalog);
     }
 
-    /// Around the streamed arrays the top level is as strict as ever: a
-    /// second `records` member (which a streaming reader would otherwise
+    /// Around the streamed array the top level is as strict as ever: a
+    /// second `entries` member (which a streaming reader would otherwise
     /// ingest twice), a non-array `entries`, an unknown array-valued key
-    /// and a document cut inside `records` are each rejected whole.
+    /// (v1's `records` among them) and a document cut inside `entries`
+    /// are each rejected whole.
     #[test]
     fn streamed_arrays_keep_the_top_level_strict(catalog in arb_nonempty_catalog()) {
         let text = catalog_json(&catalog);
         let members = top_level_members(&text);
-        let (entries, records) = (&members[1], &members[2]);
+        let entries = &members[1];
         prop_assert!(entries.starts_with("  \"entries\": ["), "{}", entries);
-        prop_assert!(records.starts_with("  \"records\": ["), "{}", records);
 
-        let twice = document(&[members[0].clone(), entries.clone(), records.clone(), records.clone()]);
+        let twice = document(&[members[0].clone(), entries.clone(), entries.clone()]);
         let err = catalog_from_json(&twice).unwrap_err();
-        prop_assert!(err.contains("duplicate catalog key \"records\""), "{}", err);
+        prop_assert!(err.contains("duplicate catalog key \"entries\""), "{}", err);
 
         for not_an_array in ["{}", "0", "\"entries\""] {
-            let bad = document(&[
-                members[0].clone(),
-                format!("  \"entries\": {not_an_array}"),
-                records.clone(),
-            ]);
+            let bad = document(&[members[0].clone(), format!("  \"entries\": {not_an_array}")]);
             prop_assert!(catalog_from_json(&bad).is_err(), "{}", not_an_array);
         }
 
-        for extra in ["  \"extra\": []".to_string(), entries.replacen("entries", "entries2", 1)] {
-            let bad = document(&[members[0].clone(), entries.clone(), extra, records.clone()]);
+        for extra in [
+            "  \"extra\": []".to_string(),
+            "  \"records\": []".to_string(),
+            entries.replacen("entries", "entries2", 1),
+        ] {
+            let bad = document(&[members[0].clone(), entries.clone(), extra]);
             let err = catalog_from_json(&bad).unwrap_err();
             prop_assert!(err.contains("unknown catalog key"), "{}", err);
         }
 
-        // Every cut inside the records array, between or within records.
-        let start = text.find("\"records\": [").expect("records member");
+        // Every cut inside the entries array, between or within entries.
+        let start = text.find("\"entries\": [").expect("entries member");
         for cut in (start..text.len() - 1).filter(|&i| text.is_char_boundary(i)) {
             prop_assert!(catalog_from_json(&text[..cut]).is_err(), "cut at {}", cut);
         }
@@ -288,7 +259,6 @@ fn quick_tune() -> TuneConfig {
         max_simulations: 6,
         random_probes: 1,
         neighborhood: 1,
-        explore: false,
         ..TuneConfig::default()
     }
 }
@@ -321,7 +291,6 @@ fn an_entry_that_overruns_sm_is_quarantined_on_attach() {
     };
     let catalog = PlanCatalog {
         entries: vec![(key, edited)],
-        records: Vec::new(),
     };
     let load = catalog_from_json(&catalog_json(&catalog)).unwrap();
     assert_eq!(load.quarantined, 0, "the document itself is well formed");
@@ -382,54 +351,4 @@ fn a_catalog_from_a_larger_machine_serves_only_what_fits() {
         assert!(fits(&cfg, &served), "{served:?}");
         assert_eq!(served == *plan, fits(&cfg, plan), "{shape}");
     }
-}
-
-/// The calibration a context tunes with is folded as each record
-/// arrives, from its own tunes and from attached catalogs alike; after
-/// every step it is bit-equal to refitting the whole log.
-#[test]
-fn the_folded_calibration_equals_a_refit_of_the_log() {
-    let refit_equal = |ft: &FtImm| {
-        let records = ft.calibration_records();
-        assert_eq!(ft.calibration(), Calibration::fit(&records));
-        records.len()
-    };
-    let ft = FtImm::new(HwConfig::default());
-    assert_eq!(refit_equal(&ft), 0);
-    let mut held = 0;
-    for shape in [GemmShape::new(4096, 32, 256), GemmShape::new(32, 32, 8192)] {
-        ft.tune(&shape, 8, &quick_tune());
-        let now = refit_equal(&ft);
-        assert!(now > held, "tuning {shape} logs records");
-        held = now;
-    }
-
-    // A catalog tuned elsewhere brings its own records (and one plan).
-    let elsewhere = FtImm::new(HwConfig::default());
-    let shape = GemmShape::new(256, 256, 64);
-    let plan = elsewhere.tune(&shape, 4, &quick_tune()).plan;
-    let catalog = PlanCatalog {
-        entries: vec![(
-            PlanKey {
-                shape,
-                cores: 4,
-                strategy: Strategy::Auto,
-            },
-            plan,
-        )],
-        records: elsewhere.calibration_records(),
-    };
-    let load = catalog_from_json(&catalog_json(&catalog)).unwrap();
-    assert_eq!(ft.attach_catalog(load), 1);
-    let now = refit_equal(&ft);
-    assert_eq!(now, held + catalog.records.len());
-    held = now;
-
-    for shape in [GemmShape::new(2048, 64, 64), GemmShape::new(64, 64, 4096)] {
-        ft.tune(&shape, 8, &quick_tune());
-        let now = refit_equal(&ft);
-        assert!(now > held, "tuning {shape} logs records");
-        held = now;
-    }
-    assert!(ft.calibration().observations() > 0);
 }

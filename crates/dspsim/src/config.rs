@@ -77,12 +77,6 @@ impl HwConfig {
         self.core_peak_flops() * self.cores_per_cluster as f64
     }
 
-    /// SIMD width in f32 lanes (paper: 32).
-    pub fn simd_width(&self) -> usize {
-        // Each VPE holds two f32 per 64-bit register slice.
-        self.vpes_per_core * 2
-    }
-
     /// Seconds per core cycle.
     pub fn cycle_s(&self) -> f64 {
         1.0 / self.clock_hz
@@ -111,8 +105,9 @@ mod tests {
         assert!((c.core_peak_flops() - 345.6e9).abs() < 1e6);
         // 8 cores per cluster.
         assert!((c.cluster_peak_flops() - 2764.8e9).abs() < 1e7);
-        // SIMD width for FP32 is 32.
-        assert_eq!(c.simd_width(), 32);
+        // SIMD width for FP32 is 32: each VPE holds two f32 per 64-bit
+        // register slice.
+        assert_eq!(c.vpes_per_core * 2, 32);
         assert_eq!(c.flops_per_cycle_per_core(), 192);
     }
 

@@ -45,14 +45,6 @@ impl Core {
         self.t_dma_free = 0.0;
         self.stats = CoreStats::default();
     }
-
-    /// Clear register files (between kernel invocations in tests).
-    pub fn clear_registers(&mut self) {
-        self.sregs = [0; NUM_SREGS];
-        for v in &mut self.vregs {
-            *v = [0.0; VECTOR_LANES];
-        }
-    }
 }
 
 #[cfg(test)]

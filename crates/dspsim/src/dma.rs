@@ -44,14 +44,6 @@ impl DmaPath {
                 | DmaPath::AmToDdr
         )
     }
-
-    /// Whether data is written into a per-core scratchpad (SM/AM).
-    pub fn writes_core_local(self) -> bool {
-        matches!(
-            self,
-            DmaPath::DdrToSm | DmaPath::DdrToAm | DmaPath::GsmToSm | DmaPath::GsmToAm
-        )
-    }
 }
 
 /// A 2-D strided transfer: `rows` rows of `row_bytes`, with independent
@@ -162,18 +154,6 @@ impl WatchdogConfig {
             ..WatchdogConfig::default()
         }
     }
-
-    /// A watchdog with the deadline given as a simulated-cycle budget
-    /// from time zero.
-    pub fn with_deadline_cycles(cfg: &HwConfig, cycles: u64) -> Self {
-        WatchdogConfig::with_deadline(cycles as f64 * cfg.cycle_s())
-    }
-
-    /// Set the hung-DMA budget in simulated cycles.
-    pub fn dma_budget_cycles(mut self, cfg: &HwConfig, cycles: u64) -> Self {
-        self.dma_budget_s = cycles as f64 * cfg.cycle_s();
-        self
-    }
 }
 
 /// A handle for an in-flight (timed) DMA: completion timestamp in seconds.
@@ -202,8 +182,6 @@ mod tests {
     fn path_classification() {
         assert!(DmaPath::DdrToSm.uses_ddr());
         assert!(!DmaPath::GsmToAm.uses_ddr());
-        assert!(DmaPath::GsmToAm.writes_core_local());
-        assert!(!DmaPath::AmToGsm.writes_core_local());
     }
 
     #[test]

@@ -316,12 +316,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Whether the whole cluster has failed permanently (scheduled death
-    /// reached during a run).
-    pub fn is_cluster_failed(&self) -> bool {
-        self.fault.cluster_failed
-    }
-
     /// Check whether the cluster as a whole is (still) allowed to issue
     /// work: once any mapped core's clock reaches the scheduled cluster
     /// death time, the entire fault domain is dead and every subsequent
@@ -522,13 +516,6 @@ impl Machine {
         self.profiler.event(kind, Some(phys), t1);
     }
 
-    /// Issue a DMA and immediately wait for it (synchronous transfer).
-    pub fn dma_sync(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<(), SimError> {
-        let t = self.dma(id, path, desc)?;
-        self.wait(id, t);
-        Ok(())
-    }
-
     /// The (source, destination) regions of a transfer on `path` issued
     /// by logical core `id`.
     #[inline]
@@ -600,14 +587,6 @@ impl Machine {
             *a += *b;
         }
         Ok(())
-    }
-
-    /// Transfers observed per DMA path since a fault plan was installed
-    /// (all zero without one — the counters only tick while faults are
-    /// armed).  Indexed like [`crate::DmaPath`]'s declaration order; for
-    /// test/diagnostic use.
-    pub fn dma_transfer_counts(&self) -> [u64; 9] {
-        self.fault.dma_counts
     }
 
     /// Fault counters accumulated so far (injection side only; recovery
@@ -771,8 +750,10 @@ mod tests {
                     .unwrap();
             }
         }
-        m.dma_sync(0, DmaPath::DdrToAm, &Dma2d::block_f32(2, 3, 0, 5, 0, 3))
+        let t = m
+            .dma(0, DmaPath::DdrToAm, &Dma2d::block_f32(2, 3, 0, 5, 0, 3))
             .unwrap();
+        m.wait(0, t);
         let mut out = [0.0; 6];
         m.core_mut(0).am.read_f32_slice(0, &mut out).unwrap();
         assert_eq!(out, [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);

@@ -3,7 +3,7 @@
 //! ([`Fields`]).
 //!
 //! The workspace builds offline with no serialisation framework, so every
-//! persisted schema (`ftimm-plan-v1`, `ftimm-plan-catalog-v1`,
+//! persisted schema (`ftimm-plan-v1`, `ftimm-plan-catalog-v2`,
 //! `ftimm-profile-v1`, the fault planfile, `ftimm-conformance-case-v1`),
 //! the Chrome trace and the `ftimm-bench-*-v1` reports are written and
 //! decoded through this module and nothing beside it.

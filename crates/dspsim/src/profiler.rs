@@ -40,8 +40,8 @@ pub enum Phase {
     /// accumulates them directly, without extending the profiled window
     /// or counting them as device busy time.
     Plan,
-    /// Host-side autotuning (candidate search, calibration fitting,
-    /// catalog I/O) charged by the tuner.  Handled exactly like
+    /// Host-side autotuning (candidate search, catalog I/O) charged by
+    /// the tuner.  Handled exactly like
     /// [`Phase::Plan`]: host wall durations accumulated directly, outside
     /// the device window and busy accounting.
     Tune,
@@ -237,11 +237,6 @@ impl Profiler {
             events: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record a span (no-op while disabled; zero-length spans are kept —
@@ -445,11 +440,6 @@ impl PhaseProfile {
             .sum()
     }
 
-    /// Host seconds spent planning (the [`Phase::Plan`] tally).
-    pub fn planning_s(&self) -> f64 {
-        self.phase_seconds(Phase::Plan)
-    }
-
     /// Host seconds spent autotuning (the [`Phase::Tune`] tally).
     pub fn tuning_s(&self) -> f64 {
         self.phase_seconds(Phase::Tune)
@@ -536,7 +526,7 @@ mod tests {
         p.record(span(Phase::Plan, 0, 100.0, 100.5));
         let prof = p.aggregate();
         assert!((prof.total_s - 2.0).abs() < 1e-12);
-        assert!((prof.planning_s() - 0.5).abs() < 1e-12);
+        assert!((prof.phase_seconds(Phase::Plan) - 0.5).abs() < 1e-12);
         assert!((prof.busy_s() - 2.0).abs() < 1e-12);
         assert!((prof.core_busy_s[0] - 2.0).abs() < 1e-12);
 
@@ -546,7 +536,7 @@ mod tests {
         only.record(span(Phase::Plan, 0, 1.0, 1.25));
         let prof = only.aggregate();
         assert_eq!(prof.total_s, 0.0);
-        assert!((prof.planning_s() - 0.25).abs() < 1e-12);
+        assert!((prof.phase_seconds(Phase::Plan) - 0.25).abs() < 1e-12);
         assert_eq!(prof.busy_s(), 0.0);
     }
 

@@ -48,8 +48,10 @@ proptest! {
                 m.ddr.write_f32((r * src_ld + c) * 4, (r * 100 + c) as f32).unwrap();
             }
         }
-        m.dma_sync(0, DmaPath::DdrToAm, &Dma2d::block_f32(rows, cols, 0, src_ld, 0, dst_ld))
+        let t = m
+            .dma(0, DmaPath::DdrToAm, &Dma2d::block_f32(rows, cols, 0, src_ld, 0, dst_ld))
             .unwrap();
+        m.wait(0, t);
         for r in 0..rows {
             for c in 0..cols {
                 let got = m.core_mut(0).am.read_f32((r * dst_ld + c) * 4).unwrap();

@@ -61,12 +61,6 @@ impl LatencyTable {
             Opcode::Vclr | Opcode::Vmov => self.t_vmisc,
         }
     }
-
-    /// Cycles from a scalar load issuing to the broadcast result being
-    /// usable by a vector FMAC: the full `SLD → SFEXT → SVBCAST` chain.
-    pub fn broadcast_chain(&self) -> u32 {
-        self.t_sld + self.t_sext + self.t_bcast
-    }
 }
 
 #[cfg(test)]
@@ -87,11 +81,5 @@ mod tests {
         for op in Opcode::ALL {
             assert!(t.of(op) >= 1, "{op} has zero latency");
         }
-    }
-
-    #[test]
-    fn broadcast_chain_is_sum_of_stages() {
-        let t = LatencyTable::default();
-        assert_eq!(t.broadcast_chain(), t.t_sld + t.t_sext + t.t_bcast);
     }
 }

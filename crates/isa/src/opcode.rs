@@ -109,19 +109,6 @@ impl Opcode {
         Opcode::ALL.iter().copied().find(|op| op.mnemonic() == s)
     }
 
-    /// Whether the opcode reads from memory.
-    pub fn is_load(self) -> bool {
-        matches!(
-            self,
-            Opcode::Sldh | Opcode::Sldw | Opcode::Vldw | Opcode::Vlddw
-        )
-    }
-
-    /// Whether the opcode writes to memory.
-    pub fn is_store(self) -> bool {
-        matches!(self, Opcode::Vstw | Opcode::Vstdw)
-    }
-
     /// Number of f32 multiply-add lane operations this opcode performs
     /// (used for flop accounting; one FMA counts as two flops).
     pub fn fma_lanes(self) -> usize {
@@ -157,14 +144,6 @@ mod tests {
         // Only one such unit exists: at most 2 f32 broadcast per cycle
         // (via SVBCAST2), matching §IV-A1 of the paper.
         assert_eq!(UnitClass::ScalarFmac2.members().len(), 1);
-    }
-
-    #[test]
-    fn memory_classification() {
-        assert!(Opcode::Vldw.is_load());
-        assert!(Opcode::Vstdw.is_store());
-        assert!(!Opcode::Vfmulas32.is_load());
-        assert!(!Opcode::Vfmulas32.is_store());
     }
 
     #[test]

@@ -369,12 +369,6 @@ fn try_schedule(t: Tiling, ii: u32, cfg: &HwConfig) -> Result<Vec<SlotOp>, GenEr
 }
 
 impl SteadySchedule {
-    /// All ops mapped to slot `s mod II == c` with their stage, for codegen.
-    pub fn at_cycle(&self, c: u32) -> impl Iterator<Item = &SlotOp> {
-        let ii = self.tiling.ii;
-        self.ops.iter().filter(move |o| o.s % ii == c)
-    }
-
     /// Verify every dependence is satisfied (defense in depth; the
     /// interpreter's hazard checker re-verifies dynamically).
     pub fn verify(&self, cfg: &HwConfig) -> Result<(), GenError> {
@@ -541,7 +535,7 @@ mod tests {
         let ii = s.tiling.ii;
         for c in 0..ii {
             let mut seen = Vec::new();
-            for o in s.at_cycle(c) {
+            for o in s.ops.iter().filter(|o| o.s % ii == c) {
                 assert!(!seen.contains(&o.unit), "unit {:?} reused at {c}", o.unit);
                 seen.push(o.unit);
             }

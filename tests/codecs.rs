@@ -4,8 +4,8 @@
 //! `encode` and its `decode`.  The same properties run over every row:
 //! `decode(encode(x)) == x` and `encode(decode(text)) == text`; a
 //! truncation at every byte, an unknown key injected into any object, any
-//! key duplicated and any schema version bumped each yield `Err` (a
-//! quarantined catalog entry or record counts as `Err` here); a mutated
+//! key duplicated and any schema version moved one up or down each yield
+//! `Err` (a quarantined catalog entry counts as `Err` here); a mutated
 //! byte never panics and never decodes to something that does not
 //! re-encode stably.  `ftimm-perf-baseline-v1` lives under `perf/` and is
 //! out of scope.
@@ -15,8 +15,8 @@ use dspsim::minijson::Parser;
 use dspsim::{DmaPath, FaultPlan, MemTarget, Phase, PhaseProfile};
 use ftimm::{
     catalog_from_json, catalog_json, plan_from_json, plan_json, profile_from_json, profile_json,
-    CalibrationRecord, ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Plan, PlanCatalog,
-    PlanKey, PlanOrigin, Strategy, StrategyKind,
+    ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Plan, PlanCatalog, PlanKey, PlanOrigin,
+    Strategy,
 };
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -61,7 +61,7 @@ fn codecs() -> Vec<Codec> {
             FaultPlan::from_json,
         ),
         codec("ftimm-plan-v1", plan, plan_json, plan_from_json),
-        codec("ftimm-plan-catalog-v1", catalog, catalog_json, |text| {
+        codec("ftimm-plan-catalog-v2", catalog, catalog_json, |text| {
             let load = catalog_from_json(text)?;
             match load.quarantined {
                 0 => Ok(load.catalog),
@@ -204,15 +204,6 @@ fn catalog(rng: &mut Rng64) -> PlanCatalog {
         };
         cat.entries.push((key, plan_for(rng, shape, key.cores)));
     }
-    for _ in 0..rng.range(0, 3) {
-        cat.records.push(CalibrationRecord {
-            shape: GemmShape::new(dim(rng), dim(rng), dim(rng)),
-            cores: rng.range(1, 16) as usize,
-            kind: *rng.pick(&StrategyKind::ALL),
-            analytic_s: seconds(rng),
-            simulated_s: seconds(rng),
-        });
-    }
     cat
 }
 
@@ -305,10 +296,19 @@ proptest! {
                 let bad = splice(&text, start, &format!("{}: 0, ", &text[start..end]));
                 prop_assert!((c.recode)(&bad).is_err(), "{}: accepted\n{}", name, bad);
             }
-            // Any schema version other than v1, top-level or embedded.
-            for (at, _) in text.match_indices("-v1\"") {
-                let bad = format!("{}-v2\"{}", &text[..at], &text[at + 4..]);
-                prop_assert!((c.recode)(&bad).is_err(), "{}: accepted\n{}", name, bad);
+            // Any schema version but the one written, top-level or
+            // embedded: the one after it and the one before.
+            for (at, _) in text.match_indices("-v") {
+                let digits = text[at + 2..].bytes().take_while(u8::is_ascii_digit).count();
+                let end = at + 2 + digits;
+                if digits == 0 || !text[end..].starts_with('"') {
+                    continue;
+                }
+                let v: u32 = text[at + 2..end].parse().unwrap();
+                for other in [Some(v + 1), v.checked_sub(1)].into_iter().flatten() {
+                    let bad = format!("{}-v{other}{}", &text[..at], &text[end..]);
+                    prop_assert!((c.recode)(&bad).is_err(), "{}: accepted\n{}", name, bad);
+                }
             }
 
             // A mutated byte: no panic, and whatever still decodes is a

@@ -162,7 +162,6 @@ fn plan_catalog_fixture_replays_simulation_free() {
     let load = ftimm::load_catalog(&path).unwrap();
     assert_eq!(load.quarantined, 0, "fixture has corrupt entries");
     assert_eq!(load.catalog.entries.len(), 4, "fixture must cover 4 shapes");
-    assert!(!load.catalog.records.is_empty(), "fixture lost its records");
 
     let warm = FtImm::with_plan_catalog(HwConfig::default(), &path).unwrap();
     // The Table I–III shapes the tune binary catalogs (same list as

@@ -16,7 +16,6 @@ fn test_tune_config() -> TuneConfig {
         max_simulations: 8,
         random_probes: 2,
         neighborhood: 2,
-        explore: false,
         ..TuneConfig::default()
     }
 }
@@ -226,6 +225,25 @@ fn tuning_is_deterministic_under_a_fixed_seed() {
             a.plan.simulated_s <= a.default_plan.simulated_s,
             "{regime} {shape}: tuned plan predicted slower than default"
         );
+    }
+}
+
+/// A tune depends on its request alone: shapes tuned one after another on
+/// one context get the plans each gets on a context of its own.
+#[test]
+fn tuning_is_history_free() {
+    let mut rng = Rng64::new(0x415709);
+    let shapes: Vec<GemmShape> = (0..2)
+        .flat_map(|_| Regime::ALL)
+        .map(|r| r.sample(&mut rng))
+        .collect();
+    assert!(shapes.len() >= 8);
+    let cfg = TuneConfig::default();
+    let shared = FtImm::new(HwConfig::default());
+    for shape in &shapes {
+        let after_history = shared.tune(shape, 8, &cfg);
+        let alone = FtImm::new(HwConfig::default()).tune(shape, 8, &cfg);
+        assert_eq!(after_history.plan, alone.plan, "{shape}");
     }
 }
 
