@@ -245,7 +245,7 @@ pub fn adjust_kpar(
 }
 
 /// The strategy dynamic adjusting settles on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChosenStrategy {
     /// M-dimension parallelisation with the given blocks.
     MPar(MparBlocks),

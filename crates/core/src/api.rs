@@ -1,14 +1,14 @@
 //! The public ftIMM entry point.
 
 use crate::plan::sharded::PlacementCache;
-use crate::plan::store::{self, CatalogLoad};
+use crate::plan::store::{self, CatalogLoad, PlanTable};
 use crate::plan::tune::{TuneConfig, TuneOutcome, Tuner};
 use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
-use kernelgen::{CacheStats, KernelCache, KernelExecutor, DEFAULT_KERNEL_CACHE_CAPACITY};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use kernelgen::{
+    BoundedLru, CacheStats, KernelCache, KernelExecutor, DEFAULT_KERNEL_CACHE_CAPACITY,
+};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -85,9 +85,10 @@ pub struct TuningStats {
 /// context has tuned.  Nothing in it feeds back into a tune.
 #[derive(Debug, Default)]
 struct TuningState {
-    tuned: Mutex<TunedPlans>,
-    /// Keys preloaded from attached catalogs (catalog-hit attribution).
-    catalog_keys: Mutex<HashSet<PlanKey>>,
+    /// Tuned and catalog-loaded plans, one per key, in the order their
+    /// keys were first tuned or loaded, each flagged if an attached
+    /// catalog supplied its key (catalog-hit attribution).
+    tuned: Mutex<PlanTable>,
     catalog_attached: AtomicBool,
     catalog_hits: AtomicU64,
     catalog_misses: AtomicU64,
@@ -96,35 +97,25 @@ struct TuningState {
     quarantined: AtomicU64,
 }
 
-/// Lock one part of the tuning state (or a placement's walk memo),
-/// recovering from poisoning: every entry is an immutable [`Plan`],
-/// [`PlanKey`] or walk price that is pushed or replaced whole (and a
-/// plan's index entry is a step that cannot panic beside it), so what a
+/// Lock the tuned plans, recovering from poisoning: every entry is an
+/// immutable [`Plan`] that is pushed or replaced whole (and a plan's
+/// index entry is a step that cannot panic beside it), so what a
 /// panicking thread left behind is still a valid state, and planning and
 /// tuning carry on with it.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Tuned plans, one per key, in the order their keys were first tuned or
-/// loaded (the order a saved catalog lists them), indexed by key.
-#[derive(Debug, Default)]
-struct TunedPlans {
-    entries: Vec<(PlanKey, Plan)>,
-    index: HashMap<PlanKey, usize>,
+/// What one timing walk depends on besides the context's [`HwConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct WalkKey {
+    shape: GemmShape,
+    strategy: ChosenStrategy,
+    cores: usize,
 }
 
-impl TunedPlans {
-    fn upsert(&mut self, key: PlanKey, plan: Plan) {
-        match self.index.entry(key) {
-            Entry::Occupied(slot) => self.entries[*slot.get()].1 = plan,
-            Entry::Vacant(slot) => {
-                slot.insert(self.entries.len());
-                self.entries.push((key, plan));
-            }
-        }
-    }
-}
+/// Bounded LRU memo of timing-walk seconds, `INFINITY` included.
+type WalkCache = BoundedLru<WalkKey, f64>;
 
 /// The ftIMM library context: a kernel cache and its host kernel executor
 /// bound to a hardware configuration.
@@ -141,11 +132,15 @@ pub struct FtImm {
     /// ([`crate::plan::sharded`]): a repeated job is placed without a
     /// timing walk.
     placements: PlacementCache,
-    /// Timing-model candidate evaluations performed over this context's
-    /// lifetime (cache hits perform none).
+    /// Memo of timing walks ([`FtImm::predict_seconds`]): a candidate the
+    /// planner, the tuner or the sharded planner has already priced is
+    /// not walked again.
+    walks: WalkCache,
+    /// Timing walks run over this context's lifetime (memo hits run
+    /// none).
     timing_simulations: AtomicU64,
-    /// Shapes the planner failed to evaluate (capacity or generation
-    /// limits): each counted evaluation returned `f64::INFINITY`.
+    /// Timing walks that could not price their plan (capacity or
+    /// generation limits) and returned `f64::INFINITY`.
     planning_failures: AtomicU64,
     /// Autotuner state: tuned plans and catalog counters (see
     /// [`FtImm::tune`] / [`FtImm::with_plan_catalog`]).
@@ -160,8 +155,8 @@ impl FtImm {
     }
 
     /// Create a context with an explicit plan cache capacity (`0`
-    /// disables plan and placement memoisation — every call plans from
-    /// scratch).
+    /// disables plan, placement and timing-walk memoisation — every call
+    /// plans from scratch).
     pub fn with_plan_cache_capacity(cfg: HwConfig, capacity: usize) -> Self {
         FtImm::with_cache_capacities(cfg, capacity, DEFAULT_KERNEL_CACHE_CAPACITY)
     }
@@ -183,6 +178,7 @@ impl FtImm {
             cfg,
             plan_cache: PlanCache::new(plan_capacity),
             placements: PlacementCache::new(plan_capacity),
+            walks: WalkCache::new(plan_capacity),
             timing_simulations: AtomicU64::new(0),
             planning_failures: AtomicU64::new(0),
             tuning: TuningState::default(),
@@ -232,17 +228,12 @@ impl FtImm {
         self.plan_cache.stats()
     }
 
-    /// Timing-model candidate evaluations performed so far.  A warm plan
-    /// cache keeps this flat: planning a cached shape simulates nothing.
+    /// Timing walks run so far by [`FtImm::predict_seconds`] — for the
+    /// planner, the tuner, the sharded planner or a caller.  A walk the
+    /// context's memo answers runs nothing and counts nothing, and a warm
+    /// plan cache keeps this flat: planning a cached shape walks nothing.
     pub fn timing_simulations(&self) -> u64 {
         self.timing_simulations.load(Ordering::Relaxed)
-    }
-
-    /// Price one planning candidate on the timing model, counted in
-    /// [`FtImm::timing_simulations`].
-    pub(crate) fn simulate(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
-        self.timing_simulations.fetch_add(1, Ordering::Relaxed);
-        self.predict_seconds(shape, plan, cores)
     }
 
     /// The placement memo of [`crate::plan::sharded`].
@@ -265,7 +256,7 @@ impl FtImm {
         };
         if let Some(plan) = self.plan_cache.get(&key) {
             if self.tuning.catalog_attached.load(Ordering::Relaxed)
-                && lock(&self.tuning.catalog_keys).contains(&key)
+                && lock(&self.tuning.tuned).catalog_supplied(&key)
             {
                 self.tuning.catalog_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -275,7 +266,7 @@ impl FtImm {
             self.tuning.catalog_misses.fetch_add(1, Ordering::Relaxed);
         }
         let plan = Planner::new(self.cache(), &self.cfg).plan(shape, strategy, cores, |cand| {
-            self.simulate(shape, cand, cores)
+            self.predict_seconds(shape, cand, cores)
         });
         self.plan_cache.insert(key, plan);
         plan
@@ -301,7 +292,9 @@ impl FtImm {
     /// plan catalog like every other plan field.
     pub fn tune(&self, shape: &GemmShape, cores: usize, config: &TuneConfig) -> TuneOutcome {
         let tuner = Tuner::new(self.cache(), &self.cfg, *config);
-        let mut outcome = tuner.tune(shape, cores, |cand| self.simulate(shape, cand, cores));
+        let mut outcome = tuner.tune(shape, cores, |cand| {
+            self.predict_seconds(shape, cand, cores)
+        });
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
         if outcome.adopted_variant {
             self.tuning.variants_adopted.fetch_add(1, Ordering::Relaxed);
@@ -328,7 +321,7 @@ impl FtImm {
             outcome.plan.coexec_cpu_rows = choice.cpu_rows;
             self.plan_cache.insert(key, outcome.plan);
         }
-        lock(&self.tuning.tuned).upsert(key, outcome.plan);
+        lock(&self.tuning.tuned).upsert(key, outcome.plan, false);
         outcome
     }
 
@@ -354,47 +347,52 @@ impl FtImm {
     /// Load an on-disk plan catalog into this context: preload the plan
     /// cache (evicting as plain inserts do) and start attributing cache
     /// traffic to catalog hit/miss counters.  Corrupt entries are
-    /// quarantined (see [`TuningStats::quarantined`]), not fatal.
-    /// Returns the number of plans preloaded.
+    /// quarantined (see [`TuningStats::quarantined`]), not fatal; a
+    /// refused document attaches nothing.  Returns the number of plans
+    /// preloaded.
+    ///
+    /// The document's plans are staged once, in a keyed table that is
+    /// also the decode's duplicate-key check; the plan cache is preloaded
+    /// from it, and a context holding no tuned plans yet takes the table
+    /// itself as its tuned plans.
     pub fn load_plan_catalog(&self, path: &Path) -> Result<usize, String> {
-        let load = store::load_catalog(path)?;
-        Ok(self.attach_catalog(load))
+        let (table, quarantined) = store::load_table(path)?;
+        Ok(self.attach_table(table, quarantined))
     }
 
     /// Attach an already-parsed catalog (the body of
     /// [`FtImm::load_plan_catalog`]; exposed for fixture replay).  An
     /// entry whose plan does not fit this context's [`HwConfig`] — a
     /// catalog tuned on a larger machine, or edited by hand — is
-    /// quarantined like a corrupt one and never served.
-    pub fn attach_catalog(&self, mut load: CatalogLoad) -> usize {
-        let before = load.catalog.entries.len();
-        load.catalog
-            .entries
-            .retain(|(_, p)| walk::fits(&self.cfg, &p.strategy, &p.shape, p.cores));
-        let quarantined = load.quarantined + before - load.catalog.entries.len();
-        let kept = cache::preload(&self.plan_cache, &load.catalog.entries);
+    /// quarantined like a corrupt one and never served, and so is one
+    /// whose plan's shape or cores disagree with its key (which a decoded
+    /// catalog never holds).
+    pub fn attach_catalog(&self, load: CatalogLoad) -> usize {
+        let (table, refused) = PlanTable::of_catalog(load.catalog.entries);
+        self.attach_table(table, load.quarantined + refused)
+    }
+
+    /// Attach a staged catalog table with `quarantined` entries already
+    /// skipped.
+    fn attach_table(&self, mut table: PlanTable, quarantined: usize) -> usize {
+        let unfit = table.retain(|p| walk::fits(&self.cfg, &p.strategy, &p.shape, p.cores));
+        let kept = cache::preload(&self.plan_cache, table.iter());
         self.tuning
             .quarantined
-            .fetch_add(quarantined as u64, Ordering::Relaxed);
-        lock(&self.tuning.catalog_keys).extend(load.catalog.entries.iter().map(|(key, _)| *key));
-        {
-            let mut tuned = lock(&self.tuning.tuned);
-            for (key, plan) in &load.catalog.entries {
-                tuned.upsert(*key, *plan);
-            }
-        }
+            .fetch_add((quarantined + unfit) as u64, Ordering::Relaxed);
+        lock(&self.tuning.tuned).merge(table);
         self.tuning.catalog_attached.store(true, Ordering::Relaxed);
         kept
     }
 
     /// Persist every tuned plan this context holds (including
     /// catalog-loaded ones, so load → tune → save accumulates) as an
-    /// `ftimm-plan-catalog-v2` document at `path`.
+    /// `ftimm-plan-catalog-v2` document at `path`, streamed to the file
+    /// one entry at a time.
     pub fn save_plan_catalog(&self, path: &Path) -> Result<(), String> {
         // Written from the locked state: the tuned plans are already one
         // per key.
-        let text = store::catalog_text(&lock(&self.tuning.tuned).entries);
-        store::write_catalog_text(path, &text)
+        store::write_catalog(path, lock(&self.tuning.tuned).iter())
     }
 
     /// Tuning and catalog counters.
@@ -426,7 +424,30 @@ impl FtImm {
     /// it.  Any *other* failure is a planner bug: it trips a debug
     /// assertion (and still predicts `INFINITY` in release builds).  Both
     /// cases tick [`FtImm::planning_failures`].
+    ///
+    /// A walk depends only on the context's [`HwConfig`] and on (shape,
+    /// plan, cores), so its result — `INFINITY` included — is memoised in
+    /// a bounded LRU as large as the plan cache: a repeated candidate is
+    /// answered without a walk and counted in neither
+    /// [`FtImm::timing_simulations`] nor [`FtImm::planning_failures`].
+    /// The memo's lock is not held across a walk.
     pub fn predict_seconds(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
+        let key = WalkKey {
+            shape: *shape,
+            strategy: *plan,
+            cores,
+        };
+        if let Some(t) = self.walks.get(&key) {
+            return t;
+        }
+        self.timing_simulations.fetch_add(1, Ordering::Relaxed);
+        let t = self.walk_seconds(shape, plan, cores);
+        self.walks.insert(key, t);
+        t
+    }
+
+    /// Run one timing walk of `plan` on a fresh timing machine.
+    fn walk_seconds(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
         let mut m = Machine::new(self.cfg.clone(), ExecMode::Timing);
         let p = match GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k) {
             Ok(p) => p,
@@ -453,8 +474,9 @@ impl FtImm {
         f64::INFINITY
     }
 
-    /// How many plan evaluations have failed (and predicted `INFINITY`)
-    /// over this context's lifetime.
+    /// How many timing walks have failed (and predicted `INFINITY`) over
+    /// this context's lifetime; a memo hit on a failed walk runs none and
+    /// counts none.
     pub fn planning_failures(&self) -> u64 {
         self.planning_failures.load(Ordering::Relaxed)
     }
@@ -761,19 +783,18 @@ mod tests {
         let ft = FtImm::new(HwConfig::default());
         let shape = GemmShape::new(4096, 32, 256);
         ft.plan_full(&shape, Strategy::Auto, 8);
-        // The catalog check on a plan-cache hit takes the keys lock too.
+        // The catalog check on a plan-cache hit takes the lock too.
         ft.tuning.catalog_attached.store(true, Ordering::Relaxed);
         std::thread::scope(|s| {
             let panicked = s
                 .spawn(|| {
-                    let _held = (lock(&ft.tuning.tuned), lock(&ft.tuning.catalog_keys));
-                    panic!("a tuning client dies holding the locks");
+                    let _held = lock(&ft.tuning.tuned);
+                    panic!("a tuning client dies holding the lock");
                 })
                 .join();
             assert!(panicked.is_err());
         });
         assert!(ft.tuning.tuned.is_poisoned());
-        assert!(ft.tuning.catalog_keys.is_poisoned());
         let cached = ft.plan_full(&shape, Strategy::Auto, 8);
         assert!(cached.simulated_s.is_finite());
         let outcome = ft.tune(&shape, 8, &crate::plan::TuneConfig::default());

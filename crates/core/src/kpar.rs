@@ -16,7 +16,7 @@ use kernelgen::KernelExecutor;
 use std::ops::Range;
 
 /// Block sizes for the K-parallel strategy (§IV-C, Eq. 3–4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KparBlocks {
     /// Rows of the GSM-cached `C_g` panel.
     pub m_g: usize,

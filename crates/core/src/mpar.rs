@@ -15,7 +15,7 @@ use kernelgen::KernelExecutor;
 use std::ops::Range;
 
 /// Block sizes for the M-parallel strategy (§IV-C, Eq. 1–2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MparBlocks {
     /// Columns of the GSM-cached `B_g` panel.
     pub n_g: usize,

@@ -32,14 +32,16 @@ pub struct PlanKey {
 /// disables it: every lookup misses, nothing is stored).
 pub type PlanCache = BoundedLru<PlanKey, Plan>;
 
-/// Warm-start `cache` from catalog `entries`: inserts in order, so an
-/// over-capacity load evicts exactly as that many [`BoundedLru::insert`]s
-/// do.  Returns how many of `entries` are held afterwards.
-pub fn preload(cache: &PlanCache, entries: &[(PlanKey, Plan)]) -> usize {
-    for &(key, plan) in entries {
-        cache.insert(key, plan);
-    }
-    entries.iter().filter(|(k, _)| cache.contains(k)).count()
+/// Warm-start `cache` from catalog `entries`: inserts in order
+/// ([`BoundedLru::extend`]), so an over-capacity load evicts exactly as
+/// that many [`BoundedLru::insert`]s do.  Returns how many of `entries`
+/// are held afterwards.
+pub fn preload(
+    cache: &PlanCache,
+    entries: impl ExactSizeIterator<Item = (PlanKey, Plan)> + Clone,
+) -> usize {
+    cache.extend(entries.clone());
+    entries.filter(|(k, _)| cache.contains(k)).count()
 }
 
 #[cfg(test)]
@@ -102,7 +104,7 @@ mod tests {
         // preloads #1 and #2 fall out, one eviction each — the one rule
         // every insert follows.
         let batch: Vec<_> = (1..=5).map(|m| (key(m), plan(m))).collect();
-        let kept = preload(&cache, &batch);
+        let kept = preload(&cache, batch.iter().copied());
         assert_eq!(kept, 3);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 3, "one eviction per displaced entry");
@@ -118,14 +120,14 @@ mod tests {
     fn preload_replaces_duplicates_and_respects_zero_capacity() {
         let cache = PlanCache::new(4);
         cache.insert(key(1), plan(9));
-        let kept = preload(&cache, &[(key(1), plan(1)), (key(2), plan(2))]);
+        let kept = preload(&cache, [(key(1), plan(1)), (key(2), plan(2))].into_iter());
         assert_eq!(kept, 2);
         assert_eq!(cache.get(&key(1)), Some(plan(1)));
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.stats().len, 2);
 
         let disabled = PlanCache::new(0);
-        assert_eq!(preload(&disabled, &[(key(1), plan(1))]), 0);
+        assert_eq!(preload(&disabled, [(key(1), plan(1))].into_iter()), 0);
         assert_eq!(disabled.stats().len, 0);
     }
 

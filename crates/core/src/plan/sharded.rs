@@ -55,14 +55,17 @@
 //! the variant the DSP-only ranking chose, so its all-DSP candidate is
 //! [`plan_sharded`]'s plan bit for bit.
 //!
-//! **Cost.**  A placement's walk prices are memoised by shard height (at
-//! most one per grain), and the ranked placement is memoised on the
-//! context in a [`kernelgen::BoundedLru`] keyed by (shape, requested
-//! strategy, cores, usable clusters, grain).  It is served only while
-//! `plan_full` still returns the plan it was ranked from, so a newly
-//! tuned plan re-ranks; a repeated job is placed without a walk.
+//! **Cost.**  Every shard height is priced through
+//! [`crate::FtImm::predict_seconds`], whose context-wide walk memo
+//! answers a (shard shape, variant, cores) it has walked before — for
+//! this placement, another placement or the planner — so ranking walks
+//! each distinct height of a variant at most once while the memo holds
+//! it.  The ranked placement is memoised on the context in a
+//! [`kernelgen::BoundedLru`] keyed by (shape, requested strategy, cores,
+//! usable clusters, grain).  It is served only while `plan_full` still
+//! returns the plan it was ranked from, so a newly tuned plan re-ranks;
+//! a repeated job is placed without a walk.
 
-use crate::api::lock;
 use crate::backend::predict_cpu_stripe;
 use crate::plan::tune::{bit_signature, BitSignature};
 use crate::plan::Plan;
@@ -71,8 +74,7 @@ use crate::{ChosenStrategy, FtImm, GemmShape, KparBlocks, MparBlocks, Strategy};
 use cpublas::CpuConfig;
 use dspsim::{BackendKind, HwConfig};
 use kernelgen::BoundedLru;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Host-side dispatch + cache-coherency cost per cluster launch: cache
 /// write-back before launch and invalidate after (§II of the paper;
@@ -176,8 +178,6 @@ pub(crate) struct Placement {
     shards: usize,
     /// Its price.
     predicted_s: f64,
-    /// Timing-walk seconds of the variant by shard height.
-    walks: Mutex<HashMap<usize, f64>>,
 }
 
 impl Placement {
@@ -205,7 +205,6 @@ impl Placement {
             split_step: grain_rows.max(1) / gcd(grain, grain_rows.max(1)),
             shards: 1,
             predicted_s: f64::INFINITY,
-            walks: Mutex::new(HashMap::new()),
         };
         (p.shards, p.predicted_s) = p.dsp_leg(ft, clusters, p.units, m, 0.0);
         p
@@ -272,20 +271,15 @@ impl Placement {
         }
     }
 
-    /// Timing-walk seconds of one `rows`-row shard of the variant,
-    /// memoised (the lock is not held across the walk).
+    /// Timing-walk seconds of one `rows`-row shard of the variant (the
+    /// context's walk memo answers a height it has priced before).
     fn walk(&self, ft: &FtImm, rows: usize) -> f64 {
-        if let Some(&t) = lock(&self.walks).get(&rows) {
-            return t;
-        }
         let GemmShape { n, k, .. } = self.plan.shape;
-        let t = ft.simulate(
+        ft.predict_seconds(
             &GemmShape::new(rows, n, k),
             &self.plan.strategy,
             self.plan.cores,
-        );
-        lock(&self.walks).insert(rows, t);
-        t
+        )
     }
 }
 

@@ -98,27 +98,29 @@ impl StrategyKind {
 /// the number of accumulation streams the slice round-robin spreads K
 /// over.  Two strategies with equal signatures execute every element's
 /// FMA chain in the same order and are therefore bitwise interchangeable
-/// — the adoption gate of the [`Tuner`].
+/// — the adoption gate of the [`Tuner`].  The partitions are held in
+/// run-length form ([`Walk::run_partitions`]), which is equal exactly
+/// when the leaf lists are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSignature {
     kind: StrategyKind,
     streams: usize,
-    m_groups: Vec<usize>,
-    n_groups: Vec<usize>,
-    k_groups: Vec<usize>,
+    m_runs: Vec<(usize, usize)>,
+    n_runs: Vec<(usize, usize)>,
+    k_runs: Vec<(usize, usize)>,
 }
 
 /// Compute the [`BitSignature`] of a strategy on a shape at a core count:
-/// the leaf partitions and stream count of its [`Walk`].
+/// the run-length leaf partitions and stream count of its [`Walk`].
 pub fn bit_signature(strategy: &ChosenStrategy, shape: &GemmShape, cores: usize) -> BitSignature {
     let walk = Walk::new(strategy, shape.m, shape.n, shape.k, cores);
-    let [m_groups, n_groups, k_groups] = walk.leaf_partitions();
+    let [m_runs, n_runs, k_runs] = walk.run_partitions();
     BitSignature {
         kind: walk.kind(),
         streams: walk.levels().streams,
-        m_groups,
-        n_groups,
-        k_groups,
+        m_runs,
+        n_runs,
+        k_runs,
     }
 }
 

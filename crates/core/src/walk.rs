@@ -171,17 +171,47 @@ fn blocks(range: Range<usize>, step: usize) -> impl Iterator<Item = Range<usize>
 }
 
 /// Leaf block sizes of nested blocking `levels` over `[0, total)`, in
-/// traversal order: each level cuts its parent block from the block's own
-/// origin, exactly like [`Walk`]'s nested ranges.
-fn push_partition(out: &mut Vec<usize>, total: usize, levels: &[usize]) {
-    match levels.split_first() {
-        None if total > 0 => out.push(total),
-        None => {}
-        Some((&step, rest)) => {
-            for b in blocks(0..total, step.max(1)) {
-                push_partition(out, b.len(), rest);
+/// traversal order — each level cuts its parent block from the block's
+/// own origin, exactly like [`Walk`]'s nested ranges — as `(size, count)`
+/// runs, equal adjacent sizes merged, so two run lists are equal exactly
+/// when their leaf lists are.  The runs of one full block of a level are
+/// worked out once and repeated, so the cost is per block of the level
+/// above the leaves (per chunk), not per leaf.
+fn push_runs(out: &mut Vec<(usize, usize)>, total: usize, levels: &[usize]) {
+    let Some((&step, rest)) = levels.split_first() else {
+        push_run(out, total, 1);
+        return;
+    };
+    let step = step.max(1);
+    let full = total / step;
+    if full > 0 {
+        let mut one = Vec::new();
+        push_runs(&mut one, step, rest);
+        match one[..] {
+            [(size, count)] => push_run(out, size, count * full),
+            _ => {
+                for _ in 0..full {
+                    for &(size, count) in &one {
+                        push_run(out, size, count);
+                    }
+                }
             }
         }
+    }
+    if !total.is_multiple_of(step) {
+        push_runs(out, total % step, rest);
+    }
+}
+
+/// Append `count` leaves of `size`, merged into the last run if it has
+/// that size (an empty leaf is none).
+fn push_run(out: &mut Vec<(usize, usize)>, size: usize, count: usize) {
+    if size == 0 || count == 0 {
+        return;
+    }
+    match out.last_mut() {
+        Some((last, n)) if *last == size => *n += count,
+        _ => out.push((size, count)),
     }
 }
 
@@ -436,14 +466,18 @@ impl Walk {
     }
 
     /// Leaf block sizes of [`Walk::levels`] over M, N and K, in traversal
-    /// order: the heights of the micro-kernels down a column of `C`, the
-    /// panel widths along a row, and the K steps of one element.
-    pub fn leaf_partitions(&self) -> [Vec<usize>; 3] {
+    /// order — the heights of the micro-kernels down a column of `C`, the
+    /// panel widths along a row, and the K steps of one element — as
+    /// `(size, count)` runs with equal adjacent sizes merged, so two
+    /// walks' runs are equal exactly when their leaf lists are: what
+    /// [`crate::BitSignature`] compares, at a cost per chunk rather than
+    /// per leaf.
+    pub fn run_partitions(&self) -> [Vec<(usize, usize)>; 3] {
         let lv = self.levels();
         let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        push_partition(&mut out[0], self.m, &lv.m);
-        push_partition(&mut out[1], self.n, &lv.n);
-        push_partition(&mut out[2], self.k, &lv.k);
+        push_runs(&mut out[0], self.m, &lv.m);
+        push_runs(&mut out[1], self.n, &lv.n);
+        push_runs(&mut out[2], self.k, &lv.k);
         out
     }
 
@@ -599,14 +633,23 @@ mod tests {
     use crate::{KparBlocks, MparBlocks};
 
     #[test]
-    fn partitions_cut_each_level_from_its_own_origin() {
-        let mut leaves = Vec::new();
-        // Chunks of 10, groups of 4 over 23 rows.
-        push_partition(&mut leaves, 23, &[10, 4]);
-        assert_eq!(leaves, vec![4, 4, 2, 4, 4, 2, 3]);
-        leaves.clear();
-        push_partition(&mut leaves, 8, &[16]);
-        assert_eq!(leaves, vec![8]);
+    fn partitions_cut_each_level_from_its_own_origin_in_merged_runs() {
+        let runs = |total, levels: &[usize]| {
+            let mut out = Vec::new();
+            push_runs(&mut out, total, levels);
+            out
+        };
+        // 4, 4, 2 | 4, 4, 2 | 3.
+        assert_eq!(
+            runs(23, &[10, 4]),
+            vec![(4, 2), (2, 1), (4, 2), (2, 1), (3, 1)]
+        );
+        // Blocks of 8 cut by 4: one run however many chunks.
+        assert_eq!(runs(40, &[8, 4]), vec![(4, 10)]);
+        // A short last chunk of the same size merges into the run.
+        assert_eq!(runs(22, &[6, 3]), vec![(3, 7), (1, 1)]);
+        assert_eq!(runs(8, &[16]), vec![(8, 1)]);
+        assert_eq!(runs(0, &[4, 2]), vec![]);
     }
 
     #[test]

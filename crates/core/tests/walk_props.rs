@@ -13,17 +13,21 @@
 //! * (c) row blocks partition `0..rows` with heights in `1..=m_s`;
 //! * (d) the enumeration is what runs: a timing-mode `run_plan` invokes
 //!   exactly one kernel per `(task, K step, row block)` triple;
-//! * (e) the leaf partitions read off the enumeration are those of the
-//!   nested [`ftimm::walk::Levels`] the tuner's `BitSignature` compares;
+//! * (e) the leaf partitions read off the enumeration are those the
+//!   run-length partitions of the nested [`ftimm::walk::Levels`] expand
+//!   to, which the tuner's `BitSignature` compares;
 //! * (f) a timing walk prices kernels without building their programs,
 //!   and fetches each from the kernel cache once per `(task, K step,
-//!   height)`, not once per row block.
+//!   height)`, not once per row block;
+//! * (g) run-length partitions are canonical, so two walks' runs are
+//!   equal exactly when their leaves are.
 
 use dspsim::{ExecMode, HwConfig, Machine};
 use ftimm::plan::TuneConfig;
 use ftimm::walk::Task;
 use ftimm::{
-    ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, MparBlocks, Strategy, Walk,
+    bit_signature, ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, MparBlocks, Strategy,
+    Walk,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -78,6 +82,13 @@ fn sizes(mut blocks: Vec<(usize, usize)>) -> Vec<usize> {
     blocks.sort_unstable();
     blocks.dedup();
     blocks.into_iter().map(|(_, len)| len).collect()
+}
+
+/// The leaf sizes `(size, count)` runs stand for, in order.
+fn expand(runs: &[(usize, usize)]) -> Vec<usize> {
+    runs.iter()
+        .flat_map(|&(size, count)| std::iter::repeat_n(size, count))
+        .collect()
 }
 
 /// Properties (a)–(c) and (e); returns the number of kernel invocations
@@ -160,7 +171,7 @@ fn check_walk(walk: &Walk, m: usize, n: usize, k: usize, cores: usize) -> u64 {
     }
 
     // (e)
-    let [lm, ln, lk] = walk.leaf_partitions();
+    let [lm, ln, lk] = walk.run_partitions().map(|runs| expand(&runs));
     assert_eq!(sizes(row_leaves), lm, "M leaves");
     assert_eq!(sizes(col_leaves), ln, "N leaves");
     assert_eq!(sizes(k_leaves), lk, "K leaves");
@@ -203,6 +214,46 @@ proptest! {
         let report = ft().run_plan(&mut machine, &p, &plan, cores).unwrap();
         let walk = Walk::new(&plan, m, n, k, cores);
         prop_assert_eq!(report.totals.kernel_calls, check_walk(&walk, m, n, k, cores));
+    }
+}
+
+/// Blocks on coarse multiples, so two draws often cut a shape alike.
+fn coarse((g0, g1, m_a, n_a, k_a, m_s): (usize, usize, usize, usize, usize, usize)) -> [usize; 6] {
+    [g0 * 48, g1 * 48, m_a * 12, n_a * 16, k_a * 24, m_s * 4]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (g) Runs are canonical — no two adjacent runs share a size — so
+    /// two walks have equal runs exactly when the leaves they expand to
+    /// ((e): the enumeration's) are equal; signatures (same kind) are
+    /// equal exactly when the leaves and the stream counts are.
+    #[test]
+    fn run_length_partitions_compare_as_the_leaves_do(
+        sel in 0usize..3,
+        (m, n, k) in (1usize..200, 1usize..120, 1usize..200),
+        cores in 1usize..9,
+        a in (1usize..5, 1usize..5, 1usize..5, 1usize..4, 1usize..4, 1usize..3),
+        b in (1usize..5, 1usize..5, 1usize..5, 1usize..4, 1usize..4, 1usize..3),
+    ) {
+        let (sa, sb) = (strategy(sel, coarse(a)), strategy(sel, coarse(b)));
+        let (wa, wb) = (Walk::new(&sa, m, n, k, cores), Walk::new(&sb, m, n, k, cores));
+        for w in [&wa, &wb] {
+            check_walk(w, m, n, k, cores);
+            for runs in w.run_partitions() {
+                prop_assert!(runs.windows(2).all(|r| r[0].0 != r[1].0), "{:?}", runs);
+            }
+        }
+        let (ra, rb) = (wa.run_partitions(), wb.run_partitions());
+        let same_leaves = ra.iter().map(|r| expand(r)).eq(rb.iter().map(|r| expand(r)));
+        prop_assert_eq!(ra == rb, same_leaves);
+        let shape = GemmShape::new(m, n, k);
+        let same_streams = wa.levels().streams == wb.levels().streams;
+        prop_assert_eq!(
+            bit_signature(&sa, &shape, cores) == bit_signature(&sb, &shape, cores),
+            same_leaves && same_streams
+        );
     }
 }
 

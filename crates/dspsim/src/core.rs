@@ -14,7 +14,9 @@ pub struct Core {
     pub am: MemRegion,
     /// Scalar register file (64 × 64-bit).
     pub sregs: [u64; NUM_SREGS],
-    /// Vector register file (64 × 32 f32).
+    /// Vector register file (64 × 32 f32): empty until the interpreter
+    /// first runs a program on this core ([`Core::vregs_mut`]), since
+    /// nothing else reads it — a timing or compiled run allocates none.
     pub vregs: Vec<[f32; VECTOR_LANES]>,
     /// The core's compute clock, seconds of simulated time.
     pub t_compute: f64,
@@ -32,11 +34,19 @@ impl Core {
             sm: MemRegion::new("SM", cfg.sm_bytes as u64),
             am: MemRegion::new("AM", cfg.am_bytes as u64),
             sregs: [0; NUM_SREGS],
-            vregs: vec![[0.0; VECTOR_LANES]; NUM_VREGS],
+            vregs: Vec::new(),
             t_compute: 0.0,
             t_dma_free: 0.0,
             stats: CoreStats::default(),
         }
+    }
+
+    /// The vector register file, zeroed on first use.
+    pub fn vregs_mut(&mut self) -> &mut [[f32; VECTOR_LANES]] {
+        if self.vregs.is_empty() {
+            self.vregs = vec![[0.0; VECTOR_LANES]; NUM_VREGS];
+        }
+        &mut self.vregs
     }
 
     /// Reset clocks and counters (scratchpad contents are kept).
@@ -54,12 +64,14 @@ mod tests {
     #[test]
     fn fresh_core_matches_config() {
         let cfg = HwConfig::default();
-        let c = Core::new(3, &cfg);
+        let mut c = Core::new(3, &cfg);
         assert_eq!(c.id, 3);
         assert_eq!(c.sm.capacity(), 64 * 1024);
         assert_eq!(c.am.capacity(), 768 * 1024);
-        assert_eq!(c.vregs.len(), 64);
+        assert!(c.vregs.is_empty(), "no register file until a program runs");
         assert_eq!(c.t_compute, 0.0);
+        assert_eq!(c.vregs_mut().len(), 64);
+        assert!(c.vregs.iter().flatten().all(|&x| x == 0.0));
     }
 
     #[test]

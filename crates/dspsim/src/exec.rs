@@ -162,6 +162,8 @@ pub fn run_program(
     bind: KernelBindings,
     lat: &LatencyTable,
 ) -> Result<ExecReport, SimError> {
+    // The register file exists from a core's first program on.
+    core.vregs_mut();
     let mut st = ExecState {
         core,
         bind,
@@ -443,8 +445,8 @@ mod tests {
     #[test]
     fn vstdw_writes_both_vectors() {
         let mut m = machine_with_data();
-        m.core_mut(0).vregs[4] = [1.0; 32];
-        m.core_mut(0).vregs[5] = [2.0; 32];
+        m.core_mut(0).vregs_mut()[4] = [1.0; 32];
+        m.core_mut(0).vregs_mut()[5] = [2.0; 32];
         let c = AddrExpr::flat(MemSpace::Am, BufId::C, 0);
         let mut p = Program::new("st2");
         let mut bu = Bundle::new();

@@ -41,7 +41,9 @@
 //! [`Parser`], which also reads documents the repo does not own (the
 //! benchmark harness's) and keeps every key of those in source order.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::io::Read;
 
 /// Parsed JSON value; numbers keep their source text so integer fields
 /// never take a lossy `f64` detour.
@@ -267,6 +269,17 @@ impl Writer {
         self
     }
 
+    /// Write out what the writer holds so far and let it go: a long
+    /// document streams to `out` in pieces, and [`Writer::finish`]
+    /// returns only what followed the last drain.  The layout does not
+    /// depend on what was drained, so the pieces concatenate to the
+    /// bytes an undrained writer would finish with.
+    pub fn drain_into(&mut self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        out.write_all(self.out.as_bytes())?;
+        self.out.clear();
+        Ok(())
+    }
+
     /// The finished document.
     pub fn finish(self) -> String {
         assert!(
@@ -370,18 +383,49 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Recursive-descent reader over the supported JSON subset.
+/// Recursive-descent reader over the supported JSON subset, over a text
+/// in memory ([`Parser::new`]) or a byte stream read a chunk at a time
+/// ([`Parser::from_reader`]).  Error offsets count bytes from the start
+/// of the document either way.
 pub struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The bytes in hand: the whole text, or the latest chunk of a reader.
+    buf: Cow<'a, [u8]>,
+    /// Read position in `buf`.
     pos: usize,
+    /// Document bytes before `buf`.
+    base: usize,
+    /// Where the next chunk comes from (`None` for a text).
+    reader: Option<&'a mut dyn Read>,
 }
+
+/// Bytes a [`Parser::from_reader`] asks its reader for at a time.
+const CHUNK: usize = 64 << 10;
 
 impl<'a> Parser<'a> {
     /// A parser over `text`.
     pub fn new(text: &'a str) -> Self {
         Parser {
-            bytes: text.as_bytes(),
+            buf: Cow::Borrowed(text.as_bytes()),
             pos: 0,
+            base: 0,
+            reader: None,
+        }
+    }
+
+    /// A parser over the bytes `reader` yields, read in 64 KiB chunks and
+    /// never held whole: with [`Parser::parse_streaming`], a long document
+    /// decodes in memory bounded by one chunk and one member.  A read
+    /// error ends the input where it happened (so the document fails to
+    /// parse); a caller that must tell the two apart wraps its reader and
+    /// keeps the error.  Bytes that are not UTF-8 are refused inside a
+    /// string and cannot parse outside one, so a document that parses
+    /// was UTF-8 throughout.
+    pub fn from_reader(reader: &'a mut dyn Read) -> Self {
+        Parser {
+            buf: Cow::Owned(Vec::new()),
+            pos: 0,
+            base: 0,
+            reader: Some(reader),
         }
     }
 
@@ -408,12 +452,12 @@ impl<'a> Parser<'a> {
         mut each: impl FnMut(&str, Value),
     ) -> Result<Value, String> {
         self.skip_ws();
-        if self.bytes.get(self.pos) != Some(&b'{') {
+        if self.peek() != Some(b'{') {
             return self.parse();
         }
         let v = self.object_by(|p, key| {
             p.skip_ws();
-            if p.bytes.get(p.pos) == Some(&b'[') && stream.contains(&key) {
+            if p.peek() == Some(b'[') && stream.contains(&key) {
                 p.elements(|member| each(key, member))?;
                 Ok(Value::Arr(Vec::new()))
             } else {
@@ -423,43 +467,80 @@ impl<'a> Parser<'a> {
         self.end(v)
     }
 
+    /// The next byte, reading the next chunk once `buf` is used up.
+    fn peek(&mut self) -> Option<u8> {
+        if self.pos == self.buf.len() {
+            self.refill();
+        }
+        self.buf.get(self.pos).copied()
+    }
+
+    /// Replace the used-up `buf` with the reader's next chunk (empty at
+    /// the end of the input or on a read error; a text has no next
+    /// chunk).
+    fn refill(&mut self) {
+        let Some(reader) = self.reader.as_mut() else {
+            return;
+        };
+        self.base += self.buf.len();
+        self.pos = 0;
+        let buf = self.buf.to_mut();
+        buf.resize(CHUNK, 0);
+        let n = loop {
+            match reader.read(buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read.unwrap_or(0),
+            }
+        };
+        buf.truncate(n);
+    }
+
+    /// Offset of the next byte in the document.
+    fn at(&self) -> usize {
+        self.base + self.pos
+    }
+
     /// Accept `v` as the whole document: trailing non-whitespace is an
     /// error.
     fn end(mut self, v: Value) -> Result<Value, String> {
         self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing data at byte {}", self.pos));
+        if self.peek().is_some() {
+            return Err(format!("trailing data at byte {}", self.at()));
         }
         Ok(v)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
+        if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
+            Err(format!(
+                "expected {:?} at byte {}",
+                char::from(b),
+                self.at()
+            ))
         }
     }
 
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
-        match self.bytes.get(self.pos) {
+        match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
             Some(c) => Err(format!(
                 "unexpected {:?} at byte {}",
-                char::from(*c),
-                self.pos
+                char::from(c),
+                self.at()
             )),
             None => Err("unexpected end of input".into()),
         }
@@ -477,7 +558,7 @@ impl<'a> Parser<'a> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Obj(fields));
         }
@@ -488,13 +569,13 @@ impl<'a> Parser<'a> {
             let value = member(self, &key)?;
             fields.push((key, value));
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Obj(fields));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at())),
             }
         }
     }
@@ -509,20 +590,20 @@ impl<'a> Parser<'a> {
     fn elements(&mut self, mut each: impl FnMut(Value)) -> Result<(), String> {
         self.expect(b'[')?;
         self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(());
         }
         loop {
             each(self.value()?);
             self.skip_ws();
-            match self.bytes.get(self.pos) {
+            match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     return Ok(());
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.at())),
             }
         }
     }
@@ -534,42 +615,49 @@ impl<'a> Parser<'a> {
         // through whole.
         let mut out = Vec::new();
         loop {
-            match self.bytes.get(self.pos) {
+            // Copy the run of plain bytes in hand in one go.
+            let rest = &self.buf[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .unwrap_or(rest.len());
+            out.extend_from_slice(&rest[..run]);
+            self.pos += run;
+            match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return String::from_utf8(out).map_err(|e| format!("bad string: {e}"));
                 }
                 Some(b'\\') => {
-                    out.push(match self.bytes.get(self.pos + 1) {
-                        Some(&c @ (b'"' | b'\\' | b'/')) => c,
+                    let at = self.at();
+                    self.pos += 1;
+                    out.push(match self.peek() {
+                        Some(c @ (b'"' | b'\\' | b'/')) => c,
                         Some(b'n') => b'\n',
-                        _ => return Err(format!("unsupported escape at byte {}", self.pos)),
+                        _ => return Err(format!("unsupported escape at byte {at}")),
                     });
-                    self.pos += 2;
-                }
-                Some(&c) => {
-                    out.push(c);
                     self.pos += 1;
                 }
+                // The run reached the end of a chunk; the next one is in.
+                Some(_) => {}
                 None => return Err("unterminated string".into()),
             }
         }
     }
 
     fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        let start = self.at();
+        let mut text = String::new();
+        while let Some(c) = self
+            .peek()
+            .filter(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            text.push(char::from(c));
             self.pos += 1;
         }
-        if self.pos == start {
+        if text.is_empty() {
             return Err(format!("expected a number at byte {start}"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
         // Validate the token now so errors point at the source.
         text.parse::<f64>()
             .map_err(|e| format!("bad number {text:?} at byte {start} ({e})"))?;
@@ -622,6 +710,49 @@ mod tests {
             let err = Parser::new(text).parse().unwrap_err();
             assert!(err.contains(needle), "{text}: got {err:?}");
         }
+    }
+
+    /// A reader that hands out at most three bytes per read, so values
+    /// and escapes straddle chunk boundaries.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reader_parses_exactly_as_the_text_does() {
+        for text in [
+            r#"{ "a": [1, 2.5, "x\n\"y\\"], "b": { "c": 18446744073709551615 } }"#,
+            "{\"a\": [{\"k\": -1e-3}, []], \"b\": \"\u{e9}t\u{e9}\"}\n",
+            "{ \"a\": }",
+            "[1 2]",
+            "1 2",
+            "\"abc",
+            "\"a\\",
+            "\"a\\q\"",
+            "{ \"a\": true }",
+            "{\"a\": [1, 2",
+            "[1.2.3]",
+            "",
+        ] {
+            let mut src = Trickle(text.as_bytes());
+            let read = Parser::from_reader(&mut src).parse();
+            assert_eq!(read, Parser::new(text).parse(), "{text:?}");
+            let mut src = Trickle(text.as_bytes());
+            let read = Parser::from_reader(&mut src).parse_streaming(&["a"], |_, _| {});
+            let whole = Parser::new(text).parse_streaming(&["a"], |_, _| {});
+            assert_eq!(read, whole, "{text:?}");
+        }
+        // Bytes that are not UTF-8 are refused inside a string.
+        let mut src = Trickle(b"[\"\xff\"]");
+        let err = Parser::from_reader(&mut src).parse().unwrap_err();
+        assert!(err.contains("bad string"), "{err}");
     }
 
     #[test]
@@ -684,6 +815,28 @@ mod tests {
         let parsed = Parser::new(&doc(0)).parse().unwrap();
         assert_eq!(Parser::new(&doc(1)).parse().unwrap(), parsed);
         assert_eq!(Parser::new(&doc(3)).parse().unwrap(), parsed);
+    }
+
+    #[test]
+    fn a_drained_writer_streams_the_same_bytes() {
+        for depth in [0, 1, 2, 3] {
+            let (mut whole, mut drained) = (Writer::new(depth), Writer::new(depth));
+            let mut streamed = Vec::new();
+            for w in [&mut whole, &mut drained] {
+                w.begin_obj().key("rows").begin_arr();
+            }
+            for i in 0..3u64 {
+                for w in [&mut whole, &mut drained] {
+                    w.begin_obj().key("i").u64(i).key("x").f64(0.5).end_obj();
+                }
+                drained.drain_into(&mut streamed).unwrap();
+            }
+            for w in [&mut whole, &mut drained] {
+                w.end_arr().end_obj();
+            }
+            streamed.extend_from_slice(drained.finish().as_bytes());
+            assert_eq!(streamed, whole.finish().into_bytes(), "depth {depth}");
+        }
     }
 
     #[test]

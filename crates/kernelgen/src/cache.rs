@@ -16,8 +16,8 @@
 use crate::modsched::ScheduleMemo;
 use crate::{GenError, KernelSpec, MicroKernel};
 use dspsim::HwConfig;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -56,6 +56,107 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
+/// An index of a `Vec`'s items by key, for collections whose items hold
+/// their own keys: open addressing over item positions, linearly probed
+/// and at most half full, so a key costs a few bytes of index where a
+/// `HashMap` from keys would hold every key a second time.  The owner
+/// hashes and compares: lookups take the key's hash and an `is(position)`
+/// test, and calls that move positions take `hash_at(position)`, the
+/// hash of the key of the item there.  At most `u32::MAX - 1` items.
+#[derive(Debug, Default)]
+pub struct SlotIndex {
+    /// Item positions, [`FREE`] in an empty bucket; empty, or a power of
+    /// two at least twice `len`.
+    buckets: Vec<u32>,
+    len: usize,
+}
+
+/// An empty [`SlotIndex`] bucket.
+const FREE: u32 = u32::MAX;
+
+impl SlotIndex {
+    /// The position of the item `is` accepts among those whose keys hash
+    /// to `hash`.
+    pub fn find(&self, hash: u64, is: impl Fn(usize) -> bool) -> Option<usize> {
+        self.bucket(hash, is).map(|b| self.buckets[b] as usize)
+    }
+
+    /// The bucket holding the position `is` accepts.
+    fn bucket(&self, hash: u64, is: impl Fn(usize) -> bool) -> Option<usize> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut b = hash as usize & mask;
+        loop {
+            match self.buckets[b] {
+                FREE => return None,
+                at if is(at as usize) => return Some(b),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// Index the item at position `at`, whose key hashes to `hash` and is
+    /// not indexed yet, doubling the buckets first if they would be over
+    /// half full.
+    pub fn insert(&mut self, hash: u64, at: usize, hash_at: impl Fn(usize) -> u64) {
+        if 2 * (self.len + 1) > self.buckets.len() {
+            let size = (2 * (self.len + 1)).next_power_of_two().max(16);
+            let old = std::mem::replace(&mut self.buckets, vec![FREE; size]);
+            for p in old.into_iter().filter(|&p| p != FREE) {
+                self.place(hash_at(p as usize), p);
+            }
+        }
+        self.place(hash, at as u32);
+        self.len += 1;
+    }
+
+    /// Put position `at` in the first free bucket from its key's home.
+    fn place(&mut self, hash: u64, at: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut b = hash as usize & mask;
+        while self.buckets[b] != FREE {
+            b = (b + 1) & mask;
+        }
+        self.buckets[b] = at;
+    }
+
+    /// Drop the position `is` accepts among those whose keys hash to
+    /// `hash`, and close the gap behind it so that every other position
+    /// stays reachable from its key's home; returns the position.
+    pub fn remove(
+        &mut self,
+        hash: u64,
+        is: impl Fn(usize) -> bool,
+        hash_at: impl Fn(usize) -> u64,
+    ) -> Option<usize> {
+        let mut hole = self.bucket(hash, is)?;
+        let at = std::mem::replace(&mut self.buckets[hole], FREE);
+        self.len -= 1;
+        let mask = self.buckets.len() - 1;
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let p = self.buckets[b];
+            if p == FREE {
+                return Some(at as usize);
+            }
+            // `p` stays unless the hole lies on its probe path, i.e. its
+            // home is not cyclically within `(hole, b]`.
+            let home = hash_at(p as usize) as usize & mask;
+            if (b.wrapping_sub(home) & mask) >= (b.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = p;
+                self.buckets[b] = FREE;
+                hole = b;
+            }
+        }
+    }
+
+    /// Forget every position.
+    pub fn clear(&mut self) {
+        self.buckets.clear();
+        self.len = 0;
+    }
+}
+
 /// A thread-safe map of at most `capacity` entries: inserting a new key
 /// into a full map evicts the least recently used entry, and capacity 0
 /// stores nothing (every lookup misses).  Values are cloned out, so they
@@ -65,16 +166,126 @@ pub struct BoundedLru<K, V> {
     state: Mutex<Lru<K, V>>,
 }
 
-/// The mutable half: entries stamped with the logical time of their last
-/// use, and the same stamps in ascending order so the least recently
-/// used key is the first one.
+/// The mutable half: the entries as a list threaded through `nodes`
+/// from the most to the least recently used, indexed by key.  An entry
+/// is held once, in its node, and a node freed by an eviction is reused
+/// by the insert that caused it, so `nodes` never outgrows the bound.
 struct Lru<K, V> {
-    map: HashMap<K, (u64, V)>,
-    order: BTreeMap<u64, K>,
-    clock: u64,
+    nodes: Vec<Node<K, V>>,
+    index: SlotIndex,
+    hasher: RandomState,
+    /// The most and the least recently used node ([`NIL`] while empty).
+    head: u32,
+    tail: u32,
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+/// One entry and its neighbours in recency order.
+struct Node<K, V> {
+    key: K,
+    value: V,
+    prev: u32,
+    next: u32,
+}
+
+/// No node (node positions are `u32`, like [`SlotIndex`]'s).
+const NIL: u32 = u32::MAX;
+
+impl<K: Eq + Hash, V> Lru<K, V> {
+    /// The node holding `key`, whose hash is `hash`.
+    fn find(&self, hash: u64, key: &K) -> Option<usize> {
+        let nodes = &self.nodes;
+        self.index.find(hash, |i| nodes[i].key == *key)
+    }
+
+    /// Index node `i` under its key's `hash`.
+    fn index(&mut self, i: usize, hash: u64) {
+        let Lru {
+            nodes,
+            index,
+            hasher,
+            ..
+        } = self;
+        index.insert(hash, i, |at| hasher.hash_one(&nodes[at].key));
+    }
+
+    /// Drop node `i`'s key from the index.
+    fn unindex(&mut self, i: usize) {
+        let Lru {
+            nodes,
+            index,
+            hasher,
+            ..
+        } = self;
+        let hash_at = |at: usize| hasher.hash_one(&nodes[at].key);
+        index.remove(hash_at(i), |at| at == i, hash_at);
+    }
+
+    /// Take node `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Put node `i` (not in the list) at its front.
+    fn push_front(&mut self, i: usize) {
+        let at = i as u32;
+        self.nodes[i].prev = NIL;
+        self.nodes[i].next = self.head;
+        match self.head {
+            NIL => self.tail = at,
+            h => self.nodes[h as usize].prev = at,
+        }
+        self.head = at;
+    }
+
+    /// Make node `i` the most recently used.  A blocking walk asks for
+    /// the same kernel many times in a row; the front node stays put.
+    fn touch(&mut self, i: usize) {
+        if self.head != i as u32 {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// [`BoundedLru::insert`] into a map bounded to `capacity` (≥ 1).
+    fn insert(&mut self, capacity: usize, key: K, value: V) {
+        let hash = self.hasher.hash_one(&key);
+        if let Some(i) = self.find(hash, &key) {
+            self.nodes[i].value = value;
+            self.touch(i);
+            return;
+        }
+        let node = Node {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.nodes.len() >= capacity {
+            // Full: the least recently used entry gives up its node.
+            let i = self.tail as usize;
+            self.unlink(i);
+            self.unindex(i);
+            self.nodes[i] = node;
+            self.evictions += 1;
+            i
+        } else {
+            self.nodes.push(node);
+            self.nodes.len() - 1
+        };
+        self.index(i, hash);
+        self.push_front(i);
+    }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
@@ -83,9 +294,11 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
         BoundedLru {
             capacity,
             state: Mutex::new(Lru {
-                map: HashMap::new(),
-                order: BTreeMap::new(),
-                clock: 0,
+                nodes: Vec::new(),
+                index: SlotIndex::default(),
+                hasher: RandomState::new(),
+                head: NIL,
+                tail: NIL,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -95,22 +308,15 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
 
     /// Look a value up, making it the most recently used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut guard = lock(&self.state);
-        let s = &mut *guard;
-        let Some((stamp, value)) = s.map.get_mut(key) else {
+        let mut s = lock(&self.state);
+        let hash = s.hasher.hash_one(key);
+        let Some(i) = s.find(hash, key) else {
             s.misses += 1;
             return None;
         };
         s.hits += 1;
-        // A blocking walk asks for the same kernel many times in a row;
-        // the most recent entry needs no reordering.
-        if *stamp != s.clock {
-            s.clock += 1;
-            s.order.remove(stamp);
-            s.order.insert(s.clock, key.clone());
-            *stamp = s.clock;
-        }
-        Some(value.clone())
+        s.touch(i);
+        Some(s.nodes[i].value.clone())
     }
 
     /// Store `value` under `key` as the most recently used entry,
@@ -120,29 +326,33 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
         if self.capacity == 0 {
             return;
         }
-        let mut guard = lock(&self.state);
-        let s = &mut *guard;
-        if let Some((stamp, _)) = s.map.get(&key) {
-            s.order.remove(stamp);
-        } else if s.map.len() >= self.capacity {
-            if let Some((_, coldest)) = s.order.pop_first() {
-                s.map.remove(&coldest);
-                s.evictions += 1;
-            }
+        lock(&self.state).insert(self.capacity, key, value);
+    }
+
+    /// [`BoundedLru::insert`] every entry, in order and under one lock,
+    /// with room for as many nodes as the bound admits reserved first: a
+    /// bulk load sizes them once instead of doubling its way up.
+    pub fn extend(&self, entries: impl ExactSizeIterator<Item = (K, V)>) {
+        if self.capacity == 0 {
+            return;
         }
-        s.clock += 1;
-        s.order.insert(s.clock, key.clone());
-        s.map.insert(key, (s.clock, value));
+        let mut s = lock(&self.state);
+        let room = entries.len().min(self.capacity - s.nodes.len());
+        s.nodes.reserve_exact(room);
+        for (key, value) in entries {
+            s.insert(self.capacity, key, value);
+        }
     }
 
     /// Whether `key` is held; counts as neither a hit nor a miss.
     pub fn contains(&self, key: &K) -> bool {
-        lock(&self.state).map.contains_key(key)
+        let s = lock(&self.state);
+        s.find(s.hasher.hash_one(key), key).is_some()
     }
 
     /// Number of entries held.
     pub fn len(&self) -> usize {
-        lock(&self.state).map.len()
+        lock(&self.state).nodes.len()
     }
 
     /// Whether the map holds nothing.
@@ -157,7 +367,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedLru<K, V> {
             hits: s.hits,
             misses: s.misses,
             evictions: s.evictions,
-            len: s.map.len(),
+            len: s.nodes.len(),
             capacity: self.capacity,
         }
     }
@@ -308,6 +518,101 @@ mod tests {
 
     fn spec(m_s: usize) -> KernelSpec {
         KernelSpec::new(m_s, 32, 32).unwrap()
+    }
+
+    #[test]
+    fn a_slot_index_finds_every_position_through_clusters_and_removals() {
+        // Keys hash to four neighbouring homes at the top of a 16-bucket
+        // table, so probes cluster and wrap around, and removals must
+        // close gaps inside clusters.
+        let hash = |key: u64| 13 + key % 4;
+        let mut keys: Vec<u64> = Vec::new();
+        let mut held: Vec<bool> = Vec::new();
+        let mut index = SlotIndex::default();
+        let mut x = 0x853C_49E6_748F_EA9Bu64;
+        for step in 0..3000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let live: Vec<usize> = (0..keys.len()).filter(|&i| held[i]).collect();
+            if live.len() < 7 && !x.is_multiple_of(3) || live.is_empty() {
+                let key = 1000 + step;
+                index.insert(hash(key), keys.len(), |i| hash(keys[i]));
+                keys.push(key);
+                held.push(true);
+            } else {
+                let gone = live[(x >> 5) as usize % live.len()];
+                let found = index.remove(hash(keys[gone]), |i| i == gone, |i| hash(keys[i]));
+                assert_eq!(found, Some(gone), "step {step}");
+                held[gone] = false;
+            }
+            for (i, &key) in keys.iter().enumerate() {
+                let found = index.find(hash(key), |at| keys[at] == key);
+                assert_eq!(found, held[i].then_some(i), "step {step}: key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_lru_matches_a_recency_list_model() {
+        // A seeded mix of lookups and inserts over 12 keys into 5 slots,
+        // against a plain list ordered from the most recently used; the
+        // bulk `extend` is checked against the same model.
+        let lru = BoundedLru::new(5);
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 12;
+            let at = model.iter().position(|&(k, _)| k == key);
+            match x % 3 {
+                0 => {
+                    let want = at.map(|i| model.remove(i));
+                    if let Some(entry) = want {
+                        model.insert(0, entry);
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    assert_eq!(lru.get(&key), want.map(|(_, v)| v), "step {step}");
+                }
+                1 => {
+                    if let Some(i) = at {
+                        model.remove(i);
+                    } else if model.len() == 5 {
+                        model.pop();
+                        evictions += 1;
+                    }
+                    model.insert(0, (key, step));
+                    lru.insert(key, step);
+                }
+                _ => {
+                    let batch = [(key, step), ((key + 5) % 12, step + 1)];
+                    for (k, v) in batch {
+                        if let Some(i) = model.iter().position(|&(m, _)| m == k) {
+                            model.remove(i);
+                        } else if model.len() == 5 {
+                            model.pop();
+                            evictions += 1;
+                        }
+                        model.insert(0, (k, v));
+                    }
+                    lru.extend(batch.into_iter());
+                }
+            }
+            let stats = lru.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.evictions, stats.len),
+                (hits, misses, evictions, model.len()),
+                "step {step}"
+            );
+        }
+        for (k, _) in model {
+            assert!(lru.contains(&k));
+        }
     }
 
     #[test]

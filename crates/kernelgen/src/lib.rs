@@ -41,7 +41,7 @@ pub mod tiling;
 
 pub use analysis::KernelReport;
 pub use build::{build, BlockPlan, MicroKernel};
-pub use cache::{BoundedLru, CacheStats, KernelCache, DEFAULT_KERNEL_CACHE_CAPACITY};
+pub use cache::{BoundedLru, CacheStats, KernelCache, SlotIndex, DEFAULT_KERNEL_CACHE_CAPACITY};
 pub use compiled::CompiledKernel;
 pub use exec::{HostTier, KernelExecutor};
 pub use hostsimd::simd_level;

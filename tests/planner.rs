@@ -6,8 +6,10 @@ use conformance::{Regime, Rng64};
 use dspsim::{ExecMode, HwConfig, Machine};
 use ftimm::reference::fill_matrix;
 use ftimm::{
-    analytic_seconds, FtImm, GemmProblem, GemmShape, PlanOrigin, Planner, Strategy, TuneConfig,
+    analytic_seconds, ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, PlanOrigin,
+    Planner, Strategy, TuneConfig, Tuner,
 };
+use std::collections::HashSet;
 
 /// A cheap tuning budget for integration tests: enough to exercise the
 /// variant ladder on every regime without the full default budget.
@@ -138,6 +140,93 @@ fn auto_on_a_cached_shape_runs_zero_timing_simulations() {
 /// no modelled memory at all, and a functional run materialises only the
 /// scratchpads of the cores it uses, each only as far as the walk
 /// reaches into it ([`ftimm::walk::Walk::footprint`]).
+/// The context's timing-walk memo caches a pure function: every price it
+/// serves — a feasible plan's, TGEMM's, or `INFINITY` for a plan that
+/// overruns a scratchpad — is bit-equal to a fresh walk on a context that
+/// memoises nothing, and a repeated price walks nothing.
+#[test]
+fn the_timing_walk_memo_serves_the_bits_of_a_fresh_walk() {
+    let memo = FtImm::new(HwConfig::default());
+    let fresh = FtImm::with_plan_cache_capacity(HwConfig::default(), 0);
+    let mut rng = Rng64::new(0x3E30);
+    let mut shapes: Vec<GemmShape> = Regime::ALL.iter().map(|r| r.sample(&mut rng)).collect();
+    shapes.push(GemmShape::new(64, 64, 4096));
+    // A double-buffered 12 × 1024 A_s needs 96 KiB of a 64 KiB SM.
+    let overrun = ChosenStrategy::KPar(KparBlocks {
+        m_g: 64,
+        n_g: 64,
+        m_a: 64,
+        n_a: 64,
+        k_a: 1024,
+        m_s: 12,
+    });
+    let mut infinite = 0;
+    for shape in &shapes {
+        let mut plans: Vec<ChosenStrategy> = [Strategy::Auto, Strategy::MPar, Strategy::KPar]
+            .into_iter()
+            .map(|s| memo.plan(shape, s, 8))
+            .collect();
+        plans.extend([ChosenStrategy::TGemm, overrun]);
+        for plan in &plans {
+            for cores in [4, 8] {
+                let first = memo.predict_seconds(shape, plan, cores);
+                let walks = memo.timing_simulations();
+                let again = memo.predict_seconds(shape, plan, cores);
+                assert_eq!(memo.timing_simulations(), walks, "{shape} {plan:?}");
+                let fresh_walks = fresh.timing_simulations();
+                let cold = [0; 2].map(|_| fresh.predict_seconds(shape, plan, cores));
+                assert_eq!(fresh.timing_simulations(), fresh_walks + 2, "{shape}");
+                for t in [again, cold[0], cold[1]] {
+                    assert_eq!(t.to_bits(), first.to_bits(), "{shape} {plan:?} on {cores}");
+                }
+                infinite += usize::from(first == f64::INFINITY);
+            }
+        }
+    }
+    assert!(infinite >= 2, "the sweep prices plans that cannot run");
+}
+
+/// A cold job of the benchmark's reproduction stream — `plan_full`,
+/// `tune`, then pricing the tuned plan and TGEMM — walks each distinct
+/// candidate once: the tune's first phase repeats the planner's walks,
+/// the tuned plan was walked by the tune, and TGEMM is usually one of the
+/// planner's candidates; the context's memo answers all of them.
+#[test]
+fn a_cold_job_walks_each_distinct_candidate_once() {
+    let reference = FtImm::with_plan_cache_capacity(HwConfig::default(), 0);
+    let cfg = TuneConfig::default();
+    let mut rng = Rng64::new(0xC01D);
+    for regime in Regime::ALL {
+        let shape = regime.sample(&mut rng);
+        let ft = FtImm::new(HwConfig::default());
+        let plan = ft.plan_full(&shape, Strategy::Auto, 8);
+        let outcome = ft.tune(&shape, 8, &cfg);
+        ft.predict_seconds(&shape, &outcome.plan.strategy, 8);
+        ft.predict_seconds(&shape, &ChosenStrategy::TGemm, 8);
+
+        // The strategies that job evaluates, recorded on a context that
+        // memoises nothing.
+        let mut seen: HashSet<ChosenStrategy> = HashSet::new();
+        let mut price = |c: &ChosenStrategy| {
+            seen.insert(*c);
+            reference.predict_seconds(&shape, c, 8)
+        };
+        let planner = Planner::new(reference.cache(), reference.cfg());
+        assert_eq!(planner.plan(&shape, Strategy::Auto, 8, &mut price), plan);
+        let tuner = Tuner::new(reference.cache(), reference.cfg(), cfg);
+        assert_eq!(tuner.tune(&shape, 8, &mut price).plan, outcome.plan);
+        seen.extend([outcome.plan.strategy, ChosenStrategy::TGemm]);
+
+        let walks = ft.timing_simulations();
+        assert_eq!(walks, seen.len() as u64, "{regime} {shape}");
+        let evaluations = u64::from(plan.simulations + outcome.plan.simulations) + 2;
+        assert!(
+            walks < evaluations,
+            "{regime} {shape}: {walks} of {evaluations}"
+        );
+    }
+}
+
 #[test]
 fn timing_walks_materialise_nothing_and_functional_runs_only_their_cores() {
     let ft = FtImm::new(HwConfig::default());
