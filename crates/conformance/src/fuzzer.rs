@@ -29,7 +29,7 @@ use cpublas::CpuConfig;
 use dspsim::{BackendKind, DmaPath, ExecMode, FaultPlan, HwConfig, Machine, RunReport};
 use ftimm::reference::{fill_matrix, sgemm_f64};
 use ftimm::{
-    ChosenStrategy, ClusterPool, EngineConfig, FtImm, FtimmError, GemmProblem, GemmShape,
+    ChosenStrategy, ClusterPool, EngineConfig, Executor, FtImm, FtimmError, GemmProblem, GemmShape,
     ResilienceConfig, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedPlan,
     ShardedReport, SpillPolicy, Strategy, TenantSpec, Walk,
 };
@@ -720,15 +720,16 @@ fn mode_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     )
 }
 
-/// Every `Executor` entry point (`run_plan`, `gemm`, `run_plan_resilient`,
-/// `gemm_resilient`, and `tgemm` when the case forces TGEMM) bit-exact,
-/// and equal on the simulated clock, for the same resolved plan.
+/// Every way into the executor (`run_plan`, `gemm`, `run_plan_resilient`
+/// and a profiled, resilient `Executor::dispatch` under the case's
+/// strategy) bit-exact, and equal on the simulated clock, for the same
+/// resolved plan.
 fn entry_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     type Entry<'a> = &'a dyn Fn(&mut Machine, &GemmProblem) -> Result<RunReport, FtimmError>;
     let (ft, strategy, cores) = (cx.ft, cx.case.strategy, cx.case.cores);
     let plan = ft.plan(&cx.case.shape, strategy, cores);
     let rcfg = ResilienceConfig::default();
-    let entries: [(&str, Entry); 5] = [
+    let entries: [(&str, Entry); 4] = [
         ("RunPlan", &|m, p| ft.run_plan(m, p, &plan, cores)),
         ("Gemm", &|m, p| {
             ft.gemm(m, p, strategy, cores).map(|(r, _)| r)
@@ -736,15 +737,18 @@ fn entry_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
         ("RunPlanResilient", &|m, p| {
             ft.run_plan_resilient(m, p, &plan, cores, &rcfg)
         }),
-        ("GemmResilient", &|m, p| {
-            ft.gemm_resilient(m, p, strategy, cores, &rcfg)
-                .map(|(r, _)| r)
+        ("Dispatch", &|m, p| {
+            Executor::new(ft)
+                .strategy(strategy)
+                .cores(cores)
+                .resilient(rcfg)
+                .profiled()
+                .dispatch(m, p)?
+                .result
         }),
-        ("Tgemm", &|m, p| ft.tgemm(m, p, cores)),
     ];
-    let used = if strategy == Strategy::TGemm { 5 } else { 4 };
     let mut baseline: Option<Run> = None;
-    for (name, entry) in &entries[..used] {
+    for (name, entry) in &entries {
         let run = cx.staged_run(ExecMode::Compiled, cx.operands(false), name, entry)?;
         match &baseline {
             None => baseline = Some(run),
@@ -806,10 +810,11 @@ fn fault_recovery(cx: &Ctx) -> Result<(), Mismatch> {
     let faults = fault_plan_for(cx.case.fault_seed.unwrap_or(1));
     let run = cx.staged_run(ExecMode::Compiled, cx.operands(false), "run", |m, p| {
         m.install_faults(&faults);
-        let rcfg = ResilienceConfig::default();
-        cx.ft
-            .gemm_resilient(m, p, cx.case.strategy, cx.case.cores, &rcfg)
-            .map(|(r, _)| r)
+        Executor::new(cx.ft)
+            .strategy(cx.case.strategy)
+            .cores(cx.case.cores)
+            .resilient(ResilienceConfig::default())
+            .run(m, p)
     })?;
     cx.near_f64(
         "resilient-under-faults vs f64",

@@ -1,4 +1,5 @@
-//! The public ftIMM entry point.
+//! The ftIMM library context, [`FtImm`], and its one-call shorthands for
+//! the [`crate::Executor`].
 
 use crate::plan::sharded::PlacementCache;
 use crate::plan::store::{self, CatalogLoad, PlanTable};
@@ -453,7 +454,7 @@ impl FtImm {
             Ok(p) => p,
             Err(e) => return self.note_planning_failure(&FtimmError::Sim(e)),
         };
-        match self.run_plan(&mut m, &p, plan, cores) {
+        match crate::exec::run_resolved(self, &mut m, &p, plan, cores) {
             Ok(r) => r.seconds,
             Err(e) => self.note_planning_failure(&e),
         }
@@ -481,7 +482,8 @@ impl FtImm {
         self.planning_failures.load(Ordering::Relaxed)
     }
 
-    /// Execute a resolved plan.
+    /// Execute a resolved plan: shorthand for
+    /// `Executor::new(self).with_plan(*plan).cores(cores).run(m, p)`.
     pub fn run_plan(
         &self,
         m: &mut Machine,
@@ -492,12 +494,10 @@ impl FtImm {
         Executor::new(self).with_plan(*plan).cores(cores).run(m, p)
     }
 
-    /// Execute a resolved plan under the resilience layer: ABFT-checked,
-    /// retried on injected faults, degraded onto surviving cores.
-    ///
-    /// For job-level control on top of this — per-job deadlines, tenants,
-    /// circuit breakers, cluster failover — submit work to a
-    /// [`crate::ShardedEngine`] instead.
+    /// Execute a resolved plan under the resilience layer (ABFT-checked,
+    /// retried on injected faults, degraded onto surviving cores):
+    /// shorthand for [`FtImm::run_plan`]'s executor with
+    /// [`Executor::resilient`]`(*rcfg)`.
     pub fn run_plan_resilient(
         &self,
         m: &mut Machine,
@@ -513,26 +513,9 @@ impl FtImm {
             .run(m, p)
     }
 
-    /// Plan and execute resiliently in one call (the fault-tolerant
-    /// analogue of [`FtImm::gemm`]).
-    pub fn gemm_resilient(
-        &self,
-        m: &mut Machine,
-        p: &GemmProblem,
-        strategy: Strategy,
-        cores: usize,
-        rcfg: &resilience::ResilienceConfig,
-    ) -> Result<(RunReport, Plan), FtimmError> {
-        let run = Executor::new(self)
-            .strategy(strategy)
-            .cores(cores)
-            .resilient(*rcfg)
-            .dispatch(m, p)?;
-        Ok((run.result?, run.plan))
-    }
-
-    /// `C += A × B`: plan and execute in one call.  Returns the run
-    /// report and the plan that was used.
+    /// `C += A × B`: plan and execute in one call, returning the run
+    /// report and the plan that was used — shorthand for
+    /// `Executor::new(self).strategy(strategy).cores(cores).dispatch(m, p)`.
     pub fn gemm(
         &self,
         m: &mut Machine,
@@ -545,19 +528,6 @@ impl FtImm {
             .cores(cores)
             .dispatch(m, p)?;
         Ok((run.result?, run.plan))
-    }
-
-    /// Run TGEMM (the baseline) regardless of shape.
-    pub fn tgemm(
-        &self,
-        m: &mut Machine,
-        p: &GemmProblem,
-        cores: usize,
-    ) -> Result<RunReport, FtimmError> {
-        Executor::new(self)
-            .with_plan(ChosenStrategy::TGemm)
-            .cores(cores)
-            .run(m, p)
     }
 }
 
@@ -585,12 +555,8 @@ mod tests {
             b: p.b,
             c: p.c.view(0, 0, 4, 4),
         };
-        for r in [
-            ft.run_plan(&mut m, &bad, &ChosenStrategy::TGemm, 4),
-            ft.tgemm(&mut m, &bad, 4),
-        ] {
-            assert!(matches!(r, Err(FtimmError::Invalid(_))), "got {r:?}");
-        }
+        let r = ft.run_plan(&mut m, &bad, &ChosenStrategy::TGemm, 4);
+        assert!(matches!(r, Err(FtimmError::Invalid(_))), "got {r:?}");
         assert!(matches!(
             ft.gemm(&mut m, &bad, Strategy::Auto, 4),
             Err(FtimmError::Invalid(_))

@@ -1182,38 +1182,25 @@ mod tests {
         assert_bits_eq(c, &single_cluster_oracle(&ft));
     }
 
+    /// A batch of small GEMMs against one shared operand (the FEM
+    /// pattern: `C_e += A_e × B` over stacked element matrices `A_e`) is
+    /// one flat GEMM of `count · rows` rows, so it runs as a one-cluster
+    /// job, bitwise equal to a single-cluster run of that GEMM.
     #[test]
-    fn a_batch_as_a_one_cluster_job_matches_the_batch_api_bitwise() {
+    fn a_batch_as_a_one_cluster_job_matches_a_single_cluster_run_bitwise() {
         let ft = FtImm::new(HwConfig::default());
-        let batch = crate::GemmBatch::new(10, 8, 12, 4).unwrap();
-        let s = batch.flat_shape();
-        let elements = fill_matrix(s.m * s.k, 1);
-        let operator = fill_matrix(s.k * s.n, 2);
-        let mut want = vec![0.0f32; s.m * s.n];
-        let mut m = Machine::with_mode(ExecMode::Compiled);
-        batch
-            .run(
-                &ft,
-                &mut m,
-                &elements,
-                &operator,
-                &mut want,
-                Strategy::Auto,
-                CORES,
-            )
-            .unwrap();
-
+        let (count, rows, inner, cols) = (10, 8, 12, 4);
+        let (m, n, k) = (count * rows, cols, inner);
         let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
         let mut eng = ShardedEngine::new(pool, test_cfg());
         let t = eng.register_tenant(TenantSpec::new("batch", 5));
-        let out = vec![0.0f32; s.m * s.n];
         let job = ShardedJob::gemm(
-            s.m,
-            s.n,
-            s.k,
-            elements,
-            operator,
-            out,
+            m,
+            n,
+            k,
+            fill_matrix(m * k, 1),
+            fill_matrix(k * n, 2),
+            fill_matrix(m * n, 3),
             Strategy::Auto,
             CORES,
         );
@@ -1222,7 +1209,7 @@ mod tests {
         let ShardedOutcome::Completed { c, .. } = &records[0].outcome else {
             panic!("expected completion, got {}", records[0].outcome.label());
         };
-        assert_bits_eq(c, &want);
+        assert_bits_eq(c, &oracle_for(&ft, m, n, k));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The unified execution layer every GEMM entry point routes through.
+//! The executor: the one door that runs a GEMM problem staged on a
+//! [`Machine`] (host buffers go through [`crate::ShardedEngine`]).  An
+//! [`Executor`] carries the request — a [`Strategy`] or a pinned plan,
+//! cores, resilience, a deadline and profiling — and
+//! [`Executor::dispatch`] runs it as:
 //!
-//! Before this layer existed, [`crate::FtImm`]'s plain and resilient
-//! entry points, the job engine and the batch API each carried their own
-//! copy of the validate → plan → watchdog → run sequence.  The
-//! [`Executor`] owns that sequence once, layered as:
-//!
-//! 1. **validate** — shared problem validation ([`validate_problem`]);
+//! 1. **validate** — shared problem validation ([`validate_problem`]),
+//!    and a machine with at least one live core;
 //! 2. **plan** — resolve a [`Plan`] from the requested [`Strategy`]
 //!    through the context's memoising plan cache and cost-model planner
 //!    (or pin a pre-resolved strategy), which pulls generated
@@ -32,52 +32,22 @@
 
 mod export;
 mod profile;
-mod validate;
 
+use crate::plan::Plan;
+use crate::resilience::{self, ResilienceConfig};
+use crate::{
+    kpar, mpar, tgemm, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape, Strategy,
+};
+use dspsim::{Machine, Phase, Profiler, RunReport, WatchdogConfig, DEFAULT_PROFILE_CAPACITY};
 pub use export::{
     chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_from_json,
     profile_json,
 };
-pub use validate::{validate_batch_dims, validate_problem};
 
-use crate::plan::Plan;
-use crate::resilience::{run_resilient_full, ResilienceConfig};
-use crate::{
-    run_kpar, run_mpar, run_tgemm, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape,
-    Strategy,
-};
-use dspsim::{Machine, Phase, Profiler, RunReport, WatchdogConfig, DEFAULT_PROFILE_CAPACITY};
-
-/// Knobs for one executor dispatch.  Built through the [`Executor`]'s
-/// setter methods; the defaults reproduce a plain `Strategy::Auto` run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecOptions {
-    /// Planning strategy (ignored when [`ExecOptions::plan`] is set).
-    pub strategy: Strategy,
-    /// Pre-resolved plan, skipping the planning layer.
-    pub plan: Option<ChosenStrategy>,
-    /// Cores requested (each runner clamps to the machine's map).
-    pub cores: usize,
-    /// Run through the resilience layer with this configuration.
-    pub resilience: Option<ResilienceConfig>,
-    /// Watchdog deadline in simulated seconds from dispatch.
-    pub deadline_s: Option<f64>,
-    /// Record phase spans (in a ring of [`DEFAULT_PROFILE_CAPACITY`])
-    /// and attach a [`dspsim::PhaseProfile`] to the report.
-    pub profile: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            strategy: Strategy::Auto,
-            plan: None,
-            cores: 8,
-            resilience: None,
-            deadline_s: None,
-            profile: false,
-        }
-    }
+/// Validate a staged GEMM problem (dimension agreement between `A`, `B`
+/// and `C`), lifting the matrix-level diagnostic into [`FtimmError`].
+pub fn validate_problem(p: &GemmProblem) -> Result<(), FtimmError> {
+    p.validate().map_err(FtimmError::Invalid)
 }
 
 /// Outcome of one [`Executor::dispatch`]: the run result plus the
@@ -93,8 +63,6 @@ pub struct ExecRun {
     /// `C` rows verified before the run ended (resilient runs; a plain
     /// successful run counts every row).
     pub rows_verified: usize,
-    /// The problem's M dimension.
-    pub rows_total: usize,
     /// Physical cores implicated in transient faults, in occurrence
     /// order (resilient runs; circuit breakers feed on this).
     pub fault_cores: Vec<usize>,
@@ -103,19 +71,23 @@ pub struct ExecRun {
     pub profiler: Option<Profiler>,
 }
 
-impl ExecRun {
-    /// The run report, discarding the progress bookkeeping.
-    pub fn into_result(self) -> Result<RunReport, FtimmError> {
-        self.result
-    }
-}
-
-/// One configured dispatch pipeline over an [`FtImm`] context.  Cheap to
-/// build per call; see the module docs for the layering.
+/// One request to run a staged problem on an [`FtImm`] context, set
+/// through the builder methods; [`Executor::new`]'s defaults are a plain
+/// `Strategy::Auto` run on 8 cores.  Cheap to build per call; see the
+/// module docs for the layering.
 #[derive(Clone, Copy)]
 pub struct Executor<'a> {
     ft: &'a FtImm,
-    opts: ExecOptions,
+    /// Planning strategy (ignored when `plan` is set).
+    strategy: Strategy,
+    /// Pre-resolved plan, skipping the planning layer.
+    plan: Option<ChosenStrategy>,
+    /// Cores requested (clamped to the machine's live cores).
+    cores: usize,
+    resilience: Option<ResilienceConfig>,
+    /// Watchdog deadline in simulated seconds from dispatch.
+    deadline_s: Option<f64>,
+    profile: bool,
 }
 
 impl<'a> Executor<'a> {
@@ -123,89 +95,89 @@ impl<'a> Executor<'a> {
     pub fn new(ft: &'a FtImm) -> Self {
         Executor {
             ft,
-            opts: ExecOptions::default(),
+            strategy: Strategy::Auto,
+            plan: None,
+            cores: 8,
+            resilience: None,
+            deadline_s: None,
+            profile: false,
         }
-    }
-
-    /// The options this executor will dispatch with.
-    pub fn opts(&self) -> &ExecOptions {
-        &self.opts
     }
 
     /// Set the planning strategy.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.opts.strategy = strategy;
+        self.strategy = strategy;
         self
     }
 
     /// Use a pre-resolved plan, skipping the planning layer.
     pub fn with_plan(mut self, plan: ChosenStrategy) -> Self {
-        self.opts.plan = Some(plan);
+        self.plan = Some(plan);
         self
     }
 
     /// Set the requested core count.
     pub fn cores(mut self, cores: usize) -> Self {
-        self.opts.cores = cores;
+        self.cores = cores;
         self
     }
 
     /// Run through the resilience layer.
     pub fn resilient(mut self, rcfg: ResilienceConfig) -> Self {
-        self.opts.resilience = Some(rcfg);
+        self.resilience = Some(rcfg);
         self
     }
 
     /// Arm a watchdog deadline (simulated seconds from dispatch); `None`
     /// leaves the deadline off.
     pub fn with_deadline(mut self, deadline_s: Option<f64>) -> Self {
-        self.opts.deadline_s = deadline_s;
+        self.deadline_s = deadline_s;
         self
     }
 
-    /// Record phase spans and attach a [`dspsim::PhaseProfile`] to the
-    /// report.
+    /// Record phase spans (in a ring of [`DEFAULT_PROFILE_CAPACITY`]) and
+    /// attach a [`dspsim::PhaseProfile`] to the report.
     pub fn profiled(mut self) -> Self {
-        self.opts.profile = true;
+        self.profile = true;
         self
     }
 
-    /// Validate and dispatch.  `Err` means the problem was rejected
-    /// before anything ran; an error of a run that *started* is carried
-    /// inside [`ExecRun::result`] together with its progress.
+    /// Validate and dispatch.  `Err` means the request was refused before
+    /// anything ran — an invalid problem, or a machine with no live core;
+    /// an error of a run that *started* is carried inside
+    /// [`ExecRun::result`] together with its progress.
     pub fn dispatch(&self, m: &mut Machine, p: &GemmProblem) -> Result<ExecRun, FtimmError> {
         validate_problem(p)?;
+        if m.alive_cores() == 0 {
+            return Err(FtimmError::Invalid("the machine has no live core".into()));
+        }
         Ok(self.dispatch_unchecked(m, p))
     }
 
-    /// Dispatch then flatten to the run report (the shape of the classic
-    /// [`FtImm::run_plan`]-style entry points).
+    /// [`Executor::dispatch`] flattened to the run report.
     pub fn run(&self, m: &mut Machine, p: &GemmProblem) -> Result<RunReport, FtimmError> {
-        self.dispatch(m, p).and_then(ExecRun::into_result)
+        self.dispatch(m, p).and_then(|run| run.result)
     }
 
     /// The pipeline after validation: guard → plan → run → report.
     fn dispatch_unchecked(&self, m: &mut Machine, p: &GemmProblem) -> ExecRun {
-        if self.opts.profile {
+        if self.profile {
             m.profile_begin(DEFAULT_PROFILE_CAPACITY);
         }
         // Arm the watchdog for the caller's deadline on the simulated
         // clock.  Planning below evaluates candidates on separate
         // machines, so the guard covers exactly the run.
-        let armed = self.opts.deadline_s.is_some();
-        if let Some(d) = self.opts.deadline_s {
+        if let Some(d) = self.deadline_s {
             m.arm_watchdog(WatchdogConfig::with_deadline(m.elapsed() + d));
         }
 
         let shape = GemmShape::new(p.m(), p.n(), p.k());
         let plan_t0 = std::time::Instant::now();
-        let plan = match self.opts.plan {
-            Some(strategy) => Plan::pinned(shape, self.opts.cores, strategy),
-            None => self
-                .ft
-                .plan_full(&shape, self.opts.strategy, self.opts.cores),
+        let plan = match self.plan {
+            Some(strategy) => Plan::pinned(shape, self.cores, strategy),
+            None => self.ft.plan_full(&shape, self.strategy, self.cores),
         };
-        if self.opts.profile {
+        if self.profile {
             // Host wall-clock planning time, anchored at the current
             // simulated instant.  `Phase::Plan` spans are excluded from
             // the profile's busy/window accounting, so recording one
@@ -215,27 +187,19 @@ impl<'a> Executor<'a> {
             m.record_span(0, Phase::Plan, now, now + dt);
         }
 
-        let (result, rows_verified, rows_total, fault_cores) = match &self.opts.resilience {
+        let (result, rows_verified, fault_cores) = match &self.resilience {
             None => {
-                let r = run_resolved(self.ft, m, p, &plan.strategy, self.opts.cores);
+                let r = run_resolved(self.ft, m, p, &plan.strategy, self.cores);
                 let verified = if r.is_ok() { p.m() } else { 0 };
-                (r, verified, p.m(), Vec::new())
+                (r, verified, Vec::new())
             }
-            Some(rcfg) => {
-                let run = run_resilient_full(self.ft, m, p, &plan.strategy, self.opts.cores, rcfg);
-                (
-                    run.result,
-                    run.rows_verified,
-                    run.rows_total,
-                    run.fault_cores,
-                )
-            }
+            Some(rcfg) => resilience::run(self.ft, m, p, &plan.strategy, self.cores, rcfg),
         };
 
-        if armed {
+        if self.deadline_s.is_some() {
             m.disarm_watchdog();
         }
-        let profiler = self.opts.profile.then(|| m.profile_end());
+        let profiler = self.profile.then(|| m.profile_end());
         let result = result.map(|mut rep| {
             if let Some(pr) = &profiler {
                 rep.profile = Some(profile::finish(self.ft, &shape, pr, &rep));
@@ -246,15 +210,17 @@ impl<'a> Executor<'a> {
             result,
             plan,
             rows_verified,
-            rows_total,
             fault_cores,
             profiler,
         }
     }
 }
 
-/// Drive the strategy runner a resolved plan names.  The single place
-/// the plan → runner fan-out lives.
+/// Drive the strategy runner a resolved plan names on `cores` cores,
+/// clamped to the machine's live cores and the cluster.  The single
+/// place the plan → runner fan-out lives; `p` must be valid (every
+/// caller holds a validated problem, a row span of one, or a fresh
+/// allocation).
 pub(crate) fn run_resolved(
     ft: &FtImm,
     m: &mut Machine,
@@ -262,9 +228,70 @@ pub(crate) fn run_resolved(
     plan: &ChosenStrategy,
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
+    let cores = live_cores(m, cores);
     match plan {
-        ChosenStrategy::MPar(bl) => run_mpar(m, ft.executor(), p, bl, cores),
-        ChosenStrategy::KPar(bl) => run_kpar(m, ft.executor(), p, bl, cores),
-        ChosenStrategy::TGemm => run_tgemm(m, ft.executor(), p, cores),
+        ChosenStrategy::MPar(bl) => mpar::run_mpar(m, ft.executor(), p, bl, cores),
+        ChosenStrategy::KPar(bl) => kpar::run_kpar(m, ft.executor(), p, bl, cores),
+        ChosenStrategy::TGemm => tgemm::run_tgemm(m, ft.executor(), p, cores),
+    }
+}
+
+/// The cores a run of `cores` requested cores uses: at least one, at
+/// most the machine's live cores and the cluster's.
+pub(crate) fn live_cores(m: &Machine, cores: usize) -> usize {
+    cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dspsim::{ExecMode, HwConfig};
+
+    #[test]
+    fn problem_validation_reports_shape_mismatches() {
+        let mut m = Machine::with_mode(ExecMode::Compiled);
+        let p = GemmProblem::alloc(&mut m, 8, 8, 8).unwrap();
+        assert!(validate_problem(&p).is_ok());
+        let bad = GemmProblem {
+            a: p.a,
+            b: p.b,
+            c: p.c.view(0, 0, 4, 4),
+        };
+        assert!(matches!(
+            validate_problem(&bad),
+            Err(FtimmError::Invalid(_))
+        ));
+    }
+
+    /// A machine whose every core is retired, and one built with no core
+    /// at all, are refused with a typed error before anything plans or
+    /// runs — through the plain and the resilient door alike.
+    #[test]
+    fn a_machine_with_no_live_core_is_refused() {
+        fn refused(r: Result<RunReport, FtimmError>) {
+            assert!(
+                matches!(&r, Err(FtimmError::Invalid(s)) if s.contains("no live core")),
+                "got {r:?}"
+            );
+        }
+        let ft = FtImm::new(HwConfig::default());
+        let mut m = Machine::with_mode(ExecMode::Compiled);
+        let p = GemmProblem::alloc(&mut m, 64, 24, 48).unwrap();
+        for core in 0..m.cfg.cores_per_cluster {
+            m.retire_core(core);
+        }
+        refused(ft.gemm(&mut m, &p, Strategy::Auto, 8).map(|(r, _)| r));
+        let rcfg = ResilienceConfig::default();
+        refused(ft.run_plan_resilient(&mut m, &p, &ChosenStrategy::TGemm, 8, &rcfg));
+
+        let cfg = HwConfig {
+            cores_per_cluster: 0,
+            ..HwConfig::default()
+        };
+        let ft = FtImm::new(cfg.clone());
+        let mut m = Machine::new(cfg, ExecMode::Compiled);
+        let p = GemmProblem::alloc(&mut m, 64, 24, 48).unwrap();
+        refused(ft.gemm(&mut m, &p, Strategy::Auto, 8).map(|(r, _)| r));
+        assert_eq!(ft.timing_simulations(), 0, "refused before planning");
     }
 }

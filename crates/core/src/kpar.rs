@@ -32,16 +32,15 @@ pub struct KparBlocks {
     pub m_s: usize,
 }
 
-/// Run `C += A × B` with the K-dimension strategy on `cores` cores.
-pub fn run_kpar(
+/// Run `C += A × B` with the K-dimension strategy on `cores` live cores
+/// (clamped by [`crate::exec::run_resolved`]).
+pub(crate) fn run_kpar(
     m: &mut Machine,
     ex: &KernelExecutor,
     p: &GemmProblem,
     bl: &KparBlocks,
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
-    crate::exec::validate_problem(p)?;
-    let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
     // Groups are C_g panels; each (m_a, n_a) panel of one is a run of
     // `active` tasks, one per core, over that core's round-robin share of
     // the k_a slices (Algorithm 5 line 7).

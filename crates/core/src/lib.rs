@@ -16,9 +16,14 @@
 //! * [`plan`]: the Plan IR — cost-model planner, strategy selection and
 //!   the memoizing plan cache every entry point routes through;
 //! * [`roofline`]: the roofline bound used in the paper's Fig 5;
-//! * [`api::FtImm`]: the user-facing entry point;
-//! * [`exec::Executor`]: the unified execution pipeline every entry
-//!   point routes through, with optional phase-level profiling.
+//! * [`api::FtImm`]: the library context (caches, planner, tuner) and
+//!   its one-call shorthands;
+//! * [`exec::Executor`]: the one door that runs a problem staged on a
+//!   [`dspsim::Machine`] — strategy or pinned plan, cores, resilience,
+//!   deadline and phase-level profiling — returning an [`ExecRun`];
+//! * [`cluster::ShardedEngine`]: the one door that runs host buffers, on a
+//!   pool of one or more clusters and the CPU lane;
+//! * [`resilience`]: the ABFT recovery loop an executor runs under.
 //!
 //! ```
 //! use dspsim::{ExecMode, Machine};
@@ -43,7 +48,6 @@
 pub mod adjust;
 pub mod api;
 pub mod backend;
-pub mod batch;
 pub mod cluster;
 pub mod error;
 pub mod exec;
@@ -67,7 +71,6 @@ pub use api::{FtImm, Strategy, TuningStats};
 pub use backend::{
     predict_cpu_stripe, Backend, BackendPrediction, CpuBackend, CpuLaneOutcome, CpuStripeRun,
 };
-pub use batch::{BatchReport, GemmBatch};
 pub use cluster::{
     BreakerState, CircuitBreaker, ClusterHealth, ClusterPool, EngineConfig, FailoverEvent, JobId,
     ShardRun, ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedRecord,
@@ -76,12 +79,12 @@ pub use cluster::{
 pub use error::FtimmError;
 pub use exec::{
     chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_from_json,
-    profile_json, validate_batch_dims, validate_problem, ExecOptions, ExecRun, Executor,
+    profile_json, validate_problem, ExecRun, Executor,
 };
 pub use invoke::invoke_kernel;
-pub use kpar::{run_kpar, KparBlocks};
+pub use kpar::KparBlocks;
 pub use matrix::{DdrMatrix, GemmProblem};
-pub use mpar::{run_mpar, MparBlocks};
+pub use mpar::MparBlocks;
 pub use plan::{
     analytic_seconds, bit_signature, catalog_from_json, catalog_json, choose_coexec_split,
     choose_strategy, load_catalog, plan_coexec, plan_from_json, plan_json, plan_sharded,
@@ -89,9 +92,7 @@ pub use plan::{
     PlanCatalog, PlanKey, PlanOrigin, Planner, Shard, ShardOrigin, ShardedPlan, StrategyKind,
     TuneConfig, TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA,
 };
-pub use resilience::{
-    max_abs_error_vs_oracle, run_resilient, run_resilient_full, ResilienceConfig, ResilientRun,
-};
+pub use resilience::ResilienceConfig;
 pub use shape::{GemmShape, IrregularType, BLOCK_ALIGN, SUFFICIENTLY_LARGE, TINY_K_MAX};
-pub use tgemm::{run_tgemm, TgemmParams};
+pub use tgemm::TgemmParams;
 pub use walk::{RowGrid, Walk};

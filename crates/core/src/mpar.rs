@@ -31,16 +31,15 @@ pub struct MparBlocks {
     pub m_s: usize,
 }
 
-/// Run `C += A × B` with the M-dimension strategy on `cores` cores.
-pub fn run_mpar(
+/// Run `C += A × B` with the M-dimension strategy on `cores` live cores
+/// (clamped by [`crate::exec::run_resolved`]).
+pub(crate) fn run_mpar(
     m: &mut Machine,
     ex: &KernelExecutor,
     p: &GemmProblem,
     bl: &MparBlocks,
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
-    crate::exec::validate_problem(p)?;
-    let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
     // Groups are B_g panels; tasks are (m_a row chunk, n_a column) C
     // panels, row chunks dealt round-robin over cores (Algorithm 4 line 4).
     let walk = Walk::new(&ChosenStrategy::MPar(*bl), p.m(), p.n(), p.k(), cores);

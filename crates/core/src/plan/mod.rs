@@ -23,10 +23,10 @@
 //!   `(shape, cores, strategy) → Plan` with hit/miss/eviction counters,
 //!   so repeated shapes plan in O(1) with **zero** simulations.
 //!
-//! The [`crate::exec::Executor`] consumes plans; every entry point —
-//! `gemm`, `tgemm`, the resilient variants, the job engine and the batch
-//! API — routes through it, so this module is the only place planning
-//! decisions are made.
+//! The [`crate::exec::Executor`] consumes plans; every run — its
+//! shorthands on [`crate::FtImm`] and each shard the
+//! [`crate::ShardedEngine`] dispatches — routes through it, so this
+//! module is the only place planning decisions are made.
 
 pub mod cache;
 pub mod cost;

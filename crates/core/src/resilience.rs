@@ -1,8 +1,9 @@
 //! Resilient GEMM execution: ABFT checksums, bounded retries,
 //! checkpointed recovery and graceful degradation onto surviving cores.
 //!
-//! [`run_resilient`] wraps any resolved plan ([`ChosenStrategy`]) with a
-//! recovery loop:
+//! An [`crate::Executor`] given a [`ResilienceConfig`]
+//! ([`crate::Executor::resilient`]) runs its resolved plan
+//! ([`ChosenStrategy`]) inside a recovery loop:
 //!
 //! * **Silent data corruption** (injected DMA payload corruption or
 //!   scratchpad bit flips) is caught after the run by algorithm-based
@@ -38,7 +39,7 @@
 //! * **Deadline preemption** ([`dspsim::SimError::WatchdogTripped`] with
 //!   a `Core` unit) is *not* retried: it is a budget decision by the
 //!   caller, surfaced immediately together with the rows verified so far
-//!   (see [`ResilientRun`]).
+//!   (see [`crate::ExecRun::rows_verified`]).
 //!
 //! The checksum *verification* itself is host-side bookkeeping and is
 //! modelled as free; only recovery work (backoff stalls, restored
@@ -47,7 +48,7 @@
 //! time and no stat perturbation: the run report is bit-identical to an
 //! unwrapped run.
 
-use crate::exec::validate_problem;
+use crate::exec::{live_cores, run_resolved};
 use crate::walk::{RowGrid, Walk};
 use crate::{ChosenStrategy, DdrMatrix, FtImm, FtimmError, GemmProblem};
 use dspsim::{EventKind, Machine, RunReport, SimError};
@@ -238,24 +239,6 @@ fn backoff(m: &mut Machine, cores: usize, rcfg: &ResilienceConfig, attempt: u32)
     }
 }
 
-/// Outcome of [`run_resilient_full`]: the run result plus the recovery
-/// progress the caller (e.g. the job engine) needs even when the run
-/// fails — how far checkpoints got and which cores were implicated.
-#[derive(Debug)]
-pub struct ResilientRun {
-    /// The run report, or the terminal error.
-    pub result: Result<RunReport, FtimmError>,
-    /// `C` rows whose checkpoint completed (and, in functional modes,
-    /// verified) before the run ended.  Equals `rows_total` on success.
-    pub rows_verified: usize,
-    /// The problem's M dimension.
-    pub rows_total: usize,
-    /// Physical cores implicated in transient faults, in occurrence
-    /// order — including faults that were absorbed by a successful
-    /// recovery.  Circuit breakers feed on this.
-    pub fault_cores: Vec<usize>,
-}
-
 /// Shared immutable context for one resilient run.
 struct Ctx<'a> {
     ft: &'a FtImm,
@@ -316,7 +299,7 @@ fn execute_span(
 ) -> Result<(), FtimmError> {
     loop {
         let sub = row_span(p, r0, r1);
-        match cx.ft.run_plan(m, &sub, cx.plan, cx.cores) {
+        match run_resolved(cx.ft, m, &sub, cx.plan, cx.cores) {
             Ok(_) => return Ok(()),
             Err(e) if e.is_transient_fault() => {
                 if let Some(c) = e.implicated_core() {
@@ -381,7 +364,6 @@ fn run_spans(
     p: &GemmProblem,
     rec: &mut Recovery,
 ) -> Result<RunReport, FtimmError> {
-    validate_problem(p)?;
     let abft = if m.mode.is_functional() {
         Some(AbftRef::capture(m, p)?)
     } else {
@@ -416,64 +398,32 @@ fn run_spans(
     Ok(rep)
 }
 
-/// Execute a resolved plan with ABFT verification, bounded retries,
-/// optional row-span checkpointing and graceful core degradation,
-/// reporting recovery progress even on failure.  See the module docs for
-/// the fault model.
-pub fn run_resilient_full(
+/// Execute a resolved plan on a validated problem with ABFT
+/// verification, bounded retries, optional row-span checkpointing and
+/// graceful core degradation.  Returns the run result, the `C` rows whose
+/// checkpoint completed (and, in functional modes, verified) before the
+/// run ended — all of them on success — and the physical cores implicated
+/// in transient faults, in occurrence order, including faults a
+/// successful recovery absorbed.  See the module docs for the fault
+/// model.
+pub(crate) fn run(
     ft: &FtImm,
     m: &mut Machine,
     p: &GemmProblem,
     plan: &ChosenStrategy,
     cores: usize,
     rcfg: &ResilienceConfig,
-) -> ResilientRun {
-    let walk_cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
+) -> (Result<RunReport, FtimmError>, usize, Vec<usize>) {
     let cx = Ctx {
         ft,
         plan,
         cores,
         rcfg,
-        grid: Walk::new(plan, p.m(), p.n(), p.k(), walk_cores).grid(),
+        grid: Walk::new(plan, p.m(), p.n(), p.k(), live_cores(m, cores)).grid(),
     };
     let mut rec = Recovery::new();
     let result = run_spans(&cx, m, p, &mut rec);
-    ResilientRun {
-        result,
-        rows_verified: rec.rows_verified,
-        rows_total: p.m(),
-        fault_cores: rec.fault_cores,
-    }
-}
-
-/// Execute a resolved plan with ABFT verification, bounded retries and
-/// graceful core degradation.  See the module docs for the fault model.
-pub fn run_resilient(
-    ft: &FtImm,
-    m: &mut Machine,
-    p: &GemmProblem,
-    plan: &ChosenStrategy,
-    cores: usize,
-    rcfg: &ResilienceConfig,
-) -> Result<RunReport, FtimmError> {
-    run_resilient_full(ft, m, p, plan, cores, rcfg).result
-}
-
-/// A [`DdrMatrix`]-level convenience: verify a finished `C` against a
-/// host oracle (`f64` accumulate), returning the worst absolute error.
-/// Used by the chaos tests to validate degraded K-parallel runs whose
-/// reduction regrouping changes bit patterns but not mathematics.
-pub fn max_abs_error_vs_oracle(
-    m: &mut Machine,
-    c: &DdrMatrix,
-    oracle: &[f64],
-) -> Result<f64, FtimmError> {
-    let got = c.download(m).map_err(FtimmError::Sim)?;
-    Ok(got
-        .iter()
-        .zip(oracle)
-        .map(|(&g, &o)| (g as f64 - o).abs())
-        .fold(0.0, f64::max))
+    (result, rec.rows_verified, rec.fault_cores)
 }
 
 #[cfg(test)]
@@ -501,8 +451,9 @@ mod tests {
 
         let mut m2 = Machine::with_mode(ExecMode::Compiled);
         let p2 = problem(&mut m2, 64, 24, 48);
-        let resil =
-            run_resilient(&ft, &mut m2, &p2, &plan, 4, &ResilienceConfig::default()).unwrap();
+        let resil = ft
+            .run_plan_resilient(&mut m2, &p2, &plan, 4, &ResilienceConfig::default())
+            .unwrap();
         let c_resil = p2.c.download(&mut m2).unwrap();
 
         assert_eq!(plain.seconds.to_bits(), resil.seconds.to_bits());
@@ -538,7 +489,7 @@ mod tests {
             ckpt_rows: 4,
             ..ResilienceConfig::default()
         };
-        let rep = run_resilient(&ft, &mut m, &p, &plan, 1, &rcfg).unwrap();
+        let rep = ft.run_plan_resilient(&mut m, &p, &plan, 1, &rcfg).unwrap();
         assert_eq!(rep.faults.retries, 0);
         assert_eq!(rep.faults.rows_reexecuted, 0);
     }
@@ -550,7 +501,9 @@ mod tests {
         let p = problem(&mut m, 64, 24, 48);
         m.install_faults(&FaultPlan::new(9).corrupt_dma(dspsim::DmaPath::DdrToAm, 2));
         let plan = ft.plan(&crate::GemmShape::new(64, 24, 48), Strategy::MPar, 4);
-        let rep = run_resilient(&ft, &mut m, &p, &plan, 4, &ResilienceConfig::default()).unwrap();
+        let rep = ft
+            .run_plan_resilient(&mut m, &p, &plan, 4, &ResilienceConfig::default())
+            .unwrap();
         assert_eq!(rep.faults.dma_corruptions, 1);
         assert!(rep.faults.retries >= 1);
         assert!(rep.faults.recomputed_tiles >= 1);
@@ -588,7 +541,7 @@ mod tests {
                     ckpt_rows,
                     ..ResilienceConfig::default()
                 };
-                let rep = run_resilient(&ft, &mut m, &p, &plan, 4, &rcfg).unwrap();
+                let rep = ft.run_plan_resilient(&mut m, &p, &plan, 4, &rcfg).unwrap();
                 let case = format!("DdrToSm #{nth} ckpt {ckpt_rows}");
                 assert_eq!(rep.faults.dma_corruptions, 1, "{case}");
                 assert_eq!(rep.faults.rows_reexecuted, 32, "{case}");
@@ -611,7 +564,9 @@ mod tests {
             max_retries: 0,
             ..ResilienceConfig::default()
         };
-        let err = run_resilient(&ft, &mut m, &p, &plan, 4, &rcfg).unwrap_err();
+        let err = ft
+            .run_plan_resilient(&mut m, &p, &plan, 4, &rcfg)
+            .unwrap_err();
         assert!(
             matches!(err, FtimmError::Sim(SimError::DataCorrupt { .. })),
             "got {err}"
@@ -634,7 +589,12 @@ mod tests {
             ckpt_rows: 16,
             ..ResilienceConfig::default()
         };
-        let run = run_resilient_full(&ft, &mut m2, &p2, &plan, 4, &rcfg);
+        let run = crate::Executor::new(&ft)
+            .with_plan(plan)
+            .cores(4)
+            .resilient(rcfg)
+            .dispatch(&mut m2, &p2)
+            .unwrap();
         let rep = run.result.unwrap();
         assert_eq!(run.rows_verified, 64);
         assert_eq!(rep.faults.rows_reexecuted, 0);
@@ -661,9 +621,13 @@ mod tests {
             ckpt_rows: 16,
             ..ResilienceConfig::default()
         };
-        let run = run_resilient_full(&ft, &mut m, &p, &plan, 1, &rcfg);
+        let run = crate::Executor::new(&ft)
+            .with_plan(plan)
+            .cores(1)
+            .resilient(rcfg)
+            .dispatch(&mut m, &p)
+            .unwrap();
         assert!(run.result.is_err());
-        assert_eq!(run.rows_total, 64);
         assert!(
             run.rows_verified > 0 && run.rows_verified < 64,
             "corruption in a later span should leave earlier checkpoints verified \

@@ -39,15 +39,14 @@ impl Default for TgemmParams {
 }
 
 /// Run `C += A × B` with TGEMM's fixed blocking
-/// ([`TgemmParams::default`]) on `cores` DSP cores.
-pub fn run_tgemm(
+/// ([`TgemmParams::default`]) on `cores` live DSP cores (clamped by
+/// [`crate::exec::run_resolved`]).
+pub(crate) fn run_tgemm(
     m: &mut Machine,
     ex: &KernelExecutor,
     p: &GemmProblem,
     cores: usize,
 ) -> Result<RunReport, FtimmError> {
-    crate::exec::validate_problem(p)?;
-    let cores = cores.clamp(1, m.alive_cores().min(m.cfg.cores_per_cluster));
     // Groups are A_g panels; tasks are their n_a column chunks, dealt
     // round-robin over cores (Algorithm 1 line 5: the parallel loop over
     // t), each with the group's whole K range as its one K step.

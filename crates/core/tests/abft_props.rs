@@ -10,7 +10,7 @@
 
 use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine};
 use ftimm::reference::fill_matrix;
-use ftimm::{run_resilient, DdrMatrix, FtImm, GemmProblem, GemmShape, ResilienceConfig, Strategy};
+use ftimm::{DdrMatrix, FtImm, GemmProblem, GemmShape, ResilienceConfig, Strategy};
 
 const CORES: usize = 4;
 
@@ -71,15 +71,9 @@ fn non_finite_results_are_not_reported_as_corruption() {
                 ckpt_rows,
                 ..ResilienceConfig::default()
             };
-            let rep = run_resilient(
-                &ft,
-                &mut m,
-                &p,
-                &plan(&ft, &p, Strategy::MPar),
-                CORES,
-                &rcfg,
-            )
-            .unwrap_or_else(|e| panic!("{poison} ckpt {ckpt_rows}: {e}"));
+            let rep = ft
+                .run_plan_resilient(&mut m, &p, &plan(&ft, &p, Strategy::MPar), CORES, &rcfg)
+                .unwrap_or_else(|e| panic!("{poison} ckpt {ckpt_rows}: {e}"));
             assert_eq!(rep.faults.retries, 0);
             let case = format!("{poison} ckpt {ckpt_rows}");
             same_bits(&p.c.download(&mut m).unwrap(), &want, &case);
@@ -103,15 +97,9 @@ fn corruption_in_a_checked_row_is_recovered_beside_an_unchecked_one() {
                 ckpt_rows,
                 ..ResilienceConfig::default()
             };
-            let rep = run_resilient(
-                &ft,
-                &mut m,
-                &p,
-                &plan(&ft, &p, Strategy::MPar),
-                CORES,
-                &rcfg,
-            )
-            .unwrap();
+            let rep = ft
+                .run_plan_resilient(&mut m, &p, &plan(&ft, &p, Strategy::MPar), CORES, &rcfg)
+                .unwrap();
             let case = format!("{path:?} #{nth} ckpt {ckpt_rows}");
             assert_eq!(rep.faults.dma_corruptions, 1, "{case}");
             assert!(
@@ -165,7 +153,9 @@ fn strided_views_run_resilient_as_plain_and_recover_bitwise() {
                     ckpt_rows,
                     ..ResilienceConfig::default()
                 };
-                let rep = run_resilient(&ft, &mut m, &p, &chosen, CORES, &rcfg).unwrap();
+                let rep = ft
+                    .run_plan_resilient(&mut m, &p, &chosen, CORES, &rcfg)
+                    .unwrap();
                 let case = format!("{shape:?} ckpt {ckpt_rows} fault {}", fault.is_some());
                 let got = p.c.download(&mut m).unwrap();
                 same_bits(&got, &want, &case);

@@ -1,11 +1,11 @@
-//! Property tests over the admission checks in `exec/validate.rs`:
+//! Property tests over the executor's admission check, `validate_problem`:
 //! every malformed dimension combination must be *rejected* (never
 //! panic, never pass), and every well-formed one accepted.  Matrices
 //! are constructed directly (all `DdrMatrix` fields are public) so the
 //! generators can express inconsistencies `GemmProblem::alloc` would
 //! never produce.
 
-use ftimm::{validate_batch_dims, validate_problem, DdrMatrix, FtimmError, GemmProblem};
+use ftimm::{validate_problem, DdrMatrix, FtimmError, GemmProblem};
 use proptest::prelude::*;
 
 fn mat(rows: usize, cols: usize, extra_ld: usize, off: u64) -> DdrMatrix {
@@ -62,24 +62,6 @@ proptest! {
             validate_problem(&p),
             Err(FtimmError::Invalid(_))
         ));
-    }
-
-    /// The batch gate accepts exactly: all dims positive and
-    /// `cols ≤ MAX_NA`.
-    #[test]
-    fn batch_dims_gate_is_exact(
-        count in 0usize..64,
-        rows in 0usize..64,
-        inner in 0usize..64,
-        cols in 0usize..256,
-    ) {
-        let verdict = validate_batch_dims(count, rows, inner, cols);
-        let should_pass =
-            count > 0 && rows > 0 && inner > 0 && cols > 0 && cols <= kernelgen::MAX_NA;
-        prop_assert_eq!(verdict.is_ok(), should_pass);
-        if !should_pass {
-            prop_assert!(matches!(verdict, Err(FtimmError::Invalid(_))));
-        }
     }
 
     /// Degenerate (zero) dimensions never panic the validator either

@@ -11,8 +11,7 @@
 use dspsim::{DmaPath, ExecMode, FaultPlan, HwConfig, Machine, MemTarget, RunReport, SimError};
 use ftimm::reference::{assert_close, fill_matrix, sgemm_f64};
 use ftimm::{
-    run_resilient, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape, ResilienceConfig,
-    Strategy,
+    ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape, ResilienceConfig, Strategy,
 };
 
 const M: usize = 64;
@@ -61,7 +60,7 @@ fn chaotic(
     let p = upload_problem(&mut m);
     m.install_faults(faults);
     let plan = ft.plan(&GemmShape::new(M, N, K), strategy, CORES);
-    let rep = run_resilient(&ft, &mut m, &p, &plan, CORES, rcfg)?;
+    let rep = ft.run_plan_resilient(&mut m, &p, &plan, CORES, rcfg)?;
     let c = p.c.download(&mut m).unwrap();
     Ok((rep, c))
 }
@@ -214,7 +213,7 @@ fn checkpointed_recovery_reexecutes_strictly_fewer_rows_bit_exactly() {
         let mut m = Machine::with_mode(ExecMode::Compiled);
         let p = upload_problem(&mut m);
         m.install_faults(&faults);
-        let rep = run_resilient(&ft, &mut m, &p, &plan, 1, rcfg).unwrap();
+        let rep = ft.run_plan_resilient(&mut m, &p, &plan, 1, rcfg).unwrap();
         (rep, p.c.download(&mut m).unwrap())
     };
     let (full, c_full) = on_one_core(&ResilienceConfig::default());
