@@ -11,8 +11,7 @@
 //! 4. `Full`             — adjusted blocks + model-based strategy choice.
 
 use crate::common::{format_table, Harness};
-use dspsim::HwConfig;
-use ftimm::{ChosenStrategy, FtImm, GemmShape, IrregularType, Strategy};
+use ftimm::{ChosenStrategy, GemmShape, IrregularType, Strategy};
 
 /// One ablation row.
 #[derive(Debug, Clone)]
@@ -63,66 +62,6 @@ pub fn compute() -> Vec<Row> {
             }
         })
         .collect()
-}
-
-/// Plan-cache ablation: the same `Strategy::Auto` planning request
-/// repeated on contexts with the memo enabled vs disabled.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheRow {
-    /// Shape planned.
-    pub shape: GemmShape,
-    /// Times the request was issued.
-    pub repeats: u32,
-    /// Total planning wall-clock with the default cache, seconds.
-    pub cached_s: f64,
-    /// Total planning wall-clock with a zero-capacity cache, seconds.
-    pub uncached_s: f64,
-    /// Timing simulations the cached context ran (the first request's
-    /// only — hits simulate nothing).
-    pub cached_sims: u64,
-    /// Timing simulations the uncached context ran (grows per repeat).
-    pub uncached_sims: u64,
-}
-
-/// Measure the plan-cache ablation: `repeats` identical Auto requests
-/// against a cached and an uncached context.
-pub fn compute_plan_cache(repeats: u32) -> CacheRow {
-    let shape = GemmShape::new(4096, 32, 4096);
-    let time_plans = |ft: &FtImm| {
-        let t0 = std::time::Instant::now();
-        for _ in 0..repeats {
-            ft.plan_full(&shape, Strategy::Auto, 8);
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let cached = FtImm::new(HwConfig::default());
-    let cached_s = time_plans(&cached);
-    let uncached = FtImm::with_plan_cache_capacity(HwConfig::default(), 0);
-    let uncached_s = time_plans(&uncached);
-    CacheRow {
-        shape,
-        repeats,
-        cached_s,
-        uncached_s,
-        cached_sims: cached.timing_simulations(),
-        uncached_sims: uncached.timing_simulations(),
-    }
-}
-
-/// Render the plan-cache ablation lines.
-pub fn render_plan_cache(r: &CacheRow) -> String {
-    format!(
-        "Plan-cache ablation — {} Auto plans of {}:\n\
-         cache on : {:.3e}s total, {} timing simulations\n\
-         cache off: {:.3e}s total, {} timing simulations ({:.0}x slower)\n",
-        r.repeats,
-        r.shape,
-        r.cached_s,
-        r.cached_sims,
-        r.uncached_s,
-        r.uncached_sims,
-        r.uncached_s / r.cached_s.max(1e-12)
-    )
 }
 
 /// Render the ablation table.
@@ -185,19 +124,6 @@ mod tests {
             .unwrap();
         let gain = r.gflops[2] / r.gflops[1];
         assert!(gain > 1.1, "adjusting gain only {gain}");
-    }
-
-    #[test]
-    fn plan_cache_eliminates_repeat_simulations() {
-        let r = compute_plan_cache(3);
-        // The cached context simulates only on the first request; the
-        // uncached one re-simulates every time.  The counts are the
-        // deterministic property; the timings are host wall-clock and
-        // only rendered.
-        assert!(r.cached_sims > 0);
-        assert_eq!(r.uncached_sims % r.cached_sims, 0);
-        assert_eq!(r.uncached_sims / r.cached_sims, 3);
-        assert!(render_plan_cache(&r).contains("cache off"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The command line the gated report binaries share: one flag table per
-//! binary, one usage/`die` path, one gate verdict format and one exit
+//! The command line the `bench` subcommands share: one flag table per
+//! subcommand, one usage/`die` path, one gate verdict format and one exit
 //! code decision.
 //!
 //! Exit codes: 0 on success, 1 when a gate failed, 2 on a usage or I/O
@@ -47,26 +47,16 @@ fn human(v: f64) -> String {
 }
 
 impl Cli {
-    /// Parse the process arguments against `flags`; `positional` names
-    /// the bare arguments for the usage line (empty: none are accepted).
-    /// A usage error prints the usage line and exits 2.
-    pub fn parse(bin: &str, flags: &[(&'static str, Arg)], positional: &str) -> Cli {
-        Cli::try_parse(bin, flags, positional, std::env::args().skip(1)).unwrap_or_else(
-            |(usage, msg)| {
-                eprintln!("error: {msg}\n{usage}");
-                std::process::exit(2)
-            },
-        )
-    }
-
-    /// [`Cli::parse`] over explicit arguments; `Err` is `(usage, message)`.
-    pub fn try_parse(
-        bin: &str,
+    /// Parse `args` against `flags`; `positional` names the bare
+    /// arguments for the usage line (empty: none are accepted).  `Err` is
+    /// `(usage, message)`: the caller prints both and exits 2.
+    pub fn parse(
+        command: &str,
         flags: &[(&'static str, Arg)],
         positional: &str,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Cli, (String, String)> {
-        let mut usage = format!("usage: {bin}");
+        let mut usage = format!("usage: {command}");
         for (name, arg) in flags {
             usage.push_str(&match arg {
                 Arg::Switch => format!(" [{name}]"),
@@ -185,7 +175,7 @@ mod tests {
     ];
 
     fn parse(positional: &str, args: &[&str]) -> Result<Cli, (String, String)> {
-        Cli::try_parse(
+        Cli::parse(
             "demo",
             &FLAGS,
             positional,

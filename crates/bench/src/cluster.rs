@@ -4,8 +4,8 @@
 //!
 //! Not a paper figure — the paper's FT-m7032 has four GPDSP clusters but
 //! evaluates one; this extends the perf trajectory to the multi-cluster
-//! front end (DESIGN.md §4.3).  `BENCH_cluster.json` is emitted by the
-//! `cluster` binary and archived by CI; its `--assert-failover-overhead`
+//! front end (DESIGN.md §4.3).  `BENCH_cluster.json` is emitted by
+//! `bench cluster` and archived by CI; its `--assert-failover-overhead`
 //! gate keeps recovery cost bounded by twice the lost shard's work.
 
 use crate::report::{Cell::*, Document, Fmt::*, Table};

@@ -56,7 +56,7 @@ fn point(h: &Harness, m: usize, n: usize, k: usize) -> Point {
 /// Compute all six panels on 8 cores.
 ///
 /// Debug builds use truncated M/K sweeps so `cargo test` stays fast; the
-/// release harness (`--bin fig5`, benches) runs the paper's full ranges.
+/// release harness (`bench fig5`, `bench paper`) runs the paper's full ranges.
 pub fn compute() -> Vec<Panel> {
     let h = Harness::new();
     let top = if cfg!(debug_assertions) { 19 } else { 22 };

@@ -7,7 +7,7 @@
 //! (`ExecMode::Compiled`) spends its host wall-clock inside the kernel
 //! executor, so the compiled rate is the direct lever on fuzzer
 //! throughput and bench turnaround.  `BENCH_kernel_exec.json` is emitted
-//! by the `kernel_exec` binary and archived by CI; the report's
+//! by `bench kernel_exec` and archived by CI; the report's
 //! `simd_level` names the width the lowering ran at (`"avx512f"`,
 //! `"avx2+fma"` or `"scalar"`).
 //!

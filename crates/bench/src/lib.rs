@@ -2,8 +2,8 @@
 //!
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§V).  Each module exposes `compute()` returning structured
-//! rows and `render()` producing the printable table; the `fig*`/`tables`
-//! binaries print them, the repo benchmark (`perf/`) times them, and the
+//! rows and `render()` producing the printable table; the `bench` binary's
+//! subcommands print them, the repo benchmark (`perf/`) times them, and the
 //! integration tests assert the paper's qualitative shapes on them.
 
 #![forbid(unsafe_code)]

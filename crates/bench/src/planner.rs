@@ -4,8 +4,8 @@
 //! shape (cold vs. warm planning wall-clock).
 //!
 //! Not a paper figure — this starts the perf trajectory for the planning
-//! layer itself: `BENCH_planner.json` is emitted by the `planner` binary
-//! and archived by CI, so regressions in planning cost or in the
+//! layer itself: `BENCH_planner.json` is emitted by `bench planner` and
+//! archived by CI, so regressions in planning cost or in the
 //! analytic/simulated agreement are visible over time.
 
 use crate::report::{Cell::*, Document, Fmt::*, Table};

@@ -4,8 +4,6 @@
 
 use dspsim::HwConfig;
 use ftimm_isa::PipelineTable;
-#[cfg(test)]
-use ftimm_isa::Unit;
 use kernelgen::{KernelSpec, MicroKernel};
 
 /// A generated pipeline table with its source kernel.
@@ -71,6 +69,7 @@ pub fn render(tables: &[TableRepro]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftimm_isa::Unit;
 
     #[test]
     fn table_i_fills_all_three_fmac_units() {

@@ -2,8 +2,8 @@
 //! pick on the paper's representative shapes, and proof that a catalog
 //! warm start plans every shape with zero timing simulations.
 //!
-//! Not a paper figure — `BENCH_tune.json` is emitted by the `tune`
-//! binary and archived by CI with two gates: tuned plans are never
+//! Not a paper figure — `BENCH_tune.json` is emitted by `bench tune`
+//! and archived by CI with two gates: tuned plans are never
 //! predicted slower than the analytic pick (`--assert-no-regression`),
 //! and a fresh context loading the emitted `ftimm-plan-catalog-v2`
 //! serves all shapes simulation-free (`--assert-warm-zero-sims`).

@@ -1084,7 +1084,7 @@ pub struct FuzzSummary {
 }
 
 impl FuzzSummary {
-    /// Render the per-regime coverage table the `conform` binary prints.
+    /// Render the per-regime coverage table `bench conform` prints.
     pub fn coverage_table(&self) -> String {
         let mut s = String::from("regime       cases\n");
         for (i, r) in Regime::ALL.iter().enumerate() {

@@ -450,6 +450,10 @@ impl FtImm {
     /// Run one timing walk of `plan` on a fresh timing machine.
     fn walk_seconds(&self, shape: &GemmShape, plan: &ChosenStrategy, cores: usize) -> f64 {
         let mut m = Machine::new(self.cfg.clone(), ExecMode::Timing);
+        if m.alive_cores() == 0 {
+            let e = FtimmError::Invalid("the timing machine has no core".into());
+            return self.note_planning_failure(&e);
+        }
         let p = match GemmProblem::alloc(&mut m, shape.m, shape.n, shape.k) {
             Ok(p) => p,
             Err(e) => return self.note_planning_failure(&FtimmError::Sim(e)),

@@ -31,7 +31,7 @@
 
 use crate::cluster::CircuitBreaker;
 use crate::error::FtimmError;
-use crate::walk::Walk;
+use crate::walk::{cluster_cores, Walk};
 use crate::ChosenStrategy;
 use cpublas::CpuConfig;
 use dspsim::{FaultPlan, Phase, Profiler, Span};
@@ -210,7 +210,7 @@ impl CpuBackend {
         // rows across the checkpoint spans.
         let total_s = super::predict_cpu_stripe(&self.cfg, rows, n, k, self.slowdown).seconds;
         let per_row_s = total_s / rows as f64;
-        let cores = cores.clamp(1, self.dsp_cores_per_cluster);
+        let cores = cluster_cores(cores, self.dsp_cores_per_cluster);
         let grid = Walk::new(strategy, rows, n, k, cores).grid();
         let spans = grid.spans(rows, ckpt_rows);
         let mut rows_verified = 0usize;

@@ -35,7 +35,7 @@
 //! and reducing a run's tasks one after another is bitwise identical to
 //! the DSP's compute-in-parallel-then-reduce-serially schedule.
 
-use crate::walk::Walk;
+use crate::walk::{cluster_cores, Walk};
 use crate::{ChosenStrategy, FtimmError};
 use kernelgen::KernelExecutor;
 
@@ -109,7 +109,8 @@ pub(crate) fn run_strategy_host(
     kk: usize,
 ) -> Result<(), FtimmError> {
     debug_assert!(a.len() >= mm * kk && b.len() >= kk * nn && c.len() >= mm * nn);
-    let walk = Walk::new(strategy, mm, nn, kk, cores.clamp(1, cores_per_cluster));
+    let cores = cluster_cores(cores, cores_per_cluster);
+    let walk = Walk::new(strategy, mm, nn, kk, cores);
     let (mut c_a, mut b_a, mut a_s) = (Vec::new(), Vec::new(), Vec::new());
     for g in walk.groups() {
         for t in walk.tasks(&g) {

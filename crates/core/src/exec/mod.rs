@@ -294,4 +294,37 @@ mod tests {
         refused(ft.gemm(&mut m, &p, Strategy::Auto, 8).map(|(r, _)| r));
         assert_eq!(ft.timing_simulations(), 0, "refused before planning");
     }
+
+    /// Planning for a cluster with no core returns a plan (single- and
+    /// multi-cluster alike) instead of panicking; running that plan on
+    /// such a machine is still refused with a typed error.
+    #[test]
+    fn planning_for_a_zero_core_cluster_returns_and_its_run_is_refused() {
+        let cfg = HwConfig {
+            cores_per_cluster: 0,
+            ..HwConfig::default()
+        };
+        let ft = FtImm::new(cfg.clone());
+        let shape = GemmShape::new(64, 24, 48);
+        for strategy in [
+            Strategy::Auto,
+            Strategy::Rules,
+            Strategy::MPar,
+            Strategy::KPar,
+            Strategy::TGemm,
+        ] {
+            let plan = ft.plan_full(&shape, strategy, 8);
+            crate::plan::sharded::plan_sharded(&ft, &shape, strategy, 8, &[0, 1], 16);
+            let mut m = Machine::new(cfg.clone(), ExecMode::Compiled);
+            let p = GemmProblem::alloc(&mut m, 64, 24, 48).unwrap();
+            let run = Executor::new(&ft)
+                .with_plan(plan.strategy)
+                .cores(8)
+                .dispatch(&mut m, &p);
+            assert!(
+                matches!(run, Err(FtimmError::Invalid(_))),
+                "{strategy:?}: {run:?}"
+            );
+        }
+    }
 }

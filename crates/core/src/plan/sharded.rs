@@ -321,7 +321,7 @@ fn placed(
 /// each distinct and not the strategy itself.
 fn variants(cfg: &HwConfig, base: &Plan, clusters: usize) -> Vec<ChosenStrategy> {
     let (shape, m) = (&base.shape, base.shape.m);
-    let cores = base.cores.clamp(1, cfg.cores_per_cluster);
+    let cores = walk::cluster_cores(base.cores, cfg.cores_per_cluster);
     let round_up = |rows: usize, m_s: usize| rows.div_ceil(m_s.max(1)) * m_s.max(1);
     let mut sig: Option<BitSignature> = None;
     let mut out: Vec<ChosenStrategy> = Vec::new();

@@ -116,6 +116,13 @@ impl Footprint {
     }
 }
 
+/// `cores` clamped to a cluster of `cores_per_cluster` cores, at least
+/// one: `clamp(1, 0)` would panic, and planning for a machine with no
+/// core must return so that running on it is refused with an error.
+pub(crate) fn cluster_cores(cores: usize, cores_per_cluster: usize) -> usize {
+    cores.min(cores_per_cluster).max(1)
+}
+
 /// Whether `strategy` can run `shape` on `cores` cores of a fresh `cfg`
 /// machine (cores clamped to the cluster as the emitters clamp them).
 pub(crate) fn fits(
@@ -124,7 +131,7 @@ pub(crate) fn fits(
     shape: &GemmShape,
     cores: usize,
 ) -> bool {
-    let cores = cores.clamp(1, cfg.cores_per_cluster);
+    let cores = cluster_cores(cores, cfg.cores_per_cluster);
     Walk::new(strategy, shape.m, shape.n, shape.k, cores)
         .footprint()
         .fits(cfg)
