@@ -36,6 +36,7 @@ use ftimm::{
 use kernelgen::{KernelSpec, MicroKernel};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which oracle a case exercises.
@@ -955,10 +956,14 @@ fn tuned_plan_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
         )));
     }
 
+    // One file per call: two threads checking cases of one seed must not
+    // delete each other's catalog between its save and its load.
+    static CATALOGS: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
-        "ftimm-fuzz-catalog-{}-{}.json",
+        "ftimm-fuzz-catalog-{}-{}-{}.json",
         std::process::id(),
-        case.seed
+        case.seed,
+        CATALOGS.fetch_add(1, Ordering::Relaxed)
     ));
     ft1.save_plan_catalog(&path)
         .map_err(|e| cx.fail(format!("catalog save failed: {e}")))?;
@@ -1109,8 +1114,7 @@ pub fn run_fuzz(
     let mut summary = FuzzSummary::default();
     for i in 0..iters {
         let case = generate_case(run_seed, i);
-        let regime = Regime::classify(&case.shape);
-        summary.regime_counts[Regime::ALL.iter().position(|&r| r == regime).unwrap()] += 1;
+        summary.regime_counts[Regime::classify(&case.shape) as usize] += 1;
         summary.oracle_counts[case.oracle as usize] += 1;
         match check_case(ft, &case) {
             Ok(()) => progress(i, &case, true),

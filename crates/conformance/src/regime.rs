@@ -34,6 +34,16 @@ const DOMINANT: usize = 4;
 /// taxonomy so the sampler and the planner agree on the boundary.
 const TINY_K: usize = ftimm::TINY_K_MAX;
 
+// `ALL` lists the variants in declaration order, so `regime as usize`
+// indexes it (and `FuzzSummary::regime_counts`).
+const _: () = {
+    let mut i = 0;
+    while i < Regime::ALL.len() {
+        assert!(Regime::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl Regime {
     /// All regimes, in the coverage-table row order.
     pub const ALL: [Regime; 4] = [

@@ -20,6 +20,18 @@
 //!
 //! The pass collects every violation (it does not stop at the first) so
 //! fuzzer reports and CI logs show the whole damage picture.
+//!
+//! The hazard walk does not step every dynamic trip of a loop.  At each
+//! trip boundary it takes the board as seen from that cycle
+//! ([`Scoreboard::seen_from`]); since [`Scoreboard::hazards`] compares a
+//! retire cycle only with the cycle asked about, a trip that starts from
+//! the view its predecessor started from breaks the same rules and ends
+//! on the same view.  So once a trip repeats the view of one that added
+//! no violation (or whose violations the cap already dropped), the
+//! remaining trips add nothing, and the walk moves the cycle and every
+//! retire time past them ([`Scoreboard::shift`]).  The report equals a
+//! walk of every dynamic bundle, which `tests/scoreboard_gate.rs` keeps
+//! as its reference.
 
 use ftimm_isa::{
     Bundle, Hazard, IsaError, LatencyTable, Program, Scoreboard, Section, Unit, MAX_SCALAR_SLOTS,
@@ -277,29 +289,82 @@ pub fn verify_program(program: &Program, lat: &LatencyTable) -> VerifyReport {
     });
 
     // Pass 2 — hazards over the dynamic order (loop-carried effects need
-    // the real trip sequence).  Skipped when the bundle structure itself
-    // is broken: hazard states of malformed slots are meaningless.
-    let static_ok = violations.is_empty();
-    let mut board = Scoreboard::new(*lat);
-    let mut cycle = 0;
-    program
-        .visit::<Infallible>(&mut |_idx, bundle| {
-            board.step(cycle, bundle, |unit, inst, board| {
-                for h in board.hazards(cycle, inst).filter(|_| static_ok) {
-                    let kind = ViolationKind::hazard(h);
-                    report(&mut violations, Some(cycle), Some(unit), kind);
-                }
-                Ok::<(), Infallible>(())
-            })?;
-            cycle += 1;
-            Ok(())
-        })
-        .unwrap_or_else(|e| match e {});
+    // the real trip sequence).  Hazards are not reported when the bundle
+    // structure itself is broken: hazard states of malformed slots are
+    // meaningless.
+    let mut walk = HazardWalk {
+        board: Scoreboard::new(*lat),
+        cycle: 0,
+        report_hazards: violations.is_empty(),
+        violations: &mut violations,
+    };
+    walk.sections(&program.sections);
+    let cycles = walk.cycle;
 
     VerifyReport {
         name: program.name.clone(),
-        cycles: cycle,
+        cycles,
         violations,
+    }
+}
+
+/// Pass 2: the scoreboard walked over the program's dynamic bundle order,
+/// a loop's repeating trips jumped over.
+struct HazardWalk<'a> {
+    board: Scoreboard,
+    /// Dynamic cycle of the next bundle.
+    cycle: u64,
+    report_hazards: bool,
+    violations: &'a mut Vec<Violation>,
+}
+
+impl HazardWalk<'_> {
+    fn sections(&mut self, sections: &[Section]) {
+        for s in sections {
+            match s {
+                Section::Straight(bundles) => bundles.iter().for_each(|b| self.bundle(b)),
+                Section::Loop { trips, body, .. } => self.repeat(*trips, body),
+            }
+        }
+    }
+
+    fn bundle(&mut self, bundle: &Bundle) {
+        let cycle = self.cycle;
+        let report_hazards = self.report_hazards;
+        let violations = &mut *self.violations;
+        self.board
+            .step(cycle, bundle, |unit, inst, board| {
+                for h in board.hazards(cycle, inst).filter(|_| report_hazards) {
+                    let kind = ViolationKind::hazard(h);
+                    report(violations, Some(cycle), Some(unit), kind);
+                }
+                Ok::<(), Infallible>(())
+            })
+            .unwrap_or_else(|e| match e {});
+        self.cycle += 1;
+    }
+
+    /// Walk `trips` trips of `body` until one starts from the view of the
+    /// board that the trip before it started from, and that earlier trip
+    /// added no violation; then jump over the trips left (see the module
+    /// documentation for why they would add nothing).
+    fn repeat(&mut self, trips: u64, body: &[Section]) {
+        // The start cycle and board of the last trip, if it added nothing.
+        let mut quiet: Option<(u64, Scoreboard)> = None;
+        for trip in 0..trips {
+            let (start, found) = (self.cycle, self.violations.len());
+            let seen = self.board.seen_from(start);
+            if let Some((last_start, last)) = &quiet {
+                if *last == seen {
+                    let skip = (trips - trip).saturating_mul(start - last_start);
+                    self.cycle = self.cycle.saturating_add(skip);
+                    self.board.shift(skip);
+                    return;
+                }
+            }
+            self.sections(body);
+            quiet = (self.violations.len() == found).then_some((start, seen));
+        }
     }
 }
 

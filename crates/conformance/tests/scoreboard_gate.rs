@@ -15,17 +15,21 @@
 //!   verifier's first RAW/WAW violation is in `c` (undefined reads are a
 //!   verifier-only lint).
 //! * `LineScheduler` output verifies clean and runs without a hazard.
+//! * The verifier, which jumps over a loop's trips once they repeat,
+//!   reports what walking every dynamic bundle reports, also on programs
+//!   whose loops carry hazards from one trip into the next.
 
-use conformance::{case_from_json, verify_program, Rng64, VerifyReport, ViolationKind};
+use conformance::{case_from_json, verify_program, Rng64, VerifyReport, Violation, ViolationKind};
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine, SimError};
 use ftimm::{FtImm, Walk};
 use ftimm_isa::{
-    AddrExpr, BufId, Bundle, Instruction, LatencyTable, LoopLevel, MemSpace, Program, SReg,
-    Section, VReg,
+    AddrExpr, BufId, Bundle, Hazard, Instruction, LatencyTable, LoopLevel, MemSpace, Program, SReg,
+    Scoreboard, Section, VReg,
 };
 use kernelgen::{KernelCache, KernelSpec, LineScheduler};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::convert::Infallible;
 
 /// FNV-1a of every report's name and `{cycle:?} {unit:?} {kind:?}` line
 /// over [`corpus_programs`] then [`random_program`]`(0..RANDOM_PROGRAMS)`.
@@ -98,23 +102,27 @@ fn section(rng: &mut Rng64, level: u8, busy: u64) -> Section {
     }
 }
 
+/// Defines every register the generators draw from, and lets it land.
+fn prologue() -> Section {
+    let mut init = vec![Bundle::new(); 15];
+    for n in 0..9u16 {
+        let b = &mut init[n as usize];
+        b.push_auto(Instruction::vclr(VReg::new(n).unwrap()))
+            .unwrap();
+        if n < 8 {
+            let at = AddrExpr::flat(MemSpace::Sm, BufId::A, 8 * u64::from(n));
+            b.push_auto(Instruction::sldw(SReg::new(n).unwrap(), at))
+                .unwrap();
+        }
+    }
+    Section::Straight(init)
+}
+
 fn random_program(case: u64) -> Program {
     let mut rng = Rng64::for_case(0x5C0_4EB0A4D, case);
     let mut p = Program::new(format!("random{case}"));
     if rng.range(0, 1) == 1 {
-        // Define every register the body draws from, and let it land.
-        let mut init = vec![Bundle::new(); 15];
-        for n in 0..9u16 {
-            let b = &mut init[n as usize];
-            b.push_auto(Instruction::vclr(VReg::new(n).unwrap()))
-                .unwrap();
-            if n < 8 {
-                let at = AddrExpr::flat(MemSpace::Sm, BufId::A, 8 * u64::from(n));
-                b.push_auto(Instruction::sldw(SReg::new(n).unwrap(), at))
-                    .unwrap();
-            }
-        }
-        p.sections.push(Section::Straight(init));
+        p.sections.push(prologue());
     }
     let busy = rng.range(1, 7);
     p.sections
@@ -245,6 +253,159 @@ fn interpreter_hazards_where_the_verifier_first_finds_one() {
         compared += 1;
     }
     assert!(compared as u64 > RANDOM_PROGRAMS * 9 / 10, "{compared}");
+}
+
+/// A program whose loops carry hazards from one trip into the next: the
+/// [`prologue`], then a loop of 2–64 trips whose body is sparse random
+/// bundles around, half the time, an inner loop of 2–64 trips.  Each loop
+/// body starts by reading or clearing a register and ends by loading it
+/// (latency 5), so in trip 1 the register has long landed and from trip 2
+/// on it is still in flight.
+fn carried_program(case: u64) -> Program {
+    fn body(rng: &mut Rng64, level: u8, busy: u64) -> Vec<Section> {
+        let x = vreg(rng);
+        let mut head = Bundle::new();
+        let first = match rng.range(0, 2) {
+            0 => Instruction::vmov(vreg(rng), x),
+            1 => Instruction::vfmulas32(x, vreg(rng), vreg(rng)),
+            _ => Instruction::vclr(x),
+        };
+        head.push_auto(first).unwrap();
+        let mut tail = Bundle::new();
+        tail.push_auto(Instruction::vldw(x, addr(rng))).unwrap();
+        let mut before = vec![head];
+        before.extend((0..rng.range(0, 2)).map(|_| bundle(rng, busy)));
+        let mut after: Vec<_> = (0..rng.range(0, 2)).map(|_| bundle(rng, busy)).collect();
+        after.push(tail);
+        let mut sections = vec![Section::Straight(before)];
+        if level == 0 && rng.range(0, 1) == 1 {
+            sections.push(Section::Loop {
+                level: LoopLevel(1),
+                trips: rng.range(2, 64),
+                body: body(rng, 1, busy),
+            });
+        }
+        sections.push(Section::Straight(after));
+        sections
+    }
+    let mut rng = Rng64::for_case(0xCA44_12ED, case);
+    let mut p = Program::new(format!("carried{case}"));
+    p.sections.push(prologue());
+    let busy = rng.range(0, 2);
+    let trips = rng.range(2, 64);
+    let body = body(&mut rng, 0, busy);
+    p.sections.push(Section::Loop {
+        level: LoopLevel(0),
+        trips,
+        body,
+    });
+    p
+}
+
+/// The hazard pass as the verifier ran it before it jumped over repeating
+/// trips: every dynamic bundle in [`Program::visit`] order through
+/// [`Scoreboard::step`], at most 64 violations kept.  Only for programs
+/// whose bundles keep every issue rule and whose loops nest, as the
+/// generators here build them: pass 1 and the structure checks add
+/// nothing then.
+fn stepped_report(program: &Program, lat: &LatencyTable) -> VerifyReport {
+    let kind = |h| match h {
+        Hazard::Undefined(reg) => ViolationKind::UndefinedRead {
+            register: reg.to_string(),
+        },
+        Hazard::Raw { reg, ready } => ViolationKind::ReadAfterWrite {
+            register: reg.to_string(),
+            ready_cycle: ready,
+        },
+        Hazard::Waw { reg, prior_retire } => ViolationKind::WriteAfterWrite {
+            register: reg.to_string(),
+            prior_retire_cycle: prior_retire,
+        },
+    };
+    let mut board = Scoreboard::new(*lat);
+    let (mut cycle, mut violations) = (0, Vec::new());
+    program
+        .visit::<Infallible>(&mut |_, bundle| {
+            bundle.check_issue(|_, e| panic!("{}: {e}", program.name));
+            board.step(cycle, bundle, |unit, inst, board| {
+                for h in board.hazards(cycle, inst) {
+                    if violations.len() < 64 {
+                        let (cycle, unit, kind) = (Some(cycle), Some(unit), kind(h));
+                        violations.push(Violation { cycle, unit, kind });
+                    }
+                }
+                Ok::<(), Infallible>(())
+            })?;
+            cycle += 1;
+            Ok(())
+        })
+        .unwrap_or_else(|e| match e {});
+    VerifyReport {
+        name: program.name.clone(),
+        cycles: cycle,
+        violations,
+    }
+}
+
+const CARRIED_PROGRAMS: u64 = 1000;
+
+#[test]
+fn the_periodic_walk_reports_what_the_stepped_walk_reports() {
+    let lat = LatencyTable::default();
+    for p in all_programs().1 {
+        assert_eq!(verify_program(&p, &lat), stepped_report(&p, &lat), "{p}");
+    }
+    // A program's first trip ends after its 15-bundle prologue and one
+    // trip's share of its loop.
+    let (mut after_trip_1, mut full) = (0, 0);
+    for case in 0..CARRIED_PROGRAMS {
+        let p = carried_program(case);
+        let report = verify_program(&p, &lat);
+        assert_eq!(report, stepped_report(&p, &lat), "{p}");
+        let first_trip = match &p.sections[1] {
+            Section::Loop { trips, .. } => 15 + p.sections[1].cycles() / trips,
+            Section::Straight(_) => unreachable!(),
+        };
+        let first = report.violations.first().and_then(|v| v.cycle);
+        after_trip_1 += usize::from(first.is_some_and(|c| c >= first_trip));
+        full += usize::from(report.violations.len() == 64);
+    }
+    // Hundreds first break a rule in trip 2 or later, and hundreds fill
+    // the report, after which the walk may jump without a clean trip.
+    assert!(after_trip_1 > 300 && full > 300, "{after_trip_1} {full}");
+}
+
+#[test]
+fn a_clean_loop_of_two_to_the_forty_trips_verifies_promptly() {
+    let mut bundle = Bundle::new();
+    bundle
+        .push_auto(Instruction::vclr(VReg::new(0).unwrap()))
+        .unwrap();
+    let at = AddrExpr::flat(MemSpace::Am, BufId::B, 0).with_stride(0, 64);
+    bundle
+        .push_auto(Instruction::vldw(VReg::new(1).unwrap(), at))
+        .unwrap();
+    let flat = Section::Loop {
+        level: LoopLevel(0),
+        trips: 1 << 40,
+        body: vec![Section::Straight(vec![bundle.clone()])],
+    };
+    let nested = Section::Loop {
+        level: LoopLevel(0),
+        trips: 1 << 20,
+        body: vec![Section::Loop {
+            level: LoopLevel(1),
+            trips: 1 << 20,
+            body: vec![Section::Straight(vec![bundle])],
+        }],
+    };
+    for section in [flat, nested] {
+        let mut p = Program::new("long");
+        p.sections.push(section);
+        let report = verify_program(&p, &LatencyTable::default());
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.cycles, 1 << 40);
+    }
 }
 
 /// Schedule `insts` after a prologue that defines every register they

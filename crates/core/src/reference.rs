@@ -16,15 +16,22 @@ pub fn sgemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [
 }
 
 /// `c += a × b` accumulated in f64 (accuracy oracle).
+///
+/// Runs i-k-j, so B is read along its rows: a row of the result starts as
+/// `c`'s row, then for each `kk` in ascending order `a[i][kk] · b[kk][·]`
+/// is added across it.  Each element still starts from its `c` and adds
+/// the same f64 products in ascending `kk`, the operations of an i-j-k
+/// dot product in its order, so it has the same bits (up to the sign and
+/// payload of a NaN, which Rust leaves unspecified).
 pub fn sgemm_f64(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) -> Vec<f64> {
-    let mut out = vec![0.0f64; m * n];
+    let mut out: Vec<f64> = c[..m * n].iter().map(|&x| x as f64).collect();
     for i in 0..m {
-        for j in 0..n {
-            let mut acc = c[i * n + j] as f64;
-            for kk in 0..k {
-                acc += a[i * k + kk] as f64 * b[kk * n + j] as f64;
+        let row = &mut out[i * n..i * n + n];
+        for kk in 0..k {
+            let aik = a[i * k + kk] as f64;
+            for (o, &bkj) in row.iter_mut().zip(&b[kk * n..kk * n + n]) {
+                *o += aik * bkj as f64;
             }
-            out[i * n + j] = acc;
         }
     }
     out
@@ -74,6 +81,80 @@ mod tests {
         sgemm_naive(m, n, k, &a, &b, &mut c);
         let want = sgemm_f64(m, n, k, &a, &b, &c0);
         assert_close(m, n, &c, &want, 1e-5);
+    }
+
+    /// The dot-product order `sgemm_f64` replaced.
+    fn sgemm_f64_ijk(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) -> Vec<f64> {
+        let mut out = vec![0.0f64; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = c[i * n + j] as f64;
+                for kk in 0..k {
+                    acc += a[i * k + kk] as f64 * b[kk * n + j] as f64;
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn f64_reference_has_the_bits_of_the_dot_product_order() {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::from_bits(1),
+            f32::MAX,
+        ];
+        // Rust leaves the sign and payload of a NaN result unspecified
+        // (the compiler may commute an addition of two NaNs), so a NaN
+        // compares as any NaN and every other value by its bits.
+        let bits = |v: Vec<f64>| {
+            v.into_iter()
+                .map(|x| if x.is_nan() { None } else { Some(x.to_bits()) })
+                .collect::<Vec<_>>()
+        };
+        let sprinkle = |x: &mut [f32], stride: usize, from: usize, sign: f32| {
+            let len = x.len();
+            for (i, s) in specials.iter().enumerate() {
+                x[(i * stride + from) % len] = sign * s;
+            }
+        };
+        let mut shapes = 0;
+        for m in 1..=12 {
+            for n in 1..=12 {
+                for k in [1, 2, 3, 5, 8, 13, 25] {
+                    if m * n * k > 300 {
+                        continue;
+                    }
+                    let seed = (m * 97 + n * 13 + k) as u32;
+                    let mut a = fill_matrix(m * k, seed);
+                    let mut b = fill_matrix(k * n, seed + 1);
+                    let mut c = fill_matrix(m * n, seed + 2);
+                    for special in [false, true] {
+                        if special {
+                            let from = seed as usize;
+                            sprinkle(&mut a, 7, from, 1.0);
+                            sprinkle(&mut b, 5, from, 1.0);
+                            sprinkle(&mut c, 3, from, -1.0);
+                        }
+                        let want = sgemm_f64_ijk(m, n, k, &a, &b, &c);
+                        assert_eq!(bits(sgemm_f64(m, n, k, &a, &b, &c)), bits(want));
+                    }
+                    shapes += 1;
+                }
+            }
+        }
+        assert_eq!(shapes, 698);
+        // Empty extents.
+        assert!(sgemm_f64(0, 4, 3, &[], &fill_matrix(12, 1), &[]).is_empty());
+        assert_eq!(
+            sgemm_f64(2, 2, 0, &[], &[], &[1.0, -0.0, 2.0, 3.0]),
+            [1.0, -0.0, 2.0, 3.0]
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl fmt::Display for Hazard {
 }
 
 /// Per-register retire cycles and defined bits under one latency table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scoreboard {
     lat: LatencyTable,
     /// Retire cycle of each register's latest write, by [`Reg::id`]
@@ -164,6 +164,29 @@ impl Scoreboard {
     /// The first cycle by which every write recorded so far has retired.
     pub fn settled(&self) -> u64 {
         self.ready.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The board as seen from `cycle`: each retire cycle minus `cycle`
+    /// (0 once retired), the same defined bits.  [`hazards`] compares a
+    /// retire cycle only with the cycle asked about, so two boards whose
+    /// views from `c` and `c'` are equal break the same rules at
+    /// `c + d` and `c' + d`, naming cycles `c' − c` apart.
+    ///
+    /// [`hazards`]: Scoreboard::hazards
+    pub fn seen_from(&self, cycle: u64) -> Scoreboard {
+        let mut view = self.clone();
+        for ready in &mut view.ready {
+            *ready = ready.saturating_sub(cycle);
+        }
+        view
+    }
+
+    /// Move every retire cycle `by` cycles later, as if the board's
+    /// history had happened `by` cycles later.
+    pub fn shift(&mut self, by: u64) {
+        for ready in &mut self.ready {
+            *ready = ready.saturating_add(by);
+        }
     }
 }
 
@@ -303,6 +326,28 @@ mod tests {
             [(Unit::VectorLs1, vec![]), (Unit::VectorMisc, vec![waw])]
         );
         assert_eq!(sb.settled(), 1);
+    }
+
+    #[test]
+    fn a_shifted_board_is_seen_alike_from_the_shifted_cycle() {
+        let mut sb = board();
+        sb.issue(0, &Instruction::vclr(v(1)));
+        sb.issue(3, &Instruction::vldw(v(0), am())); // retires at 8
+        let view = sb.seen_from(4);
+        assert_eq!(view.seen_from(0), view);
+        let read = Instruction::vmov(v(2), v(0));
+        assert_eq!(
+            hazards(&view, 3, &read),
+            [Hazard::Raw {
+                reg: Reg::V(v(0)),
+                ready: 4
+            }]
+        );
+        assert!(hazards(&view, 4, &read).is_empty());
+        sb.shift(10);
+        assert_eq!(sb.seen_from(14), view);
+        assert_ne!(sb.seen_from(13), view);
+        assert_eq!(sb.settled(), 18);
     }
 
     #[test]

@@ -74,6 +74,41 @@ fn small_cases_pass_each_oracle() {
     }
 }
 
+/// Two threads checking one tuned-plan case each save a plan catalog to
+/// the temporary directory, load it back and delete it: each needs a file
+/// of its own, or one thread deletes the other's between its save and its
+/// load.
+#[test]
+fn one_tuned_plan_case_checks_clean_on_two_threads() {
+    let case = CaseSpec {
+        seed: 11,
+        shape: GemmShape::new(13, 17, 9),
+        cores: 3,
+        strategy: Strategy::Auto,
+        oracle: OracleKind::TunedPlanEquivalence,
+        fault_seed: None,
+    };
+    for _ in 0..20 {
+        // Both threads start the same work together, so their catalog
+        // saves and loads fall close in time.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let ft = ft();
+                        start.wait();
+                        check_case(&ft, &case)
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap().unwrap_or_else(|m| panic!("{m}"));
+            }
+        });
+    }
+}
+
 /// The oracle table's committed surface: fixtures and
 /// `perf/baseline.json` key on these tags, and the fuzz schedule on
 /// their order and count.
