@@ -933,10 +933,7 @@ fn cpu_failover(cx: &Ctx) -> Result<(), Mismatch> {
 /// plan (the tuner only adopts [`ftimm::BitSignature`]-equal variants).
 fn tuned_plan_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     let (ft, case) = (cx.ft, cx.case);
-    let tcfg = ftimm::TuneConfig {
-        seed: case.seed,
-        ..ftimm::TuneConfig::default()
-    };
+    let tcfg = ftimm::TuneConfig { seed: case.seed };
     // Fresh contexts per leg so tuning state cannot leak between them
     // (the ambient `ft` stays untouched except to execute).
     let ft1 = FtImm::new(ft.cfg().clone());

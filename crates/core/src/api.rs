@@ -283,17 +283,9 @@ impl FtImm {
     /// what the context tuned or loaded before.  The tuned plan is never
     /// predicted slower than the analytic pick (the default is always
     /// simulated first and the minimum wins).
-    ///
-    /// With [`TuneConfig::coexec`] set, the CPU/DSP co-execution split
-    /// is searched as well ([`crate::plan::choose_coexec_split`] against
-    /// the tuned strategy) and the winning M tail is stamped into the
-    /// installed plan's [`Plan::coexec_cpu_rows`] — a non-blocking
-    /// dimension: the strategy's blocks are untouched, so no
-    /// bit-signature gate applies, and the hint round-trips through the
-    /// plan catalog like every other plan field.
     pub fn tune(&self, shape: &GemmShape, cores: usize, config: &TuneConfig) -> TuneOutcome {
         let tuner = Tuner::new(self.cache(), &self.cfg, *config);
-        let mut outcome = tuner.tune(shape, cores, |cand| {
+        let outcome = tuner.tune(shape, cores, |cand| {
             self.predict_seconds(shape, cand, cores)
         });
         self.tuning.plans_tuned.fetch_add(1, Ordering::Relaxed);
@@ -305,23 +297,7 @@ impl FtImm {
             cores,
             strategy: Strategy::Auto,
         };
-        // Install first so the split search below pins the *tuned*
-        // strategy when it consults the plan cache.
         self.plan_cache.insert(key, outcome.plan);
-        if let Some(cx) = config.coexec {
-            let choice = crate::plan::choose_coexec_split(
-                self,
-                shape,
-                Strategy::Auto,
-                cores,
-                cx.clusters,
-                cx.grain_rows,
-                &cx.cpu,
-                cx.slowdown,
-            );
-            outcome.plan.coexec_cpu_rows = choice.cpu_rows;
-            self.plan_cache.insert(key, outcome.plan);
-        }
         lock(&self.tuning.tuned).upsert(key, outcome.plan, false);
         outcome
     }
@@ -662,90 +638,6 @@ mod tests {
         // A shape the catalog does not cover is a catalog miss.
         ft.plan_full(&GemmShape::new(64, 64, 64), Strategy::Auto, 4);
         assert_eq!(ft.tuning_stats().catalog_misses, 1);
-    }
-
-    #[test]
-    fn tuning_stamps_a_coexec_hint_that_round_trips_the_catalog() {
-        let path =
-            std::env::temp_dir().join(format!("ftimm-api-coexec-{}.json", std::process::id()));
-        // Table I type-1 on a host ten times the default model, near the
-        // Fig. 7 crossover: the CPU takes a real M tail, so the tuned
-        // hint is a genuine mixed split.
-        let shape = GemmShape::new(32768, 32, 32);
-        let cx = crate::plan::CoexecTune {
-            cpu: cpublas::CpuConfig {
-                clock_hz: 22e9,
-                ddr_bw: 426e9,
-                ..cpublas::CpuConfig::default()
-            },
-            ..crate::plan::CoexecTune::default()
-        };
-        let cfg = crate::plan::TuneConfig {
-            coexec: Some(cx),
-            ..crate::plan::TuneConfig::default()
-        };
-        let tuned = {
-            let ft = FtImm::new(HwConfig::default());
-            let outcome = ft.tune(&shape, 8, &cfg);
-            // The stamp equals a chooser run against the installed tuned
-            // plan (tune installs before searching, so this is the same
-            // pinned strategy).
-            let choice = crate::plan::choose_coexec_split(
-                &ft,
-                &shape,
-                Strategy::Auto,
-                8,
-                cx.clusters,
-                cx.grain_rows,
-                &cx.cpu,
-                cx.slowdown,
-            );
-            assert_eq!(outcome.plan.coexec_cpu_rows, choice.cpu_rows);
-            assert!(
-                choice.cpu_rows > 0 && choice.cpu_rows < shape.m,
-                "premise: this regime mixes, got {choice:?}"
-            );
-            // The split sits on the shard grain: the checkpoint grain
-            // rounded up to whole units of the walk of the variant the
-            // sharded planner pins for the tuned plan.
-            let placement: Vec<usize> = (0..cx.clusters).collect();
-            let pinned = crate::plan::plan_sharded(
-                &ft,
-                &shape,
-                Strategy::Auto,
-                8,
-                &placement,
-                cx.grain_rows,
-            )
-            .plan;
-            let unit = crate::Walk::new(&pinned.strategy, shape.m, 32, 32, 8)
-                .grid()
-                .unit;
-            let grain = cx.grain_rows.div_ceil(unit) * unit;
-            assert_eq!((shape.m - choice.cpu_rows) % grain, 0);
-            ft.save_plan_catalog(&path).unwrap();
-            outcome.plan
-        };
-        // A fresh context warm-started from the catalog serves the hint.
-        let ft = FtImm::with_plan_catalog(HwConfig::default(), &path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let warm = ft.plan_full(&shape, Strategy::Auto, 8);
-        assert_eq!(warm, tuned);
-        assert_eq!(warm.coexec_cpu_rows, tuned.coexec_cpu_rows);
-        // plan_coexec honors the pinned split instead of re-searching.
-        let sp = crate::plan::plan_coexec(
-            &ft,
-            &shape,
-            Strategy::Auto,
-            8,
-            &[0, 1, 2, 3],
-            cx.grain_rows,
-            &cx.cpu,
-            cx.slowdown,
-        );
-        let tail = sp.shards.last().unwrap();
-        assert_eq!(tail.backend, dspsim::BackendKind::Cpu);
-        assert_eq!(tail.rows(), tuned.coexec_cpu_rows);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Library error type.
 
-use dspsim::{SimError, WatchdogUnit};
+use dspsim::SimError;
 use std::fmt;
 
 /// Errors from the ftIMM library.
@@ -21,10 +21,9 @@ pub enum FtimmError {
 
 impl FtimmError {
     /// Whether this error is a *transient hardware fault* the resilience
-    /// layers retry or route around: an injected DMA timeout, a hung DMA
-    /// caught by the watchdog, a core failure, or detected data
-    /// corruption.  Deadline preemption and caller errors (invalid
-    /// problems, capacity) are not transient.
+    /// layers retry or route around: an injected DMA timeout, a core
+    /// failure, or detected data corruption.  Deadline preemption and
+    /// caller errors (invalid problems, capacity) are not transient.
     pub fn is_transient_fault(&self) -> bool {
         matches!(
             self,
@@ -32,10 +31,6 @@ impl FtimmError {
                 SimError::DmaTimeout { .. }
                     | SimError::CoreFailed { .. }
                     | SimError::DataCorrupt { .. }
-                    | SimError::WatchdogTripped {
-                        unit: WatchdogUnit::Dma { .. },
-                        ..
-                    }
             )
         )
     }
@@ -52,13 +47,7 @@ impl FtimmError {
     /// Whether this error is a deadline preemption (the armed watchdog
     /// stopped a core that passed its deadline).
     pub fn is_deadline(&self) -> bool {
-        matches!(
-            self,
-            FtimmError::Sim(SimError::WatchdogTripped {
-                unit: WatchdogUnit::Core { .. },
-                ..
-            })
-        )
+        matches!(self, FtimmError::Sim(SimError::WatchdogTripped { .. }))
     }
 
     /// The physical core this error implicates, if it carries one.
@@ -67,10 +56,7 @@ impl FtimmError {
             FtimmError::Sim(
                 SimError::DmaTimeout { core, .. }
                 | SimError::CoreFailed { core, .. }
-                | SimError::WatchdogTripped {
-                    unit: WatchdogUnit::Dma { core, .. } | WatchdogUnit::Core { core },
-                    ..
-                },
+                | SimError::WatchdogTripped { core, .. },
             ) => Some(*core),
             _ => None,
         }

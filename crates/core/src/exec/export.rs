@@ -1,14 +1,11 @@
 //! Profile exporters: a self-contained JSON profile document and a
 //! Chrome `trace_event` file loadable in `chrome://tracing` / Perfetto.
 //!
-//! Both are written through [`dspsim::minijson::Writer`], and the profile
-//! document round-trips exactly: finite `f64` fields use Rust's shortest
-//! round-trip representation.  [`profile_from_json`] decodes through
-//! [`dspsim::minijson::Fields`], so it is strict in that module's one
-//! sense — every field [`profile_json`] writes is required, and an
-//! unknown or duplicated key (a phase name included) is an error.
+//! Both are written through [`dspsim::minijson::Writer`]; finite `f64`
+//! fields of the profile document use Rust's shortest round-trip
+//! representation.
 
-use dspsim::minijson::{Fields, Parser, Writer};
+use dspsim::minijson::Writer;
 use dspsim::{EventKind, Phase, PhaseProfile, Profiler, PROFILE_CORES};
 use std::collections::BTreeSet;
 
@@ -48,48 +45,6 @@ pub fn profile_json(prof: &PhaseProfile) -> String {
     w.finish()
 }
 
-/// Parse a profile document produced by [`profile_json`].  Strict:
-/// missing, unknown and duplicated keys all fail loudly.
-pub fn profile_from_json(text: &str) -> Result<PhaseProfile, String> {
-    let value = Parser::new(text).parse()?;
-    let mut f = Fields::new(&value, "profile")?;
-    f.schema(PROFILE_SCHEMA)?;
-    let mut prof = PhaseProfile {
-        total_s: f.f64("total_s")?,
-        ..PhaseProfile::default()
-    };
-    let mut phases = Fields::new(f.req("phase_s")?, "phase_s")?;
-    for p in Phase::ALL {
-        prof.phase_s[p.index()] = phases.f64(p.name())?;
-    }
-    phases.finish()?;
-    let busy = f.arr("core_busy_s")?;
-    if busy.len() != PROFILE_CORES {
-        return Err(format!(
-            "core_busy_s has {} entries, expected {PROFILE_CORES}",
-            busy.len()
-        ));
-    }
-    for (slot, item) in prof.core_busy_s.iter_mut().zip(busy) {
-        *slot = item.as_f64_or_inf("core_busy_s")?;
-    }
-    prof.overlap_s = f.f64("overlap_s")?;
-    // Derived from overlap_s / total_s; accepted and recomputed.
-    f.f64("overlap_frac")?;
-    prof.roofline_gflops = f.f64("roofline_gflops")?;
-    prof.achieved_gflops = f.f64("achieved_gflops")?;
-    prof.plan_hits = f.u64("plan_hits")?;
-    prof.plan_misses = f.u64("plan_misses")?;
-    prof.plan_evictions = f.u64("plan_evictions")?;
-    prof.catalog_hits = f.u64("catalog_hits")?;
-    prof.catalog_misses = f.u64("catalog_misses")?;
-    prof.spans = f.u64("spans")?;
-    prof.events = f.u64("events")?;
-    prof.dropped = f.u64("dropped")?;
-    f.finish()?;
-    Ok(prof)
-}
-
 /// The trace thread a span or event renders on: each physical core gets
 /// a compute track (`2·core`) and a DMA-engine track (`2·core + 1`);
 /// host-side planning and autotuning each get one dedicated track above
@@ -112,7 +67,7 @@ fn span_tid(phase: Phase, core: usize) -> usize {
 fn event_tid(kind: EventKind, core: Option<usize>) -> usize {
     let Some(c) = core else { return 0 };
     match kind {
-        EventKind::DmaCorrupt | EventKind::DmaTimeout | EventKind::WatchdogDma => 2 * c + 1,
+        EventKind::DmaCorrupt | EventKind::DmaTimeout => 2 * c + 1,
         _ => 2 * c,
     }
 }
@@ -226,6 +181,7 @@ pub fn chrome_trace_json_hetero(clusters: &[Vec<Profiler>], cpu: &Profiler) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dspsim::minijson::Parser;
     use dspsim::Span;
 
     fn sample_profile() -> PhaseProfile {
@@ -256,46 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_round_trips_exactly() {
+    fn profile_json_writes_every_phase_and_core_exactly() {
         let prof = sample_profile();
-        let text = profile_json(&prof);
-        let back = profile_from_json(&text).unwrap();
-        assert_eq!(back, prof);
-    }
-
-    #[test]
-    fn bad_profile_documents_fail_loudly() {
-        let prof = sample_profile();
-        let good = profile_json(&prof);
-        for (text, needle) in [
-            (
-                good.replace("\"total_s\"", "\"tolal_s\": 0.0, \"total_s\""),
-                "unknown profile key",
-            ),
-            (
-                good.replace("\"dma_load\"", "\"dma_lode\": 0.0, \"dma_load\""),
-                "unknown phase",
-            ),
-            // A misspelt key is also a missing one, and that is said first.
-            (good.replace("total_s", "tolal_s"), "missing \"total_s\""),
-            (good.replace("dma_load", "dma_lode"), "missing \"dma_load\""),
-            (
-                good.replace("\"spans\"", "\"seed\": 1, \"seed\": 2, \"spans\""),
-                "duplicate profile key \"seed\"",
-            ),
-            (
-                good.replace("\"dropped\"", "\"spans\": 0, \"dropped\""),
-                "duplicate profile key \"spans\"",
-            ),
-            (
-                good.replace(PROFILE_SCHEMA, "ftimm-profile-v9"),
-                "unsupported profile schema",
-            ),
-            ("{}".to_string(), "missing \"schema\""),
-        ] {
-            let err = profile_from_json(&text).unwrap_err();
-            assert!(err.contains(needle), "wanted {needle:?}, got {err:?}");
+        let v = Parser::new(&profile_json(&prof)).parse().unwrap();
+        assert_eq!(
+            v.get("schema").unwrap().as_str("schema"),
+            Ok(PROFILE_SCHEMA)
+        );
+        let phases = v.get("phase_s").unwrap();
+        for p in Phase::ALL {
+            let s = phases.get(p.name()).unwrap().as_f64(p.name()).unwrap();
+            assert_eq!(s.to_bits(), prof.phase_seconds(p).to_bits(), "{}", p.name());
         }
+        let busy = v.get("core_busy_s").unwrap().as_arr("core_busy_s").unwrap();
+        assert_eq!(busy.len(), PROFILE_CORES);
+        assert_eq!(v.get("plan_hits").unwrap().as_u64("plan_hits"), Ok(7));
     }
 
     #[test]

@@ -38,10 +38,9 @@ use crate::resilience::{self, ResilienceConfig};
 use crate::{
     kpar, mpar, tgemm, ChosenStrategy, FtImm, FtimmError, GemmProblem, GemmShape, Strategy,
 };
-use dspsim::{Machine, Phase, Profiler, RunReport, WatchdogConfig, DEFAULT_PROFILE_CAPACITY};
+use dspsim::{Machine, Phase, Profiler, RunReport, DEFAULT_PROFILE_CAPACITY};
 pub use export::{
-    chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_from_json,
-    profile_json,
+    chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_json,
 };
 
 /// Validate a staged GEMM problem (dimension agreement between `A`, `B`
@@ -168,7 +167,7 @@ impl<'a> Executor<'a> {
         // clock.  Planning below evaluates candidates on separate
         // machines, so the guard covers exactly the run.
         if let Some(d) = self.deadline_s {
-            m.arm_watchdog(WatchdogConfig::with_deadline(m.elapsed() + d));
+            m.arm_watchdog(m.elapsed() + d);
         }
 
         let shape = GemmShape::new(p.m(), p.n(), p.k());

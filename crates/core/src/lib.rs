@@ -78,8 +78,8 @@ pub use cluster::{
 };
 pub use error::FtimmError;
 pub use exec::{
-    chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_from_json,
-    profile_json, validate_problem, ExecRun, Executor,
+    chrome_trace_json, chrome_trace_json_clusters, chrome_trace_json_hetero, profile_json,
+    validate_problem, ExecRun, Executor,
 };
 pub use invoke::invoke_kernel;
 pub use kpar::KparBlocks;
@@ -87,10 +87,10 @@ pub use matrix::{DdrMatrix, GemmProblem};
 pub use mpar::MparBlocks;
 pub use plan::{
     analytic_seconds, bit_signature, catalog_from_json, catalog_json, choose_coexec_split,
-    choose_strategy, load_catalog, plan_coexec, plan_from_json, plan_json, plan_sharded,
-    save_catalog, BitSignature, CatalogLoad, CoexecChoice, CoexecTune, Plan, PlanCache,
-    PlanCatalog, PlanKey, PlanOrigin, Planner, Shard, ShardOrigin, ShardedPlan, StrategyKind,
-    TuneConfig, TuneOutcome, Tuner, DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA,
+    choose_strategy, load_catalog, plan_coexec, plan_json, plan_sharded, save_catalog,
+    BitSignature, CatalogLoad, CoexecChoice, Plan, PlanCache, PlanCatalog, PlanKey, PlanOrigin,
+    Planner, Shard, ShardOrigin, ShardedPlan, StrategyKind, TuneConfig, TuneOutcome, Tuner,
+    DEFAULT_PLAN_CACHE_CAPACITY, PLAN_CATALOG_SCHEMA,
 };
 pub use resilience::ResilienceConfig;
 pub use shape::{GemmShape, IrregularType, BLOCK_ALIGN, SUFFICIENTLY_LARGE, TINY_K_MAX};

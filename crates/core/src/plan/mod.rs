@@ -11,10 +11,10 @@
 //!
 //! * [`Plan`] — the IR itself: shape, cores, the resolved
 //!   [`ChosenStrategy`] (with concrete block sizes), where the plan came
-//!   from, and what the planner predicted/measured for it.  Serialisable
-//!   via [`plan_json`]/[`plan_from_json`] (`ftimm-plan-v1`, written and
-//!   strictly decoded through [`dspsim::minijson`]) so plans can be
-//!   logged, diffed and pinned.
+//!   from, and what the planner predicted/measured for it.  Written by
+//!   [`plan_json`] (`ftimm-plan-v1`, through [`dspsim::minijson`]) so
+//!   plans can be logged, diffed and pinned; the [`store`] catalog
+//!   embeds the same object and decodes it strictly.
 //! * [`planner::Planner`] — produces plans: a cheap analytic cost model
 //!   ([`cost::analytic_seconds`]) ranks a broadened candidate space
 //!   (mPar/kPar/TGEMM × a block-size grid), and only the top-K
@@ -45,12 +45,10 @@ pub use store::{
     catalog_from_json, catalog_json, load_catalog, save_catalog, CatalogLoad, PlanCatalog,
     PLAN_CATALOG_SCHEMA,
 };
-pub use tune::{
-    bit_signature, BitSignature, CoexecTune, StrategyKind, TuneConfig, TuneOutcome, Tuner,
-};
+pub use tune::{bit_signature, BitSignature, StrategyKind, TuneConfig, TuneOutcome, Tuner};
 
 use crate::{ChosenStrategy, GemmShape, KparBlocks, MparBlocks};
-use dspsim::minijson::{Fields, Parser, Value, Writer};
+use dspsim::minijson::{Fields, Value, Writer};
 use std::fmt;
 
 /// Where a [`Plan`] came from.
@@ -126,13 +124,6 @@ pub struct Plan {
     pub candidates: u32,
     /// Timing-model simulations the planner ran to produce this plan.
     pub simulations: u32,
-    /// Co-execution hint: rows of the M *tail* the tuner planned onto
-    /// the CPU lane (`0` = no hint; `m` = all-CPU).  Consumed by
-    /// [`sharded::plan_coexec`] when the sharded engine runs under
-    /// [`crate::cluster::SpillPolicy::CoExecute`]; purely advisory —
-    /// the strategy and blocks above are untouched, so the bitwise
-    /// identity contract is independent of this field.
-    pub coexec_cpu_rows: usize,
 }
 
 impl Plan {
@@ -147,7 +138,6 @@ impl Plan {
             simulated_s: f64::INFINITY,
             candidates: 0,
             simulations: 0,
-            coexec_cpu_rows: 0,
         }
     }
 }
@@ -227,11 +217,6 @@ pub(crate) fn write_plan(w: &mut Writer, plan: &Plan) {
     w.key("predicted_s").f64(plan.predicted_s);
     w.key("simulated_s").f64(plan.simulated_s);
     w.key("candidates").u64(plan.candidates.into());
-    // Co-execution hints are rare; omitting the zero default keeps every
-    // pre-co-exec plan document byte-stable.
-    if plan.coexec_cpu_rows != 0 {
-        w.key("coexec_cpu_rows").u64(plan.coexec_cpu_rows as u64);
-    }
     w.key("simulations").u64(plan.simulations.into());
     w.end_obj();
 }
@@ -246,18 +231,10 @@ pub fn plan_json(plan: &Plan) -> String {
     w.finish()
 }
 
-/// Parse a plan document produced by [`plan_json`].  Strict in the
-/// [`dspsim::minijson::Fields`] sense at every level: an unknown or
-/// duplicated key is an error, so a typoed `coexec_cpu_rows` cannot
-/// silently drop a tuned co-execution split.
-pub fn plan_from_json(text: &str) -> Result<Plan, String> {
-    let value = Parser::new(text).parse()?;
-    plan_from_value(&value)
-}
-
-/// Parse an already-parsed plan object (the body of [`plan_from_json`],
-/// shared with the [`store`] catalog codec which embeds plan documents
-/// verbatim inside catalog entries).
+/// Parse a plan object as [`write_plan`] wrote it: the `"plan"` of a
+/// catalog entry in [`store`].  Strict in the
+/// [`dspsim::minijson::Fields`] sense at every level: an unknown,
+/// duplicated or missing key is an error.
 pub(crate) fn plan_from_value(value: &Value) -> Result<Plan, String> {
     let mut f = Fields::new(value, "plan")?;
     f.schema(PLAN_SCHEMA)?;
@@ -294,11 +271,6 @@ pub(crate) fn plan_from_value(value: &Value) -> Result<Plan, String> {
         simulated_s: f.f64("simulated_s")?,
         candidates: count(&mut f, "candidates")?,
         simulations: count(&mut f, "simulations")?,
-        // Optional for backward compatibility with pre-co-exec documents.
-        coexec_cpu_rows: match f.opt("coexec_cpu_rows") {
-            Some(v) => v.as_u64("coexec_cpu_rows")? as usize,
-            None => 0,
-        },
     };
     shape.finish()?;
     blocks.finish()?;
@@ -320,8 +292,11 @@ mod tests {
             simulated_s: 1.5e-3,
             candidates: 9,
             simulations: 4,
-            coexec_cpu_rows: 0,
         }
+    }
+
+    fn decode(text: &str) -> Result<Plan, String> {
+        plan_from_value(&dspsim::minijson::Parser::new(text).parse()?)
     }
 
     #[test]
@@ -347,7 +322,7 @@ mod tests {
         ] {
             let plan = sample(strategy);
             let text = plan_json(&plan);
-            let back = plan_from_json(&text).unwrap();
+            let back = decode(&text).unwrap();
             assert_eq!(back, plan, "{text}");
             assert_eq!(plan_json(&back), text);
         }
@@ -390,7 +365,6 @@ mod tests {
         kpar.origin = PlanOrigin::Tuned;
         kpar.predicted_s = f64::INFINITY;
         kpar.simulated_s = 0.0005785425086071996;
-        kpar.coexec_cpu_rows = 128;
         assert_eq!(
             plan_json(&kpar),
             r#"{
@@ -402,7 +376,6 @@ mod tests {
   "predicted_s": "inf",
   "simulated_s": 0.0005785425086071996,
   "candidates": 9,
-  "coexec_cpu_rows": 128,
   "simulations": 4
 }"#
         );
@@ -424,29 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn coexec_hint_round_trips_and_zero_stays_byte_stable() {
-        // A multi-backend plan carries its CPU-tail hint through the codec.
-        let mut plan = sample(ChosenStrategy::TGemm);
-        plan.coexec_cpu_rows = 1024;
-        let text = plan_json(&plan);
-        assert!(text.contains("\"coexec_cpu_rows\": 1024"), "{text}");
-        let back = plan_from_json(&text).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(plan_json(&back), text);
-        // The zero default is omitted, so pre-co-exec documents (which
-        // lack the key entirely) parse to the same bytes they came from.
-        let plain = sample(ChosenStrategy::TGemm);
-        let text = plan_json(&plain);
-        assert!(!text.contains("coexec_cpu_rows"), "{text}");
-        assert_eq!(plan_from_json(&text).unwrap(), plain);
-    }
-
-    #[test]
     fn pinned_plans_encode_infinity() {
         let plan = Plan::pinned(GemmShape::new(8, 8, 8), 4, ChosenStrategy::TGemm);
         let text = plan_json(&plan);
         assert!(text.contains("\"inf\""), "{text}");
-        assert_eq!(plan_from_json(&text).unwrap(), plan);
+        assert_eq!(decode(&text).unwrap(), plan);
     }
 
     #[test]
@@ -457,7 +412,7 @@ mod tests {
             (good.replace("tgemm", "ggemm"), "unknown strategy kind"),
             (good.replace("cost-model", "vibes"), "unknown plan origin"),
             ("{}".to_string(), "missing \"schema\""),
-            // A typoed optional key must not load as "no hint".
+            // An unknown key is refused, not skipped.
             (
                 good.replace(
                     "\"simulations\"",
@@ -483,7 +438,7 @@ mod tests {
                 "does not fit a u32",
             ),
         ] {
-            let err = plan_from_json(&text).unwrap_err();
+            let err = decode(&text).unwrap_err();
             assert!(err.contains(needle), "wanted {needle:?}, got {err:?}");
         }
     }

@@ -117,7 +117,6 @@ impl<'a> Planner<'a> {
             simulated_s: f64::INFINITY,
             candidates: 1,
             simulations: 0,
-            coexec_cpu_rows: 0,
         };
         match strategy {
             Strategy::MPar => direct(
@@ -200,7 +199,6 @@ impl<'a> Planner<'a> {
             simulated_s: best.1,
             candidates: candidates.len() as u32,
             simulations,
-            coexec_cpu_rows: 0,
         }
     }
 }

@@ -468,12 +468,11 @@ pub fn choose_coexec_split(
 
 /// Plan one GEMM across `placement` *and* the CPU lane: like
 /// [`plan_sharded`], but the M tail chosen by [`choose_coexec_split`]
-/// (or pinned by a tuned plan's [`Plan::coexec_cpu_rows`] hint, when it
-/// sits on the shard grain) is emitted as one
-/// [`BackendKind::Cpu`] shard with [`ShardOrigin::Planned`].  The CPU
-/// stripe executes the pinned variant through the host mirror on the
-/// same grid, so the merged C keeps the module's bitwise-identity
-/// contract.  Degenerate choices collapse to an ordinary DSP-only plan
+/// — searched on every call, whatever the context's plan for the shape
+/// came from — is emitted as one [`BackendKind::Cpu`] shard with
+/// [`ShardOrigin::Planned`].  The CPU stripe executes the pinned variant
+/// through the host mirror on the same grid, so the merged C keeps the
+/// module's bitwise-identity contract.  Degenerate choices collapse to an ordinary DSP-only plan
 /// or a single CPU shard.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_coexec(
@@ -489,30 +488,17 @@ pub fn plan_coexec(
     assert!(!placement.is_empty(), "plan_coexec needs ≥ 1 cluster");
     let p = placed(ft, shape, strategy, cores, placement.len(), grain_rows);
     let g = p.grain;
-    // A tuned plan pins its split; anything off the grid (e.g. a hint
-    // tuned under a different ckpt_rows) falls back to the live search.
-    let hint = p.plan.coexec_cpu_rows;
-    let hint_valid = hint == 0
-        || hint == shape.m
-        || (hint < shape.m && (shape.m - hint).is_multiple_of(g * p.split_step));
-    let cpu_rows = if hint_valid && hint != 0 {
-        hint
-    } else if hint_valid && hint == 0 && p.plan.origin == super::PlanOrigin::Tuned {
-        // A tuned plan that says "no CPU tail" is also a pinned answer.
-        0
-    } else {
-        choose_coexec_split(
-            ft,
-            shape,
-            strategy,
-            cores,
-            placement.len(),
-            grain_rows,
-            cpu,
-            cpu_slowdown,
-        )
-        .cpu_rows
-    };
+    let cpu_rows = choose_coexec_split(
+        ft,
+        shape,
+        strategy,
+        cores,
+        placement.len(),
+        grain_rows,
+        cpu,
+        cpu_slowdown,
+    )
+    .cpu_rows;
     if cpu_rows == 0 {
         return plan_sharded(ft, shape, strategy, cores, placement, grain_rows);
     }

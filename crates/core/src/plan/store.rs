@@ -485,7 +485,6 @@ mod tests {
             simulated_s: 1.5e-3,
             candidates: 14,
             simulations: 9,
-            coexec_cpu_rows: 0,
         }
     }
 

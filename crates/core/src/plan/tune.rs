@@ -11,8 +11,8 @@
 //!   widens it: chunk-size ladders around the analytic pick and seeded
 //!   random probes, ranked by the analytic model and simulated
 //!   best-first, then a neighborhood refinement around the best
-//!   simulated candidate, all budgeted by
-//!   [`TuneConfig::max_simulations`].
+//!   simulated candidate, all within a fixed budget of
+//!   timing simulations.
 //! * **Bit safety** — ftIMM's conformance regime demands that executing
 //!   a tuned plan is *bitwise identical* to executing the default plan.
 //!   Per-element f32 accumulation order here is a pure function of the
@@ -150,66 +150,26 @@ impl SplitMix64 {
     }
 }
 
-/// Co-execution context for a tuning run: the CPU lane and placement
-/// the tuned plan will be dispatched against.  When present,
-/// [`crate::FtImm::tune`] searches the CPU/DSP split fraction with
-/// [`super::choose_coexec_split`] and stamps the winning M tail into
-/// [`super::Plan::coexec_cpu_rows`] — the first *non-blocking* tuning
-/// dimension: the split moves work between devices on the checkpoint
-/// grid without touching the strategy's blocks, so adoption is never
-/// gated on a [`BitSignature`] comparison (there is nothing to gate —
-/// the accumulation order per row is unchanged by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoexecTune {
-    /// CPU model of the co-execution lane.
-    pub cpu: cpublas::CpuConfig,
-    /// Lane-health slowdown the split is searched under (1.0 = nominal).
-    pub slowdown: f64,
-    /// Checkpoint grain (`ckpt_rows`) the dispatching engine will use —
-    /// split boundaries are quantised to it.
-    pub grain_rows: usize,
-    /// Usable DSP clusters the DSP side of the split spans.
-    pub clusters: usize,
-}
-
-impl Default for CoexecTune {
-    fn default() -> Self {
-        CoexecTune {
-            cpu: cpublas::CpuConfig::default(),
-            slowdown: 1.0,
-            grain_rows: 64,
-            clusters: 4,
-        }
-    }
-}
+/// Total timing-simulation budget of one tune, *including* the
+/// simulations the default `Strategy::Auto` planning pipeline itself
+/// runs.
+const MAX_SIMULATIONS: u32 = 18;
+/// Seeded random probes over the bit-safe chunk dimensions.
+const RANDOM_PROBES: u32 = 6;
+/// Refinement simulations around the best candidate found.
+const NEIGHBORHOOD: u32 = 4;
 
 /// Knobs of one tuning run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneConfig {
-    /// Total timing-simulation budget, *including* the simulations the
-    /// default `Strategy::Auto` planning pipeline itself runs.
-    pub max_simulations: u32,
-    /// Seeded random probes over the bit-safe chunk dimensions.
-    pub random_probes: u32,
-    /// Refinement simulations around the best candidate found.
-    pub neighborhood: u32,
     /// Seed of the random-probe stream (tuning is deterministic per
     /// seed).
     pub seed: u64,
-    /// Also search the CPU/DSP co-execution split for this lane/pool
-    /// (`None` = DSP-only tuning, the pre-co-exec behaviour).
-    pub coexec: Option<CoexecTune>,
 }
 
 impl Default for TuneConfig {
     fn default() -> Self {
-        TuneConfig {
-            max_simulations: 18,
-            random_probes: 6,
-            neighborhood: 4,
-            seed: 0x5EED_CAFE,
-            coexec: None,
-        }
+        TuneConfig { seed: 0x5EED_CAFE }
     }
 }
 
@@ -366,7 +326,7 @@ impl<'a> Tuner<'a> {
                 simulate(c)
             });
         let mut best = (default_plan.strategy, default_plan.simulated_s);
-        let max = self.config.max_simulations.max(sims);
+        let max = MAX_SIMULATIONS.max(sims);
 
         // Phase 2: bit-safe ladder + seeded random probes, ranked by the
         // analytic model, simulated best-first while budget (minus the
@@ -386,7 +346,7 @@ impl<'a> Tuner<'a> {
             shape,
             cores,
             &mut rng,
-            self.config.random_probes,
+            RANDOM_PROBES,
         );
         let mut scored: Vec<(f64, ChosenStrategy)> = variants
             .iter()
@@ -396,7 +356,7 @@ impl<'a> Tuner<'a> {
         scored.sort_by(|x, y| x.0.total_cmp(&y.0));
         let mut simulated: Vec<ChosenStrategy> = Vec::new();
         for (_, cand) in scored {
-            if sims + self.config.neighborhood >= max {
+            if sims + NEIGHBORHOOD >= max {
                 break;
             }
             sims += 1;
@@ -410,7 +370,7 @@ impl<'a> Tuner<'a> {
         // Phase 3: neighborhood refinement — one chunk step either side
         // of the best candidate so far, still signature-gated.
         let mut refined = 0u32;
-        while refined < self.config.neighborhood {
+        while refined < NEIGHBORHOOD {
             let neighbors = self.bit_safe_variants(&best.0, shape, cores, &mut rng, 0);
             let next = neighbors
                 .into_iter()
@@ -438,7 +398,6 @@ impl<'a> Tuner<'a> {
             simulated_s: best.1,
             candidates: default_plan.candidates + variants.len() as u32,
             simulations: sims,
-            coexec_cpu_rows: 0,
         };
         TuneOutcome {
             plan,
@@ -547,7 +506,7 @@ mod tests {
         assert_eq!(o1.plan, o2.plan, "tuning must be deterministic");
         assert!(o1.plan.simulated_s <= o1.default_plan.simulated_s);
         assert_eq!(o1.plan.origin, PlanOrigin::Tuned);
-        assert!(o1.simulations <= TuneConfig::default().max_simulations);
+        assert!(o1.simulations <= MAX_SIMULATIONS);
         // Adopted strategies are bitwise interchangeable with the default.
         assert_eq!(
             bit_signature(&o1.plan.strategy, &shape, 8),
@@ -581,7 +540,7 @@ mod tests {
             }
             assert_eq!(o.simulations as usize, seen.len(), "{shape}");
             assert!(
-                o.simulations <= 18,
+                o.simulations <= MAX_SIMULATIONS,
                 "{shape}: {} simulations",
                 o.simulations
             );

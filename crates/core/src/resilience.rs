@@ -16,11 +16,9 @@
 //!   [`RowGrid`], is re-executed: the re-run deals the walk's own tasks
 //!   and row blocks, so the recovered `C` is bit-exact with a fault-free
 //!   run.
-//! * **DMA timeouts** abort the run mid-flight — either after the fault
-//!   plan's full hang charge or earlier when a watchdog DMA budget is
-//!   armed ([`dspsim::WatchdogConfig`]).  The affected row span is
-//!   restored and retried after an exponential backoff charged on the
-//!   simulated clock.
+//! * **DMA timeouts** abort the run mid-flight after the fault plan's
+//!   hang charge.  The affected row span is restored and retried after
+//!   an exponential backoff charged on the simulated clock.
 //! * **Core failures** retire the dead core from the machine's
 //!   logical→physical map and re-run on the survivors.  M-parallel and
 //!   TGEMM re-runs stay bit-exact; K-parallel re-runs regroup the GSM
@@ -36,10 +34,10 @@
 //!   full restart's whenever there are two spans or more.  Each span
 //!   still reloads its `B` panels and pays its own prologue, the
 //!   checkpoint overhead a coarser `ckpt_rows` trades away.
-//! * **Deadline preemption** ([`dspsim::SimError::WatchdogTripped`] with
-//!   a `Core` unit) is *not* retried: it is a budget decision by the
-//!   caller, surfaced immediately together with the rows verified so far
-//!   (see [`crate::ExecRun::rows_verified`]).
+//! * **Deadline preemption** ([`dspsim::SimError::WatchdogTripped`]) is
+//!   *not* retried: it is a budget decision by the caller, surfaced
+//!   immediately together with the rows verified so far (see
+//!   [`crate::ExecRun::rows_verified`]).
 //!
 //! The checksum *verification* itself is host-side bookkeeping and is
 //! modelled as free; only recovery work (backoff stalls, restored

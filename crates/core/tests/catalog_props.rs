@@ -124,7 +124,6 @@ fn build_catalog(specs: Vec<EntrySpec>) -> PlanCatalog {
                 simulated_s: secs.1,
                 candidates: counts.0,
                 simulations: counts.1,
-                coexec_cpu_rows: 0,
             };
             (key, plan)
         })
@@ -252,17 +251,6 @@ proptest! {
     }
 }
 
-/// A cheap tuning budget: the catalog tests need a tuned plan, not a
-/// good one.
-fn quick_tune() -> TuneConfig {
-    TuneConfig {
-        max_simulations: 6,
-        random_probes: 1,
-        neighborhood: 1,
-        ..TuneConfig::default()
-    }
-}
-
 fn fits(cfg: &HwConfig, plan: &Plan) -> bool {
     let s = plan.shape;
     let cores = plan.cores.clamp(1, cfg.cores_per_cluster);
@@ -277,7 +265,9 @@ fn fits(cfg: &HwConfig, plan: &Plan) -> bool {
 fn an_entry_that_overruns_sm_is_quarantined_on_attach() {
     let shape = GemmShape::new(32, 32, 1 << 14);
     let cfg = HwConfig::default();
-    let tuned = FtImm::new(cfg.clone()).tune(&shape, 8, &quick_tune()).plan;
+    let tuned = FtImm::new(cfg.clone())
+        .tune(&shape, 8, &TuneConfig::default())
+        .plan;
     let ChosenStrategy::KPar(b) = tuned.strategy else {
         panic!("premise: {shape} tunes to K-par, got {tuned:?}")
     };
@@ -329,7 +319,7 @@ fn a_catalog_from_a_larger_machine_serves_only_what_fits() {
         let ft = FtImm::new(big);
         let tuned: Vec<Plan> = shapes
             .iter()
-            .map(|s| ft.tune(s, 8, &quick_tune()).plan)
+            .map(|s| ft.tune(s, 8, &TuneConfig::default()).plan)
             .collect();
         ft.save_plan_catalog(&path).unwrap();
         tuned

@@ -105,7 +105,6 @@ pub fn synthetic_catalog(entries: usize) -> PlanCatalog {
                 simulated_s: 1e-3 / (i as f64 + 7.0),
                 candidates: 14,
                 simulations: 9,
-                coexec_cpu_rows: 0,
             };
             (key, plan)
         })

@@ -115,47 +115,6 @@ pub fn transfer_time(cfg: &HwConfig, path: DmaPath, bytes: u64, streams: usize) 
     cfg.dma_setup_s + bytes as f64 / bw
 }
 
-/// Simulated-time budgets enforced by the machine's watchdog (see
-/// [`crate::Machine::arm_watchdog`]).
-///
-/// Both budgets live on the *simulated* clock, so a `(seed, plan)` chaos
-/// run trips its watchdog at a bit-reproducible instant.  The default
-/// config never fires (`INFINITY` everywhere); an armed config is checked
-/// at the machine's preemption points — every DMA issue — which bounds
-/// the detection granularity to one transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Absolute simulated deadline in seconds.  A core whose clock has
-    /// reached this when it tries to issue work is preempted with
-    /// [`crate::SimError::WatchdogTripped`] (unit
-    /// [`crate::WatchdogUnit::Core`]).
-    pub deadline_s: f64,
-    /// Budget for a single hung DMA transfer in seconds.  When an armed
-    /// transfer hangs, the watchdog detects it after this budget instead
-    /// of the fault plan's full `timeout_s` charge (unit
-    /// [`crate::WatchdogUnit::Dma`]).
-    pub dma_budget_s: f64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            deadline_s: f64::INFINITY,
-            dma_budget_s: f64::INFINITY,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// A watchdog that only enforces an absolute deadline (seconds).
-    pub fn with_deadline(deadline_s: f64) -> Self {
-        WatchdogConfig {
-            deadline_s,
-            ..WatchdogConfig::default()
-        }
-    }
-}
-
 /// A handle for an in-flight (timed) DMA: completion timestamp in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaTicket {

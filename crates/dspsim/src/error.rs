@@ -2,25 +2,6 @@
 
 use std::fmt;
 
-/// The unit a tripped watchdog blames (see
-/// [`crate::machine::Machine::arm_watchdog`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchdogUnit {
-    /// A DMA engine whose transfer hung past the watchdog's DMA budget.
-    Dma {
-        /// Physical core whose engine issued the hung transfer.
-        core: usize,
-        /// The path the transfer used.
-        path: crate::DmaPath,
-    },
-    /// A core that reached the armed deadline without retiring its work:
-    /// the next operation it tried to issue was preempted.
-    Core {
-        /// The physical core that passed the deadline.
-        core: usize,
-    },
-}
-
 /// Errors raised by the simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
@@ -88,11 +69,12 @@ pub enum SimError {
         /// Simulated time of the failure.
         at: f64,
     },
-    /// The armed watchdog fired: a DMA transfer hung past its budget or a
-    /// core reached the deadline without retiring its work.
+    /// The armed watchdog fired: a core reached the deadline without
+    /// retiring its work, and the next operation it tried to issue was
+    /// preempted (see [`crate::machine::Machine::arm_watchdog`]).
     WatchdogTripped {
-        /// The unit the watchdog blames.
-        unit: WatchdogUnit,
+        /// The physical core that passed the deadline.
+        core: usize,
         /// Simulated time at which the watchdog fired.
         at: f64,
     },
@@ -144,18 +126,10 @@ impl fmt::Display for SimError {
             SimError::ClusterFailed { at } => {
                 write!(f, "cluster failed permanently at {at:.6e}s")
             }
-            SimError::WatchdogTripped { unit, at } => match unit {
-                WatchdogUnit::Dma { core, path } => write!(
-                    f,
-                    "watchdog tripped at {at:.6e}s: core {core} DMA over {path:?} hung past its \
-                     budget"
-                ),
-                WatchdogUnit::Core { core } => write!(
-                    f,
-                    "watchdog tripped at {at:.6e}s: core {core} passed the deadline without \
-                     retiring"
-                ),
-            },
+            SimError::WatchdogTripped { core, at } => write!(
+                f,
+                "watchdog tripped at {at:.6e}s: core {core} passed the deadline without retiring"
+            ),
             SimError::DataCorrupt { region, offset } => {
                 write!(f, "data corruption detected in {region} near byte {offset}")
             }

@@ -93,7 +93,7 @@ pub struct ClusterFailure {
 /// throttling, co-tenant interference).  Interpreted by the CPU backend
 /// (`ftimm`'s `CpuBackend`), not by the DSP machine; it lives here so one
 /// seeded [`FaultPlan`] drives the whole heterogeneous degradation
-/// ladder and round-trips through the planfile codec.
+/// ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSlowdown {
     /// Multiplier on the CPU cost model's predicted seconds (`>= 1.0` for
@@ -279,7 +279,7 @@ pub(crate) struct FaultState {
     pub injected_corruptions: u64,
     /// Timeouts injected so far.
     pub injected_timeouts: u64,
-    /// Times the armed watchdog fired (hung DMA or deadline preemption).
+    /// Times the armed watchdog fired (deadline preemption).
     pub watchdog_trips: u64,
 }
 

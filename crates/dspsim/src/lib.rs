@@ -27,14 +27,13 @@ pub mod fault;
 pub mod machine;
 pub mod mem;
 pub mod minijson;
-pub mod planfile;
 pub mod profiler;
 pub mod stats;
 
 pub use crate::core::Core;
 pub use config::HwConfig;
-pub use dma::{transfer_time, Dma2d, DmaPath, DmaTicket, WatchdogConfig};
-pub use error::{SimError, WatchdogUnit};
+pub use dma::{transfer_time, Dma2d, DmaPath, DmaTicket};
+pub use error::SimError;
 pub use exec::{run_program, ExecReport, KernelBindings};
 pub use fault::{
     ClusterFailure, CoreFailure, CpuFailure, CpuSlowdown, DmaFault, DmaFaultKind, FaultPlan,

@@ -4,7 +4,7 @@ use crate::fault::{splitmix64, DmaFaultKind, FaultState, MemTarget};
 use crate::profiler::{phase_of_path, EventKind, Phase, Profiler, Span};
 use crate::{
     transfer_time, Core, CoreStats, Dma2d, DmaPath, DmaTicket, FaultPlan, FaultStats, HwConfig,
-    MemRegion, RunReport, SimError, WatchdogConfig, WatchdogUnit,
+    MemRegion, RunReport, SimError,
 };
 
 /// How much of the simulation actually runs.
@@ -77,8 +77,9 @@ pub struct Machine {
     core_map: Vec<usize>,
     /// Armed fault-injection state (empty unless a plan is installed).
     fault: FaultState,
-    /// Armed watchdog budgets (`None` keeps every hot path untouched).
-    watchdog: Option<WatchdogConfig>,
+    /// Armed watchdog deadline, simulated seconds (`None` keeps every
+    /// hot path untouched).
+    watchdog: Option<f64>,
     /// Span/event recorder (disabled by default; never advances clocks).
     profiler: Profiler,
 }
@@ -274,20 +275,17 @@ impl Machine {
     }
 
     /// Arm the watchdog: subsequent preemption points (every DMA issue,
-    /// plus explicit [`Machine::preempt_point`] calls) enforce the given
-    /// simulated-time budgets.  Replaces any previously armed config.
-    pub fn arm_watchdog(&mut self, cfg: WatchdogConfig) {
-        self.watchdog = Some(cfg);
+    /// plus explicit [`Machine::preempt_point`] calls) enforce an
+    /// absolute deadline of `deadline_s` simulated seconds, so a
+    /// `(seed, plan)` run trips it at a bit-reproducible instant.
+    /// Replaces any previously armed deadline.
+    pub fn arm_watchdog(&mut self, deadline_s: f64) {
+        self.watchdog = Some(deadline_s);
     }
 
-    /// Disarm the watchdog (the default state: no budget checks at all).
+    /// Disarm the watchdog (the default state: no deadline checks at all).
     pub fn disarm_watchdog(&mut self) {
         self.watchdog = None;
-    }
-
-    /// The armed watchdog config, if any.
-    pub fn watchdog(&self) -> Option<&WatchdogConfig> {
-        self.watchdog.as_ref()
     }
 
     /// A deadline preemption point: if a watchdog is armed and this
@@ -298,18 +296,18 @@ impl Machine {
     /// automatically on every DMA issue; long compute-only loops can call
     /// it explicitly.
     pub fn preempt_point(&mut self, id: usize) -> Result<(), SimError> {
-        let Some(wd) = self.watchdog else {
+        let Some(deadline_s) = self.watchdog else {
             return Ok(());
         };
         let phys = self.core_map[id];
         let core = &self.cluster.cores[phys];
         let now = core.t_compute.max(core.t_dma_free);
-        if now >= wd.deadline_s {
+        if now >= deadline_s {
             self.fault.watchdog_trips += 1;
             self.profiler
                 .event(EventKind::WatchdogDeadline, Some(phys), now);
             return Err(SimError::WatchdogTripped {
-                unit: WatchdogUnit::Core { core: phys },
+                core: phys,
                 at: now,
             });
         }
@@ -428,8 +426,8 @@ impl Machine {
     /// Issue a DMA on a core's engine: functional strided copy (in timing
     /// mode, the copy's extent check alone) plus completion-time
     /// accounting.  Armed faults strike here: a `Timeout` charges the
-    /// watchdog and errors out, a `Corrupt` completes the transfer but
-    /// flips one f32 of the destination.
+    /// fault plan's hang time and errors out, a `Corrupt` completes the
+    /// transfer but flips one f32 of the destination.
     pub fn dma(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<DmaTicket, SimError> {
         self.check_core_alive(id)?;
         self.preempt_point(id)?;
@@ -442,29 +440,20 @@ impl Machine {
             if f.kind == DmaFaultKind::Timeout {
                 self.fault.injected_timeouts += 1;
                 let phys = self.core_map[id];
-                let timeout = self.fault.timeout_s;
-                let budget = self.watchdog.map_or(f64::INFINITY, |w| w.dma_budget_s);
                 let core = &mut self.cluster.cores[phys];
                 let start = core.t_dma_free.max(core.t_compute);
-                if budget < timeout {
-                    // An armed watchdog detects the hang after its DMA
-                    // budget instead of eating the full hang charge.
-                    let at = start + budget;
-                    core.t_dma_free = at;
-                    core.t_compute = at;
-                    self.fault.watchdog_trips += 1;
-                    self.record_hang(path, phys, start, at, EventKind::WatchdogDma);
-                    return Err(SimError::WatchdogTripped {
-                        unit: WatchdogUnit::Dma { core: phys, path },
-                        at,
-                    });
-                }
-                let at = start + timeout;
+                let at = start + self.fault.timeout_s;
                 // The engine hangs until the fault plan's timeout fires
                 // and the core blocks on it; no data moves.
                 core.t_dma_free = at;
                 core.t_compute = at;
-                self.record_hang(path, phys, start, at, EventKind::DmaTimeout);
+                self.profiler.record(Span {
+                    phase: phase_of_path(path),
+                    core: phys,
+                    t0: start,
+                    t1: at,
+                });
+                self.profiler.event(EventKind::DmaTimeout, Some(phys), at);
                 return Err(SimError::DmaTimeout {
                     core: phys,
                     path,
@@ -503,17 +492,6 @@ impl Machine {
             done_at: done,
             bytes: desc.bytes(),
         })
-    }
-
-    /// Record the span and event of a DMA hang charge (fault injection).
-    fn record_hang(&mut self, path: DmaPath, phys: usize, t0: f64, t1: f64, kind: EventKind) {
-        self.profiler.record(Span {
-            phase: phase_of_path(path),
-            core: phys,
-            t0,
-            t1,
-        });
-        self.profiler.event(kind, Some(phys), t1);
     }
 
     /// The (source, destination) regions of a transfer on `path` issued
@@ -763,7 +741,7 @@ mod tests {
     fn deadline_preempts_new_work_at_a_reproducible_instant() {
         let run = || {
             let mut m = Machine::with_mode(ExecMode::Timing);
-            m.arm_watchdog(WatchdogConfig::with_deadline(1e-6));
+            m.arm_watchdog(1e-6);
             let mut err = None;
             for _ in 0..64 {
                 match m.dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 16)) {
@@ -782,10 +760,7 @@ mod tests {
         assert_eq!(t1.to_bits(), t2.to_bits());
         assert_eq!(trips1, 1);
         match e1 {
-            SimError::WatchdogTripped {
-                unit: crate::WatchdogUnit::Core { core: 0 },
-                at,
-            } => assert!(at >= 1e-6),
+            SimError::WatchdogTripped { core: 0, at } => assert!(at >= 1e-6),
             other => panic!("got {other:?}"),
         }
     }
@@ -801,42 +776,6 @@ mod tests {
         }
         m.preempt_point(0).unwrap();
         assert_eq!(m.fault_stats().watchdog_trips, 0);
-    }
-
-    #[test]
-    fn dma_budget_detects_a_hang_before_the_full_timeout_charge() {
-        let plan = FaultPlan::new(1).timeout_dma(DmaPath::DdrToAm, 1);
-        // Without a watchdog: the full 1 ms hang is charged.
-        let mut slow = Machine::with_mode(ExecMode::Timing);
-        slow.install_faults(&plan);
-        let e = slow
-            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 64))
-            .unwrap_err();
-        assert!(matches!(e, SimError::DmaTimeout { .. }));
-        // With a 10 µs budget: detected 100× earlier, blaming the unit.
-        let mut fast = Machine::with_mode(ExecMode::Timing);
-        fast.install_faults(&plan);
-        fast.arm_watchdog(WatchdogConfig {
-            dma_budget_s: 1e-5,
-            ..WatchdogConfig::default()
-        });
-        let e = fast
-            .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 64))
-            .unwrap_err();
-        match e {
-            SimError::WatchdogTripped {
-                unit:
-                    crate::WatchdogUnit::Dma {
-                        core: 0,
-                        path: DmaPath::DdrToAm,
-                    },
-                at,
-            } => assert!((at - 1e-5).abs() < 1e-12),
-            other => panic!("got {other:?}"),
-        }
-        assert!(fast.elapsed() < slow.elapsed() / 10.0);
-        assert_eq!(fast.fault_stats().watchdog_trips, 1);
-        assert_eq!(fast.fault_stats().dma_timeouts, 1);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! The workspace builds offline with no serialisation framework, so every
 //! persisted schema (`ftimm-plan-v1`, `ftimm-plan-catalog-v2`,
-//! `ftimm-profile-v1`, the fault planfile, `ftimm-conformance-case-v1`),
-//! the Chrome trace and the `ftimm-bench-*-v1` reports are written and
-//! decoded through this module and nothing beside it.
+//! `ftimm-conformance-case-v1`), the `ftimm-profile-v1` document, the
+//! Chrome trace and the `ftimm-bench-*-v1` reports are written — and the
+//! persisted schemas decoded — through this module and nothing beside
+//! it.
 //!
 //! **Grammar.**  The subset those documents need — objects, arrays, UTF-8
 //! strings and numbers — and the reader rejects anything else loudly

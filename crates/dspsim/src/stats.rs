@@ -51,8 +51,8 @@ pub struct FaultStats {
     pub bit_flips: u64,
     /// Cores permanently lost during the run.
     pub cores_lost: u64,
-    /// Times the armed watchdog fired (hung-DMA detection or deadline
-    /// preemption; zero when no watchdog is armed).
+    /// Times the armed watchdog fired (deadline preemption; zero when
+    /// no watchdog is armed).
     pub watchdog_trips: u64,
     /// Recovery attempts performed (retries and degraded re-runs).
     pub retries: u64,

@@ -237,20 +237,16 @@ fn every_submission_gets_exactly_one_terminal_outcome() {
 }
 
 #[test]
-fn cluster_kill_fixture_loads_and_recovers() {
-    let plan = FaultPlan::from_json(include_str!("fixtures/cluster_kill.json")).unwrap();
-    assert_eq!(plan.seed, 41);
-    assert_eq!(plan.clusters.len(), 1);
-    assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
-
+fn a_cluster_killed_at_a_fixed_instant_recovers_bitwise() {
+    let plan = FaultPlan::new(41).kill_cluster(1e-4);
     let ft = FtImm::new(HwConfig::default());
     let shape = GemmShape::new(96, 16, 24);
     let want = single_cluster_oracle(&ft, &shape, 9);
     let (c, _) = completed(
         run_one(&ft, 2, Some((0, plan)), job(&shape, 9)),
-        "fixture kill run",
+        "fixed-instant kill run",
     );
-    assert_bits_eq(&c, &want, "fixture-killed sharded vs single-cluster");
+    assert_bits_eq(&c, &want, "killed sharded vs single-cluster");
 }
 
 /// The CI sweep (acceptance: ≥ 3 shapes × ≥ 2 seeds): every regime of

@@ -12,11 +12,9 @@
 
 use conformance::{case_from_json, case_to_json, generate_case, Rng64};
 use dspsim::minijson::Parser;
-use dspsim::{DmaPath, FaultPlan, MemTarget, Phase, PhaseProfile};
 use ftimm::{
-    catalog_from_json, catalog_json, plan_from_json, plan_json, profile_from_json, profile_json,
-    ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Plan, PlanCatalog, PlanKey, PlanOrigin,
-    Strategy,
+    catalog_from_json, catalog_json, ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Plan,
+    PlanCatalog, PlanKey, PlanOrigin, Strategy,
 };
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -54,13 +52,6 @@ fn codec<T: PartialEq + Debug + 'static>(
 
 fn codecs() -> Vec<Codec> {
     vec![
-        codec(
-            "fault planfile",
-            fault_plan,
-            FaultPlan::to_json,
-            FaultPlan::from_json,
-        ),
-        codec("ftimm-plan-v1", plan, plan_json, plan_from_json),
         codec("ftimm-plan-catalog-v2", catalog, catalog_json, |text| {
             let load = catalog_from_json(text)?;
             match load.quarantined {
@@ -68,7 +59,6 @@ fn codecs() -> Vec<Codec> {
                 n => Err(format!("{n} quarantined")),
             }
         }),
-        codec("ftimm-profile-v1", profile, profile_json, profile_from_json),
         codec(
             "ftimm-conformance-case-v1",
             |rng| generate_case(rng.next(), rng.range(0, 999)),
@@ -102,42 +92,6 @@ fn seconds(rng: &mut Rng64) -> f64 {
 
 fn dim(rng: &mut Rng64) -> usize {
     rng.range(1, 70_000) as usize
-}
-
-fn fault_plan(rng: &mut Rng64) -> FaultPlan {
-    const PATHS: [DmaPath; 9] = [
-        DmaPath::DdrToGsm,
-        DmaPath::GsmToDdr,
-        DmaPath::DdrToSm,
-        DmaPath::DdrToAm,
-        DmaPath::SmToDdr,
-        DmaPath::AmToDdr,
-        DmaPath::GsmToSm,
-        DmaPath::GsmToAm,
-        DmaPath::AmToGsm,
-    ];
-    // Seeds span the full u64 range: no f64 detour may round them.
-    let mut p = FaultPlan::new(rng.next());
-    p.timeout_s = finite(rng);
-    for _ in 0..rng.range(0, 2) {
-        p = p.corrupt_dma(*rng.pick(&PATHS), rng.next());
-        p = p.timeout_dma(*rng.pick(&PATHS), rng.range(1, 9));
-    }
-    for _ in 0..rng.range(0, 2) {
-        let core = rng.range(0, 7) as usize;
-        let target = *rng.pick(&[MemTarget::Gsm, MemTarget::Sm(core), MemTarget::Am(core)]);
-        p = p.flip_bit(target, rng.range(1, 99));
-    }
-    for _ in 0..rng.range(0, 2) {
-        p = p.kill_core(rng.range(0, 7) as usize, finite(rng));
-    }
-    for _ in 0..rng.range(0, 2) {
-        p = p.kill_cluster(finite(rng));
-    }
-    for _ in 0..rng.range(0, 2) {
-        p = p.cpu_slowdown(finite(rng)).fail_cpu(rng.range(1, 9));
-    }
-    p
 }
 
 fn chosen(rng: &mut Rng64) -> ChosenStrategy {
@@ -181,15 +135,7 @@ fn plan_for(rng: &mut Rng64, shape: GemmShape, cores: usize) -> Plan {
         simulated_s: seconds(rng),
         candidates: rng.range(0, u32::MAX as u64) as u32,
         simulations: rng.range(0, 100) as u32,
-        // The co-execution hint is optional in the document.
-        coexec_cpu_rows: rng.range(0, 1) as usize * rng.range(1, shape.m as u64) as usize,
     }
-}
-
-fn plan(rng: &mut Rng64) -> Plan {
-    let shape = GemmShape::new(dim(rng), dim(rng), dim(rng));
-    let cores = rng.range(1, 16) as usize;
-    plan_for(rng, shape, cores)
 }
 
 fn catalog(rng: &mut Rng64) -> PlanCatalog {
@@ -205,31 +151,6 @@ fn catalog(rng: &mut Rng64) -> PlanCatalog {
         cat.entries.push((key, plan_for(rng, shape, key.cores)));
     }
     cat
-}
-
-fn profile(rng: &mut Rng64) -> PhaseProfile {
-    let mut p = PhaseProfile {
-        total_s: finite(rng),
-        overlap_s: finite(rng),
-        roofline_gflops: finite(rng),
-        achieved_gflops: finite(rng),
-        plan_hits: rng.next(),
-        plan_misses: rng.next(),
-        plan_evictions: rng.range(0, 9),
-        catalog_hits: rng.range(0, 9),
-        catalog_misses: rng.range(0, 9),
-        spans: rng.next(),
-        events: rng.range(0, 9),
-        dropped: rng.range(0, 9),
-        ..PhaseProfile::default()
-    };
-    for phase in Phase::ALL {
-        p.phase_s[phase.index()] = finite(rng);
-    }
-    for busy in &mut p.core_busy_s {
-        *busy = finite(rng);
-    }
-    p
 }
 
 // ------------------------------------------------------- document surgery
@@ -339,16 +260,14 @@ fn committed_fixtures_load_unchanged() {
         if path.extension().is_none_or(|x| x != "json") {
             continue;
         }
-        let text = read(&path);
-        if path.ends_with("plan-catalog.json") {
-            let load = catalog_from_json(&text).unwrap();
-            assert_eq!(load.quarantined, 0, "{}", path.display());
-            assert!(!load.catalog.entries.is_empty());
-        } else {
-            let plan =
-                FaultPlan::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert!(!plan.is_empty(), "{}", path.display());
-        }
+        assert!(
+            path.ends_with("plan-catalog.json"),
+            "{}: no decoder for this fixture",
+            path.display()
+        );
+        let load = catalog_from_json(&read(&path)).unwrap();
+        assert_eq!(load.quarantined, 0, "{}", path.display());
+        assert!(!load.catalog.entries.is_empty());
         loaded += 1;
     }
     for entry in std::fs::read_dir(fixtures.join("conformance")).unwrap() {
@@ -356,5 +275,5 @@ fn committed_fixtures_load_unchanged() {
         case_from_json(&read(&path)).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         loaded += 1;
     }
-    assert!(loaded >= 10, "only {loaded} fixtures found");
+    assert!(loaded >= 7, "only {loaded} fixtures found");
 }

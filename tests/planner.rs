@@ -3,24 +3,15 @@
 //! cost model's agreement with the timing model on the paper's shapes.
 
 use conformance::{Regime, Rng64};
-use dspsim::{ExecMode, HwConfig, Machine};
+use cpublas::CpuConfig;
+use dspsim::{BackendKind, ExecMode, HwConfig, Machine};
 use ftimm::reference::fill_matrix;
 use ftimm::{
-    analytic_seconds, ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, PlanOrigin,
+    analytic_seconds, catalog_from_json, catalog_json, choose_coexec_split, plan_coexec,
+    ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, PlanCatalog, PlanKey, PlanOrigin,
     Planner, Strategy, TuneConfig, Tuner,
 };
 use std::collections::HashSet;
-
-/// A cheap tuning budget for integration tests: enough to exercise the
-/// variant ladder on every regime without the full default budget.
-fn test_tune_config() -> TuneConfig {
-    TuneConfig {
-        max_simulations: 8,
-        random_probes: 2,
-        neighborhood: 2,
-        ..TuneConfig::default()
-    }
-}
 
 fn staged(machine: &mut Machine, shape: &GemmShape) -> GemmProblem {
     let (m, n, k) = (shape.m, shape.n, shape.k);
@@ -107,7 +98,7 @@ fn every_plan_any_strategy_or_the_tuner_returns_runs_functionally() {
             .collect();
         plans.push((
             "tuned",
-            ft.tune(shape, 8, &test_tune_config()).plan.strategy,
+            ft.tune(shape, 8, &TuneConfig::default()).plan.strategy,
         ));
         for (what, plan) in plans {
             let mut m = Machine::with_mode(ExecMode::Compiled);
@@ -302,7 +293,7 @@ fn tuning_is_deterministic_under_a_fixed_seed() {
     let mut rng = Rng64::new(0x7E5EED);
     for regime in Regime::ALL {
         let shape = regime.sample(&mut rng);
-        let cfg = test_tune_config();
+        let cfg = TuneConfig::default();
         let a = FtImm::new(HwConfig::default()).tune(&shape, 8, &cfg);
         let b = FtImm::new(HwConfig::default()).tune(&shape, 8, &cfg);
         assert_eq!(a.plan, b.plan, "{regime} {shape}: tuned plan diverged");
@@ -343,7 +334,7 @@ fn catalog_warm_start_plans_every_regime_with_zero_simulations() {
     let shapes: Vec<GemmShape> = Regime::ALL.iter().map(|r| r.sample(&mut rng)).collect();
     let tuned: Vec<_> = shapes
         .iter()
-        .map(|s| ft.tune(s, 8, &test_tune_config()).plan)
+        .map(|s| ft.tune(s, 8, &TuneConfig::default()).plan)
         .collect();
     let path = std::env::temp_dir().join(format!(
         "ftimm-planner-warm-start-{}.json",
@@ -372,7 +363,7 @@ fn tuned_plan_then_execute_matches_one_shot_in_every_regime() {
     for regime in Regime::ALL {
         let shape = regime.sample(&mut rng);
         let ft = FtImm::new(HwConfig::default());
-        let outcome = ft.tune(&shape, 8, &test_tune_config());
+        let outcome = ft.tune(&shape, 8, &TuneConfig::default());
 
         // Staged: execute the tuned plan's resolved strategy directly.
         let mut m1 = Machine::with_mode(ExecMode::Compiled);
@@ -412,11 +403,75 @@ fn tuned_plan_then_execute_matches_one_shot_in_every_regime() {
 fn resolved_plans_round_trip_through_json() {
     let ft = FtImm::new(HwConfig::default());
     let mut rng = Rng64::new(0xD0C);
+    let mut catalog = PlanCatalog::default();
     for regime in Regime::ALL {
         let shape = regime.sample(&mut rng);
-        let plan = ft.plan_full(&shape, Strategy::Auto, 8);
-        let text = ftimm::plan_json(&plan);
-        let back = ftimm::plan_from_json(&text).unwrap();
-        assert_eq!(back, plan, "{regime} {shape}:\n{text}");
+        let key = PlanKey {
+            shape,
+            cores: 8,
+            strategy: Strategy::Auto,
+        };
+        catalog
+            .entries
+            .push((key, ft.plan_full(&shape, Strategy::Auto, 8)));
     }
+    let text = catalog_json(&catalog);
+    let load = catalog_from_json(&text).unwrap();
+    assert_eq!(load.quarantined, 0, "{text}");
+    assert_eq!(load.catalog, catalog, "{text}");
+}
+
+/// The co-execution split is searched live on every context: a tuned or
+/// catalog-loaded plan does not pin "no CPU tail".  On each context
+/// `plan_coexec` places the split `choose_coexec_split` picks for that
+/// context's DSP strategy, the catalog context replays the tuned one bit
+/// for bit, and neither is predicted much slower than a fresh context
+/// (the tuner's bit-equal variant moves the shard grain, not the answer).
+#[test]
+fn coexec_split_is_searched_on_fresh_tuned_and_catalog_contexts() {
+    // Table I type-1 near the Fig. 7 crossover, on a host 4x the default
+    // CPU model: the live search gives the CPU lane a real M tail.
+    let shape = GemmShape::new(65536, 32, 32);
+    let cpu = CpuConfig {
+        clock_hz: 8.8e9,
+        ..CpuConfig::default()
+    };
+    let (placement, grain) = ([0, 1], 64);
+    let coexec =
+        |ft: &FtImm| plan_coexec(ft, &shape, Strategy::Auto, 8, &placement, grain, &cpu, 1.0);
+
+    let fresh = FtImm::new(HwConfig::default());
+    let tuned = FtImm::new(HwConfig::default());
+    tuned.tune(&shape, 8, &TuneConfig::default());
+    let path =
+        std::env::temp_dir().join(format!("ftimm-planner-coexec-{}.json", std::process::id()));
+    tuned.save_plan_catalog(&path).unwrap();
+    let warm = FtImm::with_plan_catalog(HwConfig::default(), &path);
+    std::fs::remove_file(&path).ok();
+    let warm = warm.unwrap();
+
+    let fresh_s = coexec(&fresh).predicted_s;
+    for (what, ft) in [("fresh", &fresh), ("tuned", &tuned), ("catalog", &warm)] {
+        let sp = coexec(ft);
+        let choice = choose_coexec_split(ft, &shape, Strategy::Auto, 8, 2, grain, &cpu, 1.0);
+        let cpu_rows: usize = sp
+            .shards
+            .iter()
+            .filter(|s| s.backend == BackendKind::Cpu)
+            .map(|s| s.rows())
+            .sum();
+        assert!(cpu_rows > 0, "{what}: no CPU tail in {sp:?}");
+        assert_eq!(cpu_rows, choice.cpu_rows, "{what}");
+        assert_eq!(
+            sp.predicted_s.to_bits(),
+            choice.predicted_s.to_bits(),
+            "{what}"
+        );
+        assert!(
+            sp.predicted_s < 1.05 * fresh_s,
+            "{what}: {} vs {fresh_s}",
+            sp.predicted_s
+        );
+    }
+    assert_eq!(coexec(&warm), coexec(&tuned));
 }
