@@ -8,13 +8,13 @@
 //! `bench cluster` and archived by CI; its `--assert-failover-overhead`
 //! gate keeps recovery cost bounded by twice the lost shard's work.
 
+use crate::common::run_completed;
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, FaultPlan, HwConfig, Profiler};
 use ftimm::reference::fill_matrix;
 use ftimm::{
     chrome_trace_json_clusters, ClusterPool, EngineConfig, FtImm, GemmShape, ResilienceConfig,
-    ShardedConfig, ShardedEngine, ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy,
-    TenantSpec,
+    ShardedConfig, ShardedEngine, ShardedJob, SpillPolicy, Strategy,
 };
 
 /// Cores driven per cluster (the paper's full GPDSP cluster).
@@ -116,22 +116,6 @@ fn sharded_cfg(profile: bool) -> ShardedConfig {
         },
         profile,
         ..ShardedConfig::default()
-    }
-}
-
-fn run_completed(
-    ft: &FtImm,
-    eng: &mut ShardedEngine,
-    job: ShardedJob,
-    what: &str,
-) -> Box<ShardedReport> {
-    let t = eng.register_tenant(TenantSpec::new("bench", 5));
-    eng.submit(t, job);
-    let mut records = eng.run_all(ft);
-    assert_eq!(records.len(), 1);
-    match records.remove(0).outcome {
-        ShardedOutcome::Completed { report, .. } => report,
-        other => panic!("{what}: expected completion, got {}", other.label()),
     }
 }
 

@@ -22,12 +22,13 @@
 //! search grid, so any regression means the chooser itself broke.
 
 use crate::cluster::{CORES, MAX_CLUSTERS};
+use crate::common::run_completed;
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use cpublas::CpuConfig;
 use dspsim::{ExecMode, HwConfig};
 use ftimm::{
     ClusterPool, EngineConfig, FtImm, GemmShape, ResilienceConfig, ShardedConfig, ShardedEngine,
-    ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy, TenantSpec,
+    ShardedJob, SpillPolicy, Strategy,
 };
 
 /// Checkpoint grain shared by the chooser and both engine runs (the
@@ -177,20 +178,6 @@ fn cfg(spill: SpillPolicy, cpu: CpuConfig) -> ShardedConfig {
     }
 }
 
-fn run_completed(ft: &FtImm, eng: &mut ShardedEngine, shape: &GemmShape) -> Box<ShardedReport> {
-    let t = eng.register_tenant(TenantSpec::new("bench", 5));
-    eng.submit(
-        t,
-        ShardedJob::timing(shape.m, shape.n, shape.k, Strategy::Auto, CORES),
-    );
-    let mut records = eng.run_all(ft);
-    assert_eq!(records.len(), 1);
-    match records.remove(0).outcome {
-        ShardedOutcome::Completed { report, .. } => report,
-        other => panic!("{shape}: expected completion, got {}", other.label()),
-    }
-}
-
 fn measure(
     ft: &FtImm,
     regime: &'static str,
@@ -209,15 +196,17 @@ fn measure(
         1.0,
     );
 
+    let job = || ShardedJob::timing(shape.m, shape.n, shape.k, Strategy::Auto, CORES);
+
     // Simulated DSP-only baseline: the same pool with the lane off.
     let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, MAX_CLUSTERS);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::Never, cpu));
-    let dsp_run = run_completed(ft, &mut eng, &shape);
+    let dsp_run = run_completed(ft, &mut eng, job(), shape);
 
     // Simulated co-execution: the planner's split actually dispatched.
     let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, MAX_CLUSTERS);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::CoExecute, cpu));
-    let co_run = run_completed(ft, &mut eng, &shape);
+    let co_run = run_completed(ft, &mut eng, job(), shape);
     if choice.cpu_rows > 0 {
         assert!(
             eng.cpu_dispatches() > 0,

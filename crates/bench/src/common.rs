@@ -2,8 +2,12 @@
 
 use cpublas::CpuConfig;
 use dspsim::HwConfig;
-use ftimm::backend::{Backend, BackendPrediction, CpuBackend};
-use ftimm::{ChosenStrategy, FtImm, GemmShape, Strategy, StrategyKind};
+use ftimm::backend::{BackendPrediction, CpuBackend};
+use ftimm::{
+    ChosenStrategy, FtImm, GemmShape, ShardedEngine, ShardedJob, ShardedOutcome, ShardedReport,
+    Strategy, StrategyKind, TenantSpec,
+};
+use std::fmt::Display;
 
 /// A configured measurement context (kernel cache shared across points).
 pub struct Harness {
@@ -57,16 +61,34 @@ impl Harness {
         self.ft.cfg().cluster_peak_flops() / 1e9
     }
 
-    /// The CPU comparator as a [`Backend`] — the same model and config
+    /// The CPU comparator as a [`CpuBackend`] — the same model and config
     /// the sharded engine's spill lane charges, so every chart and gate
     /// compares against the device that would actually absorb failover.
     pub fn cpu_backend(&self) -> CpuBackend {
         CpuBackend::new(self.cpu)
     }
 
-    /// CPU-model prediction for a shape through the [`Backend`] trait.
+    /// CPU-model prediction for a shape ([`CpuBackend::predict`]).
     pub fn cpu_predict(&self, shape: &GemmShape) -> BackendPrediction {
         self.cpu_backend().predict(shape)
+    }
+}
+
+/// Run `job` alone on `eng` under a fresh tenant and return its report.
+/// Panics, naming `what`, unless the job completed.
+pub fn run_completed(
+    ft: &FtImm,
+    eng: &mut ShardedEngine,
+    job: ShardedJob,
+    what: impl Display,
+) -> Box<ShardedReport> {
+    let t = eng.register_tenant(TenantSpec::new("bench", 5));
+    eng.submit(t, job);
+    let mut records = eng.run_all(ft);
+    assert_eq!(records.len(), 1);
+    match records.remove(0).outcome {
+        ShardedOutcome::Completed { report, .. } => report,
+        other => panic!("{what}: expected completion, got {}", other.label()),
     }
 }
 

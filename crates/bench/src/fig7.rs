@@ -35,8 +35,8 @@ pub struct Panel {
 }
 
 fn point(h: &Harness, m: usize, n: usize, k: usize) -> Point {
-    // Both devices through the same Backend trait the failover engine
-    // dispatches on: one code path, one config.
+    // The CPU side through the same `CpuBackend::predict` the failover
+    // engine prices its lane with: one model, one config.
     let shape = GemmShape::new(m, n, k);
     let dsp_gf = h.gflops(&shape, Strategy::Auto, 8);
     let cpu = h.cpu_predict(&shape);

@@ -16,11 +16,12 @@
 //! when they diverge (default tolerance ±30%).
 
 use crate::cluster::{CORES, REGIMES};
+use crate::common::run_completed;
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{BackendKind, ExecMode, FaultPlan, HwConfig};
 use ftimm::{
     ClusterPool, EngineConfig, FtImm, GemmShape, ResilienceConfig, ShardedConfig, ShardedEngine,
-    ShardedJob, ShardedOutcome, ShardedReport, SpillPolicy, Strategy, TenantSpec,
+    ShardedJob, SpillPolicy, Strategy,
 };
 
 /// One regime's spill measurement.
@@ -88,25 +89,12 @@ fn cfg() -> ShardedConfig {
     }
 }
 
-fn run_completed(ft: &FtImm, eng: &mut ShardedEngine, shape: &GemmShape) -> Box<ShardedReport> {
-    let t = eng.register_tenant(TenantSpec::new("bench", 5));
-    eng.submit(
-        t,
-        ShardedJob::timing(shape.m, shape.n, shape.k, Strategy::Auto, CORES),
-    );
-    let mut records = eng.run_all(ft);
-    assert_eq!(records.len(), 1);
-    match records.remove(0).outcome {
-        ShardedOutcome::Completed { report, .. } => report,
-        other => panic!("{shape}: expected completion, got {}", other.label()),
-    }
-}
-
 fn measure(ft: &FtImm, regime: &'static str, shape: GemmShape) -> Row {
     // Fault-free single-cluster baseline (also the kill-window probe).
     let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, 1);
     let mut eng = ShardedEngine::new(pool, cfg());
-    let clean = run_completed(ft, &mut eng, &shape);
+    let job = || ShardedJob::timing(shape.m, shape.n, shape.k, Strategy::Auto, CORES);
+    let clean = run_completed(ft, &mut eng, job(), shape);
     let shard0_s = clean.shard_runs[0].seconds;
 
     // Kill the only cluster halfway through its shard: the checkpointed
@@ -114,7 +102,7 @@ fn measure(ft: &FtImm, regime: &'static str, shape: GemmShape) -> Row {
     let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Timing, 1);
     let mut eng = ShardedEngine::new(pool, cfg());
     eng.install_faults(0, &FaultPlan::new(5).kill_cluster(shard0_s * 0.5));
-    let killed = run_completed(ft, &mut eng, &shape);
+    let killed = run_completed(ft, &mut eng, job(), shape);
     assert!(
         !killed.failovers.is_empty(),
         "{shape}: the kill must actually trigger a failover"

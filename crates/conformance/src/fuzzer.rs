@@ -1316,15 +1316,15 @@ mod tests {
         };
         let alone = ft();
         run(&alone);
-        let invoked = alone.kernel_cache_stats().misses;
+        let invoked = alone.cache().stats().misses;
 
         let ft = ft();
         let verified = invoked_kernels(&ft, &plan, &shape, cores);
         assert_eq!(verified.len() as u64, invoked, "{plan:?} on {shape}");
-        assert_eq!(ft.kernel_cache_stats().misses, invoked);
+        assert_eq!(ft.cache().stats().misses, invoked);
         run(&ft);
         assert_eq!(
-            ft.kernel_cache_stats().misses,
+            ft.cache().stats().misses,
             invoked,
             "{plan:?} on {shape}: the run invoked a kernel the verifier never saw"
         );

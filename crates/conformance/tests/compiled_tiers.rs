@@ -121,7 +121,7 @@ fn kernel_cache_capacity_zero_is_uncached_but_identical() {
     let shape = GemmShape::new(19, 40, 23);
     let (cw, _) = run_tier(&cached, &shape, Strategy::KPar, 2, 11, ExecMode::Compiled);
     let (co, _) = run_tier(&uncached, &shape, Strategy::KPar, 2, 11, ExecMode::Compiled);
-    let kernels = uncached.kernel_cache_stats();
+    let kernels = uncached.cache().stats();
     assert_eq!(
         (kernels.len, kernels.hits),
         (0, 0),

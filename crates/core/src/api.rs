@@ -214,11 +214,6 @@ impl FtImm {
         self.exec.stats()
     }
 
-    /// Hit/miss/eviction counters of the generated-kernel cache.
-    pub fn kernel_cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
     /// The hardware configuration.
     pub fn cfg(&self) -> &HwConfig {
         &self.cfg

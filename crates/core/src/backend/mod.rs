@@ -5,19 +5,16 @@
 //! targets the simulated DSP cluster; this module promotes the CPU from
 //! a Fig. 7 chart baseline to a real execution resource:
 //!
-//! * [`Backend`] — a device's identity ([`dspsim::BackendKind`]), peak
-//!   flop/s, and an analytic performance prediction
-//!   ([`BackendPrediction`]).  [`cpublas::predict`] covers the CPU side,
-//!   so the Fig. 7 comparison and live dispatch share one model and one
-//!   config; the DSP side is priced by [`crate::FtImm`]'s planner and
-//!   timing model.
 //! * [`CpuBackend`] — a stateful host executor that runs a resolved
 //!   [`crate::ChosenStrategy`] on the host CPU with the **same blocking
 //!   and accumulation order as the DSP path** (the kernelgen tiling
-//!   walk, *not* `cpublas::sgemm`'s Goto order), so a job that fails
-//!   over from the DSP pool to the CPU produces bitwise identical
-//!   output.  Simulated time is charged from [`cpublas::predict`]; see
-//!   [`cpu`] for the fault and deadline model.
+//!   walk), so a job that fails over from the DSP pool to the CPU
+//!   produces bitwise identical output.  Simulated time is charged from
+//!   [`cpublas::predict`]; see [`cpu`] for the fault and deadline model.
+//! * [`CpuBackend::predict`] — the nominal analytic prediction
+//!   ([`BackendPrediction`]) of a GEMM on the CPU, so the Fig. 7
+//!   comparison and live dispatch share one model and one config; the
+//!   DSP side is priced by [`crate::FtImm`]'s planner and timing model.
 //!
 //! The sharded engine ([`crate::cluster::ShardedEngine`]) uses the CPU
 //! backend in two roles: as a planned *peer* under
@@ -28,7 +25,7 @@
 //! the CPU instead of being shed (gated by
 //! [`crate::cluster::SpillPolicy`]).  See DESIGN.md §4.4.
 //!
-//! Every consumer of the CPU cost model — the [`Backend`] impl, the
+//! Every consumer of the CPU cost model — [`CpuBackend::predict`], the
 //! stripe executor's time charge, the co-execution split chooser and the
 //! bench fig7/hetero gates — routes through [`predict_cpu_stripe`], so
 //! the ±30% `--assert-cpu-model` gate and the planner can never drift
@@ -40,7 +37,6 @@ pub(crate) mod host;
 pub use cpu::{CpuBackend, CpuLaneOutcome, CpuStripeRun};
 
 use crate::GemmShape;
-use dspsim::BackendKind;
 
 /// An analytic performance prediction from a backend's cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +52,7 @@ pub struct BackendPrediction {
 /// The one shared evaluation of the CPU cost model: predict a
 /// `m × n × k` GEMM stripe on the host described by `cfg`, scaled by a
 /// lane-health `slowdown` factor (1.0 = nominal).  Everything that
-/// consults the CPU model — [`CpuBackend`]'s [`Backend::predict`] and
+/// consults the CPU model — [`CpuBackend::predict`] and its
 /// per-dispatch time charge, the co-execution split chooser
 /// ([`crate::plan::choose_coexec_split`]) and the bench CPU-model gates —
 /// calls this, so a change to the slowdown or derivation arithmetic can
@@ -84,38 +80,12 @@ pub fn predict_cpu_stripe(
     }
 }
 
-/// A compute device that can be asked who it is, how fast it could ever
-/// go, and how long a GEMM of a given shape should take on it.
-///
-/// This is the planner-facing surface: placement and spill decisions,
-/// the Fig. 7 CPU-vs-DSP comparison and the bench gates all consume the
-/// same predictions the dispatch layer charges as simulated time, so
-/// the model can never drift from the execution path.
-pub trait Backend {
-    /// Which device this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Peak single-precision flop/s of the device.
-    fn peak_flops(&self) -> f64;
-
-    /// Predicted performance for `C += A×B` of `shape`.
-    fn predict(&self, shape: &GemmShape) -> BackendPrediction;
-}
-
-impl Backend for CpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cpu
-    }
-
-    fn peak_flops(&self) -> f64 {
-        self.cpu_cfg().peak_flops()
-    }
-
-    fn predict(&self, shape: &GemmShape) -> BackendPrediction {
-        // The trait prediction is the *nominal* model (slowdown 1.0):
-        // placement comparisons and the bench gates reason about the
-        // healthy device; lane-health scaling is the dispatcher's
-        // business (see [`CpuBackend::run_stripe`]).
+impl CpuBackend {
+    /// Predicted performance for `C += A×B` of `shape` on the *nominal*
+    /// lane (slowdown 1.0): placement comparisons and the bench gates
+    /// reason about the healthy device; lane-health scaling is the
+    /// dispatcher's business (see [`CpuBackend::run_stripe`]).
+    pub fn predict(&self, shape: &GemmShape) -> BackendPrediction {
         predict_cpu_stripe(self.cpu_cfg(), shape.m, shape.n, shape.k, 1.0)
     }
 }
@@ -127,12 +97,10 @@ mod tests {
     #[test]
     fn cpu_backend_prediction_matches_the_cpublas_model() {
         let be = CpuBackend::new(cpublas::CpuConfig::default());
-        assert_eq!(be.kind(), BackendKind::Cpu);
         let shape = GemmShape::new(2560, 32, 2560);
         let want = cpublas::predict(&cpublas::CpuConfig::default(), 2560, 32, 2560);
         let got = be.predict(&shape);
         assert_eq!(got.seconds.to_bits(), want.seconds.to_bits());
         assert_eq!(got.efficiency.to_bits(), want.efficiency.to_bits());
-        assert!((be.peak_flops() - 281.6e9).abs() < 1e6);
     }
 }

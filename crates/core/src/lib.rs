@@ -69,7 +69,7 @@ pub use adjust::{
 };
 pub use api::{FtImm, Strategy, TuningStats};
 pub use backend::{
-    predict_cpu_stripe, Backend, BackendPrediction, CpuBackend, CpuLaneOutcome, CpuStripeRun,
+    predict_cpu_stripe, BackendPrediction, CpuBackend, CpuLaneOutcome, CpuStripeRun,
 };
 pub use cluster::{
     BreakerState, CircuitBreaker, ClusterHealth, ClusterPool, EngineConfig, FailoverEvent, JobId,

@@ -71,28 +71,16 @@ fn grid_variants(cfg: &HwConfig, base: &ChosenStrategy, shape: &GemmShape) -> Ve
 pub struct Planner<'a> {
     cache: &'a KernelCache,
     cfg: &'a HwConfig,
-    /// Analytic-grid candidates promoted to timing-model evaluation on
-    /// top of the two always-simulated rule candidates.
-    top_k: usize,
 }
 
-/// Grid candidates promoted to simulation by default.
-pub const DEFAULT_TOP_K: usize = 2;
+/// Analytic-grid candidates promoted to timing-model evaluation on top of
+/// the two always-simulated rule candidates.
+const TOP_K: usize = 2;
 
 impl<'a> Planner<'a> {
     /// A planner over the shared kernel cache and hardware model.
     pub fn new(cache: &'a KernelCache, cfg: &'a HwConfig) -> Self {
-        Planner {
-            cache,
-            cfg,
-            top_k: DEFAULT_TOP_K,
-        }
-    }
-
-    /// Override how many analytic-grid extras are simulated.
-    pub fn top_k(mut self, top_k: usize) -> Self {
-        self.top_k = top_k;
-        self
+        Planner { cache, cfg }
     }
 
     /// Resolve a plan.  `simulate` evaluates one candidate on the timing
@@ -179,7 +167,7 @@ impl<'a> Planner<'a> {
             .filter(|&i| analytic[i].is_finite())
             .collect();
         extras.sort_by(|&a, &b| analytic[a].total_cmp(&analytic[b]));
-        extras.truncate(self.top_k);
+        extras.truncate(TOP_K);
 
         let mut best = (0usize, f64::INFINITY);
         let mut simulations = 0u32;
@@ -257,7 +245,7 @@ mod tests {
             }
         });
         assert!(seen.len() >= 2, "rule + alt always simulated");
-        assert!(seen.len() <= 2 + DEFAULT_TOP_K);
+        assert!(seen.len() <= 2 + TOP_K);
         assert_eq!(plan.strategy, seen[1]);
         assert_eq!(plan.simulated_s, 1.0);
         assert_eq!(plan.simulations as usize, seen.len());

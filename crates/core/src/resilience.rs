@@ -58,8 +58,6 @@ pub struct ResilienceConfig {
     /// Recovery attempts allowed before giving up with
     /// [`dspsim::SimError::DataCorrupt`] (or the underlying error).
     pub max_retries: u32,
-    /// First backoff stall in simulated seconds; doubles per attempt.
-    pub backoff_base_s: f64,
     /// Relative ABFT tolerance: a checksum mismatch larger than
     /// `abft_tol * (1 + |expected| + mass)` flags the row/column, where
     /// `mass` is the absolute product mass of the checked sum
@@ -97,7 +95,6 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             max_retries: 4,
-            backoff_base_s: 1e-6,
             abft_tol: 1e-6,
             ckpt_rows: 0,
         }
@@ -225,13 +222,13 @@ fn row_span(p: &GemmProblem, r0: usize, r1: usize) -> GemmProblem {
     }
 }
 
+/// First backoff stall in simulated seconds; doubles per attempt.
+const BACKOFF_BASE_S: f64 = 1e-6;
+
 /// Charge an exponential backoff stall on every core that will take part
 /// in the next attempt.
-fn backoff(m: &mut Machine, cores: usize, rcfg: &ResilienceConfig, attempt: u32) {
-    if rcfg.backoff_base_s <= 0.0 {
-        return;
-    }
-    let stall = rcfg.backoff_base_s * f64::from(1u32 << attempt.min(20).saturating_sub(1));
+fn backoff(m: &mut Machine, cores: usize, attempt: u32) {
+    let stall = BACKOFF_BASE_S * f64::from(1u32 << attempt.min(20).saturating_sub(1));
     for id in 0..cores.clamp(1, m.alive_cores()) {
         m.stall(id, stall);
     }
@@ -279,7 +276,7 @@ impl Recovery {
         self.retries += 1;
         self.recomputed += 1;
         m.record_event(EventKind::Retry, e.implicated_core(), m.elapsed());
-        backoff(m, cx.cores, cx.rcfg, self.attempt);
+        backoff(m, cx.cores, self.attempt);
         Ok(())
     }
 }
@@ -815,6 +812,26 @@ mod tests {
                     m.ddr.flip_f32_msb(at).unwrap();
                 }
             }
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_from_one_microsecond_on_the_cores_that_retry() {
+        let stalls = |cores: usize, attempt: u32| {
+            let mut m = Machine::new(HwConfig::default(), ExecMode::Timing);
+            backoff(&mut m, cores, attempt);
+            (0..m.alive_cores())
+                .map(|id| m.core_time(id))
+                .collect::<Vec<_>>()
+        };
+        for (attempt, stall) in [(1, 1e-6), (2, 2e-6), (3, 4e-6), (25, 0.524_288)] {
+            assert_eq!(stalls(8, attempt), [stall; 8], "attempt {attempt}");
+        }
+        // Only the first `cores.clamp(1, alive)` cores stall.
+        for (cores, stalled) in [(0, 1), (1, 1), (3, 3), (20, 8)] {
+            let mut want = [0.0; 8];
+            want[..stalled].fill(1e-6);
+            assert_eq!(stalls(cores, 1), want, "{cores} cores");
         }
     }
 }

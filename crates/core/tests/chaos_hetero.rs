@@ -162,8 +162,8 @@ fn cpu_fault_mid_failover_sheds_with_reason_instead_of_hanging() {
     assert!(reason.contains("cpu backend fault"), "{reason}");
     assert!(reason.contains("last fault domain"), "{reason}");
     // The fault is on the CPU breaker's ledger (one strike, not open).
-    assert_eq!(eng.cpu_breaker().consecutive_faults(), 1);
-    assert_eq!(eng.cpu_breaker().state(), BreakerState::Closed);
+    assert_eq!(eng.cpu().breaker().consecutive_faults(), 1);
+    assert_eq!(eng.cpu().breaker().state(), BreakerState::Closed);
 }
 
 /// `SpillPolicy::Never` preserves the pre-lane semantics exactly: the
@@ -222,7 +222,7 @@ fn repeated_cpu_faults_open_the_breaker_and_fail_fast() {
             r.outcome.label()
         );
     }
-    assert_eq!(eng.cpu_breaker().state(), BreakerState::Open);
+    assert_eq!(eng.cpu().breaker().state(), BreakerState::Open);
     let ShardedOutcome::Failed { error } = &records[3].outcome else {
         panic!("expected fail-fast, got {}", records[3].outcome.label());
     };

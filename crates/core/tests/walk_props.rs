@@ -282,7 +282,7 @@ fn a_timing_walk_builds_no_program_and_fetches_per_height() {
         assert_eq!(ft.cache().programs_built(), 0, "{shape:?}");
 
         let fetched = |ft: &FtImm| {
-            let s = ft.kernel_cache_stats();
+            let s = ft.cache().stats();
             s.hits + s.misses
         };
         let before = fetched(&ft);

@@ -124,15 +124,6 @@ pub struct DmaTicket {
     pub bytes: u64,
 }
 
-impl DmaTicket {
-    /// A ticket that is already complete at time zero (used for "no
-    /// transfer needed" paths so ping-pong code stays uniform).
-    pub const DONE: DmaTicket = DmaTicket {
-        done_at: 0.0,
-        bytes: 0,
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

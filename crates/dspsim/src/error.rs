@@ -174,7 +174,11 @@ mod tests {
 
     #[test]
     fn isa_errors_convert() {
-        let e: SimError = ftimm_isa::IsaError::BadLoopLevel(9).into();
+        let e: SimError = ftimm_isa::IsaError::BadRegister {
+            index: 99,
+            vector: true,
+        }
+        .into();
         assert!(matches!(e, SimError::Isa(_)));
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -517,7 +517,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         self.skip_ws();
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -556,7 +556,7 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, &str) -> Result<Value, String>,
     ) -> Result<Value, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -566,7 +566,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            self.expect(b':')?;
+            self.eat(b':')?;
             let value = member(self, &key)?;
             fields.push((key, value));
             self.skip_ws();
@@ -589,7 +589,7 @@ impl<'a> Parser<'a> {
 
     /// Read an array, handing each member to `each` as it is read.
     fn elements(&mut self, mut each: impl FnMut(Value)) -> Result<(), String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -610,7 +610,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         // Collected as bytes: the delimiters are ASCII, which never occurs
         // inside a multi-byte sequence, so the source's UTF-8 passes
         // through whole.

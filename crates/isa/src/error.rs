@@ -1,8 +1,8 @@
-//! Error type shared by ISA construction, assembly parsing and validation.
+//! Error type shared by ISA construction and validation.
 
 use std::fmt;
 
-/// Errors produced while building, parsing or validating ISA objects.
+/// Errors produced while building or validating ISA objects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IsaError {
     /// Two instructions in one bundle target the same functional unit.
@@ -40,15 +40,6 @@ pub enum IsaError {
         /// `true` for vector registers, `false` for scalar registers.
         vector: bool,
     },
-    /// Assembly text could not be parsed.
-    Parse {
-        /// 1-based line number of the failure.
-        line: usize,
-        /// Description of what went wrong.
-        detail: String,
-    },
-    /// A loop section refers to a loop level deeper than supported.
-    BadLoopLevel(u8),
 }
 
 impl fmt::Display for IsaError {
@@ -73,8 +64,6 @@ impl fmt::Display for IsaError {
                 "{} register index {index} out of range",
                 if *vector { "vector" } else { "scalar" }
             ),
-            IsaError::Parse { line, detail } => write!(f, "parse error on line {line}: {detail}"),
-            IsaError::BadLoopLevel(l) => write!(f, "loop level {l} too deep"),
         }
     }
 }

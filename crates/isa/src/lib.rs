@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod asm;
 pub mod bundle;
 pub mod error;
 pub mod inst;

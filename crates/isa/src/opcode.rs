@@ -104,11 +104,6 @@ impl Opcode {
         }
     }
 
-    /// Parse a mnemonic back into an opcode.
-    pub fn from_mnemonic(s: &str) -> Option<Opcode> {
-        Opcode::ALL.iter().copied().find(|op| op.mnemonic() == s)
-    }
-
     /// Number of f32 multiply-add lane operations this opcode performs
     /// (used for flop accounting; one FMA counts as two flops).
     pub fn fma_lanes(self) -> usize {
@@ -128,14 +123,6 @@ impl fmt::Display for Opcode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mnemonics_round_trip() {
-        for op in Opcode::ALL {
-            assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op));
-        }
-        assert_eq!(Opcode::from_mnemonic("NOPE"), None);
-    }
 
     #[test]
     fn broadcast_ops_share_the_single_broadcast_unit() {

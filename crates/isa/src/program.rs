@@ -6,7 +6,7 @@
 //! appears inside loop bodies for issue-slot fidelity; the interpreter
 //! treats it as the loop-back marker.
 
-use crate::{Bundle, IsaError};
+use crate::Bundle;
 use std::fmt;
 
 /// Identifies a loop nesting level for address expressions.
@@ -14,17 +14,6 @@ use std::fmt;
 /// Level 0 is the outermost loop of the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LoopLevel(pub u8);
-
-impl LoopLevel {
-    /// Validate against [`crate::addr::MAX_LOOP_DEPTH`].
-    pub fn checked(level: u8) -> Result<Self, IsaError> {
-        if (level as usize) < crate::addr::MAX_LOOP_DEPTH {
-            Ok(LoopLevel(level))
-        } else {
-            Err(IsaError::BadLoopLevel(level))
-        }
-    }
-}
 
 /// One structural element of a program.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,8 +122,8 @@ impl Program {
     /// `indices[level]` is the current trip of each enclosing loop.  This
     /// is the reference execution order used by the interpreter and tests.
     /// Returns early on error.  A loop nested no deeper than an enclosing
-    /// one (which `asm::parse` refuses and the verifier reports) shares
-    /// that loop's index slot instead of unwinding the stack under it.
+    /// one (which the verifier reports) shares that loop's index slot
+    /// instead of unwinding the stack under it.
     pub fn visit<E>(&self, f: &mut impl FnMut(&[u64], &Bundle) -> Result<(), E>) -> Result<(), E> {
         let mut indices = Vec::new();
         for s in &self.sections {
@@ -279,12 +268,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
-    }
-
-    #[test]
-    fn loop_level_depth_checked() {
-        assert!(LoopLevel::checked(3).is_ok());
-        assert!(LoopLevel::checked(4).is_err());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! random shape is hazard-free under interpretation, cycle-exact against
 //! its analytic count, bit-identical between interpreter and the host
 //! lowering, and within its architectural upper bound — and the priced
-//! search returns exactly what building every candidate returns.
+//! search returns exactly what building every candidate returns; a
+//! kernel's assembly listing stays the size of one block.
 
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
 use kernelgen::build::{steady_cycles_lower_bound, SEARCH_WIDTH};
@@ -259,5 +260,21 @@ fn pricing_equals_building_over_the_whole_kernel_space() {
     assert!(
         specs > 9000 && forced > 27000,
         "{specs} specs, {forced} forced"
+    );
+}
+
+#[test]
+fn assembly_listings_are_human_scale() {
+    // Program size is O(instructions of one block), independent of k_a:
+    // the listing for k_a = 864 must not be ~100× the k_a = 8 listing.
+    let cfg = HwConfig::default();
+    let small = MicroKernel::generate(KernelSpec::new(6, 8, 96).unwrap(), &cfg).unwrap();
+    let large = MicroKernel::generate(KernelSpec::new(6, 864, 96).unwrap(), &cfg).unwrap();
+    let ls = small.program().to_string().lines().count();
+    let ll = large.program().to_string().lines().count();
+    assert!(ll < 4 * ls, "listing grows with k_a: {ls} vs {ll}");
+    assert!(
+        large.cycles > 50 * small.cycles / 2,
+        "cycles do scale with k_a"
     );
 }

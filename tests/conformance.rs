@@ -223,15 +223,11 @@ fn plan_catalog_fixture_replays_simulation_free() {
     assert_eq!(stats.quarantined, 0, "every fixture plan fits the machine");
 }
 
-/// A loop nested no deeper than its parent parses as an error, and the
-/// same program built by hand is a verifier finding, not a panic.
+/// A program whose loop is nested no deeper than its parent, built by
+/// hand, is a verifier finding, not a panic.
 #[test]
 fn mis_nested_loops_are_refused_not_panicked_on() {
-    use ftimm_isa::{asm, Bundle, LatencyTable, LoopLevel, Program, Section};
-    let text = ".loop L1 x2\n.loop L0 x1\n{ NOP }\n.endloop\n.endloop\n";
-    let err = asm::parse(text).unwrap_err();
-    assert!(err.to_string().contains("not nested deeper"), "{err}");
-
+    use ftimm_isa::{Bundle, LatencyTable, LoopLevel, Program, Section};
     let mut p = Program::new("flat");
     p.sections.push(Section::Loop {
         level: LoopLevel(1),

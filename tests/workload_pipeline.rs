@@ -105,29 +105,3 @@ fn fem_batch_is_computed_correctly() {
     );
     assert!(max_abs_diff(&got, &want) < 1e-3);
 }
-
-#[test]
-fn host_openblas_baseline_agrees_with_cluster_result() {
-    // The Fig-7 comparator computes the same math.
-    let inst = KmeansInstance::generate(512, 8, 16, 1);
-    let shape = inst.gemm_shape();
-    let dsp = run_gemm(
-        &inst.points,
-        &inst.centroids_t(),
-        shape.m,
-        shape.n,
-        shape.k,
-        8,
-    );
-    let mut cpu = vec![0.0f32; shape.m * shape.n];
-    cpublas::sgemm(
-        shape.m,
-        shape.n,
-        shape.k,
-        &inst.points,
-        &inst.centroids_t(),
-        &mut cpu,
-        8,
-    );
-    assert!(max_abs_diff(&dsp, &cpu) < 1e-2);
-}
