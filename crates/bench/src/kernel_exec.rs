@@ -17,6 +17,11 @@
 //! clock and counters advanced.  CI gates [`Report::max_invoke_overhead`]:
 //! whatever sits between the scratchpads and the kernel is paid on every
 //! invocation, and no other row of this report would show it.
+//!
+//! The two sides are timed in [`PAIRS`] interleaved pairs of batches,
+//! the side that goes first alternating, and the gate reads the median
+//! of the per-pair ratios: a slow spell of the host then spoils a few
+//! pairs on both sides instead of one whole side.
 
 use crate::report::{Cell::*, Document, Fmt::*, Table};
 use dspsim::{ExecMode, HwConfig, KernelBindings, Machine};
@@ -35,16 +40,22 @@ pub struct Row {
     pub k_u: usize,
     /// Timed executions per batch.
     pub iters: usize,
-    /// Mean seconds per bare execution of the lowering.
+    /// Median over the pairs of the mean seconds per bare execution of
+    /// the lowering.
     pub compiled_s: f64,
-    /// Mean seconds per `invoke_kernel` on a staged compiled-mode machine.
+    /// Median over the pairs of the mean seconds per `invoke_kernel` on a
+    /// staged compiled-mode machine.
     pub invoke_s: f64,
+    /// Quartiles (25th, 50th, 75th percentile) of the per-pair
+    /// `invoke / bare` ratios.
+    pub overhead: [f64; 3],
 }
 
 impl Row {
-    /// What an in-simulator invocation costs over the bare kernel.
+    /// What an in-simulator invocation costs over the bare kernel: the
+    /// median of the per-pair ratios.
     pub fn invoke_overhead(&self) -> f64 {
-        self.invoke_s / self.compiled_s.max(1e-12)
+        self.overhead[1]
     }
 
     /// Host GFLOP/s (useful flops) of an execution taking `seconds`.
@@ -147,10 +158,47 @@ fn time_invoke(ex: &KernelExecutor, cfg: &HwConfig, kernel: &MicroKernel, iters:
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
-/// The fastest of three batches: a single descheduling can double a
-/// batch of a few milliseconds, and the overhead gate compares two.
-fn fastest_of_3(mut batch: impl FnMut() -> f64) -> f64 {
-    (0..3).map(|_| batch()).fold(f64::INFINITY, f64::min)
+/// Timed pairs per regime (an even count, so each side goes first
+/// equally often).
+pub const PAIRS: usize = 12;
+
+/// The 25th, 50th and 75th percentiles of a non-empty `v`, interpolated
+/// linearly between ranks.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let x = q * (v.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (x - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// [`PAIRS`] pairs of one `bare` and one `invoke` batch, alternating which
+/// runs first: the median seconds of each side and the quartiles of the
+/// per-pair `invoke / bare` ratios.
+fn interleaved(
+    mut bare: impl FnMut() -> f64,
+    mut invoke: impl FnMut() -> f64,
+) -> (f64, f64, [f64; 3]) {
+    let (mut bares, mut invokes, mut ratios) = (vec![], vec![], vec![]);
+    for pair in 0..PAIRS {
+        let (b, i) = if pair % 2 == 0 {
+            let b = bare();
+            (b, invoke())
+        } else {
+            let i = invoke();
+            (bare(), i)
+        };
+        bares.push(b);
+        invokes.push(i);
+        ratios.push(i / b.max(1e-12));
+    }
+    (
+        quartiles(bares)[1],
+        quartiles(invokes)[1],
+        quartiles(ratios),
+    )
 }
 
 /// Measure every regime.  `iters = 0` sizes each batch so it takes
@@ -178,8 +226,10 @@ pub fn compute(iters: usize) -> Report {
                 let probe = time_execute(&ex, &kernel, 10);
                 ((0.02 / probe.max(1e-9)) as usize).clamp(10, 100_000)
             };
-            let compiled_s = fastest_of_3(|| time_execute(&ex, &kernel, iters));
-            let invoke_s = fastest_of_3(|| time_invoke(&ex, &cfg, &kernel, iters));
+            let (compiled_s, invoke_s, overhead) = interleaved(
+                || time_execute(&ex, &kernel, iters),
+                || time_invoke(&ex, &cfg, &kernel, iters),
+            );
             Row {
                 label: label.to_string(),
                 spec,
@@ -187,6 +237,7 @@ pub fn compute(iters: usize) -> Report {
                 iters,
                 compiled_s,
                 invoke_s,
+                overhead,
             }
         })
         .collect();
@@ -217,9 +268,11 @@ pub fn document(report: &Report) -> Document {
     .col("iters", "iters", |r| Count(r.iters as u64))
     .col("compiled_s", "compiled", |r| Num(r.compiled_s, micros))
     .col("invoke_s", "invoke", |r| Num(r.invoke_s, micros))
+    .col("overhead_p25", "p25", |r| Num(r.overhead[0], overhead))
     .col("invoke_overhead", "overhead", |r| {
         Num(r.invoke_overhead(), overhead)
     })
+    .col("overhead_p75", "p75", |r| Num(r.overhead[2], overhead))
     .col("compiled_gflops", "GF/s compiled", |r| {
         Num(r.gflops(r.compiled_s), gflops)
     })
@@ -250,6 +303,8 @@ mod tests {
         for r in &report.rows {
             assert!(r.compiled_s > 0.0, "{}", r.label);
             assert!(r.invoke_s > 0.0, "{}", r.label);
+            let [q1, q2, q3] = r.overhead;
+            assert!(0.0 < q1 && q1 <= q2 && q2 <= q3, "{}", r.label);
         }
         let v = crate::report::parsed(&document(&report), "kernel-exec");
         assert_eq!(
@@ -272,10 +327,23 @@ mod tests {
                 row.get("compiled_s").unwrap().as_f64("compiled_s"),
                 Ok(r.compiled_s)
             );
+            for (key, q) in ["overhead_p25", "invoke_overhead", "overhead_p75"]
+                .into_iter()
+                .zip(r.overhead)
+            {
+                assert_eq!(row.get(key).unwrap().as_f64(key), Ok(q));
+            }
         }
         assert_eq!(
             v.get("max_invoke_overhead").unwrap().as_f64("overhead"),
             Ok(report.max_invoke_overhead())
         );
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        assert_eq!(quartiles(vec![3.0, 1.0, 2.0]), [1.5, 2.0, 2.5]);
+        assert_eq!(quartiles(vec![4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(vec![7.0]), [7.0; 3]);
     }
 }

@@ -70,7 +70,8 @@ pub enum OracleKind {
     CpuFailover,
     /// Tuning is deterministic, catalog round-trip preserves plan bits,
     /// tuned-plan execution ≡ default-plan execution (bitwise), and a
-    /// catalog warm start plans with zero simulations.
+    /// catalog warm start plans with zero simulations.  The two tunes
+    /// share the case context's kernels and nothing else.
     TunedPlanEquivalence,
     /// Co-executed run (planned CPU peer) ≡ single-cluster, bitwise;
     /// co-execution planning deterministic and never predicted slower
@@ -931,14 +932,24 @@ fn cpu_failover(cx: &Ctx) -> Result<(), Mismatch> {
 /// warm-started from the catalog serves it with zero timing simulations,
 /// and executing it is bitwise identical to executing the default `Auto`
 /// plan (the tuner only adopts [`ftimm::BitSignature`]-equal variants).
+///
+/// The two tunes run on [`FtImm::sharing_kernels`] contexts over the
+/// case's context: each walks its candidates on its own memos, and only
+/// kernel generation and pricing are shared, a pure function of the spec
+/// and the hardware (kernelgen's
+/// `pricing_equals_building_over_the_whole_kernel_space` and
+/// `an_evicted_spec_regenerates_an_equal_kernel`).  The warm start is a
+/// plain [`FtImm::with_plan_catalog`] context, as a fresh process would
+/// build.
 fn tuned_plan_equivalence(cx: &Ctx) -> Result<(), Mismatch> {
     let (ft, case) = (cx.ft, cx.case);
     let tcfg = ftimm::TuneConfig { seed: case.seed };
-    // Fresh contexts per leg so tuning state cannot leak between them
-    // (the ambient `ft` stays untouched except to execute).
-    let ft1 = FtImm::new(ft.cfg().clone());
+    // Own plan and walk memos per leg: no plan, walk or tuned plan leaks
+    // between the legs or into `ft`, and the determinism check compares
+    // two full searches.
+    let ft1 = ft.sharing_kernels();
     let o1 = ft1.tune(&case.shape, case.cores, &tcfg);
-    let ft2 = FtImm::new(ft.cfg().clone());
+    let ft2 = ft.sharing_kernels();
     let o2 = ft2.tune(&case.shape, case.cores, &tcfg);
     if o1.plan != o2.plan {
         return Err(cx.fail(format!(

@@ -171,11 +171,33 @@ impl FtImm {
         plan_capacity: usize,
         kernel_capacity: usize,
     ) -> Self {
+        let exec = Arc::new(KernelExecutor::new(Arc::new(KernelCache::with_capacity(
+            cfg.clone(),
+            kernel_capacity,
+        ))));
+        FtImm::over_executor(cfg, exec, plan_capacity)
+    }
+
+    /// A context over this one's kernel executor — its kernel cache,
+    /// schedule memo and host lowerings — with everything else fresh, as
+    /// [`FtImm::new`] makes it: plan cache, placements and walk memo at
+    /// the default capacity, zeroed counters, no tuned plans and no
+    /// catalog.  A kernel is a pure function of its spec and the
+    /// [`HwConfig`], so what one context generates the other reuses, and
+    /// no plan, walk, tune or counter crosses between them.
+    pub fn sharing_kernels(&self) -> FtImm {
+        FtImm::over_executor(
+            self.cfg.clone(),
+            Arc::clone(&self.exec),
+            DEFAULT_PLAN_CACHE_CAPACITY,
+        )
+    }
+
+    /// A context over `exec` with empty plan-level memos of
+    /// `plan_capacity` entries.
+    fn over_executor(cfg: HwConfig, exec: Arc<KernelExecutor>, plan_capacity: usize) -> Self {
         FtImm {
-            exec: Arc::new(KernelExecutor::new(Arc::new(KernelCache::with_capacity(
-                cfg.clone(),
-                kernel_capacity,
-            )))),
+            exec,
             cfg,
             plan_cache: PlanCache::new(plan_capacity),
             placements: PlacementCache::new(plan_capacity),
@@ -633,6 +655,56 @@ mod tests {
         // A shape the catalog does not cover is a catalog miss.
         ft.plan_full(&GemmShape::new(64, 64, 64), Strategy::Auto, 4);
         assert_eq!(ft.tuning_stats().catalog_misses, 1);
+    }
+
+    #[test]
+    fn a_kernel_sharing_context_shares_kernels_and_nothing_else() {
+        let parent = FtImm::new(HwConfig::default());
+        let child = parent.sharing_kernels();
+        let catalog = |ft: &FtImm| {
+            let path =
+                std::env::temp_dir().join(format!("ftimm-api-sharing-{}.json", std::process::id()));
+            ft.save_plan_catalog(&path).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            text
+        };
+        let config = crate::plan::TuneConfig::default();
+        // The child tunes one shape, then the parent another: neither
+        // tune shows in the other context.
+        let legs = [
+            (&child, &parent, GemmShape::new(4096, 32, 256)),
+            (&parent, &child, GemmShape::new(64, 64, 4096)),
+        ];
+        for (tuner, other, shape) in legs {
+            let before = (
+                other.plan_cache_stats(),
+                other.timing_simulations(),
+                other.tuning_stats(),
+                catalog(other),
+            );
+            let outcome = tuner.tune(&shape, 8, &config);
+            assert_eq!(outcome.plan.origin, crate::plan::PlanOrigin::Tuned);
+            let after = (
+                other.plan_cache_stats(),
+                other.timing_simulations(),
+                other.tuning_stats(),
+                catalog(other),
+            );
+            assert_eq!(after, before, "{shape}");
+            let planned = other.plan_full(&shape, Strategy::Auto, 8);
+            assert_eq!(planned.origin, crate::plan::PlanOrigin::CostModel);
+        }
+        // One kernel cache: generated through either, a hit through the
+        // other.
+        let spec = kernelgen::KernelSpec::new(5, 100, 24).unwrap();
+        let s0 = child.cache().stats();
+        parent.cache().get(spec).unwrap();
+        let s1 = child.cache().stats();
+        assert_eq!((s1.hits, s1.misses), (s0.hits, s0.misses + 1));
+        child.cache().get(spec).unwrap();
+        let s2 = parent.cache().stats();
+        assert_eq!((s2.hits, s2.misses), (s1.hits + 1, s1.misses));
     }
 
     #[test]

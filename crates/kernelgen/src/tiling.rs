@@ -81,8 +81,7 @@ impl Tiling {
             t_fma,
         ]
         .into_iter()
-        .max()
-        .expect("non-empty") as u32
+        .fold(0, usize::max) as u32
     }
 
     /// Steady-state FMAC-slot efficiency: useful FMAC issue slots per
@@ -124,11 +123,11 @@ pub fn candidates(spec: &KernelSpec, cfg: &HwConfig) -> Result<Vec<Tiling>, GenE
         return Err(GenError::NoFeasibleTiling(*spec));
     }
     // Higher steady-state efficiency first, larger tiles first on ties
-    // (fewer blocks, less prologue/epilogue overhead).
+    // (fewer blocks, less prologue/epilogue overhead).  Efficiencies are
+    // positive and finite, where `total_cmp` is the numeric order.
     out.sort_by(|a, b| {
         b.steady_efficiency()
-            .partial_cmp(&a.steady_efficiency())
-            .expect("efficiencies are finite")
+            .total_cmp(&a.steady_efficiency())
             .then(b.fmacs_per_iter().cmp(&a.fmacs_per_iter()))
             .then(a.k_u.cmp(&b.k_u))
     });

@@ -322,8 +322,23 @@ fn tuning_is_history_free() {
     let shared = FtImm::new(HwConfig::default());
     for shape in &shapes {
         let after_history = shared.tune(shape, 8, &cfg);
-        let alone = FtImm::new(HwConfig::default()).tune(shape, 8, &cfg);
+        let fresh = FtImm::new(HwConfig::default());
+        let alone = fresh.tune(shape, 8, &cfg);
         assert_eq!(after_history.plan, alone.plan, "{shape}");
+        // A context over the history's kernels, but with its own plans
+        // and walks, tunes exactly as a fresh one and walks as often.
+        let child = shared.sharing_kernels();
+        let borrowed = child.tune(shape, 8, &cfg);
+        assert_eq!(borrowed.plan, alone.plan, "{shape}");
+        assert_eq!(borrowed.default_plan, alone.default_plan, "{shape}");
+        assert_eq!(borrowed.variants, alone.variants, "{shape}");
+        assert_eq!(borrowed.simulations, alone.simulations, "{shape}");
+        assert_eq!(borrowed.adopted_variant, alone.adopted_variant, "{shape}");
+        assert_eq!(
+            child.timing_simulations(),
+            fresh.timing_simulations(),
+            "{shape}"
+        );
     }
 }
 
