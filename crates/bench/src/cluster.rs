@@ -93,13 +93,11 @@ impl Report {
     }
 }
 
-/// Parse a `--spill` flag value (`never`, `last-resort`, `deadline-aware`,
-/// `coexec`).
+/// Parse a `--spill` flag value (`never`, `last-resort`, `coexec`).
 pub fn parse_spill(s: &str) -> Option<SpillPolicy> {
     match s {
         "never" => Some(SpillPolicy::Never),
         "last-resort" => Some(SpillPolicy::LastResort),
-        "deadline-aware" => Some(SpillPolicy::DeadlineAware),
         "coexec" => Some(SpillPolicy::CoExecute),
         _ => None,
     }
@@ -112,7 +110,6 @@ fn sharded_cfg(profile: bool) -> ShardedConfig {
                 ckpt_rows: 8,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         profile,
         ..ShardedConfig::default()
@@ -399,7 +396,7 @@ mod tests {
         use ftimm::SpillPolicy::*;
         assert_eq!(parse_spill("never"), Some(Never));
         assert_eq!(parse_spill("last-resort"), Some(LastResort));
-        assert_eq!(parse_spill("deadline-aware"), Some(DeadlineAware));
+        assert_eq!(parse_spill("deadline-aware"), None);
         assert_eq!(parse_spill("coexec"), Some(CoExecute));
         assert_eq!(parse_spill("sometimes"), None);
     }

@@ -170,7 +170,6 @@ fn cfg(spill: SpillPolicy, cpu: CpuConfig) -> ShardedConfig {
                 ckpt_rows: GRAIN,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         spill,
         cpu,

@@ -82,7 +82,6 @@ fn cfg() -> ShardedConfig {
                 ckpt_rows: 64,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         spill: SpillPolicy::LastResort,
         ..ShardedConfig::default()

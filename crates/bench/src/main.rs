@@ -365,9 +365,8 @@ const CLUSTER: Flags = &[
 
 fn cluster(mut cli: Cli) -> ExitCode {
     let spill = cli.get("--spill").map_or(SpillPolicy::Never, |v| {
-        bench::cluster::parse_spill(v).unwrap_or_else(|| {
-            cli.die("--spill takes never | last-resort | deadline-aware | coexec")
-        })
+        bench::cluster::parse_spill(v)
+            .unwrap_or_else(|| cli.die("--spill takes never | last-resort | coexec"))
     });
 
     let report = bench::cluster::compute();

@@ -150,12 +150,19 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    fn cached() -> &'static (Report, std::path::PathBuf) {
-        static P: OnceLock<(Report, std::path::PathBuf)> = OnceLock::new();
+    /// The report and the emitted catalog read back as `(quarantined,
+    /// entries)`; the catalog file is removed once read.
+    type Cached = (Report, Result<(usize, usize), String>);
+
+    fn cached() -> &'static Cached {
+        static P: OnceLock<Cached> = OnceLock::new();
         P.get_or_init(|| {
             let path = std::env::temp_dir()
                 .join(format!("ftimm-bench-tune-test-{}.json", std::process::id()));
-            (compute(&path), path)
+            let report = compute(&path);
+            let load = ftimm::load_catalog(&path).map(|l| (l.quarantined, l.catalog.entries.len()));
+            let _ = std::fs::remove_file(&path);
+            (report, load)
         })
     }
 
@@ -188,10 +195,8 @@ mod tests {
 
     #[test]
     fn emitted_catalog_parses_cleanly() {
-        let (_, path) = cached();
-        let load = ftimm::load_catalog(path).unwrap();
-        assert_eq!(load.quarantined, 0);
-        assert_eq!(load.catalog.entries.len(), SHAPES.len());
+        let (_, load) = cached();
+        assert_eq!(load, &Ok((0, SHAPES.len())));
     }
 
     #[test]

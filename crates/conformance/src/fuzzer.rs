@@ -23,10 +23,9 @@
 //! edits: the variant, the table row, the check function.
 
 use crate::regime::Regime;
-use crate::rng::Rng64;
 use crate::verifier::verify_kernel;
 use cpublas::CpuConfig;
-use dspsim::{BackendKind, DmaPath, ExecMode, FaultPlan, HwConfig, Machine, RunReport};
+use dspsim::{BackendKind, DmaPath, ExecMode, FaultPlan, HwConfig, Machine, Rng64, RunReport};
 use ftimm::reference::{fill_matrix, sgemm_f64};
 use ftimm::{
     ChosenStrategy, ClusterPool, EngineConfig, Executor, FtImm, FtimmError, GemmProblem, GemmShape,
@@ -664,7 +663,6 @@ impl Ctx<'_> {
         let cfg = ShardedConfig {
             engine: EngineConfig {
                 resilience: ckpt_resilience(),
-                ..EngineConfig::default()
             },
             spill,
             cpu,

@@ -25,14 +25,13 @@
 pub mod corpus;
 pub mod fuzzer;
 pub mod regime;
-pub mod rng;
 pub mod verifier;
 
 pub use corpus::{case_from_json, case_to_json, replay_dir, write_fixture, SCHEMA};
+pub use dspsim::Rng64;
 pub use fuzzer::{
     check_case, fault_plan_for, generate_case, run_fuzz, sample_for_interpret, sharded_placement,
     shrink, CaseSpec, FuzzSummary, Mismatch, OracleKind,
 };
 pub use regime::Regime;
-pub use rng::Rng64;
 pub use verifier::{verify_kernel, verify_program, VerifyReport, Violation, ViolationKind};

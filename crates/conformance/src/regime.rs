@@ -7,7 +7,7 @@
 //! sampled shape classifies back to the regime that produced it (asserted
 //! by the crate's tests and the workload round-trip suite).
 
-use crate::rng::Rng64;
+use dspsim::Rng64;
 use ftimm::GemmShape;
 use std::fmt;
 

@@ -24,7 +24,7 @@
 //! [`dspsim::FaultPlan::fail_cpu`] kills the n-th span ever run, counting
 //! from 1, losing that span's work).  A dispatch given a deadline budget
 //! stops at the first span that would overrun it, clamping the clock to
-//! the budget.  Either way [`CpuStripeRun::rows_verified`] tells the
+//! the budget; the sharded engine passes none.  Either way [`CpuStripeRun::rows_verified`] tells the
 //! caller exactly which prefix of the stripe completed, and the backend's
 //! [`CircuitBreaker`] records the fault so spill policies can stop
 //! routing work at a trip threshold.
@@ -217,8 +217,7 @@ impl CpuBackend {
         for &(s0, s1) in &spans {
             let span_s = per_row_s * (s1 - s0) as f64;
             // Deadline check first: a span that cannot finish inside the
-            // budget is not started (matching the DSP watchdog, which
-            // preempts the span rather than letting it complete late).
+            // budget is not started rather than completing late.
             if let Some(budget) = deadline_budget {
                 if self.clock - t_start + span_s > budget {
                     // Deadline preemption is not a backend fault — the

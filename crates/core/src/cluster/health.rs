@@ -1,16 +1,15 @@
 //! Cluster-level health state machine.
 //!
 //! Each cluster in a [`super::ClusterPool`] is a *fault domain*: its own
-//! machine, fault plan, watchdog and per-core circuit breakers.  This
+//! machine, fault plan and per-core circuit breakers.  This
 //! module holds the [`CircuitBreaker`] each core's faults feed and
 //! reduces those per-core signals to one coarse health state the
 //! placement and shedding policies can act on:
 //!
 //! * **Healthy** — the cluster takes shards normally.
 //! * **Degraded** — the cluster still works but is showing distress
-//!   (accumulated watchdog trips, or enough of its cores' circuit
-//!   breakers open).  Placement prefers healthy clusters and uses
-//!   degraded ones only when needed.
+//!   (enough of its cores' circuit breakers open).  Placement prefers
+//!   healthy clusters and uses degraded ones only when needed.
 //! * **Dead** — the whole fault domain failed (an injected
 //!   [`dspsim::FaultPlan::kill_cluster`] fired, surfacing as
 //!   [`dspsim::SimError::ClusterFailed`]).  Dead is terminal: nothing is
@@ -25,9 +24,10 @@
 //! close again — it just no longer upgrades the cluster's coarse state.
 
 /// Coarse health of one cluster fault domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ClusterHealth {
     /// Fully serviceable.
+    #[default]
     Healthy,
     /// Serviceable but showing distress; placed only after healthy
     /// clusters.
@@ -52,10 +52,6 @@ impl ClusterHealth {
     }
 }
 
-/// Cumulative watchdog trips on a cluster's machine at which it
-/// degrades.
-pub const DEGRADE_WATCHDOG_TRIPS: u64 = 2;
-
 /// Open (non-admitting) circuit breakers at which a cluster degrades
 /// (breaker saturation).
 pub const DEGRADE_OPEN_BREAKERS: usize = 2;
@@ -68,29 +64,27 @@ pub const BREAKER_COOLDOWN_S: f64 = 1e-3;
 /// health lattice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HealthMonitor {
-    health: Option<ClusterHealth>,
+    health: ClusterHealth,
 }
 
 impl HealthMonitor {
     /// A fresh monitor (healthy).
     pub fn new() -> Self {
-        HealthMonitor {
-            health: Some(ClusterHealth::Healthy),
-        }
+        HealthMonitor::default()
     }
 
     /// Current health.
     pub fn health(&self) -> ClusterHealth {
-        self.health.unwrap_or(ClusterHealth::Healthy)
+        self.health
     }
 
-    /// Fold in an observation of the cluster's distress signals; returns
-    /// the (possibly advanced) health.  Never moves backwards.
-    pub fn observe(&mut self, watchdog_trips: u64, open_breakers: usize) -> ClusterHealth {
-        if watchdog_trips >= DEGRADE_WATCHDOG_TRIPS || open_breakers >= DEGRADE_OPEN_BREAKERS {
+    /// Fold in the cluster's count of open core breakers; returns the
+    /// (possibly advanced) health.  Never moves backwards.
+    pub fn observe(&mut self, open_breakers: usize) -> ClusterHealth {
+        if open_breakers >= DEGRADE_OPEN_BREAKERS {
             self.advance_to(ClusterHealth::Degraded);
         }
-        self.health()
+        self.health
     }
 
     /// The fault domain died ([`dspsim::SimError::ClusterFailed`]).
@@ -99,8 +93,7 @@ impl HealthMonitor {
     }
 
     fn advance_to(&mut self, to: ClusterHealth) {
-        let cur = self.health();
-        self.health = Some(cur.max(to));
+        self.health = self.health.max(to);
     }
 }
 
@@ -206,23 +199,17 @@ mod tests {
     fn transitions_are_monotone() {
         let mut m = HealthMonitor::new();
         assert_eq!(m.health(), ClusterHealth::Healthy);
-        // Below both thresholds: stays healthy.
-        assert_eq!(m.observe(1, 1), ClusterHealth::Healthy);
+        // Below the threshold: stays healthy.
+        assert_eq!(m.observe(1), ClusterHealth::Healthy);
         // Breaker saturation degrades.
-        assert_eq!(m.observe(0, 2), ClusterHealth::Degraded);
+        assert_eq!(m.observe(2), ClusterHealth::Degraded);
+        assert!(m.health().is_usable());
         // A calm observation does not upgrade back.
-        assert_eq!(m.observe(0, 0), ClusterHealth::Degraded);
+        assert_eq!(m.observe(0), ClusterHealth::Degraded);
         m.mark_dead();
         assert_eq!(m.health(), ClusterHealth::Dead);
         // Dead is terminal.
-        assert_eq!(m.observe(0, 0), ClusterHealth::Dead);
+        assert_eq!(m.observe(0), ClusterHealth::Dead);
         assert!(!m.health().is_usable());
-    }
-
-    #[test]
-    fn watchdog_trips_degrade() {
-        let mut m = HealthMonitor::new();
-        assert_eq!(m.observe(2, 0), ClusterHealth::Degraded);
-        assert!(m.health().is_usable());
     }
 }

@@ -5,7 +5,7 @@
 //! 16-core CPU front end (§II); the rest of this crate simulates exactly
 //! one cluster.  This module is the front end: a [`ClusterPool`] of N
 //! independent [`dspsim::Machine`]s — each a *fault domain* with its own
-//! [`dspsim::FaultPlan`], watchdog and per-core [`CircuitBreaker`]s —
+//! [`dspsim::FaultPlan`] and per-core [`CircuitBreaker`]s —
 //! driven by the [`ShardedEngine`], the crate's one job engine (a pool
 //! of one cluster is the single-machine case):
 //!
@@ -16,8 +16,8 @@
 //!   serialised launch overhead, the work-group tradeoff of the DPU
 //!   partitioner).
 //! * **Health** — each cluster runs a monotone healthy → degraded → dead
-//!   state machine ([`ClusterHealth`]) fed by watchdog trips, breaker
-//!   saturation and injected cluster death; placement is load-aware and
+//!   state machine ([`ClusterHealth`]) fed by breaker saturation and
+//!   injected cluster death; placement is load-aware and
 //!   prefers healthy clusters.
 //! * **Failover** — a shard whose cluster dies mid-run resumes from its
 //!   last row-span checkpoint on a surviving cluster, and the merged
@@ -25,8 +25,8 @@
 //!   run of the same plan (shard boundaries and salvage points sit on
 //!   the pinned walk's unit grid, the plan and core count are pinned — see
 //!   [`crate::plan::sharded`]).
-//! * **Admission control** — per-tenant quotas, priorities and default
-//!   deadlines; lowest-priority jobs are shed first under degraded
+//! * **Admission control** — jobs of unregistered tenants are rejected
+//!   at submit; lowest-priority jobs are shed first under degraded
 //!   capacity, and every submitted [`JobId`] gets exactly one
 //!   terminal [`ShardedOutcome`].
 //!

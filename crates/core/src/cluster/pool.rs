@@ -40,7 +40,7 @@ impl ClusterNode {
 }
 
 /// N independent cluster fault domains, each with its own machine,
-/// fault plan, watchdog and breakers.  The pool only owns state; the
+/// fault plan and breakers.  The pool only owns state; the
 /// scheduling logic lives in [`super::ShardedEngine`].
 #[derive(Debug)]
 pub struct ClusterPool {
@@ -102,13 +102,12 @@ impl ClusterPool {
         self.nodes[cluster].monitor.mark_dead();
     }
 
-    /// Fold the cluster's current distress signals (machine watchdog
-    /// trips, open breakers) into its health state; returns the result.
+    /// Fold the cluster's open breakers into its health state; returns
+    /// the result.
     pub fn observe(&mut self, cluster: usize) -> ClusterHealth {
         let node = &mut self.nodes[cluster];
-        let trips = node.machine.fault_stats().watchdog_trips;
         let open = node.open_breakers();
-        node.monitor.observe(trips, open)
+        node.monitor.observe(open)
     }
 
     /// Usable clusters ordered for placement: healthy before degraded,

@@ -1,8 +1,8 @@
 //! Multi-tenant admission control for the sharded engine.
 //!
-//! Tenants are registered up front with a priority and a quota; every
-//! job is submitted on behalf of a tenant.  Admission is enforced at
-//! submit time (a tenant over its quota gets an immediate terminal
+//! Tenants are registered up front with a priority; every job is
+//! submitted on behalf of a tenant.  Admission is checked at submit time
+//! (a job naming an unregistered tenant gets an immediate terminal
 //! `Rejected` outcome — never a silent drop), and under degraded
 //! capacity the engine sheds queued jobs of the lowest-priority tenants
 //! first.
@@ -19,49 +19,22 @@ pub struct TenantSpec {
     /// Scheduling priority: higher values are more important and are
     /// shed *last* under degraded capacity.
     pub priority: u8,
-    /// Admission quota: jobs the tenant may have queued at once.
-    /// Submissions beyond it are terminally rejected.
-    pub max_queued: usize,
-    /// Default per-job deadline in simulated seconds, applied when a job
-    /// does not carry its own.
-    pub default_deadline_s: Option<f64>,
 }
 
 impl TenantSpec {
-    /// A tenant with the given name and priority, a generous quota and
-    /// no default deadline.
+    /// A tenant with the given name and priority.
     pub fn new(name: &str, priority: u8) -> Self {
         TenantSpec {
             name: name.to_string(),
             priority,
-            max_queued: usize::MAX,
-            default_deadline_s: None,
         }
     }
-
-    /// Cap the number of jobs the tenant may have queued at once.
-    pub fn with_quota(mut self, max_queued: usize) -> Self {
-        self.max_queued = max_queued;
-        self
-    }
-
-    /// Default deadline applied to the tenant's jobs.
-    pub fn with_deadline(mut self, seconds: f64) -> Self {
-        self.default_deadline_s = Some(seconds);
-        self
-    }
 }
 
-/// Registration table plus per-tenant bookkeeping.
+/// The registered tenants, indexed by [`TenantId`].
 #[derive(Debug, Default)]
 pub struct TenantTable {
-    entries: Vec<TenantState>,
-}
-
-#[derive(Debug)]
-struct TenantState {
-    spec: TenantSpec,
-    queued: usize,
+    entries: Vec<TenantSpec>,
 }
 
 impl TenantTable {
@@ -72,41 +45,21 @@ impl TenantTable {
 
     /// Register a tenant; the returned id is its handle for submissions.
     pub fn register(&mut self, spec: TenantSpec) -> TenantId {
-        self.entries.push(TenantState { spec, queued: 0 });
+        self.entries.push(spec);
         TenantId(self.entries.len() as u64 - 1)
     }
 
     /// The tenant's spec, if registered.
     pub fn spec(&self, id: TenantId) -> Option<&TenantSpec> {
-        self.entries.get(id.0 as usize).map(|e| &e.spec)
+        self.entries.get(id.0 as usize)
     }
 
-    /// Jobs the tenant currently has queued.
-    pub fn queued(&self, id: TenantId) -> usize {
-        self.entries.get(id.0 as usize).map_or(0, |e| e.queued)
-    }
-
-    /// Try to admit one more queued job for the tenant.  Returns an
-    /// error string (for the terminal `Rejected` outcome) if the tenant
-    /// is unknown or over quota.
-    pub fn admit(&mut self, id: TenantId) -> Result<(), String> {
-        let Some(e) = self.entries.get_mut(id.0 as usize) else {
-            return Err(format!("unknown tenant {:?}", id));
-        };
-        if e.queued >= e.spec.max_queued {
-            return Err(format!(
-                "tenant {:?} over quota ({} jobs queued, max {})",
-                e.spec.name, e.queued, e.spec.max_queued
-            ));
-        }
-        e.queued += 1;
-        Ok(())
-    }
-
-    /// A queued job left the queue (ran or was shed).
-    pub fn release(&mut self, id: TenantId) {
-        if let Some(e) = self.entries.get_mut(id.0 as usize) {
-            e.queued = e.queued.saturating_sub(1);
+    /// Admit a job for the tenant.  Returns an error string (for the
+    /// terminal `Rejected` outcome) if the tenant is unknown.
+    pub fn admit(&self, id: TenantId) -> Result<(), String> {
+        match self.spec(id) {
+            Some(_) => Ok(()),
+            None => Err(format!("unknown tenant {:?}", id)),
         }
     }
 
@@ -122,21 +75,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quota_is_enforced_and_released() {
-        let mut t = TenantTable::new();
-        let id = t.register(TenantSpec::new("batch", 1).with_quota(2));
-        assert!(t.admit(id).is_ok());
-        assert!(t.admit(id).is_ok());
-        let err = t.admit(id).unwrap_err();
-        assert!(err.contains("over quota"), "{err}");
-        t.release(id);
-        assert!(t.admit(id).is_ok());
-        assert_eq!(t.queued(id), 2);
-    }
-
-    #[test]
     fn unknown_tenants_are_rejected() {
-        let mut t = TenantTable::new();
+        let t = TenantTable::new();
         assert!(t.admit(TenantId(9)).unwrap_err().contains("unknown"));
         assert_eq!(t.priority(TenantId(9)), 0);
     }
@@ -145,9 +85,10 @@ mod tests {
     fn ids_are_registration_order() {
         let mut t = TenantTable::new();
         let a = t.register(TenantSpec::new("a", 3));
-        let b = t.register(TenantSpec::new("b", 1).with_deadline(1e-3));
+        let b = t.register(TenantSpec::new("b", 1));
         assert_eq!((a, b), (TenantId(0), TenantId(1)));
         assert_eq!(t.priority(a), 3);
-        assert_eq!(t.spec(b).unwrap().default_deadline_s, Some(1e-3));
+        assert!(t.admit(b).is_ok());
+        assert_eq!(t.spec(b).unwrap().name, "b");
     }
 }

@@ -22,8 +22,8 @@ pub enum FtimmError {
 impl FtimmError {
     /// Whether this error is a *transient hardware fault* the resilience
     /// layers retry or route around: an injected DMA timeout, a core
-    /// failure, or detected data corruption.  Deadline preemption and
-    /// caller errors (invalid problems, capacity) are not transient.
+    /// failure, or detected data corruption.  Caller errors (invalid
+    /// problems, capacity) are not transient.
     pub fn is_transient_fault(&self) -> bool {
         matches!(
             self,
@@ -44,19 +44,11 @@ impl FtimmError {
         matches!(self, FtimmError::Sim(SimError::ClusterFailed { .. }))
     }
 
-    /// Whether this error is a deadline preemption (the armed watchdog
-    /// stopped a core that passed its deadline).
-    pub fn is_deadline(&self) -> bool {
-        matches!(self, FtimmError::Sim(SimError::WatchdogTripped { .. }))
-    }
-
     /// The physical core this error implicates, if it carries one.
     pub fn implicated_core(&self) -> Option<usize> {
         match self {
             FtimmError::Sim(
-                SimError::DmaTimeout { core, .. }
-                | SimError::CoreFailed { core, .. }
-                | SimError::WatchdogTripped { core, .. },
+                SimError::DmaTimeout { core, .. } | SimError::CoreFailed { core, .. },
             ) => Some(*core),
             _ => None,
         }
@@ -110,7 +102,7 @@ mod tests {
         let e = FtimmError::CpuFault("span 3 lost".into());
         assert!(e.to_string().contains("cpu backend fault"));
         assert!(matches!(e, FtimmError::CpuFault(_)));
-        assert!(!e.is_transient_fault() && !e.is_cluster_death() && !e.is_deadline());
+        assert!(!e.is_transient_fault() && !e.is_cluster_death());
         assert!(std::error::Error::source(&e).is_none());
     }
 }

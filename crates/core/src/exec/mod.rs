@@ -1,7 +1,7 @@
 //! The executor: the one door that runs a GEMM problem staged on a
 //! [`Machine`] (host buffers go through [`crate::ShardedEngine`]).  An
 //! [`Executor`] carries the request — a [`Strategy`] or a pinned plan,
-//! cores, resilience, a deadline and profiling — and
+//! cores, resilience and profiling — and
 //! [`Executor::dispatch`] runs it as:
 //!
 //! 1. **validate** — shared problem validation ([`validate_problem`]),
@@ -17,12 +17,10 @@
 //!    picks it up on the next dispatch with zero extra simulations
 //!    (tuning time itself is a [`dspsim::Phase::Tune`] span, see
 //!    [`crate::FtImm::tune_on`]);
-//! 3. **guard** — arm the simulator watchdog for the caller's deadline,
-//!    on the simulated clock;
-//! 4. **run** — drive the strategy runner directly, or through the
+//! 3. **run** — drive the strategy runner directly, or through the
 //!    resilience layer (ABFT verify, bounded retries, checkpointing,
 //!    degradation) when a [`ResilienceConfig`] is attached;
-//! 5. **report** — aggregate the recorded phase spans into a
+//! 4. **report** — aggregate the recorded phase spans into a
 //!    [`dspsim::PhaseProfile`] (when profiling is on) and attach it to the
 //!    [`RunReport`], together with the roofline prediction for the shape.
 //!
@@ -84,8 +82,6 @@ pub struct Executor<'a> {
     /// Cores requested (clamped to the machine's live cores).
     cores: usize,
     resilience: Option<ResilienceConfig>,
-    /// Watchdog deadline in simulated seconds from dispatch.
-    deadline_s: Option<f64>,
     profile: bool,
 }
 
@@ -98,7 +94,6 @@ impl<'a> Executor<'a> {
             plan: None,
             cores: 8,
             resilience: None,
-            deadline_s: None,
             profile: false,
         }
     }
@@ -127,13 +122,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Arm a watchdog deadline (simulated seconds from dispatch); `None`
-    /// leaves the deadline off.
-    pub fn with_deadline(mut self, deadline_s: Option<f64>) -> Self {
-        self.deadline_s = deadline_s;
-        self
-    }
-
     /// Record phase spans (in a ring of [`DEFAULT_PROFILE_CAPACITY`]) and
     /// attach a [`dspsim::PhaseProfile`] to the report.
     pub fn profiled(mut self) -> Self {
@@ -158,18 +146,11 @@ impl<'a> Executor<'a> {
         self.dispatch(m, p).and_then(|run| run.result)
     }
 
-    /// The pipeline after validation: guard → plan → run → report.
+    /// The pipeline after validation: plan → run → report.
     fn dispatch_unchecked(&self, m: &mut Machine, p: &GemmProblem) -> ExecRun {
         if self.profile {
             m.profile_begin(DEFAULT_PROFILE_CAPACITY);
         }
-        // Arm the watchdog for the caller's deadline on the simulated
-        // clock.  Planning below evaluates candidates on separate
-        // machines, so the guard covers exactly the run.
-        if let Some(d) = self.deadline_s {
-            m.arm_watchdog(m.elapsed() + d);
-        }
-
         let shape = GemmShape::new(p.m(), p.n(), p.k());
         let plan_t0 = std::time::Instant::now();
         let plan = match self.plan {
@@ -195,9 +176,6 @@ impl<'a> Executor<'a> {
             Some(rcfg) => resilience::run(self.ft, m, p, &plan.strategy, self.cores, rcfg),
         };
 
-        if self.deadline_s.is_some() {
-            m.disarm_watchdog();
-        }
         let profiler = self.profile.then(|| m.profile_end());
         let result = result.map(|mut rep| {
             if let Some(pr) = &profiler {

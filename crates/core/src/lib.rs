@@ -19,8 +19,8 @@
 //! * [`api::FtImm`]: the library context (caches, planner, tuner) and
 //!   its one-call shorthands;
 //! * [`exec::Executor`]: the one door that runs a problem staged on a
-//!   [`dspsim::Machine`] — strategy or pinned plan, cores, resilience,
-//!   deadline and phase-level profiling — returning an [`ExecRun`];
+//!   [`dspsim::Machine`] — strategy or pinned plan, cores, resilience
+//!   and phase-level profiling — returning an [`ExecRun`];
 //! * [`cluster::ShardedEngine`]: the one door that runs host buffers, on a
 //!   pool of one or more clusters and the CPU lane;
 //! * [`resilience`]: the ABFT recovery loop an executor runs under.

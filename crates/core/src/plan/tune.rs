@@ -36,7 +36,7 @@ use crate::plan::planner::Planner;
 use crate::plan::{Plan, PlanOrigin};
 use crate::walk::{self, Layout, Walk};
 use crate::{ChosenStrategy, GemmShape, KparBlocks, MparBlocks, Strategy};
-use dspsim::HwConfig;
+use dspsim::{HwConfig, Rng64};
 use kernelgen::KernelCache;
 
 /// The three strategy kinds (a [`ChosenStrategy`] carries blocks; the
@@ -124,29 +124,14 @@ pub fn bit_signature(strategy: &ChosenStrategy, shape: &GemmShape, cores: usize)
     }
 }
 
-/// Deterministic splitmix64 stream for the seeded random probes.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[1, n]` (`1` when `n == 0`).
-    fn one_to(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            1
-        } else {
-            1 + self.next() % n
-        }
+/// Uniform draw in `[1, n]` (`1` when `n == 0`).  Every `n > 0` consumes
+/// one draw, `n == 1` included (where [`Rng64::range`]`(1, 1)` consumes
+/// none): the seeded probes, and so the tuned plans, depend on it.
+fn one_to(rng: &mut Rng64, n: u64) -> u64 {
+    if n == 0 {
+        1
+    } else {
+        1 + rng.next() % n
     }
 }
 
@@ -215,7 +200,7 @@ impl<'a> Tuner<'a> {
         base: &ChosenStrategy,
         shape: &GemmShape,
         cores: usize,
-        rng: &mut SplitMix64,
+        rng: &mut Rng64,
         probes: u32,
     ) -> Vec<ChosenStrategy> {
         let base_sig = bit_signature(base, shape, cores);
@@ -266,8 +251,8 @@ impl<'a> Tuner<'a> {
                     }
                 }
                 for _ in 0..probes {
-                    let m_a = b.m_s.max(1) * rng.one_to(max_mult as u64) as usize;
-                    let k_g = b.k_a * rng.one_to(kg_max_mult as u64) as usize;
+                    let m_a = b.m_s.max(1) * one_to(rng, max_mult as u64) as usize;
+                    let k_g = b.k_a * one_to(rng, kg_max_mult as u64) as usize;
                     if m_a <= m_a_max {
                         admit(ChosenStrategy::MPar(MparBlocks { m_a, k_g, ..*b }));
                     }
@@ -283,7 +268,7 @@ impl<'a> Tuner<'a> {
                 let m_a_max = Layout::max_m_a(self.cfg, b.n_a, b.k_a);
                 let max_mult = m_a_max / b.m_s.max(1);
                 for _ in 0..probes {
-                    let m_a = b.m_s.max(1) * rng.one_to(max_mult as u64) as usize;
+                    let m_a = b.m_s.max(1) * one_to(rng, max_mult as u64) as usize;
                     ladder.push((b.m_g << (rng.next() % 3), m_a));
                 }
                 for (m_g, m_a) in ladder {
@@ -333,7 +318,7 @@ impl<'a> Tuner<'a> {
         // refinement reserve) lasts.  Every variant shares the default's
         // shape and kind, so no per-(regime × kind) correction of the
         // model could reorder them.
-        let mut rng = SplitMix64::new(
+        let mut rng = Rng64::new(
             self.config
                 .seed
                 .wrapping_add((shape.m as u64).wrapping_mul(0x9E37_79B9))
@@ -483,7 +468,7 @@ mod tests {
                 _ => ChosenStrategy::MPar(adjust_mpar(&cache, &cfg, &shape, 8)),
             };
             let sig = bit_signature(&base, &shape, 8);
-            let mut rng = SplitMix64::new(1);
+            let mut rng = Rng64::new(1);
             let variants = tuner.bit_safe_variants(&base, &shape, 8, &mut rng, 8);
             assert!(!variants.is_empty(), "{shape}: no variants generated");
             for v in &variants {

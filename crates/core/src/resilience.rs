@@ -34,10 +34,6 @@
 //!   full restart's whenever there are two spans or more.  Each span
 //!   still reloads its `B` panels and pays its own prologue, the
 //!   checkpoint overhead a coarser `ckpt_rows` trades away.
-//! * **Deadline preemption** ([`dspsim::SimError::WatchdogTripped`]) is
-//!   *not* retried: it is a budget decision by the caller, surfaced
-//!   immediately together with the rows verified so far (see
-//!   [`crate::ExecRun::rows_verified`]).
 //!
 //! The checksum *verification* itself is host-side bookkeeping and is
 //! modelled as free; only recovery work (backoff stalls, restored
@@ -315,7 +311,7 @@ fn execute_span(
                 }
                 rec.rows_reexecuted += (r1 - r0) as u64;
             }
-            // Deadline preemption and caller errors are terminal here.
+            // Cluster death and caller errors are terminal here.
             Err(e) => return Err(e),
         }
     }

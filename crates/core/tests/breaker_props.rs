@@ -152,7 +152,6 @@ fn job_exhausting_its_retries_fails_once_with_the_transient_fault() {
                     max_retries: 1,
                     ..ShardedConfig::default().engine.resilience
                 },
-                ..EngineConfig::default()
             },
             ..ShardedConfig::default()
         },

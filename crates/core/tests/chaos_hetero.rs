@@ -1,7 +1,7 @@
 //! Chaos tests for the heterogeneous failover ladder: healthy DSP →
 //! mid-kill salvage → CPU lane → shed.  The CPU is the *last* fault
 //! domain — a CPU fault mid-failover must terminate the job with a
-//! shed-and-reason, never hang a watchdog or drop the [`ftimm::JobId`];
+//! shed-and-reason, never hang or drop the [`ftimm::JobId`];
 //! and spilled output must stay bitwise identical to a fault-free
 //! plain run of the same pinned plan.
 
@@ -28,7 +28,6 @@ fn cfg(spill: SpillPolicy) -> ShardedConfig {
                 ckpt_rows: 8,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         spill,
         ..ShardedConfig::default()
@@ -139,7 +138,7 @@ fn cluster_death_with_no_survivors_spills_remainder_to_cpu_bitwise() {
 
 /// A CPU fault *during* the failover remainder: the CPU is the last
 /// fault domain, so the job must terminate as shed-with-reason — and
-/// `run_all` must return (no hung watchdog, no dropped id).
+/// `run_all` must return (no hang, no dropped id).
 #[test]
 fn cpu_fault_mid_failover_sheds_with_reason_instead_of_hanging() {
     let ft = FtImm::new(HwConfig::default());
@@ -203,7 +202,7 @@ fn repeated_cpu_faults_open_the_breaker_and_fail_fast() {
     // Spans 1..=3 fault: one strike per job, three strikes open the
     // breaker (default threshold 3).
     eng.install_cpu_faults(&FaultPlan::new(2).fail_cpu(1).fail_cpu(2).fail_cpu(3));
-    let t = eng.register_tenant(TenantSpec::new("chaos", 5).with_quota(8));
+    let t = eng.register_tenant(TenantSpec::new("chaos", 5));
     let ids: Vec<_> = (0..4).map(|_| eng.submit(t, job())).collect();
     let records = eng.run_all(&ft);
 
@@ -241,7 +240,7 @@ fn queued_jobs_keep_completing_on_cpu_after_total_cluster_loss() {
     let pool = ClusterPool::new(&HwConfig::default(), ExecMode::Compiled, 1);
     let mut eng = ShardedEngine::new(pool, cfg(SpillPolicy::LastResort));
     eng.install_faults(0, &FaultPlan::new(1).kill_cluster(shard_s * 0.5));
-    let t = eng.register_tenant(TenantSpec::new("chaos", 5).with_quota(8));
+    let t = eng.register_tenant(TenantSpec::new("chaos", 5));
     let ids: Vec<_> = (0..3).map(|_| eng.submit(t, job())).collect();
     let records = eng.run_all(&ft);
     let got: Vec<_> = records.iter().map(|r| r.id).collect();

@@ -8,47 +8,35 @@
 //! walk, no core idles in one: a fault-free checkpointed run costs what
 //! a plain run does on the simulated clock.
 
-use dspsim::{ExecMode, HwConfig, Machine};
+use dspsim::{ExecMode, HwConfig, Machine, Rng64};
 use ftimm::reference::fill_matrix;
 use ftimm::{
     ChosenStrategy, FtImm, GemmProblem, GemmShape, KparBlocks, MparBlocks, ResilienceConfig,
     Strategy, Walk,
 };
 
-/// SplitMix64: a seeded stream of case parameters.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo + 1) as u64) as usize
-    }
+/// A uniform case parameter in `lo..=hi` (`lo < hi` at every call, so
+/// each consumes one draw).
+fn range(rng: &mut Rng64, lo: usize, hi: usize) -> usize {
+    rng.range(lo as u64, hi as u64) as usize
 }
 
 /// One seeded case: a strategy with small blocks, a shape of two to six
 /// units, and a core count.
-fn case(rng: &mut Rng, sel: usize) -> (ChosenStrategy, [usize; 3], usize) {
-    let cores = rng.range(1, 8);
-    let (n, k) = (rng.range(1, 70), rng.range(1, 150));
-    let n_a = rng.range(1, 64);
-    let k_a = rng.range(8, 64);
+fn case(rng: &mut Rng64, sel: usize) -> (ChosenStrategy, [usize; 3], usize) {
+    let cores = range(rng, 1, 8);
+    let (n, k) = (range(rng, 1, 70), range(rng, 1, 150));
+    let n_a = range(rng, 1, 64);
+    let k_a = range(rng, 8, 64);
     let (m_a, m_s) = {
-        let m_a = rng.range(4, 40);
-        (m_a, rng.range(1, m_a.min(12)))
+        let m_a = range(rng, 4, 40);
+        (m_a, range(rng, 1, m_a.min(12)))
     };
     let (strategy, unit) = match sel {
         0 => {
             let bl = MparBlocks {
-                n_g: n_a * rng.range(1, 3),
-                k_g: k_a * rng.range(1, 3),
+                n_g: n_a * range(rng, 1, 3),
+                k_g: k_a * range(rng, 1, 3),
                 m_a,
                 n_a,
                 k_a,
@@ -57,10 +45,10 @@ fn case(rng: &mut Rng, sel: usize) -> (ChosenStrategy, [usize; 3], usize) {
             (ChosenStrategy::MPar(bl), m_a)
         }
         1 => {
-            let m_g = m_a * rng.range(1, 2) + rng.range(0, 7);
+            let m_g = m_a * range(rng, 1, 2) + range(rng, 0, 7);
             let bl = KparBlocks {
                 m_g,
-                n_g: n_a * rng.range(1, 3),
+                n_g: n_a * range(rng, 1, 3),
                 m_a,
                 n_a,
                 k_a,
@@ -70,8 +58,8 @@ fn case(rng: &mut Rng, sel: usize) -> (ChosenStrategy, [usize; 3], usize) {
         }
         _ => (ChosenStrategy::TGemm, 512),
     };
-    let m = unit * rng.range(1, 5) + rng.range(1, unit);
-    let k = if sel == 2 { rng.range(1, 600) } else { k };
+    let m = unit * range(rng, 1, 5) + range(rng, 1, unit);
+    let k = if sel == 2 { range(rng, 1, 600) } else { k };
     (strategy, [m, n, k], cores)
 }
 
@@ -104,7 +92,7 @@ fn run_parts(
 fn any_unit_aligned_partition_of_m_runs_bitwise_as_the_plain_run() {
     let ft = FtImm::new(HwConfig::default());
     let cfg = HwConfig::default();
-    let mut rng = Rng(0x6121D);
+    let mut rng = Rng64::new(0x6121D);
     let mut cut_cases = 0;
     for i in 0..36 {
         let sel = i % 3;

@@ -10,7 +10,7 @@
 //! 3. a functional fault-free sharded run is bitwise identical to a
 //!    plain `run_plan` of `plan_full`'s strategy.
 
-use dspsim::{ExecMode, HwConfig, Machine};
+use dspsim::{ExecMode, HwConfig, Machine, Rng64};
 use ftimm::plan::sharded::LAUNCH_OVERHEAD_S;
 use ftimm::reference::fill_matrix;
 use ftimm::{
@@ -19,22 +19,10 @@ use ftimm::{
     TenantSpec, Walk,
 };
 
-/// SplitMix64: a seeded stream of case parameters.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo + 1) as u64) as usize
-    }
+/// A uniform case parameter in `lo..=hi` (`lo < hi` at every call, so
+/// each consumes one draw).
+fn range(rng: &mut Rng64, lo: usize, hi: usize) -> usize {
+    rng.range(lo as u64, hi as u64) as usize
 }
 
 const GRAINS: [usize; 5] = [0, 1, 4, 8, 16];
@@ -82,7 +70,6 @@ fn sharded_c(
                 ckpt_rows: grain,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         ..ShardedConfig::default()
     };
@@ -117,19 +104,27 @@ fn plain_c(ft: &FtImm, shape: &GemmShape, cores: usize) -> Vec<f32> {
 fn pinned_variants_are_bit_equal_never_dearer_and_run_as_the_plain_plan() {
     let ft = FtImm::new(HwConfig::default());
     let cfg = HwConfig::default();
-    let mut rng = Rng(0x5AA2D);
+    let mut rng = Rng64::new(0x5AA2D);
     let mut variants = 0;
     for i in 0..40 {
         // Tall-skinny type 1 and short-wide type 2 alternate, so M-par
         // and K-par plans both come up.
         let shape = if i % 2 == 0 {
-            GemmShape::new(rng.range(64, 2400), rng.range(1, 48), rng.range(1, 48))
+            GemmShape::new(
+                range(&mut rng, 64, 2400),
+                range(&mut rng, 1, 48),
+                range(&mut rng, 1, 48),
+            )
         } else {
-            GemmShape::new(rng.range(8, 160), rng.range(1, 40), rng.range(256, 1536))
+            GemmShape::new(
+                range(&mut rng, 8, 160),
+                range(&mut rng, 1, 40),
+                range(&mut rng, 256, 1536),
+            )
         };
-        let cores = rng.range(1, 8);
-        let clusters = rng.range(1, 4);
-        let grain = GRAINS[rng.range(0, GRAINS.len() - 1)];
+        let cores = range(&mut rng, 1, 8);
+        let clusters = range(&mut rng, 1, 4);
+        let grain = GRAINS[range(&mut rng, 0, GRAINS.len() - 1)];
         let placement: Vec<usize> = (0..clusters).collect();
         let planned = ft.plan_full(&shape, Strategy::Auto, cores);
         let sp = plan_sharded(&ft, &shape, Strategy::Auto, cores, &placement, grain);

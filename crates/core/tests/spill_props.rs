@@ -3,23 +3,19 @@
 //! fault domain behind the cluster pool.
 //!
 //! The invariants, under arbitrary cluster-kill schedules, CPU fault
-//! plans, deadlines and queue pressure:
+//! plans and queue pressure:
 //!
 //! 1. Every submitted [`ftimm::JobId`] reaches exactly one terminal
 //!    outcome — the drained records cover the submitted ids exactly
-//!    once, in id order.  Failover, spill, shedding and deadline
-//!    preemption may change *which* outcome, never *whether* one
-//!    arrives.
+//!    once, in id order.  Failover, spill and shedding may change
+//!    *which* outcome, never *whether* one arrives.
 //! 2. [`SpillPolicy::Never`] never touches the CPU lane: zero CPU
 //!    dispatches, even when every cluster is dead and CPU faults are
 //!    armed (they must stay un-sprung).
 //! 3. With spilling enabled and a clean CPU (no armed faults), no job
 //!    ends `failed`: the CPU lane absorbs every no-usable-cluster
-//!    condition, so jobs complete, shed under queue pressure, or trip
-//!    their deadline — the "every fault domain is dead" terminal error
-//!    is unreachable.
-//! 4. `deadline_exceeded` only happens to jobs that actually had a
-//!    deadline.
+//!    condition, so jobs complete or shed under queue pressure — the
+//!    "every fault domain is dead" terminal error is unreachable.
 
 use dspsim::{ExecMode, FaultPlan, HwConfig};
 use ftimm::{
@@ -46,21 +42,14 @@ fn policy(sel: usize) -> SpillPolicy {
     match sel {
         0 => SpillPolicy::Never,
         1 => SpillPolicy::LastResort,
-        2 => SpillPolicy::DeadlineAware,
         _ => SpillPolicy::CoExecute,
     }
 }
 
-/// `(deadline_sel, shape_sel)` → one submitted job; `deadline_sel` 0 is
-/// no deadline, 1 an unmeetable one, 2 a generous one.
-fn job(deadline_sel: u8, shape_sel: usize) -> ShardedJob {
+/// One submitted job of shape `SHAPES[shape_sel]`.
+fn job(shape_sel: usize) -> ShardedJob {
     let (m, n, k) = SHAPES[shape_sel % SHAPES.len()];
-    let j = ShardedJob::timing(m, n, k, Strategy::Auto, 4);
-    match deadline_sel {
-        1 => j.with_deadline(1e-6),
-        2 => j.with_deadline(1.0),
-        _ => j,
-    }
+    ShardedJob::timing(m, n, k, Strategy::Auto, 4)
 }
 
 fn cfg(spill: SpillPolicy) -> ShardedConfig {
@@ -70,7 +59,6 @@ fn cfg(spill: SpillPolicy) -> ShardedConfig {
                 ckpt_rows: 64,
                 ..ResilienceConfig::default()
             },
-            ..EngineConfig::default()
         },
         // Tight queue capacity so multi-job cases exercise shedding.
         max_queue_per_cluster: 2,
@@ -85,8 +73,8 @@ proptest! {
     #[test]
     fn every_job_reaches_exactly_one_terminal_outcome(
         clusters in 1usize..4,
-        policy_sel in 0usize..4,
-        jobs in prop::collection::vec((0u8..3, 0usize..3), 1..6),
+        policy_sel in 0usize..3,
+        jobs in prop::collection::vec(0usize..3, 1..6),
         kills in prop::collection::vec((0usize..4, 0usize..4), 0..4),
         cpu_fault_nth in 0u64..4,
         cpu_slow_sel in 0u8..3,
@@ -114,16 +102,8 @@ proptest! {
             );
         }
 
-        let t = eng.register_tenant(TenantSpec::new("props", 5).with_quota(64));
-        let mut submitted = Vec::new();
-        let mut with_deadline = Vec::new();
-        for &(dsel, ssel) in &jobs {
-            let id = eng.submit(t, job(dsel, ssel));
-            submitted.push(id);
-            if dsel > 0 {
-                with_deadline.push(id);
-            }
-        }
+        let t = eng.register_tenant(TenantSpec::new("props", 5));
+        let submitted: Vec<_> = jobs.iter().map(|&s| eng.submit(t, job(s))).collect();
 
         let records = eng.run_all(ft());
 
@@ -137,8 +117,8 @@ proptest! {
         }
 
         for r in &records {
-            // Quota is generous and jobs are valid, so `rejected` is
-            // out of reach in this space.
+            // The tenant is registered and jobs are valid, so
+            // `rejected` is out of reach in this space.
             prop_assert!(
                 !matches!(r.outcome, ShardedOutcome::Rejected { .. }),
                 "unexpected rejection for {:?}",
@@ -150,14 +130,6 @@ proptest! {
                 prop_assert!(
                     !matches!(r.outcome, ShardedOutcome::Failed { .. }),
                     "{:?} failed despite an available CPU lane",
-                    r.id
-                );
-            }
-            // 4. Deadline preemption requires a deadline.
-            if matches!(r.outcome, ShardedOutcome::DeadlineExceeded { .. }) {
-                prop_assert!(
-                    with_deadline.contains(&r.id),
-                    "{:?} exceeded a deadline it never had",
                     r.id
                 );
             }

@@ -69,15 +69,6 @@ pub enum SimError {
         /// Simulated time of the failure.
         at: f64,
     },
-    /// The armed watchdog fired: a core reached the deadline without
-    /// retiring its work, and the next operation it tried to issue was
-    /// preempted (see [`crate::machine::Machine::arm_watchdog`]).
-    WatchdogTripped {
-        /// The physical core that passed the deadline.
-        core: usize,
-        /// Simulated time at which the watchdog fired.
-        at: f64,
-    },
     /// Data failed an integrity check (raised by recovery layers when
     /// corruption survives their retry budget).
     DataCorrupt {
@@ -126,10 +117,6 @@ impl fmt::Display for SimError {
             SimError::ClusterFailed { at } => {
                 write!(f, "cluster failed permanently at {at:.6e}s")
             }
-            SimError::WatchdogTripped { core, at } => write!(
-                f,
-                "watchdog tripped at {at:.6e}s: core {core} passed the deadline without retiring"
-            ),
             SimError::DataCorrupt { region, offset } => {
                 write!(f, "data corruption detected in {region} near byte {offset}")
             }

@@ -238,15 +238,6 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: the deterministic stream behind every "random" fault
-/// placement choice.
-pub(crate) fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A DMA fault armed inside the machine, with its pre-drawn random word.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArmedDmaFault {
@@ -279,8 +270,6 @@ pub(crate) struct FaultState {
     pub injected_corruptions: u64,
     /// Timeouts injected so far.
     pub injected_timeouts: u64,
-    /// Times the armed watchdog fired (deadline preemption).
-    pub watchdog_trips: u64,
 }
 
 impl FaultState {
@@ -363,14 +352,6 @@ mod tests {
     fn empty_plan_is_empty() {
         assert!(FaultPlan::new(1).is_empty());
         assert_eq!(FaultPlan::default().len(), 0);
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_spreads() {
-        assert_eq!(splitmix64(1), splitmix64(1));
-        assert_ne!(splitmix64(1), splitmix64(2));
-        // Known-answer: SplitMix64 of 0 advances to a fixed word.
-        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

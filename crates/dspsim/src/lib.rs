@@ -28,6 +28,7 @@ pub mod machine;
 pub mod mem;
 pub mod minijson;
 pub mod profiler;
+pub mod rng;
 pub mod stats;
 
 pub use crate::core::Core;
@@ -45,4 +46,5 @@ pub use profiler::{
     phase_of_path, EventKind, Phase, PhaseProfile, Profiler, SimEvent, Span,
     DEFAULT_PROFILE_CAPACITY, PHASE_COUNT, PROFILE_CORES,
 };
+pub use rng::Rng64;
 pub use stats::{BackendKind, CoreStats, FaultStats, RunReport};

@@ -1,10 +1,10 @@
 //! The machine: DDR, one GPDSP cluster, DMA execution and timing.
 
-use crate::fault::{splitmix64, DmaFaultKind, FaultState, MemTarget};
+use crate::fault::{DmaFaultKind, FaultState, MemTarget};
 use crate::profiler::{phase_of_path, EventKind, Phase, Profiler, Span};
 use crate::{
     transfer_time, Core, CoreStats, Dma2d, DmaPath, DmaTicket, FaultPlan, FaultStats, HwConfig,
-    MemRegion, RunReport, SimError,
+    MemRegion, Rng64, RunReport, SimError,
 };
 
 /// How much of the simulation actually runs.
@@ -77,9 +77,6 @@ pub struct Machine {
     core_map: Vec<usize>,
     /// Armed fault-injection state (empty unless a plan is installed).
     fault: FaultState,
-    /// Armed watchdog deadline, simulated seconds (`None` keeps every
-    /// hot path untouched).
-    watchdog: Option<f64>,
     /// Span/event recorder (disabled by default; never advances clocks).
     profiler: Profiler,
 }
@@ -107,7 +104,6 @@ impl Machine {
             active_streams: 1,
             core_map,
             fault: FaultState::default(),
-            watchdog: None,
             profiler: Profiler::disabled(),
         }
     }
@@ -230,11 +226,11 @@ impl Machine {
                 path: f.path,
                 nth: f.nth,
                 kind: f.kind,
-                rng: splitmix64(plan.seed ^ (0xD0A0 + i as u64)),
+                rng: Rng64::new(plan.seed ^ (0xD0A0 + i as u64)).next(),
             });
         }
         for (i, f) in plan.mem.iter().enumerate() {
-            let rng = splitmix64(plan.seed ^ (0xF1B0 + i as u64));
+            let rng = Rng64::new(plan.seed ^ (0xF1B0 + i as u64)).next();
             let region = match f.target {
                 MemTarget::Gsm => &mut self.cluster.gsm,
                 MemTarget::Sm(c) => &mut self.cluster.cores[c].sm,
@@ -272,46 +268,6 @@ impl Machine {
     /// The current logical→physical core map.
     pub fn core_map(&self) -> &[usize] {
         &self.core_map
-    }
-
-    /// Arm the watchdog: subsequent preemption points (every DMA issue,
-    /// plus explicit [`Machine::preempt_point`] calls) enforce an
-    /// absolute deadline of `deadline_s` simulated seconds, so a
-    /// `(seed, plan)` run trips it at a bit-reproducible instant.
-    /// Replaces any previously armed deadline.
-    pub fn arm_watchdog(&mut self, deadline_s: f64) {
-        self.watchdog = Some(deadline_s);
-    }
-
-    /// Disarm the watchdog (the default state: no deadline checks at all).
-    pub fn disarm_watchdog(&mut self) {
-        self.watchdog = None;
-    }
-
-    /// A deadline preemption point: if a watchdog is armed and this
-    /// logical core's clock has reached the deadline, refuse further work
-    /// with [`SimError::WatchdogTripped`].  Work already in flight is
-    /// never torn mid-transfer — the check runs before new work is issued,
-    /// so detection granularity is one transfer/kernel call.  Called
-    /// automatically on every DMA issue; long compute-only loops can call
-    /// it explicitly.
-    pub fn preempt_point(&mut self, id: usize) -> Result<(), SimError> {
-        let Some(deadline_s) = self.watchdog else {
-            return Ok(());
-        };
-        let phys = self.core_map[id];
-        let core = &self.cluster.cores[phys];
-        let now = core.t_compute.max(core.t_dma_free);
-        if now >= deadline_s {
-            self.fault.watchdog_trips += 1;
-            self.profiler
-                .event(EventKind::WatchdogDeadline, Some(phys), now);
-            return Err(SimError::WatchdogTripped {
-                core: phys,
-                at: now,
-            });
-        }
-        Ok(())
     }
 
     /// Check whether the cluster as a whole is (still) allowed to issue
@@ -430,7 +386,6 @@ impl Machine {
     /// transfer but flips one f32 of the destination.
     pub fn dma(&mut self, id: usize, path: DmaPath, desc: &Dma2d) -> Result<DmaTicket, SimError> {
         self.check_core_alive(id)?;
-        self.preempt_point(id)?;
         let armed = if self.fault.dma_armed() {
             self.fault.take_dma_fault(path)
         } else {
@@ -579,7 +534,6 @@ impl Machine {
             dma_timeouts: self.fault.injected_timeouts,
             bit_flips,
             cores_lost: self.fault.failed.iter().filter(|&&f| f).count() as u64,
-            watchdog_trips: self.fault.watchdog_trips,
             retries: 0,
             recomputed_tiles: 0,
             rows_reexecuted: 0,
@@ -735,47 +689,6 @@ mod tests {
         let mut out = [0.0; 6];
         m.core_mut(0).am.read_f32_slice(0, &mut out).unwrap();
         assert_eq!(out, [0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn deadline_preempts_new_work_at_a_reproducible_instant() {
-        let run = || {
-            let mut m = Machine::with_mode(ExecMode::Timing);
-            m.arm_watchdog(1e-6);
-            let mut err = None;
-            for _ in 0..64 {
-                match m.dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 16)) {
-                    Ok(t) => m.wait(0, t),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            (err.unwrap(), m.fault_stats().watchdog_trips, m.elapsed())
-        };
-        let (e1, trips1, t1) = run();
-        let (e2, _, t2) = run();
-        assert_eq!(e1, e2, "deadline trip must be deterministic");
-        assert_eq!(t1.to_bits(), t2.to_bits());
-        assert_eq!(trips1, 1);
-        match e1 {
-            SimError::WatchdogTripped { core: 0, at } => assert!(at >= 1e-6),
-            other => panic!("got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn disarmed_watchdog_never_fires() {
-        let mut m = Machine::with_mode(ExecMode::Timing);
-        for _ in 0..16 {
-            let t = m
-                .dma(0, DmaPath::DdrToAm, &Dma2d::flat(0, 0, 1 << 19))
-                .unwrap();
-            m.wait(0, t);
-        }
-        m.preempt_point(0).unwrap();
-        assert_eq!(m.fault_stats().watchdog_trips, 0);
     }
 
     #[test]

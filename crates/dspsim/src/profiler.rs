@@ -4,7 +4,7 @@
 //! records a [`Span`] for every timed activity it models — DMA transfers
 //! per engine, kernel execution per core, GSM reductions, barrier waits,
 //! recovery stalls — plus instantaneous [`SimEvent`]s for faults and
-//! watchdog trips.  Spans carry *simulated* timestamps read off the
+//! recovery.  Spans carry *simulated* timestamps read off the
 //! clocks the machine already maintains; recording never advances a
 //! clock, so an instrumented run stays bit-exact with an uninstrumented
 //! one.
@@ -165,8 +165,6 @@ pub enum EventKind {
     DmaCorrupt,
     /// An armed DMA timeout fired (full hang charge taken).
     DmaTimeout,
-    /// The watchdog preempted a core past its deadline.
-    WatchdogDeadline,
     /// A core reached its scheduled death and failed permanently.
     CoreFailed,
     /// A supervisor retired a core from the logical map.
@@ -183,7 +181,6 @@ impl EventKind {
         match self {
             EventKind::DmaCorrupt => "dma_corrupt",
             EventKind::DmaTimeout => "dma_timeout",
-            EventKind::WatchdogDeadline => "watchdog_deadline",
             EventKind::CoreFailed => "core_failed",
             EventKind::CoreRetired => "core_retired",
             EventKind::Retry => "retry",

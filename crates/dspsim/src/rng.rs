@@ -1,10 +1,11 @@
-//! The fuzzer's own tiny deterministic RNG.
+//! The workspace's one deterministic RNG: a splitmix64 stream.
 //!
-//! Case generation must be reproducible from `(seed, iteration)` alone —
-//! across hosts, across releases, and independently of the vendored
-//! `rand` stub's stream details — because persisted fixtures name the
-//! case they shrank from by seed.  splitmix64 is the same finalizer
-//! `dspsim::fault` uses for corruption offsets.
+//! Fault placement ([`crate::FaultPlan`]'s corruption offsets and flip
+//! bits), the tuner's seeded probes and the conformance fuzzer's case
+//! generation all draw from it.  Each must be reproducible from its seed
+//! alone — across hosts, across releases, and independently of the
+//! vendored `rand` stub's stream details — because persisted fixtures
+//! and catalogs name what they came from by seed.
 
 /// A splitmix64 stream.
 #[derive(Debug, Clone)]
@@ -53,6 +54,12 @@ impl Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_answer() {
+        // splitmix64's first output from state 0.
+        assert_eq!(Rng64::new(0).next(), 0xe220_a839_7b1d_cdaf);
+    }
 
     #[test]
     fn streams_are_deterministic_and_seed_sensitive() {

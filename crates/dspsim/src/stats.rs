@@ -51,9 +51,6 @@ pub struct FaultStats {
     pub bit_flips: u64,
     /// Cores permanently lost during the run.
     pub cores_lost: u64,
-    /// Times the armed watchdog fired (deadline preemption; zero when
-    /// no watchdog is armed).
-    pub watchdog_trips: u64,
     /// Recovery attempts performed (retries and degraded re-runs).
     pub retries: u64,
     /// Tiles recomputed during recovery.
@@ -77,7 +74,6 @@ impl FaultStats {
         self.dma_timeouts += other.dma_timeouts;
         self.bit_flips += other.bit_flips;
         self.cores_lost += other.cores_lost;
-        self.watchdog_trips += other.watchdog_trips;
         self.retries += other.retries;
         self.recomputed_tiles += other.recomputed_tiles;
         self.rows_reexecuted += other.rows_reexecuted;

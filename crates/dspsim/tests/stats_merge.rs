@@ -30,18 +30,17 @@ fn arb_core_stats() -> impl Strategy<Value = CoreStats> {
 fn arb_fault_stats() -> impl Strategy<Value = FaultStats> {
     (
         (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20, 0u64..8),
-        (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20),
+        (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20),
     )
         .prop_map(
             |(
                 (dma_corruptions, dma_timeouts, bit_flips, cores_lost),
-                (watchdog_trips, retries, recomputed_tiles, rows_reexecuted),
+                (retries, recomputed_tiles, rows_reexecuted),
             )| FaultStats {
                 dma_corruptions,
                 dma_timeouts,
                 bit_flips,
                 cores_lost,
-                watchdog_trips,
                 retries,
                 recomputed_tiles,
                 rows_reexecuted,
