@@ -7,10 +7,17 @@
 //! layer itself: `BENCH_planner.json` is emitted by `bench planner` and
 //! archived by CI, so regressions in planning cost or in the
 //! analytic/simulated agreement are visible over time.
+//!
+//! Its `walks` table is what one timing walk costs on the host, stepped
+//! and with core replay, on shapes from 8192×32×32 to 32×32×65536.  It
+//! reports host time and gates nothing.
 
 use crate::report::{Cell::*, Document, Fmt::*, Table};
-use dspsim::HwConfig;
-use ftimm::{FtImm, GemmShape, Plan, Strategy, StrategyKind};
+use dspsim::{ExecMode, HwConfig, Machine};
+use ftimm::{
+    ChosenStrategy, Executor, FtImm, FtimmError, GemmProblem, GemmShape, Plan, Strategy,
+    StrategyKind,
+};
 use std::time::Instant;
 
 /// One planned shape.
@@ -34,11 +41,35 @@ impl Row {
     }
 }
 
+/// What one timing walk of a shape's plan costs on the host.
+#[derive(Debug, Clone, Copy)]
+pub struct WalkRow {
+    /// Shape walked.
+    pub shape: GemmShape,
+    /// The `Strategy::Auto` plan walked, on 8 cores.
+    pub plan: ChosenStrategy,
+    /// Simulated seconds of the walk.
+    pub simulated_s: f64,
+    /// Host seconds per walk with every core stepped.
+    pub stepped_s: f64,
+    /// Host seconds per walk with core replay.
+    pub replayed_s: f64,
+}
+
+impl WalkRow {
+    /// How many times cheaper replay makes the walk.
+    pub fn gain(&self) -> f64 {
+        self.stepped_s / self.replayed_s.max(1e-12)
+    }
+}
+
 /// The whole report.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// One row per paper shape.
     pub rows: Vec<Row>,
+    /// One row per [`WALK_SHAPES`] entry.
+    pub walks: Vec<WalkRow>,
 }
 
 impl Report {
@@ -62,7 +93,76 @@ pub const SHAPES: [(usize, usize, usize); 4] = [
     (4096, 512, 4096),
 ];
 
-/// Plan every report shape cold and warm on one shared context.
+/// The walk-cost shapes: type 1 from 8192 to 524288 rows, a deep type 1,
+/// a type 3 and a type 2.
+pub const WALK_SHAPES: [(usize, usize, usize); 6] = [
+    (8192, 32, 32),
+    (65536, 32, 32),
+    (524288, 32, 32),
+    (16384, 32, 2048),
+    (20480, 64, 20480),
+    (32, 32, 65536),
+];
+
+/// Walks timed per cell (one in debug builds, where only the shape of
+/// the report is under test).
+const WALK_REPS: usize = if cfg!(debug_assertions) { 1 } else { 20 };
+
+/// Run `walk` once untimed, then [`WALK_REPS`] times: its simulated
+/// seconds and the mean host seconds per walk.
+fn per_walk(mut walk: impl FnMut() -> f64) -> (f64, f64) {
+    let simulated_s = walk();
+    let t0 = Instant::now();
+    for _ in 0..WALK_REPS {
+        std::hint::black_box(walk());
+    }
+    (simulated_s, t0.elapsed().as_secs_f64() / WALK_REPS as f64)
+}
+
+/// Time [`WALK_SHAPES`]' walks on a capacity-0 context, so that no walk
+/// is memoised.  Replayed is [`FtImm::predict_seconds`]; stepped is the
+/// same walk through an [`Executor`] on a machine recording spans into a
+/// one-span profiler, which turns replay off (and adds a ring push per
+/// span).  Each walk runs on a fresh timing machine.
+pub fn walk_costs() -> Vec<WalkRow> {
+    let ft = FtImm::with_plan_cache_capacity(HwConfig::default(), 0);
+    WALK_SHAPES
+        .iter()
+        .map(|&(m, n, k)| {
+            let shape = GemmShape::new(m, n, k);
+            let plan = ft.plan(&shape, Strategy::Auto, 8);
+            let (simulated_s, replayed_s) = per_walk(|| ft.predict_seconds(&shape, &plan, 8));
+            let (stepped_sim_s, stepped_s) = per_walk(|| {
+                let mut mach = Machine::new(ft.cfg().clone(), ExecMode::Timing);
+                mach.profile_begin(1);
+                GemmProblem::alloc(&mut mach, m, n, k)
+                    .map_err(FtimmError::from)
+                    .and_then(|p| {
+                        Executor::new(&ft)
+                            .with_plan(plan)
+                            .cores(8)
+                            .run(&mut mach, &p)
+                    })
+                    .map_or(f64::INFINITY, |r| r.seconds)
+            });
+            assert_eq!(
+                stepped_sim_s.to_bits(),
+                simulated_s.to_bits(),
+                "{shape}: replay moved the simulated clock"
+            );
+            WalkRow {
+                shape,
+                plan,
+                simulated_s,
+                stepped_s,
+                replayed_s,
+            }
+        })
+        .collect()
+}
+
+/// Plan every report shape cold and warm on one shared context, and time
+/// the walk-cost shapes.
 pub fn compute() -> Report {
     let ft = FtImm::new(HwConfig::default());
     let rows = SHAPES
@@ -84,7 +184,10 @@ pub fn compute() -> Report {
             }
         })
         .collect();
-    Report { rows }
+    Report {
+        rows,
+        walks: walk_costs(),
+    }
 }
 
 /// Describe the report once: [`Document::render`] prints it,
@@ -116,8 +219,23 @@ pub fn document(report: &Report) -> Document {
         Num(r.warm_plan_s, Fixed(1e6, 1, "us"))
     })
     .col("speedup", "speedup", |r| Num(r.speedup(), times));
+    let us = Fixed(1e6, 1, "us");
+    let walks = Table::new(
+        "walks",
+        "Timing walk host cost — stepped vs core replay (Auto plan, 8 cores, memo off)",
+        &report.walks,
+    )
+    .shape(|r| r.shape)
+    .col("plan", "plan", |r| {
+        Text(StrategyKind::of(&r.plan).label().into())
+    })
+    .col("simulated_s", "simulated", |r| Num(r.simulated_s, us))
+    .col("stepped_s", "stepped", |r| Num(r.stepped_s, us))
+    .col("replayed_s", "replayed", |r| Num(r.replayed_s, us))
+    .col("gain", "gain", |r| Num(r.gain(), Fixed(1.0, 2, "x")));
     Document::new("planner")
         .table(rows)
+        .table(walks)
         .value("min_speedup", Num(report.min_speedup(), times))
 }
 
@@ -195,5 +313,18 @@ mod tests {
             v.get("min_speedup").unwrap().as_f64("min_speedup"),
             Ok(report.min_speedup())
         );
+        let walks = v.get("walks").unwrap().as_arr("walks").unwrap();
+        assert_eq!(walks.len(), WALK_SHAPES.len());
+        for (row, w) in walks.iter().zip(&report.walks) {
+            assert_eq!(row.get("m").unwrap().as_u64("m"), Ok(w.shape.m as u64));
+            assert_eq!(
+                row.get("stepped_s").unwrap().as_f64("stepped_s"),
+                Ok(w.stepped_s)
+            );
+            assert_eq!(
+                row.get("replayed_s").unwrap().as_f64("replayed_s"),
+                Ok(w.replayed_s)
+            );
+        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::plan::sharded::PlacementCache;
 use crate::plan::store::{self, CatalogLoad, PlanTable};
 use crate::plan::tune::{TuneConfig, TuneOutcome, Tuner};
-use crate::plan::{cache, Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::plan::{Plan, PlanCache, PlanKey, Planner, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::{resilience, walk, ChosenStrategy, Executor, FtimmError, GemmProblem, GemmShape};
 use dspsim::{ExecMode, HwConfig, Machine, Phase, RunReport, SimError};
 use kernelgen::{
@@ -70,10 +70,11 @@ pub struct TuningStats {
     pub variants_adopted: u64,
     /// Whether a plan catalog has been loaded into this context.
     pub catalog_attached: bool,
-    /// Plan-cache hits served by a catalog-preloaded entry.
+    /// Plans served from an entry a loaded catalog supplied.
     pub catalog_hits: u64,
-    /// Plan-cache misses while a catalog was attached (shapes the
-    /// catalog did not cover).
+    /// Plans served neither from a tuned or loaded entry nor from the
+    /// plan cache while a catalog was attached (shapes the catalog did
+    /// not cover).
     pub catalog_misses: u64,
     /// Catalog entries quarantined during loads: corrupt ones, and
     /// entries whose plan does not fit this context's hardware.
@@ -88,7 +89,9 @@ pub struct TuningStats {
 struct TuningState {
     /// Tuned and catalog-loaded plans, one per key, in the order their
     /// keys were first tuned or loaded, each flagged if an attached
-    /// catalog supplied its key (catalog-hit attribution).
+    /// catalog supplied its key (catalog-hit attribution).  The one copy
+    /// of each such plan: [`FtImm::plan_full`] serves from here before
+    /// the plan cache, which never holds them.
     tuned: Mutex<PlanTable>,
     catalog_attached: AtomicBool,
     catalog_hits: AtomicU64,
@@ -157,7 +160,9 @@ impl FtImm {
 
     /// Create a context with an explicit plan cache capacity (`0`
     /// disables plan, placement and timing-walk memoisation — every call
-    /// plans from scratch).
+    /// plans from scratch).  The capacity bounds planned entries only:
+    /// every tuned or catalog-loaded plan is served whatever it is, `0`
+    /// included.
     pub fn with_plan_cache_capacity(cfg: HwConfig, capacity: usize) -> Self {
         FtImm::with_cache_capacities(cfg, capacity, DEFAULT_KERNEL_CACHE_CAPACITY)
     }
@@ -209,9 +214,8 @@ impl FtImm {
     }
 
     /// Create a context warm-started from an on-disk plan catalog: every
-    /// catalog plan is preloaded into the plan cache, so
-    /// [`FtImm::plan_full`] serves covered shapes with **zero** timing
-    /// simulations.
+    /// catalog plan that fits is attached, so [`FtImm::plan_full`]
+    /// serves covered shapes with **zero** timing simulations.
     pub fn with_plan_catalog(cfg: HwConfig, path: &Path) -> Result<Self, String> {
         let ft = FtImm::new(cfg);
         ft.load_plan_catalog(path)?;
@@ -262,22 +266,25 @@ impl FtImm {
     /// Resolve a full [`Plan`] for a shape without running anything,
     /// memoised in the plan cache.
     ///
-    /// On a miss the [`Planner`] ranks the candidate space with the
-    /// analytic cost model and evaluates only the short list on the
-    /// timing model ([`FtImm::predict_seconds`]); on a hit the stored
-    /// plan is returned as-is — zero simulations.
+    /// A tuned or catalog-loaded plan for the key is served first (a
+    /// catalog's counts as a catalog hit), then a plan-cache hit, both
+    /// as-is — zero simulations.  Otherwise the [`Planner`] ranks the
+    /// candidate space with the analytic cost model and evaluates only
+    /// the short list on the timing model ([`FtImm::predict_seconds`]),
+    /// and the plan cache keeps the result.
     pub fn plan_full(&self, shape: &GemmShape, strategy: Strategy, cores: usize) -> Plan {
         let key = PlanKey {
             shape: *shape,
             cores,
             strategy,
         };
-        if let Some(plan) = self.plan_cache.get(&key) {
-            if self.tuning.catalog_attached.load(Ordering::Relaxed)
-                && lock(&self.tuning.tuned).catalog_supplied(&key)
-            {
+        if let Some((plan, from_catalog)) = lock(&self.tuning.tuned).get(&key) {
+            if from_catalog {
                 self.tuning.catalog_hits.fetch_add(1, Ordering::Relaxed);
             }
+            return plan;
+        }
+        if let Some(plan) = self.plan_cache.get(&key) {
             return plan;
         }
         if self.tuning.catalog_attached.load(Ordering::Relaxed) {
@@ -292,9 +299,9 @@ impl FtImm {
 
     /// Autotune a shape: search beyond the planner's candidates (bit-safe
     /// chunk variants, seeded random probes, neighborhood refinement) and
-    /// install the tuned plan under the `Strategy::Auto` cache key so
+    /// install the tuned plan under the `Strategy::Auto` key so
     /// subsequent [`FtImm::plan_full`] / [`FtImm::gemm`] calls use it
-    /// without re-planning.
+    /// without re-planning, whatever the plan cache's capacity.
     ///
     /// Deterministic for a fixed [`TuneConfig::seed`], and independent of
     /// what the context tuned or loaded before.  The tuned plan is never
@@ -314,7 +321,6 @@ impl FtImm {
             cores,
             strategy: Strategy::Auto,
         };
-        self.plan_cache.insert(key, outcome.plan);
         lock(&self.tuning.tuned).upsert(key, outcome.plan, false);
         outcome
     }
@@ -338,17 +344,18 @@ impl FtImm {
         outcome
     }
 
-    /// Load an on-disk plan catalog into this context: preload the plan
-    /// cache (evicting as plain inserts do) and start attributing cache
-    /// traffic to catalog hit/miss counters.  Corrupt entries are
-    /// quarantined (see [`TuningStats::quarantined`]), not fatal; a
-    /// refused document attaches nothing.  Returns the number of plans
-    /// preloaded.
+    /// Load an on-disk plan catalog into this context and start
+    /// attributing planning to catalog hit/miss counters.  Corrupt
+    /// entries are quarantined (see [`TuningStats::quarantined`]), not
+    /// fatal; a refused document attaches nothing.  Returns the number of
+    /// plans attached: every entry that fits this context's hardware,
+    /// each served by [`FtImm::plan_full`] from then on, however large
+    /// the catalog and whatever the plan cache's capacity.
     ///
     /// The document's plans are staged once, in a keyed table that is
-    /// also the decode's duplicate-key check; the plan cache is preloaded
-    /// from it, and a context holding no tuned plans yet takes the table
-    /// itself as its tuned plans.
+    /// also the decode's duplicate-key check, and held once: a context
+    /// holding no tuned plans yet takes the table itself as its tuned
+    /// plans, and the plan cache holds none of them.
     pub fn load_plan_catalog(&self, path: &Path) -> Result<usize, String> {
         let (table, quarantined) = store::load_table(path)?;
         Ok(self.attach_table(table, quarantined))
@@ -370,7 +377,7 @@ impl FtImm {
     /// skipped.
     fn attach_table(&self, mut table: PlanTable, quarantined: usize) -> usize {
         let unfit = table.retain(|p| walk::fits(&self.cfg, &p.strategy, &p.shape, p.cores));
-        let kept = cache::preload(&self.plan_cache, table.iter());
+        let kept = table.iter().len();
         self.tuning
             .quarantined
             .fetch_add((quarantined + unfit) as u64, Ordering::Relaxed);

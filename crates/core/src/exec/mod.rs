@@ -13,8 +13,9 @@
 //!    planning time is recorded as a [`dspsim::Phase::Plan`] span when
 //!    profiling.  Tuned plans flow through the same path: an
 //!    [`crate::FtImm::tune`] call (or a loaded plan catalog) installs
-//!    its plan under the `Strategy::Auto` cache key, so the executor
-//!    picks it up on the next dispatch with zero extra simulations
+//!    its plan under the `Strategy::Auto` key of the context's tuned
+//!    plans, which planning consults first, so the executor picks it up
+//!    on the next dispatch with zero extra simulations
 //!    (tuning time itself is a [`dspsim::Phase::Tune`] span, see
 //!    [`crate::FtImm::tune_on`]);
 //! 3. **run** — drive the strategy runner directly, or through the

@@ -9,7 +9,7 @@
 //! DSP-specific: the AM/SM/GSM layout, the DMA paths and prefetches, the
 //! barriers and what the reduction costs on the clock.
 
-use crate::walk::{panel_rows, ping_pong, Walk};
+use crate::walk::{panel_rows, ping_pong, Replay, Walk};
 use crate::{ChosenStrategy, FtimmError, GemmProblem};
 use dspsim::{transfer_time, Dma2d, DmaPath, Machine, Phase, RunReport};
 use kernelgen::KernelExecutor;
@@ -51,6 +51,7 @@ pub(crate) fn run_kpar(
     // AM: private C_a + double-buffered B_a; SM: double-buffered A_s;
     // GSM: one C_g.
     let lay = walk.layout();
+    let mut replay = Replay::new(m, p, cores);
 
     for g in walk.groups() {
         let c_g = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
@@ -68,73 +69,79 @@ pub(crate) fn run_kpar(
             m.wait(c, tcg);
         }
 
-        for t in walk.tasks(&g) {
-            let ld = t.ld as u64;
-            // The core zero-initialises its private C_a (Algorithm 5
-            // line 6) and processes its K slices.
-            if m.mode.is_functional() {
-                m.core_mut(t.core)
-                    .am
-                    .zero(lay.c_a, t.rows as u64 * ld * 4)?;
-            }
-            // Zeroing cost: two vector-store units, one vector (32 f32)
-            // each per cycle.
-            let zero_cycles = (t.rows as u64 * ld / 32).div_ceil(2);
-            m.compute(t.core, zero_cycles);
+        // Each run is a synchronisation window, closed by its reduction.
+        let mut tasks = walk.tasks(&g);
+        while let Some(panel) = tasks.clone().next() {
+            let run = tasks.clone().take(active);
+            tasks.nth(active - 1);
+            replay.open(m, &walk, &g, run.clone());
+            for t in run.filter(|t| replay.steps(t.core)) {
+                let ld = t.ld as u64;
+                // The core zero-initialises its private C_a (Algorithm 5
+                // line 6) and processes its K slices.
+                if m.mode.is_functional() {
+                    m.core_mut(t.core)
+                        .am
+                        .zero(lay.c_a, t.rows as u64 * ld * 4)?;
+                }
+                // Zeroing cost: two vector-store units, one vector (32
+                // f32) each per cycle.
+                let zero_cycles = (t.rows as u64 * ld / 32).div_ceil(2);
+                m.compute(t.core, zero_cycles);
 
-            let dma_ba = |m: &mut Machine, ks: &Range<usize>, bping: usize| {
-                m.dma(
-                    t.core,
-                    DmaPath::DdrToAm,
-                    &Dma2d::block_f32(
-                        ks.len() as u64,
-                        t.cols as u64,
-                        p.b.elem_index(ks.start, t.c0),
-                        p.b.ld as u64,
-                        lay.b_a[bping] / 4,
-                        ld,
-                    ),
-                )
-            };
-            ping_pong(
-                m,
-                walk.k_steps(&g, &t),
-                dma_ba,
-                |m, ticket| m.wait(t.core, ticket),
-                |m, ks, bping| {
-                    panel_rows(
-                        m,
-                        ex,
-                        &walk,
-                        &t,
-                        &ks,
-                        DmaPath::DdrToSm,
-                        |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
-                        lay.b_a[bping],
+                let dma_ba = |m: &mut Machine, ks: &Range<usize>, bping: usize| {
+                    m.dma(
+                        t.core,
+                        DmaPath::DdrToAm,
+                        &Dma2d::block_f32(
+                            ks.len() as u64,
+                            t.cols as u64,
+                            p.b.elem_index(ks.start, t.c0),
+                            p.b.ld as u64,
+                            lay.b_a[bping] / 4,
+                            ld,
+                        ),
                     )
-                },
-            )?;
-            if t.core + 1 < active {
-                continue;
+                };
+                ping_pong(
+                    m,
+                    walk.k_steps(&g, &t),
+                    dma_ba,
+                    |m, ticket| m.wait(t.core, ticket),
+                    |m, ks, bping| {
+                        panel_rows(
+                            m,
+                            ex,
+                            &walk,
+                            &t,
+                            &ks,
+                            DmaPath::DdrToSm,
+                            |u| (p.a.elem_index(t.r0 + u, ks.start), p.a.ld as u64),
+                            lay.b_a[bping],
+                        )
+                    },
+                )?;
             }
+            replay.close(m);
 
             // The run is complete.  Reduction: its cores serialise their
             // `C_g += C_a` adds through the GSM crossbar (Algorithm 5
             // line 12).
             m.barrier(&core_ids);
-            let bytes = t.rows as u64 * t.cols as u64 * 4;
+            let ld = panel.ld as u64;
+            let bytes = panel.rows as u64 * panel.cols as u64 * 4;
             let red_dur = 2.0 * transfer_time(&m.cfg, DmaPath::AmToGsm, bytes, 1);
             let mut prev_end = 0.0f64;
             for &core in core_ids.iter().take(active) {
                 if m.mode.is_functional() {
                     // The panel's offset from the C_g origin.
-                    let in_group = (t.r0 - g.m.start) * g.n.len() + (t.c0 - g.n.start);
-                    for r in 0..t.rows {
+                    let in_group = (panel.r0 - g.m.start) * g.n.len() + (panel.c0 - g.n.start);
+                    for r in 0..panel.rows {
                         m.gsm_accumulate_from_am(
                             core,
                             lay.c_a + r as u64 * ld * 4,
                             lay.g[0] + ((in_group + r * g.n.len()) * 4) as u64,
-                            t.cols as u64,
+                            panel.cols as u64,
                         )?;
                     }
                 }

@@ -38,6 +38,18 @@ impl DdrMatrix {
         self.off + (r as u64 * self.ld as u64 + c as u64) * 4
     }
 
+    /// Byte end of the matrix in DDR: its last element's end (`off` for
+    /// an empty matrix), `None` past `u64`.
+    pub(crate) fn end(&self) -> Option<u64> {
+        if self.rows == 0 || self.cols == 0 {
+            return Some(self.off);
+        }
+        let words = ((self.rows - 1) as u64)
+            .checked_mul(self.ld as u64)?
+            .checked_add(self.cols as u64)?;
+        words.checked_mul(4)?.checked_add(self.off)
+    }
+
     /// Element offset (in elements, relative to DDR byte 0 / 4).
     pub fn elem_index(&self, r: usize, c: usize) -> u64 {
         self.elem_off(r, c) / 4

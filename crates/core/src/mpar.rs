@@ -8,7 +8,7 @@
 //! business (shared with the host mirror); this module owns what is
 //! DSP-specific: the AM/SM/GSM layout, the DMA paths and the prefetches.
 
-use crate::walk::{panel_rows, ping_pong, Group, Walk};
+use crate::walk::{panel_rows, ping_pong, Group, Replay, Walk};
 use crate::{ChosenStrategy, FtimmError, GemmProblem};
 use dspsim::{Dma2d, DmaPath, Machine, RunReport};
 use kernelgen::KernelExecutor;
@@ -48,6 +48,8 @@ pub(crate) fn run_mpar(
     // AM: C_a + double-buffered B_a; SM: double-buffered A_s; GSM:
     // double-buffered B_g (k_g × n_g, dense).
     let lay = walk.layout();
+    // Each group is a synchronisation window.
+    let mut replay = Replay::new(m, p, cores);
 
     let dma_bg = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
@@ -70,7 +72,8 @@ pub(crate) fn run_mpar(
         }
     };
     ping_pong(m, walk.groups(), dma_bg, bg_arrive, |m, g, ping| {
-        for t in walk.tasks(&g) {
+        replay.open(m, &walk, &g, walk.tasks(&g));
+        for t in walk.tasks(&g).filter(|t| replay.steps(t.core)) {
             let c_panel = |src: u64, src_ld: u64, dst: u64, dst_ld: u64| {
                 Dma2d::block_f32(t.rows as u64, t.cols as u64, src, src_ld, dst, dst_ld)
             };
@@ -127,6 +130,7 @@ pub(crate) fn run_mpar(
             )?;
             m.wait(t.core, ts);
         }
+        replay.close(m);
         Ok(())
     })?;
     m.barrier(&core_ids);

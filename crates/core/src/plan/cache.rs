@@ -32,18 +32,6 @@ pub struct PlanKey {
 /// disables it: every lookup misses, nothing is stored).
 pub type PlanCache = BoundedLru<PlanKey, Plan>;
 
-/// Warm-start `cache` from catalog `entries`: inserts in order
-/// ([`BoundedLru::extend`]), so an over-capacity load evicts exactly as
-/// that many [`BoundedLru::insert`]s do.  Returns how many of `entries`
-/// are held afterwards.
-pub fn preload(
-    cache: &PlanCache,
-    entries: impl ExactSizeIterator<Item = (PlanKey, Plan)> + Clone,
-) -> usize {
-    cache.extend(entries.clone());
-    entries.filter(|(k, _)| cache.contains(k)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,41 +82,6 @@ mod tests {
         assert_eq!(cache.get(&key(1)), None);
         assert_eq!(cache.stats().len, 0);
         assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn over_capacity_preload_evicts_like_inserts() {
-        let cache = PlanCache::new(3);
-        cache.insert(key(0), plan(0));
-        // Preload 5 entries into capacity 3: the resident entry and
-        // preloads #1 and #2 fall out, one eviction each — the one rule
-        // every insert follows.
-        let batch: Vec<_> = (1..=5).map(|m| (key(m), plan(m))).collect();
-        let kept = preload(&cache, batch.iter().copied());
-        assert_eq!(kept, 3);
-        let stats = cache.stats();
-        assert_eq!(stats.evictions, 3, "one eviction per displaced entry");
-        assert_eq!(stats.len, 3);
-        assert_eq!(cache.get(&key(0)), None);
-        assert_eq!(cache.get(&key(1)), None);
-        for m in 3..=5 {
-            assert_eq!(cache.get(&key(m)), Some(plan(m)), "entry {m}");
-        }
-    }
-
-    #[test]
-    fn preload_replaces_duplicates_and_respects_zero_capacity() {
-        let cache = PlanCache::new(4);
-        cache.insert(key(1), plan(9));
-        let kept = preload(&cache, [(key(1), plan(1)), (key(2), plan(2))].into_iter());
-        assert_eq!(kept, 2);
-        assert_eq!(cache.get(&key(1)), Some(plan(1)));
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().len, 2);
-
-        let disabled = PlanCache::new(0);
-        assert_eq!(preload(&disabled, [(key(1), plan(1))].into_iter()), 0);
-        assert_eq!(disabled.stats().len, 0);
     }
 
     #[test]

@@ -207,10 +207,12 @@ impl PlanTable {
         self.entries.iter().map(|s| (s.key(), s.plan))
     }
 
-    /// Whether an attached catalog supplied `key`.
-    pub(crate) fn catalog_supplied(&self, key: &PlanKey) -> bool {
-        self.position(key)
-            .is_some_and(|at| self.entries[at].from_catalog)
+    /// `key`'s plan, and whether an attached catalog supplied the key.
+    pub(crate) fn get(&self, key: &PlanKey) -> Option<(Plan, bool)> {
+        self.position(key).map(|at| {
+            let stored = &self.entries[at];
+            (stored.plan, stored.from_catalog)
+        })
     }
 
     /// Drop every plan `keep` refuses, keeping the order of the rest;
@@ -552,8 +554,8 @@ mod tests {
             }
             let listed: Vec<(PlanKey, Plan)> = model.iter().map(|&(k, p, _)| (k, p)).collect();
             assert_eq!(table.iter().collect::<Vec<_>>(), listed, "step {step}");
-            for (k, _, flag) in &model {
-                assert_eq!(table.catalog_supplied(k), *flag, "step {step}");
+            for &(k, p, flag) in &model {
+                assert_eq!(table.get(&k), Some((p, flag)), "step {step}");
             }
         }
         // Merging keeps the receiver's order and appends the newcomers.
@@ -567,7 +569,7 @@ mod tests {
         assert!(sample_catalog()
             .entries
             .iter()
-            .all(|(k, _)| table.catalog_supplied(k)));
+            .all(|(k, p)| table.get(k) == Some((*p, true))));
     }
 
     #[test]

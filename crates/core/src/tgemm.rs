@@ -9,7 +9,7 @@
 //! business (shared with the host mirror); this module owns what is
 //! DSP-specific: the AM/SM/GSM layout, the DMA paths and the prefetches.
 
-use crate::walk::{panel_rows, ping_pong, Group, Walk};
+use crate::walk::{panel_rows, ping_pong, Group, Replay, Walk};
 use crate::{ChosenStrategy, FtimmError, GemmProblem};
 use dspsim::{Dma2d, DmaPath, Machine, RunReport};
 use kernelgen::KernelExecutor;
@@ -56,6 +56,8 @@ pub(crate) fn run_tgemm(
     // GSM: double-buffered A_g (m_g × k_g); AM: C_a (m_g × 96) +
     // double-buffered B_a (k_g × 96); SM: double-buffered A_s (m_s × k_g).
     let lay = walk.layout();
+    // Each group is a synchronisation window.
+    let mut replay = Replay::new(m, p, cores);
 
     let dma_ag = |m: &mut Machine, g: &Group, ping: usize| {
         m.dma(
@@ -80,7 +82,8 @@ pub(crate) fn run_tgemm(
         }
     };
     ping_pong(m, walk.groups(), dma_ag, ag_arrive, |m, g, ping| {
-        for t in walk.tasks(&g) {
+        replay.open(m, &walk, &g, walk.tasks(&g));
+        for t in walk.tasks(&g).filter(|t| replay.steps(t.core)) {
             let (c_ddr, c_ld, ld) = (p.c.elem_index(t.r0, t.c0), p.c.ld as u64, t.ld as u64);
             // One K step per task (the group's whole K range), so the C
             // panel round-trips through DDR around it.
@@ -133,6 +136,7 @@ pub(crate) fn run_tgemm(
                 m.wait(t.core, ts);
             }
         }
+        replay.close(m);
         Ok(())
     })?;
     m.barrier(&core_ids);

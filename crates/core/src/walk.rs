@@ -37,13 +37,15 @@
 //! So is where a run may be cut in M: [`Walk::grid`] is the [`RowGrid`]
 //! that checkpoint spans, shards, the CPU lane and recovery all cut on.
 //!
-//! The two crate-private functions at the end are the part of *emitting*
-//! the walk on the DSP that does not depend on the strategy: the
-//! double-buffered prefetch order and the `A_s` + kernel-invoke loop.
+//! The crate-private items at the end are the part of *emitting* the walk
+//! on the DSP that does not depend on the strategy: the double-buffered
+//! prefetch order, the `A_s` + kernel-invoke loop, and `Replay`, which
+//! lets a timing walk step one core per class of a synchronisation window
+//! and copy its clocks onto the others.
 
 use crate::plan::StrategyKind;
-use crate::{invoke_kernel, ChosenStrategy, FtimmError, GemmShape, TgemmParams};
-use dspsim::{Dma2d, DmaPath, DmaTicket, HwConfig, KernelBindings, Machine, SimError};
+use crate::{invoke_kernel, ChosenStrategy, FtimmError, GemmProblem, GemmShape, TgemmParams};
+use dspsim::{CoreStats, Dma2d, DmaPath, DmaTicket, HwConfig, KernelBindings, Machine, SimError};
 use kernelgen::{GenError, KernelCache, KernelExecutor, KernelSpec, MicroKernel};
 use std::ops::Range;
 use std::sync::Arc;
@@ -379,7 +381,7 @@ impl Walk {
     }
 
     /// The tasks of one group, in issue order.
-    pub fn tasks(&self, g: &Group) -> impl Iterator<Item = Task> + '_ {
+    pub fn tasks(&self, g: &Group) -> impl Iterator<Item = Task> + Clone + '_ {
         let replicas = if self.reduces() { self.active } else { 1 };
         let fixed_width = self.kind == StrategyKind::TGemm;
         let cols_of = g.n.clone();
@@ -632,6 +634,114 @@ pub(crate) fn panel_rows(
             invoke_kernel(m, task.core, ex, &kernel, bind)
         },
     )
+}
+
+/// Core replay over the synchronisation windows of one run: an M-par or
+/// TGEMM group, or a K-par run before its reduction.  Between two
+/// synchronisations a core's clocks move by its own work alone, so where
+/// [`Machine::replays`] holds, two cores share a class when they enter
+/// the window with equal compute-clock bits, each with its DMA engine
+/// free by then (`t_dma_free ≤ t_compute`), and issue equal task shapes
+/// in it: `(rows, cols, ld, n_kernel)` and the K-step lengths.  A task's
+/// first transfer then starts at its core's compute clock, and every
+/// later instant is a function of that clock and the shapes, so the
+/// class's cores leave the window bit-equal.  The emitters step the
+/// lowest core of each class ([`Replay::steps`]); the others take its
+/// clocks and counter growth at the window's end ([`Replay::close`]).
+///
+/// Where a task's panels sit does not enter the class, so replay also
+/// needs every refusal a step can raise to follow from the shapes: the
+/// scratchpad extents and the kernels do, and a DDR extent is never
+/// refused when the operands lie inside DDR, which [`Replay::new`]
+/// checks.  A refusal then hits the class's lowest core first, in issue
+/// order, so a replayed walk fails with the error stepping fails with.
+pub(crate) struct Replay {
+    /// Whether this run replays at all.
+    on: bool,
+    /// Per core, the core whose stepping stands in for it (itself when
+    /// stepped).
+    source: Vec<usize>,
+    /// Per core, its counters when the window opened.
+    entry: Vec<CoreStats>,
+    /// Per core, the shapes of its tasks in the window, flattened:
+    /// `rows, cols, ld, n_kernel`, the K-step count, then the lengths.
+    shapes: Vec<Vec<usize>>,
+}
+
+impl Replay {
+    /// Replay state for a run of `p` on `cores` cores of `m`: off (every
+    /// core steps) unless `m` [replays](Machine::replays) and every
+    /// operand lies inside DDR.
+    pub(crate) fn new(m: &Machine, p: &GemmProblem, cores: usize) -> Replay {
+        let capacity = m.ddr.capacity();
+        let on = m.replays()
+            && [p.a, p.b, p.c]
+                .iter()
+                .all(|x| x.end().is_some_and(|end| end <= capacity));
+        let per_core = if on { cores } else { 0 };
+        Replay {
+            on,
+            source: (0..cores).collect(),
+            entry: vec![CoreStats::default(); per_core],
+            shapes: vec![Vec::new(); per_core],
+        }
+    }
+
+    /// Open a window of group `g` whose tasks are `tasks`: split its
+    /// cores into classes.
+    pub(crate) fn open(
+        &mut self,
+        m: &Machine,
+        walk: &Walk,
+        g: &Group,
+        tasks: impl Iterator<Item = Task>,
+    ) {
+        if !self.on {
+            return;
+        }
+        for s in &mut self.shapes {
+            s.clear();
+        }
+        for t in tasks {
+            let s = &mut self.shapes[t.core];
+            s.extend([t.rows, t.cols, t.ld, t.n_kernel, 0]);
+            let count = s.len() - 1;
+            s.extend(walk.k_steps(g, &t).map(|ks| ks.len()));
+            s[count] = s.len() - count - 1;
+        }
+        let free = |c: usize| m.core(c).t_dma_free <= m.core(c).t_compute;
+        for c in 0..self.source.len() {
+            self.entry[c] = m.core(c).stats;
+            self.source[c] = c;
+            if !free(c) || self.shapes[c].is_empty() {
+                continue;
+            }
+            let t = m.core(c).t_compute.to_bits();
+            if let Some(r) = (0..c).find(|&r| {
+                self.source[r] == r
+                    && free(r)
+                    && m.core(r).t_compute.to_bits() == t
+                    && self.shapes[r] == self.shapes[c]
+            }) {
+                self.source[c] = r;
+            }
+        }
+    }
+
+    /// Whether the emitter steps `core`'s tasks in the open window.
+    pub(crate) fn steps(&self, core: usize) -> bool {
+        self.source[core] == core
+    }
+
+    /// Close the window: every core that was not stepped takes its
+    /// class's stepped core's clocks and counter growth.
+    pub(crate) fn close(&self, m: &mut Machine) {
+        for (to, &from) in self.source.iter().enumerate() {
+            if from != to {
+                m.replay_core(from, &self.entry[from], to);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

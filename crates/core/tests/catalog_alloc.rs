@@ -21,7 +21,7 @@ const ENTRIES: usize = 125_000;
 fn catalog_decode_holds_no_tree_of_the_document() {
     let text = catalog_json(&synthetic_catalog(ENTRIES));
 
-    let (load, peak) =
+    let (load, peak, _) =
         peak_above_live(|| catalog_from_json(&text).expect("the synthetic catalog decodes"));
 
     assert_eq!(load.quarantined, 0);

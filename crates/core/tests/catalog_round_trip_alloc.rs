@@ -9,10 +9,15 @@
 //!   save that builds the whole document as one string first needs
 //!   ~630 B more per entry);
 //! * loading stages each plan once, in a table whose index is also the
-//!   duplicate-key check and the catalog-hit flag, and preloads the plan
-//!   cache from it, so it peaks at 900 B per entry including the file's
-//!   text (a load that also holds the decoded catalog, a key set and a
-//!   second copy of the tuned plans needs ~1 200).
+//!   duplicate-key check and the catalog-hit flag, and serves it from
+//!   there without copying it into the plan cache, so it peaks at 400 B
+//!   per entry including the file's text (274 measured; a load that also
+//!   preloads the plan cache measures 328, and one that also holds the
+//!   decoded catalog, a key set and a second copy of the tuned plans
+//!   needs ~1 200);
+//! * the loaded context then retains at most 200 B per entry (141
+//!   measured: a plan and its index slot; 322 with the plan cache
+//!   preloaded as well).
 //!
 //! The check counts bytes, not time, so it is deterministic.
 
@@ -38,12 +43,12 @@ fn a_catalog_round_trip_holds_each_plan_once() {
     };
     assert_eq!(tuned.attach_catalog(load), ENTRIES);
 
-    let (saved, save_peak) = peak_above_live(|| tuned.save_plan_catalog(&path));
+    let (saved, save_peak, _) = peak_above_live(|| tuned.save_plan_catalog(&path));
     saved.expect("the catalog saves");
     drop(tuned);
 
     let fresh = FtImm::with_plan_cache_capacity(cfg, ENTRIES + 16);
-    let (loaded, load_peak) = peak_above_live(|| fresh.load_plan_catalog(&path));
+    let (loaded, load_peak, retained) = peak_above_live(|| fresh.load_plan_catalog(&path));
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.expect("the catalog loads"), ENTRIES);
@@ -59,8 +64,14 @@ fn a_catalog_round_trip_holds_each_plan_once() {
     );
     let per_entry = load_peak / ENTRIES;
     assert!(
-        load_peak <= 900 * ENTRIES,
+        load_peak <= 400 * ENTRIES,
         "loading {ENTRIES} plans ({bytes} bytes) into a fresh context peaked at {load_peak} \
-         bytes of heap ({per_entry} per entry), over 900 per entry"
+         bytes of heap ({per_entry} per entry), over 400 per entry"
+    );
+    let per_entry = retained / ENTRIES;
+    assert!(
+        retained <= 200 * ENTRIES,
+        "the context retains {retained} bytes of heap for {ENTRIES} loaded plans \
+         ({per_entry} per entry), over 200 per entry"
     );
 }

@@ -68,13 +68,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Run `f`; return what it returns and the peak heap bytes held above
-/// what was live when it started.
-pub fn peak_above_live<R>(f: impl FnOnce() -> R) -> (R, usize) {
+/// Run `f`; return what it returns, the peak heap bytes held above what
+/// was live when it started, and the bytes still held above that when it
+/// returned (its result included).
+pub fn peak_above_live<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
     let r = f();
-    (r, PEAK.load(Ordering::SeqCst) - base)
+    let retained = LIVE.load(Ordering::SeqCst).saturating_sub(base);
+    (r, PEAK.load(Ordering::SeqCst) - base, retained)
 }
 
 /// A catalog of `entries` distinct plans that every validate and fit the

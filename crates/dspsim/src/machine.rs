@@ -1,4 +1,14 @@
 //! The machine: DDR, one GPDSP cluster, DMA execution and timing.
+//!
+//! Each core carries two clocks, compute and DMA engine, and between two
+//! synchronisations (a barrier, a shared wait) a core's clocks and
+//! counters move by its own work alone.  A timing walk may therefore
+//! *replay* a core instead of stepping it: where [`Machine::replays`]
+//! holds, two cores that enter such a window with equal compute clocks,
+//! idle DMA engines and equal work leave it with equal clocks, so an
+//! emitter steps one and copies it onto the other
+//! ([`Machine::replay_core`]).  Which cores do equal work is the
+//! emitter's business (`ftimm`'s walk).
 
 use crate::fault::{DmaFaultKind, FaultState, MemTarget};
 use crate::profiler::{phase_of_path, EventKind, Phase, Profiler, Span};
@@ -151,6 +161,35 @@ impl Machine {
     /// Convenience: default hardware in the given mode.
     pub fn with_mode(mode: ExecMode) -> Self {
         Machine::new(HwConfig::default(), mode)
+    }
+
+    /// Whether a walk on this machine may replay cores instead of
+    /// stepping them (see the module docs): timing mode, no DMA, core or
+    /// cluster fault armed, and no recording profiler.  Then nothing a
+    /// core does depends on another core or on a global count between
+    /// two synchronisations: no data moves, no fault counter ticks, no
+    /// span is recorded.
+    pub fn replays(&self) -> bool {
+        self.mode == ExecMode::Timing
+            && !self.fault.dma_armed()
+            && self.fault.core_death.is_empty()
+            && self.fault.cluster_death.is_none()
+            && !self.profiler.is_enabled()
+    }
+
+    /// Replay logical core `to` from logical core `stepped` at the end of
+    /// a window both entered with equal compute clocks and idle DMA
+    /// engines and in which both did equal work: `to` takes `stepped`'s
+    /// clocks, and `stepped`'s counter growth since `entry` (its counters
+    /// when the window opened).
+    pub fn replay_core(&mut self, stepped: usize, entry: &CoreStats, to: usize) {
+        let src = &self.cluster.cores[self.core_map[stepped]];
+        let (t_compute, t_dma_free) = (src.t_compute, src.t_dma_free);
+        let grown = src.stats.since(entry);
+        let dst = &mut self.cluster.cores[self.core_map[to]];
+        dst.t_compute = t_compute;
+        dst.t_dma_free = t_dma_free;
+        dst.stats.merge(&grown);
     }
 
     /// Declare how many DMA streams compete for bandwidth (usually the

@@ -235,6 +235,11 @@ impl Profiler {
         }
     }
 
+    /// Whether spans and events are being recorded.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Record a span (no-op while disabled; zero-length spans are kept —
     /// they mark issue points even when no time passed).
     pub fn record(&mut self, span: Span) {

@@ -32,6 +32,20 @@ impl CoreStats {
         self.dma_transfers += other.dma_transfers;
         self.kernel_calls += other.kernel_calls;
     }
+
+    /// The counters accumulated since `earlier`, a snapshot of the same
+    /// core (counters only grow).
+    pub fn since(&self, earlier: &CoreStats) -> CoreStats {
+        CoreStats {
+            compute_cycles: self.compute_cycles - earlier.compute_cycles,
+            instructions: self.instructions - earlier.instructions,
+            flops: self.flops - earlier.flops,
+            ddr_bytes: self.ddr_bytes - earlier.ddr_bytes,
+            gsm_bytes: self.gsm_bytes - earlier.gsm_bytes,
+            dma_transfers: self.dma_transfers - earlier.dma_transfers,
+            kernel_calls: self.kernel_calls - earlier.kernel_calls,
+        }
+    }
 }
 
 /// Fault-injection and recovery counters for one run.
